@@ -30,9 +30,9 @@ fn harness_budget() -> ExploreBudget {
 fn main() {
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    // The §6 race portfolio: explicit arms ∥ CBA refuter under FCR,
-    // symbolic arms otherwise. Rows run one at a time so the counting
-    // allocator attributes peak memory per row.
+    // The §6 portfolio: the fused explicit arm ∥ CBA refuter under
+    // FCR, the fused symbolic arm otherwise. Rows run one at a time so
+    // the counting allocator attributes peak memory per row.
     let portfolio = Portfolio::auto().with_config(SessionConfig {
         budget: harness_budget(),
         max_k: 32,
@@ -42,7 +42,7 @@ fn main() {
         let label = bench.label();
         let fcr = check_fcr(&bench.cpds).holds();
 
-        // Main run: the portfolio race (visible-state convergence).
+        // Main run: the portfolio (visible-state convergence).
         let (outcome, seconds, peak) = measure(Some(&ALLOC), || {
             portfolio.run(bench.cpds.clone(), bench.property.clone())
         });

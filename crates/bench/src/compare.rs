@@ -13,11 +13,12 @@
 //! 3. the absolute difference exceeds a hard floor
 //!    (`abs_floor_us`), so microsecond workloads can never flake.
 //!
-//! Improvement is the mirror image. Verdicts are compared exactly:
-//! an `error` row matches an `error` row (the committed baseline's
-//! `stefan-1/8` exhausts its symbolic budget by design), an `error`
-//! on one side only is a hard gate failure, and timing fields are
-//! **never** read from error rows — they have none.
+//! Improvement is the mirror image. Verdicts are compared exactly —
+//! the verdict word *and* the bound `k`, so `safe k=5 → safe k=6` is a
+//! verdict change: an `error` row matches an `error` row (the
+//! committed baseline's `stefan-1/8` exhausts its symbolic budget by
+//! design), an `error` on one side only is a hard gate failure, and
+//! timing fields are **never** read from error rows — they have none.
 
 use crate::stats::{Summary, MAD_TO_SIGMA};
 use crate::{json_escape, json_unescape, render_table};
@@ -31,6 +32,9 @@ pub struct BenchRecord {
     pub label: String,
     /// `safe` / `unsafe` / `undetermined` / `error`.
     pub verdict: String,
+    /// The convergence or bug bound (`None` for `"k":null`, for
+    /// undetermined and error rows, and when the field is absent).
+    pub k: Option<usize>,
     /// Timing samples, microseconds. A single-sample legacy record
     /// (only `round_wall_us`) becomes a one-element vector.
     pub samples_us: Vec<f64>,
@@ -57,6 +61,7 @@ pub fn parse_records(text: &str) -> Vec<BenchRecord> {
                     .unwrap_or_default()
             };
             Some(BenchRecord {
+                k: extract_number(line, "k").map(|k| k as usize),
                 label,
                 verdict,
                 samples_us,
@@ -154,12 +159,12 @@ pub enum RowStatus {
     Timing(TimingClass),
     /// Both sides errored: unchanged by definition (no timings read).
     ErrorBoth,
-    /// The verdicts differ — including `error` on exactly one side,
-    /// which is always a hard failure.
+    /// The verdicts differ — in the word, in the bound `k`, or by an
+    /// `error` on exactly one side, which is always a hard failure.
     VerdictChanged {
-        /// Baseline verdict.
+        /// Baseline verdict (the word, plus ` k=N` when bounded).
         baseline: String,
-        /// Current verdict.
+        /// Current verdict (the word, plus ` k=N` when bounded).
         current: String,
     },
     /// In the current record only.
@@ -222,8 +227,7 @@ impl CompareReport {
         self.rows.iter().all(|r| !r.fails_gate())
     }
 
-    /// Whether the verdict-only gate passes (timing ignored) — what
-    /// `batch --baseline` enforces.
+    /// Whether the verdict-only gate passes (timing ignored).
     pub fn verdicts_ok(&self) -> bool {
         self.rows.iter().all(|r| !r.fails_verdicts())
     }
@@ -292,6 +296,15 @@ pub fn class_word(status: &RowStatus) -> &'static str {
     }
 }
 
+/// A record's verdict as the gate compares it: the word, plus the
+/// bound when the record has one (`safe k=5`).
+fn verdict_with_bound(record: &BenchRecord) -> String {
+    match record.k {
+        Some(k) => format!("{} k={k}", record.verdict),
+        None => record.verdict.clone(),
+    }
+}
+
 /// Classifies one matched, non-error workload's timing.
 fn classify_timing(
     baseline: &[f64],
@@ -349,13 +362,13 @@ pub fn compare(
                 current_us: None,
                 guard_us: 0.0,
             }
-        } else if base.verdict != cur.verdict {
+        } else if verdict_with_bound(base) != verdict_with_bound(cur) {
             // Includes error on exactly one side: a hard failure.
             RowComparison {
                 label: cur.label.clone(),
                 status: RowStatus::VerdictChanged {
-                    baseline: base.verdict.clone(),
-                    current: cur.verdict.clone(),
+                    baseline: verdict_with_bound(base),
+                    current: verdict_with_bound(cur),
                 },
                 baseline_us: None,
                 current_us: None,
@@ -399,6 +412,7 @@ mod tests {
         BenchRecord {
             label: label.into(),
             verdict: verdict.into(),
+            k: None,
             samples_us: samples.to_vec(),
         }
     }
@@ -437,6 +451,36 @@ mod tests {
         // …and the gate stays green against an error baseline.
         let report = compare(&records, &records, &Thresholds::default());
         assert!(report.gate_ok());
+    }
+
+    /// The bound is part of the verdict: the same word at a different
+    /// `k` fails the gate as `verdict-changed`, in both directions,
+    /// while an unchanged `k` classifies on timing as usual.
+    #[test]
+    fn changed_bound_is_a_verdict_change() {
+        let line = |k: &str| {
+            format!("{{\"label\":\"w\",\"verdict\":\"safe\",\"k\":{k},\"samples_us\":[100,100]}}")
+        };
+        let (k5, k6) = (parse_records(&line("5")), parse_records(&line("6")));
+        assert_eq!(k5[0].k, Some(5));
+        for (baseline, current) in [(&k5, &k6), (&k6, &k5)] {
+            let report = compare(baseline, current, &Thresholds::default());
+            assert_eq!(
+                report.classifications(),
+                vec![("w".to_owned(), "verdict-changed")]
+            );
+            assert!(!report.verdicts_ok());
+        }
+        let report = compare(&k5, &k5, &Thresholds::default());
+        assert_eq!(
+            report.rows[0].status,
+            RowStatus::Timing(TimingClass::Unchanged)
+        );
+        assert!(compare(&k6, &k5, &Thresholds::default())
+            .render()
+            .contains("VERDICT safe k=6 -> safe k=5"));
+        // `"k":null` (undetermined rows) parses to no bound.
+        assert_eq!(parse_records(&line("null"))[0].k, None);
     }
 
     /// The classification boundaries: all three thresholds (ratio,

@@ -65,16 +65,17 @@ pub fn bench_suite() -> Vec<(String, Cpds, Property)> {
 }
 
 /// The suite-wide session limits of the harness (identical to the
-/// `table2`/`batch` binaries, so records stay comparable): the
-/// symbolic state cap keeps the OOM row (`stefan-1/8`) bounded.
-pub fn bench_config(schedule: SchedulePolicy) -> SessionConfig {
+/// `table2` binary, so records stay comparable): the symbolic state
+/// cap keeps the OOM row (`stefan-1/8`) bounded. Sessions always step
+/// their arms round-robin; the [`SchedulePolicy`] argument has a
+/// single value and is ignored.
+pub fn bench_config(_schedule: SchedulePolicy) -> SessionConfig {
     SessionConfig {
         budget: ExploreBudget {
             max_symbolic_states: 20_000,
             ..ExploreBudget::default()
         },
         max_k: 32,
-        schedule,
         ..SessionConfig::new()
     }
 }
@@ -90,8 +91,6 @@ pub struct BenchPlan {
     pub samples: usize,
     /// Problems in flight per iteration.
     pub workers: usize,
-    /// Arm scheduling policy for every session.
-    pub schedule: SchedulePolicy,
     /// Run the verdict-preserving static pre-analysis on every
     /// workload before measuring. The suite cache then keys on the
     /// *reduced* systems, and each row records what the reduction
@@ -102,13 +101,6 @@ pub struct BenchPlan {
     /// parallelism, `1` = the sequential code path). Records are
     /// identical at every value except for the timing fields.
     pub threads: usize,
-    /// Learned per-fingerprint tunings (`--profile-map`). Novel
-    /// fingerprints are probed once *before* warmup — through a
-    /// dedicated cache, so probing never pollutes the measured
-    /// iterations — and every measured session then starts with its
-    /// system's learned schedule, falling back to `schedule` on a
-    /// miss.
-    pub profile_map: Option<std::sync::Arc<cuba_core::ProfileMap>>,
     /// A `cuba snapshot` file to seed into every iteration's fresh
     /// cache (`--from-snapshot`): the matching workload replays the
     /// recorded layers instead of exploring live, and its hit probe
@@ -137,10 +129,8 @@ impl Default for BenchPlan {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            schedule: SchedulePolicy::default(),
             reduce: false,
             threads: 0,
-            profile_map: None,
             seed: None,
         }
     }
@@ -314,12 +304,9 @@ pub fn run(plan: &BenchPlan) -> BenchRun {
 /// [`run`] over an explicit workload list (tests measure a small
 /// subset; the debug-build suite is seconds per iteration).
 pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)>) -> BenchRun {
-    let mut config = bench_config(plan.schedule.clone());
+    let mut config = bench_config(SchedulePolicy::RoundRobin);
     config.budget.threads = plan.threads;
-    let mut portfolio = Portfolio::auto().with_config(config.clone());
-    if let Some(map) = &plan.profile_map {
-        portfolio = portfolio.with_profile_map(map.clone());
-    }
+    let portfolio = Portfolio::auto().with_config(config.clone());
 
     // With --reduce, the pre-analysis runs once per workload up front;
     // every iteration (and the suite cache) then sees only the reduced
@@ -339,25 +326,6 @@ pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)
                 }
                 Err(e) => eprintln!("reduce {label}: {e} (measuring unreduced)"),
             }
-        }
-    }
-
-    // With --profile-map, probe every fingerprint the map has not
-    // learned yet before any measurement (and after --reduce, so the
-    // map keys on the systems the sessions will actually see). The
-    // probe shares one dedicated cache across its candidates and the
-    // measured iterations below never touch it.
-    if let Some(map) = &plan.profile_map {
-        let start = Instant::now();
-        let probes =
-            crate::tune::ensure_profiles(map, &problems, plan.workers, &SuiteCache::new(), &config);
-        if probes > 0 {
-            eprintln!(
-                "profile map: {} probes over {} workloads: {:.2}s",
-                probes,
-                problems.len(),
-                start.elapsed().as_secs_f64()
-            );
         }
     }
 
@@ -461,10 +429,10 @@ pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)
     }
 }
 
-/// Renders one row as a JSON object. The layout is a superset of the
-/// single-sample `batch --json` format: `round_wall_us` stays (as the
-/// median, so older readers keep working) and the full sample vector
-/// rides in `samples_us`. Error rows get `reason` and no timing
+/// Renders one row as a JSON object. `round_wall_us` is the median
+/// of the samples (single-sample records carry only that field, so
+/// older readers keep working) and the full sample vector rides in
+/// `samples_us`. Error rows get `reason` and no timing
 /// fields.
 pub fn row_to_json(row: &BenchRow) -> String {
     let mut obj = JsonObject::new();

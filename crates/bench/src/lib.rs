@@ -12,7 +12,6 @@ use std::time::Instant;
 pub mod compare;
 pub mod harness;
 pub mod stats;
-pub mod tune;
 
 /// A wrapper around the system allocator that tracks current and peak
 /// heap usage. Install it in a harness binary with:

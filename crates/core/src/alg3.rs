@@ -108,18 +108,11 @@ impl Alg3Driver {
         if let Some(_v) = self.property.find_violation(view.new_visible.iter()) {
             return (event, Some(Verdict::Unsafe { k, witness: None }));
         }
-        if self.use_state_collapse && view.collapsed {
-            return (
-                event,
-                Some(Verdict::Safe {
-                    k: k - 1,
-                    method: ConvergenceMethod::RkCollapse,
-                }),
-            );
-        }
         // Line 4: a *new* plateau at k−1 triggers the generator test
         // `G∩Z ⊆ T(Rk)`, evaluated against the first-seen bounds so it
-        // stays exact when the shared layers run deeper than `k`.
+        // stays exact when the shared layers run deeper than `k`. It
+        // runs before the collapse test, so a round where both rules
+        // fire concludes with Alg. 3's own rule.
         if k >= 1 && event == SequenceEvent::NewPlateau {
             if backend.missing_by(&self.g_cap_z, k).is_empty() {
                 return (
@@ -131,6 +124,15 @@ impl Alg3Driver {
                 );
             }
             self.rejected_plateaus.push(k - 1);
+        }
+        if self.use_state_collapse && view.collapsed {
+            return (
+                event,
+                Some(Verdict::Safe {
+                    k: k - 1,
+                    method: ConvergenceMethod::RkCollapse,
+                }),
+            );
         }
         (event, None)
     }
@@ -261,7 +263,7 @@ impl Alg3Engine {
 impl Engine for Alg3Engine {
     fn id(&self) -> EngineUsed {
         // The fused variant attributes an Rk/Sk-collapse conclusion to
-        // the Scheme 1 rule it borrowed, as the paper's race would.
+        // the Scheme 1 rule it borrowed.
         let collapse = matches!(
             &self.verdict,
             Some(Verdict::Safe {
@@ -351,14 +353,6 @@ impl Engine for Alg3Engine {
 
     fn states(&self) -> usize {
         self.states
-    }
-
-    fn store_key(&self) -> Option<usize> {
-        Some(self.backend.store_key())
-    }
-
-    fn frontier(&self) -> usize {
-        self.backend.depth()
     }
 
     fn growth(&self) -> &GrowthLog {

@@ -1,5 +1,6 @@
 use cuba_explore::{ExploreBudget, SubsumptionMode, SymbolicEngine};
 use cuba_pds::Cpds;
+use cuba_telemetry::metrics::{stage_time, Stage};
 
 use crate::engine::{Applicability, Engine, RoundCtx, RoundInfo, RoundOutcome};
 use crate::{CubaError, EngineUsed, GrowthLog, Property, Verdict};
@@ -55,9 +56,10 @@ pub struct CbaReport {
 /// `S0 … Sk` symbolically for a *fixed* bound `k`, checking the
 /// property on the way, with no convergence detection whatsoever.
 ///
-/// As a portfolio arm this is the cheap *refuter* of the §6 race: it
-/// can win with `Unsafe`, and "concludes" `Undetermined` once the
-/// bound is exhausted — CBA proves nothing (Fig. 5's comparator).
+/// As a portfolio arm this is the *refuter* beside the fused explicit
+/// arm: it can conclude with `Unsafe`, and "concludes" `Undetermined`
+/// once the bound is exhausted — CBA proves nothing (Fig. 5's
+/// comparator).
 #[derive(Debug)]
 pub struct CbaEngine {
     cpds: Cpds,
@@ -153,7 +155,12 @@ impl Engine for CbaEngine {
         let started = std::time::Instant::now();
         let k = self.next_k;
         if k > 0 {
-            self.backend.advance()?;
+            // The refuter's exploration is private (not a shared
+            // explorer), so it books its own saturation time.
+            let advance = std::time::Instant::now();
+            let result = self.backend.advance();
+            stage_time(Stage::Saturate, advance.elapsed());
+            result?;
         }
         let event = self.growth.push(self.backend.num_symbolic_states());
         self.next_k += 1;

@@ -12,9 +12,9 @@ use crate::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriverMode {
     /// The paper's overall procedure (§6): if FCR holds, run visible
-    /// state reachability and global state reachability concurrently
-    /// and return whichever terminates first; otherwise run the
-    /// symbolic visible-state analysis.
+    /// state reachability and global state reachability over the same
+    /// layers (one fused arm applying both convergence tests);
+    /// otherwise run the symbolic visible-state analysis.
     #[default]
     Auto,
     /// Force `Alg 3(T(Rk)) ∥ Scheme 1(Rk)` (errors without FCR).
@@ -59,11 +59,6 @@ pub struct CubaConfig {
     pub budget: ExploreBudget,
     /// Round limit per engine.
     pub max_k: usize,
-    /// Run the explicit algorithms on real OS threads, as the paper's
-    /// procedure forks "two computational threads". When `false`, the
-    /// arms advance round-robin on one core through the same bounds,
-    /// which is equivalent and cheaper.
-    pub parallel: bool,
     /// Subsumption mode for symbolic engines.
     pub subsumption: SubsumptionMode,
     /// Wall-clock limit for the whole run; long rounds abort
@@ -80,7 +75,6 @@ impl Default for CubaConfig {
             mode: DriverMode::Auto,
             budget: ExploreBudget::default(),
             max_k: 64,
-            parallel: false,
             subsumption: SubsumptionMode::Exact,
             timeout: None,
             cancel: None,
@@ -89,10 +83,11 @@ impl Default for CubaConfig {
 }
 
 /// Wall-clock split of a run across the analysis stages, summed over
-/// completed rounds of all arms. `saturate` *contains* `merge` (the
-/// deterministic barrier merges happen inside exploration advances);
-/// `check` is the round remainder (membership and convergence tests),
-/// so `saturate + check ≈ round_wall`.
+/// completed rounds of all arms. Every exploration advance books as
+/// `saturate`, the CBA refuter's private one included. `saturate`
+/// *contains* `merge` (the deterministic barrier merges happen inside
+/// exploration advances); `check` is the round remainder (membership
+/// and convergence tests), so `saturate + check ≈ round_wall`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Time inside exploration advances (`ensure_layer`).
@@ -104,7 +99,7 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
-    /// Component-wise sum (aggregating arms of a race).
+    /// Component-wise sum.
     pub fn add(&mut self, other: &StageTimes) {
         self.saturate += other.saturate;
         self.check += other.check;
@@ -129,8 +124,8 @@ pub struct CubaOutcome {
     /// Wall-clock duration of the run.
     pub duration: Duration,
     /// Wall-clock spent inside completed rounds, summed over *all*
-    /// arms — the cost-accounting view of the race (scheduling
-    /// overhead and FCR/G∩Z precomputation excluded).
+    /// arms — the cost-accounting view of the session (FCR/G∩Z
+    /// precomputation excluded).
     pub round_wall: Duration,
     /// Rounds whose layer was explored *live* by this run, summed over
     /// all arms. With layer sharing ("one system, many properties") a
@@ -149,7 +144,7 @@ pub struct CubaOutcome {
 /// ```text
 /// Input: a CPDS Pn and a property C
 /// 1: if Pn satisfies FCR then
-/// 2:     Alg 3(T(Rk)) ∥ Scheme 1(Rk)      ▷ two threads
+/// 2:     Alg 3(T(Rk)) ∥ Scheme 1(Rk)      ▷ one fused arm
 /// 3: else
 /// 4:     Alg 3(T(Sk))
 /// ```
@@ -195,17 +190,10 @@ impl Cuba {
             }
             DriverMode::SymbolicOnly => false,
         };
+        // One fused arm: the shared layers feed both convergence tests
+        // (the Scheme 1 collapse test is folded into Algorithm 3).
         Ok(if use_explicit {
-            if config.parallel {
-                // The literal two-thread race of §6.
-                vec![EngineKind::Alg3Explicit, EngineKind::Scheme1Explicit]
-            } else {
-                // One fused arm: the shared `(Rk)` computation feeds
-                // both convergence tests (the Scheme 1 collapse test
-                // is folded into Algorithm 3), exactly the classic
-                // sequential driver.
-                vec![EngineKind::Alg3Explicit]
-            }
+            vec![EngineKind::Alg3Explicit]
         } else {
             vec![EngineKind::Alg3Symbolic]
         })
@@ -218,7 +206,6 @@ impl Cuba {
             subsumption: config.subsumption,
             timeout: config.timeout,
             cancel: config.cancel.clone(),
-            schedule: crate::SchedulePolicy::default(),
         }
     }
 
@@ -259,29 +246,18 @@ impl Cuba {
     pub fn run_with(
         &self,
         config: &CubaConfig,
-        mut on_event: impl FnMut(&SessionEvent),
+        on_event: impl FnMut(&SessionEvent),
     ) -> Result<CubaOutcome, CubaError> {
         let start = Instant::now();
         let fcr = check_fcr(&self.cpds).holds();
         let lineup = self.lineup(config, fcr)?;
-        let session_config = self.session_config(config);
-        let mut outcome = if config.parallel && lineup.len() > 1 {
-            crate::Portfolio::fixed(lineup)
-                .with_config(session_config)
-                .run_parallel(
-                    self.cpds.clone(),
-                    self.property.clone(),
-                    Some(&mut on_event),
-                )?
-        } else {
-            AnalysisSession::new(
-                self.cpds.clone(),
-                self.property.clone(),
-                &lineup,
-                &session_config,
-            )?
-            .run_with(on_event)?
-        };
+        let mut outcome = AnalysisSession::new(
+            self.cpds.clone(),
+            self.property.clone(),
+            &lineup,
+            &self.session_config(config),
+        )?
+        .run_with(on_event)?;
         outcome.duration = start.elapsed();
         Ok(outcome)
     }
@@ -322,19 +298,6 @@ mod tests {
             outcome.engine,
             EngineUsed::Alg3Symbolic | EngineUsed::Scheme1Symbolic
         ));
-    }
-
-    #[test]
-    fn parallel_race_agrees_with_fused() {
-        let cuba = Cuba::new(fig1(), Property::True);
-        let fused = cuba.run(&CubaConfig::default()).unwrap();
-        let parallel = cuba
-            .run(&CubaConfig {
-                parallel: true,
-                ..CubaConfig::default()
-            })
-            .unwrap();
-        assert_eq!(fused.verdict.is_safe(), parallel.verdict.is_safe());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The pluggable [`Engine`] abstraction.
 //!
-//! CUBA's §6 procedure is a *race of engines* over observation
-//! sequences: run `Alg 3(T(Rk))` and `Scheme 1(Rk)` concurrently under
-//! FCR, fall back to the symbolic engines otherwise, and let a
-//! context-bounded refuter hunt for bugs on the side. To race engines,
-//! pause them, or stream their per-round observations, each algorithm
-//! must be a *resumable round-stepper* instead of a monolithic
-//! `for k in 0..max_k` loop. This module defines the common trait; the
-//! concrete engines live with their algorithms
+//! CUBA's §6 procedure runs `Alg 3(T(Rk))` and `Scheme 1(Rk)` under
+//! FCR and falls back to the symbolic engines otherwise; a
+//! context-bounded refuter can hunt for bugs on the side. To pause
+//! engines, interleave them, or stream their per-round observations,
+//! each algorithm must be a *resumable round-stepper* instead of a
+//! monolithic `for k in 0..max_k` loop. This module defines the common
+//! trait; the concrete engines live with their algorithms
 //! ([`Alg3Engine`](crate::Alg3Engine),
 //! [`Scheme1Engine`](crate::Scheme1Engine),
 //! [`CbaEngine`](crate::CbaEngine)) and the original free functions
@@ -61,9 +60,7 @@ impl RoundCtx {
     }
 }
 
-/// What one computed round looked like, including its cost — the raw
-/// material of budget-aware scheduling
-/// ([`SchedulePolicy`](crate::SchedulePolicy)).
+/// What one computed round looked like, including its cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundInfo {
     /// The context bound `k` of the round.
@@ -72,9 +69,8 @@ pub struct RoundInfo {
     /// engines, symbolic states otherwise).
     pub states: usize,
     /// States added by this round (`states` minus the previous
-    /// round's; the whole initial frontier for `k = 0`). The frontier
-    /// delta a [`SchedulePolicy`](crate::SchedulePolicy) watches.
-    /// Zero for replayed rounds — the shared explorer already held the
+    /// round's; the whole initial frontier for `k = 0`). Zero for
+    /// replayed rounds — the shared explorer already held the
     /// layer, so this engine computed nothing.
     pub delta_states: usize,
     /// Wall-clock time the engine spent computing this round. Always
@@ -85,9 +81,7 @@ pub struct RoundInfo {
     pub event: SequenceEvent,
     /// Whether the layer was *replayed* from a shared explorer that
     /// had already computed it (for a prior property, or for a sibling
-    /// arm of the same race) instead of explored live. Schedulers must
-    /// exclude replays from plateau/balloon accounting — a replay's
-    /// zero cost says nothing about the arm's real frontier behavior.
+    /// arm of the same session) instead of explored live.
     pub replayed: bool,
 }
 
@@ -103,8 +97,8 @@ pub enum RoundOutcome {
         /// The final round, if this step computed one.
         round: Option<RoundInfo>,
         /// The verdict. `Undetermined` marks exhaustion (round limit,
-        /// or a refuter that ran out of bounds) — a portfolio treats
-        /// it as "this arm is out of the race", not as an answer.
+        /// or a refuter that ran out of bounds) — a session treats it
+        /// as "this arm is done", not as an answer.
         verdict: Verdict,
     },
 }
@@ -130,14 +124,15 @@ impl RoundOutcome {
 /// A resumable CUBA analysis engine: one observation-sequence
 /// algorithm, advanced one context bound per [`step`](Engine::step).
 ///
-/// Engines are `Send` so a [`Portfolio`](crate::Portfolio) can race
-/// them on OS threads. `step` after a conclusion is a cheap no-op
-/// repeating the verdict, so drivers need no extra bookkeeping.
+/// Engines are `Send` so sessions can run on any thread (the
+/// [`Portfolio::run_suite`](crate::Portfolio::run_suite) workers).
+/// `step` after a conclusion is a cheap no-op repeating the verdict, so
+/// drivers need no extra bookkeeping.
 pub trait Engine: Send {
     /// Which algorithm/representation this engine runs. May depend on
     /// the conclusion: the fused explicit engine reports
-    /// `Scheme1Explicit` when the `Rk`-collapse rule fired, matching
-    /// the attribution of the paper's race.
+    /// `Scheme1Explicit` when the `Rk`-collapse rule fired, the rule
+    /// the paper's Scheme 1 contributes.
     fn id(&self) -> EngineUsed;
 
     /// Human-readable engine name (the paper's notation).
@@ -168,19 +163,6 @@ pub trait Engine: Send {
 
     /// States stored by the engine (global or symbolic).
     fn states(&self) -> usize;
-
-    /// Identity of the engine's shared exploration store, when it
-    /// borrows one — arms reporting the same key consume one layered
-    /// exploration (see [`ArmView`](crate::ArmView)).
-    fn store_key(&self) -> Option<usize> {
-        None
-    }
-
-    /// Deepest bound the engine's store already holds (0 when the
-    /// engine owns its exploration outright).
-    fn frontier(&self) -> usize {
-        0
-    }
 
     /// The engine's observation log (sizes per bound).
     fn growth(&self) -> &GrowthLog;
@@ -270,19 +252,6 @@ impl Backend {
     ) -> Option<R> {
         self.shared.with_explicit(f)
     }
-
-    /// Pointer identity of the shared explorer (the [`ArmView`]
-    /// store key).
-    ///
-    /// [`ArmView`]: crate::ArmView
-    pub(crate) fn store_key(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.shared) as usize
-    }
-
-    /// Deepest bound the explorer already holds.
-    pub(crate) fn depth(&self) -> usize {
-        self.shared.depth()
-    }
 }
 
 /// The engine lineup vocabulary: which algorithm over which state
@@ -334,7 +303,8 @@ pub struct EngineParams {
     pub subsumption: SubsumptionMode,
     /// Fuse the state-collapse test into Algorithm 3 arms
     /// (`use_state_collapse`). Sessions disable this when a dedicated
-    /// Scheme 1 arm of the same representation runs alongside.
+    /// Scheme 1 arm of the same representation runs alongside, so a
+    /// collapse is never concluded twice.
     pub fuse_collapse: bool,
     /// Skip the per-engine FCR pre-check (sessions check once).
     pub skip_fcr_check: bool,

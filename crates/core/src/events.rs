@@ -19,8 +19,7 @@ pub enum SessionEvent {
         k: usize,
         /// States stored by that engine after the round.
         states: usize,
-        /// States the round added (the frontier delta a
-        /// [`SchedulePolicy`](crate::SchedulePolicy) watches).
+        /// States the round added (zero for replayed rounds).
         delta_states: usize,
         /// Wall-clock cost of the round (nonzero; ≈ 0 for replays).
         elapsed: std::time::Duration,
@@ -32,8 +31,8 @@ pub enum SessionEvent {
         replayed: bool,
     },
     /// An engine reached a verdict (possibly `Undetermined` — for a
-    /// refuter arm or a round-limited run, that just means "out of the
-    /// race").
+    /// refuter arm or a round-limited run, that just means "this arm
+    /// is done").
     EngineConcluded {
         /// The engine that concluded.
         engine: EngineUsed,
@@ -45,7 +44,7 @@ pub enum SessionEvent {
         states: usize,
     },
     /// An engine died (budget exhaustion, cancellation, deadline).
-    /// The session keeps racing the remaining arms.
+    /// The session keeps stepping the remaining arms.
     EngineFailed {
         /// The engine that failed.
         engine: EngineUsed,

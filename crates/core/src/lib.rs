@@ -17,24 +17,23 @@
 //!   Thm. 11) intersected with the context-insensitive
 //!   overapproximation `Z` (Alg. 2, Lemma 12).
 //! * [`Portfolio`] / [`AnalysisSession`] implement the top-level
-//!   procedure of §6 as a *race of engines*: under FCR the explicit
-//!   arms run alongside a context-bounded refuter, otherwise the
-//!   symbolic arms race — streaming per-round [`SessionEvent`]s (with
+//!   procedure of §6 with *one fused arm per backend*: Alg. 3 and the
+//!   Scheme 1 collapse test read the same layers in one pass, under
+//!   FCR beside a context-bounded refuter arm. Sessions step their
+//!   arms round-robin and stream per-round [`SessionEvent`]s (with
 //!   per-round cost accounting), with cooperative cancellation and
-//!   wall-clock deadlines. Turns are distributed by a pluggable
-//!   [`SchedulePolicy`] (cost-aware by default); batches share
-//!   per-system artifacts through a [`SuiteCache`]. Exploration is
-//!   decoupled from property checking: the layers `(Rk)`/`(Sk)` live
-//!   in shared, demand-driven explorers
-//!   ([`SharedExplorer`](cuba_explore::SharedExplorer), held by
-//!   [`SystemArtifacts`]), so any number of properties of one system
-//!   replay a single saturation and only deeper bounds are computed
-//!   live ("one system, many properties").
+//!   wall-clock deadlines; batches share per-system artifacts through
+//!   a [`SuiteCache`]. Exploration is decoupled from property
+//!   checking: the layers `(Rk)`/`(Sk)` live in shared, demand-driven
+//!   explorers ([`SharedExplorer`](cuba_explore::SharedExplorer), held
+//!   by [`SystemArtifacts`]), so any number of properties of one
+//!   system replay a single saturation and only deeper bounds are
+//!   computed live ("one system, many properties").
 //! * [`Cuba`] is a thin blocking wrapper over a session, kept for
 //!   compatibility.
 //! * [`cba_baseline`] is plain context-bounded analysis (Qadeer–Rehof
 //!   style, bug-finding only) — the JMoped-shaped comparator of
-//!   Fig. 5, and the refuter arm of the default portfolio.
+//!   Fig. 5, and the refuter arm of the default portfolio under FCR.
 //!
 //! # Example
 //!
@@ -60,11 +59,11 @@
 //!     .thread(p2.build()?, [s(4)])
 //!     .build()?;
 //!
-//! // ⟨2|1,5⟩ is never reachable; the §6 race proves it at k = 5.
+//! // ⟨2|1,5⟩ is never reachable; the §6 procedure proves it at k = 5.
 //! let target = VisibleState::new(q(2), vec![Some(s(1)), Some(s(5))]);
 //! let property = Property::never_visible(target);
 //!
-//! // Stream the race: one RoundCompleted per engine per bound.
+//! // Stream the session: one RoundCompleted per arm per bound.
 //! let mut session = Portfolio::auto().session(cpds, property)?;
 //! let mut rounds = 0;
 //! for event in &mut session {
@@ -74,7 +73,7 @@
 //! }
 //! let outcome = session.into_outcome()?;
 //! assert!(matches!(outcome.verdict, Verdict::Safe { k: 5, .. }));
-//! assert!(rounds >= 7); // the winning arm computed bounds 0..=6
+//! assert!(rounds >= 7); // the fused arm computed bounds 0..=6
 //! # Ok(())
 //! # }
 //! ```
@@ -92,9 +91,8 @@
 //! * [`alg3_explicit`]/[`alg3_symbolic`] drive an [`Alg3Engine`],
 //! * [`scheme1_explicit`]/[`scheme1_symbolic`] a [`Scheme1Engine`],
 //! * [`cba_baseline`] a [`CbaEngine`],
-//! * [`Cuba::run`] opens a single-problem [`AnalysisSession`] (one
-//!   fused explicit arm, or the two-thread race with
-//!   `parallel: true`).
+//! * [`Cuba::run`] opens a single-problem [`AnalysisSession`] with one
+//!   fused arm.
 //!
 //! New code that wants streaming, cancellation, deadlines, custom
 //! lineups, or batch verification should use [`Portfolio`] and
@@ -111,9 +109,7 @@ mod fcr;
 mod generator;
 mod overapprox;
 mod portfolio;
-mod profile_map;
 mod property;
-mod schedule;
 mod scheme1;
 mod sequence;
 mod session;
@@ -135,19 +131,12 @@ pub use fcr::{check_fcr, fcr_checks_performed, fcr_psa, FcrReport};
 pub use generator::GeneratorSet;
 pub use overapprox::{compute_z, thread_abstraction, AbstractTransition, ZReport};
 pub use portfolio::{Lineup, Portfolio};
-pub use profile_map::{
-    LearnedProfile, ProbeGuard, ProbeRecord, ProfileMap, ProfileMapStats, PROFILE_MAP_VERSION,
-};
 pub use property::Property;
-pub use schedule::{
-    ArmView, FrontierAwareScheduler, FrontierConfig, NamedProfile, RoundRobinScheduler,
-    SchedulePolicy, Scheduler,
-};
 pub use scheme1::{
     scheme1_explicit, scheme1_symbolic, Scheme1Config, Scheme1Engine, Scheme1Report,
 };
 pub use sequence::{GrowthLog, SequenceEvent};
-pub use session::{AnalysisSession, SessionConfig};
+pub use session::{AnalysisSession, SchedulePolicy, SessionConfig};
 pub use snapshot_store::SnapshotStore;
 
 /// The answer of a CUBA analysis.

@@ -1,41 +1,41 @@
-//! The portfolio scheduler: the paper's §6 race as a first-class,
+//! The portfolio: the paper's §6 procedure as a first-class,
 //! configurable object, plus batch verification.
 //!
 //! ```text
 //! Input: a CPDS Pn and a property C
 //! 1: if Pn satisfies FCR then
-//! 2:     Alg 3(T(Rk)) ∥ Scheme 1(Rk) ∥ CBA refuter
+//! 2:     Alg 3(T(Rk)) ∥ Scheme 1(Rk)
 //! 3: else
-//! 4:     Alg 3(T(Sk)) ∥ Scheme 1(Sk)
+//! 4:     Alg 3(T(Sk))
 //! ```
 //!
-//! The CBA arm is the Qadeer–Rehof-style context-bounded refuter
-//! (Fig. 5's comparator): it can only win the race with a bug, never
-//! with a proof. Arms run round-robin on one core
-//! ([`Portfolio::run`]) or on OS threads ([`Portfolio::run_parallel`]);
-//! [`Portfolio::run_suite`] verifies many problems with bounded
-//! parallelism — the service-shaped entry point the benchmark
-//! harnesses build on.
+//! Both procedures of line 2 read the same layers `(Rk)`, so the
+//! default lineup runs them as *one fused arm* per backend: each round
+//! applies Alg. 3's generator test, then Scheme 1's collapse test.
+//! Under FCR a CBA refuter arm (Fig. 5's Qadeer–Rehof-style
+//! comparator) runs alongside; it can only conclude with a bug, never
+//! with a proof. [`Portfolio::run`] steps a problem's arms round-robin
+//! on the current thread; [`Portfolio::run_suite`] verifies many
+//! problems with bounded parallelism — the service-shaped entry point
+//! the benchmark harnesses build on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use cuba_pds::Cpds;
 
 use crate::engine::EngineKind;
 use crate::{
-    AnalysisSession, CubaError, CubaOutcome, ProfileMap, Property, SchedulePolicy, SessionConfig,
-    SessionEvent, SuiteCache, SystemArtifacts, Verdict,
+    AnalysisSession, CubaError, CubaOutcome, Property, SessionConfig, SessionEvent, SuiteCache,
+    SystemArtifacts,
 };
 
 /// How a portfolio picks its engine lineup for a problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lineup {
     /// The paper's §6 policy, decided per problem by the FCR check:
-    /// explicit arms plus a CBA refuter under FCR, symbolic arms
-    /// otherwise.
+    /// the fused explicit arm plus a CBA refuter under FCR, the fused
+    /// symbolic arm otherwise.
     Auto,
     /// A fixed lineup (arms needing FCR are dropped per problem when
     /// the system lacks it).
@@ -48,10 +48,6 @@ pub enum Lineup {
 pub struct Portfolio {
     lineup: Lineup,
     config: SessionConfig,
-    /// Learned per-fingerprint tunings. When set, every session start
-    /// consults the map first and only falls back to `config.schedule`
-    /// for systems the map has not learned.
-    profile_map: Option<Arc<ProfileMap>>,
 }
 
 impl Default for Portfolio {
@@ -66,7 +62,6 @@ impl Portfolio {
         Portfolio {
             lineup: Lineup::Auto,
             config: SessionConfig::new(),
-            profile_map: None,
         }
     }
 
@@ -75,7 +70,6 @@ impl Portfolio {
         Portfolio {
             lineup: Lineup::Fixed(kinds.into()),
             config: SessionConfig::new(),
-            profile_map: None,
         }
     }
 
@@ -85,30 +79,9 @@ impl Portfolio {
         self
     }
 
-    /// Attaches a learned per-fingerprint [`ProfileMap`]. Sessions
-    /// opened through this portfolio then start with the map's tuning
-    /// for their system (frontier-aware, `threads` included) and fall
-    /// back to the configured `--schedule` only on a map miss.
-    pub fn with_profile_map(mut self, map: Arc<ProfileMap>) -> Self {
-        self.profile_map = Some(map);
-        self
-    }
-
     /// The session configuration.
     pub fn config(&self) -> &SessionConfig {
         &self.config
-    }
-
-    /// The configuration a session for `cpds` would actually start
-    /// with: the profile map's learned schedule when one is attached
-    /// and has this fingerprint, the base configuration otherwise.
-    fn effective_config(&self, cpds: &Cpds) -> std::borrow::Cow<'_, SessionConfig> {
-        if let Some(learned) = self.profile_map.as_ref().and_then(|map| map.lookup(cpds)) {
-            let mut config = self.config.clone();
-            config.schedule = SchedulePolicy::FrontierAware(learned);
-            return std::borrow::Cow::Owned(config);
-        }
-        std::borrow::Cow::Borrowed(&self.config)
     }
 
     /// The concrete lineup this portfolio fields for a system.
@@ -122,13 +95,9 @@ impl Portfolio {
         match &self.lineup {
             Lineup::Auto => {
                 if artifacts.fcr(cpds).holds() {
-                    vec![
-                        EngineKind::Alg3Explicit,
-                        EngineKind::Scheme1Explicit,
-                        EngineKind::CbaRefuter,
-                    ]
+                    vec![EngineKind::Alg3Explicit, EngineKind::CbaRefuter]
                 } else {
-                    vec![EngineKind::Alg3Symbolic, EngineKind::Scheme1Symbolic]
+                    vec![EngineKind::Alg3Symbolic]
                 }
             }
             Lineup::Fixed(kinds) => kinds.clone(),
@@ -163,12 +132,11 @@ impl Portfolio {
         property
             .validate(&cpds)
             .map_err(CubaError::InvalidProperty)?;
-        let config = self.effective_config(&cpds);
         let lineup = self.lineup_with(&cpds, artifacts);
-        AnalysisSession::with_artifacts(cpds, property, &lineup, &config, artifacts)
+        AnalysisSession::with_artifacts(cpds, property, &lineup, &self.config, artifacts)
     }
 
-    /// Runs the race round-robin on the current thread.
+    /// Runs the lineup round-robin on the current thread.
     ///
     /// # Errors
     ///
@@ -177,7 +145,7 @@ impl Portfolio {
         self.session(cpds, property)?.run()
     }
 
-    /// Runs the race round-robin, streaming events to a callback.
+    /// Runs the lineup round-robin, streaming events to a callback.
     ///
     /// # Errors
     ///
@@ -191,190 +159,9 @@ impl Portfolio {
         self.session(cpds, property)?.run_with(on_event)
     }
 
-    /// Runs the race on OS threads — the literal "two computational
-    /// threads" of §6, generalized to the whole lineup. The first
-    /// conclusive arm cancels the others through the shared token;
-    /// events from all arms are forwarded to the callback (in arrival
-    /// order) when one is given.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run).
-    pub fn run_parallel(
-        &self,
-        cpds: Cpds,
-        property: Property,
-        on_event: Option<&mut dyn FnMut(&SessionEvent)>,
-    ) -> Result<CubaOutcome, CubaError> {
-        self.run_parallel_with(cpds, property, on_event, &Arc::new(SystemArtifacts::new()))
-    }
-
-    /// As [`run_parallel`](Self::run_parallel), reusing cached
-    /// per-system artifacts — so even the threaded race shares one
-    /// layered exploration per backend with every other consumer of
-    /// the same system (suite batches, earlier properties).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run).
-    pub fn run_parallel_with(
-        &self,
-        cpds: Cpds,
-        property: Property,
-        mut on_event: Option<&mut dyn FnMut(&SessionEvent)>,
-        artifacts: &Arc<SystemArtifacts>,
-    ) -> Result<CubaOutcome, CubaError> {
-        property
-            .validate(&cpds)
-            .map_err(CubaError::InvalidProperty)?;
-        let session_config = self.effective_config(&cpds);
-        let start = std::time::Instant::now();
-        let fcr_holds = artifacts.fcr(&cpds).holds();
-        let lineup: Vec<EngineKind> = self
-            .lineup_with(&cpds, artifacts)
-            .into_iter()
-            .filter(|kind| fcr_holds || !kind.needs_fcr())
-            .collect();
-        if lineup.is_empty() {
-            return Err(CubaError::FcrRequired);
-        }
-
-        // Every arm polls the shared race token as an extra source
-        // (no single-arm session fires it by itself — sessions only
-        // fire their own internal token); the first conclusive arm
-        // fires it below and the others stop mid-round. The caller's
-        // own token, if any, stays in the config and is polled too.
-        let race = cuba_explore::CancelToken::new();
-
-        let (events_tx, events_rx) = mpsc::channel::<SessionEvent>();
-        let reports: Mutex<Vec<ParallelArmReport>> = Mutex::new(Vec::new());
-        // Shared cost board for frontier-aware self-parking: each arm
-        // publishes its state count after every round and parks itself
-        // while it balloons past the leanest active sibling.
-        let board: Vec<AtomicUsize> = lineup.iter().map(|_| AtomicUsize::new(0)).collect();
-        let active = AtomicUsize::new(lineup.len());
-        let frontier = match &session_config.schedule {
-            SchedulePolicy::FrontierAware(config) => Some(config.clone()),
-            SchedulePolicy::RoundRobin => None,
-        };
-
-        std::thread::scope(|scope| {
-            for (arm_index, kind) in lineup.iter().enumerate() {
-                // One single-arm session per thread: reuses the exact
-                // round/event bookkeeping of the sequential path. The
-                // fuse decision still sees the whole lineup, so Alg. 3
-                // arms run pure whenever a Scheme 1 arm races.
-                let session = AnalysisSession::with_fuse_lineup(
-                    cpds.clone(),
-                    property.clone(),
-                    std::slice::from_ref(kind),
-                    &lineup,
-                    Some(race.clone()),
-                    &session_config,
-                    artifacts,
-                );
-                let events_tx = events_tx.clone();
-                let reports = &reports;
-                let race = &race;
-                let board = &board;
-                let active = &active;
-                let frontier = frontier.clone();
-                scope.spawn(move || {
-                    let report = match session {
-                        Ok(mut session) => {
-                            while let Some(event) = session.next_event() {
-                                if let SessionEvent::RoundCompleted { states, .. } = &event {
-                                    board[arm_index].store(*states, Ordering::Relaxed);
-                                }
-                                let _ = events_tx.send(event);
-                                if let Some(config) = &frontier {
-                                    park_while_ballooning(arm_index, board, active, race, config);
-                                }
-                            }
-                            // Clear this arm's board entry *before*
-                            // leaving the race: a retired arm's stale
-                            // state count must never serve as the
-                            // "leanest sibling" for the parking test,
-                            // or the survivors could park forever.
-                            board[arm_index].store(0, Ordering::Relaxed);
-                            active.fetch_sub(1, Ordering::Relaxed);
-                            // The first conclusive arm stops the race.
-                            let conclusive = matches!(
-                                session.outcome(),
-                                Some(Ok(o)) if !matches!(o.verdict, Verdict::Undetermined { .. })
-                            );
-                            if conclusive {
-                                race.cancel();
-                            }
-                            match session.outcome() {
-                                Some(Ok(outcome)) => ParallelArmReport {
-                                    engine: outcome.engine,
-                                    result: Ok(outcome.verdict.clone()),
-                                    rounds: outcome.rounds,
-                                    states: outcome.states,
-                                    round_wall: outcome.round_wall,
-                                    rounds_explored: outcome.rounds_explored,
-                                    rounds_replayed: outcome.rounds_replayed,
-                                    stages: outcome.stages,
-                                },
-                                Some(Err(e)) => ParallelArmReport {
-                                    engine: arm_engine_placeholder(*kind),
-                                    result: Err(e.clone()),
-                                    rounds: 0,
-                                    states: 0,
-                                    round_wall: Duration::ZERO,
-                                    rounds_explored: 0,
-                                    rounds_replayed: 0,
-                                    stages: crate::StageTimes::default(),
-                                },
-                                None => ParallelArmReport {
-                                    engine: arm_engine_placeholder(*kind),
-                                    result: Err(CubaError::Explore(
-                                        cuba_explore::ExploreError::Cancelled,
-                                    )),
-                                    rounds: 0,
-                                    states: 0,
-                                    round_wall: Duration::ZERO,
-                                    rounds_explored: 0,
-                                    rounds_replayed: 0,
-                                    stages: crate::StageTimes::default(),
-                                },
-                            }
-                        }
-                        Err(e) => {
-                            board[arm_index].store(0, Ordering::Relaxed);
-                            active.fetch_sub(1, Ordering::Relaxed);
-                            ParallelArmReport {
-                                engine: arm_engine_placeholder(*kind),
-                                result: Err(e),
-                                rounds: 0,
-                                states: 0,
-                                round_wall: Duration::ZERO,
-                                rounds_explored: 0,
-                                rounds_replayed: 0,
-                                stages: crate::StageTimes::default(),
-                            }
-                        }
-                    };
-                    reports.lock().expect("no poisoned arm").push(report);
-                });
-            }
-            drop(events_tx);
-            // Forward events as they arrive (or just drain them).
-            while let Ok(event) = events_rx.recv() {
-                if let Some(callback) = on_event.as_deref_mut() {
-                    callback(&event);
-                }
-            }
-        });
-
-        let reports = reports.into_inner().expect("threads joined");
-        pick_parallel_winner(reports, fcr_holds, start.elapsed())
-    }
-
     /// Batch verification: runs the portfolio over every problem with
     /// at most `parallelism` problems in flight (each problem's arms
-    /// are scheduled within its worker). Results come back in input
+    /// step round-robin within its worker). Results come back in input
     /// order.
     ///
     /// Problems sharing a system (same CPDS, many properties) share
@@ -440,135 +227,12 @@ impl Portfolio {
     }
 }
 
-/// Frontier-aware self-parking for threaded arms: while this arm's
-/// published state count balloons past `balloon_ratio` times the
-/// leanest active sibling's, sleep instead of stepping — the threaded
-/// analogue of the sequential scheduler's demote/park. The arm resumes
-/// when the imbalance clears, the race is decided, or it is the last
-/// arm standing (so parking never loses a verdict).
-fn park_while_ballooning(
-    arm_index: usize,
-    board: &[AtomicUsize],
-    active: &AtomicUsize,
-    race: &cuba_explore::CancelToken,
-    config: &crate::FrontierConfig,
-) {
-    loop {
-        if race.is_cancelled() || active.load(Ordering::Relaxed) <= 1 {
-            return;
-        }
-        let own = board[arm_index].load(Ordering::Relaxed);
-        let min_other = board
-            .iter()
-            .enumerate()
-            .filter(|&(i, slot)| i != arm_index && slot.load(Ordering::Relaxed) > 0)
-            .map(|(_, slot)| slot.load(Ordering::Relaxed))
-            .min();
-        let Some(min_other) = min_other else { return };
-        let floor = min_other.max(config.park_floor);
-        if own as f64 <= config.balloon_ratio * floor as f64 {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// The engine id an arm would report before running (used when an arm
-/// dies during construction and has no engine to ask).
-fn arm_engine_placeholder(kind: EngineKind) -> crate::EngineUsed {
-    match kind {
-        EngineKind::Alg3Explicit => crate::EngineUsed::Alg3Explicit,
-        EngineKind::Scheme1Explicit => crate::EngineUsed::Scheme1Explicit,
-        EngineKind::Alg3Symbolic => crate::EngineUsed::Alg3Symbolic,
-        EngineKind::Scheme1Symbolic => crate::EngineUsed::Scheme1Symbolic,
-        EngineKind::CbaRefuter => crate::EngineUsed::CbaBaseline,
-    }
-}
-
-/// Winner selection across joined arms, mirroring the sequential
-/// session's preference: conclusive > undetermined > interruption >
-/// hard error.
-fn pick_parallel_winner(
-    reports: Vec<impl std::borrow::Borrow<ParallelArmReport>>,
-    fcr_holds: bool,
-    duration: std::time::Duration,
-) -> Result<CubaOutcome, CubaError> {
-    let reports: Vec<&ParallelArmReport> = reports.iter().map(|r| r.borrow()).collect();
-    // Cost accounting sums over every arm: losers' rounds were still
-    // paid for.
-    let round_wall: Duration = reports.iter().map(|r| r.round_wall).sum();
-    let rounds_explored: usize = reports.iter().map(|r| r.rounds_explored).sum();
-    let rounds_replayed: usize = reports.iter().map(|r| r.rounds_replayed).sum();
-    let mut stages = crate::StageTimes::default();
-    for r in &reports {
-        stages.add(&r.stages);
-    }
-    let outcome_from = |r: &ParallelArmReport, verdict: Verdict| CubaOutcome {
-        verdict,
-        fcr_holds,
-        engine: r.engine,
-        states: r.states,
-        rounds: r.rounds,
-        duration,
-        round_wall,
-        rounds_explored,
-        rounds_replayed,
-        stages,
-    };
-    if let Some(r) = reports
-        .iter()
-        .find(|r| matches!(&r.result, Ok(v) if !matches!(v, Verdict::Undetermined { .. })))
-    {
-        let Ok(v) = &r.result else { unreachable!() };
-        return Ok(outcome_from(r, v.clone()));
-    }
-    if let Some(r) = reports
-        .iter()
-        .filter(|r| r.result.is_ok())
-        .max_by_key(|r| r.rounds)
-    {
-        let Ok(v) = &r.result else { unreachable!() };
-        return Ok(outcome_from(r, v.clone()));
-    }
-    if let Some(r) = reports
-        .iter()
-        .find(|r| matches!(&r.result, Err(CubaError::Explore(e)) if e.is_interruption()))
-    {
-        let Err(CubaError::Explore(e)) = &r.result else {
-            unreachable!()
-        };
-        return Ok(outcome_from(
-            r,
-            Verdict::Undetermined {
-                reason: e.to_string(),
-            },
-        ));
-    }
-    let error = reports
-        .iter()
-        .find_map(|r| r.result.as_ref().err().cloned())
-        .unwrap_or(CubaError::Explore(cuba_explore::ExploreError::Cancelled));
-    Err(error)
-}
-
-/// Per-arm summary collected by [`Portfolio::run_parallel`].
-struct ParallelArmReport {
-    engine: crate::EngineUsed,
-    result: Result<Verdict, CubaError>,
-    rounds: usize,
-    states: usize,
-    round_wall: Duration,
-    rounds_explored: usize,
-    rounds_replayed: usize,
-    stages: crate::StageTimes,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{fig1, fig2};
-    use crate::EngineUsed;
-    use cuba_pds::{SharedState, StackSym, VisibleState};
+    use crate::{ConvergenceMethod, EngineUsed, Verdict};
+    use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, StackSym, VisibleState};
 
     fn vis(qq: u32, tops: &[Option<u32>]) -> VisibleState {
         VisibleState::new(
@@ -577,23 +241,53 @@ mod tests {
         )
     }
 
-    /// The §6 lineup: explicit arms + CBA refuter under FCR, symbolic
-    /// arms otherwise.
+    /// The §6 lineup: the fused explicit arm + CBA refuter under FCR,
+    /// the fused symbolic arm otherwise.
     #[test]
     fn auto_lineup_follows_fcr() {
         let portfolio = Portfolio::auto();
         assert_eq!(
             portfolio.lineup_for(&fig1()),
-            vec![
-                EngineKind::Alg3Explicit,
-                EngineKind::Scheme1Explicit,
-                EngineKind::CbaRefuter
-            ]
+            vec![EngineKind::Alg3Explicit, EngineKind::CbaRefuter]
         );
         assert_eq!(
             portfolio.lineup_for(&fig2()),
-            vec![EngineKind::Alg3Symbolic, EngineKind::Scheme1Symbolic]
+            vec![EngineKind::Alg3Symbolic]
         );
+    }
+
+    /// One overwrite and no pops: `(Rk)` collapses in the round where
+    /// `T(Rk)` first plateaus, and `G ∩ Z` is empty, so both
+    /// convergence rules fire at k = 2. The fused arm reports the
+    /// generator test, as the Alg. 3 arm does when a separate Scheme 1
+    /// arm steps after it.
+    #[test]
+    fn same_round_tie_reports_the_generator_test() {
+        let mut p = PdsBuilder::new(2, 2);
+        p.overwrite(SharedState(0), StackSym(1), SharedState(1), StackSym(1))
+            .unwrap();
+        let cpds = CpdsBuilder::new(2, SharedState(0))
+            .thread(p.build().unwrap(), [StackSym(1)])
+            .build()
+            .unwrap();
+        let fused = Portfolio::auto().run(cpds.clone(), Property::True).unwrap();
+        let split = Portfolio::fixed(vec![
+            EngineKind::Alg3Explicit,
+            EngineKind::Scheme1Explicit,
+            EngineKind::CbaRefuter,
+        ])
+        .run(cpds, Property::True)
+        .unwrap();
+        for outcome in [fused, split] {
+            assert_eq!(
+                outcome.verdict,
+                Verdict::Safe {
+                    k: 1,
+                    method: ConvergenceMethod::GeneratorTest
+                }
+            );
+            assert_eq!(outcome.engine, EngineUsed::Alg3Explicit);
+        }
     }
 
     /// Acceptance: the portfolio path reproduces the seed verdicts on
@@ -609,28 +303,7 @@ mod tests {
         assert!(!outcome.fcr_holds);
     }
 
-    /// The parallel race agrees with the round-robin race.
-    #[test]
-    fn parallel_race_agrees_with_round_robin() {
-        let portfolio = Portfolio::auto();
-        let sequential = portfolio.run(fig1(), Property::True).unwrap();
-        let parallel = portfolio
-            .run_parallel(fig1(), Property::True, None)
-            .unwrap();
-        assert_eq!(sequential.verdict.is_safe(), parallel.verdict.is_safe(),);
-
-        let property = Property::never_visible(vis(1, &[Some(2), Some(6)]));
-        let sequential = portfolio.run(fig1(), property.clone()).unwrap();
-        let parallel = portfolio.run_parallel(fig1(), property, None).unwrap();
-        match (&sequential.verdict, &parallel.verdict) {
-            (Verdict::Unsafe { k: k1, .. }, Verdict::Unsafe { k: k2, .. }) => {
-                assert_eq!(k1, k2, "bug bound must not depend on scheduling");
-            }
-            other => panic!("expected two Unsafe verdicts, got {other:?}"),
-        }
-    }
-
-    /// The CBA refuter can win the race with a bug but never decides a
+    /// The CBA refuter can conclude with a bug but never decides a
     /// safe run (its exhaustion is Undetermined).
     #[test]
     fn cba_arm_never_proves() {
@@ -679,16 +352,12 @@ mod tests {
     fn invalid_property_rejected_at_session_start() {
         let portfolio = Portfolio::auto();
         let bad = Property::never_shared(SharedState(99));
-        match portfolio.run(fig1(), bad.clone()) {
+        match portfolio.run(fig1(), bad) {
             Err(CubaError::InvalidProperty(msg)) => {
                 assert!(msg.contains("shared state 99"), "{msg}");
             }
             other => panic!("expected InvalidProperty, got {other:?}"),
         }
-        assert!(matches!(
-            portfolio.run_parallel(fig1(), bad, None),
-            Err(CubaError::InvalidProperty(_))
-        ));
     }
 
     /// run_suite with parallelism 1 degrades to a plain loop.

@@ -267,14 +267,6 @@ impl Engine for Scheme1Engine {
         self.states
     }
 
-    fn store_key(&self) -> Option<usize> {
-        Some(self.backend.store_key())
-    }
-
-    fn frontier(&self) -> usize {
-        self.backend.depth()
-    }
-
     fn growth(&self) -> &GrowthLog {
         &self.growth
     }

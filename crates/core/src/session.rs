@@ -1,13 +1,13 @@
-//! Streaming analysis sessions: a set of [`Engine`]s racing
+//! Streaming analysis sessions: a lineup of [`Engine`]s stepped
 //! round-robin over one problem, yielding [`SessionEvent`]s.
 //!
 //! A session owns its engines and advances them one round at a time,
 //! in lineup order. The first *conclusive* verdict (Safe/Unsafe)
 //! decides the session and cancels the remaining arms via the shared
 //! [`CancelToken`]; `Undetermined` conclusions and engine failures
-//! merely retire an arm. This is the single-core rendition of the
-//! paper's §6 race — equivalent to the two-thread version because all
-//! arms advance through the same bounds in lockstep.
+//! merely retire an arm. Every arm advances through the same bounds in
+//! lockstep, so the lineup order decides ties: an arm listed first
+//! wins a round in which several arms conclude.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,14 +19,25 @@ use cuba_telemetry::metrics::{round_scope, Stage, METRICS};
 use cuba_telemetry::trace;
 
 use crate::engine::{build_engine, Engine, EngineKind, EngineParams, RoundCtx, RoundOutcome};
-use crate::schedule::{ArmView, SchedulePolicy, Scheduler};
 use crate::{
     CubaError, CubaOutcome, EngineUsed, Property, SessionEvent, StageTimes, SystemArtifacts,
     Verdict,
 };
 
+/// The arm scheduling policy. Sessions always step their arms
+/// round-robin in lineup order, so the policy has exactly one value.
+/// The type remains because callers such as the benchmark harness
+/// (`perfbench/`) pass it to `cuba_bench::harness::bench_config`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SchedulePolicy {
+    /// Every active arm advances through the same bounds in lineup
+    /// order.
+    #[default]
+    RoundRobin,
+}
+
 /// Configuration of an [`AnalysisSession`] (and of the
-/// [`Portfolio`](crate::Portfolio) scheduler built on top of it).
+/// [`Portfolio`](crate::Portfolio) built on top of it).
 #[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
     /// Exploration budget handed to every engine.
@@ -43,10 +54,6 @@ pub struct SessionConfig {
     /// one is supplied here it is used directly, so the caller can
     /// cancel from another thread.
     pub cancel: Option<CancelToken>,
-    /// How turns are distributed over the racing arms (see
-    /// [`SchedulePolicy`]); defaults to the cost-aware
-    /// [`FrontierAware`](SchedulePolicy::FrontierAware) policy.
-    pub schedule: SchedulePolicy,
 }
 
 impl SessionConfig {
@@ -59,12 +66,11 @@ impl SessionConfig {
             subsumption: SubsumptionMode::Exact,
             timeout: None,
             cancel: None,
-            schedule: SchedulePolicy::default(),
         }
     }
 }
 
-/// One racing arm of a session.
+/// One arm of a session.
 struct Arm {
     engine: Box<dyn Engine>,
     /// Set once the arm concluded (any verdict) or failed.
@@ -85,8 +91,8 @@ pub struct AnalysisSession {
     cancel: CancelToken,
     fcr_holds: bool,
     start: Instant,
-    /// Distributes turns over the arms per the configured policy.
-    scheduler: Box<dyn Scheduler>,
+    /// The arm after the last one stepped: the round-robin cursor.
+    cursor: usize,
     /// Total wall-clock spent inside completed rounds, all arms.
     round_wall: Duration,
     /// Rounds computed live (layers explored by this session's arms).
@@ -102,7 +108,7 @@ pub struct AnalysisSession {
 }
 
 impl AnalysisSession {
-    /// Builds a session racing the given engine lineup.
+    /// Builds a session stepping the given engine lineup.
     ///
     /// Arms whose kind requires FCR are dropped when the system lacks
     /// it; if that empties the lineup the session refuses to start.
@@ -117,7 +123,7 @@ impl AnalysisSession {
         config: &SessionConfig,
     ) -> Result<Self, CubaError> {
         let artifacts = Arc::new(SystemArtifacts::new());
-        Self::with_fuse_lineup(cpds, property, lineup, lineup, None, config, &artifacts)
+        Self::with_artifacts(cpds, property, lineup, config, &artifacts)
     }
 
     /// As [`new`](Self::new), but reusing cached per-system artifacts
@@ -135,27 +141,6 @@ impl AnalysisSession {
         config: &SessionConfig,
         artifacts: &Arc<SystemArtifacts>,
     ) -> Result<Self, CubaError> {
-        Self::with_fuse_lineup(cpds, property, lineup, lineup, None, config, artifacts)
-    }
-
-    /// As [`new`](Self::new), but the fuse-collapse sibling check runs
-    /// against `fuse_lineup` instead of `lineup`, and an extra cancel
-    /// token can be wired in. This lets
-    /// [`Portfolio::run_parallel`](crate::Portfolio::run_parallel)
-    /// split a lineup into single-arm sessions that (a) still run the
-    /// Alg. 3 arms *pure* (no duplicated Scheme 1 collapse test, no
-    /// misattributed conclusions) whenever a dedicated Scheme 1 arm
-    /// races elsewhere, and (b) poll the shared race token alongside
-    /// the caller's own token.
-    pub(crate) fn with_fuse_lineup(
-        cpds: Cpds,
-        property: Property,
-        lineup: &[EngineKind],
-        fuse_lineup: &[EngineKind],
-        extra_cancel: Option<CancelToken>,
-        config: &SessionConfig,
-        artifacts: &Arc<SystemArtifacts>,
-    ) -> Result<Self, CubaError> {
         let fcr_holds = artifacts.fcr(&cpds).holds();
         let kinds: Vec<EngineKind> = lineup
             .iter()
@@ -166,7 +151,7 @@ impl AnalysisSession {
             return Err(CubaError::FcrRequired);
         }
 
-        // The session's own race token (fired on a conclusive verdict)
+        // The session's own token (fired on a conclusive verdict)
         // plus, separately, the caller's external token: the session
         // must never fire a token it does not own — callers share
         // theirs across independent sessions.
@@ -174,9 +159,6 @@ impl AnalysisSession {
         let mut interrupt = Interrupt::none().with_cancel(cancel.clone());
         if let Some(external) = &config.cancel {
             interrupt = interrupt.with_cancel(external.clone());
-        }
-        if let Some(extra) = extra_cancel {
-            interrupt = interrupt.with_cancel(extra);
         }
         if let Some(timeout) = config.timeout {
             interrupt = interrupt.with_timeout(timeout);
@@ -188,24 +170,10 @@ impl AnalysisSession {
             .iter()
             .any(|k| matches!(k, EngineKind::Alg3Explicit | EngineKind::Alg3Symbolic))
             .then(|| artifacts.g_cap_z(&cpds));
-        // A tuned frontier profile may carry a saturation thread
-        // count; it fills in only when the budget left the knob on
-        // auto, so an explicit `--threads` always wins.
-        let mut budget = config.budget.clone().with_interrupt(interrupt.clone());
-        if budget.threads == 0 {
-            if let crate::SchedulePolicy::FrontierAware(fc) = &config.schedule {
-                if fc.threads != 0 {
-                    budget.threads = fc.threads;
-                }
-            }
-        }
         let params = EngineParams {
-            budget,
+            budget: config.budget.clone().with_interrupt(interrupt.clone()),
             max_k: config.max_k,
             subsumption: config.subsumption,
-            // Fuse the Scheme 1 collapse test into an Algorithm 3 arm
-            // only when no dedicated Scheme 1 arm of the same
-            // representation races alongside.
             fuse_collapse: true,
             skip_fcr_check: true,
             g_cap_z,
@@ -216,9 +184,12 @@ impl AnalysisSession {
         };
         let mut arms = Vec::with_capacity(kinds.len());
         for kind in &kinds {
+            // Fuse the Scheme 1 collapse test into an Algorithm 3 arm
+            // unless a dedicated Scheme 1 arm of the same
+            // representation runs alongside.
             let fuse = match kind {
-                EngineKind::Alg3Explicit => !fuse_lineup.contains(&EngineKind::Scheme1Explicit),
-                EngineKind::Alg3Symbolic => !fuse_lineup.contains(&EngineKind::Scheme1Symbolic),
+                EngineKind::Alg3Explicit => !kinds.contains(&EngineKind::Scheme1Explicit),
+                EngineKind::Alg3Symbolic => !kinds.contains(&EngineKind::Scheme1Symbolic),
                 _ => true,
             };
             let params = EngineParams {
@@ -237,7 +208,7 @@ impl AnalysisSession {
             cancel,
             fcr_holds,
             start: Instant::now(),
-            scheduler: config.schedule.scheduler(),
+            cursor: 0,
             round_wall: Duration::ZERO,
             rounds_explored: 0,
             rounds_replayed: 0,
@@ -288,32 +259,19 @@ impl AnalysisSession {
         }
     }
 
-    /// Steps the arm picked by the schedule policy, queueing the
-    /// resulting events, or finalizes the session when no arm remains.
+    /// Steps the next active arm after the last one stepped (lineup
+    /// order, wrapping), queueing the resulting events, or finalizes
+    /// the session when every arm has retired.
     fn step_once(&mut self) {
-        let mut decision_span = trace::span("schedule-decision");
-        let views: Vec<ArmView> = self
-            .arms
-            .iter()
-            .map(|arm| ArmView {
-                retired: arm.retired,
-                states: arm.engine.states(),
-                rounds: arm.engine.rounds(),
-                refuter: arm.engine.id() == EngineUsed::CbaBaseline,
-                store: arm.engine.store_key(),
-                frontier: arm.engine.frontier(),
-            })
-            .collect();
-        let picked = self.scheduler.next_arm(&views);
-        match picked {
-            Some(index) => decision_span.arg("arm", index),
-            None => decision_span.arg("arm", "none"),
-        }
-        drop(decision_span);
-        let Some(index) = picked else {
+        let n = self.arms.len();
+        let Some(index) = (0..n)
+            .map(|offset| (self.cursor + offset) % n)
+            .find(|&i| !self.arms[i].retired)
+        else {
             self.finalize();
             return;
         };
+        self.cursor = index + 1;
         let arm = &mut self.arms[index];
         let id = arm.engine.id();
         let mut round_span = trace::span_args("round", vec![("engine", id.to_string().into())]);
@@ -342,7 +300,7 @@ impl AnalysisSession {
         drop(round_span);
         match result {
             Ok(RoundOutcome::Continue(info)) => {
-                self.note_round(index, id, &info);
+                self.note_round(id, &info);
             }
             Ok(RoundOutcome::Concluded { round, verdict }) => {
                 arm.retired = true;
@@ -352,7 +310,7 @@ impl AnalysisSession {
                 let rounds = arm.engine.rounds();
                 let states = arm.engine.states();
                 if let Some(info) = round {
-                    self.note_round(index, id, &info);
+                    self.note_round(id, &info);
                 }
                 self.pending.push_back(SessionEvent::EngineConcluded {
                     engine: id,
@@ -384,10 +342,9 @@ impl AnalysisSession {
         }
     }
 
-    /// Books a completed round: scheduler feedback, cost accounting,
-    /// the explored/replayed counters, and the streamed event.
-    fn note_round(&mut self, index: usize, id: EngineUsed, info: &crate::RoundInfo) {
-        self.scheduler.record(index, info);
+    /// Books a completed round: cost accounting, the explored/replayed
+    /// counters, and the streamed event.
+    fn note_round(&mut self, id: EngineUsed, info: &crate::RoundInfo) {
         self.round_wall += info.elapsed;
         if info.replayed {
             self.rounds_replayed += 1;
@@ -469,11 +426,9 @@ impl AnalysisSession {
     }
 
     /// Records the outcome and queues the final event. A *conclusive*
-    /// verdict also fires the shared cancel token, stopping sibling
-    /// arms mid-round — including arms of other single-arm sessions
-    /// racing on the same token ([`Portfolio::run_parallel`]
-    /// (crate::Portfolio::run_parallel)). Undetermined outcomes leave
-    /// the token alone so a retiring refuter cannot kill the race.
+    /// verdict also fires the session's cancel token. Undetermined
+    /// outcomes leave the token alone so a retiring refuter cannot
+    /// stop the session.
     fn decide(&mut self, outcome: Result<CubaOutcome, CubaError>) {
         if let Ok(o) = &outcome {
             self.pending
@@ -557,12 +512,10 @@ mod tests {
         )
     }
 
-    fn explicit_race() -> Vec<EngineKind> {
-        vec![
-            EngineKind::Alg3Explicit,
-            EngineKind::Scheme1Explicit,
-            EngineKind::CbaRefuter,
-        ]
+    /// The default lineup under FCR: the fused explicit arm plus the
+    /// CBA refuter.
+    fn fcr_lineup() -> Vec<EngineKind> {
+        vec![EngineKind::Alg3Explicit, EngineKind::CbaRefuter]
     }
 
     /// The streaming acceptance shape: at least one RoundCompleted per
@@ -570,13 +523,9 @@ mod tests {
     /// agreeing with the outcome.
     #[test]
     fn fig1_streams_rounds_and_verdict() {
-        let mut session = AnalysisSession::new(
-            fig1(),
-            Property::True,
-            &explicit_race(),
-            &SessionConfig::new(),
-        )
-        .unwrap();
+        let mut session =
+            AnalysisSession::new(fig1(), Property::True, &fcr_lineup(), &SessionConfig::new())
+                .unwrap();
         let mut alg3_rounds = Vec::new();
         let mut last = None;
         for event in &mut session {
@@ -622,7 +571,7 @@ mod tests {
         assert_eq!(err, CubaError::FcrRequired);
     }
 
-    /// Inapplicable arms are dropped, applicable ones keep racing.
+    /// Inapplicable arms are dropped, applicable ones keep running.
     #[test]
     fn mixed_lineup_drops_explicit_arms_without_fcr() {
         let lineup = [
@@ -647,8 +596,7 @@ mod tests {
             cancel: Some(cancel),
             ..SessionConfig::new()
         };
-        let session =
-            AnalysisSession::new(fig1(), Property::True, &explicit_race(), &config).unwrap();
+        let session = AnalysisSession::new(fig1(), Property::True, &fcr_lineup(), &config).unwrap();
         let outcome = session.run().unwrap();
         match outcome.verdict {
             Verdict::Undetermined { reason } => assert!(reason.contains("cancelled")),
@@ -718,8 +666,7 @@ mod tests {
             timeout: Some(Duration::ZERO),
             ..SessionConfig::new()
         };
-        let session =
-            AnalysisSession::new(fig1(), Property::True, &explicit_race(), &config).unwrap();
+        let session = AnalysisSession::new(fig1(), Property::True, &fcr_lineup(), &config).unwrap();
         let outcome = session.run().unwrap();
         match outcome.verdict {
             Verdict::Undetermined { reason } => assert!(reason.contains("deadline")),
@@ -733,13 +680,9 @@ mod tests {
     fn unsafe_verdict_with_witness_through_session() {
         let cpds = fig1();
         let property = Property::never_visible(vis(1, &[Some(2), Some(6)]));
-        let session = AnalysisSession::new(
-            cpds.clone(),
-            property,
-            &explicit_race(),
-            &SessionConfig::new(),
-        )
-        .unwrap();
+        let session =
+            AnalysisSession::new(cpds.clone(), property, &fcr_lineup(), &SessionConfig::new())
+                .unwrap();
         let outcome = session.run().unwrap();
         match outcome.verdict {
             Verdict::Unsafe { k, witness } => {

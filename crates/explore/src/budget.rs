@@ -46,7 +46,7 @@ impl CancelToken {
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     /// Any fired token interrupts; multiple sources compose (e.g. a
-    /// session-internal race token plus a caller's ctrl-C token).
+    /// session-internal token plus a caller's ctrl-C token).
     cancels: Vec<CancelToken>,
     deadline: Option<Instant>,
 }

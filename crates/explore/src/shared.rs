@@ -109,7 +109,7 @@ impl LayerSubscription {
 
 /// One system's exploration, shared by any number of property
 /// checkers (across engines of one session, across sessions of a
-/// suite, and across threads of a parallel race).
+/// suite, and across the worker threads of a suite or a server).
 ///
 /// The explorer owns the backend's resource budget; each
 /// [`ensure_layer`](Self::ensure_layer) call layers the *caller's*

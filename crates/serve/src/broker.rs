@@ -20,8 +20,8 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Instant;
 
 use cuba_core::{
-    fingerprint, same_system, Lineup, Portfolio, ProfileMap, Property, SessionConfig,
-    SnapshotStore, SuiteCache, SystemArtifacts,
+    fingerprint, same_system, Lineup, Portfolio, SessionConfig, SnapshotStore, SuiteCache,
+    SystemArtifacts,
 };
 use cuba_explore::CancelToken;
 use cuba_pds::Cpds;
@@ -401,65 +401,17 @@ impl Broker {
     /// The portfolio a request runs under: the service's base session
     /// configuration with the abort token wired in, plus the
     /// request's own overrides.
-    pub fn portfolio(
-        &self,
-        lineup: Option<Lineup>,
-        max_k: Option<usize>,
-        schedule: Option<cuba_core::SchedulePolicy>,
-    ) -> Portfolio {
-        // An explicit per-request schedule outranks the learned map;
-        // otherwise sessions consult the map first and fall back to
-        // the service's base `--schedule`.
-        let consult_map = schedule.is_none();
+    pub fn portfolio(&self, lineup: Option<Lineup>, max_k: Option<usize>) -> Portfolio {
         let session = SessionConfig {
             max_k: max_k.unwrap_or(self.config.session.max_k),
-            schedule: schedule.unwrap_or_else(|| self.config.session.schedule.clone()),
             cancel: Some(self.abort.clone()),
             ..self.config.session.clone()
         };
-        let lineup = lineup.unwrap_or_else(|| self.config.lineup.clone());
-        let mut portfolio = match lineup {
+        match lineup.unwrap_or_else(|| self.config.lineup.clone()) {
             Lineup::Auto => Portfolio::auto(),
             Lineup::Fixed(kinds) => Portfolio::fixed(kinds),
         }
-        .with_config(session);
-        if consult_map {
-            if let Some(map) = &self.config.profile_map {
-                portfolio = portfolio.with_profile_map(map.clone());
-            }
-        }
-        portfolio
-    }
-
-    /// The learned profile map served under `--profile-map`, if any.
-    pub fn profile_map(&self) -> Option<&Arc<ProfileMap>> {
-        self.config.profile_map.as_ref()
-    }
-
-    /// With `--profile-map`: makes sure the map has a learned profile
-    /// for every system of `problems`, probing novel fingerprints
-    /// through the broker's long-lived cache — the probe candidates
-    /// replay layers the service has already explored (and leave warm
-    /// layers for the request that triggered them). The map's probe
-    /// gate guarantees concurrent requests for one fingerprint run
-    /// exactly one probe; the losers proceed on the fallback schedule.
-    ///
-    /// The probe runs under the service's base session limits with
-    /// the abort token wired in, so an abort shutdown interrupts
-    /// in-flight probes like any other analysis.
-    pub fn ensure_profiles(&self, cpds: &Cpds, properties: &[(String, Property)]) {
-        let Some(map) = &self.config.profile_map else {
-            return;
-        };
-        let problems: Vec<(String, Cpds, Property)> = properties
-            .iter()
-            .map(|(label, property)| (label.clone(), cpds.clone(), property.clone()))
-            .collect();
-        let base = SessionConfig {
-            cancel: Some(self.abort.clone()),
-            ..self.config.session.clone()
-        };
-        cuba_bench::tune::ensure_profiles(map, &problems, 1, &self.cache, &base);
+        .with_config(session)
     }
 
     /// Whether the service has begun shutting down.
@@ -581,7 +533,7 @@ mod tests {
         broker.initiate_shutdown(ShutdownMode::Graceful);
         assert!(broker.is_draining());
         // Graceful never fires the abort token…
-        let probe = broker.portfolio(None, None, None);
+        let probe = broker.portfolio(None, None);
         let cancel = probe.config().cancel.clone().expect("abort token wired in");
         assert!(!cancel.is_cancelled());
         // …abort does, and every session's config polls the same flag.
@@ -845,9 +797,9 @@ mod tests {
     fn portfolio_applies_overrides() {
         let broker = Broker::new(ServeConfig::default());
         assert_eq!(
-            broker.portfolio(None, None, None).config().max_k,
+            broker.portfolio(None, None).config().max_k,
             ServeConfig::default().session.max_k
         );
-        assert_eq!(broker.portfolio(None, Some(7), None).config().max_k, 7);
+        assert_eq!(broker.portfolio(None, Some(7)).config().max_k, 7);
     }
 }

@@ -21,8 +21,8 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?schedule=` overrides the arm scheduling per request (the CLI `--schedule` grammar; `frontier:<name>` selects a profile preloaded at boot via `cuba serve --profile`, `frontier:key=value,...` tunes inline — requests can never make the server read a file). `?reduce=true` runs the verdict-preserving static pre-analysis (`cuba lint`'s reduction pipeline) on the parsed system before analysis; the stream then opens with one `reduced` line. Streams NDJSON events per property until the verdict. |
-//! | `POST /suite` | Same body/parameters (`?schedule=` and `?reduce=` included); runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
+//! | `POST /analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?engine=auto|explicit|symbolic` and `?max_k=N` override the lineup and round limit per request. `?reduce=true` runs the verdict-preserving static pre-analysis (`cuba lint`'s reduction pipeline) on the parsed system before analysis; the stream then opens with one `reduced` line. Streams NDJSON events per property until the verdict. |
+//! | `POST /suite` | Same body/parameters (`?reduce=` included); runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
 //! | `GET /systems` | The shared-exploration registry: per system its fingerprint, residency (`resident` in the registry, or `spilled` — pushed out by `max_systems` but revivable/reloadable), FCR verdict (if decided) and per-backend explorer counters (`rounds_explored`, `depth`), plus service-wide snapshot counters (spills, revives, saves, reloads). |
 //! | `GET /healthz` | Liveness + service counters: uptime, build version, analysis-pool occupancy (`workers_busy`/`workers_idle`), the draining flag. |
 //! | `GET /metrics` | The process-wide telemetry registry ([`cuba_telemetry::metrics`]) in Prometheus text exposition format — counters, gauges, and latency histograms across every subsystem, plus the per-endpoint HTTP families this crate feeds. |
@@ -35,7 +35,7 @@
 //! delimited. Per property, in order: one `start` line, then
 //! interleaved `layer` lines (pushed by the shared explorer — also
 //! for layers a *concurrent* client paid for), `round` /
-//! `engine-concluded` / `engine-failed` lines from the racing arms,
+//! `engine-concluded` / `engine-failed` lines from the session's arms,
 //! an optional `witness` line, the deterministic `verdict` line, and
 //! a final `done` line carrying the timing counters. The `verdict`
 //! line is free of wall-clock fields on purpose: it is byte-identical
@@ -46,7 +46,6 @@
 //! session's own [`CancelToken`](cuba_explore::CancelToken); interrupted rounds roll back, so
 //! the shared layers stay valid for every other client.
 
-use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -54,8 +53,7 @@ use std::time::Duration;
 
 use cuba_bench::JsonObject;
 use cuba_core::{
-    CubaOutcome, EngineKind, FrontierConfig, Lineup, Property, SchedulePolicy, SequenceEvent,
-    SessionConfig, SessionEvent, Verdict,
+    CubaOutcome, EngineKind, Lineup, Property, SequenceEvent, SessionConfig, SessionEvent, Verdict,
 };
 use cuba_explore::{LayerView, SharedExplorer};
 use cuba_pds::Cpds;
@@ -90,22 +88,6 @@ pub struct ServeConfig {
     pub session: SessionConfig,
     /// Base engine lineup (requests may override via `?engine=`).
     pub lineup: Lineup,
-    /// Named schedule profiles preloaded at boot (`cuba serve
-    /// --profile <file>`): requests select one with
-    /// `?schedule=frontier:<name>`. Requests can also tune inline
-    /// (`?schedule=frontier:key=value,...`) — but never name a file:
-    /// the service resolves profiles against this map only, so a
-    /// request cannot make the server read disk.
-    pub profiles: HashMap<String, FrontierConfig>,
-    /// Learned per-fingerprint tunings (`cuba serve --profile-map`):
-    /// the first request for a novel fingerprint runs one cheap
-    /// tuning probe through the broker's shared cache and the winner
-    /// is recorded here; every later session on that system starts
-    /// with it. A per-request `?schedule=` override outranks the map.
-    /// The CLI loads the file at boot and flushes the map back on
-    /// graceful shutdown; embedded servers save through
-    /// [`Broker::profile_map`].
-    pub profile_map: Option<Arc<cuba_core::ProfileMap>>,
     /// Snapshot directory (`cuba serve --state-dir`): layer stores are
     /// persisted here — on `max_systems` spills and on graceful
     /// shutdown — and lazily reloaded on the next request for a
@@ -129,8 +111,6 @@ impl Default for ServeConfig {
             max_systems: 64,
             session: SessionConfig::new(),
             lineup: Lineup::Auto,
-            profiles: HashMap::new(),
-            profile_map: None,
             state_dir: None,
         }
     }
@@ -390,10 +370,6 @@ struct AnalyzeRequest {
     properties: Vec<(String, Property)>,
     lineup: Option<Lineup>,
     max_k: Option<usize>,
-    /// Per-request scheduling override (`?schedule=`), the CLI
-    /// `--schedule` grammar with profiles resolved against the
-    /// service's preloaded map.
-    schedule: Option<SchedulePolicy>,
     /// When `?reduce=true` was given, the number of transitions the
     /// verdict-preserving pre-analysis removed from `cpds` (which is
     /// already the reduced system). `None` means no reduction was
@@ -401,13 +377,8 @@ struct AnalyzeRequest {
     reduce_removed: Option<usize>,
 }
 
-/// Parses the shared `/analyze`–`/suite` request shape. `profiles`
-/// resolves `schedule=frontier:<name>` — requests never reach the
-/// filesystem.
-fn parse_analyze_request(
-    request: &Request,
-    profiles: &HashMap<String, FrontierConfig>,
-) -> Result<AnalyzeRequest, String> {
+/// Parses the shared `/analyze`–`/suite` request shape.
+fn parse_analyze_request(request: &Request) -> Result<AnalyzeRequest, String> {
     let format = request.query_first("format").unwrap_or("cpds");
     let source = request.body_utf8().map_err(|e| e.message())?;
     if source.trim().is_empty() {
@@ -423,14 +394,8 @@ fn parse_analyze_request(
     }
     let lineup = match request.query_first("engine") {
         None | Some("auto") => None,
-        Some("explicit") => Some(Lineup::Fixed(vec![
-            EngineKind::Alg3Explicit,
-            EngineKind::Scheme1Explicit,
-        ])),
-        Some("symbolic") => Some(Lineup::Fixed(vec![
-            EngineKind::Alg3Symbolic,
-            EngineKind::Scheme1Symbolic,
-        ])),
+        Some("explicit") => Some(Lineup::Fixed(vec![EngineKind::Alg3Explicit])),
+        Some("symbolic") => Some(Lineup::Fixed(vec![EngineKind::Alg3Symbolic])),
         Some(other) => return Err(format!("bad engine '{other}'")),
     };
     let max_k = match request.query_first("max_k") {
@@ -439,15 +404,6 @@ fn parse_analyze_request(
             raw.parse::<usize>()
                 .map_err(|_| format!("bad max_k '{raw}'"))?,
         ),
-    };
-    let schedule = match request.query_first("schedule") {
-        None => None,
-        Some(spec) => Some(SchedulePolicy::parse_spec(spec, &|name| {
-            profiles
-                .get(name)
-                .cloned()
-                .ok_or_else(|| format!("unknown schedule profile '{name}'"))
-        })?),
     };
     let reduce = match request.query_first("reduce") {
         None | Some("false") | Some("0") => false,
@@ -473,7 +429,6 @@ fn parse_analyze_request(
         properties,
         lineup,
         max_k,
-        schedule,
         reduce_removed,
     })
 }
@@ -508,7 +463,7 @@ fn handle_analyze(
     request: &Request,
     broker: &Arc<Broker>,
 ) -> std::io::Result<()> {
-    let parsed = match parse_analyze_request(request, &broker.config().profiles) {
+    let parsed = match parse_analyze_request(request) {
         Ok(parsed) => parsed,
         Err(message) => return respond_error(out, 400, "Bad Request", &message),
     };
@@ -516,13 +471,7 @@ fn handle_analyze(
     // bounded pool applies to analysis work only, never to control
     // endpoints.
     let _slot = broker.acquire_slot();
-    // Learn a tuning for novel fingerprints before the sessions start
-    // (skipped entirely when the request pins its own schedule — the
-    // override outranks the map, so probing for it would be wasted).
-    if parsed.schedule.is_none() {
-        broker.ensure_profiles(&parsed.cpds, &parsed.properties);
-    }
-    let portfolio = broker.portfolio(parsed.lineup.clone(), parsed.max_k, parsed.schedule.clone());
+    let portfolio = broker.portfolio(parsed.lineup.clone(), parsed.max_k);
     let artifacts = broker.artifacts_for(&parsed.cpds);
     let fcr = artifacts.fcr(&parsed.cpds).holds();
     // A lineup that cannot field a single arm is a client error;
@@ -538,15 +487,12 @@ fn handle_analyze(
             );
         }
     }
-    // Watch the backend the race will actually drive: layer events are
-    // pushed from the shared explorer, whichever client computes them.
+    // Watch the backend the session will actually drive: layer events
+    // are pushed from the shared explorer, whichever client computes
+    // them.
     let explicit_backend = match &parsed.lineup {
         None | Some(Lineup::Auto) => fcr,
-        Some(Lineup::Fixed(kinds)) => {
-            fcr && kinds
-                .iter()
-                .any(|k| matches!(k, EngineKind::Alg3Explicit | EngineKind::Scheme1Explicit))
-        }
+        Some(Lineup::Fixed(kinds)) => fcr && kinds.iter().any(EngineKind::needs_fcr),
     };
     let config = portfolio.config().clone();
     let explorer: Arc<SharedExplorer> = if explicit_backend {
@@ -635,7 +581,7 @@ fn handle_suite(
     request: &Request,
     broker: &Arc<Broker>,
 ) -> std::io::Result<()> {
-    let parsed = match parse_analyze_request(request, &broker.config().profiles) {
+    let parsed = match parse_analyze_request(request) {
         Ok(parsed) => parsed,
         Err(message) => return respond_error(out, 400, "Bad Request", &message),
     };
@@ -657,10 +603,7 @@ fn handle_suite(
     // parallelism runs within it.
     let _slot = broker.acquire_slot();
     broker.count_suite();
-    if parsed.schedule.is_none() {
-        broker.ensure_profiles(&parsed.cpds, &parsed.properties);
-    }
-    let portfolio = broker.portfolio(parsed.lineup, parsed.max_k, parsed.schedule);
+    let portfolio = broker.portfolio(parsed.lineup, parsed.max_k);
     // Probe the registry up front so the reported hit/miss reflects
     // this request's arrival, not the in-run lookup race. The
     // broker-level lookup also revives/reloads spilled systems, so a
@@ -740,7 +683,6 @@ fn handle_index(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<(
     capabilities.number("workers", broker.config().workers as f64);
     capabilities.number("max_systems", broker.config().max_systems as f64);
     capabilities.bool("state_dir", broker.state_dir_enabled());
-    capabilities.bool("profile_map", broker.profile_map().is_some());
     let mut body = JsonObject::new();
     body.string("service", "cuba-serve");
     body.string("version", env!("CARGO_PKG_VERSION"));
@@ -785,9 +727,6 @@ fn handle_systems(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result
                     .artifacts
                     .symbolic_explorer_if_started(cuba_explore::SubsumptionMode::Pointwise),
             );
-            if let Some(map) = broker.profile_map() {
-                profile_field(&mut obj, map.peek(entry.fingerprint));
-            }
             obj.finish()
         })
         .collect();
@@ -811,40 +750,8 @@ fn handle_systems(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result
     body.number("revives_total", broker.revives_total() as f64);
     body.number("snapshot_saves_total", broker.saves_total() as f64);
     body.number("snapshot_reloads_total", broker.reloads_total() as f64);
-    if let Some(map) = broker.profile_map() {
-        let profile_stats = map.stats();
-        body.number("profiles_learned", profile_stats.entries as f64);
-        body.number("profile_hits", profile_stats.hits as f64);
-        body.number("profile_misses", profile_stats.misses as f64);
-        body.number("probes_started", profile_stats.probes_started as f64);
-        body.number("probes_learned", profile_stats.probes_learned as f64);
-    }
     body.raw("entries", format!("[{}]", entries.join(",")));
     write_response(out, 200, "OK", "application/json", body.finish().as_bytes())
-}
-
-/// Renders one system's learned profile (or `null` while unprobed):
-/// the full tuning plus the probe provenance the map persists.
-fn profile_field(obj: &mut JsonObject, profile: Option<cuba_core::LearnedProfile>) {
-    match profile {
-        Some(profile) => {
-            let mut inner = JsonObject::new();
-            inner.number("window", profile.config.window as f64);
-            inner.number("bonus_turns", profile.config.bonus_turns as f64);
-            inner.number("max_lead", profile.config.max_lead as f64);
-            inner.number("balloon_ratio", profile.config.balloon_ratio);
-            inner.number("park_floor", profile.config.park_floor as f64);
-            inner.number("park_after", profile.config.park_after as f64);
-            inner.number("threads", profile.config.threads as f64);
-            inner.number("probe_rounds", profile.probe.rounds);
-            inner.number("probe_samples", profile.probe.samples as f64);
-            inner.number("tuned_at_k", profile.probe.tuned_at_k as f64);
-            obj.raw("profile", inner.finish());
-        }
-        None => {
-            obj.null("profile");
-        }
-    }
 }
 
 /// Renders one backend explorer slot (or `null` when never started).
@@ -1216,7 +1123,7 @@ mod tests {
             body: model.as_bytes().to_vec(),
             ..Request::default()
         };
-        let parsed = parse_analyze_request(&request, &HashMap::new()).unwrap();
+        let parsed = parse_analyze_request(&request).unwrap();
         assert_eq!(parsed.properties, vec![("default".into(), Property::True)]);
         assert_eq!(parsed.lineup, None);
         assert_eq!(parsed.max_k, None);
@@ -1227,52 +1134,21 @@ mod tests {
             ("engine".into(), "symbolic".into()),
             ("max_k".into(), "9".into()),
         ];
-        let parsed = parse_analyze_request(&request, &HashMap::new()).unwrap();
+        let parsed = parse_analyze_request(&request).unwrap();
         assert_eq!(parsed.properties.len(), 2);
         assert_eq!(parsed.properties[0].0, "never-shared:1");
         assert_eq!(parsed.max_k, Some(9));
-        assert_eq!(parsed.schedule, None);
-        assert!(matches!(parsed.lineup, Some(Lineup::Fixed(_))));
-
-        // Per-request scheduling: plain names, inline tunings, and
-        // profiles resolved against the boot-time map only.
-        request.query = vec![("schedule".into(), "round-robin".into())];
-        let parsed = parse_analyze_request(&request, &HashMap::new()).unwrap();
-        assert_eq!(parsed.schedule, Some(SchedulePolicy::RoundRobin));
-        request.query = vec![("schedule".into(), "frontier:window=2".into())];
-        let parsed = parse_analyze_request(&request, &HashMap::new()).unwrap();
-        match parsed.schedule {
-            Some(SchedulePolicy::FrontierAware(config)) => assert_eq!(config.window, 2),
-            other => panic!("unexpected schedule {other:?}"),
-        }
-        let mut profiles = HashMap::new();
-        profiles.insert(
-            "tuned".to_owned(),
-            FrontierConfig {
-                bonus_turns: 1,
-                ..FrontierConfig::default()
-            },
+        // `engine=symbolic` is the one fused symbolic arm.
+        assert_eq!(
+            parsed.lineup,
+            Some(Lineup::Fixed(vec![EngineKind::Alg3Symbolic]))
         );
-        request.query = vec![("schedule".into(), "frontier:tuned".into())];
-        let parsed = parse_analyze_request(&request, &profiles).unwrap();
-        match parsed.schedule {
-            Some(SchedulePolicy::FrontierAware(config)) => assert_eq!(config.bonus_turns, 1),
-            other => panic!("unexpected schedule {other:?}"),
-        }
-        // An unknown profile (a file path, say) is a client error —
-        // never a filesystem access.
-        request.query = vec![("schedule".into(), "frontier:/etc/passwd".into())];
-        let error = parse_analyze_request(&request, &profiles).unwrap_err();
-        assert!(error.contains("unknown schedule profile"), "{error}");
 
         request.query = vec![("engine".into(), "quantum".into())];
-        assert!(parse_analyze_request(&request, &HashMap::new()).is_err());
+        assert!(parse_analyze_request(&request).is_err());
         request.query.clear();
         request.body.clear();
-        assert!(
-            parse_analyze_request(&request, &HashMap::new()).is_err(),
-            "empty body"
-        );
+        assert!(parse_analyze_request(&request).is_err(), "empty body");
     }
 
     /// `?reduce=true` applies the verdict-preserving pre-analysis to
@@ -1288,20 +1164,20 @@ mod tests {
             body: model.as_bytes().to_vec(),
             ..Request::default()
         };
-        let plain = parse_analyze_request(&request, &HashMap::new()).unwrap();
+        let plain = parse_analyze_request(&request).unwrap();
         assert_eq!(plain.reduce_removed, None);
 
         request.query = vec![("reduce".into(), "true".into())];
-        let reduced = parse_analyze_request(&request, &HashMap::new()).unwrap();
+        let reduced = parse_analyze_request(&request).unwrap();
         assert_eq!(reduced.reduce_removed, Some(1));
         assert_eq!(reduced.cpds.num_threads(), plain.cpds.num_threads());
 
         request.query = vec![("reduce".into(), "false".into())];
-        let parsed = parse_analyze_request(&request, &HashMap::new()).unwrap();
+        let parsed = parse_analyze_request(&request).unwrap();
         assert_eq!(parsed.reduce_removed, None);
 
         request.query = vec![("reduce".into(), "maybe".into())];
-        let error = parse_analyze_request(&request, &HashMap::new()).unwrap_err();
+        let error = parse_analyze_request(&request).unwrap_err();
         assert!(error.contains("bad reduce"), "{error}");
     }
 

@@ -10,15 +10,15 @@
 //!   shared exploration serving both properties sequentially — not
 //!   4 × it.
 //!
-//! The round-robin schedule is pinned on both sides: it advances arms
-//! in lockstep, so winner, rounds, and states are pure functions of
-//! (system, property, configuration) and byte comparison is fair.
+//! Sessions advance their arms round-robin in lockstep, so winner,
+//! rounds, and states are pure functions of (system, property,
+//! configuration) and byte comparison is fair.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
-use cuba_core::{Portfolio, Property, SchedulePolicy, SessionConfig, SystemArtifacts};
+use cuba_core::{Portfolio, Property, SessionConfig, SystemArtifacts};
 use cuba_serve::{parse_model, verdict_line, ServeConfig, Server};
 
 /// The Fig. 1 sample, exactly as a CLI user would POST it.
@@ -30,13 +30,6 @@ const PROPERTIES: [(&str, &str); 2] = [
     ("true", "true"),
     ("never-visible:1%7C2,6", "never-visible:1|2,6"),
 ];
-
-fn test_session_config() -> SessionConfig {
-    SessionConfig {
-        schedule: SchedulePolicy::RoundRobin,
-        ..SessionConfig::new()
-    }
-}
 
 /// One raw HTTP exchange; returns `(status head, body)`.
 fn request_raw(addr: std::net::SocketAddr, head: &str, body: &str) -> (String, String) {
@@ -92,7 +85,7 @@ fn number_field(line: &str, key: &str) -> usize {
 fn four_streaming_clients_share_one_exploration() {
     let server = Server::bind(ServeConfig {
         workers: 4,
-        session: test_session_config(),
+        session: SessionConfig::new(),
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -103,7 +96,7 @@ fn four_streaming_clients_share_one_exploration() {
     // Direct, unshared baseline runs: one fresh Portfolio per
     // property, same configuration as the server's.
     let (cpds, _) = parse_model("cpds", MODEL).expect("sample parses");
-    let portfolio = Portfolio::auto().with_config(test_session_config());
+    let portfolio = Portfolio::auto().with_config(SessionConfig::new());
     let expected_verdicts: Vec<String> = PROPERTIES
         .iter()
         .map(|(_, spec)| {
@@ -230,7 +223,7 @@ fn four_streaming_clients_share_one_exploration() {
 fn suite_endpoint_reuses_the_cache() {
     let server = Server::bind(ServeConfig {
         workers: 2,
-        session: test_session_config(),
+        session: SessionConfig::new(),
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -274,7 +267,7 @@ stack 1
 ";
     let server = Server::bind(ServeConfig {
         workers: 2,
-        session: test_session_config(),
+        session: SessionConfig::new(),
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -311,7 +304,7 @@ stack 1
 fn control_endpoints_bypass_the_analysis_pool() {
     let server = Server::bind(ServeConfig {
         workers: 1,
-        session: test_session_config(),
+        session: SessionConfig::new(),
         ..ServeConfig::default()
     })
     .expect("bind");
@@ -349,7 +342,7 @@ fn control_endpoints_bypass_the_analysis_pool() {
 fn metrics_endpoint_exposes_prometheus_text() {
     let server = Server::bind(ServeConfig {
         workers: 2,
-        session: test_session_config(),
+        session: SessionConfig::new(),
         ..ServeConfig::default()
     })
     .expect("bind");

@@ -275,12 +275,6 @@ pub struct Metrics {
     pub cache_hits: Counter,
     /// Suite-cache lookups that created a fresh entry.
     pub cache_misses: Counter,
-    /// Profile-map lookups that found a learned tuning.
-    pub profile_hits: Counter,
-    /// Profile-map lookups for a novel fingerprint.
-    pub profile_misses: Counter,
-    /// Online tuning probes started.
-    pub probes: Counter,
     /// Static pre-analysis (reduce) passes run.
     pub reduce_passes: Counter,
     /// Trace events shed by a full thread buffer.
@@ -318,9 +312,6 @@ impl Metrics {
             frontier_edges: H,
             cache_hits: C,
             cache_misses: C,
-            profile_hits: C,
-            profile_misses: C,
-            probes: C,
             reduce_passes: C,
             trace_events_dropped: C,
             snapshot_saves: C,
@@ -382,7 +373,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 14] = [
+    let counters: [(&str, &Counter, &str); 11] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -412,21 +403,6 @@ pub fn render_prometheus() -> String {
             "cuba_cache_misses_total",
             &m.cache_misses,
             "Suite-cache lookups that created a fresh entry.",
-        ),
-        (
-            "cuba_profile_hits_total",
-            &m.profile_hits,
-            "Profile-map lookups that found a learned tuning.",
-        ),
-        (
-            "cuba_profile_misses_total",
-            &m.profile_misses,
-            "Profile-map lookups for a novel fingerprint.",
-        ),
-        (
-            "cuba_probes_total",
-            &m.probes,
-            "Online tuning probes started.",
         ),
         (
             "cuba_reduce_passes_total",
@@ -657,9 +633,6 @@ mod tests {
             "cuba_steals_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",
-            "cuba_profile_hits_total",
-            "cuba_profile_misses_total",
-            "cuba_probes_total",
             "cuba_reduce_passes_total",
             "cuba_trace_events_dropped_total",
             "cuba_snapshot_saves_total",

@@ -1,11 +1,11 @@
 //! The `--trace` text sink: prefixed, line-locked stderr output.
 //!
-//! Before this module, concurrent sessions under `--parallel` each
-//! wrote bare `[trace] …` lines with independent `eprintln!` calls,
-//! so lines from different arms interleaved with no way to tell who
-//! said what. Every trace line now goes through one process-wide
-//! line lock and carries a caller-chosen prefix (the property name,
-//! the portfolio arm, the serve session id).
+//! Concurrent sessions (serve workers, suite batches) that wrote bare
+//! `[trace] …` lines with independent `eprintln!` calls could
+//! interleave with no way to tell who said what. Every trace line
+//! goes through one process-wide line lock and carries a
+//! caller-chosen prefix (the property name, the portfolio arm, the
+//! serve session id).
 
 use std::io::Write;
 use std::sync::Mutex;

@@ -1,6 +1,6 @@
-//! The §6 engine race, live: stream per-round events from an
-//! [`AnalysisSession`], race a buggy problem where the CBA refuter
-//! competes with the convergence engines, enforce a deadline, and
+//! The §6 engine portfolio, live: stream per-round events from an
+//! [`AnalysisSession`], run a buggy problem where the CBA refuter
+//! steps beside the fused convergence arm, enforce a deadline, and
 //! batch-verify a small suite with `Portfolio::run_suite`.
 //!
 //! ```text
@@ -14,8 +14,8 @@ use cuba::core::{Portfolio, Property, SessionConfig, SessionEvent, Verdict};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Watch the observation sequences evolve: one RoundCompleted
-    //    per engine per bound, then the conclusion and the verdict.
-    println!("== Fig. 1: streaming the race ==");
+    //    per arm per bound, then the conclusion and the verdict.
+    println!("== Fig. 1: streaming the session ==");
     let mut session = Portfolio::auto().session(fig1::build(), Property::True)?;
     for event in &mut session {
         println!("  {event}");
@@ -23,10 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = session.into_outcome()?;
     println!("  => {} (by {})\n", outcome.verdict, outcome.engine);
 
-    // 2. A buggy problem: the refuter arm races the convergence
-    //    engines; whichever arm hits the violation first wins, and the
-    //    witness replays.
-    println!("== Fig. 1 with a reachable target: the refuter race ==");
+    // 2. A buggy problem: the refuter arm steps beside the fused
+    //    arm; the first arm (in lineup order) to hit the violation
+    //    wins, and the witness replays.
+    println!("== Fig. 1 with a reachable target: fused arm and refuter ==");
     let property = Property::never_visible(fig1::deep_visible());
     let outcome = Portfolio::auto().run(fig1::build(), property)?;
     println!("  => {} (by {})", outcome.verdict, outcome.engine);
@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Deadlines are honored *mid-round*: Fig. 2's explicit closure
-    //    would diverge, the symbolic arms converge quickly — and with
-    //    a tiny timeout even they give up cooperatively.
+    //    would diverge, the fused symbolic arm converges quickly — and
+    //    with a tiny timeout even it gives up cooperatively.
     println!("== Fig. 2 under a 1µs deadline ==");
     let strict = Portfolio::auto().with_config(SessionConfig {
         timeout: Some(Duration::from_micros(1)),

@@ -15,8 +15,8 @@
 //! # Quickstart
 //!
 //! Verify the paper's Fig. 1 example for an unbounded number of thread
-//! contexts through the §6 engine portfolio (explicit arms ∥ CBA
-//! refuter under FCR, symbolic arms otherwise):
+//! contexts through the §6 engine portfolio (the fused explicit arm ∥
+//! CBA refuter under FCR, the fused symbolic arm otherwise):
 //!
 //! ```
 //! use cuba::benchmarks::fig1;

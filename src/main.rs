@@ -4,33 +4,24 @@
 //! ```text
 //! cuba verify <file> [options]
 //!     <file>           .bp (Boolean program) or .cpds (text format)
-//!     --engine auto|explicit|symbolic    (default: auto = the paper's §6 portfolio:
-//!                                         explicit arms ∥ CBA refuter under FCR,
-//!                                         symbolic arms otherwise)
+//!     --engine auto|explicit|symbolic    (default: auto = the paper's §6 procedure:
+//!                                         the fused explicit arm ∥ CBA refuter
+//!                                         under FCR, the fused symbolic arm
+//!                                         otherwise; explicit / symbolic run
+//!                                         that backend's fused arm alone)
 //!     --max-k <n>      round limit (default 64)
-//!     --parallel       race the engine arms on real OS threads
-//!     --schedule SPEC  arm scheduling policy (default: frontier = cost-aware:
-//!                      bonus turns for the plateauing arm, parking for
-//!                      ballooning ones). SPEC grammar, shared with `cuba serve`:
-//!                        round-robin              the paper's lockstep
-//!                        frontier                 default tuning
-//!                        frontier:<file>          a profile written by `cuba tune`
-//!                        frontier:k=v,...         inline tuning (window, bonus_turns,
-//!                                                 max_lead, balloon_ratio, park_floor,
-//!                                                 park_after)
 //!     --threads <n>    saturation worker threads per context step
 //!                      (default 0 = available parallelism; 1 = the
 //!                      sequential code path). Verdicts, k, witnesses,
 //!                      and growth logs are identical at every value —
-//!                      only wall time moves. A frontier profile's
-//!                      `threads` key fills in when this is left on auto.
+//!                      only wall time moves.
 //!     --timeout <s>    wall-clock limit in seconds (verdict: undetermined)
 //!     --trace          stream per-round events to stderr (line-locked;
 //!                      with several properties each line is prefixed
 //!                      with its property spec)
-//!     --trace-out <f>  record structured spans (rounds, scheduler
-//!                      decisions, saturation waves, shard work, barrier
-//!                      merges, cache lookups, reduce passes) and write
+//!     --trace-out <f>  record structured spans (rounds, saturation
+//!                      waves, shard work, barrier merges, cache
+//!                      lookups, reduce passes) and write
 //!                      a Chrome trace-event JSON file on exit — load it
 //!                      in Perfetto (ui.perfetto.dev) or chrome://tracing
 //!     --json           emit one machine-readable JSON object on stdout
@@ -55,13 +46,6 @@
 //!                      .bp inputs, constant-false branches before
 //!                      translation); the verdict word is unchanged and
 //!                      `--json` gains a "reduction" stats object
-//!     --profile-map <f>  persistent fingerprint -> schedule map: load
-//!                      (or start) the map at <f>, run a cheap tuning
-//!                      probe if this system is novel, adopt the
-//!                      learned config for the run, and save the map
-//!                      on exit. The learned profile outranks the
-//!                      base --schedule; its verdicts are always
-//!                      identical to the default configuration's.
 //!     --from-snapshot <f>  warm-start from a `cuba snapshot` file:
 //!                      the recorded layers replay (rounds_explored
 //!                      drops to the bounds beyond the snapshot's
@@ -101,7 +85,6 @@
 //!     --threads <n>    saturation worker threads (as for verify);
 //!                      records are identical at every value except
 //!                      the timing fields
-//!     --schedule SPEC  as for verify
 //!     --reduce         pre-reduce every workload (rows gain
 //!                      reduce_removed / reduce_us); with --compare
 //!                      against an unreduced baseline this gates that
@@ -109,15 +92,12 @@
 //!     --compare <file> classify each workload against a recorded baseline as
 //!                      improved/regressed/unchanged with noise-aware thresholds
 //!                      (medians of IQR-filtered samples; a regression must
-//!                      exceed the ratio, the MAD band, AND the absolute floor)
+//!                      exceed the ratio, the MAD band, AND the absolute floor);
+//!                      a changed verdict word or bound k is verdict-changed
 //!     --gate           exit 1 on any regression or verdict change (CI mode)
 //!     --ratio <r>      required median ratio (default 4.0)
 //!     --sigma <s>      required distance in MAD-sigmas (default 8.0)
 //!     --floor-ms <m>   absolute floor, milliseconds (default 250)
-//!     --profile-map <f>  load (or start) the persistent profile map
-//!                      at <f>, probe novel fingerprints before the
-//!                      warmup, run the measured suite through the
-//!                      learned schedules, and save the map after
 //!     --from-snapshot <f>  seed every iteration's fresh suite cache
 //!                      from a `cuba snapshot` file: the matching
 //!                      workload replays the recorded layers (its row
@@ -126,26 +106,6 @@
 //!     The N-sample JSON record (BENCH_*.json format, `samples_us` per
 //!     workload, no timing fields on error rows) goes to stdout; the
 //!     comparison report and progress go to stderr.
-//! cuba tune [options]  sweep FrontierConfig, emit a schedule profile
-//!     --out <file>     profile path (default cuba-tuned.profile)
-//!     --name <name>    profile name (default tuned)
-//!     --samples <n>    suite iterations per candidate (default 1)
-//!     --warmup <n>     unmeasured iterations first (default 1)
-//!     --passes <n>     coordinate-descent passes (default 1)
-//!     --workers <n>    problems in flight (default: CPUs)
-//!     --probe          single-pass budget-capped sweep through one
-//!                      shared exploration cache — the same probe the
-//!                      online --profile-map path runs on a novel
-//!                      fingerprint; seconds instead of minutes
-//!     --emit-map       probe each distinct fingerprint in the suite
-//!                      and write a profile *map* (load with
-//!                      --profile-map) instead of a single profile
-//!
-//!     Scores candidates by (total live exploration rounds, wall) and
-//!     only ever adopts one whose per-workload verdicts are identical
-//!     to the default configuration's, so the emitted profile is
-//!     never worse than the defaults. Load it with
-//!     `--schedule frontier:<file>`.
 //! cuba serve [options] run the HTTP analysis service (cuba-serve)
 //!     --addr <a>       bind address (default 127.0.0.1:0 = ephemeral;
 //!                      the bound address is printed on stdout)
@@ -155,15 +115,6 @@
 //!                      whole never oversubscribes the machine)
 //!     --max-k <n>      default round limit for served sessions
 //!     --timeout <s>    default wall-clock limit per served session
-//!     --schedule SPEC  arm scheduling policy (grammar as for verify)
-//!     --profile <f>    preload a named schedule profile (repeatable);
-//!                      requests select it with schedule=frontier:<name>
-//!     --profile-map <f>  load (or start) the persistent profile map
-//!                      at <f>: requests without an explicit schedule=
-//!                      consult it, novel systems are probed once
-//!                      (concurrent clients share the probe), learned
-//!                      profiles show up in GET /systems, and the map
-//!                      is saved when the server drains
 //!     --state-dir <d>  persistent layer-store snapshots: systems
 //!                      pushed out by max_systems pressure spill to
 //!                      <d> instead of being forgotten and reload
@@ -176,7 +127,8 @@
 //!     plus server capabilities; the unprefixed legacy paths answer
 //!     identically): POST /analyze (NDJSON event stream; repeatable
 //!     property= query params, body = model source, format=cpds|bp,
-//!     reduce=true for the verdict-preserving pre-analysis),
+//!     engine=auto|explicit|symbolic, max_k=N, reduce=true for the
+//!     verdict-preserving pre-analysis),
 //!     POST /suite, GET /systems (per-system residency
 //!     resident|spilled plus snapshot/spill counters), GET /healthz,
 //!     POST /shutdown (mode=graceful|abort). Concurrent clients
@@ -194,8 +146,8 @@ use std::time::Duration;
 use cuba::benchmarks::textfmt;
 use cuba::boolprog;
 use cuba::core::{
-    check_fcr, fingerprint, CubaOutcome, EngineKind, Lineup, Portfolio, ProfileMap, Property,
-    SchedulePolicy, SessionConfig, SessionEvent, SuiteCache, SystemArtifacts, Verdict,
+    check_fcr, fingerprint, CubaOutcome, EngineKind, Lineup, Portfolio, Property, SessionConfig,
+    SessionEvent, SystemArtifacts, Verdict,
 };
 use cuba::explore::{ExploreBudget, Interrupt, SharedExplorer, SubsumptionMode};
 use cuba::pds::{Cpds, SharedState};
@@ -214,22 +166,18 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage: cuba <verify|fcr|info> <file.bp|file.cpds> [--engine auto|explicit|symbolic] \
-     [--max-k N] [--parallel] [--threads N] [--schedule SPEC] [--timeout SECS] [--trace] \
-     [--trace-out FILE] [--json] [--reduce] [--never-shared Q] [--property SPEC]... \
-     [--profile-map FILE] [--from-snapshot FILE]\n   \
+     [--max-k N] [--threads N] [--timeout SECS] [--trace] [--trace-out FILE] [--json] \
+     [--reduce] [--never-shared Q] [--property SPEC]... [--from-snapshot FILE]\n   \
      or: cuba lint \
      <file.bp|file.cpds> [--property SPEC]... [--json]\n   or: cuba snapshot \
      <file.bp|file.cpds> --out FILE [--engine auto|explicit|symbolic] [--max-k N] \
      [--threads N]\n   or: cuba serve [--addr ADDR] \
-     [--workers N] [--threads N] [--max-k N] [--timeout SECS] [--schedule SPEC] \
-     [--profile FILE]... [--profile-map FILE] [--trace-out FILE] [--state-dir DIR]\n   \
-     or: cuba bench [--samples N] [--warmup N] [--workers N] [--threads N] [--schedule SPEC] \
+     [--workers N] [--threads N] [--max-k N] [--timeout SECS] [--trace-out FILE] \
+     [--state-dir DIR]\n   \
+     or: cuba bench [--samples N] [--warmup N] [--workers N] [--threads N] \
      [--reduce] [--compare FILE] [--gate] [--ratio R] [--sigma S] [--floor-ms MS] \
-     [--profile-map FILE] [--trace-out FILE] [--from-snapshot FILE]\n   \
-     or: cuba tune [--out FILE] [--name NAME] [--samples N] [--warmup N] [--passes N] \
-     [--workers N] [--probe] [--emit-map]\n   \
-     or: cuba trace-check <trace.json>\n   (schedule SPEC: round-robin | frontier \
-     | frontier:<profile-file> | frontier:key=value,...)"
+     [--trace-out FILE] [--from-snapshot FILE]\n   \
+     or: cuba trace-check <trace.json>"
         .to_owned()
 }
 
@@ -237,10 +185,8 @@ fn usage() -> String {
 struct VerifyOptions {
     lineup: Lineup,
     max_k: usize,
-    parallel: bool,
     /// Saturation worker threads (0 = auto, 1 = sequential).
     threads: usize,
-    schedule: SchedulePolicy,
     timeout: Option<Duration>,
     trace: bool,
     /// `--trace-out FILE`: record structured spans and export a
@@ -252,9 +198,6 @@ struct VerifyOptions {
     /// Repeated `--property` specs, verified in order over one shared
     /// exploration of the system.
     properties: Vec<(String, Property)>,
-    /// `--profile-map FILE`: consult (and grow) the persistent
-    /// fingerprint → schedule map at this path.
-    profile_map: Option<String>,
     /// `--from-snapshot FILE`: seed the invocation's shared
     /// exploration from a `cuba snapshot` file before any property
     /// runs — matching bounds replay instead of exploring live.
@@ -266,9 +209,7 @@ impl Default for VerifyOptions {
         VerifyOptions {
             lineup: Lineup::Auto,
             max_k: 64,
-            parallel: false,
             threads: 0,
-            schedule: SchedulePolicy::default(),
             timeout: None,
             trace: false,
             trace_out: None,
@@ -276,7 +217,6 @@ impl Default for VerifyOptions {
             reduce: false,
             never_shared: None,
             properties: Vec::new(),
-            profile_map: None,
             from_snapshot: None,
         }
     }
@@ -289,14 +229,10 @@ impl Default for VerifyOptions {
 /// match arm.
 #[derive(Default)]
 struct CommonOpts {
-    /// `--schedule SPEC` (grammar in [`SchedulePolicy::parse_spec_with_files`]).
-    schedule: Option<SchedulePolicy>,
     /// `--threads N` (0 = auto, 1 = sequential).
     threads: Option<usize>,
     /// `--timeout SECS` (fractional seconds).
     timeout: Option<Duration>,
-    /// `--profile-map FILE` (loaded by the subcommand: semantics differ).
-    profile_map: Option<String>,
     /// `--trace-out FILE`.
     trace_out: Option<String>,
     /// `--reduce`.
@@ -306,29 +242,9 @@ struct CommonOpts {
 }
 
 /// The shared flags each subcommand opts into.
-const VERIFY_COMMON: &[&str] = &[
-    "--schedule",
-    "--threads",
-    "--timeout",
-    "--profile-map",
-    "--trace-out",
-    "--reduce",
-];
-const BENCH_COMMON: &[&str] = &[
-    "--schedule",
-    "--threads",
-    "--profile-map",
-    "--trace-out",
-    "--reduce",
-];
-const SERVE_COMMON: &[&str] = &[
-    "--schedule",
-    "--threads",
-    "--timeout",
-    "--profile-map",
-    "--trace-out",
-    "--state-dir",
-];
+const VERIFY_COMMON: &[&str] = &["--threads", "--timeout", "--trace-out", "--reduce"];
+const BENCH_COMMON: &[&str] = &["--threads", "--trace-out", "--reduce"];
+const SERVE_COMMON: &[&str] = &["--threads", "--timeout", "--trace-out", "--state-dir"];
 const SNAPSHOT_COMMON: &[&str] = &["--threads"];
 
 impl CommonOpts {
@@ -349,11 +265,6 @@ impl CommonOpts {
             return Ok(false);
         }
         match flag.as_str() {
-            "--schedule" => {
-                *i += 1;
-                let spec = args.get(*i).ok_or("--schedule needs a spec argument")?;
-                self.schedule = Some(SchedulePolicy::parse_spec_with_files(spec)?);
-            }
             "--threads" => {
                 *i += 1;
                 self.threads = Some(parse_zero_ok(args.get(*i), "--threads")?);
@@ -365,14 +276,6 @@ impl CommonOpts {
                         .and_then(|s| s.parse::<f64>().ok())
                         .and_then(|s| Duration::try_from_secs_f64(s).ok())
                         .ok_or("bad --timeout value (seconds)")?,
-                );
-            }
-            "--profile-map" => {
-                *i += 1;
-                self.profile_map = Some(
-                    args.get(*i)
-                        .cloned()
-                        .ok_or("--profile-map needs a file argument")?,
                 );
             }
             "--trace-out" => {
@@ -395,16 +298,6 @@ impl CommonOpts {
             other => return Err(format!("unknown option '{other}'")),
         }
         Ok(true)
-    }
-}
-
-/// Loads the profile map at `path`, or starts an empty one when the
-/// file does not exist yet (first run learns, later runs reuse).
-fn load_profile_map(path: &str) -> Result<Arc<ProfileMap>, String> {
-    if std::path::Path::new(path).exists() {
-        Ok(Arc::new(ProfileMap::load(path)?))
-    } else {
-        Ok(Arc::new(ProfileMap::new()))
     }
 }
 
@@ -456,7 +349,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "snapshot" => snapshot_cmd(&args[1..]),
         "serve" => serve(&args[1..]),
         "bench" => bench(&args[1..]),
-        "tune" => tune(&args[1..]),
         "trace-check" => trace_check(args),
         other => Err(format!("unknown command '{other}'\n{}", usage())),
     }
@@ -622,20 +514,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("bad --max-k value")?;
             }
-            "--profile" => {
-                i += 1;
-                let path = args.get(i).ok_or("--profile needs a file argument")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read profile {path}: {e}"))?;
-                let profile = cuba::core::FrontierConfig::parse_profile(&text)?;
-                config.profiles.insert(profile.name.clone(), profile.config);
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
-    }
-    if let Some(schedule) = common.schedule {
-        config.session.schedule = schedule;
     }
     if let Some(threads) = common.threads {
         config.session.budget.threads = threads;
@@ -644,12 +525,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         config.session.timeout = common.timeout;
     }
     config.state_dir = common.state_dir.clone();
-    let mut map_state: Option<(Arc<ProfileMap>, String)> = None;
-    if let Some(path) = common.profile_map.clone() {
-        let map = load_profile_map(&path)?;
-        config.profile_map = Some(map.clone());
-        map_state = Some((map, path));
-    }
     let trace_out = start_trace_recording(common.trace_out.as_ref());
     let workers = config.workers;
     let server = cuba_serve::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
@@ -659,15 +534,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| format!("serve: {e}"))?;
-    // run() returns only after the worker pool drains, so everything
-    // learned across requests is in the map: the graceful-shutdown flush.
-    if let Some((map, path)) = &map_state {
-        map.save(path)?;
-        println!(
-            "profile map saved to {path} ({} profiles)",
-            map.stats().entries
-        );
-    }
     // run() flushed every resident system's layer snapshots into the
     // state dir before returning (the warm-start half of --state-dir).
     if let Some(dir) = &common.state_dir {
@@ -747,39 +613,17 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         }
         i += 1;
     }
-    if let Some(schedule) = common.schedule {
-        plan.schedule = schedule;
-    }
     if let Some(threads) = common.threads {
         plan.threads = threads;
     }
     plan.reduce = common.reduce;
-    let map_path = common.profile_map.clone();
     if gate && compare_path.is_none() {
         return Err("--gate needs --compare FILE to compare against".to_owned());
     }
-    let profile_map = match &map_path {
-        Some(path) => {
-            let map = load_profile_map(path)?;
-            plan.profile_map = Some(map.clone());
-            Some(map)
-        }
-        None => None,
-    };
 
     let trace_out = start_trace_recording(common.trace_out.as_ref());
     let run = cuba_bench::harness::run(&plan);
     finish_trace_recording(trace_out)?;
-    // Persist what this run learned before any gate can fail the
-    // process: the warm rerun needs the map even when CI gates red.
-    if let (Some(map), Some(path)) = (&profile_map, &map_path) {
-        map.save(path)?;
-        let stats = map.stats();
-        eprintln!(
-            "profile map {path}: {} profiles, {} hits / {} misses this run",
-            stats.entries, stats.hits, stats.misses
-        );
-    }
     let record = cuba_bench::harness::run_to_json(&run);
     println!("{record}");
     eprintln!(
@@ -811,98 +655,6 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("differences found against {path} (no --gate: exit 0)");
         Ok(ExitCode::SUCCESS)
     }
-}
-
-/// `cuba tune`: sweeps the `FrontierConfig` neighborhood over the
-/// bench suite and writes the winning tuning as a named profile that
-/// `--schedule frontier:<file>` loads.
-fn tune(args: &[String]) -> Result<ExitCode, String> {
-    let mut plan = cuba_bench::tune::TunePlan::default();
-    let mut out: Option<String> = None;
-    let mut name = "tuned".to_owned();
-    let mut probe = false;
-    let mut emit_map = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).cloned().ok_or("--out needs a file argument")?);
-            }
-            "--name" => {
-                i += 1;
-                name = args.get(i).cloned().ok_or("--name needs a name argument")?;
-            }
-            "--samples" => {
-                i += 1;
-                plan.samples = parse_count(args.get(i), "--samples")?;
-            }
-            "--warmup" => {
-                i += 1;
-                plan.warmup = parse_zero_ok(args.get(i), "--warmup")?;
-            }
-            "--passes" => {
-                i += 1;
-                plan.passes = parse_count(args.get(i), "--passes")?;
-            }
-            "--workers" => {
-                i += 1;
-                plan.workers = parse_count(args.get(i), "--workers")?;
-            }
-            "--probe" => probe = true,
-            "--emit-map" => emit_map = true,
-            other => return Err(format!("unknown option '{other}'")),
-        }
-        i += 1;
-    }
-    if probe && emit_map {
-        return Err(
-            "--probe and --emit-map are mutually exclusive (--emit-map already probes)".to_owned(),
-        );
-    }
-    // The profile reader enforces one-token names; reject a bad name
-    // before the (minutes-long) sweep, not when the file is loaded.
-    if name.is_empty() || name.chars().any(char::is_whitespace) {
-        return Err("bad --name value (one non-empty token, no whitespace)".to_owned());
-    }
-
-    // Batch mode: probe every distinct fingerprint in the suite and
-    // write the learned map, seeding what verify/bench/serve
-    // --profile-map would otherwise learn one system at a time.
-    if emit_map {
-        let out = out.unwrap_or_else(|| "cuba-profile.map".to_owned());
-        let (map, probes) = cuba_bench::tune::seed_map(&plan);
-        map.save(&out)?;
-        println!(
-            "wrote {out} ({} fingerprints, {probes} probed; load with: --profile-map {out})",
-            map.stats().entries
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let out = out.unwrap_or_else(|| "cuba-tuned.profile".to_owned());
-    let outcome = if probe {
-        cuba_bench::tune::run_probe(&plan)
-    } else {
-        cuba_bench::tune::run(&plan)
-    };
-    let best = &outcome.best;
-    let default = &outcome.default_eval;
-    eprintln!(
-        "evaluated {} candidates: default {:.0} live rounds / {:.1}ms, best {:.0} live rounds / {:.1}ms",
-        outcome.evaluated,
-        default.live_rounds,
-        default.wall_us / 1000.0,
-        best.live_rounds,
-        best.wall_us / 1000.0,
-    );
-    if !outcome.improved() {
-        eprintln!("no tuning beat the defaults; the profile records the defaults");
-    }
-    let profile = best.config.to_profile(&name);
-    std::fs::write(&out, &profile).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out} (schedule with: --schedule frontier:{out})");
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `cuba lint`: run the static pre-analysis for its diagnostics only —
@@ -1089,12 +841,8 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
                 i += 1;
                 options.lineup = match args.get(i).map(|s| s.as_str()) {
                     Some("auto") => Lineup::Auto,
-                    Some("explicit") => {
-                        Lineup::Fixed(vec![EngineKind::Alg3Explicit, EngineKind::Scheme1Explicit])
-                    }
-                    Some("symbolic") => {
-                        Lineup::Fixed(vec![EngineKind::Alg3Symbolic, EngineKind::Scheme1Symbolic])
-                    }
+                    Some("explicit") => Lineup::Fixed(vec![EngineKind::Alg3Explicit]),
+                    Some("symbolic") => Lineup::Fixed(vec![EngineKind::Alg3Symbolic]),
                     other => return Err(format!("bad --engine {other:?}")),
                 };
             }
@@ -1105,7 +853,6 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("bad --max-k value")?;
             }
-            "--parallel" => options.parallel = true,
             "--trace" => options.trace = true,
             "--json" => options.json = true,
             "--never-shared" => {
@@ -1134,16 +881,12 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
         }
         i += 1;
     }
-    if let Some(schedule) = common.schedule {
-        options.schedule = schedule;
-    }
     if let Some(threads) = common.threads {
         options.threads = threads;
     }
     options.timeout = common.timeout;
     options.trace_out = common.trace_out;
     options.reduce = common.reduce;
-    options.profile_map = common.profile_map;
     Ok(options)
 }
 
@@ -1168,13 +911,12 @@ fn verify(
         let mut config = SessionConfig {
             max_k: options.max_k,
             timeout: options.timeout,
-            schedule: options.schedule.clone(),
             ..SessionConfig::new()
         };
         config.budget.threads = options.threads;
         config
     };
-    let mut portfolio = match &options.lineup {
+    let portfolio = match &options.lineup {
         Lineup::Auto => Portfolio::auto(),
         Lineup::Fixed(kinds) => Portfolio::fixed(kinds.clone()),
     }
@@ -1183,28 +925,7 @@ fn verify(
     // One set of per-system artifacts for the whole invocation: every
     // property replays the same layered exploration per backend ("one
     // system, many properties"); only deeper bounds are computed live.
-    //
-    // With --profile-map the artifacts come from a SuiteCache instead,
-    // so the tuning probe (for a novel fingerprint) and the real run
-    // share one layered exploration — probing never re-saturates what
-    // the run computes anyway, and the map keys on the *reduced*
-    // system when --reduce is on.
-    let mut save_map: Option<(Arc<ProfileMap>, &str)> = None;
-    let artifacts = if let Some(path) = &options.profile_map {
-        let map = load_profile_map(path)?;
-        let cache = SuiteCache::new();
-        let problems: Vec<(String, Cpds, Property)> = properties
-            .iter()
-            .map(|(label, property)| (label.clone(), cpds.clone(), property.clone()))
-            .collect();
-        cuba_bench::tune::ensure_profiles(&map, &problems, 1, &cache, &config);
-        portfolio = portfolio.with_profile_map(map.clone());
-        let artifacts = cache.artifacts(&cpds);
-        save_map = Some((map, path));
-        artifacts
-    } else {
-        Arc::new(SystemArtifacts::new())
-    };
+    let artifacts = Arc::new(SystemArtifacts::new());
     // Warm-start from a `cuba snapshot` file: the restored layers go
     // into this invocation's artifacts, so every property replays the
     // recorded bounds and only deeper ones are computed live. The
@@ -1237,9 +958,8 @@ fn verify(
         // either way.
         let mut round_log: Vec<RoundRecord> = Vec::new();
         let trace = options.trace;
-        // With several properties (or parallel arms racing) trace
-        // lines interleave; the line-locked sink keeps each line
-        // whole, and the prefix says which property it belongs to.
+        // With several properties the prefix says which property each
+        // trace line belongs to.
         let trace_prefix = if many { spec.clone() } else { String::new() };
         let mut on_event = |event: &SessionEvent| {
             if trace {
@@ -1272,25 +992,15 @@ fn verify(
             }
         };
 
-        let result = if options.parallel {
-            portfolio.run_parallel_with(cpds.clone(), property, Some(&mut on_event), &artifacts)
-        } else {
-            portfolio
-                .session_with(cpds.clone(), property, &artifacts)
-                .and_then(|session| session.run_with(&mut on_event))
-        };
-        let outcome = result.map_err(|e| e.to_string())?;
+        let outcome = portfolio
+            .session_with(cpds.clone(), property, &artifacts)
+            .and_then(|session| session.run_with(&mut on_event))
+            .map_err(|e| e.to_string())?;
 
         if options.json {
             println!(
                 "{}",
-                outcome_json(
-                    &outcome,
-                    &round_log,
-                    &options.schedule,
-                    &spec,
-                    reduction_field.as_deref()
-                )
+                outcome_json(&outcome, &round_log, &spec, reduction_field.as_deref())
             );
         } else {
             if many {
@@ -1303,9 +1013,6 @@ fn verify(
             Verdict::Unsafe { .. } => saw_unsafe = true,
             Verdict::Undetermined { .. } => saw_undetermined = true,
         }
-    }
-    if let Some((map, path)) = save_map {
-        map.save(path)?;
     }
     finish_trace_recording(trace_out)?;
     // The worst verdict decides: any unsafe → 1, else undetermined → 3.
@@ -1391,7 +1098,6 @@ impl RoundRecord {
 fn outcome_json(
     outcome: &CubaOutcome,
     round_log: &[RoundRecord],
-    schedule: &SchedulePolicy,
     property: &str,
     reduction: Option<&str>,
 ) -> String {
@@ -1421,7 +1127,6 @@ fn outcome_json(
     push_field(&mut out, "rounds", &outcome.rounds.to_string());
     push_field(&mut out, "states", &outcome.states.to_string());
     push_field(&mut out, "fcr", &outcome.fcr_holds.to_string());
-    push_field(&mut out, "schedule", &json_string(schedule.name()));
     push_field(
         &mut out,
         "duration_ms",
@@ -1452,9 +1157,8 @@ fn outcome_json(
     let rounds: Vec<String> = round_log.iter().map(RoundRecord::to_json).collect();
     push_field(&mut out, "growth", &format!("[{}]", rounds.join(",")));
     // Per-arm growth logs: the same rounds grouped by engine, so the
-    // partial progress of *losing* arms survives in diagnostics (the
-    // interleaved `growth` array loses per-arm shape once arms advance
-    // at different rates under the frontier-aware scheduler).
+    // partial progress of the arm that did not decide (the CBA
+    // refuter beside the fused arm) survives in diagnostics.
     let mut arm_order: Vec<&str> = Vec::new();
     for record in round_log {
         if !arm_order.contains(&record.engine.as_str()) {

@@ -138,84 +138,35 @@ fn json_output_is_machine_readable() {
     assert!(stdout.contains("\"witness_steps\":"));
 }
 
-/// `--schedule` selects the arm scheduling policy; both spellings
-/// verify Fig. 1 and the JSON reports the policy plus the per-arm
-/// growth logs with per-round costs.
+/// Sessions always step their arms round-robin, so `--schedule` is
+/// rejected like any unknown option. The JSON reports one growth log
+/// per arm of the §6 lineup (the fused arm and the CBA refuter), each
+/// round carrying its cost.
 #[test]
 fn schedule_flag_and_per_arm_logs() {
-    for (name, flag) in [("frontier", "frontier"), ("round-robin", "round-robin")] {
-        let (stdout, _, code) =
-            cuba(&["verify", "samples/fig1.cpds", "--schedule", flag, "--json"]);
-        assert_eq!(code, Some(0), "--schedule {flag}");
-        let line = stdout.trim();
-        assert!(line.contains(&format!("\"schedule\":\"{name}\"")));
-        // Per-arm growth logs: every arm of the §6 race appears with
-        // its own (possibly partial) log, each round carrying its
-        // cost.
-        assert!(line.contains("\"arms\":["));
-        assert!(line.contains("\"log\":["));
-        assert!(line.contains("\"delta_states\":"));
-        assert!(line.contains("\"elapsed_us\":"));
-        assert!(line.contains("\"round_wall_us\":"));
-    }
-
-    let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--schedule", "fastest"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("bad schedule"));
-}
-
-/// The extended `--schedule` grammar: inline `frontier:key=value`
-/// tunings and profile files written by `cuba tune`'s serializer.
-#[test]
-fn schedule_profiles_and_inline_tunings() {
-    // Inline tuning parses and verifies.
-    let (stdout, _, code) = cuba(&[
-        "verify",
-        "samples/fig1.cpds",
-        "--schedule",
-        "frontier:window=2,bonus_turns=1",
-        "--json",
-    ]);
+    let (stdout, _, code) = cuba(&["verify", "samples/fig1.cpds", "--json"]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("\"schedule\":\"frontier\""));
-    assert!(stdout.contains("\"verdict\":\"safe\""));
+    let line = stdout.trim();
+    assert!(!line.contains("\"schedule\""), "{line}");
+    assert!(
+        line.contains("\"arms\":[{\"engine\":\"Alg3(T(Rk))\""),
+        "{line}"
+    );
+    assert!(line.contains("{\"engine\":\"CBA\",\"rounds\":"), "{line}");
+    assert!(line.contains("\"log\":["));
+    assert!(line.contains("\"delta_states\":"));
+    assert!(line.contains("\"elapsed_us\":"));
+    assert!(line.contains("\"round_wall_us\":"));
 
-    // A profile file in the `cuba tune` output format loads the same
-    // way; verdicts do not depend on the tuning.
-    let profile = std::env::temp_dir().join("cuba-cli-test.profile");
-    std::fs::write(
-        &profile,
-        "# test profile\nname = cli-test\nwindow = 2\nbonus_turns = 1\n",
-    )
-    .expect("profile written");
-    let spec = format!("frontier:{}", profile.display());
-    let (stdout, _, code) = cuba(&["verify", "samples/fig1.cpds", "--schedule", &spec, "--json"]);
-    assert_eq!(code, Some(0), "profile file loads");
-    assert!(stdout.contains("\"verdict\":\"safe\""));
-    assert!(stdout.contains("\"k\":5"));
-
-    // Unknown keys and missing files are option errors (exit 2).
-    let (_, stderr, code) = cuba(&[
-        "verify",
-        "samples/fig1.cpds",
-        "--schedule",
-        "frontier:warp=9",
-    ]);
+    let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--schedule", "round-robin"]);
     assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown tuning key"));
-    let (_, stderr, code) = cuba(&[
-        "verify",
-        "samples/fig1.cpds",
-        "--schedule",
-        "frontier:/no/such/profile",
-    ]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("cannot read profile"));
+    assert!(stderr.contains("unknown option '--schedule'"), "{stderr}");
 }
 
-/// `cuba bench` / `cuba tune` argument validation (the measured paths
-/// run the full suite and are covered by the harness unit tests and
-/// the CI bench job; a debug-build suite iteration is too slow here).
+/// `cuba bench` argument validation (the measured paths run the full
+/// suite and are covered by the harness unit tests and the CI bench
+/// job; a debug-build suite iteration is too slow here). The `tune`
+/// subcommand is gone and is rejected like any unknown command.
 #[test]
 fn bench_and_tune_validate_arguments() {
     let (_, stderr, code) = cuba(&["bench", "--gate"]);
@@ -230,12 +181,9 @@ fn bench_and_tune_validate_arguments() {
     let (_, stderr, code) = cuba(&["bench", "--turbo"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown option"));
-    let (_, stderr, code) = cuba(&["tune", "--out"]);
+    let (_, stderr, code) = cuba(&["tune", "--out", "x.profile"]);
     assert_eq!(code, Some(2));
-    assert!(stderr.contains("--out needs a file argument"));
-    let (_, stderr, code) = cuba(&["tune", "--passes", "zero"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("bad --passes"));
+    assert!(stderr.contains("unknown command 'tune'"), "{stderr}");
 }
 
 /// Repeated `--property`: one invocation, many properties, one JSON
@@ -387,13 +335,7 @@ fn trace_out_writes_a_trace_that_trace_check_accepts() {
     assert_eq!(code, Some(0), "stdout: {stdout}");
     assert!(stdout.contains("valid Chrome trace"));
     // The catalogue lists the portfolio and saturation spans.
-    for span in [
-        "round",
-        "wave",
-        "merge",
-        "ensure_layer",
-        "schedule-decision",
-    ] {
+    for span in ["round", "wave", "merge", "ensure_layer"] {
         assert!(
             stdout.contains(&format!("  {span}: ")),
             "missing {span} in:\n{stdout}"
@@ -497,12 +439,4 @@ fn timeout_yields_undetermined_exit_code() {
     let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--timeout", "abc"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("bad --timeout"));
-}
-
-#[test]
-fn parallel_flag_agrees_with_round_robin() {
-    let (stdout, _, code) = cuba(&["verify", "samples/fig1.cpds", "--parallel"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout.contains("safe for any resource amount"));
-    assert!(stdout.contains("k=5"));
 }

@@ -5,7 +5,9 @@
 //! * Lemma 12: `T(Rk) ⊆ Z`,
 //! * layered monotonicity and stutter-freeness of `(Rk)` (Lemma 7),
 //! * witnesses replay and respect their layer's context bound,
-//! * Scheme 1 and Alg. 3 agree whenever both conclude.
+//! * Scheme 1 and Alg. 3 agree whenever both conclude,
+//! * the default lineup (one fused arm per backend) decides exactly
+//!   like the split lineup with a separate Scheme 1 arm.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
@@ -15,10 +17,12 @@ use std::collections::HashSet;
 
 use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
 use cuba::core::{
-    alg3_explicit, check_fcr, compute_z, scheme1_explicit, Alg3Config, Property, Scheme1Config,
-    Verdict,
+    alg3_explicit, check_fcr, compute_z, scheme1_explicit, Alg3Config, CubaError, CubaOutcome,
+    EngineKind, Portfolio, Property, Scheme1Config, SessionConfig, Verdict,
 };
 use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
+use cuba::pds::rng::{shrink, shrink_usize};
+use cuba::pds::SharedState;
 
 fn small_budget() -> ExploreBudget {
     ExploreBudget {
@@ -234,4 +238,146 @@ fn pushy_agreement_specific_seeds() {
         checked >= 5,
         "need enough FCR systems with pushes, got {checked}"
     );
+}
+
+/// What the lineup comparison checks: the verdict word, the bound, the
+/// convergence method and the deciding engine (errors by message). An
+/// undetermined outcome names no engine: it comes from whichever arm
+/// stepped last, which differs between lineups by construction.
+fn decision(result: &Result<CubaOutcome, CubaError>) -> String {
+    match result {
+        Ok(o) => match &o.verdict {
+            Verdict::Safe { k, method } => format!("safe k={k} ({method}) by {}", o.engine),
+            Verdict::Unsafe { k, .. } => format!("unsafe k={k} by {}", o.engine),
+            Verdict::Undetermined { .. } => "undetermined".to_owned(),
+        },
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// The lineup with a separate Scheme 1 arm that the fused arm replaced:
+/// the Alg. 3 arm then runs without the collapse test and steps first.
+fn split_lineup(fcr: bool) -> Vec<EngineKind> {
+    if fcr {
+        vec![
+            EngineKind::Alg3Explicit,
+            EngineKind::Scheme1Explicit,
+            EngineKind::CbaRefuter,
+        ]
+    } else {
+        vec![EngineKind::Alg3Symbolic, EngineKind::Scheme1Symbolic]
+    }
+}
+
+/// `(fused, split)` decisions for one random system under `property`.
+fn both_lineups(cpds: &cuba::pds::Cpds, property: &Property) -> (String, String) {
+    let config = SessionConfig {
+        budget: small_budget(),
+        max_k: 12,
+        ..SessionConfig::new()
+    };
+    let fcr = check_fcr(cpds).holds();
+    let fused = Portfolio::auto()
+        .with_config(config.clone())
+        .run(cpds.clone(), property.clone());
+    let split = Portfolio::fixed(split_lineup(fcr))
+        .with_config(config)
+        .run(cpds.clone(), property.clone());
+    (decision(&fused), decision(&split))
+}
+
+/// The properties checked per system: full convergence, the last
+/// visible state of the finite domain, and the last shared state.
+fn properties(cpds: &cuba::pds::Cpds) -> [Property; 3] {
+    let target = cpds.all_visible_states().into_iter().last().unwrap();
+    [
+        Property::True,
+        Property::never_visible(target),
+        Property::never_shared(SharedState(cpds.num_shared() - 1)),
+    ]
+}
+
+/// Smaller shapes to try when a system disagrees: fewer actions,
+/// threads, stack symbols or shared states (each at least 1, except
+/// actions).
+fn smaller_shapes(shape: &RandomCpdsConfig) -> Vec<RandomCpdsConfig> {
+    let mut out: Vec<RandomCpdsConfig> = shrink_usize(shape.actions_per_thread)
+        .into_iter()
+        .map(|actions_per_thread| RandomCpdsConfig {
+            actions_per_thread,
+            ..shape.clone()
+        })
+        .collect();
+    for num_threads in shrink_usize(shape.num_threads) {
+        if num_threads >= 1 {
+            out.push(RandomCpdsConfig {
+                num_threads,
+                ..shape.clone()
+            });
+        }
+    }
+    for n in shrink_usize(shape.alphabet as usize) {
+        if n >= 1 {
+            out.push(RandomCpdsConfig {
+                alphabet: n as u32,
+                ..shape.clone()
+            });
+        }
+    }
+    for n in shrink_usize(shape.num_shared as usize) {
+        if n >= 1 {
+            out.push(RandomCpdsConfig {
+                num_shared: n as u32,
+                ..shape.clone()
+            });
+        }
+    }
+    out
+}
+
+/// Differential oracle for the default lineup: on random systems with
+/// and without FCR, `Portfolio::auto()` (one fused arm per backend,
+/// plus CBA under FCR) decides exactly like the split lineup, for a
+/// full-convergence property, a visible-state target and a
+/// shared-state target. A disagreement is shrunk to a minimal shape
+/// before it is reported.
+#[test]
+fn fused_lineup_matches_the_split_lineup() {
+    let (mut fcr_systems, mut other_systems, mut decided) = (0, 0, 0);
+    for (shape, seeds) in [
+        (RandomCpdsConfig::shrinking(), 0..24u64),
+        (RandomCpdsConfig::default(), 0..24u64),
+    ] {
+        for seed in seeds {
+            let cpds = random_cpds(&shape, seed);
+            if check_fcr(&cpds).holds() {
+                fcr_systems += 1;
+            } else {
+                other_systems += 1;
+            }
+            for (i, property) in properties(&cpds).into_iter().enumerate() {
+                let (fused, split) = both_lineups(&cpds, &property);
+                if fused == split {
+                    decided +=
+                        usize::from(fused.starts_with("safe") || fused.starts_with("unsafe"));
+                    continue;
+                }
+                let disagrees = |shape: &RandomCpdsConfig| {
+                    let cpds = random_cpds(shape, seed);
+                    let (fused, split) = both_lineups(&cpds, &properties(&cpds)[i]);
+                    fused != split
+                };
+                let minimal = shrink(shape.clone(), smaller_shapes, disagrees);
+                panic!(
+                    "seed {seed}, {property:?}: fused {fused} vs split {split}; \
+                     minimal failing shape {minimal:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        fcr_systems >= 24 && other_systems >= 5,
+        "{fcr_systems} / {other_systems}"
+    );
+    assert!(decided >= 100, "too few decided runs: {decided}");
 }

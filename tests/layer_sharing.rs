@@ -9,16 +9,14 @@
 //!   the deepest bound any property required (counter-instrumented);
 //! * a property demanding a deeper bound extends the shared layers
 //!   past an earlier property's stopping point instead of restarting;
-//! * `FrontierAware` scheduling still converges on fully replayed
-//!   runs (replays carry their own flag and are excluded from cost
-//!   accounting).
+//! * a fully warm run replays every layer (replays carry their own
+//!   flag and are excluded from cost accounting).
 
 use std::sync::Arc;
 
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
-    CubaOutcome, EngineKind, Portfolio, Property, SchedulePolicy, SessionConfig, SessionEvent,
-    SystemArtifacts, Verdict,
+    CubaOutcome, EngineKind, Portfolio, Property, SessionEvent, SystemArtifacts, Verdict,
 };
 use cuba::explore::SubsumptionMode;
 use cuba::pds::{SharedState, StackSym, VisibleState};
@@ -159,16 +157,11 @@ fn deeper_bound_demand_extends_shared_layers() {
     );
 }
 
-/// A fully warm run replays everything: zero live exploration, same
-/// verdict, and the default `FrontierAware` policy still converges
-/// (replays are excluded from its plateau/balloon accounting).
+/// A fully warm run replays everything: zero live exploration and the
+/// same verdict, for both arms of a two-arm lineup over one explorer.
 #[test]
-fn warm_artifacts_replay_everything_under_frontier_aware() {
-    let portfolio = Portfolio::fixed(vec![EngineKind::Alg3Explicit, EngineKind::Scheme1Explicit])
-        .with_config(SessionConfig {
-            schedule: SchedulePolicy::frontier_aware(),
-            ..SessionConfig::new()
-        });
+fn warm_artifacts_replay_everything() {
+    let portfolio = Portfolio::fixed(vec![EngineKind::Alg3Explicit, EngineKind::Scheme1Explicit]);
     let artifacts = Arc::new(SystemArtifacts::new());
 
     let (cold, cold_live) = run_one(&portfolio, fig1::build(), Property::True, &artifacts);
@@ -201,7 +194,7 @@ fn warm_artifacts_replay_everything_under_frontier_aware() {
 /// per-property baseline, exploration run once.
 #[test]
 fn symbolic_layers_shared_on_fig2() {
-    let portfolio = Portfolio::auto(); // fig2 → symbolic arms
+    let portfolio = Portfolio::auto(); // fig2 → the fused symbolic arm
     let properties = || {
         vec![
             // ⟨x=1|4,9⟩ (Ex. 8) is reachable within 2 contexts.
@@ -239,9 +232,8 @@ fn symbolic_layers_shared_on_fig2() {
     assert!(explorer.rounds_explored() <= explorer.depth());
 }
 
-/// The full §6 auto race (three arms) keeps the exactly-once
-/// guarantee: whatever the scheduler does, the shared store never
-/// recomputes a layer.
+/// The §6 auto lineup (the fused arm plus the CBA refuter) keeps the
+/// exactly-once guarantee: the shared store never recomputes a layer.
 #[test]
 fn auto_race_never_recomputes_layers() {
     let portfolio = Portfolio::auto();

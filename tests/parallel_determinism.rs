@@ -9,17 +9,15 @@
 //! [`CancelToken`] fired mid-saturation still aborts promptly when the
 //! waves are sharded across a worker pool.
 //!
-//! Scheduling is pinned to `RoundRobin` throughout: `FrontierAware`
-//! adapts to wall-clock measurements, which is exactly the
-//! nondeterminism these tests must not confuse with saturation-level
-//! divergence. The CI `determinism` job runs the same comparison on the
-//! release binary via `cuba bench --threads N --schedule round-robin`.
+//! Sessions step their arms round-robin, which reads no clock, so any
+//! divergence here is saturation-level. The CI `determinism` job runs
+//! the same comparison on the release binary via `cuba bench --threads
+//! N`.
 
 use std::collections::BTreeMap;
 
 use cuba::benchmarks::fig1;
 use cuba::benchmarks::suite::table2_suite;
-use cuba::core::SchedulePolicy;
 use cuba::explore::{
     CancelToken, ExploreBudget, ExploreError, Interrupt, SubsumptionMode, SymbolicEngine,
 };
@@ -31,10 +29,8 @@ fn plan(threads: usize) -> BenchPlan {
         warmup: 0,
         samples: 1,
         workers: 4,
-        schedule: SchedulePolicy::RoundRobin,
         reduce: false,
         threads,
-        profile_map: None,
         seed: None,
     }
 }

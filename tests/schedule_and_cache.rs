@@ -1,11 +1,10 @@
-//! Integration tests of the budget-aware scheduler and the suite
-//! cache over the full Table 2 suite — the acceptance criteria of the
-//! cost-aware-scheduling milestone:
+//! Integration tests of round-robin sessions and the suite cache over
+//! the full Table 2 suite:
 //!
 //! * per-round cost accounting: `RoundCompleted` events carry nonzero
 //!   wall-clock and consistent state deltas;
-//! * `FrontierAware` + `SuiteCache` reach the same verdicts as
-//!   round-robin with strictly fewer total rounds;
+//! * a `SuiteCache` reaches the same verdicts as the uncached path
+//!   with strictly fewer total live rounds;
 //! * the cached path performs fewer FCR checks than the uncached one
 //!   (counter-instrumented).
 //!
@@ -19,8 +18,8 @@ use std::time::Duration;
 use cuba::benchmarks::fig1;
 use cuba::benchmarks::suite::{table2_problems, table2_suite};
 use cuba::core::{
-    fcr_checks_performed, AnalysisSession, Portfolio, Property, SchedulePolicy, SessionConfig,
-    SessionEvent, SuiteCache, Verdict,
+    fcr_checks_performed, AnalysisSession, Portfolio, Property, SessionConfig, SessionEvent,
+    SuiteCache, Verdict,
 };
 use cuba::explore::ExploreBudget;
 
@@ -32,32 +31,25 @@ fn counter_lock() -> &'static Mutex<()> {
     LOCK.get_or_init(|| Mutex::new(()))
 }
 
-fn suite_config(schedule: SchedulePolicy) -> SessionConfig {
+fn suite_config() -> SessionConfig {
     SessionConfig {
         budget: ExploreBudget {
-            // Same cap as the table2 harness: keeps the OOM row
-            // (stefan-1/8) bounded while every safe row still
-            // converges (the batch binary uses a larger 20k cap; the
-            // smaller one keeps this debug-mode test fast).
+            // Keeps the OOM row (stefan-1/8) bounded while every safe
+            // row still converges (the bench harness uses a larger 20k
+            // cap; the smaller one keeps this debug-mode test fast).
             max_symbolic_states: 10_000,
             ..ExploreBudget::default()
         },
         max_k: 32,
-        schedule,
         ..SessionConfig::new()
     }
 }
 
-/// A verdict's scheduling-independent shape. The bug bound of an
-/// unsafe verdict never depends on scheduling (every engine finds the
-/// violation at the same `k`), so it is kept; the convergence bound of
-/// a safe verdict legitimately differs by one depending on which arm
-/// wins (Alg. 3 concludes at the plateau's start, Scheme 1 at the
-/// collapse), so only the kind is compared.
+/// A verdict's word and bound.
 fn verdict_key(result: &Result<cuba::core::CubaOutcome, cuba::core::CubaError>) -> String {
     match result {
         Ok(o) => match &o.verdict {
-            Verdict::Safe { .. } => "safe".to_owned(),
+            Verdict::Safe { k, .. } => format!("safe@{k}"),
             Verdict::Unsafe { k, .. } => format!("unsafe@{k}"),
             Verdict::Undetermined { .. } => "undetermined".to_owned(),
         },
@@ -65,15 +57,12 @@ fn verdict_key(result: &Result<cuba::core::CubaOutcome, cuba::core::CubaError>) 
     }
 }
 
-/// Runs the whole suite problem by problem under one policy, counting
-/// every *live* (non-replayed) `RoundCompleted` across all arms — the
-/// rounds that actually paid for exploration; replays are free —
-/// optionally through a `SuiteCache`.
-fn run_suite_counting(
-    schedule: SchedulePolicy,
-    cache: Option<&SuiteCache>,
-) -> (Vec<String>, usize) {
-    let portfolio = Portfolio::auto().with_config(suite_config(schedule));
+/// Runs the whole suite problem by problem, counting every *live*
+/// (non-replayed) `RoundCompleted` across all arms — the rounds that
+/// actually paid for exploration; replays are free — optionally
+/// through a `SuiteCache`.
+fn run_suite_counting(cache: Option<&SuiteCache>) -> (Vec<String>, usize) {
+    let portfolio = Portfolio::auto().with_config(suite_config());
     let mut verdicts = Vec::new();
     let mut live_rounds = 0usize;
     // Two passes over the suite: the second pass is where a shared
@@ -115,38 +104,38 @@ fn run_suite_counting(
     (verdicts, live_rounds)
 }
 
-/// Acceptance: over two passes of `table2_problems()`, the
-/// frontier-aware scheduler with a suite cache reaches exactly the
-/// verdicts of round-robin while *exploring* strictly fewer live
-/// rounds in total — the cached pass replays every already-computed
-/// layer instead of re-exploring ("one system, many properties") —
-/// and the cache cuts the number of FCR decisions.
+/// Acceptance: over two passes of `table2_problems()`, a suite cache
+/// reaches exactly the verdicts of the uncached path while *exploring*
+/// strictly fewer live rounds in total — the cached pass replays every
+/// already-computed layer instead of re-exploring ("one system, many
+/// properties") — and the cache cuts the number of FCR decisions.
 #[test]
-fn frontier_aware_with_cache_matches_round_robin_with_fewer_rounds() {
+fn suite_cache_matches_uncached_with_fewer_rounds() {
     let _guard = counter_lock().lock().unwrap();
 
-    let fcr_before_rr = fcr_checks_performed();
-    let (rr_verdicts, rr_rounds) = run_suite_counting(SchedulePolicy::RoundRobin, None);
-    let rr_fcr_checks = fcr_checks_performed() - fcr_before_rr;
+    let fcr_before_plain = fcr_checks_performed();
+    let (plain_verdicts, plain_rounds) = run_suite_counting(None);
+    let plain_fcr_checks = fcr_checks_performed() - fcr_before_plain;
 
     let cache = SuiteCache::new();
-    let fcr_before_fa = fcr_checks_performed();
-    let (fa_verdicts, fa_rounds) =
-        run_suite_counting(SchedulePolicy::frontier_aware(), Some(&cache));
-    let fa_fcr_checks = fcr_checks_performed() - fcr_before_fa;
+    let fcr_before_cached = fcr_checks_performed();
+    let (cached_verdicts, cached_rounds) = run_suite_counting(Some(&cache));
+    let cached_fcr_checks = fcr_checks_performed() - fcr_before_cached;
 
     let labels: Vec<String> = table2_suite().iter().map(|b| b.label()).collect();
     let all_labels: Vec<&String> = labels.iter().chain(labels.iter()).collect();
-    for ((label, rr), fa) in all_labels.iter().zip(&rr_verdicts).zip(&fa_verdicts) {
-        assert_eq!(rr, fa, "{label}: verdict changed under frontier-aware");
+    for ((label, plain), cached) in all_labels.iter().zip(&plain_verdicts).zip(&cached_verdicts) {
+        assert_eq!(plain, cached, "{label}: verdict changed through the cache");
     }
     assert!(
-        fa_rounds < rr_rounds,
-        "the cached suite must explore strictly fewer live rounds: {fa_rounds} vs {rr_rounds}"
+        cached_rounds < plain_rounds,
+        "the cached suite must explore strictly fewer live rounds: \
+         {cached_rounds} vs {plain_rounds}"
     );
     assert!(
-        fa_fcr_checks < rr_fcr_checks,
-        "the suite cache must cut FCR checks: cached {fa_fcr_checks} vs uncached {rr_fcr_checks}"
+        cached_fcr_checks < plain_fcr_checks,
+        "the suite cache must cut FCR checks: \
+         cached {cached_fcr_checks} vs uncached {plain_fcr_checks}"
     );
     // One FCR decision per distinct system, computed inside the cache.
     assert_eq!(cache.len(), table2_suite().len());
@@ -171,7 +160,7 @@ fn run_suite_cached_reuses_a_warm_cache() {
             .map(|b| (b.cpds, b.property))
             .collect()
     };
-    let portfolio = Portfolio::auto().with_config(suite_config(SchedulePolicy::frontier_aware()));
+    let portfolio = Portfolio::auto().with_config(suite_config());
     let cache = SuiteCache::new();
     let first = portfolio.run_suite_cached(problems(), 4, &cache);
     let first_verdicts: Vec<String> = first.iter().map(verdict_key).collect();
@@ -200,10 +189,9 @@ fn round_events_carry_costs() {
         .session(fig1::build(), Property::True)
         .unwrap();
     let mut cumulative = Duration::ZERO;
-    // Both explicit arms share the `(Rk)` explorer; CBA explores on
-    // its own. Key by backend: per-bound delta (each layer is paid for
-    // once, whichever arm drove it — the replaying sibling reports 0)
-    // and the largest observed cumulative state count.
+    // The fused arm drives the `(Rk)` explorer; CBA explores on its
+    // own. Key by backend: per-bound delta (each layer is paid for
+    // once) and the largest observed cumulative state count.
     let mut deltas: std::collections::HashMap<(&str, usize), usize> = Default::default();
     let mut totals: std::collections::HashMap<&str, usize> = Default::default();
     let mut rounds = 0;
@@ -236,7 +224,7 @@ fn round_events_carry_costs() {
             *total = (*states).max(*total);
         }
     }
-    assert!(rounds >= 7, "the race computes bounds 0..=6 somewhere");
+    assert!(rounds >= 7, "the fused arm computes bounds 0..=6");
     for (backend, total) in totals {
         let delta_sum: usize = deltas
             .iter()
@@ -255,27 +243,4 @@ fn round_events_carry_costs() {
     );
     assert!(outcome.rounds_explored > 0, "a cold run explores live");
     assert!(outcome.verdict.is_safe());
-}
-
-/// The parallel race honors the schedule policy field and still agrees
-/// with the sequential frontier-aware race.
-#[test]
-fn parallel_race_agrees_under_both_policies() {
-    let _guard = counter_lock().lock().unwrap();
-    for schedule in [SchedulePolicy::RoundRobin, SchedulePolicy::frontier_aware()] {
-        let portfolio = Portfolio::auto().with_config(SessionConfig {
-            schedule: schedule.clone(),
-            ..SessionConfig::new()
-        });
-        let sequential = portfolio.run(fig1::build(), Property::True).unwrap();
-        let parallel = portfolio
-            .run_parallel(fig1::build(), Property::True, None)
-            .unwrap();
-        assert_eq!(
-            sequential.verdict.is_safe(),
-            parallel.verdict.is_safe(),
-            "policy {schedule}"
-        );
-        assert!(parallel.round_wall > Duration::ZERO);
-    }
 }

@@ -2,11 +2,12 @@
 //! trait's round-stepping must be observationally equivalent to the
 //! classic monolithic loops, sessions must stream one round event per
 //! computed bound, cancellation and deadlines must stop work
-//! cooperatively, and the portfolio race must agree with the fused
-//! driver on both running examples.
+//! cooperatively, and the portfolio must agree with the fused driver
+//! on both running examples.
 
 use std::time::Duration;
 
+use cuba::benchmarks::suite::table2_suite;
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
     alg3_explicit, alg3_symbolic, build_engine, scheme1_symbolic, Alg3Config, AnalysisSession,
@@ -208,29 +209,18 @@ fn cancel_token_is_honored_mid_round() {
     assert_eq!(err, cuba::explore::ExploreError::Cancelled);
 }
 
-/// The portfolio race (round-robin and threaded) agrees with the
-/// classic fused driver on both running examples.
+/// The portfolio agrees with the classic fused driver on both running
+/// examples: same verdict, bound, and deciding engine.
 #[test]
 fn portfolio_agrees_with_fused_driver() {
     for (cpds, label) in [(fig1::build(), "fig1"), (fig2::build(), "fig2")] {
         let fused = Cuba::new(cpds.clone(), Property::True)
             .run(&CubaConfig::default())
             .unwrap();
-        let round_robin = Portfolio::auto().run(cpds.clone(), Property::True).unwrap();
-        let threaded = Portfolio::auto()
-            .run_parallel(cpds, Property::True, None)
-            .unwrap();
-        assert_eq!(
-            fused.verdict.is_safe(),
-            round_robin.verdict.is_safe(),
-            "{label}"
-        );
-        assert_eq!(
-            fused.verdict.is_safe(),
-            threaded.verdict.is_safe(),
-            "{label}"
-        );
-        assert_eq!(fused.fcr_holds, round_robin.fcr_holds, "{label}");
+        let portfolio = Portfolio::auto().run(cpds, Property::True).unwrap();
+        assert_eq!(fused.verdict, portfolio.verdict, "{label}");
+        assert_eq!(fused.engine, portfolio.engine, "{label}");
+        assert_eq!(fused.fcr_holds, portfolio.fcr_holds, "{label}");
     }
 }
 
@@ -259,4 +249,31 @@ fn run_suite_handles_mixed_batch() {
             Verdict::Unsafe { k: 5, .. }
         ));
     }
+}
+
+/// The CBA refuter advances a private symbolic engine, not a shared
+/// explorer; its advances still book as saturation. On bluetooth-3/1+2
+/// (safe at k = 13, so the refuter runs to its bound) a refuter-only
+/// session spends most of its round time saturating.
+#[test]
+fn cba_refuter_books_its_advances_as_saturation() {
+    let bench = table2_suite()
+        .into_iter()
+        .find(|b| b.label() == "bluetooth-3/1+2")
+        .expect("suite row");
+    let outcome = Portfolio::fixed(vec![EngineKind::CbaRefuter])
+        .with_config(SessionConfig {
+            max_k: 14,
+            ..SessionConfig::new()
+        })
+        .run(bench.cpds, bench.property)
+        .unwrap();
+    assert!(matches!(outcome.verdict, Verdict::Undetermined { .. }));
+    let stages = outcome.stages;
+    assert!(
+        stages.saturate > stages.check,
+        "saturate {:?} vs check {:?}",
+        stages.saturate,
+        stages.check
+    );
 }

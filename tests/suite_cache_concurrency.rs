@@ -18,8 +18,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
-    fcr_checks_performed, Portfolio, Property, SchedulePolicy, SessionConfig, SuiteCache,
-    SystemArtifacts, Verdict,
+    fcr_checks_performed, Portfolio, Property, SessionConfig, SuiteCache, SystemArtifacts, Verdict,
 };
 use cuba::explore::SubsumptionMode;
 use cuba::pds::{Cpds, SharedState, StackSym, VisibleState};
@@ -36,11 +35,11 @@ fn vis(q: u32, tops: &[u32]) -> VisibleState {
     )
 }
 
-/// Lockstep scheduling: per-arm progress is then a pure function of
-/// the problem, so explorer counters are comparable across runs.
+/// Sessions step arms in lockstep, so per-arm progress is a pure
+/// function of the problem and explorer counters are comparable
+/// across runs.
 fn portfolio() -> Portfolio {
     Portfolio::auto().with_config(SessionConfig {
-        schedule: SchedulePolicy::RoundRobin,
         max_k: 32,
         ..SessionConfig::new()
     })
