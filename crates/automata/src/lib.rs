@@ -58,7 +58,8 @@ pub use minimize::minimize;
 pub use nfa::{Label, Nfa, StateId};
 pub use ops::{intersect, language_equal, language_subset};
 pub use poststar::{
-    bounded_reach, post_star, post_star_from_config, post_star_guarded, post_star_with,
+    bounded_reach, post_star, post_star_from_config, post_star_guarded, post_star_table,
+    post_star_with,
 };
 pub use prestar::{pre_star, pre_star_guarded, pre_star_with};
 pub use psa::Psa;

@@ -1,9 +1,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use cuba_pds::{Pds, Rhs, SharedState, StackSym};
-use cuba_telemetry::metrics::{stage_time, Stage, METRICS};
+use cuba_telemetry::metrics::METRICS;
 use cuba_telemetry::trace;
 
 use crate::rules::RuleTable;
@@ -15,19 +13,6 @@ use crate::{Label, Nfa, Psa, SaturationInterrupted, StateId};
 /// call, large enough that polling cost (an atomic load or two plus an
 /// `Instant::now`) stays invisible next to the insertion work.
 pub(crate) const SATURATION_POLL_EVERY: usize = 64;
-
-/// Minimum structural size (initial transitions + rules) below which
-/// [`post_star_with`] stays sequential even when asked for more
-/// threads: spawning a scoped pool costs more than a small saturation
-/// does. The gate is purely structural — a function of the input, not
-/// of timing — so every thread count ≥ 2 makes the same choice and
-/// the wave schedule stays deterministic.
-const PARALLEL_MIN_WORK: usize = 512;
-
-/// Frontier edges a worker claims per cursor bump: small enough that
-/// work-stealing rebalances a skewed shard, large enough to amortize
-/// the atomic increment.
-const STEAL_CHUNK: usize = 32;
 
 /// The mutable saturation state: the automaton under construction, the
 /// worklist, and the cooperative-interruption bookkeeping shared by
@@ -91,7 +76,7 @@ pub fn post_star(pds: &Pds, init: &Psa) -> Psa {
 ///
 /// Builds a throwaway [`RuleTable`] per call; repeated saturations
 /// over the same PDS should build the table once and use
-/// [`post_star_with`].
+/// [`post_star_table`].
 ///
 /// # Errors
 ///
@@ -105,40 +90,32 @@ pub fn post_star_guarded(
     post_star_table(pds, &RuleTable::new(pds), init, poll)
 }
 
-/// As [`post_star_guarded`], but over a caller-built [`RuleTable`]
-/// and a worker pool of `threads` shards.
-///
-/// `threads == 1` runs exactly the sequential worklist loop; larger
-/// counts run wave-synchronous sharded saturation whenever the input
-/// is big enough to amortize the pool. Whatever the thread count, the result
-/// accepts the same configuration language — saturation is a fixpoint;
-/// insertion order may differ, the fixed point may not — and any two
-/// counts ≥ 2 produce the bit-identical automaton.
+/// As [`post_star_table`], with a shared-reference poll. The `threads`
+/// argument is ignored: saturation is always the sequential worklist.
+/// It stays in the signature because the `perfbench/` harness passes
+/// it.
 ///
 /// # Errors
 ///
-/// [`SaturationInterrupted`] when `poll` returned `false`; each shard
-/// polls every 64 proposals, so cancellation latency matches the
-/// sequential path.
+/// [`SaturationInterrupted`] when `poll` returned `false`.
 pub fn post_star_with(
     pds: &Pds,
     table: &RuleTable,
     init: &Psa,
-    threads: usize,
+    _threads: usize,
     poll: &(dyn Fn() -> bool + Sync),
 ) -> Result<Psa, SaturationInterrupted> {
-    let threads = threads.max(1);
-    if threads == 1 || init.nfa.transitions().count() + pds.actions().len() < PARALLEL_MIN_WORK {
-        let mut poll_mut = || poll();
-        return post_star_table(pds, table, init, &mut poll_mut);
-    }
-    post_star_sharded(pds, table, init, threads, poll)
+    post_star_table(pds, table, init, &mut || poll())
 }
 
-/// The sequential saturation worklist over a prebuilt [`RuleTable`]
-/// (the exact pre-sharding code path, hash indices replaced by CSR
-/// lookups).
-fn post_star_table(
+/// As [`post_star_guarded`], but over a caller-built [`RuleTable`]:
+/// the sequential saturation worklist, with CSR rule lookups.
+///
+/// # Errors
+///
+/// [`SaturationInterrupted`] when `poll` returned `false`; the
+/// partially saturated automaton is discarded.
+pub fn post_star_table(
     pds: &Pds,
     table: &RuleTable,
     init: &Psa,
@@ -156,8 +133,7 @@ fn post_star_table(
         interrupted: false,
     };
     let sink = sat.psa.sink();
-    // The sequential fixpoint is one telemetry wave: no barriers, so
-    // the whole worklist run is the unit of observation.
+    // The whole worklist run is one telemetry wave.
     METRICS.waves.inc();
     METRICS.frontier_edges.observe(sat.work.len() as u64);
     let mut wave_span = trace::span_args("wave", vec![("frontier", sat.work.len().into())]);
@@ -242,269 +218,6 @@ fn post_star_table(
         "post_star must preserve PSA invariants"
     );
     Ok(sat.psa)
-}
-
-/// The canonical sort key of an insertion: merges apply edges in this
-/// order, so the merged automaton is a pure function of the proposal
-/// *set*, independent of shard count and steal schedule.
-pub(crate) fn edge_key(e: &(StateId, Label, StateId)) -> (u32, u8, u32, u32) {
-    let (src, label, dst) = *e;
-    let (tag, sym) = match label {
-        Label::Eps => (0u8, 0u32),
-        Label::Sym(s) => (1u8, s),
-    };
-    (src.0, tag, sym, dst.0)
-}
-
-/// A worker's proposed insertion, produced against the wave's frozen
-/// snapshot. A push rule's fresh middle state is allocated only at the
-/// merge (in sorted key order), so the conclusion travels as its
-/// `(q_post, top)` key rather than a state id.
-enum Prop {
-    Edge(StateId, Label, StateId),
-    Push {
-        q_post: u32,
-        top: u32,
-        below: u32,
-        dst: StateId,
-    },
-}
-
-/// Emits every saturation consequence of one frontier edge against the
-/// wave's frozen snapshot — the read-only twin of the sequential
-/// loop's pop handler. Pairs whose second premise lands in a later
-/// wave are caught symmetrically: the ε-predecessor index covers
-/// future out-edges, the forward copy covers past ones, and the
-/// snapshot includes the current frontier, so every two-premise
-/// consequence fires in *some* wave.
-fn propose(
-    e: &(StateId, Label, StateId),
-    psa: &Psa,
-    eps_preds: &HashMap<u32, BTreeSet<u32>>,
-    table: &RuleTable,
-    pds: &Pds,
-    sink: StateId,
-    out: &mut Vec<Prop>,
-) {
-    let (src, label, dst) = *e;
-    if let Some(preds) = eps_preds.get(&src.0) {
-        for &p in preds {
-            out.push(Prop::Edge(StateId(p), label, dst));
-        }
-    }
-    match label {
-        Label::Sym(gamma) if psa.is_control(src) => {
-            for &ri in table.rules(src.0, gamma) {
-                let a = &pds.actions()[ri as usize];
-                let p2 = StateId(a.q_post.0);
-                match a.rhs {
-                    Rhs::Empty => out.push(Prop::Edge(p2, Label::Eps, dst)),
-                    Rhs::One(sym2) => out.push(Prop::Edge(p2, Label::Sym(sym2.0), dst)),
-                    Rhs::Two { top, below } => out.push(Prop::Push {
-                        q_post: a.q_post.0,
-                        top: top.0,
-                        below: below.0,
-                        dst,
-                    }),
-                }
-            }
-        }
-        Label::Eps => {
-            for (l, t) in psa.nfa.transitions_from(dst) {
-                out.push(Prop::Edge(src, l, t));
-            }
-            if dst == sink && psa.is_control(src) {
-                for &ri in table.empty_rules(src.0) {
-                    let a = &pds.actions()[ri as usize];
-                    let p2 = StateId(a.q_post.0);
-                    match a.rhs {
-                        Rhs::Empty => out.push(Prop::Edge(p2, Label::Eps, sink)),
-                        Rhs::One(sym2) => out.push(Prop::Edge(p2, Label::Sym(sym2.0), sink)),
-                        Rhs::Two { .. } => {
-                            unreachable!("empty-stack pushes of two symbols are rejected")
-                        }
-                    }
-                }
-            }
-        }
-        Label::Sym(_) => {}
-    }
-}
-
-/// Wave-synchronous sharded saturation: each wave freezes the
-/// automaton, partitions the newly inserted frontier by target-state
-/// id across a scoped worker pool (per-shard worklists, chunked
-/// work-stealing on imbalance), gathers every worker's proposed
-/// insertions through per-shard buffers, and merges them
-/// single-threadedly at the wave barrier — fresh middle states in
-/// sorted key order, edges in sorted order — so the merged automaton
-/// is deterministic whatever the shard count. Each shard polls every
-/// [`SATURATION_POLL_EVERY`] proposals and raises a shared stop flag,
-/// keeping cancellation latency within one poll interval per shard.
-fn post_star_sharded(
-    pds: &Pds,
-    table: &RuleTable,
-    init: &Psa,
-    threads: usize,
-    poll: &(dyn Fn() -> bool + Sync),
-) -> Result<Psa, SaturationInterrupted> {
-    debug_assert!(
-        init.validate().is_ok(),
-        "post_star input must be a valid PSA"
-    );
-    let mut psa = init.clone();
-    let sink = psa.sink();
-    let mut mid: HashMap<(u32, u32), StateId> = HashMap::new();
-    let mut eps_preds: HashMap<u32, BTreeSet<u32>> = HashMap::new();
-    let stop = AtomicBool::new(false);
-
-    let mut frontier: Vec<(StateId, Label, StateId)> = psa.nfa.transitions().collect();
-    frontier.sort_unstable_by_key(edge_key);
-    for &(src, label, dst) in &frontier {
-        if label == Label::Eps {
-            eps_preds.entry(dst.0).or_default().insert(src.0);
-        }
-    }
-
-    // Cumulative across waves, so saturations whose waves are each
-    // smaller than the poll interval still poll at the sequential
-    // cadence.
-    let mut inserted = 0usize;
-    while !frontier.is_empty() {
-        if !poll() {
-            return Err(SaturationInterrupted);
-        }
-        METRICS.waves.inc();
-        METRICS.frontier_edges.observe(frontier.len() as u64);
-        let mut wave_span = trace::span_args(
-            "wave",
-            vec![
-                ("frontier", frontier.len().into()),
-                ("shards", threads.into()),
-            ],
-        );
-        let mut shards: Vec<Vec<(StateId, Label, StateId)>> = vec![Vec::new(); threads];
-        for e in frontier.drain(..) {
-            shards[e.2 .0 as usize % threads].push(e);
-        }
-        let cursors: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-        let psa_ref = &psa;
-        let eps_ref = &eps_preds;
-        let shards_ref = &shards;
-        let cursors_ref = &cursors;
-        let stop_ref = &stop;
-        let proposals: Vec<Vec<Prop>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Shard-worker tracks live at tid 1000+shard,
-                        // clear of the auto-allocated session tids.
-                        trace::set_thread_tid(1000 + w as u32);
-                        let mut shard_span = trace::span("shard");
-                        let mut out: Vec<Prop> = Vec::new();
-                        let mut polled = 0usize;
-                        let mut steals = 0u64;
-                        'shards: for off in 0..threads {
-                            let si = (w + off) % threads;
-                            let shard = &shards_ref[si];
-                            loop {
-                                if stop_ref.load(Ordering::Relaxed) {
-                                    break 'shards;
-                                }
-                                let lo = cursors_ref[si].fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                if lo >= shard.len() {
-                                    break;
-                                }
-                                if off != 0 {
-                                    steals += 1;
-                                }
-                                for e in &shard[lo..(lo + STEAL_CHUNK).min(shard.len())] {
-                                    propose(e, psa_ref, eps_ref, table, pds, sink, &mut out);
-                                    if out.len() / SATURATION_POLL_EVERY > polled {
-                                        polled = out.len() / SATURATION_POLL_EVERY;
-                                        if !poll() {
-                                            stop_ref.store(true, Ordering::Relaxed);
-                                            break 'shards;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if steals > 0 {
-                            METRICS.steals.add(steals);
-                        }
-                        shard_span.arg("proposals", out.len());
-                        shard_span.arg("steals", steals);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("saturation worker panicked"))
-                .collect()
-        });
-        if stop.load(Ordering::Relaxed) {
-            return Err(SaturationInterrupted);
-        }
-
-        let merge_start = Instant::now();
-        let mut merge_span = trace::span("merge");
-
-        // The barrier merge. Middle states first, in sorted key order.
-        let mut new_mids: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for p in proposals.iter().flatten() {
-            if let Prop::Push { q_post, top, .. } = *p {
-                if !mid.contains_key(&(q_post, top)) {
-                    new_mids.insert((q_post, top));
-                }
-            }
-        }
-        for key in new_mids {
-            let m = psa.nfa.add_state();
-            mid.insert(key, m);
-        }
-        let mut edges: Vec<(StateId, Label, StateId)> = Vec::new();
-        for p in proposals.iter().flatten() {
-            match *p {
-                Prop::Edge(src, label, dst) => edges.push((src, label, dst)),
-                Prop::Push {
-                    q_post,
-                    top,
-                    below,
-                    dst,
-                } => {
-                    let m = mid[&(q_post, top)];
-                    edges.push((StateId(q_post), Label::Sym(top), m));
-                    edges.push((m, Label::Sym(below), dst));
-                }
-            }
-        }
-        edges.sort_unstable_by_key(edge_key);
-        edges.dedup();
-        for (src, label, dst) in edges {
-            if psa.nfa.add_transition(src, label, dst) {
-                inserted += 1;
-                if inserted.is_multiple_of(SATURATION_POLL_EVERY) && !poll() {
-                    return Err(SaturationInterrupted);
-                }
-                if label == Label::Eps {
-                    eps_preds.entry(dst.0).or_default().insert(src.0);
-                }
-                frontier.push((src, label, dst));
-            }
-        }
-        merge_span.arg("inserted", frontier.len());
-        drop(merge_span);
-        stage_time(Stage::Merge, merge_start.elapsed());
-        wave_span.arg("inserted", frontier.len());
-        drop(wave_span);
-    }
-    debug_assert!(
-        psa.validate().is_ok(),
-        "post_star must preserve PSA invariants"
-    );
-    Ok(psa)
 }
 
 /// Convenience: the `post*` PSA from a single configuration.
@@ -751,97 +464,28 @@ mod tests {
         assert!(psa.accepts_config(&cfg(1, &[1, 0])));
     }
 
-    /// The sharded engine computes the same configuration language as
-    /// the sequential loop — on the push-heavy Fig. 7 system (middle
-    /// states, ε-chains, pops) and on the wide chain system. Driven
-    /// through the internal entry point to bypass the small-input
-    /// gate.
+    /// `post_star_with` and `pre_star_with` ignore their thread
+    /// argument: every count computes the language of the sequential
+    /// entry points.
     #[test]
-    fn sharded_post_star_matches_sequential_language() {
-        for (pds, init) in [
-            (fig7(), Psa::accepting_configs(3, [&cfg(0, &[0])]).unwrap()),
-            (fig7(), Psa::all_stacks_leq1(3, [0, 1, 2])),
-            (wide_pds(4, 200), Psa::all_stacks_leq1(4, [0])),
-        ] {
-            let table = RuleTable::new(&pds);
-            let seq = post_star(&pds, &init);
-            for threads in [2, 3, 4] {
-                let par = post_star_sharded(&pds, &table, &init, threads, &|| true).unwrap();
-                par.validate().unwrap();
-                assert!(
-                    crate::language_equal(seq.as_nfa(), par.as_nfa()),
-                    "sharded ({threads} threads) disagrees with sequential"
-                );
-            }
-        }
-    }
-
-    /// Any two shard counts ≥ 2 produce the *bit-identical* automaton:
-    /// the barrier merge is a pure function of each wave's frontier
-    /// set.
-    #[test]
-    fn sharded_post_star_is_deterministic_across_thread_counts() {
-        let pds = wide_pds(5, 150);
-        let table = RuleTable::new(&pds);
-        let init = Psa::all_stacks_leq1(5, [0]);
-        let reference = post_star_sharded(&pds, &table, &init, 2, &|| true).unwrap();
-        for threads in [3, 4, 8] {
-            let other = post_star_sharded(&pds, &table, &init, threads, &|| true).unwrap();
-            assert_eq!(reference.as_nfa().num_states(), other.as_nfa().num_states());
-            let a: Vec<_> = reference.as_nfa().transitions().collect();
-            let b: Vec<_> = other.as_nfa().transitions().collect();
-            assert_eq!(a, b, "threads=2 vs threads={threads} structure differs");
-        }
-    }
-
-    /// A refusing poll stops every shard within one poll interval: with
-    /// an always-false poll, each worker polls at most once before the
-    /// shared stop flag ends the wave, and the merge never runs.
-    #[test]
-    fn sharded_post_star_aborts_within_one_poll_per_shard() {
+    fn with_variants_ignore_the_thread_count() {
         let pds = wide_pds(4, 200);
         let table = RuleTable::new(&pds);
         let init = Psa::all_stacks_leq1(4, [0]);
-        let threads = 4;
-        let calls = AtomicUsize::new(0);
-        let err = post_star_sharded(&pds, &table, &init, threads, &|| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            false
-        })
-        .unwrap_err();
-        assert_eq!(err, SaturationInterrupted);
-        assert!(
-            calls.load(Ordering::Relaxed) <= threads,
-            "more than one poll per shard: {}",
-            calls.load(Ordering::Relaxed)
-        );
-    }
-
-    /// `post_star_with` gates: thread count 1 and small inputs take the
-    /// sequential path (observable via the FnMut-style poll cadence),
-    /// large inputs with threads ≥ 2 still agree with it.
-    #[test]
-    fn post_star_with_agrees_with_guarded_at_every_thread_count() {
-        let pds = wide_pds(4, 200);
-        let table = RuleTable::new(&pds);
-        let init = Psa::all_stacks_leq1(4, [0]);
-        let seq = post_star(&pds, &init);
+        let target = Psa::all_stacks_leq1(4, [199]);
+        let post = post_star(&pds, &init);
+        let pre = crate::pre_star(&pds, &target);
         for threads in [0, 1, 2, 4] {
             let got = post_star_with(&pds, &table, &init, threads, &|| true).unwrap();
             assert!(
-                crate::language_equal(seq.as_nfa(), got.as_nfa()),
-                "threads={threads}"
+                crate::language_equal(post.as_nfa(), got.as_nfa()),
+                "post* threads={threads}"
+            );
+            let got = crate::pre_star_with(&pds, &target, threads, &|| true).unwrap();
+            assert!(
+                crate::language_equal(pre.as_nfa(), got.as_nfa()),
+                "pre* threads={threads}"
             );
         }
-        // Small input: parallel request falls back to the sequential
-        // loop (and still terminates with the right language).
-        let small = fig7();
-        let small_table = RuleTable::new(&small);
-        let small_init = Psa::accepting_configs(3, [&cfg(0, &[0])]).unwrap();
-        let got = post_star_with(&small, &small_table, &small_init, 8, &|| true).unwrap();
-        assert!(crate::language_equal(
-            post_star(&small, &small_init).as_nfa(),
-            got.as_nfa()
-        ));
     }
 }

@@ -1,21 +1,11 @@
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use cuba_pds::{Pds, Rhs};
-use cuba_telemetry::metrics::{stage_time, Stage, METRICS};
+use cuba_telemetry::metrics::METRICS;
 use cuba_telemetry::trace;
 
 use crate::poststar::SATURATION_POLL_EVERY;
 use crate::{Label, Psa, SaturationInterrupted, StateId};
-
-/// Minimum rule count below which [`pre_star_with`] stays sequential
-/// even when asked for more threads (the backward twin of the post*
-/// gate: structural, hence deterministic across thread counts).
-const PRE_PARALLEL_MIN_RULES: usize = 512;
-
-/// Actions a worker claims per cursor bump during a sharded pass.
-const PRE_STEAL_CHUNK: usize = 32;
 
 /// Computes `pre*(L(target))`: the PSA accepting all configurations
 /// from which `pds` can reach a configuration accepted by `target`.
@@ -108,13 +98,10 @@ pub fn pre_star_guarded(
     }
 }
 
-/// As [`pre_star_guarded`], but over a worker pool of `threads`
-/// shards. `threads == 1` (or a rule list too small to amortize the
-/// pool) runs the exact sequential fixpoint; larger counts shard each
-/// fixpoint pass over the action list with chunked work-stealing
-/// cursors and merge the proposed insertions at a per-pass barrier in
-/// sorted order, so the pass sequence is deterministic whatever the
-/// shard count. Each shard polls every 64 proposals.
+/// As [`pre_star_guarded`], with a shared-reference poll. The
+/// `threads` argument is ignored: the backward fixpoint is always
+/// sequential. It stays in the signature because the `perfbench/`
+/// harness passes it.
 ///
 /// # Errors
 ///
@@ -122,132 +109,10 @@ pub fn pre_star_guarded(
 pub fn pre_star_with(
     pds: &Pds,
     target: &Psa,
-    threads: usize,
+    _threads: usize,
     poll: &(dyn Fn() -> bool + Sync),
 ) -> Result<Psa, SaturationInterrupted> {
-    let threads = threads.max(1);
-    if threads == 1 || pds.actions().len() < PRE_PARALLEL_MIN_RULES {
-        let mut poll_mut = || poll();
-        return pre_star_guarded(pds, target, &mut poll_mut);
-    }
-    pre_star_sharded(pds, target, threads, poll)
-}
-
-/// One sharded fixpoint pass per iteration: workers read the frozen
-/// automaton, each claims chunks of the action list, and every
-/// consequence is proposed against the snapshot; the barrier merge
-/// applies proposals in sorted order and the loop ends on a pass that
-/// inserts nothing.
-fn pre_star_sharded(
-    pds: &Pds,
-    target: &Psa,
-    threads: usize,
-    poll: &(dyn Fn() -> bool + Sync),
-) -> Result<Psa, SaturationInterrupted> {
-    let mut psa = target.clone();
-    let sink = psa.sink();
-    let stop = AtomicBool::new(false);
-    loop {
-        if !poll() {
-            return Err(SaturationInterrupted);
-        }
-        let actions = pds.actions();
-        METRICS.waves.inc();
-        METRICS.frontier_edges.observe(actions.len() as u64);
-        let mut wave_span = trace::span_args(
-            "wave",
-            vec![("rules", actions.len().into()), ("shards", threads.into())],
-        );
-        let cursor = AtomicUsize::new(0);
-        let psa_ref = &psa;
-        let cursor_ref = &cursor;
-        let stop_ref = &stop;
-        let proposals: Vec<Vec<(StateId, Label, StateId)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        trace::set_thread_tid(1000 + w as u32);
-                        let mut shard_span = trace::span("shard");
-                        let mut out: Vec<(StateId, Label, StateId)> = Vec::new();
-                        let mut polled = 0usize;
-                        'pass: loop {
-                            if stop_ref.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let lo = cursor_ref.fetch_add(PRE_STEAL_CHUNK, Ordering::Relaxed);
-                            if lo >= actions.len() {
-                                break;
-                            }
-                            for a in &actions[lo..(lo + PRE_STEAL_CHUNK).min(actions.len())] {
-                                let mut start = BTreeSet::new();
-                                start.insert(a.q_post.0);
-                                let word: Vec<u32> = match a.rhs {
-                                    Rhs::Empty => vec![],
-                                    Rhs::One(s) => vec![s.0],
-                                    Rhs::Two { top, below } => vec![top.0, below.0],
-                                };
-                                let reach = psa_ref.nfa.run(&start, &word);
-                                match a.top {
-                                    Some(gamma) => {
-                                        for &s in &reach {
-                                            out.push((
-                                                StateId(a.q.0),
-                                                Label::Sym(gamma.0),
-                                                StateId(s),
-                                            ));
-                                        }
-                                    }
-                                    None => {
-                                        if reach.iter().any(|&s| psa_ref.nfa.is_final(StateId(s))) {
-                                            out.push((StateId(a.q.0), Label::Eps, sink));
-                                        }
-                                    }
-                                }
-                                if out.len() / SATURATION_POLL_EVERY > polled {
-                                    polled = out.len() / SATURATION_POLL_EVERY;
-                                    if !poll() {
-                                        stop_ref.store(true, Ordering::Relaxed);
-                                        break 'pass;
-                                    }
-                                }
-                            }
-                        }
-                        shard_span.arg("proposals", out.len());
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pre* worker panicked"))
-                .collect()
-        });
-        if stop.load(Ordering::Relaxed) {
-            return Err(SaturationInterrupted);
-        }
-        let merge_start = Instant::now();
-        let mut merge_span = trace::span("merge");
-        let mut edges: Vec<(StateId, Label, StateId)> = proposals.into_iter().flatten().collect();
-        edges.sort_unstable_by_key(crate::poststar::edge_key);
-        edges.dedup();
-        let mut inserted = 0usize;
-        for (src, label, dst) in edges {
-            if psa.nfa.add_transition(src, label, dst) {
-                inserted += 1;
-                if inserted.is_multiple_of(SATURATION_POLL_EVERY) && !poll() {
-                    return Err(SaturationInterrupted);
-                }
-            }
-        }
-        merge_span.arg("inserted", inserted);
-        drop(merge_span);
-        stage_time(Stage::Merge, merge_start.elapsed());
-        wave_span.arg("inserted", inserted);
-        drop(wave_span);
-        if inserted == 0 {
-            return Ok(psa);
-        }
-    }
+    pre_star_guarded(pds, target, &mut || poll())
 }
 
 #[cfg(test)]
@@ -313,64 +178,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// A chain system large enough to cross the parallel gate.
-    fn wide_pds(controls: u32, chain: u32) -> cuba_pds::Pds {
-        let mut b = PdsBuilder::new(controls, chain + 1);
-        for qq in 0..controls {
-            for i in 0..chain {
-                b.overwrite(q(qq), s(i), q((qq + 1) % controls), s(i + 1))
-                    .unwrap();
-            }
-        }
-        b.build().unwrap()
-    }
-
-    /// The sharded backward fixpoint agrees with the sequential one —
-    /// both on a small system (driven through the internal entry point
-    /// to bypass the size gate) and through `pre_star_with` on a wide
-    /// one at several thread counts.
-    #[test]
-    fn sharded_pre_star_matches_sequential_language() {
-        let pds = fig7();
-        let target = Psa::accepting_configs(3, [&cfg(0, &[])]).unwrap();
-        let seq = pre_star(&pds, &target);
-        for threads in [2, 4] {
-            let par = pre_star_sharded(&pds, &target, threads, &|| true).unwrap();
-            assert!(
-                crate::language_equal(seq.as_nfa(), par.as_nfa()),
-                "sharded pre* ({threads} threads) disagrees with sequential"
-            );
-        }
-
-        let wide = wide_pds(4, 200);
-        let wide_target = Psa::all_stacks_leq1(4, [199]);
-        let wide_seq = pre_star(&wide, &wide_target);
-        for threads in [0, 1, 2, 4] {
-            let got = pre_star_with(&wide, &wide_target, threads, &|| true).unwrap();
-            assert!(
-                crate::language_equal(wide_seq.as_nfa(), got.as_nfa()),
-                "pre_star_with threads={threads}"
-            );
-        }
-    }
-
-    /// A refusing poll aborts the sharded backward fixpoint with at
-    /// most one poll per shard beyond the per-pass check.
-    #[test]
-    fn sharded_pre_star_aborts_promptly() {
-        let pds = wide_pds(4, 200);
-        let target = Psa::all_stacks_leq1(4, [199]);
-        let threads = 4;
-        let calls = AtomicUsize::new(0);
-        let err = pre_star_sharded(&pds, &target, threads, &|| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            false
-        })
-        .unwrap_err();
-        assert_eq!(err, SaturationInterrupted);
-        assert!(calls.load(Ordering::Relaxed) <= threads + 1);
     }
 
     #[test]

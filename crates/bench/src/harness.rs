@@ -97,10 +97,6 @@ pub struct BenchPlan {
     /// removed. Verdicts are identical by construction; `--compare`
     /// against an unreduced baseline gates exactly that.
     pub reduce: bool,
-    /// Saturation worker threads per context step (`0` = available
-    /// parallelism, `1` = the sequential code path). Records are
-    /// identical at every value except for the timing fields.
-    pub threads: usize,
     /// A `cuba snapshot` file to seed into every iteration's fresh
     /// cache (`--from-snapshot`): the matching workload replays the
     /// recorded layers instead of exploring live, and its hit probe
@@ -130,7 +126,6 @@ impl Default for BenchPlan {
                 .map(|n| n.get())
                 .unwrap_or(4),
             reduce: false,
-            threads: 0,
             seed: None,
         }
     }
@@ -170,7 +165,7 @@ pub struct BenchRow {
     pub saturate_samples_us: Vec<f64>,
     /// Per-sample check wall (round remainder), µs.
     pub check_samples_us: Vec<f64>,
-    /// Per-sample barrier-merge wall (subset of saturate), µs.
+    /// Per-sample layer-commit wall (subset of saturate), µs.
     pub merge_samples_us: Vec<f64>,
     /// Whole-outcome duration of the first sample, milliseconds.
     pub duration_ms: u128,
@@ -304,8 +299,7 @@ pub fn run(plan: &BenchPlan) -> BenchRun {
 /// [`run`] over an explicit workload list (tests measure a small
 /// subset; the debug-build suite is seconds per iteration).
 pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)>) -> BenchRun {
-    let mut config = bench_config(SchedulePolicy::RoundRobin);
-    config.budget.threads = plan.threads;
+    let config = bench_config(SchedulePolicy::RoundRobin);
     let portfolio = Portfolio::auto().with_config(config.clone());
 
     // With --reduce, the pre-analysis runs once per workload up front;

@@ -22,6 +22,16 @@
 
 use cuba_pds::{Cpds, CpdsBuilder, PdsBuilder, SharedState, StackSym};
 
+/// Largest accepted `shared` declaration. The builder allocates one
+/// name slot per shared state, so an unchecked header is an
+/// allocation of attacker-chosen size.
+const MAX_SHARED: u32 = 1 << 16;
+
+/// Largest accepted sum, over all threads, of `shared × alphabet`:
+/// each thread's rule table has one offset cell per (shared state,
+/// stack symbol) pair.
+const MAX_TABLE_CELLS: u64 = 1 << 24;
+
 /// A parse failure with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -50,14 +60,18 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a line number on malformed input or
-/// when the assembled system fails validation.
+/// Returns a [`ParseError`] with a line number on malformed input,
+/// on more than 65,536 shared states or more than 2^24 (shared state,
+/// stack symbol) pairs summed over all threads (both checked before
+/// anything is allocated), or when the assembled system fails
+/// validation.
 pub fn parse_cpds(input: &str) -> Result<Cpds, ParseError> {
     let mut num_shared: Option<u32> = None;
     let mut init: Option<u32> = None;
     // An action as raw numbers: (line, q, top, q', rhs word).
     type RawAction = (usize, u32, Option<u32>, u32, Vec<u32>);
     struct RawThread {
+        line: usize,
         alphabet: u32,
         stack: Vec<u32>,
         actions: Vec<RawAction>,
@@ -71,11 +85,19 @@ pub fn parse_cpds(input: &str) -> Result<Cpds, ParseError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("shared") {
-            num_shared = Some(parse_num(rest.trim(), line_no)?);
+            let n = parse_num(rest.trim(), line_no)?;
+            if n > MAX_SHARED {
+                return err(
+                    line_no,
+                    format!("{n} shared states exceed the limit of {MAX_SHARED}"),
+                );
+            }
+            num_shared = Some(n);
         } else if let Some(rest) = line.strip_prefix("init") {
             init = Some(parse_num(rest.trim(), line_no)?);
         } else if let Some(rest) = line.strip_prefix("thread") {
             threads.push(RawThread {
+                line: line_no,
                 alphabet: parse_num(rest.trim(), line_no)?,
                 stack: Vec::new(),
                 actions: Vec::new(),
@@ -116,6 +138,19 @@ pub fn parse_cpds(input: &str) -> Result<Cpds, ParseError> {
         None => return err(0, "missing 'shared' declaration"),
     };
     let init = init.unwrap_or(0);
+    let mut cells = 0u64;
+    for raw in &threads {
+        cells += u64::from(num_shared) * u64::from(raw.alphabet);
+        if cells > MAX_TABLE_CELLS {
+            return err(
+                raw.line,
+                format!(
+                    "rule tables of {cells} (shared state, symbol) cells exceed \
+                     the limit of {MAX_TABLE_CELLS}"
+                ),
+            );
+        }
+    }
 
     let mut builder = CpdsBuilder::new(num_shared, SharedState(init));
     for raw in threads {
@@ -296,6 +331,45 @@ stack 4
         assert_eq!(cpds.thread(0).actions().len(), 2);
         let printed = print_cpds(&cpds);
         assert!(printed.contains("(0,eps) -> (1,0)"));
+    }
+
+    /// An oversized `shared` header is a line-numbered error, not a
+    /// 96 GB allocation.
+    #[test]
+    fn oversized_shared_header_rejected() {
+        let e = parse_cpds("shared 4000000000\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("exceed the limit"), "{e}");
+        assert!(parse_cpds(&format!("shared {MAX_SHARED}\nthread 1\n")).is_ok());
+    }
+
+    /// An oversized thread alphabet is rejected at its `thread` line,
+    /// also when the `shared` declaration comes later, and also when
+    /// only the sum over all threads is too large.
+    #[test]
+    fn oversized_thread_alphabet_rejected() {
+        let e = parse_cpds("shared 4\nthread 4000000000\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("exceed the limit"), "{e}");
+        let e = parse_cpds("thread 4000000000\nshared 4\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        let half = MAX_TABLE_CELLS / 4 / 2;
+        let e = parse_cpds(&format!(
+            "shared 4\nthread {half}\nthread {half}\nthread 1\n"
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 4);
+    }
+
+    /// The caps admit every shipped system: each Table 2 row printed
+    /// as text parses back.
+    #[test]
+    fn header_caps_admit_the_suite() {
+        for bench in crate::suite::table2_suite() {
+            let text = print_cpds(&bench.cpds);
+            parse_cpds(&text).unwrap_or_else(|e| panic!("{}: {e}", bench.label()));
+        }
+        parse_cpds(include_str!("../../../samples/fig1.cpds")).unwrap();
     }
 
     #[test]

@@ -85,16 +85,17 @@ impl Default for CubaConfig {
 /// Wall-clock split of a run across the analysis stages, summed over
 /// completed rounds of all arms. Every exploration advance books as
 /// `saturate`, the CBA refuter's private one included. `saturate`
-/// *contains* `merge` (the deterministic barrier merges happen inside
-/// exploration advances); `check` is the round remainder (membership
-/// and convergence tests), so `saturate + check ≈ round_wall`.
+/// *contains* `merge` (the explicit engine's layer commits happen
+/// inside exploration advances); `check` is the round remainder
+/// (membership and convergence tests), so `saturate + check ≈
+/// round_wall`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Time inside exploration advances (`ensure_layer`).
     pub saturate: Duration,
     /// Round time outside exploration: membership and convergence.
     pub check: Duration,
-    /// Time inside barrier merges (a subset of `saturate`).
+    /// Time inside explicit layer commits (a subset of `saturate`).
     pub merge: Duration,
 }
 

@@ -136,11 +136,8 @@ impl Interrupt {
 /// explicit search is bounded and exhaustion is reported as
 /// [`ExploreError`] instead of diverging.
 ///
-/// Equality compares the numeric limits only; the interrupt handle
-/// and the saturation thread count are runtime wiring, not
-/// configuration — any thread count yields identical results, so two
-/// budgets differing only in `threads` are interchangeable (and cached
-/// artifacts are shared across thread counts).
+/// Equality compares the numeric limits only; the interrupt handle is
+/// runtime wiring, not configuration.
 #[derive(Debug, Clone)]
 pub struct ExploreBudget {
     /// Maximum number of distinct global states stored overall.
@@ -152,12 +149,6 @@ pub struct ExploreBudget {
     /// Maximum number of symbolic states stored overall (symbolic
     /// engine only).
     pub max_symbolic_states: usize,
-    /// Worker threads for the sharded saturation backend: `0` asks for
-    /// the machine's available parallelism, `1` runs the exact
-    /// sequential code path. Any value yields the same verdicts,
-    /// witnesses, and layer growth — saturation is a fixpoint, so
-    /// insertion order may differ but the fixed point may not.
-    pub threads: usize,
     /// Cooperative cancellation/deadline, polled from the engines'
     /// inner loops so even a diverging round stops promptly.
     pub interrupt: Interrupt,
@@ -189,7 +180,6 @@ impl ExploreBudget {
             max_stack_depth: 512,
             max_states_per_context: 1_000_000,
             max_symbolic_states: 200_000,
-            threads: 0,
             interrupt: Interrupt::none(),
         }
     }
@@ -201,7 +191,6 @@ impl ExploreBudget {
             max_stack_depth: 16,
             max_states_per_context: 200,
             max_symbolic_states: 64,
-            threads: 0,
             interrupt: Interrupt::none(),
         }
     }
@@ -212,29 +201,12 @@ impl ExploreBudget {
         self
     }
 
-    /// Replaces the saturation thread count, keeping everything else.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The saturation worker count after resolving `0` to the
-    /// machine's available parallelism.
-    ///
-    /// The lookup is cached process-wide: `available_parallelism` reads
-    /// cgroup files on Linux, and this resolver runs once per context
-    /// step on the saturation hot path.
+    /// Always 1: saturation is sequential. Kept for the `perfbench/`
+    /// harness, which passes it to
+    /// [`post_star_with`](cuba_automata::post_star_with) and
+    /// [`pre_star_with`](cuba_automata::pre_star_with); both ignore it.
     pub fn effective_threads(&self) -> usize {
-        static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        if self.threads == 0 {
-            *AVAILABLE.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-        } else {
-            self.threads
-        }
+        1
     }
 }
 
@@ -355,19 +327,6 @@ mod tests {
         let wired = ExploreBudget::default()
             .with_interrupt(Interrupt::none().with_cancel(CancelToken::new()));
         assert_eq!(plain, wired);
-    }
-
-    #[test]
-    fn equality_ignores_threads() {
-        let auto = ExploreBudget::default();
-        let forced = ExploreBudget::default().with_threads(8);
-        assert_eq!(auto, forced);
-        assert_eq!(forced.effective_threads(), 8);
-        assert!(auto.effective_threads() >= 1);
-        assert_eq!(
-            ExploreBudget::default().with_threads(1).effective_threads(),
-            1
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use cuba_automata::{language_subset, post_star_with, CanonicalDfa, Psa, RuleTable};
+use cuba_automata::{language_subset, post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba_pds::{Cpds, GlobalState, SharedState, StackSym, VisibleState};
 
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore};
@@ -395,8 +395,7 @@ impl SymbolicEngine {
     /// One full context of `thread` from symbolic state `tau_id`.
     ///
     /// The `post*` saturation itself polls the budget's interrupt
-    /// every few transition insertions — on every shard when the
-    /// sharded backend is active — so even a single pathological
+    /// every few transition insertions, so even a single pathological
     /// context step cannot overshoot a deadline by more than a poll
     /// interval.
     fn context_post(&self, tau_id: u32, thread: usize) -> Result<Vec<SymbolicState>, ExploreError> {
@@ -408,12 +407,11 @@ impl SymbolicEngine {
             Err(_) => return Ok(Vec::new()),
         };
         let interrupt = &self.budget.interrupt;
-        let saturated = post_star_with(
+        let saturated = post_star_table(
             self.cpds.thread(thread),
             &self.tables[thread],
             &init,
-            self.budget.effective_threads(),
-            &|| interrupt.check().is_ok(),
+            &mut || interrupt.check().is_ok(),
         )
         .map_err(|_| interrupt.check().err().unwrap_or(ExploreError::Cancelled))?;
         let mut out = Vec::new();

@@ -148,30 +148,18 @@ impl ServerHandle {
 impl Server {
     /// Binds the listener. The service does not serve until
     /// [`run`](Self::run) (or [`spawn`](Self::spawn)) is called, but
-    /// the port is yours from here on.
-    ///
-    /// When the session budget leaves the saturation thread count on
-    /// auto (`0`), it is resolved here to `available_parallelism /
-    /// workers` (floored at 1): with `workers` sessions analyzing
-    /// concurrently, each saturation gets its share of the machine
-    /// instead of all of it — `workers × threads` stays at the core
-    /// count rather than oversubscribing quadratically. An explicit
-    /// `--threads` wins.
+    /// the port is yours from here on. Concurrency comes from the
+    /// `workers` analysis slots alone; each session saturates
+    /// sequentially.
     ///
     /// # Errors
     ///
     /// Address parse/bind failures, or an unusable `state_dir`.
-    pub fn bind(mut config: ServeConfig) -> std::io::Result<Server> {
+    pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         if let Some(dir) = &config.state_dir {
             // Fail the boot on an unusable state directory (the broker
             // re-opens it; create_dir_all is idempotent).
             cuba_core::SnapshotStore::open(dir).map_err(std::io::Error::other)?;
-        }
-        if config.session.budget.threads == 0 {
-            let avail = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            config.session.budget.threads = (avail / config.workers.max(1)).max(1);
         }
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
@@ -1068,37 +1056,6 @@ mod tests {
         let done = done_line("p", &undetermined);
         assert!(done.contains("\"duration_ms\":3"));
         assert!(done.contains("\"rounds_explored\":6"));
-    }
-
-    /// Booting resolves an auto saturation thread count to the
-    /// machine's cores divided by the worker slots (never below 1),
-    /// and an explicit count is never overridden.
-    #[test]
-    fn bind_splits_threads_across_workers() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let config = ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind(config).unwrap();
-        assert_eq!(server.broker().config().session.budget.threads, avail);
-
-        let config = ServeConfig {
-            workers: avail * 4,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind(config).unwrap();
-        assert_eq!(server.broker().config().session.budget.threads, 1);
-
-        let mut config = ServeConfig {
-            workers: 4,
-            ..ServeConfig::default()
-        };
-        config.session.budget.threads = 3;
-        let server = Server::bind(config).unwrap();
-        assert_eq!(server.broker().config().session.budget.threads, 3);
     }
 
     /// Model parsing: both formats and the error paths.

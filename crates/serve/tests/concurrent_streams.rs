@@ -403,3 +403,27 @@ fn metrics_endpoint_exposes_prometheus_text() {
     request(addr, "POST /shutdown", "");
     handle.join().expect("clean shutdown");
 }
+
+/// An oversized `.cpds` header is a clean 400 from the decoder rather
+/// than a huge allocation that aborts the process, and the server
+/// keeps answering afterwards.
+#[test]
+fn oversized_model_header_is_a_bad_request() {
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        session: SessionConfig::new(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    let (head, body) = request_raw(addr, "POST /v1/analyze", "shared 4000000000\n");
+    assert!(head.starts_with("HTTP/1.1 400"), "got: {head}");
+    assert!(body.contains("exceed the limit"), "got: {body}");
+    let health = request(addr, "GET /v1/healthz", "");
+    assert!(health.contains("\"status\":\"ok\""));
+
+    request(addr, "POST /shutdown", "");
+    handle.join().expect("clean shutdown");
+}

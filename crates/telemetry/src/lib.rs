@@ -28,7 +28,7 @@
 //! load. Metric updates are relaxed atomics off the decision paths.
 //! Nothing in this crate feeds back into scheduling or saturation,
 //! so verdicts, bounds and growth logs are byte-identical with
-//! telemetry on — `tests/parallel_determinism.rs` pins this.
+//! telemetry on.
 
 pub mod metrics;
 pub mod sink;

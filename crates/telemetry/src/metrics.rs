@@ -227,7 +227,7 @@ impl Endpoint {
 
 /// The analysis stages with per-stage wall-time histograms. The
 /// `saturate` window (time inside shared-exploration advances)
-/// *contains* `merge` (the deterministic barrier merges within it);
+/// *contains* `merge` (the explicit engine's layer commits within it);
 /// `check` is the remainder of a portfolio round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -235,7 +235,7 @@ pub enum Stage {
     Saturate,
     /// Everything else in a round: membership/convergence checks.
     Check,
-    /// Sorted barrier merges (sharded waves, layer commits).
+    /// The explicit engine's layer commits.
     Merge,
 }
 
@@ -265,9 +265,11 @@ pub struct Metrics {
     pub rounds_explored: Counter,
     /// Portfolio rounds replayed from a shared exploration.
     pub rounds_replayed: Counter,
-    /// Saturation waves (sharded passes and sequential fixpoints).
+    /// Saturation waves: `post*` worklist runs, `pre*` fixpoint
+    /// passes, and explicit layer rounds.
     pub waves: Counter,
-    /// Work-stealing claims outside a worker's own shard.
+    /// Never incremented: saturation is sequential. Kept because the
+    /// `perfbench/` harness reads it; not exported to `/metrics`.
     pub steals: Counter,
     /// Frontier size (edges) per saturation wave.
     pub frontier_edges: Histogram,
@@ -373,7 +375,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 11] = [
+    let counters: [(&str, &Counter, &str); 10] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -387,12 +389,7 @@ pub fn render_prometheus() -> String {
         (
             "cuba_waves_total",
             &m.waves,
-            "Saturation waves (sharded passes and sequential fixpoints).",
-        ),
-        (
-            "cuba_steals_total",
-            &m.steals,
-            "Work-stealing claims outside a worker's own shard.",
+            "Saturation waves (post* runs, pre* passes, explicit layer rounds).",
         ),
         (
             "cuba_cache_hits_total",
@@ -502,11 +499,11 @@ pub fn render_prometheus() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Per-round stage accounting. The saturation coordinator (shared-
-// explorer advances, barrier merges) runs on the session's own
-// thread, so a thread-local accumulator scoped to one `step_once`
-// collects exactly that round's stage split — no channels, no
-// session plumbing through the engine traits.
+// Per-round stage accounting. Saturation (shared-explorer advances,
+// layer commits) runs on the session's own thread, so a thread-local
+// accumulator scoped to one `step_once` collects exactly that round's
+// stage split — no channels, no session plumbing through the engine
+// traits.
 
 thread_local! {
     static STAGE_ACTIVE: Cell<bool> = const { Cell::new(false) };
@@ -630,7 +627,6 @@ mod tests {
             "cuba_rounds_explored_total",
             "cuba_rounds_replayed_total",
             "cuba_waves_total",
-            "cuba_steals_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",
             "cuba_reduce_passes_total",
@@ -659,6 +655,7 @@ mod tests {
                 "non-numeric sample value in '{line}'"
             );
         }
+        assert!(!text.contains("cuba_steals_total"));
         assert!(text.contains("endpoint=\"healthz\""));
         assert!(text.contains("stage=\"saturate\""));
         assert!(text.contains("le=\"+Inf\""));

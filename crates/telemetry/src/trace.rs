@@ -82,9 +82,7 @@ thread_local! {
     static TID: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The calling thread's trace track id. Allocated on first use;
-/// [`set_thread_tid`] overrides it (saturation shard workers set
-/// their shard index so Perfetto renders one row per shard).
+/// The calling thread's trace track id, allocated on first use.
 pub fn thread_tid() -> u32 {
     TID.with(|t| {
         if t.get() == 0 {
@@ -92,13 +90,6 @@ pub fn thread_tid() -> u32 {
         }
         t.get()
     })
-}
-
-/// Pins the calling thread's track id (e.g. to a worker-shard index).
-/// Ids need not be unique across threads — concurrent waves are
-/// separated by their timestamps.
-pub fn set_thread_tid(tid: u32) {
-    TID.with(|t| t.set(tid));
 }
 
 fn push(event: Event) {
@@ -616,8 +607,7 @@ mod tests {
             outer.arg("states", 42u64);
         }
         std::thread::spawn(|| {
-            set_thread_tid(77);
-            let _shard = span("shard");
+            let _worker = span("worker");
         })
         .join()
         .expect("worker");
@@ -628,8 +618,7 @@ mod tests {
         assert!(summary.instants >= 1);
         assert!(summary.tracks >= 2);
         assert!(summary.span_names.contains_key("outer"));
-        assert!(summary.span_names.contains_key("shard"));
-        assert!(json.contains("\"tid\":77"));
+        assert!(summary.span_names.contains_key("worker"));
         assert!(json.contains("\"args\":{\"states\":42}"));
     }
 

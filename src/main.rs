@@ -10,17 +10,12 @@
 //!                                         otherwise; explicit / symbolic run
 //!                                         that backend's fused arm alone)
 //!     --max-k <n>      round limit (default 64)
-//!     --threads <n>    saturation worker threads per context step
-//!                      (default 0 = available parallelism; 1 = the
-//!                      sequential code path). Verdicts, k, witnesses,
-//!                      and growth logs are identical at every value —
-//!                      only wall time moves.
 //!     --timeout <s>    wall-clock limit in seconds (verdict: undetermined)
 //!     --trace          stream per-round events to stderr (line-locked;
 //!                      with several properties each line is prefixed
 //!                      with its property spec)
 //!     --trace-out <f>  record structured spans (rounds, saturation
-//!                      waves, shard work, barrier merges, cache
+//!                      waves, explicit layer commits, cache
 //!                      lookups, reduce passes) and write
 //!                      a Chrome trace-event JSON file on exit — load it
 //!                      in Perfetto (ui.perfetto.dev) or chrome://tracing
@@ -60,7 +55,6 @@
 //!                      explicit under FCR, symbolic otherwise)
 //!     --max-k <n>      explore at most this bound (default 64); the
 //!                      exploration stops early at collapse
-//!     --threads <n>    saturation worker threads (as for verify)
 //! cuba fcr <file>      run only the finite-context-reachability check
 //! cuba info <file>     print model statistics
 //! cuba trace-check <file>  validate a --trace-out Chrome trace file:
@@ -82,9 +76,6 @@
 //!     --samples <n>    measured suite iterations (default 5)
 //!     --warmup <n>     unmeasured iterations first (default 1)
 //!     --workers <n>    problems in flight (default: CPUs)
-//!     --threads <n>    saturation worker threads (as for verify);
-//!                      records are identical at every value except
-//!                      the timing fields
 //!     --reduce         pre-reduce every workload (rows gain
 //!                      reduce_removed / reduce_us); with --compare
 //!                      against an unreduced baseline this gates that
@@ -110,9 +101,6 @@
 //!     --addr <a>       bind address (default 127.0.0.1:0 = ephemeral;
 //!                      the bound address is printed on stdout)
 //!     --workers <n>    bounded worker pool size (default: CPUs, max 8)
-//!     --threads <n>    saturation worker threads per served session
-//!                      (default 0 = cores / workers, so the pool as a
-//!                      whole never oversubscribes the machine)
 //!     --max-k <n>      default round limit for served sessions
 //!     --timeout <s>    default wall-clock limit per served session
 //!     --state-dir <d>  persistent layer-store snapshots: systems
@@ -166,17 +154,16 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage: cuba <verify|fcr|info> <file.bp|file.cpds> [--engine auto|explicit|symbolic] \
-     [--max-k N] [--threads N] [--timeout SECS] [--trace] [--trace-out FILE] [--json] \
+     [--max-k N] [--timeout SECS] [--trace] [--trace-out FILE] [--json] \
      [--reduce] [--never-shared Q] [--property SPEC]... [--from-snapshot FILE]\n   \
      or: cuba lint \
      <file.bp|file.cpds> [--property SPEC]... [--json]\n   or: cuba snapshot \
-     <file.bp|file.cpds> --out FILE [--engine auto|explicit|symbolic] [--max-k N] \
-     [--threads N]\n   or: cuba serve [--addr ADDR] \
-     [--workers N] [--threads N] [--max-k N] [--timeout SECS] [--trace-out FILE] \
-     [--state-dir DIR]\n   \
-     or: cuba bench [--samples N] [--warmup N] [--workers N] [--threads N] \
-     [--reduce] [--compare FILE] [--gate] [--ratio R] [--sigma S] [--floor-ms MS] \
-     [--trace-out FILE] [--from-snapshot FILE]\n   \
+     <file.bp|file.cpds> --out FILE [--engine auto|explicit|symbolic] [--max-k N]\n   \
+     or: cuba serve [--addr ADDR] [--workers N] [--max-k N] [--timeout SECS] \
+     [--trace-out FILE] [--state-dir DIR]\n   \
+     or: cuba bench [--samples N] [--warmup N] [--workers N] [--reduce] [--compare FILE] \
+     [--gate] [--ratio R] [--sigma S] [--floor-ms MS] [--trace-out FILE] \
+     [--from-snapshot FILE]\n   \
      or: cuba trace-check <trace.json>"
         .to_owned()
 }
@@ -185,8 +172,6 @@ fn usage() -> String {
 struct VerifyOptions {
     lineup: Lineup,
     max_k: usize,
-    /// Saturation worker threads (0 = auto, 1 = sequential).
-    threads: usize,
     timeout: Option<Duration>,
     trace: bool,
     /// `--trace-out FILE`: record structured spans and export a
@@ -209,7 +194,6 @@ impl Default for VerifyOptions {
         VerifyOptions {
             lineup: Lineup::Auto,
             max_k: 64,
-            threads: 0,
             timeout: None,
             trace: false,
             trace_out: None,
@@ -224,13 +208,11 @@ impl Default for VerifyOptions {
 
 /// The flags shared by several subcommands, parsed in exactly one
 /// place so the grammar and the error texts cannot drift between
-/// `verify`, `bench`, `serve`, and `snapshot`. Each subcommand says
+/// `verify`, `bench`, and `serve`. Each subcommand says
 /// which of them it accepts; everything else falls through to its own
 /// match arm.
 #[derive(Default)]
 struct CommonOpts {
-    /// `--threads N` (0 = auto, 1 = sequential).
-    threads: Option<usize>,
     /// `--timeout SECS` (fractional seconds).
     timeout: Option<Duration>,
     /// `--trace-out FILE`.
@@ -242,10 +224,9 @@ struct CommonOpts {
 }
 
 /// The shared flags each subcommand opts into.
-const VERIFY_COMMON: &[&str] = &["--threads", "--timeout", "--trace-out", "--reduce"];
-const BENCH_COMMON: &[&str] = &["--threads", "--trace-out", "--reduce"];
-const SERVE_COMMON: &[&str] = &["--threads", "--timeout", "--trace-out", "--state-dir"];
-const SNAPSHOT_COMMON: &[&str] = &["--threads"];
+const VERIFY_COMMON: &[&str] = &["--timeout", "--trace-out", "--reduce"];
+const BENCH_COMMON: &[&str] = &["--trace-out", "--reduce"];
+const SERVE_COMMON: &[&str] = &["--timeout", "--trace-out", "--state-dir"];
 
 impl CommonOpts {
     /// Tries to consume `args[*i]` (plus its argument, if any) as one
@@ -265,10 +246,6 @@ impl CommonOpts {
             return Ok(false);
         }
         match flag.as_str() {
-            "--threads" => {
-                *i += 1;
-                self.threads = Some(parse_zero_ok(args.get(*i), "--threads")?);
-            }
             "--timeout" => {
                 *i += 1;
                 self.timeout = Some(
@@ -406,13 +383,8 @@ fn snapshot_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
     let mut max_k: usize = 64;
     let mut engine = "auto".to_owned();
-    let mut common = CommonOpts::default();
     let mut i = 1;
     while i < args.len() {
-        if common.try_parse(args, &mut i, SNAPSHOT_COMMON)? {
-            i += 1;
-            continue;
-        }
         match args[i].as_str() {
             "--out" => {
                 i += 1;
@@ -449,10 +421,7 @@ fn snapshot_cmd(args: &[String]) -> Result<ExitCode, String> {
         "symbolic" => false,
         _ => check_fcr(&cpds).holds(),
     };
-    let budget = ExploreBudget {
-        threads: common.threads.unwrap_or(0),
-        ..ExploreBudget::default()
-    };
+    let budget = ExploreBudget::default();
     let artifacts = SystemArtifacts::new();
     let explorer = if explicit {
         artifacts.explicit_explorer(&cpds, &budget)
@@ -517,9 +486,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
-    }
-    if let Some(threads) = common.threads {
-        config.session.budget.threads = threads;
     }
     if common.timeout.is_some() {
         config.session.timeout = common.timeout;
@@ -612,9 +578,6 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
-    }
-    if let Some(threads) = common.threads {
-        plan.threads = threads;
     }
     plan.reduce = common.reduce;
     if gate && compare_path.is_none() {
@@ -881,9 +844,6 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
         }
         i += 1;
     }
-    if let Some(threads) = common.threads {
-        options.threads = threads;
-    }
     options.timeout = common.timeout;
     options.trace_out = common.trace_out;
     options.reduce = common.reduce;
@@ -907,14 +867,10 @@ fn verify(
     } else {
         (model.cpds, None)
     };
-    let config = {
-        let mut config = SessionConfig {
-            max_k: options.max_k,
-            timeout: options.timeout,
-            ..SessionConfig::new()
-        };
-        config.budget.threads = options.threads;
-        config
+    let config = SessionConfig {
+        max_k: options.max_k,
+        timeout: options.timeout,
+        ..SessionConfig::new()
     };
     let portfolio = match &options.lineup {
         Lineup::Auto => Portfolio::auto(),
@@ -1213,7 +1169,6 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
         &outcome.stages.merge.as_micros().to_string(),
     );
     push_field(&mut out, "waves", &METRICS.waves.get().to_string());
-    push_field(&mut out, "steals", &METRICS.steals.get().to_string());
     push_field(
         &mut out,
         "cache_hits",

@@ -14,7 +14,9 @@ use cuba::core::{
     Cuba, CubaConfig, EngineKind, EngineParams, Portfolio, Property, RoundCtx, RoundOutcome,
     Scheme1Config, SessionConfig, SessionEvent, Verdict,
 };
-use cuba::explore::{CancelToken, ExploreBudget, Interrupt};
+use cuba::explore::{
+    CancelToken, ExploreBudget, ExploreError, Interrupt, SubsumptionMode, SymbolicEngine,
+};
 use cuba::pds::{SharedState, StackSym, VisibleState};
 
 fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
@@ -179,7 +181,7 @@ fn deadline_is_honored_mid_round() {
     let start = std::time::Instant::now();
     let mut engine = cuba::explore::ExplicitEngine::new(fig2::build(), budget);
     let err = engine.advance().unwrap_err();
-    assert_eq!(err, cuba::explore::ExploreError::DeadlineExceeded);
+    assert_eq!(err, ExploreError::DeadlineExceeded);
     assert!(
         start.elapsed() < Duration::from_secs(10),
         "mid-round deadline ignored for {:?}",
@@ -206,7 +208,66 @@ fn cancel_token_is_honored_mid_round() {
     });
     let err = engine.advance().unwrap_err();
     handle.join().unwrap();
-    assert_eq!(err, cuba::explore::ExploreError::Cancelled);
+    assert_eq!(err, ExploreError::Cancelled);
+}
+
+/// The stefan-1/8 row: the paper's out-of-memory case, which does not
+/// collapse within any budget these tests set.
+fn stefan_1_8() -> cuba::pds::Cpds {
+    table2_suite()
+        .into_iter()
+        .find(|b| b.id == "stefan-1" && b.config == "8")
+        .expect("stefan-1/8 row")
+        .cpds
+}
+
+/// A token cancelled between rounds stops the very next symbolic
+/// `advance` on stefan-1/8.
+#[test]
+fn cancel_between_rounds_stops_the_next_symbolic_advance() {
+    let token = CancelToken::new();
+    let budget = ExploreBudget {
+        max_symbolic_states: 100_000,
+        ..ExploreBudget::default()
+    }
+    .with_interrupt(Interrupt::none().with_cancel(token.clone()));
+    let mut engine = SymbolicEngine::new(stefan_1_8(), budget, SubsumptionMode::Exact);
+    engine.advance().expect("first round runs uncancelled");
+    token.cancel();
+    assert_eq!(engine.advance().unwrap_err(), ExploreError::Cancelled);
+}
+
+/// A token fired from another thread *mid-round* interrupts the
+/// symbolic engine: every `post*` saturation polls the interrupt every
+/// few insertions, so the abort lands within one poll interval instead
+/// of after the round. Without the cancel, stefan-1/8 would grind
+/// toward the (here unreachably large) state budget.
+#[test]
+fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
+    let token = CancelToken::new();
+    let budget = ExploreBudget {
+        max_symbolic_states: 1_000_000,
+        ..ExploreBudget::default()
+    }
+    .with_interrupt(Interrupt::none().with_cancel(token.clone()));
+    let mut engine = SymbolicEngine::new(stefan_1_8(), budget, SubsumptionMode::Exact);
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        token.cancel();
+    });
+    let err = loop {
+        match engine.advance() {
+            Ok(_) => {
+                assert!(
+                    !engine.is_collapsed(),
+                    "stefan-1/8 must not collapse (paper: OOM row)"
+                );
+            }
+            Err(e) => break e,
+        }
+    };
+    canceller.join().unwrap();
+    assert_eq!(err, ExploreError::Cancelled);
 }
 
 /// The portfolio agrees with the classic fused driver on both running
