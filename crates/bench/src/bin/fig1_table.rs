@@ -7,7 +7,10 @@
 //! ```
 
 use cuba_benchmarks::fig1;
-use cuba_core::{alg3_explicit, Alg3Config, Property, Verdict};
+use cuba_core::{
+    build_engine, EngineKind, EngineParams, Property, RoundCtx, RoundOutcome, SequenceEvent,
+    SystemArtifacts, Verdict,
+};
 use cuba_explore::{ExplicitEngine, ExploreBudget};
 
 fn main() {
@@ -40,21 +43,37 @@ fn main() {
         );
     }
 
-    // The Ex. 14 run: Alg 3 with the generator test.
-    let config = Alg3Config {
-        use_state_collapse: false,
-        ..Alg3Config::default()
+    // The Ex. 14 run: Alg 3 with the generator test alone (the
+    // state-collapse test off), stepped round by round.
+    let params = EngineParams {
+        fuse_collapse: false,
+        ..EngineParams::default()
     };
-    let report = alg3_explicit(&cpds, &Property::True, &config).expect("FCR holds");
+    let mut alg3 = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
+    let mut ctx = RoundCtx::new();
+    let mut rejected_plateaus = Vec::new();
+    let verdict = loop {
+        match alg3.step(&mut ctx).expect("Fig. 1 satisfies FCR") {
+            // A new plateau that did not conclude failed the generator
+            // test: a stutter at k − 1.
+            RoundOutcome::Continue(info) => {
+                if info.event == SequenceEvent::NewPlateau {
+                    rejected_plateaus.push(info.k - 1);
+                }
+            }
+            RoundOutcome::Concluded { verdict, .. } => break verdict,
+        }
+    };
     println!("\nAlg. 3 over (T(Rk)) with stuttering detection:");
-    let gz: Vec<String> = report.g_cap_z.iter().map(|v| v.to_string()).collect();
+    let gz: Vec<String> = SystemArtifacts::new()
+        .g_cap_z(&cpds)
+        .iter()
+        .map(|v| v.to_string())
+        .collect();
     println!("  G ∩ Z = {{{}}}", gz.join(", "));
-    println!(
-        "  rejected (stuttering) plateaus at k = {:?}",
-        report.rejected_plateaus
-    );
-    println!("  |T(Rk)| per k: {:?}", report.visible_growth.sizes());
-    match report.verdict {
+    println!("  rejected (stuttering) plateaus at k = {rejected_plateaus:?}");
+    println!("  |T(Rk)| per k: {:?}", alg3.growth().sizes());
+    match verdict {
         Verdict::Safe { k, method } => {
             println!("  collapse detected at k = {k} (via {method})")
         }

@@ -5,7 +5,8 @@
 //! Protocol as in the paper: the baseline runs with the same context
 //! bound at which Cuba terminates; for unsafe rows both stop at the
 //! bug, for safe rows the baseline explores the full bound but proves
-//! nothing.
+//! nothing. Cuba runs the §6 procedure without the refuter arm: the
+//! fused explicit arm under FCR, the fused symbolic arm otherwise.
 //!
 //! ```text
 //! cargo run --release -p cuba-bench --bin fig5
@@ -15,7 +16,7 @@
 
 use cuba_bench::{fmt_mb, measure, render_table, CountingAlloc};
 use cuba_benchmarks::suite::fig5_suite;
-use cuba_core::{cba_baseline, CbaConfig, Cuba, CubaConfig, Verdict};
+use cuba_core::{check_fcr, EngineKind, Portfolio, SessionConfig, Verdict};
 use cuba_explore::ExploreBudget;
 
 #[global_allocator]
@@ -26,13 +27,21 @@ fn main() {
     let mut csv = String::from("label,status,cuba_s,jmoped_s,cuba_mb,jmoped_mb\n");
     for bench in fig5_suite() {
         let label = bench.label();
-        let config = CubaConfig {
+        let config = SessionConfig {
             budget: ExploreBudget::default(),
             max_k: 32,
-            ..CubaConfig::default()
+            ..SessionConfig::new()
         };
-        let cuba = Cuba::new(bench.cpds.clone(), bench.property.clone());
-        let (outcome, cuba_s, cuba_peak) = measure(Some(&ALLOC), || cuba.run(&config));
+        let (outcome, cuba_s, cuba_peak) = measure(Some(&ALLOC), || {
+            let arm = if check_fcr(&bench.cpds).holds() {
+                EngineKind::Alg3Explicit
+            } else {
+                EngineKind::Alg3Symbolic
+            };
+            Portfolio::fixed(vec![arm])
+                .with_config(config.clone())
+                .run(bench.cpds.clone(), bench.property.clone())
+        });
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
@@ -48,16 +57,20 @@ fn main() {
 
         // Baseline at the same bound (k+1 for safe rows: it needs one
         // more round than the collapse bound to match Cuba's work).
-        let baseline_bound = k + 1;
-        let (baseline, jm_s, jm_peak) = measure(Some(&ALLOC), || {
-            cba_baseline(
-                &bench.cpds,
-                &bench.property,
-                &CbaConfig::up_to(baseline_bound),
-            )
+        let baseline = Portfolio::fixed(vec![EngineKind::CbaRefuter]).with_config(SessionConfig {
+            max_k: k + 1,
+            ..config
         });
+        let (baseline, jm_s, jm_peak) = measure(Some(&ALLOC), || {
+            baseline.run(bench.cpds.clone(), bench.property.clone())
+        });
+        // CBA refutes or gives up: an undetermined answer means no bug
+        // within the bounds it explored.
         let jm_text = match baseline {
-            Ok(r) => format!("{:?}", r.verdict),
+            Ok(o) => match o.verdict {
+                Verdict::Unsafe { k, .. } => format!("bug at {k}"),
+                _ => format!("no bug up to {}", o.rounds),
+            },
             Err(e) => format!("error: {e}"),
         };
 

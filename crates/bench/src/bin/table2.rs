@@ -10,9 +10,7 @@
 
 use cuba_bench::{fmt_mb, measure, render_table, CountingAlloc, RunRecord};
 use cuba_benchmarks::suite::table2_suite;
-use cuba_core::{
-    check_fcr, scheme1_explicit, scheme1_symbolic, Portfolio, Scheme1Config, SessionConfig, Verdict,
-};
+use cuba_core::{check_fcr, EngineKind, Portfolio, SessionConfig, Verdict};
 use cuba_explore::ExploreBudget;
 
 #[global_allocator]
@@ -69,17 +67,18 @@ fn main() {
         };
 
         let rk_cap = k_opt.unwrap_or(8) + 2;
-        let scheme1_config = Scheme1Config {
-            budget: harness_budget(),
-            max_k: rk_cap,
-            skip_fcr_check: true,
-            ..Scheme1Config::default()
-        };
-        let rk_kmax = if fcr {
-            scheme1_explicit(&bench.cpds, &bench.property, &scheme1_config)
+        let scheme1 = if fcr {
+            EngineKind::Scheme1Explicit
         } else {
-            scheme1_symbolic(&bench.cpds, &bench.property, &scheme1_config)
+            EngineKind::Scheme1Symbolic
         };
+        let rk_kmax = Portfolio::fixed(vec![scheme1])
+            .with_config(SessionConfig {
+                budget: harness_budget(),
+                max_k: rk_cap,
+                ..SessionConfig::new()
+            })
+            .run(bench.cpds.clone(), bench.property.clone());
         let rk_text = match rk_kmax {
             Ok(r) => match r.verdict {
                 Verdict::Safe { k, .. } => k.to_string(),

@@ -317,7 +317,7 @@ pub fn property() -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig, Verdict};
+    use cuba_core::{check_fcr, Portfolio, Verdict};
 
     #[test]
     fn all_versions_satisfy_fcr() {
@@ -330,9 +330,7 @@ mod tests {
     #[test]
     fn v1_is_unsafe() {
         let cpds = build(Version::V1, 1, 1);
-        let outcome = Cuba::new(cpds, property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(cpds, property()).unwrap();
         assert!(outcome.verdict.is_unsafe(), "v1 1+1: {:?}", outcome.verdict);
         if let Verdict::Unsafe { k, .. } = outcome.verdict {
             assert!(k <= 8, "bug should appear at a small bound, got {k}");
@@ -342,18 +340,14 @@ mod tests {
     #[test]
     fn v2_is_unsafe() {
         let cpds = build(Version::V2, 1, 1);
-        let outcome = Cuba::new(cpds, property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(cpds, property()).unwrap();
         assert!(outcome.verdict.is_unsafe(), "v2 1+1: {:?}", outcome.verdict);
     }
 
     #[test]
     fn v3_is_safe() {
         let cpds = build(Version::V3, 1, 1);
-        let outcome = Cuba::new(cpds, property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(cpds, property()).unwrap();
         assert!(outcome.verdict.is_safe(), "v3 1+1: {:?}", outcome.verdict);
     }
 

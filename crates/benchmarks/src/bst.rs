@@ -96,7 +96,7 @@ pub fn property(num_threads: usize) -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig};
+    use cuba_core::{check_fcr, Portfolio};
 
     #[test]
     fn satisfies_fcr() {
@@ -106,9 +106,7 @@ mod tests {
     #[test]
     fn one_plus_one_is_safe() {
         let cpds = build(1, 1);
-        let outcome = Cuba::new(cpds, property(2))
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(cpds, property(2)).unwrap();
         assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
     }
 
@@ -118,7 +116,7 @@ mod tests {
         // *can* reach ACQ simultaneously; only the lock serializes MID.
         let cpds = build(1, 1);
         let bogus = Property::MutualExclusion(vec![(0, StackSym(ACQ)), (1, StackSym(ACQ))]);
-        let outcome = Cuba::new(cpds, bogus).run(&CubaConfig::default()).unwrap();
+        let outcome = Portfolio::auto().run(cpds, bogus).unwrap();
         assert!(outcome.verdict.is_unsafe());
     }
 }

@@ -140,7 +140,7 @@ pub fn property() -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig};
+    use cuba_core::{check_fcr, Portfolio};
 
     #[test]
     fn satisfies_fcr() {
@@ -149,9 +149,7 @@ mod tests {
 
     #[test]
     fn is_safe_with_two_crawlers() {
-        let outcome = Cuba::new(build(2), property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(2), property()).unwrap();
         assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
     }
 
@@ -160,9 +158,7 @@ mod tests {
         // Depth-2 processing is reachable — the model is not vacuous.
         let cpds = build(1);
         let reach_depth2 = Property::MutualExclusion(vec![(1, StackSym(2))]);
-        let outcome = Cuba::new(cpds, reach_depth2)
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(cpds, reach_depth2).unwrap();
         assert!(outcome.verdict.is_unsafe());
     }
 
@@ -173,7 +169,7 @@ mod tests {
         let enc = encoder();
         let dead = Property::MutualExclusion(vec![(0, StackSym(U1))]);
         let _ = enc;
-        let outcome = Cuba::new(cpds, dead).run(&CubaConfig::default()).unwrap();
+        let outcome = Portfolio::auto().run(cpds, dead).unwrap();
         assert!(outcome.verdict.is_unsafe()); // i.e. U1 reachable
     }
 }

@@ -101,7 +101,7 @@ pub fn property() -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig};
+    use cuba_core::{check_fcr, Portfolio};
 
     #[test]
     fn satisfies_fcr() {
@@ -110,18 +110,14 @@ mod tests {
 
     #[test]
     fn mutual_exclusion_holds() {
-        let outcome = Cuba::new(build(), property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(), property()).unwrap();
         assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
     }
 
     #[test]
     fn critical_section_reachable() {
         let reach = Property::MutualExclusion(vec![(0, CRITICAL)]);
-        let outcome = Cuba::new(build(), reach)
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(), reach).unwrap();
         assert!(outcome.verdict.is_unsafe());
     }
 
@@ -130,9 +126,7 @@ mod tests {
         // Sanity: both threads can reach D1 simultaneously; it is the
         // protocol, not the scheduler, that protects D3.
         let both_d1 = Property::mutex(0, StackSym(D1), 1, StackSym(D1));
-        let outcome = Cuba::new(build(), both_d1)
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(), both_d1).unwrap();
         assert!(outcome.verdict.is_unsafe());
     }
 }

@@ -107,7 +107,7 @@ pub fn property() -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig};
+    use cuba_core::{check_fcr, Portfolio};
 
     #[test]
     fn violates_fcr() {
@@ -116,9 +116,7 @@ mod tests {
 
     #[test]
     fn is_safe() {
-        let outcome = Cuba::new(build(), property())
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(), property()).unwrap();
         assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
     }
 }

@@ -65,7 +65,7 @@ pub fn property(n: usize) -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_core::{check_fcr, Cuba, CubaConfig};
+    use cuba_core::{check_fcr, Portfolio};
 
     #[test]
     fn violates_fcr() {
@@ -74,9 +74,7 @@ mod tests {
 
     #[test]
     fn two_threads_safe() {
-        let outcome = Cuba::new(build(2), property(2))
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(2), property(2)).unwrap();
         assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
     }
 
@@ -84,9 +82,7 @@ mod tests {
     fn critical_section_is_reachable() {
         // The property is not vacuous: a single thread reaches CRIT.
         let reach = Property::MutualExclusion(vec![(0, CRITICAL)]);
-        let outcome = Cuba::new(build(2), reach)
-            .run(&CubaConfig::default())
-            .unwrap();
+        let outcome = Portfolio::auto().run(build(2), reach).unwrap();
         assert!(outcome.verdict.is_unsafe());
     }
 }

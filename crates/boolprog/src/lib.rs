@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use cuba_boolprog::{parse, translate};
-//! use cuba_core::{Cuba, CubaConfig};
+//! use cuba_core::Portfolio;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let source = r#"
@@ -33,7 +33,7 @@
 //! let program = parse(source)?;
 //! let translated = translate(&program)?;
 //! let property = translated.error_free_property();
-//! let outcome = Cuba::new(translated.cpds, property).run(&CubaConfig::default())?;
+//! let outcome = Portfolio::auto().run(translated.cpds, property)?;
 //! assert!(outcome.verdict.is_safe()); // no assertions, nothing to fail
 //! # Ok(())
 //! # }

@@ -530,13 +530,13 @@ impl Env<'_> {
 mod tests {
     use super::*;
     use crate::parse;
-    use cuba_core::{Cuba, CubaConfig, Verdict};
+    use cuba_core::{Portfolio, Verdict};
 
     fn run(src: &str) -> Verdict {
         let program = parse(src).unwrap();
         let t = translate(&program).unwrap();
-        Cuba::new(t.cpds.clone(), t.error_free_property())
-            .run(&CubaConfig::default())
+        Portfolio::auto()
+            .run(t.cpds.clone(), t.error_free_property())
             .unwrap()
             .verdict
     }
@@ -721,8 +721,8 @@ mod tests {
         };
         assert!(count(&simplified) < count(&plain), "fewer transitions");
         let verdict = |t: &Translated| {
-            Cuba::new(t.cpds.clone(), t.error_free_property())
-                .run(&CubaConfig::default())
+            Portfolio::auto()
+                .run(t.cpds.clone(), t.error_free_property())
                 .unwrap()
                 .verdict
         };

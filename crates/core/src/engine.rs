@@ -4,40 +4,21 @@
 //! FCR and falls back to the symbolic engines otherwise; a
 //! context-bounded refuter can hunt for bugs on the side. To pause
 //! engines, interleave them, or stream their per-round observations,
-//! each algorithm must be a *resumable round-stepper* instead of a
+//! each algorithm is a *resumable round-stepper* instead of a
 //! monolithic `for k in 0..max_k` loop. This module defines the common
-//! trait; the concrete engines live with their algorithms
-//! ([`Alg3Engine`](crate::Alg3Engine),
-//! [`Scheme1Engine`](crate::Scheme1Engine),
-//! [`CbaEngine`](crate::CbaEngine)) and the original free functions
-//! (`alg3_explicit` & co.) remain as thin loops over `step`.
+//! trait and [`build_engine`], the one way to construct an engine from
+//! an [`EngineKind`] and [`EngineParams`]; the concrete engines live
+//! with their algorithms and are handed out as `Box<dyn Engine>`.
 
 use cuba_explore::{Interrupt, SubsumptionMode};
 use cuba_pds::Cpds;
 
-use crate::{
-    Alg3Config, Alg3Engine, CbaConfig, CbaEngine, CubaError, EngineUsed, GrowthLog, Scheme1Config,
-    Scheme1Engine, SequenceEvent, Verdict,
-};
+use crate::alg3::Alg3Engine;
+use crate::cba_baseline::CbaEngine;
+use crate::scheme1::Scheme1Engine;
+use crate::{CubaError, EngineUsed, GrowthLog, SequenceEvent, Verdict};
 
-/// Whether an engine can analyze a given system at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applicability {
-    /// The engine accepts the system.
-    Applicable,
-    /// The engine cannot run on this system, with the reason (e.g. the
-    /// explicit-state engines require finite context reachability).
-    Inapplicable(&'static str),
-}
-
-impl Applicability {
-    /// Whether the engine accepts the system.
-    pub fn is_applicable(&self) -> bool {
-        matches!(self, Applicability::Applicable)
-    }
-}
-
-/// Per-step context handed to [`Engine::step`] by the driver loop:
+/// Per-step context handed to [`Engine::step`] by the stepping loop:
 /// carries the cooperative interruption sources so a session can stop
 /// an engine *between* rounds even when the engine's own budget has no
 /// interrupt wired in (mid-round interruption goes through
@@ -127,28 +108,13 @@ impl RoundOutcome {
 /// Engines are `Send` so sessions can run on any thread (the
 /// [`Portfolio::run_suite`](crate::Portfolio::run_suite) workers).
 /// `step` after a conclusion is a cheap no-op repeating the verdict, so
-/// drivers need no extra bookkeeping.
+/// callers need no extra bookkeeping.
 pub trait Engine: Send {
     /// Which algorithm/representation this engine runs. May depend on
     /// the conclusion: the fused explicit engine reports
     /// `Scheme1Explicit` when the `Rk`-collapse rule fired, the rule
     /// the paper's Scheme 1 contributes.
     fn id(&self) -> EngineUsed;
-
-    /// Human-readable engine name (the paper's notation).
-    fn name(&self) -> &'static str {
-        match self.id() {
-            EngineUsed::Alg3Explicit => "Alg3(T(Rk))",
-            EngineUsed::Scheme1Explicit => "Scheme1(Rk)",
-            EngineUsed::Alg3Symbolic => "Alg3(T(Sk))",
-            EngineUsed::Scheme1Symbolic => "Scheme1(Sk)",
-            EngineUsed::CbaBaseline => "CBA",
-        }
-    }
-
-    /// Whether this engine can analyze `cpds` (the explicit engines
-    /// require finite context reachability, §5).
-    fn applicability(&self, cpds: &Cpds) -> Applicability;
 
     /// Computes the next round of the engine's observation sequence.
     ///
@@ -187,7 +153,7 @@ impl Backend {
         Backend { shared }
     }
 
-    /// A private explicit explorer (unshared entry points).
+    /// A private explicit explorer (no shared artifacts).
     pub(crate) fn explicit(cpds: &Cpds, budget: cuba_explore::ExploreBudget) -> Self {
         Backend::new(std::sync::Arc::new(cuba_explore::SharedExplorer::explicit(
             cpds.clone(),
@@ -195,7 +161,7 @@ impl Backend {
         )))
     }
 
-    /// A private symbolic explorer (unshared entry points).
+    /// A private symbolic explorer (no shared artifacts).
     pub(crate) fn symbolic(
         cpds: &Cpds,
         budget: cuba_explore::ExploreBudget,
@@ -297,17 +263,17 @@ impl EngineKind {
 pub struct EngineParams {
     /// Exploration budget (its interrupt is the session's).
     pub budget: cuba_explore::ExploreBudget,
-    /// Round limit per engine.
+    /// Round limit per engine (the bound of a CBA refuter).
     pub max_k: usize,
     /// Subsumption mode for symbolic engines.
     pub subsumption: SubsumptionMode,
-    /// Fuse the state-collapse test into Algorithm 3 arms
-    /// (`use_state_collapse`). Sessions disable this when a dedicated
-    /// Scheme 1 arm of the same representation runs alongside, so a
-    /// collapse is never concluded twice.
+    /// Fuse the state-collapse test (`Rk = Rk+1`, resp. no new
+    /// symbolic states) into Algorithm 3 engines. An extension beyond
+    /// the paper's Alg. 3 that is trivially sound (Lemma 7). Sessions
+    /// disable it when a dedicated Scheme 1 arm of the same
+    /// representation runs alongside, so a collapse is never concluded
+    /// twice; disable it by hand to run the pure generator test.
     pub fuse_collapse: bool,
-    /// Skip the per-engine FCR pre-check (sessions check once).
-    pub skip_fcr_check: bool,
     /// A precomputed `G ∩ Z` shared across sessions on the same
     /// system ([`SuiteCache`](crate::SuiteCache)); `None` lets each
     /// Algorithm 3 engine compute its own.
@@ -316,7 +282,7 @@ pub struct EngineParams {
     /// engines of matching backend borrow the system's layered
     /// exploration instead of starting their own — the "one system,
     /// many properties" hinge. `None` gives every engine a private
-    /// explorer (the pre-sharing behavior).
+    /// explorer.
     pub artifacts: Option<std::sync::Arc<crate::SystemArtifacts>>,
 }
 
@@ -327,7 +293,6 @@ impl Default for EngineParams {
             max_k: 64,
             subsumption: SubsumptionMode::Exact,
             fuse_collapse: true,
-            skip_fcr_check: false,
             g_cap_z: None,
             artifacts: None,
         }
@@ -336,74 +301,37 @@ impl Default for EngineParams {
 
 /// Instantiates an engine of the given kind for a problem.
 ///
-/// # Errors
-///
-/// [`CubaError::FcrRequired`] when an explicit kind is requested for a
-/// system without FCR (and the pre-check is not skipped).
+/// Explicit kinds ([`EngineKind::needs_fcr`]) are built whether or not
+/// the system has finite context reachability: without it their rounds
+/// may never close, and only the budget or an interrupt stops them.
+/// Sessions check FCR once and drop such kinds from their lineup.
 pub fn build_engine(
     kind: EngineKind,
     cpds: &Cpds,
     property: &crate::Property,
     params: &EngineParams,
-) -> Result<Box<dyn Engine>, CubaError> {
-    let alg3 = || Alg3Config {
-        budget: params.budget.clone(),
-        max_k: params.max_k,
-        skip_fcr_check: params.skip_fcr_check,
-        subsumption: params.subsumption,
-        use_state_collapse: params.fuse_collapse,
-        g_cap_z: params.g_cap_z.clone(),
-    };
-    let scheme1 = || Scheme1Config {
-        budget: params.budget.clone(),
-        max_k: params.max_k,
-        skip_fcr_check: params.skip_fcr_check,
-        subsumption: params.subsumption,
-    };
+) -> Box<dyn Engine> {
     // With artifacts in play every engine of a backend borrows the
     // system's shared explorer; without, each engine explores alone.
-    let explicit_backend = || match &params.artifacts {
+    let explicit = || match &params.artifacts {
         Some(artifacts) => Backend::new(artifacts.explicit_explorer(cpds, &params.budget)),
         None => Backend::explicit(cpds, params.budget.clone()),
     };
-    let symbolic_backend = || match &params.artifacts {
+    let symbolic = || match &params.artifacts {
         Some(artifacts) => {
             Backend::new(artifacts.symbolic_explorer(cpds, &params.budget, params.subsumption))
         }
         None => Backend::symbolic(cpds, params.budget.clone(), params.subsumption),
     };
-    Ok(match kind {
-        EngineKind::Alg3Explicit => Box::new(Alg3Engine::explicit_with(
-            cpds,
-            property,
-            &alg3(),
-            explicit_backend,
-        )?),
-        EngineKind::Scheme1Explicit => Box::new(Scheme1Engine::explicit_with(
-            cpds,
-            property,
-            &scheme1(),
-            explicit_backend,
-        )?),
-        EngineKind::Alg3Symbolic => Box::new(Alg3Engine::symbolic_with(
-            cpds,
-            property,
-            &alg3(),
-            symbolic_backend(),
-        )),
-        EngineKind::Scheme1Symbolic => Box::new(Scheme1Engine::symbolic_with(
-            cpds,
-            property,
-            &scheme1(),
-            symbolic_backend(),
-        )),
-        EngineKind::CbaRefuter => Box::new(CbaEngine::new(
-            cpds,
-            property,
-            &CbaConfig {
-                k: params.max_k,
-                budget: params.budget.clone(),
-            },
-        )),
-    })
+    match kind {
+        EngineKind::Alg3Explicit => Box::new(Alg3Engine::new(cpds, property, params, explicit())),
+        EngineKind::Scheme1Explicit => {
+            Box::new(Scheme1Engine::new(cpds, property, params, explicit()))
+        }
+        EngineKind::Alg3Symbolic => Box::new(Alg3Engine::new(cpds, property, params, symbolic())),
+        EngineKind::Scheme1Symbolic => {
+            Box::new(Scheme1Engine::new(cpds, property, params, symbolic()))
+        }
+        EngineKind::CbaRefuter => Box::new(CbaEngine::new(cpds, property, params)),
+    }
 }

@@ -8,9 +8,9 @@ pub enum CubaError {
     Explore(ExploreError),
     /// The input system is malformed.
     Model(PdsError),
-    /// An explicit algorithm was asked to run on a system that fails
-    /// the FCR check (its per-round sets may be infinite); use the
-    /// symbolic variants instead (§6 overall procedure).
+    /// A session's lineup has only explicit engines, and the system
+    /// fails the FCR check (their per-round sets may be infinite); use
+    /// the symbolic variants instead (§6 overall procedure).
     FcrRequired,
     /// The property names states, threads or stack symbols that do not
     /// exist in the model (see [`Property::validate`](crate::Property::validate)).

@@ -4,36 +4,40 @@
 //! undecidable; CUBA is a *partial* method that can both refute and
 //! prove safety by watching how the sets of reachable states evolve as
 //! the permitted number of thread contexts `k` grows — the
-//! *observation sequence* paradigm (§3):
+//! *observation sequence* paradigm (§3).
 //!
-//! * [`scheme1_explicit`] runs Scheme 1 over the stutter-free sequence
-//!   `(Rk)`: a plateau is a collapse (Lemma 7). Needs finite context
-//!   reachability ([`check_fcr`], §5).
-//! * [`scheme1_symbolic`] is the same over PSA-backed symbolic state
-//!   sets, so it also covers programs without FCR (Ex. 8).
-//! * [`alg3_explicit`] / [`alg3_symbolic`] run Algorithm 3 over the
-//!   finite-domain sequence `(T(Rk))` of *visible* states, separating
-//!   stuttering from convergence with *generator sets* (Def. 10,
-//!   Thm. 11) intersected with the context-insensitive
-//!   overapproximation `Z` (Alg. 2, Lemma 12).
-//! * [`Portfolio`] / [`AnalysisSession`] implement the top-level
-//!   procedure of §6 with *one fused arm per backend*: Alg. 3 and the
-//!   Scheme 1 collapse test read the same layers in one pass, under
-//!   FCR beside a context-bounded refuter arm. Sessions step their
-//!   arms round-robin and stream per-round [`SessionEvent`]s (with
-//!   per-round cost accounting), with cooperative cancellation and
-//!   wall-clock deadlines; batches share per-system artifacts through
-//!   a [`SuiteCache`]. Exploration is decoupled from property
-//!   checking: the layers `(Rk)`/`(Sk)` live in shared, demand-driven
-//!   explorers ([`SharedExplorer`](cuba_explore::SharedExplorer), held
-//!   by [`SystemArtifacts`]), so any number of properties of one
-//!   system replay a single saturation and only deeper bounds are
-//!   computed live ("one system, many properties").
-//! * [`Cuba`] is a thin blocking wrapper over a session, kept for
-//!   compatibility.
-//! * [`cba_baseline`] is plain context-bounded analysis (Qadeer–Rehof
-//!   style, bug-finding only) — the JMoped-shaped comparator of
-//!   Fig. 5, and the refuter arm of the default portfolio under FCR.
+//! [`Portfolio`] / [`AnalysisSession`] are the entry point. They
+//! implement the top-level procedure of §6 with *one fused arm per
+//! backend*:
+//!
+//! * under finite context reachability ([`check_fcr`], §5), Algorithm 3
+//!   over the finite-domain sequence `(T(Rk))` of *visible* states,
+//!   separating stuttering from convergence with *generator sets*
+//!   (Def. 10, Thm. 11) intersected with the context-insensitive
+//!   overapproximation `Z` (Alg. 2, Lemma 12), fused with Scheme 1's
+//!   collapse test over the stutter-free `(Rk)` (Lemma 7). Both read
+//!   the same layers in one pass, beside a plain context-bounded
+//!   refuter arm (Qadeer–Rehof style, bug-finding only — the
+//!   JMoped-shaped comparator of Fig. 5);
+//! * otherwise the same fused arm over PSA-backed symbolic state sets
+//!   `(Sk)`, which also covers programs without FCR (Ex. 8).
+//!
+//! Sessions step their arms round-robin and stream per-round
+//! [`SessionEvent`]s (with per-round cost accounting), with
+//! cooperative cancellation and wall-clock deadlines; batches share
+//! per-system artifacts through a [`SuiteCache`]. Exploration is
+//! decoupled from property checking: the layers `(Rk)`/`(Sk)` live in
+//! shared, demand-driven explorers
+//! ([`SharedExplorer`](cuba_explore::SharedExplorer), held by
+//! [`SystemArtifacts`]), so any number of properties of one system
+//! replay a single saturation and only deeper bounds are computed live
+//! ("one system, many properties"). [`Portfolio::fixed`] runs any
+//! lineup of [`EngineKind`]s, e.g. Scheme 1 or the refuter alone.
+//!
+//! [`build_engine`] is the engine-level entry point: it builds one
+//! [`Engine`], a resumable round-stepper whose
+//! [`step`](Engine::step) computes one more bound and reports it as a
+//! [`RoundOutcome`].
 //!
 //! # Example
 //!
@@ -82,26 +86,10 @@
 //! [`CancelToken`](cuba_explore::CancelToken), both honored *inside*
 //! long rounds; [`Portfolio::run_suite`] verifies a batch of problems
 //! with bounded parallelism.
-//!
-//! # Migration note
-//!
-//! The pre-session entry points remain and behave identically — they
-//! now delegate to the [`Engine`] round-steppers:
-//!
-//! * [`alg3_explicit`]/[`alg3_symbolic`] drive an [`Alg3Engine`],
-//! * [`scheme1_explicit`]/[`scheme1_symbolic`] a [`Scheme1Engine`],
-//! * [`cba_baseline`] a [`CbaEngine`],
-//! * [`Cuba::run`] opens a single-problem [`AnalysisSession`] with one
-//!   fused arm.
-//!
-//! New code that wants streaming, cancellation, deadlines, custom
-//! lineups, or batch verification should use [`Portfolio`] and
-//! [`AnalysisSession`] directly.
 
 mod alg3;
 mod cache;
 mod cba_baseline;
-mod driver;
 mod engine;
 mod error;
 mod events;
@@ -117,13 +105,9 @@ mod snapshot_store;
 #[cfg(test)]
 mod testutil;
 
-pub use alg3::{alg3_explicit, alg3_symbolic, Alg3Config, Alg3Engine, Alg3Report};
 pub use cache::{fingerprint, same_system, CacheEntry, CacheStats, SuiteCache, SystemArtifacts};
-pub use cba_baseline::{cba_baseline, CbaConfig, CbaEngine, CbaReport, CbaVerdict};
-pub use driver::{Cuba, CubaConfig, CubaOutcome, DriverMode, EngineUsed, StageTimes};
 pub use engine::{
-    build_engine, Applicability, Engine, EngineKind, EngineParams, RoundCtx, RoundInfo,
-    RoundOutcome,
+    build_engine, Engine, EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome,
 };
 pub use error::CubaError;
 pub use events::SessionEvent;
@@ -132,11 +116,10 @@ pub use generator::GeneratorSet;
 pub use overapprox::{compute_z, thread_abstraction, AbstractTransition, ZReport};
 pub use portfolio::{Lineup, Portfolio};
 pub use property::Property;
-pub use scheme1::{
-    scheme1_explicit, scheme1_symbolic, Scheme1Config, Scheme1Engine, Scheme1Report,
-};
 pub use sequence::{GrowthLog, SequenceEvent};
-pub use session::{AnalysisSession, SchedulePolicy, SessionConfig};
+pub use session::{
+    AnalysisSession, CubaOutcome, EngineUsed, SchedulePolicy, SessionConfig, StageTimes,
+};
 pub use snapshot_store::SnapshotStore;
 
 /// The answer of a CUBA analysis.

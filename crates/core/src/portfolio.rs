@@ -295,12 +295,61 @@ mod tests {
     #[test]
     fn portfolio_reproduces_seed_verdicts() {
         let outcome = Portfolio::auto().run(fig1(), Property::True).unwrap();
-        assert!(matches!(outcome.verdict, Verdict::Safe { k: 5, .. }));
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Safe {
+                k: 5,
+                method: ConvergenceMethod::GeneratorTest
+            }
+        );
+        assert_eq!(outcome.engine, EngineUsed::Alg3Explicit);
+        assert_eq!(outcome.rounds, 6);
+        assert_eq!(outcome.states, 17);
         assert!(outcome.fcr_holds);
 
         let outcome = Portfolio::auto().run(fig2(), Property::True).unwrap();
-        assert!(outcome.verdict.is_safe());
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Safe {
+                k: 2,
+                method: ConvergenceMethod::GeneratorTest
+            }
+        );
+        assert_eq!(outcome.engine, EngineUsed::Alg3Symbolic);
         assert!(!outcome.fcr_holds);
+    }
+
+    /// The fused symbolic arm alone also proves Fig. 1, at the same
+    /// bound as the explicit one.
+    #[test]
+    fn symbolic_lineup_proves_fig1() {
+        let outcome = Portfolio::fixed(vec![EngineKind::Alg3Symbolic])
+            .run(fig1(), Property::True)
+            .unwrap();
+        assert!(matches!(outcome.verdict, Verdict::Safe { k: 5, .. }));
+        assert_eq!(outcome.engine, EngineUsed::Alg3Symbolic);
+    }
+
+    /// `run_with` streams events: one RoundCompleted per bound from
+    /// the fused arm, then the conclusion and the verdict.
+    #[test]
+    fn run_with_streams_rounds() {
+        let mut rounds = Vec::new();
+        let mut saw_verdict = false;
+        let outcome = Portfolio::auto()
+            .run_with(fig1(), Property::True, |event| match event {
+                SessionEvent::RoundCompleted {
+                    engine: EngineUsed::Alg3Explicit,
+                    k,
+                    ..
+                } => rounds.push(*k),
+                SessionEvent::Verdict { .. } => saw_verdict = true,
+                _ => {}
+            })
+            .unwrap();
+        assert!(outcome.verdict.is_safe());
+        assert_eq!(rounds, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert!(saw_verdict);
     }
 
     /// The CBA refuter can conclude with a bug but never decides a

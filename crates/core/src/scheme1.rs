@@ -1,56 +1,22 @@
-use cuba_explore::{ExplicitEngine, ExploreBudget, LayerView, SubsumptionMode, Witness};
+use cuba_explore::{ExplicitEngine, ExploreBudget, LayerView, Witness};
 use cuba_pds::Cpds;
 
-use crate::engine::{Applicability, Backend, Engine, RoundCtx, RoundInfo, RoundOutcome};
-use crate::{check_fcr, ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, Verdict};
-
-/// Configuration for Scheme 1 runs.
-#[derive(Debug, Clone)]
-pub struct Scheme1Config {
-    /// Exploration budgets.
-    pub budget: ExploreBudget,
-    /// Give up (Undetermined) after this many rounds.
-    pub max_k: usize,
-    /// Skip the FCR pre-check (callers that already checked).
-    pub skip_fcr_check: bool,
-    /// Subsumption mode for the symbolic variant.
-    pub subsumption: SubsumptionMode,
-}
-
-impl Default for Scheme1Config {
-    fn default() -> Self {
-        Scheme1Config {
-            budget: ExploreBudget::default(),
-            max_k: 64,
-            skip_fcr_check: false,
-            subsumption: SubsumptionMode::Exact,
-        }
-    }
-}
-
-/// Result of a Scheme 1 run.
-#[derive(Debug, Clone)]
-pub struct Scheme1Report {
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Rounds computed (largest `k` with `Rk` explored).
-    pub rounds: usize,
-    /// Total states stored (global states for the explicit variant,
-    /// symbolic states for the symbolic one).
-    pub states: usize,
-    /// Sizes `|Rk|` (or `|Sk|`) per bound — the observation log.
-    pub growth: GrowthLog,
-}
+use crate::engine::{Backend, Engine, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
+use crate::{ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, Verdict};
 
 /// Scheme 1 as a resumable round-stepper over the stutter-free state
-/// sequence `(Rk)` (explicit) or `(Sk)` (symbolic): compute rounds
-/// until a violation appears or a plateau is observed; by Lemma 7 a
-/// plateau of `(Rk)` *is* a collapse, so "safe" answers are sound.
+/// sequence `(Rk)` (explicit backend, the paper's `Scheme 1(Rk)`, §4)
+/// or `(Sk)` (symbolic backend): compute rounds until a violation
+/// appears or a plateau is observed; by Lemma 7 a plateau of `(Rk)`
+/// *is* a collapse, so "safe" answers are sound.
 ///
-/// The monolithic [`scheme1_explicit`]/[`scheme1_symbolic`] loops
-/// delegate here.
+/// The symbolic variant is usable when FCR fails, e.g. the Fig. 2
+/// program of Ex. 8 where `R1 ⊊ R2 = R3` and every `Rk` is infinite:
+/// a round that produces no new symbolic state soundly implies
+/// `Rk+1 ⊆ Rk`, and stutter-freeness of `(Rk)` then gives
+/// convergence.
 #[derive(Debug)]
-pub struct Scheme1Engine {
+pub(crate) struct Scheme1Engine {
     cpds: Cpds,
     property: Property,
     budget: ExploreBudget,
@@ -65,76 +31,18 @@ pub struct Scheme1Engine {
 }
 
 impl Scheme1Engine {
-    /// Scheme 1 over `(Rk)` with explicit state sets (the paper's
-    /// `Scheme 1(Rk)`, §4), on a private explorer. Performs the FCR
-    /// pre-check unless the config skips it.
-    ///
-    /// # Errors
-    ///
-    /// [`CubaError::FcrRequired`] when the system fails the FCR check
-    /// (the explicit sets may be infinite per round).
-    pub fn explicit(
+    /// Scheme 1 over the layers of `backend`.
+    pub(crate) fn new(
         cpds: &Cpds,
         property: &Property,
-        config: &Scheme1Config,
-    ) -> Result<Self, CubaError> {
-        Self::explicit_with(cpds, property, config, || {
-            Backend::explicit(cpds, config.budget.clone())
-        })
-    }
-
-    /// Scheme 1 over symbolic state sets `(Sk)` (PSA-backed): usable
-    /// when FCR fails, e.g. the Fig. 2 program of Ex. 8 where
-    /// `R1 ⊊ R2 = R3` and every `Rk` is infinite. A round that
-    /// produces no new symbolic state soundly implies `Rk+1 ⊆ Rk`;
-    /// stutter-freeness of `(Rk)` (Lemma 7) then gives convergence.
-    pub fn symbolic(cpds: &Cpds, property: &Property, config: &Scheme1Config) -> Self {
-        Self::symbolic_with(
-            cpds,
-            property,
-            config,
-            Backend::symbolic(cpds, config.budget.clone(), config.subsumption),
-        )
-    }
-
-    /// As [`explicit`](Self::explicit), borrowing a (possibly shared)
-    /// explicit backend. The backend is supplied lazily so a failing
-    /// FCR pre-check never constructs (or caches) an explorer for a
-    /// system the engine refuses to analyze.
-    pub(crate) fn explicit_with(
-        cpds: &Cpds,
-        property: &Property,
-        config: &Scheme1Config,
-        backend: impl FnOnce() -> Backend,
-    ) -> Result<Self, CubaError> {
-        if !config.skip_fcr_check && !check_fcr(cpds).holds() {
-            return Err(CubaError::FcrRequired);
-        }
-        Ok(Self::with_backend(cpds, property, config, backend()))
-    }
-
-    /// As [`symbolic`](Self::symbolic), borrowing a (possibly shared)
-    /// symbolic backend.
-    pub(crate) fn symbolic_with(
-        cpds: &Cpds,
-        property: &Property,
-        config: &Scheme1Config,
-        backend: Backend,
-    ) -> Self {
-        Self::with_backend(cpds, property, config, backend)
-    }
-
-    fn with_backend(
-        cpds: &Cpds,
-        property: &Property,
-        config: &Scheme1Config,
+        params: &EngineParams,
         backend: Backend,
     ) -> Self {
         Scheme1Engine {
             cpds: cpds.clone(),
             property: property.clone(),
-            budget: config.budget.clone(),
-            max_k: config.max_k,
+            budget: params.budget.clone(),
+            max_k: params.max_k,
             backend,
             growth: GrowthLog::new(),
             next_k: 0,
@@ -171,19 +79,6 @@ impl Scheme1Engine {
             })
         }
     }
-
-    /// Consumes the engine into the classic report.
-    pub fn into_report(self) -> Scheme1Report {
-        let rounds = self.rounds();
-        Scheme1Report {
-            verdict: self.verdict.unwrap_or_else(|| Verdict::Undetermined {
-                reason: "engine not run to conclusion".to_owned(),
-            }),
-            rounds,
-            states: self.states,
-            growth: self.growth,
-        }
-    }
 }
 
 impl Engine for Scheme1Engine {
@@ -192,16 +87,6 @@ impl Engine for Scheme1Engine {
             EngineUsed::Scheme1Symbolic
         } else {
             EngineUsed::Scheme1Explicit
-        }
-    }
-
-    fn applicability(&self, cpds: &Cpds) -> Applicability {
-        if self.backend.is_symbolic() || check_fcr(cpds).holds() {
-            Applicability::Applicable
-        } else {
-            Applicability::Inapplicable(
-                "explicit-state Scheme 1 requires finite context reachability",
-            )
         }
     }
 
@@ -292,54 +177,11 @@ fn explicit_violation_witness(
     None
 }
 
-/// Drives a [`Scheme1Engine`] to conclusion.
-fn run_to_conclusion(mut engine: Scheme1Engine) -> Result<Scheme1Report, CubaError> {
-    let mut ctx = RoundCtx::new();
-    loop {
-        if let RoundOutcome::Concluded { .. } = engine.step(&mut ctx)? {
-            return Ok(engine.into_report());
-        }
-    }
-}
-
-/// Scheme 1 over the stutter-free sequence `(Rk)` with explicit state
-/// sets (the paper's `Scheme 1(Rk)`, §4): compute `R1, R2, …` until a
-/// violation appears or a plateau is observed; by Lemma 7 a plateau of
-/// `(Rk)` *is* a collapse, so "safe" answers are sound. Delegates to
-/// [`Scheme1Engine`].
-///
-/// # Errors
-///
-/// Returns [`CubaError::FcrRequired`] when the system fails the FCR
-/// check (the explicit sets may be infinite per round), or a budget
-/// error from the engine.
-pub fn scheme1_explicit(
-    cpds: &Cpds,
-    property: &Property,
-    config: &Scheme1Config,
-) -> Result<Scheme1Report, CubaError> {
-    run_to_conclusion(Scheme1Engine::explicit(cpds, property, config)?)
-}
-
-/// Scheme 1 over symbolic state sets `(Sk)` (PSA-backed): usable when
-/// FCR fails. Delegates to [`Scheme1Engine`].
-///
-/// # Errors
-///
-/// Returns a budget error when the symbolic state set explodes.
-pub fn scheme1_symbolic(
-    cpds: &Cpds,
-    property: &Property,
-    config: &Scheme1Config,
-) -> Result<Scheme1Report, CubaError> {
-    run_to_conclusion(Scheme1Engine::symbolic(cpds, property, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{fig1, fig2};
-    use crate::SequenceEvent;
+    use crate::testutil::{fig1, fig2, run_engine};
+    use crate::{EngineKind, SequenceEvent};
     use cuba_pds::{SharedState, StackSym, VisibleState};
 
     fn vis(qq: u32, tops: &[Option<u32>]) -> VisibleState {
@@ -349,41 +191,45 @@ mod tests {
         )
     }
 
+    /// The verdict of a Scheme 1 run with default parameters.
+    fn scheme1(kind: EngineKind, cpds: &Cpds, property: &Property) -> Verdict {
+        run_engine(kind, cpds, property, &EngineParams::default())
+            .unwrap()
+            .1
+    }
+
     /// Ex. 8 shape on Fig. 2: symbolic Scheme 1 proves convergence even
     /// though every `Rk` is infinite.
     #[test]
     fn fig2_symbolic_scheme1_converges() {
-        let report = scheme1_symbolic(&fig2(), &Property::True, &Scheme1Config::default()).unwrap();
-        match report.verdict {
+        match scheme1(EngineKind::Scheme1Symbolic, &fig2(), &Property::True) {
             Verdict::Safe { k, method } => {
-                assert_eq!(method, crate::ConvergenceMethod::SkCollapse);
+                assert_eq!(method, ConvergenceMethod::SkCollapse);
                 assert!(k <= 6, "collapse too late: k={k}");
             }
             other => panic!("expected Safe, got {other:?}"),
         }
     }
 
-    /// Fig. 2 rejected by the explicit variant: FCR fails.
-    #[test]
-    fn fig2_explicit_scheme1_requires_fcr() {
-        let err =
-            scheme1_explicit(&fig2(), &Property::True, &Scheme1Config::default()).unwrap_err();
-        assert_eq!(err, CubaError::FcrRequired);
-    }
-
     /// On Fig. 1, (Rk) diverges; Scheme 1(Rk) must come back
     /// undetermined at the round limit (this is why Alg. 3 exists).
     #[test]
     fn fig1_explicit_scheme1_diverges() {
-        let config = Scheme1Config {
+        let params = EngineParams {
             max_k: 10,
-            ..Scheme1Config::default()
+            ..EngineParams::default()
         };
-        let report = scheme1_explicit(&fig1(), &Property::True, &config).unwrap();
-        assert!(matches!(report.verdict, Verdict::Undetermined { .. }));
-        assert_eq!(report.rounds, 10);
+        let (engine, verdict, _) = run_engine(
+            EngineKind::Scheme1Explicit,
+            &fig1(),
+            &Property::True,
+            &params,
+        )
+        .unwrap();
+        assert!(matches!(verdict, Verdict::Undetermined { .. }));
+        assert_eq!(engine.rounds(), 10);
         // |Rk| strictly grows every round on Fig. 1.
-        let sizes = report.growth.sizes();
+        let sizes = engine.growth().sizes();
         for w in sizes.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -395,8 +241,7 @@ mod tests {
     fn fig1_unsafe_with_witness() {
         let cpds = fig1();
         let property = Property::never_visible(vis(3, &[Some(2), Some(4)]));
-        let report = scheme1_explicit(&cpds, &property, &Scheme1Config::default()).unwrap();
-        match report.verdict {
+        match scheme1(EngineKind::Scheme1Explicit, &cpds, &property) {
             Verdict::Unsafe { k, witness } => {
                 assert_eq!(k, 2);
                 let w = witness.expect("explicit engine yields witnesses");
@@ -414,8 +259,7 @@ mod tests {
     fn fig1_unsafe_symbolic_same_bound_with_witness() {
         let cpds = fig1();
         let property = Property::never_visible(vis(3, &[Some(2), Some(4)]));
-        let report = scheme1_symbolic(&cpds, &property, &Scheme1Config::default()).unwrap();
-        match report.verdict {
+        match scheme1(EngineKind::Scheme1Symbolic, &cpds, &property) {
             Verdict::Unsafe { k, witness } => {
                 assert_eq!(k, 2);
                 let w = witness.expect("bounded search reconstructs the path");
@@ -434,8 +278,7 @@ mod tests {
         let cpds = fig2();
         // ⟨x=1|4,9⟩ is the Ex. 8 state, reachable within 2 contexts.
         let property = Property::never_visible(vis(2, &[Some(4), Some(9)]));
-        let report = scheme1_symbolic(&cpds, &property, &Scheme1Config::default()).unwrap();
-        match report.verdict {
+        match scheme1(EngineKind::Scheme1Symbolic, &cpds, &property) {
             Verdict::Unsafe { k, witness } => {
                 assert_eq!(k, 2);
                 let w = witness.expect("witness search works without FCR");
@@ -451,10 +294,12 @@ mod tests {
     fn initial_violation_is_k0() {
         let cpds = fig1();
         let property = Property::never_visible(vis(0, &[Some(1), Some(4)]));
-        let report = scheme1_explicit(&cpds, &property, &Scheme1Config::default()).unwrap();
-        assert!(matches!(report.verdict, Verdict::Unsafe { k: 0, .. }));
-        let report = scheme1_symbolic(&cpds, &property, &Scheme1Config::default()).unwrap();
-        assert!(matches!(report.verdict, Verdict::Unsafe { k: 0, .. }));
+        for kind in [EngineKind::Scheme1Explicit, EngineKind::Scheme1Symbolic] {
+            assert!(matches!(
+                scheme1(kind, &cpds, &property),
+                Verdict::Unsafe { k: 0, .. }
+            ));
+        }
     }
 
     /// Round-stepping surface: the diverging Fig. 1 run yields one
@@ -462,11 +307,16 @@ mod tests {
     /// the round limit (with no final round computed).
     #[test]
     fn engine_steps_until_round_limit() {
-        let config = Scheme1Config {
+        let params = EngineParams {
             max_k: 4,
-            ..Scheme1Config::default()
+            ..EngineParams::default()
         };
-        let mut engine = Scheme1Engine::explicit(&fig1(), &Property::True, &config).unwrap();
+        let mut engine = crate::build_engine(
+            EngineKind::Scheme1Explicit,
+            &fig1(),
+            &Property::True,
+            &params,
+        );
         let mut ctx = RoundCtx::new();
         for expected_k in 0..=4usize {
             match engine.step(&mut ctx).unwrap() {

@@ -7,7 +7,9 @@
 //! [`CancelToken`]; `Undetermined` conclusions and engine failures
 //! merely retire an arm. Every arm advances through the same bounds in
 //! lockstep, so the lineup order decides ties: an arm listed first
-//! wins a round in which several arms conclude.
+//! wins a round in which several arms conclude, and when no arm
+//! decides, the undetermined answer comes from the first-listed arm
+//! among those that got furthest.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,10 +21,91 @@ use cuba_telemetry::metrics::{round_scope, Stage, METRICS};
 use cuba_telemetry::trace;
 
 use crate::engine::{build_engine, Engine, EngineKind, EngineParams, RoundCtx, RoundOutcome};
-use crate::{
-    CubaError, CubaOutcome, EngineUsed, Property, SessionEvent, StageTimes, SystemArtifacts,
-    Verdict,
-};
+use crate::{CubaError, Property, SessionEvent, SystemArtifacts, Verdict};
+
+/// Which engine produced the verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineUsed {
+    /// Explicit-state `Alg 3(T(Rk))`.
+    Alg3Explicit,
+    /// Explicit-state `Scheme 1(Rk)`.
+    Scheme1Explicit,
+    /// Symbolic `Alg 3(T(Sk))`.
+    Alg3Symbolic,
+    /// Symbolic `Scheme 1(Sk)` (extension).
+    Scheme1Symbolic,
+    /// The context-bounded baseline refuter (Qadeer–Rehof style).
+    CbaBaseline,
+}
+
+impl std::fmt::Display for EngineUsed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineUsed::Alg3Explicit => write!(f, "Alg3(T(Rk))"),
+            EngineUsed::Scheme1Explicit => write!(f, "Scheme1(Rk)"),
+            EngineUsed::Alg3Symbolic => write!(f, "Alg3(T(Sk))"),
+            EngineUsed::Scheme1Symbolic => write!(f, "Scheme1(Sk)"),
+            EngineUsed::CbaBaseline => write!(f, "CBA"),
+        }
+    }
+}
+
+/// Wall-clock split of a run across the analysis stages, summed over
+/// completed rounds of all arms. Every exploration advance books as
+/// `saturate`, the CBA refuter's private one included. `saturate`
+/// *contains* `merge` (the explicit engine's layer commits happen
+/// inside exploration advances); `check` is the round remainder
+/// (membership and convergence tests), so `saturate + check ≈
+/// round_wall`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Time inside exploration advances (`ensure_layer`).
+    pub saturate: Duration,
+    /// Round time outside exploration: membership and convergence.
+    pub check: Duration,
+    /// Time inside explicit layer commits (a subset of `saturate`).
+    pub merge: Duration,
+}
+
+impl StageTimes {
+    /// Component-wise sum.
+    pub fn add(&mut self, other: &StageTimes) {
+        self.saturate += other.saturate;
+        self.check += other.check;
+        self.merge += other.merge;
+    }
+}
+
+/// Outcome of an [`AnalysisSession`].
+#[derive(Debug, Clone)]
+pub struct CubaOutcome {
+    /// The verdict.
+    pub verdict: Verdict,
+    /// Whether FCR holds for the input (drives engine choice and is
+    /// itself a Table 2 column).
+    pub fcr_holds: bool,
+    /// The engine that produced the verdict.
+    pub engine: EngineUsed,
+    /// Number of stored states in the deciding engine.
+    pub states: usize,
+    /// Rounds computed by the deciding engine.
+    pub rounds: usize,
+    /// Wall-clock duration of the run.
+    pub duration: Duration,
+    /// Wall-clock spent inside completed rounds, summed over *all*
+    /// arms — the cost-accounting view of the session (FCR/G∩Z
+    /// precomputation excluded).
+    pub round_wall: Duration,
+    /// Rounds whose layer was explored *live* by this run, summed over
+    /// all arms. With layer sharing ("one system, many properties") a
+    /// warm run replays instead of exploring.
+    pub rounds_explored: usize,
+    /// Rounds replayed from a shared explorer's existing layers.
+    pub rounds_replayed: usize,
+    /// Per-stage wall-clock split of the completed rounds, summed
+    /// over all arms (see [`StageTimes`]).
+    pub stages: StageTimes,
+}
 
 /// The arm scheduling policy. Sessions always step their arms
 /// round-robin in lineup order, so the policy has exactly one value.
@@ -38,7 +121,7 @@ pub enum SchedulePolicy {
 
 /// Configuration of an [`AnalysisSession`] (and of the
 /// [`Portfolio`](crate::Portfolio) built on top of it).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Exploration budget handed to every engine.
     pub budget: ExploreBudget,
@@ -57,9 +140,15 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Defaults matching [`CubaConfig`](crate::CubaConfig): generous
-    /// budget, 64 rounds, exact subsumption, no timeout.
+    /// The defaults: generous budget, 64 rounds, exact subsumption, no
+    /// timeout (the same as [`SessionConfig::default`]).
     pub fn new() -> Self {
+        SessionConfig::default()
+    }
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
         SessionConfig {
             budget: ExploreBudget::default(),
             max_k: 64,
@@ -175,7 +264,6 @@ impl AnalysisSession {
             max_k: config.max_k,
             subsumption: config.subsumption,
             fuse_collapse: true,
-            skip_fcr_check: true,
             g_cap_z,
             // Arms borrow the system's shared explorers: one `(Rk)`
             // and/or `(Sk)` exploration per system, however many arms,
@@ -197,7 +285,7 @@ impl AnalysisSession {
                 ..params.clone()
             };
             arms.push(Arm {
-                engine: build_engine(*kind, &cpds, &property, &params)?,
+                engine: build_engine(*kind, &cpds, &property, &params),
                 retired: false,
                 error: None,
             });
@@ -358,18 +446,18 @@ impl AnalysisSession {
 
     /// All arms are retired: pick the best available answer.
     ///
-    /// Preference order mirrors the old driver's `pick_winner`:
-    /// a conclusive verdict (handled in `step_once`), then an
-    /// `Undetermined` conclusion, then interruption, then the first
-    /// hard error.
+    /// Preference order: a conclusive verdict (handled in
+    /// `step_once`), then an `Undetermined` conclusion, then
+    /// interruption, then the first hard error. Among arms that got
+    /// equally far, the first-listed one answers.
     fn finalize(&mut self) {
         // An Undetermined conclusion from the arm that got furthest.
-        let undetermined = self
-            .arms
-            .iter()
-            .filter(|arm| arm.error.is_none())
-            .filter(|arm| arm.engine.verdict().is_some())
-            .max_by_key(|arm| arm.engine.rounds());
+        let undetermined = furthest(
+            self.arms
+                .iter()
+                .filter(|arm| arm.error.is_none())
+                .filter(|arm| arm.engine.verdict().is_some()),
+        );
         if let Some(arm) = undetermined {
             let verdict = arm.engine.verdict().expect("filtered above").clone();
             let outcome = CubaOutcome {
@@ -394,11 +482,7 @@ impl AnalysisSession {
             _ => None,
         });
         if let Some(reason) = interrupted {
-            let best = self
-                .arms
-                .iter()
-                .max_by_key(|arm| arm.engine.rounds())
-                .expect("sessions have at least one arm");
+            let best = furthest(self.arms.iter()).expect("sessions have at least one arm");
             let outcome = CubaOutcome {
                 verdict: Verdict::Undetermined {
                     reason: reason.to_string(),
@@ -465,6 +549,12 @@ impl AnalysisSession {
         }
         self.into_outcome()
     }
+}
+
+/// The arm that computed the most rounds; the first-listed one on a
+/// tie (`max_by_key` would pick the last).
+fn furthest<'a>(arms: impl Iterator<Item = &'a Arm>) -> Option<&'a Arm> {
+    arms.min_by_key(|arm| std::cmp::Reverse(arm.engine.rounds()))
 }
 
 /// Builds the `RoundCompleted` event for a computed round.
@@ -561,14 +651,15 @@ mod tests {
     /// Explicit-only lineups refuse FCR-violating systems.
     #[test]
     fn explicit_lineup_requires_fcr() {
-        let err = AnalysisSession::new(
-            fig2(),
-            Property::True,
+        for lineup in [
+            &[EngineKind::Alg3Explicit][..],
+            &[EngineKind::Scheme1Explicit],
             &[EngineKind::Alg3Explicit, EngineKind::Scheme1Explicit],
-            &SessionConfig::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err, CubaError::FcrRequired);
+        ] {
+            let err = AnalysisSession::new(fig2(), Property::True, lineup, &SessionConfig::new())
+                .unwrap_err();
+            assert_eq!(err, CubaError::FcrRequired, "{lineup:?}");
+        }
     }
 
     /// Inapplicable arms are dropped, applicable ones keep running.
@@ -609,8 +700,7 @@ mod tests {
     /// this test would spin until the budget, not the deadline.
     #[test]
     fn deadline_interrupts_mid_round() {
-        let config = SessionConfig {
-            timeout: Some(Duration::from_millis(30)),
+        let params = EngineParams {
             // A budget big enough that Fig. 2's diverging closure
             // would outlive the deadline many times over.
             budget: ExploreBudget {
@@ -618,22 +708,14 @@ mod tests {
                 max_states_per_context: 50_000_000,
                 max_stack_depth: 1_000_000,
                 ..ExploreBudget::default()
-            },
-            ..SessionConfig::new()
+            }
+            .with_interrupt(Interrupt::none().with_timeout(Duration::from_millis(30))),
+            ..EngineParams::default()
         };
         // Force the *explicit* engine onto the FCR-violating system by
         // building it directly (the session would drop it).
-        let alg3_config = crate::Alg3Config {
-            budget: config
-                .budget
-                .clone()
-                .with_interrupt(Interrupt::none().with_timeout(Duration::from_millis(30))),
-            skip_fcr_check: true,
-            ..crate::Alg3Config::default()
-        };
         let start = Instant::now();
-        let mut engine =
-            crate::Alg3Engine::explicit(&fig2(), &Property::True, &alg3_config).unwrap();
+        let mut engine = build_engine(EngineKind::Alg3Explicit, &fig2(), &Property::True, &params);
         let mut ctx = RoundCtx::new();
         // Round 0 is the initial state; round 1 diverges.
         engine.step(&mut ctx).unwrap();
@@ -692,5 +774,63 @@ mod tests {
             }
             other => panic!("expected Unsafe at 5, got {other:?}"),
         }
+    }
+
+    /// `SessionConfig::default()` and `SessionConfig::new()` are the
+    /// same configuration, so a default session proves Fig. 1 safe at
+    /// k = 5 instead of giving up within zero contexts.
+    #[test]
+    fn default_config_proves_fig1() {
+        let session = AnalysisSession::new(
+            fig1(),
+            Property::True,
+            &fcr_lineup(),
+            &SessionConfig::default(),
+        )
+        .unwrap();
+        let outcome = session.run().unwrap();
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Safe {
+                k: 5,
+                method: ConvergenceMethod::GeneratorTest
+            }
+        );
+        assert_eq!(SessionConfig::default().max_k, SessionConfig::new().max_k);
+    }
+
+    /// When no arm decides, lineup order breaks the tie: both arms of
+    /// the FCR lineup compute 3 rounds on Fig. 1, and the fused arm,
+    /// listed first, gives the answer.
+    #[test]
+    fn undetermined_answer_comes_from_the_first_listed_arm() {
+        let config = SessionConfig {
+            max_k: 3,
+            ..SessionConfig::new()
+        };
+        let session = AnalysisSession::new(fig1(), Property::True, &fcr_lineup(), &config).unwrap();
+        let outcome = session.run().unwrap();
+        assert_eq!(outcome.engine, EngineUsed::Alg3Explicit);
+        assert_eq!(outcome.rounds, 3);
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Undetermined {
+                reason: "no convergence within 3 rounds".to_owned()
+            }
+        );
+    }
+
+    /// The same rule holds for interrupted sessions: every arm is
+    /// stopped before its first round, and the first-listed one
+    /// answers.
+    #[test]
+    fn interrupted_answer_comes_from_the_first_listed_arm() {
+        let config = SessionConfig {
+            timeout: Some(Duration::ZERO),
+            ..SessionConfig::new()
+        };
+        let session = AnalysisSession::new(fig1(), Property::True, &fcr_lineup(), &config).unwrap();
+        let outcome = session.run().unwrap();
+        assert_eq!(outcome.engine, EngineUsed::Alg3Explicit);
     }
 }

@@ -3,6 +3,11 @@
 
 use cuba_pds::{Cpds, CpdsBuilder, PdsBuilder, SharedState, StackSym};
 
+use crate::{
+    build_engine, CubaError, Engine, EngineKind, EngineParams, Property, RoundCtx, RoundOutcome,
+    SequenceEvent, Verdict,
+};
+
 fn q(n: u32) -> SharedState {
     SharedState(n)
 }
@@ -57,4 +62,51 @@ pub fn fig2() -> Cpds {
         .thread(p2.build().unwrap(), [s(6)])
         .build()
         .unwrap()
+}
+
+/// A concluded engine (for its rounds, states and growth log), its
+/// verdict, and every step's outcome, the concluding one last.
+pub type Run = (Box<dyn Engine>, Verdict, Vec<RoundOutcome>);
+
+/// Steps a freshly built engine to its conclusion.
+pub fn run_engine(
+    kind: EngineKind,
+    cpds: &Cpds,
+    property: &Property,
+    params: &EngineParams,
+) -> Result<Run, CubaError> {
+    let mut engine = build_engine(kind, cpds, property, params);
+    let mut ctx = RoundCtx::new();
+    let mut steps = Vec::new();
+    loop {
+        let outcome = engine.step(&mut ctx)?;
+        if let Some(verdict) = outcome.verdict().cloned() {
+            steps.push(outcome);
+            return Ok((engine, verdict, steps));
+        }
+        steps.push(outcome);
+    }
+}
+
+/// The paper's pure Algorithm 3: the state-collapse test is off.
+pub fn unfused() -> EngineParams {
+    EngineParams {
+        fuse_collapse: false,
+        ..EngineParams::default()
+    }
+}
+
+/// The plateaus an Algorithm 3 run rejected (Ex. 14): the bounds
+/// `k − 1` of rounds that continued although `T(Rk)` had just
+/// plateaued.
+pub fn rejected_plateaus(steps: &[RoundOutcome]) -> Vec<usize> {
+    steps
+        .iter()
+        .filter_map(|step| match step {
+            RoundOutcome::Continue(info) if info.event == SequenceEvent::NewPlateau => {
+                Some(info.k - 1)
+            }
+            _ => None,
+        })
+        .collect()
 }

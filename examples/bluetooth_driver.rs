@@ -8,7 +8,7 @@
 //! ```
 
 use cuba::benchmarks::bluetooth::{build, property, Version};
-use cuba::core::{check_fcr, Cuba, CubaConfig, Verdict};
+use cuba::core::{check_fcr, Portfolio, Verdict};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (version, name) in [
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("== Bluetooth {name}, 1 stopper + 1 adder + counter thread ==");
         let cpds = build(version, 1, 1);
         println!("   FCR: {}", check_fcr(&cpds));
-        let outcome = Cuba::new(cpds, property()).run(&CubaConfig::default())?;
+        let outcome = Portfolio::auto().run(cpds, property())?;
         match &outcome.verdict {
             Verdict::Unsafe { k, witness } => {
                 println!("   UNSAFE: driver assertion fails within {k} contexts");

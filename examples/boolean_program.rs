@@ -7,7 +7,7 @@
 //! ```
 
 use cuba::boolprog::{parse, translate};
-use cuba::core::{check_fcr, Cuba, CubaConfig, Verdict};
+use cuba::core::{check_fcr, Portfolio, Verdict};
 
 const FIG2: &str = r#"
     decl x;
@@ -63,7 +63,7 @@ fn analyze(name: &str, source: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("   FCR: {}", check_fcr(&translated.cpds));
     let property = translated.error_free_property();
-    let outcome = Cuba::new(translated.cpds.clone(), property).run(&CubaConfig::default())?;
+    let outcome = Portfolio::auto().run(translated.cpds.clone(), property)?;
     match &outcome.verdict {
         Verdict::Safe { k, method } => {
             println!("   all assertions hold for any context bound (k = {k}, {method})")

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use cuba::core::{Cuba, CubaConfig, Property, Verdict};
+use cuba::core::{Portfolio, Property, Verdict};
 use cuba::pds::{CpdsBuilder, PdsBuilder, SharedState, StackSym, VisibleState};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    number of contexts. Context-bounded tools cannot conclude
     //    this; CUBA detects convergence of (T(Rk)) at k = 5.
     let safe_target = VisibleState::new(q(2), vec![Some(s(1)), Some(s(5))]);
-    let outcome = Cuba::new(cpds.clone(), Property::never_visible(safe_target.clone()))
-        .run(&CubaConfig::default())?;
+    let outcome =
+        Portfolio::auto().run(cpds.clone(), Property::never_visible(safe_target.clone()))?;
     println!("\nproperty never({safe_target}): {}", outcome.verdict);
     println!(
         "  engine: {}, rounds: {}, states: {}",
@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Refute: ⟨1|2,6⟩ IS reachable — first at context bound 5.
     let bug_target = VisibleState::new(q(1), vec![Some(s(2)), Some(s(6))]);
-    let outcome = Cuba::new(cpds.clone(), Property::never_visible(bug_target.clone()))
-        .run(&CubaConfig::default())?;
+    let outcome =
+        Portfolio::auto().run(cpds.clone(), Property::never_visible(bug_target.clone()))?;
     println!("\nproperty never({bug_target}): {}", outcome.verdict);
     if let Verdict::Unsafe {
         k,

@@ -7,7 +7,7 @@
 //! * [`pds`] — pushdown systems and concurrent pushdown systems (§2)
 //! * [`automata`] — finite automata, pushdown store automata, `post*`/`pre*`
 //! * [`explore`] — explicit and symbolic context-bounded reachability
-//! * [`core`] — observation sequences, Scheme 1, Algorithm 3, FCR, the driver
+//! * [`core`] — observation sequences, Scheme 1, Algorithm 3, FCR, the portfolio
 //! * [`boolprog`] — the concurrent Boolean program frontend (App. B)
 //! * [`reduce`] — verdict-preserving static pre-analysis and lints
 //! * [`benchmarks`] — the paper's running examples and benchmark suite
@@ -36,8 +36,7 @@
 //! For round-by-round streaming, cancellation, deadlines and batch
 //! verification, open an [`AnalysisSession`](core::AnalysisSession)
 //! via [`Portfolio::session`](core::Portfolio::session) or use
-//! [`Portfolio::run_suite`](core::Portfolio::run_suite); the classic
-//! blocking driver remains as [`Cuba`](core::Cuba).
+//! [`Portfolio::run_suite`](core::Portfolio::run_suite).
 
 pub use cuba_automata as automata;
 pub use cuba_benchmarks as benchmarks;

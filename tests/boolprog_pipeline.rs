@@ -4,7 +4,7 @@
 
 use cuba::benchmarks::fig2;
 use cuba::boolprog::{parse, translate};
-use cuba::core::{check_fcr, scheme1_symbolic, Cuba, CubaConfig, Property, Scheme1Config, Verdict};
+use cuba::core::{check_fcr, EngineKind, Portfolio, Property, Verdict};
 
 const FIG2_SOURCE: &str = r#"
     decl x;
@@ -41,10 +41,9 @@ fn fig2_source_translates_like_the_hand_model() {
 
     // Same analysis outcome: the symbolic (Sk) sequence collapses at a
     // small bound for both encodings (Ex. 8's R2 = R3 phenomenon).
-    let hand =
-        scheme1_symbolic(&fig2::build(), &Property::True, &Scheme1Config::default()).unwrap();
-    let ours =
-        scheme1_symbolic(&translated.cpds, &Property::True, &Scheme1Config::default()).unwrap();
+    let scheme1 = Portfolio::fixed(vec![EngineKind::Scheme1Symbolic]);
+    let hand = scheme1.run(fig2::build(), Property::True).unwrap();
+    let ours = scheme1.run(translated.cpds, Property::True).unwrap();
     match (&hand.verdict, &ours.verdict) {
         (Verdict::Safe { k: k1, .. }, Verdict::Safe { k: k2, .. }) => {
             assert!(*k1 <= 6 && *k2 <= 8, "both collapse early: {k1}, {k2}");
@@ -74,9 +73,7 @@ fn fig2_assertion_variant_is_verified() {
     "#;
     let t = translate(&parse(safe).unwrap()).unwrap();
     let property = t.error_free_property();
-    let outcome = Cuba::new(t.cpds, property)
-        .run(&CubaConfig::default())
-        .unwrap();
+    let outcome = Portfolio::auto().run(t.cpds, property).unwrap();
     assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
 }
 
@@ -102,9 +99,7 @@ fn fig2_wrong_assertion_is_refuted() {
     "#;
     let t = translate(&parse(unsafe_src).unwrap()).unwrap();
     let property = t.error_free_property();
-    let outcome = Cuba::new(t.cpds, property)
-        .run(&CubaConfig::default())
-        .unwrap();
+    let outcome = Portfolio::auto().run(t.cpds, property).unwrap();
     match outcome.verdict {
         Verdict::Unsafe { k, .. } => assert!(k <= 4, "bug at small bound, got {k}"),
         other => panic!("expected Unsafe, got {other:?}"),
@@ -121,9 +116,7 @@ fn translated_witnesses_replay() {
     "#;
     let t = translate(&parse(src).unwrap()).unwrap();
     let property = t.error_free_property();
-    let outcome = Cuba::new(t.cpds.clone(), property)
-        .run(&CubaConfig::default())
-        .unwrap();
+    let outcome = Portfolio::auto().run(t.cpds.clone(), property).unwrap();
     match outcome.verdict {
         Verdict::Unsafe {
             witness: Some(w), ..

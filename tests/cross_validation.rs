@@ -17,8 +17,8 @@ use std::collections::HashSet;
 
 use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
 use cuba::core::{
-    alg3_explicit, check_fcr, compute_z, scheme1_explicit, Alg3Config, CubaError, CubaOutcome,
-    EngineKind, Portfolio, Property, Scheme1Config, SessionConfig, Verdict,
+    check_fcr, compute_z, CubaError, CubaOutcome, EngineKind, Portfolio, Property, SessionConfig,
+    Verdict,
 };
 use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
 use cuba::pds::rng::{shrink, shrink_usize};
@@ -141,25 +141,19 @@ fn scheme1_and_alg3_agree() {
         // some seeds, unreachable for others.
         let target = cpds.all_visible_states().into_iter().last().unwrap();
         let property = Property::never_visible(target);
-        let s1 = scheme1_explicit(
-            &cpds,
-            &property,
-            &Scheme1Config {
-                budget: small_budget(),
-                max_k: 12,
-                ..Scheme1Config::default()
-            },
-        );
-        let a3 = alg3_explicit(
-            &cpds,
-            &property,
-            &Alg3Config {
-                budget: small_budget(),
-                max_k: 12,
-                ..Alg3Config::default()
-            },
-        );
-        let (Ok(s1), Ok(a3)) = (s1, a3) else {
+        let run = |kind| {
+            Portfolio::fixed(vec![kind])
+                .with_config(SessionConfig {
+                    budget: small_budget(),
+                    max_k: 12,
+                    ..SessionConfig::new()
+                })
+                .run(cpds.clone(), property.clone())
+        };
+        let (Ok(s1), Ok(a3)) = (
+            run(EngineKind::Scheme1Explicit),
+            run(EngineKind::Alg3Explicit),
+        ) else {
             continue;
         };
         checked += 1;
@@ -242,8 +236,8 @@ fn pushy_agreement_specific_seeds() {
 
 /// What the lineup comparison checks: the verdict word, the bound, the
 /// convergence method and the deciding engine (errors by message). An
-/// undetermined outcome names no engine: it comes from whichever arm
-/// stepped last, which differs between lineups by construction.
+/// undetermined outcome names no engine: which arm gives it depends on
+/// the arms a lineup has and how far each got.
 fn decision(result: &Result<CubaOutcome, CubaError>) -> String {
     match result {
         Ok(o) => match &o.verdict {

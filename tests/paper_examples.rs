@@ -7,8 +7,9 @@ use std::collections::HashSet;
 use cuba::automata::{bounded_reach, post_star_from_config};
 use cuba::benchmarks::{fig1, fig2, fig7};
 use cuba::core::{
-    alg3_explicit, alg3_symbolic, check_fcr, compute_z, scheme1_explicit, scheme1_symbolic,
-    Alg3Config, ConvergenceMethod, CubaError, GeneratorSet, Property, Scheme1Config, Verdict,
+    build_engine, check_fcr, compute_z, ConvergenceMethod, CubaError, EngineKind, EngineParams,
+    GeneratorSet, Portfolio, Property, RoundCtx, RoundOutcome, SequenceEvent, SystemArtifacts,
+    Verdict,
 };
 use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
 use cuba::pds::{SharedState, StackSym, VisibleState};
@@ -63,28 +64,42 @@ fn fig1_z_has_exactly_eight_states() {
     assert!(!z.states.contains(&vis(2, &[Some(1), Some(5)])));
 }
 
-/// Ex. 14: G∩Z, the rejected plateau at 2, the collapse at 5.
+/// Ex. 14: G∩Z, the rejected plateau at 2, the collapse at 5. The
+/// run is the paper's Alg. 3: the state-collapse test is off, and a
+/// new plateau that does not conclude failed the generator test.
 #[test]
 fn fig1_example14_run() {
     let cpds = fig1::build();
-    let config = Alg3Config {
-        use_state_collapse: false,
-        ..Alg3Config::default()
+    let params = EngineParams {
+        fuse_collapse: false,
+        ..EngineParams::default()
     };
-    let report = alg3_explicit(&cpds, &Property::True, &config).unwrap();
+    let mut engine = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
+    let mut ctx = RoundCtx::new();
+    let mut rejected_plateaus = Vec::new();
+    let verdict = loop {
+        match engine.step(&mut ctx).unwrap() {
+            RoundOutcome::Continue(info) => {
+                if info.event == SequenceEvent::NewPlateau {
+                    rejected_plateaus.push(info.k - 1);
+                }
+            }
+            RoundOutcome::Concluded { verdict, .. } => break verdict,
+        }
+    };
     assert_eq!(
-        report.g_cap_z,
+        *SystemArtifacts::new().g_cap_z(&cpds),
         vec![vis(0, &[Some(1), None]), vis(0, &[Some(1), Some(6)])]
     );
-    assert_eq!(report.rejected_plateaus, vec![2]);
-    assert_eq!(report.visible_growth.sizes(), &[1, 3, 6, 6, 7, 8, 8]);
-    assert!(matches!(
-        report.verdict,
+    assert_eq!(rejected_plateaus, vec![2]);
+    assert_eq!(engine.growth().sizes(), &[1, 3, 6, 6, 7, 8, 8]);
+    assert_eq!(
+        verdict,
         Verdict::Safe {
             k: 5,
             method: ConvergenceMethod::GeneratorTest
         }
-    ));
+    );
 }
 
 /// The generator set predicate of Ex. 14, spot-checked.
@@ -130,8 +145,10 @@ fn fig2_example8() {
     engine.advance().unwrap();
     assert!(engine.covers(&target), "reachable with two contexts");
 
-    let report = scheme1_symbolic(&cpds, &Property::True, &Scheme1Config::default()).unwrap();
-    match report.verdict {
+    let outcome = Portfolio::fixed(vec![EngineKind::Scheme1Symbolic])
+        .run(cpds.clone(), Property::True)
+        .unwrap();
+    match outcome.verdict {
         Verdict::Safe { k, method } => {
             assert_eq!(method, ConvergenceMethod::SkCollapse);
             assert!(
@@ -143,7 +160,9 @@ fn fig2_example8() {
     }
 
     assert_eq!(
-        scheme1_explicit(&cpds, &Property::True, &Scheme1Config::default()).unwrap_err(),
+        Portfolio::fixed(vec![EngineKind::Scheme1Explicit])
+            .run(cpds, Property::True)
+            .unwrap_err(),
         CubaError::FcrRequired
     );
 }
@@ -153,8 +172,10 @@ fn fig2_example8() {
 fn fig2_symbolic_alg3_proves_safety() {
     let cpds = fig2::build();
     let property = Property::never_visible(fig2::unreachable_visible());
-    let report = alg3_symbolic(&cpds, &property, &Alg3Config::default()).unwrap();
-    assert!(report.verdict.is_safe(), "{:?}", report.verdict);
+    let outcome = Portfolio::fixed(vec![EngineKind::Alg3Symbolic])
+        .run(cpds, property)
+        .unwrap();
+    assert!(outcome.verdict.is_safe(), "{:?}", outcome.verdict);
 }
 
 /// Fig. 7 (App. C): the PSA of the example PDS agrees with explicit
@@ -188,8 +209,10 @@ fn fig7_psa_is_exact_on_short_stacks() {
 fn witnesses_replay() {
     let cpds = fig1::build();
     let property = Property::never_visible(fig1::deep_visible());
-    let report = alg3_explicit(&cpds, &property, &Alg3Config::default()).unwrap();
-    match report.verdict {
+    let outcome = Portfolio::fixed(vec![EngineKind::Alg3Explicit])
+        .run(cpds.clone(), property)
+        .unwrap();
+    match outcome.verdict {
         Verdict::Unsafe { k, witness } => {
             assert_eq!(k, 5);
             let w = witness.expect("explicit engines yield witnesses");

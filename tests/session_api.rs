@@ -1,18 +1,16 @@
-//! Integration tests of the redesigned public API: the `Engine`
-//! trait's round-stepping must be observationally equivalent to the
-//! classic monolithic loops, sessions must stream one round event per
-//! computed bound, cancellation and deadlines must stop work
-//! cooperatively, and the portfolio must agree with the fused driver
-//! on both running examples.
+//! Integration tests of the public API: stepping an `Engine` through
+//! the trait object must reproduce the paper's runs, sessions must
+//! stream one round event per computed bound, cancellation and
+//! deadlines must stop work cooperatively, and the portfolio must
+//! decide both running examples as the paper does.
 
 use std::time::Duration;
 
 use cuba::benchmarks::suite::table2_suite;
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
-    alg3_explicit, alg3_symbolic, build_engine, scheme1_symbolic, Alg3Config, AnalysisSession,
-    Cuba, CubaConfig, EngineKind, EngineParams, Portfolio, Property, RoundCtx, RoundOutcome,
-    Scheme1Config, SessionConfig, SessionEvent, Verdict,
+    build_engine, AnalysisSession, ConvergenceMethod, EngineKind, EngineParams, EngineUsed,
+    Portfolio, Property, RoundCtx, RoundOutcome, SessionConfig, SessionEvent, Verdict,
 };
 use cuba::explore::{
     CancelToken, ExploreBudget, ExploreError, Interrupt, SubsumptionMode, SymbolicEngine,
@@ -32,13 +30,8 @@ fn drive(
     kind: EngineKind,
     cpds: &cuba::pds::Cpds,
     property: &Property,
-    fuse: bool,
 ) -> (Verdict, usize, usize, Vec<usize>) {
-    let params = EngineParams {
-        fuse_collapse: fuse,
-        ..EngineParams::default()
-    };
-    let mut engine = build_engine(kind, cpds, property, &params).unwrap();
+    let mut engine = build_engine(kind, cpds, property, &EngineParams::default());
     let mut ctx = RoundCtx::new();
     let verdict = loop {
         if let RoundOutcome::Concluded { verdict, .. } = engine.step(&mut ctx).unwrap() {
@@ -53,57 +46,74 @@ fn drive(
     )
 }
 
-/// Equivalence on Fig. 1: stepping Alg. 3 through the trait matches
-/// the monolithic `alg3_explicit` (verdict, rounds, states, growth).
+/// Stepping Alg. 3 through the trait object reproduces the Fig. 1
+/// run: safe at k = 5 by the generator test after 6 rounds over 17
+/// global states, with `|T(Rk)|` = 1,3,6,6,7,8,8.
 #[test]
-fn alg3_stepping_matches_monolithic_on_fig1() {
-    let cpds = fig1::build();
-    let report = alg3_explicit(&cpds, &Property::True, &Alg3Config::default()).unwrap();
+fn alg3_stepping_reproduces_the_fig1_run() {
     let (verdict, rounds, states, growth) =
-        drive(EngineKind::Alg3Explicit, &cpds, &Property::True, true);
-    assert_eq!(verdict, report.verdict);
-    assert_eq!(rounds, report.rounds);
-    assert_eq!(states, report.states);
-    assert_eq!(growth, report.visible_growth.sizes());
+        drive(EngineKind::Alg3Explicit, &fig1::build(), &Property::True);
+    assert_eq!(
+        verdict,
+        Verdict::Safe {
+            k: 5,
+            method: ConvergenceMethod::GeneratorTest
+        }
+    );
+    assert_eq!(rounds, 6);
+    assert_eq!(states, 17);
+    assert_eq!(growth, [1, 3, 6, 6, 7, 8, 8]);
 }
 
-/// The same equivalence for the symbolic engines on Fig. 2 (where the
-/// explicit ones are inapplicable).
+/// The same for the symbolic engines on Fig. 2 (where the explicit
+/// ones are inapplicable): Alg. 3 over `(T(Sk))` concludes by the
+/// generator test, Scheme 1 over `(Sk)` by the collapse two bounds
+/// later.
 #[test]
-fn symbolic_stepping_matches_monolithic_on_fig2() {
+fn symbolic_stepping_reproduces_the_fig2_run() {
     let cpds = fig2::build();
-    let a3 = alg3_symbolic(&cpds, &Property::True, &Alg3Config::default()).unwrap();
-    let (verdict, rounds, states, growth) =
-        drive(EngineKind::Alg3Symbolic, &cpds, &Property::True, true);
-    assert_eq!(verdict, a3.verdict);
-    assert_eq!(rounds, a3.rounds);
-    assert_eq!(states, a3.states);
-    assert_eq!(growth, a3.visible_growth.sizes());
+    let (verdict, rounds, states, growth) = drive(EngineKind::Alg3Symbolic, &cpds, &Property::True);
+    assert_eq!(
+        verdict,
+        Verdict::Safe {
+            k: 2,
+            method: ConvergenceMethod::GeneratorTest
+        }
+    );
+    assert_eq!(rounds, 3);
+    assert_eq!(states, 21);
+    assert_eq!(growth, [1, 15, 37, 37]);
 
-    let s1 = scheme1_symbolic(&cpds, &Property::True, &Scheme1Config::default()).unwrap();
     let (verdict, rounds, states, growth) =
-        drive(EngineKind::Scheme1Symbolic, &cpds, &Property::True, true);
-    assert_eq!(verdict, s1.verdict);
-    assert_eq!(rounds, s1.rounds);
-    assert_eq!(states, s1.states);
-    assert_eq!(growth, s1.growth.sizes());
+        drive(EngineKind::Scheme1Symbolic, &cpds, &Property::True);
+    assert_eq!(
+        verdict,
+        Verdict::Safe {
+            k: 4,
+            method: ConvergenceMethod::SkCollapse
+        }
+    );
+    assert_eq!(rounds, 5);
+    assert_eq!(states, 23);
+    assert_eq!(growth, [1, 5, 13, 21, 23, 23]);
 }
 
 /// An unsafe problem concludes with the same bound through the
-/// stepped engine and the monolithic loop, witness included.
+/// stepped engine and through a portfolio session, witness included.
 #[test]
 fn unsafe_equivalence_on_fig1() {
     let cpds = fig1::build();
     let property = Property::never_visible(vis(1, &[Some(2), Some(6)]));
-    let report = alg3_explicit(&cpds, &property, &Alg3Config::default()).unwrap();
-    let (verdict, ..) = drive(EngineKind::Alg3Explicit, &cpds, &property, true);
-    match (&report.verdict, &verdict) {
-        (Verdict::Unsafe { k: k1, witness: w1 }, Verdict::Unsafe { k: k2, witness: w2 }) => {
-            assert_eq!(k1, k2);
-            assert!(w1.is_some() && w2.is_some());
-            assert!(w2.as_ref().unwrap().replay(&cpds));
+    let (verdict, ..) = drive(EngineKind::Alg3Explicit, &cpds, &property);
+    let outcome = Portfolio::auto().run(cpds.clone(), property).unwrap();
+    for verdict in [verdict, outcome.verdict] {
+        match verdict {
+            Verdict::Unsafe {
+                k: 5,
+                witness: Some(w),
+            } => assert!(w.replay(&cpds)),
+            other => panic!("expected Unsafe at 5 with a witness, got {other:?}"),
         }
-        other => panic!("expected two Unsafe verdicts, got {other:?}"),
     }
 }
 
@@ -270,18 +280,25 @@ fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
     assert_eq!(err, ExploreError::Cancelled);
 }
 
-/// The portfolio agrees with the classic fused driver on both running
-/// examples: same verdict, bound, and deciding engine.
+/// The portfolio decides both running examples with the §6 lineup:
+/// the fused explicit arm on Fig. 1 (FCR holds), the fused symbolic
+/// arm on Fig. 2 (it does not).
 #[test]
-fn portfolio_agrees_with_fused_driver() {
-    for (cpds, label) in [(fig1::build(), "fig1"), (fig2::build(), "fig2")] {
-        let fused = Cuba::new(cpds.clone(), Property::True)
-            .run(&CubaConfig::default())
-            .unwrap();
-        let portfolio = Portfolio::auto().run(cpds, Property::True).unwrap();
-        assert_eq!(fused.verdict, portfolio.verdict, "{label}");
-        assert_eq!(fused.engine, portfolio.engine, "{label}");
-        assert_eq!(fused.fcr_holds, portfolio.fcr_holds, "{label}");
+fn portfolio_decides_the_running_examples() {
+    for (cpds, k, engine, fcr) in [
+        (fig1::build(), 5, EngineUsed::Alg3Explicit, true),
+        (fig2::build(), 2, EngineUsed::Alg3Symbolic, false),
+    ] {
+        let outcome = Portfolio::auto().run(cpds, Property::True).unwrap();
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Safe {
+                k,
+                method: ConvergenceMethod::GeneratorTest
+            }
+        );
+        assert_eq!(outcome.engine, engine);
+        assert_eq!(outcome.fcr_holds, fcr);
     }
 }
 
