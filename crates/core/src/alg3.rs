@@ -1,10 +1,12 @@
-use cuba_explore::{ExplicitEngine, ExploreBudget, LayerView};
-use cuba_pds::{Cpds, VisibleState};
+use std::sync::Arc;
+
+use cuba_explore::{ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerView};
+use cuba_pds::Cpds;
 
 use crate::engine::{Backend, Engine, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
 use crate::{
-    compute_z, ConvergenceMethod, CubaError, EngineUsed, GeneratorSet, GrowthLog, Property,
-    SequenceEvent, Verdict,
+    ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, SequenceEvent, SystemArtifacts,
+    Verdict,
 };
 
 /// The round logic of Alg. 3, independent of how rounds are produced.
@@ -15,26 +17,19 @@ use crate::{
 #[derive(Debug)]
 struct Alg3Driver {
     property: Property,
-    /// Shared with the suite cache when one is in play — iterated
-    /// only, so the share is zero-copy.
-    g_cap_z: std::sync::Arc<Vec<VisibleState>>,
+    /// Holds `G∩Z`: the system's shared artifacts when a suite cache
+    /// is in play, private ones otherwise. The set is computed on the
+    /// first plateau that needs it, under that round's interrupt.
+    artifacts: Arc<SystemArtifacts>,
     visible_growth: GrowthLog,
     fuse_collapse: bool,
 }
 
 impl Alg3Driver {
-    fn new(cpds: &Cpds, property: &Property, params: &EngineParams) -> Self {
-        let g_cap_z = match &params.g_cap_z {
-            Some(shared) => shared.clone(),
-            None => {
-                let generators = GeneratorSet::from_cpds(cpds);
-                let z = compute_z(cpds);
-                std::sync::Arc::new(generators.intersect(z.states.iter()))
-            }
-        };
+    fn new(property: &Property, params: &EngineParams) -> Self {
         Alg3Driver {
             property: property.clone(),
-            g_cap_z,
+            artifacts: params.artifacts.clone().unwrap_or_default(),
             visible_growth: GrowthLog::new(),
             fuse_collapse: params.fuse_collapse,
         }
@@ -46,11 +41,21 @@ impl Alg3Driver {
     /// sequence event and the verdict, if any. All queries are
     /// bound-indexed, so a replayed round produces byte-identical
     /// results to a live one.
-    fn round(&mut self, view: &LayerView, backend: &Backend) -> (SequenceEvent, Option<Verdict>) {
+    ///
+    /// # Errors
+    ///
+    /// The interrupt's error when it fires while `G∩Z` is computed.
+    fn round(
+        &mut self,
+        view: &LayerView,
+        backend: &Backend,
+        cpds: &Cpds,
+        interrupt: &Interrupt,
+    ) -> Result<(SequenceEvent, Option<Verdict>), ExploreError> {
         let k = view.k;
         let event = self.visible_growth.push(view.visible);
         if let Some(_v) = self.property.find_violation(view.new_visible.iter()) {
-            return (event, Some(Verdict::Unsafe { k, witness: None }));
+            return Ok((event, Some(Verdict::Unsafe { k, witness: None })));
         }
         // Line 4: a *new* plateau at k−1 triggers the generator test
         // `G∩Z ⊆ T(Rk)`, evaluated against the first-seen bounds so it
@@ -58,28 +63,28 @@ impl Alg3Driver {
         // runs before the collapse test, so a round where both rules
         // fire concludes with Alg. 3's own rule. A plateau that fails
         // the test is a stutter (Ex. 14's k = 2): the run skips ahead.
-        if k >= 1
-            && event == SequenceEvent::NewPlateau
-            && backend.missing_by(&self.g_cap_z, k).is_empty()
-        {
-            return (
-                event,
-                Some(Verdict::Safe {
-                    k: k - 1,
-                    method: ConvergenceMethod::GeneratorTest,
-                }),
-            );
+        if k >= 1 && event == SequenceEvent::NewPlateau {
+            let g_cap_z = self.artifacts.g_cap_z_within(cpds, interrupt)?;
+            if backend.all_seen_by(&g_cap_z, k) {
+                return Ok((
+                    event,
+                    Some(Verdict::Safe {
+                        k: k - 1,
+                        method: ConvergenceMethod::GeneratorTest,
+                    }),
+                ));
+            }
         }
         if self.fuse_collapse && view.collapsed {
-            return (
+            return Ok((
                 event,
                 Some(Verdict::Safe {
                     k: k - 1,
                     method: ConvergenceMethod::RkCollapse,
                 }),
-            );
+            ));
         }
-        (event, None)
+        Ok((event, None))
     }
 }
 
@@ -120,7 +125,7 @@ impl Alg3Engine {
             property: property.clone(),
             budget: params.budget.clone(),
             max_k: params.max_k,
-            driver: Alg3Driver::new(cpds, property, params),
+            driver: Alg3Driver::new(property, params),
             backend,
             next_k: 0,
             states: 0,
@@ -173,7 +178,9 @@ impl Engine for Alg3Engine {
         let live = self.backend.ensure(k, &interrupt)?;
         let view = self.backend.view(k);
         let replayed = k > 0 && !live;
-        let (event, maybe_verdict) = self.driver.round(&view, &self.backend);
+        let (event, maybe_verdict) =
+            self.driver
+                .round(&view, &self.backend, &self.cpds, &interrupt)?;
         self.next_k += 1;
         let states = view.states;
         let info = RoundInfo {
@@ -270,7 +277,7 @@ mod tests {
     use super::*;
     use crate::testutil::{fig1, fig2, rejected_plateaus, run_engine, unfused};
     use crate::EngineKind;
-    use cuba_pds::{SharedState, StackSym};
+    use cuba_pds::{SharedState, StackSym, VisibleState};
 
     fn vis(qq: u32, tops: &[Option<u32>]) -> VisibleState {
         VisibleState::new(

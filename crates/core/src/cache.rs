@@ -15,10 +15,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cuba_explore::{ExploreBudget, Interrupt, SharedExplorer, SnapshotKind, SubsumptionMode};
+use cuba_explore::{
+    ExploreBudget, ExploreError, Interrupt, SharedExplorer, SnapshotKind, SubsumptionMode,
+};
 use cuba_pds::{Cpds, Rhs, VisibleState};
 
-use crate::{check_fcr, compute_z, FcrReport, GeneratorSet};
+use crate::{check_fcr, generators_in_z, FcrReport};
 
 /// Lazily computed, property-independent artifacts of one system.
 ///
@@ -60,15 +62,33 @@ impl SystemArtifacts {
     }
 
     /// The generator intersection `G ∩ Z` for `cpds` (the convergence
-    /// certificate candidates of Algorithm 3), computed at most once.
+    /// certificate candidates of Algorithm 3), computed on first use
+    /// and cached. Never interrupted; see
+    /// [`g_cap_z_within`](Self::g_cap_z_within).
     pub fn g_cap_z(&self, cpds: &Cpds) -> Arc<Vec<VisibleState>> {
-        self.g_cap_z
-            .get_or_init(|| {
-                let generators = GeneratorSet::from_cpds(cpds);
-                let z = compute_z(cpds);
-                Arc::new(generators.intersect(z.states.iter()))
-            })
-            .clone()
+        self.g_cap_z_within(cpds, &Interrupt::none())
+            .expect("an unarmed interrupt never fires")
+    }
+
+    /// As [`g_cap_z`](Self::g_cap_z), polling `interrupt` while the
+    /// `Z` search runs (it can be exponential in the thread count).
+    /// An interrupted search caches nothing: a cut-off `Z` would make
+    /// the generator test vacuously true. Racing callers may each
+    /// compute the set; the first result is kept.
+    ///
+    /// # Errors
+    ///
+    /// The interrupt's error when it fires before the set is known.
+    pub fn g_cap_z_within(
+        &self,
+        cpds: &Cpds,
+        interrupt: &Interrupt,
+    ) -> Result<Arc<Vec<VisibleState>>, ExploreError> {
+        if let Some(done) = self.g_cap_z.get() {
+            return Ok(done.clone());
+        }
+        let computed = Arc::new(generators_in_z(cpds, interrupt)?);
+        Ok(self.g_cap_z.get_or_init(|| computed).clone())
     }
 
     /// The system's shared explicit `(Rk)` explorer, created on first
@@ -376,6 +396,7 @@ pub struct CacheEntry {
 mod tests {
     use super::*;
     use crate::testutil::{fig1, fig2};
+    use crate::{compute_z, GeneratorSet};
 
     /// Identical systems share a slot; different systems do not.
     #[test]
@@ -403,9 +424,35 @@ mod tests {
         assert_eq!(*gz, generators.intersect(z.states.iter()));
         // Second call reuses the same Arc.
         assert!(Arc::ptr_eq(&gz, &a1.g_cap_z(&cpds)));
+        let fired = Interrupt::none().with_cancel({
+            let token = cuba_explore::CancelToken::new();
+            token.cancel();
+            token
+        });
+        assert!(Arc::ptr_eq(&gz, &a1.g_cap_z_within(&cpds, &fired).unwrap()));
 
         assert!(!cache.artifacts(&fig2()).fcr(&fig2()).holds());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// An interrupted `G ∩ Z` search caches nothing: the next caller
+    /// computes the full set.
+    #[test]
+    fn interrupted_g_cap_z_caches_nothing() {
+        let cpds = fig1();
+        let artifacts = SystemArtifacts::new();
+        let token = cuba_explore::CancelToken::new();
+        token.cancel();
+        let fired = Interrupt::none().with_cancel(token);
+        assert_eq!(
+            artifacts.g_cap_z_within(&cpds, &fired),
+            Err(ExploreError::Cancelled)
+        );
+        let generators = GeneratorSet::from_cpds(&cpds);
+        assert_eq!(
+            *artifacts.g_cap_z(&cpds),
+            generators.intersect(compute_z(&cpds).states.iter())
+        );
     }
 
     /// Eviction removes exactly the named slot: later lookups open a

@@ -189,21 +189,13 @@ impl Backend {
         self.shared.view(k)
     }
 
-    /// The generators of `targets` *not* seen by bound `k` — the
+    /// Whether every one of `targets` was seen by bound `k` — the
     /// membership test `G∩Z ⊆ T(Rk)`, evaluated bound-indexed so it
-    /// stays exact when the shared layers run deeper than `k`.
-    pub(crate) fn missing_by(
-        &self,
-        targets: &[cuba_pds::VisibleState],
-        k: usize,
-    ) -> Vec<cuba_pds::VisibleState> {
-        self.shared.with_store(|store| {
-            targets
-                .iter()
-                .filter(|v| !store.seen_by(v, k))
-                .cloned()
-                .collect()
-        })
+    /// stays exact when the shared layers run deeper than `k`. Stops
+    /// at the first unseen target.
+    pub(crate) fn all_seen_by(&self, targets: &[cuba_pds::VisibleState], k: usize) -> bool {
+        self.shared
+            .with_store(|store| targets.iter().all(|v| store.seen_by(v, k)))
     }
 
     pub(crate) fn is_symbolic(&self) -> bool {
@@ -274,15 +266,12 @@ pub struct EngineParams {
     /// representation runs alongside, so a collapse is never concluded
     /// twice; disable it by hand to run the pure generator test.
     pub fuse_collapse: bool,
-    /// A precomputed `G ∩ Z` shared across sessions on the same
-    /// system ([`SuiteCache`](crate::SuiteCache)); `None` lets each
-    /// Algorithm 3 engine compute its own.
-    pub g_cap_z: Option<std::sync::Arc<Vec<cuba_pds::VisibleState>>>,
-    /// Per-system artifacts holding the *shared explorers*: when set,
-    /// engines of matching backend borrow the system's layered
-    /// exploration instead of starting their own — the "one system,
-    /// many properties" hinge. `None` gives every engine a private
-    /// explorer.
+    /// Per-system artifacts holding the *shared explorers* and the
+    /// cached `G ∩ Z`: when set, engines of matching backend borrow
+    /// the system's layered exploration instead of starting their own
+    /// — the "one system, many properties" hinge — and Algorithm 3
+    /// engines share one generator set. `None` gives every engine a
+    /// private explorer and generator set.
     pub artifacts: Option<std::sync::Arc<crate::SystemArtifacts>>,
 }
 
@@ -293,7 +282,6 @@ impl Default for EngineParams {
             max_k: 64,
             subsumption: SubsumptionMode::Exact,
             fuse_collapse: true,
-            g_cap_z: None,
             artifacts: None,
         }
     }

@@ -51,6 +51,16 @@ impl GeneratorSet {
         })
     }
 
+    /// Whether the visible state keyed `(q, [top code; n])` is in `G`
+    /// (codes as in `overapprox::top_code`: `ε` ↦ 0, `σ` ↦ `σ + 1`).
+    pub(crate) fn contains_key(&self, key: &[u32]) -> bool {
+        let q = SharedState(key[0]);
+        key[1..].iter().enumerate().any(|(i, &code)| {
+            self.pop_targets[i].contains(&q)
+                && (code == 0 || self.emerging[i].contains(&StackSym(code - 1)))
+        })
+    }
+
     /// The intersection `G ∩ Z`, the finite set the Alg. 3 convergence
     /// test compares against `T(Rk)`.
     pub fn intersect<'a, I>(&self, z: I) -> Vec<VisibleState>

@@ -113,7 +113,7 @@ pub use error::CubaError;
 pub use events::SessionEvent;
 pub use fcr::{check_fcr, fcr_checks_performed, fcr_psa, FcrReport};
 pub use generator::GeneratorSet;
-pub use overapprox::{compute_z, thread_abstraction, AbstractTransition, ZReport};
+pub use overapprox::{compute_z, generators_in_z, thread_abstraction, AbstractTransition, ZReport};
 pub use portfolio::{Lineup, Portfolio};
 pub use property::Property;
 pub use sequence::{GrowthLog, SequenceEvent};

@@ -1,6 +1,9 @@
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
-use cuba_pds::{Cpds, Pds, Rhs, ThreadVisible, VisibleState};
+use cuba_explore::{ExploreError, Interrupt};
+use cuba_pds::{Cpds, KeyTable, Pds, Rhs, SharedState, StackSym, ThreadVisible, VisibleState};
+
+use crate::GeneratorSet;
 
 /// A transition of the context-insensitive finite-state abstraction
 /// `M` (Alg. 2): `(q,σ) ↦ (q',σ')` over thread-visible states.
@@ -85,36 +88,129 @@ pub struct ZReport {
 /// exhaustively from `T(initial state)`.
 ///
 /// The tighter this set, the weaker the Alg. 3 line-4 test and the
-/// better the odds of termination.
+/// better the odds of termination. `Z` can be exponential in the
+/// number of threads; Algorithm 3 itself only needs its generators,
+/// which [`generators_in_z`] computes without materializing the rest.
 pub fn compute_z(cpds: &Cpds) -> ZReport {
     let abstractions: Vec<Vec<AbstractTransition>> =
         cpds.threads().iter().map(thread_abstraction).collect();
-
-    let start = cpds.initial_state().visible();
-    let mut states: HashSet<VisibleState> = HashSet::new();
-    states.insert(start.clone());
-    let mut queue: VecDeque<VisibleState> = VecDeque::new();
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        for (i, trans) in abstractions.iter().enumerate() {
-            let tv = v.thread_visible(i);
-            for t in trans {
-                if t.from == tv {
-                    let mut next = v.clone();
-                    next.q = t.to.q;
-                    next.tops[i] = t.to.top;
-                    if !states.contains(&next) {
-                        states.insert(next.clone());
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-    }
+    let z = explore_z(cpds, &abstractions, &Interrupt::none())
+        .expect("an unarmed interrupt never fires");
+    let states = (0..z.len() as u32)
+        .map(|id| decode_visible(z.key(id)))
+        .collect();
     ZReport {
         states,
         abstractions,
     }
+}
+
+/// The generator intersection `G ∩ Z` (Def. 10 with Lemma 12), sorted
+/// — the convergence certificate candidates of Algorithm 3. Equal to
+/// `GeneratorSet::from_cpds(cpds).intersect(&compute_z(cpds).states)`,
+/// but only the generators are materialized as [`VisibleState`]s.
+///
+/// `Z` can be exponential in the number of threads, so the search
+/// polls `interrupt` as it goes.
+///
+/// # Errors
+///
+/// The interrupt's error when it fires; nothing partial is returned,
+/// since a cut-off `Z` would make the generator test vacuous.
+pub fn generators_in_z(
+    cpds: &Cpds,
+    interrupt: &Interrupt,
+) -> Result<Vec<VisibleState>, ExploreError> {
+    let abstractions: Vec<Vec<AbstractTransition>> =
+        cpds.threads().iter().map(thread_abstraction).collect();
+    let z = explore_z(cpds, &abstractions, interrupt)?;
+    let generators = GeneratorSet::from_cpds(cpds);
+    let mut ids: Vec<u32> = (0..z.len() as u32)
+        .filter(|&id| generators.contains_key(z.key(id)))
+        .collect();
+    // Key order is `VisibleState` order: `q` first, then the tops with
+    // `ε` (code 0) below every symbol.
+    ids.sort_unstable_by(|&a, &b| z.key(a).cmp(z.key(b)));
+    Ok(ids
+        .into_iter()
+        .map(|id| decode_visible(z.key(id)))
+        .collect())
+}
+
+/// How often (in visited states) the `Z` search polls its interrupt.
+const Z_POLL_PERIOD: u32 = 256;
+
+/// The key code of a visible top: `ε` ↦ 0, `σ` ↦ `σ + 1`.
+fn top_code(top: Option<StackSym>) -> u32 {
+    top.map_or(0, |s| s.0 + 1)
+}
+
+/// The visible state `⟨q|σ1,…,σn⟩` of a key `(q, [top code; n])`.
+fn decode_visible(key: &[u32]) -> VisibleState {
+    VisibleState::new(
+        SharedState(key[0]),
+        key[1..]
+            .iter()
+            .map(|&code| code.checked_sub(1).map(StackSym))
+            .collect(),
+    )
+}
+
+/// One thread's abstract moves `(q, code) ↦ [(q', code')]`.
+type MovesBySource = HashMap<(u32, u32), Vec<(u32, u32)>>;
+
+/// Explores `Mn` from `T(initial state)` breadth-first over visible
+/// keys `(q, [top code; n])` (see [`top_code`]). The returned table
+/// holds exactly `Z`; its insertion order is the BFS order, so the
+/// table doubles as the queue and nothing is allocated per state.
+fn explore_z(
+    cpds: &Cpds,
+    abstractions: &[Vec<AbstractTransition>],
+    interrupt: &Interrupt,
+) -> Result<KeyTable, ExploreError> {
+    // Per thread: abstract moves keyed by their source `(q, code)`.
+    let moves: Vec<MovesBySource> = abstractions
+        .iter()
+        .map(|trans| {
+            let mut by_source = MovesBySource::new();
+            for t in trans {
+                by_source
+                    .entry((t.from.q.0, top_code(t.from.top)))
+                    .or_default()
+                    .push((t.to.q.0, top_code(t.to.top)));
+            }
+            by_source
+        })
+        .collect();
+    let init = cpds.initial_state();
+    let mut key: Vec<u32> = std::iter::once(init.q.0)
+        .chain(init.stacks.iter().map(|w| top_code(w.top())))
+        .collect();
+    let mut z = KeyTable::new(key.len());
+    z.insert(&key);
+    let mut next = 0u32;
+    while (next as usize) < z.len() {
+        if next.is_multiple_of(Z_POLL_PERIOD) {
+            interrupt.check()?;
+        }
+        key.clear();
+        key.extend_from_slice(z.key(next));
+        let q = key[0];
+        for (i, by_source) in moves.iter().enumerate() {
+            let code = key[i + 1];
+            if let Some(targets) = by_source.get(&(q, code)) {
+                for &(q2, code2) in targets {
+                    key[0] = q2;
+                    key[i + 1] = code2;
+                    z.insert(&key);
+                }
+                key[0] = q;
+                key[i + 1] = code;
+            }
+        }
+        next += 1;
+    }
+    Ok(z)
 }
 
 #[cfg(test)]
@@ -202,6 +298,32 @@ mod tests {
         for v in engine.visible_total() {
             assert!(z.states.contains(v), "Z misses reachable visible {v}");
         }
+    }
+
+    /// The key-based `G ∩ Z` equals the intersection of the
+    /// materialized sets, in sorted order (Ex. 14 on Fig. 1).
+    #[test]
+    fn generators_in_z_is_the_sorted_intersection() {
+        let cpds = fig1();
+        let gz = generators_in_z(&cpds, &Interrupt::none()).unwrap();
+        let expected = GeneratorSet::from_cpds(&cpds).intersect(compute_z(&cpds).states.iter());
+        assert_eq!(gz, expected);
+        assert_eq!(
+            gz,
+            vec![vis(0, &[Some(1), None]), vis(0, &[Some(1), Some(6)])]
+        );
+    }
+
+    /// A fired interrupt stops the search and yields no partial set.
+    #[test]
+    fn generators_in_z_honours_the_interrupt() {
+        let token = cuba_explore::CancelToken::new();
+        token.cancel();
+        let interrupt = Interrupt::none().with_cancel(token);
+        assert_eq!(
+            generators_in_z(&fig1(), &interrupt),
+            Err(ExploreError::Cancelled)
+        );
     }
 
     #[test]

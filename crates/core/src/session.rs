@@ -90,11 +90,13 @@ pub struct CubaOutcome {
     pub states: usize,
     /// Rounds computed by the deciding engine.
     pub rounds: usize,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, from session construction (the
+    /// FCR check included) to the verdict.
     pub duration: Duration,
     /// Wall-clock spent inside completed rounds, summed over *all*
-    /// arms — the cost-accounting view of the session (FCR/G∩Z
-    /// precomputation excluded).
+    /// arms — the cost-accounting view of the session (the FCR check
+    /// excluded; a `G∩Z` search counts toward the round that needed
+    /// it).
     pub round_wall: Duration,
     /// Rounds whose layer was explored *live* by this run, summed over
     /// all arms. With layer sharing ("one system, many properties") a
@@ -230,6 +232,9 @@ impl AnalysisSession {
         config: &SessionConfig,
         artifacts: &Arc<SystemArtifacts>,
     ) -> Result<Self, CubaError> {
+        // The session's clock covers the FCR check and, through the
+        // arms' rounds, the `G ∩ Z` search.
+        let start = Instant::now();
         let fcr_holds = artifacts.fcr(&cpds).holds();
         let kinds: Vec<EngineKind> = lineup
             .iter()
@@ -252,22 +257,16 @@ impl AnalysisSession {
         if let Some(timeout) = config.timeout {
             interrupt = interrupt.with_timeout(timeout);
         }
-        // Share the cached G∩Z with every Alg. 3 arm — but only once
-        // the lineup actually contains one, so purely symbolic or
-        // refuter lineups never pay for it.
-        let g_cap_z = kinds
-            .iter()
-            .any(|k| matches!(k, EngineKind::Alg3Explicit | EngineKind::Alg3Symbolic))
-            .then(|| artifacts.g_cap_z(&cpds));
         let params = EngineParams {
             budget: config.budget.clone().with_interrupt(interrupt.clone()),
             max_k: config.max_k,
             subsumption: config.subsumption,
             fuse_collapse: true,
-            g_cap_z,
             // Arms borrow the system's shared explorers: one `(Rk)`
             // and/or `(Sk)` exploration per system, however many arms,
-            // sessions, and properties consume it.
+            // sessions, and properties consume it. Alg. 3 arms also
+            // share its `G ∩ Z`, computed inside the first round that
+            // needs it, where the session's interrupt applies.
             artifacts: Some(artifacts.clone()),
         };
         let mut arms = Vec::with_capacity(kinds.len());
@@ -295,7 +294,7 @@ impl AnalysisSession {
             ctx: RoundCtx::with_interrupt(interrupt),
             cancel,
             fcr_holds,
-            start: Instant::now(),
+            start,
             cursor: 0,
             round_wall: Duration::ZERO,
             rounds_explored: 0,

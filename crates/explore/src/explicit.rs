@@ -1,6 +1,8 @@
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use cuba_pds::{Cpds, GlobalState, ThreadId, VisibleState};
+use cuba_pds::{
+    Cpds, GlobalState, KeyTable, SharedState, StackId, StackTable, ThreadId, VisibleState,
+};
 
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore, Witness, WitnessStep};
 
@@ -30,6 +32,13 @@ pub struct LayerSummary {
 /// `≤ k+1` contexts is a path with `≤ k` contexts followed by one
 /// context (Lemma 7's layering).
 ///
+/// States are interned: every stack is hash-consed in a
+/// [`StackTable`], and a global state is the fixed-width key
+/// `(q, [StackId; n])` in a [`KeyTable`] whose dense ids are the state
+/// ids. A context step rewrites one [`StackId`] and probes the key
+/// table, so only a *new* state allocates: it is materialized once as
+/// the [`GlobalState`] that [`states`](Self::states) returns.
+///
 /// Any discovered state yields a replayable [`Witness`] whose context
 /// count is bounded by the state's layer (witnesses are reconstructed
 /// per layer, one context at a time — see [`witness`](Self::witness)).
@@ -37,12 +46,81 @@ pub struct LayerSummary {
 pub struct ExplicitEngine {
     cpds: Cpds,
     budget: ExploreBudget,
+    /// Every state in discovery order, materialized once.
     states: Vec<GlobalState>,
     layer_of_state: Vec<u32>,
-    index: HashMap<GlobalState, u32>,
+    /// The interned stacks of every stored state.
+    stacks: StackTable,
+    /// State `id` is the key `(q, [StackId; n])` with that id.
+    keys: KeyTable,
     /// The property-independent layer record (shared vocabulary with
     /// the symbolic engine; see [`LayerStore`]).
     store: LayerStore,
+}
+
+/// One round in progress: what it registered (for the layer record,
+/// or for the rollback of a failed round) and the buffers its context
+/// closures reuse.
+#[derive(Debug)]
+struct Round {
+    /// The bound being computed.
+    layer: u32,
+    /// The first state id of this round (ids are append-only).
+    start: u32,
+    new_layer: Vec<u32>,
+    new_visible: Vec<VisibleState>,
+    queue: VecDeque<u32>,
+    /// `in_context[id] == closure` iff state `id` is in the current
+    /// closure's context set (a generation stamp, so the set is
+    /// cleared by bumping `closure`).
+    in_context: Vec<u32>,
+    closure: u32,
+    /// States expanded this round, across closures: the interrupt
+    /// poll clock (a round of many tiny closures must poll too).
+    expanded: usize,
+    /// The key being rewritten into a successor's key.
+    key: Vec<u32>,
+}
+
+impl Round {
+    fn new(layer: u32, start: u32) -> Self {
+        Round {
+            layer,
+            start,
+            new_layer: Vec::new(),
+            new_visible: Vec::new(),
+            queue: VecDeque::new(),
+            in_context: Vec::new(),
+            closure: 0,
+            expanded: 0,
+            key: Vec::new(),
+        }
+    }
+
+    /// Starts the next closure with an empty context set.
+    fn next_closure(&mut self, num_states: usize) {
+        self.closure = self.closure.wrapping_add(1);
+        if self.closure == 0 {
+            self.in_context.iter_mut().for_each(|stamp| *stamp = 0);
+            self.closure = 1;
+        }
+        self.queue.clear();
+        self.grow(num_states);
+    }
+
+    fn grow(&mut self, num_states: usize) {
+        if self.in_context.len() < num_states {
+            self.in_context.resize(num_states, 0);
+        }
+    }
+
+    /// Adds `id` to the context set; `true` when it was not in it.
+    fn enter(&mut self, id: u32) -> bool {
+        let stamp = &mut self.in_context[id as usize];
+        let fresh = *stamp != self.closure;
+        *stamp = self.closure;
+        fresh
+    }
 }
 
 impl ExplicitEngine {
@@ -50,21 +128,22 @@ impl ExplicitEngine {
     pub fn new(cpds: Cpds, budget: ExploreBudget) -> Self {
         let init = cpds.initial_state();
         let visible = init.visible();
-        let mut index = HashMap::new();
-        index.insert(init.clone(), 0u32);
-        ExplicitEngine {
+        let mut engine = ExplicitEngine {
+            stacks: StackTable::new(),
+            keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
             budget,
-            states: vec![init],
-            layer_of_state: vec![0],
-            index,
+            states: Vec::new(),
+            layer_of_state: Vec::new(),
             store: LayerStore::new(visible),
-        }
+        };
+        engine.intern_state(init);
+        engine
     }
 
     /// Rebuilds an engine from deserialized parts: the state table in
     /// discovery order plus an already-validated layer record. The
-    /// lookup index and per-state layer bounds are derived, so a
+    /// interned keys and per-state layer bounds are derived, so a
     /// restored engine is indistinguishable from one that explored the
     /// same layers live.
     ///
@@ -84,26 +163,41 @@ impl ExplicitEngine {
         if states[0] != cpds.initial_state() {
             return Err("state 0 is not the initial state".to_owned());
         }
-        let mut index = HashMap::with_capacity(states.len());
-        for (id, state) in states.iter().enumerate() {
-            if index.insert(state.clone(), id as u32).is_some() {
+        let mut engine = ExplicitEngine {
+            stacks: StackTable::new(),
+            keys: KeyTable::new(cpds.num_threads() + 1),
+            cpds,
+            budget,
+            states: Vec::with_capacity(states.len()),
+            layer_of_state: Vec::with_capacity(states.len()),
+            store,
+        };
+        for state in states {
+            if !engine.intern_state(state) {
                 return Err("duplicate global state in state table".to_owned());
             }
         }
-        let mut layer_of_state = vec![0u32; states.len()];
-        for k in 0..=store.current_k() {
-            for &id in store.layer_ids(k) {
-                layer_of_state[id as usize] = k as u32;
+        for k in 0..=engine.store.current_k() {
+            for &id in engine.store.layer_ids(k) {
+                engine.layer_of_state[id as usize] = k as u32;
             }
         }
-        Ok(ExplicitEngine {
-            cpds,
-            budget,
-            states,
-            layer_of_state,
-            index,
-            store,
-        })
+        Ok(engine)
+    }
+
+    /// Interns and stores `state` at layer 0 (a restore fixes the
+    /// layers up afterwards); `false`, storing nothing, when an equal
+    /// state is already stored.
+    fn intern_state(&mut self, state: GlobalState) -> bool {
+        let mut key = Vec::with_capacity(self.keys.width());
+        key.push(state.q.0);
+        key.extend(state.stacks.iter().map(|w| self.stacks.intern(w).0));
+        if !self.keys.insert(&key).1 {
+            return false;
+        }
+        self.states.push(state);
+        self.layer_of_state.push(0);
+        true
     }
 
     /// The CPDS being explored.
@@ -176,9 +270,18 @@ impl ExplicitEngine {
         &self.states
     }
 
-    /// Looks up the id of a discovered state.
+    /// Looks up the id of a discovered state. Read-only: walks the
+    /// stack and key tables without interning anything.
     pub fn find(&self, state: &GlobalState) -> Option<u32> {
-        self.index.get(state).copied()
+        if state.stacks.len() != self.cpds.num_threads() {
+            return None;
+        }
+        let mut key = Vec::with_capacity(self.keys.width());
+        key.push(state.q.0);
+        for stack in &state.stacks {
+            key.push(self.stacks.find(stack)?.0);
+        }
+        self.keys.find(&key)
     }
 
     /// The context bound at which a state id was first reached.
@@ -229,21 +332,11 @@ impl ExplicitEngine {
             "wave",
             vec![("k", k.into()), ("frontier", frontier.len().into())],
         );
-        let round_start = self.states.len() as u32;
-        let mut new_layer: Vec<u32> = Vec::new();
-        let mut new_visible: Vec<VisibleState> = Vec::new();
-
+        let mut round = Round::new(k as u32, self.states.len() as u32);
         for &start_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
-                if let Err(e) = self.context_closure(
-                    start_id,
-                    thread,
-                    k as u32,
-                    round_start,
-                    &mut new_layer,
-                    &mut new_visible,
-                ) {
-                    self.rollback(round_start, &new_visible);
+                if let Err(e) = self.context_closure(start_id, thread, &mut round) {
+                    self.rollback(&round);
                     return Err(e);
                 }
             }
@@ -251,15 +344,15 @@ impl ExplicitEngine {
 
         let summary = LayerSummary {
             k,
-            new_states: new_layer.len(),
-            new_visible: new_visible.len(),
+            new_states: round.new_layer.len(),
+            new_visible: round.new_visible.len(),
         };
         wave_span.arg("new_states", summary.new_states);
         drop(wave_span);
         let merge_start = std::time::Instant::now();
         let mut merge_span = cuba_telemetry::trace::span("merge");
         self.store
-            .push_layer(new_layer, new_visible, self.states.len());
+            .push_layer(round.new_layer, round.new_visible, self.states.len());
         merge_span.arg("states", summary.new_states);
         drop(merge_span);
         cuba_telemetry::metrics::stage_time(
@@ -269,38 +362,37 @@ impl ExplicitEngine {
         Ok(summary)
     }
 
-    /// Removes every state (ids `round_start..`) and visible state
-    /// registered by a failed round.
-    fn rollback(&mut self, round_start: u32, new_visible: &[VisibleState]) {
-        for state in self.states.drain(round_start as usize..) {
-            self.index.remove(&state);
-        }
-        self.layer_of_state.truncate(round_start as usize);
-        self.store.rollback_round(new_visible);
+    /// Removes every state (ids `round.start..`) and visible state
+    /// registered by a failed round. Stacks interned by the round stay
+    /// in the stack table; no remaining key refers to them.
+    fn rollback(&mut self, round: &Round) {
+        let start = round.start as usize;
+        self.states.truncate(start);
+        self.layer_of_state.truncate(start);
+        self.keys.truncate(start);
+        self.store.rollback_round(&round.new_visible);
     }
 
     /// Runs thread `thread` to completion from `start_id` (one full
     /// context), registering every state not seen before. States of
-    /// this round carry ids `≥ round_start`.
+    /// this round carry ids `≥ round.start`.
     fn context_closure(
         &mut self,
         start_id: u32,
         thread: usize,
-        layer: u32,
-        round_start: u32,
-        new_layer: &mut Vec<u32>,
-        new_visible: &mut Vec<VisibleState>,
+        round: &mut Round,
     ) -> Result<(), ExploreError> {
         // BFS over →_thread within this context. Entries are state ids;
         // every state in the closure is stored globally (it is reachable
         // with the same context count as the closure's results).
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        queue.push_back(start_id);
-        let mut in_context: HashSet<u32> = HashSet::new();
-        in_context.insert(start_id);
+        round.next_closure(self.states.len());
+        round.queue.push_back(start_id);
+        round.enter(start_id);
         let mut explored = 0usize;
+        let pds = self.cpds.thread(thread);
+        let slot = thread + 1;
 
-        while let Some(id) = queue.pop_front() {
+        while let Some(id) = round.queue.pop_front() {
             explored += 1;
             if explored > self.budget.max_states_per_context {
                 return Err(ExploreError::ContextBudgetExceeded {
@@ -309,39 +401,47 @@ impl ExplicitEngine {
                 });
             }
             // Poll inside the closure so a diverging context (FCR
-            // violation) still honors cancellation and deadlines.
-            if explored.is_multiple_of(INTERRUPT_POLL_PERIOD) {
+            // violation) still honors cancellation and deadlines —
+            // counting across the round, so a round of many short
+            // closures does as well.
+            round.expanded += 1;
+            if round.expanded.is_multiple_of(INTERRUPT_POLL_PERIOD) {
                 self.budget.interrupt.check()?;
             }
-            let current = self.states[id as usize].clone();
-            let mut discovered: Vec<GlobalState> = Vec::new();
-            self.cpds
-                .successors_of_thread_into(&current, thread, &mut |succ, _action_idx| {
-                    discovered.push(succ);
-                });
-            for succ in discovered {
-                if succ.stacks[thread].len() > self.budget.max_stack_depth {
+            round.key.clear();
+            round.key.extend_from_slice(self.keys.key(id));
+            let q = SharedState(round.key[0]);
+            let stack = StackId(round.key[slot]);
+            for &action_idx in pds.actions_from(q, self.stacks.top(stack)) {
+                let action = &pds.actions()[action_idx];
+                let succ_stack = self.stacks.apply(stack, action);
+                if self.stacks.depth(succ_stack) > self.budget.max_stack_depth {
                     return Err(ExploreError::StackDepthExceeded {
                         limit: self.budget.max_stack_depth,
                         thread,
                     });
                 }
-                let succ_id = match self.index.get(&succ) {
-                    Some(&existing) => existing,
+                round.key[0] = action.q_post.0;
+                round.key[slot] = succ_stack.0;
+                let succ_id = match self.keys.find(&round.key) {
+                    Some(existing) => existing,
                     None => {
                         if self.states.len() >= self.budget.max_states {
                             return Err(ExploreError::StateBudgetExceeded {
                                 limit: self.budget.max_states,
                             });
                         }
-                        let new_id = self.states.len() as u32;
+                        let (new_id, _) = self.keys.insert(&round.key);
+                        let mut stacks = self.states[id as usize].stacks.clone();
+                        stacks[thread] = self.stacks.to_stack(succ_stack);
+                        let succ = GlobalState::new(action.q_post, stacks);
                         let visible = succ.visible();
-                        self.index.insert(succ.clone(), new_id);
                         self.states.push(succ);
-                        self.layer_of_state.push(layer);
-                        new_layer.push(new_id);
+                        self.layer_of_state.push(round.layer);
+                        round.new_layer.push(new_id);
+                        round.grow(self.states.len());
                         if self.store.record_visible(visible.clone()) {
-                            new_visible.push(visible);
+                            round.new_visible.push(visible);
                         }
                         new_id
                     }
@@ -349,13 +449,13 @@ impl ExplicitEngine {
                 // Continue the context from states that entered the
                 // current layer (whether in this closure or an earlier
                 // one of the same round — ids are append-only, so
-                // `id ≥ round_start` is exactly that test). States from
+                // `id ≥ round.start` is exactly that test). States from
                 // older layers were already run to completion under
                 // every thread when their own layer was the frontier,
                 // so stopping there loses nothing and keeps each round
                 // linear.
-                if in_context.insert(succ_id) && succ_id >= round_start {
-                    queue.push_back(succ_id);
+                if round.enter(succ_id) && succ_id >= round.start {
+                    round.queue.push_back(succ_id);
                 }
             }
         }

@@ -18,6 +18,19 @@
 //! states, which is exactly the data in the paper's Fig. 1 table, and
 //! both detect collapse (`Rk = Rk+1`, Lemma 7).
 //!
+//! Both engines keep their states *interned*, as fixed-width `u32`
+//! keys in a [`KeyTable`](cuba_pds::KeyTable) whose dense ids are the
+//! state ids: a global state is `(q, [StackId; n])` over hash-consed
+//! stacks ([`StackTable`](cuba_pds::StackTable)), a symbolic state
+//! `(q, [DfaId; n])` over interned canonical DFAs. A context step
+//! rewrites one slot of its frontier state's key and probes the table,
+//! so hits clone and allocate nothing. The public surface still speaks
+//! [`GlobalState`](cuba_pds::GlobalState) and [`SymbolicState`]: the
+//! explicit engine materializes each *new* state once, the symbolic
+//! engine on demand. The exploration order does not depend on the
+//! representation: state ids, layers, witnesses and snapshot bytes are
+//! pinned in the repository's tests.
+//!
 //! # Example
 //!
 //! ```

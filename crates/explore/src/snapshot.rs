@@ -324,9 +324,8 @@ pub(crate) fn encode_explicit(engine: &ExplicitEngine, fingerprint: u64) -> Vec<
 pub(crate) fn encode_symbolic(engine: &SymbolicEngine, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
     encode_common(&mut w, engine.cpds(), engine.store());
-    let states = engine.states();
-    w.u32(states.len() as u32);
-    for state in states {
+    w.u32(engine.num_symbolic_states() as u32);
+    for state in engine.states() {
         w.u32(state.q.0);
         for dfa in &state.stacks {
             w.u32(dfa.num_states());

@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 
 use cuba_automata::{language_subset, post_star_table, CanonicalDfa, Psa, RuleTable};
-use cuba_pds::{Cpds, GlobalState, SharedState, StackSym, VisibleState};
+use cuba_pds::{Cpds, GlobalState, KeyTable, SharedState, StackSym, VisibleState};
 
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore};
 
@@ -63,39 +63,10 @@ impl SymbolicState {
     /// by the paper's Alg. 4): the finite set
     /// `{q} × T(A1) × … × T(An)`.
     pub fn visible_states(&self) -> Vec<VisibleState> {
-        let mut per_thread: Vec<Vec<Option<StackSym>>> = Vec::with_capacity(self.stacks.len());
-        for a in &self.stacks {
-            let (firsts, eps) = a.first_symbols();
-            let mut tops: Vec<Option<StackSym>> = Vec::new();
-            if eps {
-                tops.push(None);
-            }
-            tops.extend(firsts.into_iter().map(|s| Some(StackSym(s))));
-            if tops.is_empty() {
-                // Empty stack language: γ(τ) is empty, no visible states.
-                return Vec::new();
-            }
-            per_thread.push(tops);
-        }
+        let per_thread: Vec<Vec<Option<StackSym>>> = self.stacks.iter().map(top_set).collect();
+        let domains: Vec<&[Option<StackSym>]> = per_thread.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        let mut tuple: Vec<Option<StackSym>> = vec![None; self.stacks.len()];
-        fn rec(
-            domains: &[Vec<Option<StackSym>>],
-            i: usize,
-            q: SharedState,
-            tuple: &mut Vec<Option<StackSym>>,
-            out: &mut Vec<VisibleState>,
-        ) {
-            if i == domains.len() {
-                out.push(VisibleState::new(q, tuple.clone()));
-                return;
-            }
-            for &choice in &domains[i] {
-                tuple[i] = choice;
-                rec(domains, i + 1, q, tuple, out);
-            }
-        }
-        rec(&per_thread, 0, self.q, &mut tuple, &mut out);
+        for_each_visible(self.q, &domains, |v| out.push(v));
         out
     }
 
@@ -143,6 +114,83 @@ pub struct SymbolicLayerSummary {
     pub new_visible: usize,
 }
 
+/// The top set `T(A)` of a stack language: the possible tops of an
+/// accepted word, `ε` first when the language contains it, then the
+/// first symbols ascending (Alg. 4's per-thread data). Empty exactly
+/// for the empty language.
+fn top_set(a: &CanonicalDfa) -> Vec<Option<StackSym>> {
+    let (firsts, eps) = a.first_symbols();
+    eps.then_some(None)
+        .into_iter()
+        .chain(firsts.into_iter().map(|s| Some(StackSym(s))))
+        .collect()
+}
+
+/// Calls `f` with every visible state of `{q} × d1 × … × dn` over the
+/// per-thread top `domains`, the last thread varying fastest; nothing
+/// when some domain is empty (then `γ(τ)` is empty).
+fn for_each_visible(
+    q: SharedState,
+    domains: &[&[Option<StackSym>]],
+    mut f: impl FnMut(VisibleState),
+) {
+    if domains.iter().any(|d| d.is_empty()) {
+        return;
+    }
+    let mut digits = vec![0usize; domains.len()];
+    loop {
+        f(VisibleState::new(
+            q,
+            digits.iter().zip(domains).map(|(&i, d)| d[i]).collect(),
+        ));
+        let Some(pos) = (0..digits.len()).rposition(|i| digits[i] + 1 < domains[i].len()) else {
+            return;
+        };
+        digits[pos] += 1;
+        digits[pos + 1..].iter_mut().for_each(|d| *d = 0);
+    }
+}
+
+/// Interned canonical DFAs, each with its cached top set `T(A)`.
+///
+/// A [`SymbolicState`] key is `(q, [DfaId; n])` over this table, so
+/// equal stack languages hash and compare as one `u32`. Automata are
+/// only ever added; one interned by a failed round stays harmlessly.
+#[derive(Debug, Default)]
+struct DfaTable {
+    dfas: Vec<CanonicalDfa>,
+    index: HashMap<CanonicalDfa, u32>,
+    /// The `TopSetId` of each DFA.
+    top_set_of: Vec<u32>,
+    /// The [`top_set`] of each `TopSetId`.
+    top_sets: Vec<Vec<Option<StackSym>>>,
+    top_set_index: HashMap<Vec<Option<StackSym>>, u32>,
+}
+
+impl DfaTable {
+    /// The `DfaId` of `dfa`, interning it (and its top set) when new.
+    fn intern(&mut self, dfa: CanonicalDfa) -> u32 {
+        if let Some(&id) = self.index.get(&dfa) {
+            return id;
+        }
+        let tops = top_set(&dfa);
+        let next_top_set = self.top_sets.len() as u32;
+        let top_set = *self.top_set_index.entry(tops.clone()).or_insert_with(|| {
+            self.top_sets.push(tops);
+            next_top_set
+        });
+        let id = self.dfas.len() as u32;
+        self.index.insert(dfa.clone(), id);
+        self.dfas.push(dfa);
+        self.top_set_of.push(top_set);
+        id
+    }
+
+    fn get(&self, id: u32) -> &CanonicalDfa {
+        &self.dfas[id as usize]
+    }
+}
+
 /// Symbolic layered exploration of `S0, S1, …` with PSA-based context
 /// steps (the paper's third approach, Alg. 3(T(Sk)), App. E).
 ///
@@ -154,6 +202,16 @@ pub struct SymbolicLayerSummary {
 ///    emit `⟨q'|A1,…,post*|q',…,An⟩` — the other threads' stacks are
 ///    unchanged, merely re-associated with the new shared state.
 ///
+/// States are interned: every canonical DFA gets a `DfaId` (with its
+/// top set cached once), and a symbolic state is the fixed-width key
+/// `(q, [DfaId; n])` whose dense id is the state id. A successor's key
+/// is its frontier state's key with two words replaced, so a context
+/// step clones no automaton. The visible states `T(τ)` depend only on
+/// `(q, [TopSetId; n])` and are enumerated once per such key; those
+/// keys roll back with a failed round. [`layer`](Self::layer) and
+/// [`covers`](Self::covers) still speak [`SymbolicState`],
+/// materialized on demand.
+///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
 #[derive(Debug)]
@@ -161,8 +219,12 @@ pub struct SymbolicEngine {
     cpds: Cpds,
     budget: ExploreBudget,
     mode: SubsumptionMode,
-    states: Vec<SymbolicState>,
-    index: HashMap<SymbolicState, u32>,
+    dfas: DfaTable,
+    /// State `id` is the key `(q, [DfaId; n])` with that id.
+    keys: KeyTable,
+    /// The `(q, [TopSetId; n])` keys whose visible states are recorded.
+    /// Starts empty on a restored engine (re-recording is a no-op).
+    visible_keys: KeyTable,
     /// Ids grouped by shared state, for pointwise subsumption lookups.
     by_shared: HashMap<SharedState, Vec<u32>>,
     /// The property-independent layer record (shared vocabulary with
@@ -179,10 +241,14 @@ impl SymbolicEngine {
     pub fn new(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
         let init = SymbolicState::singleton(&cpds.initial_state());
         let visible = cpds.initial_state().visible();
-        let mut index = HashMap::new();
-        index.insert(init.clone(), 0u32);
-        let mut by_shared: HashMap<SharedState, Vec<u32>> = HashMap::new();
-        by_shared.insert(init.q, vec![0]);
+        let mut engine = SymbolicEngine::empty(cpds, budget, mode, LayerStore::new(visible));
+        engine.intern_state(init);
+        engine
+    }
+
+    /// An engine with no states over `store`.
+    fn empty(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode, store: LayerStore) -> Self {
+        let width = cpds.num_threads() + 1;
         let tables = (0..cpds.num_threads())
             .map(|i| RuleTable::new(cpds.thread(i)))
             .collect();
@@ -190,17 +256,33 @@ impl SymbolicEngine {
             cpds,
             budget,
             mode,
-            states: vec![init],
-            index,
-            by_shared,
-            store: LayerStore::new(visible),
+            dfas: DfaTable::default(),
+            keys: KeyTable::new(width),
+            visible_keys: KeyTable::new(width),
+            by_shared: HashMap::new(),
+            store,
             tables,
         }
     }
 
+    /// Interns and stores `state`; `false` (storing nothing) when an
+    /// identical state is already stored.
+    fn intern_state(&mut self, state: SymbolicState) -> bool {
+        let mut key = Vec::with_capacity(self.keys.width());
+        key.push(state.q.0);
+        for dfa in state.stacks {
+            key.push(self.dfas.intern(dfa));
+        }
+        let (id, new) = self.keys.insert(&key);
+        if new {
+            self.by_shared.entry(state.q).or_default().push(id);
+        }
+        new
+    }
+
     /// Rebuilds an engine from deserialized parts: the symbolic-state
     /// table in discovery order plus an already-validated layer record.
-    /// The lookup index, per-shared-state grouping, and CSR rule
+    /// The interned keys, per-shared-state grouping, and CSR rule
     /// tables are derived, so a restored engine is indistinguishable
     /// from one that explored the same layers live.
     ///
@@ -221,27 +303,13 @@ impl SymbolicEngine {
         if states[0] != SymbolicState::singleton(&cpds.initial_state()) {
             return Err("state 0 is not the initial symbolic state".to_owned());
         }
-        let mut index = HashMap::with_capacity(states.len());
-        let mut by_shared: HashMap<SharedState, Vec<u32>> = HashMap::new();
-        for (id, state) in states.iter().enumerate() {
-            if index.insert(state.clone(), id as u32).is_some() {
+        let mut engine = SymbolicEngine::empty(cpds, budget, mode, store);
+        for state in states {
+            if !engine.intern_state(state) {
                 return Err("duplicate symbolic state in state table".to_owned());
             }
-            by_shared.entry(state.q).or_default().push(id as u32);
         }
-        let tables = (0..cpds.num_threads())
-            .map(|i| RuleTable::new(cpds.thread(i)))
-            .collect();
-        Ok(SymbolicEngine {
-            cpds,
-            budget,
-            mode,
-            states,
-            index,
-            by_shared,
-            store,
-            tables,
-        })
+        Ok(engine)
     }
 
     /// The subsumption mode the engine deduplicates with.
@@ -249,9 +317,18 @@ impl SymbolicEngine {
         self.mode
     }
 
+    /// Materializes the symbolic state with id `id`.
+    fn state(&self, id: u32) -> SymbolicState {
+        let key = self.keys.key(id);
+        SymbolicState {
+            q: SharedState(key[0]),
+            stacks: key[1..].iter().map(|&d| self.dfas.get(d).clone()).collect(),
+        }
+    }
+
     /// The stored symbolic states in discovery order (serialization).
-    pub(crate) fn states(&self) -> &[SymbolicState] {
-        &self.states
+    pub(crate) fn states(&self) -> impl Iterator<Item = SymbolicState> + '_ {
+        (0..self.keys.len() as u32).map(|id| self.state(id))
     }
 
     /// The CPDS being explored.
@@ -283,19 +360,17 @@ impl SymbolicEngine {
 
     /// Total number of symbolic states stored.
     pub fn num_symbolic_states(&self) -> usize {
-        self.states.len()
+        self.keys.len()
     }
 
-    /// Symbolic states first produced at context bound `k`.
+    /// Symbolic states first produced at context bound `k`, in
+    /// discovery order (materialized from the interned keys).
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn layer(&self, k: usize) -> impl Iterator<Item = &SymbolicState> + '_ {
-        self.store
-            .layer_ids(k)
-            .iter()
-            .map(|&id| &self.states[id as usize])
+    pub fn layer(&self, k: usize) -> impl Iterator<Item = SymbolicState> + '_ {
+        self.store.layer_ids(k).iter().map(|&id| self.state(id))
     }
 
     /// Visible states first seen at context bound `k`
@@ -322,7 +397,22 @@ impl SymbolicEngine {
     /// symbolic state (i.e. is context-bounded reachable at the
     /// current bound). Used in cross-validation tests.
     pub fn covers(&self, state: &GlobalState) -> bool {
-        self.states.iter().any(|s| s.contains(state))
+        if state.stacks.len() != self.cpds.num_threads() {
+            return false;
+        }
+        let words: Vec<Vec<u32>> = state
+            .stacks
+            .iter()
+            .map(|w| w.iter_top_down().map(|x| x.0).collect())
+            .collect();
+        (0..self.keys.len() as u32).any(|id| {
+            let key = self.keys.key(id);
+            key[0] == state.q.0
+                && words
+                    .iter()
+                    .zip(&key[1..])
+                    .all(|(word, &dfa)| self.dfas.get(dfa).accepts(word))
+        })
     }
 
     /// Computes the next layer `Sk+1 \ Sk`.
@@ -337,7 +427,7 @@ impl SymbolicEngine {
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
-                .push_layer(Vec::new(), Vec::new(), self.states.len());
+                .push_layer(Vec::new(), Vec::new(), self.keys.len());
             return Ok(SymbolicLayerSummary {
                 k,
                 new_symbolic: 0,
@@ -345,9 +435,11 @@ impl SymbolicEngine {
             });
         }
         let frontier: Vec<u32> = self.store.layer_ids(k - 1).to_vec();
-        let round_start = self.states.len() as u32;
+        let round_start = self.keys.len();
+        let visible_start = self.visible_keys.len();
         let mut new_layer: Vec<u32> = Vec::new();
         let mut new_visible: Vec<VisibleState> = Vec::new();
+        let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
 
         for &tau_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
@@ -357,13 +449,17 @@ impl SymbolicEngine {
                     .check()
                     .and_then(|()| self.context_post(tau_id, thread))
                     .and_then(|successors| {
-                        for tau2 in successors {
-                            self.register(tau2, &mut new_layer, &mut new_visible)?;
+                        for (q2, dfa) in successors {
+                            key.clear();
+                            key.extend_from_slice(self.keys.key(tau_id));
+                            key[0] = q2.0;
+                            key[thread + 1] = dfa;
+                            self.register(&key, &mut new_layer, &mut new_visible)?;
                         }
                         Ok(())
                     });
                 if let Err(e) = step {
-                    self.rollback(round_start, &new_visible);
+                    self.rollback(round_start, visible_start, &new_visible);
                     return Err(e);
                 }
             }
@@ -375,34 +471,44 @@ impl SymbolicEngine {
             new_visible: new_visible.len(),
         };
         self.store
-            .push_layer(new_layer, new_visible, self.states.len());
+            .push_layer(new_layer, new_visible, self.keys.len());
         Ok(summary)
     }
 
-    /// Removes every symbolic state (ids `round_start..`) and visible
-    /// state registered by a failed round, leaving the engine exactly
-    /// at the previous bound so `advance` may be retried.
-    fn rollback(&mut self, round_start: u32, new_visible: &[VisibleState]) {
-        for state in self.states.drain(round_start as usize..) {
-            self.index.remove(&state);
-            if let Some(ids) = self.by_shared.get_mut(&state.q) {
-                ids.retain(|&id| id < round_start);
+    /// Removes every symbolic state (ids `round_start..`), visible-key
+    /// and visible state registered by a failed round, leaving the
+    /// engine exactly at the previous bound so `advance` may be
+    /// retried.
+    fn rollback(&mut self, round_start: usize, visible_start: usize, new_visible: &[VisibleState]) {
+        for id in round_start..self.keys.len() {
+            let q = SharedState(self.keys.key(id as u32)[0]);
+            if let Some(ids) = self.by_shared.get_mut(&q) {
+                ids.retain(|&other| (other as usize) < round_start);
             }
         }
+        self.keys.truncate(round_start);
+        self.visible_keys.truncate(visible_start);
         self.store.rollback_round(new_visible);
     }
 
-    /// One full context of `thread` from symbolic state `tau_id`.
+    /// One full context of `thread` from symbolic state `tau_id`: the
+    /// successors as `(q', DfaId)` pairs, the new shared state and
+    /// `thread`'s new stack language; every other slot of the key
+    /// stays the frontier state's.
     ///
     /// The `post*` saturation itself polls the budget's interrupt
     /// every few transition insertions, so even a single pathological
     /// context step cannot overshoot a deadline by more than a poll
     /// interval.
-    fn context_post(&self, tau_id: u32, thread: usize) -> Result<Vec<SymbolicState>, ExploreError> {
-        let tau = &self.states[tau_id as usize];
-        let num_controls = self.cpds.num_shared();
-        let stack_nfa = tau.stacks[thread].to_nfa();
-        let init = match Psa::from_stack_nfa(num_controls, tau.q, &stack_nfa) {
+    fn context_post(
+        &mut self,
+        tau_id: u32,
+        thread: usize,
+    ) -> Result<Vec<(SharedState, u32)>, ExploreError> {
+        let key = self.keys.key(tau_id);
+        let q = SharedState(key[0]);
+        let stack_nfa = self.dfas.get(key[thread + 1]).to_nfa();
+        let init = match Psa::from_stack_nfa(self.cpds.num_shared(), q, &stack_nfa) {
             Ok(p) => p,
             Err(_) => return Ok(Vec::new()),
         };
@@ -421,49 +527,78 @@ impl SymbolicEngine {
             if canon.is_empty_language() {
                 continue;
             }
-            let mut stacks = tau.stacks.clone();
-            stacks[thread] = canon;
-            out.push(SymbolicState { q: q2, stacks });
+            out.push((q2, self.dfas.intern(canon)));
         }
         Ok(out)
     }
 
-    /// Stores a successor unless deduplicated/subsumed.
+    /// Whether the state keyed `key` is pointwise subsumed by stored
+    /// state `id` of the same shared state (`γ(key) ⊆ γ(id)`); equal
+    /// automaton ids short-cut the language inclusion test.
+    fn subsumed_by(&self, key: &[u32], id: u32) -> bool {
+        key[1..]
+            .iter()
+            .zip(&self.keys.key(id)[1..])
+            .all(|(&a, &b)| {
+                a == b || language_subset(&self.dfas.get(a).to_nfa(), &self.dfas.get(b).to_nfa())
+            })
+    }
+
+    /// Stores the successor keyed `key` unless deduplicated/subsumed.
     fn register(
         &mut self,
-        tau: SymbolicState,
+        key: &[u32],
         new_layer: &mut Vec<u32>,
         new_visible: &mut Vec<VisibleState>,
     ) -> Result<(), ExploreError> {
-        if tau.is_empty() || self.index.contains_key(&tau) {
+        let empty = key[1..]
+            .iter()
+            .any(|&d| self.dfas.get(d).is_empty_language());
+        if empty || self.keys.find(key).is_some() {
             return Ok(());
         }
+        let q = SharedState(key[0]);
         if self.mode == SubsumptionMode::Pointwise {
-            if let Some(ids) = self.by_shared.get(&tau.q) {
-                if ids
-                    .iter()
-                    .any(|&id| tau.subsumed_by(&self.states[id as usize]))
-                {
+            if let Some(ids) = self.by_shared.get(&q) {
+                if ids.iter().any(|&id| self.subsumed_by(key, id)) {
                     return Ok(());
                 }
             }
         }
-        if self.states.len() >= self.budget.max_symbolic_states {
+        if self.keys.len() >= self.budget.max_symbolic_states {
             return Err(ExploreError::SymbolicBudgetExceeded {
                 limit: self.budget.max_symbolic_states,
             });
         }
-        let id = self.states.len() as u32;
-        for v in tau.visible_states() {
-            if self.store.record_visible(v.clone()) {
-                new_visible.push(v);
-            }
-        }
-        self.index.insert(tau.clone(), id);
-        self.by_shared.entry(tau.q).or_default().push(id);
-        self.states.push(tau);
+        let (id, _) = self.keys.insert(key);
+        self.record_visible_states(key, new_visible);
+        self.by_shared.entry(q).or_default().push(id);
         new_layer.push(id);
         Ok(())
+    }
+
+    /// Records the visible states `T(τ) = {q} × T(A1) × … × T(An)` of
+    /// the state keyed `key` (Eq. 4), in the order of
+    /// [`SymbolicState::visible_states`] — unless a state with the same
+    /// `(q, [TopSetId; n])` was recorded before, which makes every one
+    /// of them a repeat.
+    fn record_visible_states(&mut self, key: &[u32], new_visible: &mut Vec<VisibleState>) {
+        let mut top_key = Vec::with_capacity(key.len());
+        top_key.push(key[0]);
+        top_key.extend(key[1..].iter().map(|&d| self.dfas.top_set_of[d as usize]));
+        if !self.visible_keys.insert(&top_key).1 {
+            return;
+        }
+        let domains: Vec<&[Option<StackSym>]> = top_key[1..]
+            .iter()
+            .map(|&t| self.dfas.top_sets[t as usize].as_slice())
+            .collect();
+        let store = &mut self.store;
+        for_each_visible(SharedState(key[0]), &domains, |v| {
+            if store.record_visible(v.clone()) {
+                new_visible.push(v);
+            }
+        });
     }
 
     /// Runs rounds until collapse or `max_k`; returns the final bound.

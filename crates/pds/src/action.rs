@@ -1,4 +1,4 @@
-use crate::{SharedState, StackSym};
+use crate::{SharedState, StackEdit, StackSym};
 
 /// Right-hand side `w' ∈ Σ≤2` of an action `(q, w) → (q', w')`.
 ///
@@ -35,6 +35,17 @@ impl Rhs {
     /// Whether `w' = ε`.
     pub fn is_empty(&self) -> bool {
         matches!(self, Rhs::Empty)
+    }
+
+    /// The symbols of `w'` bottom-up, the order in which a step pushes
+    /// them: `ρ1` before `ρ0` for a two-symbol right-hand side.
+    pub fn bottom_up(&self) -> impl Iterator<Item = StackSym> {
+        let (syms, n) = match *self {
+            Rhs::Empty => ([StackSym(0); 2], 0),
+            Rhs::One(s) => ([s, s], 1),
+            Rhs::Two { top, below } => ([below, top], 2),
+        };
+        syms.into_iter().take(n)
     }
 }
 
@@ -147,6 +158,23 @@ impl Action {
         }
     }
 
+    /// The step rule of §2.1 on one thread's stack, the single
+    /// definition every stack representation uses: pop the matched
+    /// top (when the action reads one), then push `w'` bottom-up. An
+    /// overwrite is thus a pop and a push, a call `(q,σ) → (q',ρ0ρ1)`
+    /// a pop and two pushes.
+    ///
+    /// The caller checks enabledness: `stack`'s top must be
+    /// [`top`](Self::top).
+    pub fn apply_to<S: StackEdit + ?Sized>(&self, stack: &mut S) {
+        if self.top.is_some() {
+            stack.pop_top();
+        }
+        for sym in self.rhs.bottom_up() {
+            stack.push_top(sym);
+        }
+    }
+
     /// Whether this is a pop action `(·,·) → (·,ε)` with a non-empty
     /// left-hand side. Used by the generator-set construction (Eq. 2).
     pub fn is_pop(&self) -> bool {
@@ -232,6 +260,17 @@ mod tests {
         assert_eq!(b.to_string(), "(0,4) -> (0,eps)");
         let c = Action::from_empty(q(1), q(2), None);
         assert_eq!(c.to_string(), "(1,eps) -> (2,eps)");
+    }
+
+    #[test]
+    fn rhs_pushes_bottom_up() {
+        assert_eq!(Rhs::Empty.bottom_up().count(), 0);
+        assert_eq!(Rhs::One(s(1)).bottom_up().collect::<Vec<_>>(), [s(1)]);
+        let call = Rhs::Two {
+            top: s(1),
+            below: s(2),
+        };
+        assert_eq!(call.bottom_up().collect::<Vec<_>>(), [s(2), s(1)]);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! but have individual stack alphabets and actions; threads interleave
 //! asynchronously and communicate only through the shared state.
 //!
+//! The step rule of §2.1 lives in one place, [`Action::apply_to`],
+//! over any [`StackEdit`] stack representation: the plain [`Stack`]
+//! and the hash-consed stacks of a [`StackTable`]. With a
+//! [`KeyTable`] of fixed-width `u32` keys, those are the interned
+//! state representation of the exploration engines.
+//!
 //! # Example
 //!
 //! The two-thread CPDS of Fig. 1 of the paper:
@@ -40,6 +46,7 @@
 mod action;
 mod cpds;
 mod error;
+mod intern;
 mod pds;
 pub mod rng;
 mod stack;
@@ -48,6 +55,7 @@ mod state;
 pub use action::{Action, ActionKind, Rhs};
 pub use cpds::{Cpds, CpdsBuilder};
 pub use error::PdsError;
+pub use intern::{KeyTable, StackEdit, StackId, StackTable};
 pub use pds::{Pds, PdsBuilder};
 pub use stack::Stack;
 pub use state::{GlobalState, PdsConfig, ThreadVisible, VisibleState};

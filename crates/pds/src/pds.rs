@@ -98,23 +98,7 @@ impl Pds {
         for &idx in self.actions_from(config.q, top) {
             let action = &self.actions[idx];
             let mut stack = config.stack.clone();
-            match (action.top, &action.rhs) {
-                (Some(_), Rhs::Empty) => {
-                    stack.pop();
-                }
-                (Some(_), Rhs::One(s)) => {
-                    stack.overwrite_top(*s);
-                }
-                (Some(_), Rhs::Two { top, below }) => {
-                    stack.overwrite_top(*below);
-                    stack.push(*top);
-                }
-                (None, Rhs::Empty) => {}
-                (None, Rhs::One(s)) => {
-                    stack.push(*s);
-                }
-                (None, Rhs::Two { .. }) => unreachable!("rejected at construction"),
-            }
+            action.apply_to(&mut stack);
             f(PdsConfig::new(action.q_post, stack), idx);
         }
     }

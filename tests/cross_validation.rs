@@ -7,22 +7,29 @@
 //! * witnesses replay and respect their layer's context bound,
 //! * Scheme 1 and Alg. 3 agree whenever both conclude,
 //! * the default lineup (one fused arm per backend) decides exactly
-//!   like the split lineup with a separate Scheme 1 arm.
+//!   like the split lineup with a separate Scheme 1 arm,
+//! * the interned engines and `G ∩ Z` search reproduce reference
+//!   copies of the clone-per-step originals exactly: state order,
+//!   layers, visible layers, and budget errors.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
 //! failures are directly reproducible.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 
+use cuba::automata::{post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
 use cuba::core::{
-    check_fcr, compute_z, CubaError, CubaOutcome, EngineKind, Portfolio, Property, SessionConfig,
-    Verdict,
+    check_fcr, compute_z, generators_in_z, thread_abstraction, CubaError, CubaOutcome, EngineKind,
+    GeneratorSet, Portfolio, Property, SessionConfig, SystemArtifacts, Verdict,
 };
-use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
+use cuba::explore::{
+    ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SubsumptionMode,
+    SymbolicEngine, SymbolicState,
+};
 use cuba::pds::rng::{shrink, shrink_usize};
-use cuba::pds::SharedState;
+use cuba::pds::{Cpds, GlobalState, SharedState, StackSym, VisibleState};
 
 fn small_budget() -> ExploreBudget {
     ExploreBudget {
@@ -374,4 +381,496 @@ fn fused_lineup_matches_the_split_lineup() {
         "{fcr_systems} / {other_systems}"
     );
     assert!(decided >= 100, "too few decided runs: {decided}");
+}
+
+/// Reference copies of the engines' rounds from before state
+/// interning: every step clones and hashes whole global states resp.
+/// symbolic states, exactly as the engines originally did. The
+/// interned engines must reproduce them state for state.
+mod reference {
+    use super::*;
+
+    /// The explicit round: a `GlobalState` BFS per frontier state and
+    /// thread through `Cpds::successors_of_thread_into`.
+    pub struct Explicit {
+        cpds: Cpds,
+        budget: ExploreBudget,
+        pub states: Vec<GlobalState>,
+        index: HashMap<GlobalState, u32>,
+        pub store: LayerStore,
+    }
+
+    impl Explicit {
+        pub fn new(cpds: Cpds, budget: ExploreBudget) -> Self {
+            let init = cpds.initial_state();
+            let store = LayerStore::new(init.visible());
+            Explicit {
+                cpds,
+                budget,
+                index: HashMap::from([(init.clone(), 0)]),
+                states: vec![init],
+                store,
+            }
+        }
+
+        pub fn advance(&mut self) -> Result<(), ExploreError> {
+            if self.store.is_collapsed() {
+                self.store
+                    .push_layer(Vec::new(), Vec::new(), self.states.len());
+                return Ok(());
+            }
+            let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
+            let round_start = self.states.len() as u32;
+            let mut new_layer = Vec::new();
+            let mut new_visible = Vec::new();
+            for &start in &frontier {
+                for thread in 0..self.cpds.num_threads() {
+                    self.closure(start, thread, round_start, &mut new_layer, &mut new_visible)?;
+                }
+            }
+            self.store
+                .push_layer(new_layer, new_visible, self.states.len());
+            Ok(())
+        }
+
+        fn closure(
+            &mut self,
+            start: u32,
+            thread: usize,
+            round_start: u32,
+            new_layer: &mut Vec<u32>,
+            new_visible: &mut Vec<VisibleState>,
+        ) -> Result<(), ExploreError> {
+            let mut queue = VecDeque::from([start]);
+            let mut in_context = HashSet::from([start]);
+            let mut explored = 0usize;
+            while let Some(id) = queue.pop_front() {
+                explored += 1;
+                if explored > self.budget.max_states_per_context {
+                    return Err(ExploreError::ContextBudgetExceeded {
+                        limit: self.budget.max_states_per_context,
+                        thread,
+                    });
+                }
+                let current = self.states[id as usize].clone();
+                let mut discovered = Vec::new();
+                self.cpds
+                    .successors_of_thread_into(&current, thread, &mut |succ, _| {
+                        discovered.push(succ)
+                    });
+                for succ in discovered {
+                    if succ.stacks[thread].len() > self.budget.max_stack_depth {
+                        return Err(ExploreError::StackDepthExceeded {
+                            limit: self.budget.max_stack_depth,
+                            thread,
+                        });
+                    }
+                    let succ_id = match self.index.get(&succ) {
+                        Some(&existing) => existing,
+                        None => {
+                            if self.states.len() >= self.budget.max_states {
+                                return Err(ExploreError::StateBudgetExceeded {
+                                    limit: self.budget.max_states,
+                                });
+                            }
+                            let new_id = self.states.len() as u32;
+                            let visible = succ.visible();
+                            self.index.insert(succ.clone(), new_id);
+                            self.states.push(succ);
+                            new_layer.push(new_id);
+                            if self.store.record_visible(visible.clone()) {
+                                new_visible.push(visible);
+                            }
+                            new_id
+                        }
+                    };
+                    if in_context.insert(succ_id) && succ_id >= round_start {
+                        queue.push_back(succ_id);
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The symbolic round: `post*`, canonicalize, and register whole
+    /// `SymbolicState`s.
+    pub struct Symbolic {
+        cpds: Cpds,
+        budget: ExploreBudget,
+        mode: SubsumptionMode,
+        pub states: Vec<SymbolicState>,
+        index: HashMap<SymbolicState, u32>,
+        by_shared: HashMap<SharedState, Vec<u32>>,
+        pub store: LayerStore,
+        tables: Vec<RuleTable>,
+    }
+
+    impl Symbolic {
+        pub fn new(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
+            let init = SymbolicState::singleton(&cpds.initial_state());
+            let store = LayerStore::new(cpds.initial_state().visible());
+            let tables = cpds.threads().iter().map(RuleTable::new).collect();
+            Symbolic {
+                by_shared: HashMap::from([(init.q, vec![0])]),
+                index: HashMap::from([(init.clone(), 0)]),
+                states: vec![init],
+                cpds,
+                budget,
+                mode,
+                store,
+                tables,
+            }
+        }
+
+        pub fn advance(&mut self) -> Result<(), ExploreError> {
+            if self.store.is_collapsed() {
+                self.store
+                    .push_layer(Vec::new(), Vec::new(), self.states.len());
+                return Ok(());
+            }
+            let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
+            let mut new_layer = Vec::new();
+            let mut new_visible = Vec::new();
+            for &tau in &frontier {
+                for thread in 0..self.cpds.num_threads() {
+                    for succ in self.context_post(tau, thread) {
+                        self.register(succ, &mut new_layer, &mut new_visible)?;
+                    }
+                }
+            }
+            self.store
+                .push_layer(new_layer, new_visible, self.states.len());
+            Ok(())
+        }
+
+        fn context_post(&self, tau: u32, thread: usize) -> Vec<SymbolicState> {
+            let tau = &self.states[tau as usize];
+            let stack_nfa = tau.stacks[thread].to_nfa();
+            let Ok(init) = Psa::from_stack_nfa(self.cpds.num_shared(), tau.q, &stack_nfa) else {
+                return Vec::new();
+            };
+            let saturated = post_star_table(
+                self.cpds.thread(thread),
+                &self.tables[thread],
+                &init,
+                &mut || true,
+            )
+            .expect("never interrupted");
+            let mut out = Vec::new();
+            for q2 in saturated.nonempty_controls() {
+                let canon = CanonicalDfa::from_nfa(&saturated.stack_language(q2));
+                if canon.is_empty_language() {
+                    continue;
+                }
+                let mut stacks = tau.stacks.clone();
+                stacks[thread] = canon;
+                out.push(SymbolicState { q: q2, stacks });
+            }
+            out
+        }
+
+        fn register(
+            &mut self,
+            tau: SymbolicState,
+            new_layer: &mut Vec<u32>,
+            new_visible: &mut Vec<VisibleState>,
+        ) -> Result<(), ExploreError> {
+            if tau.is_empty() || self.index.contains_key(&tau) {
+                return Ok(());
+            }
+            if self.mode == SubsumptionMode::Pointwise {
+                let ids = self.by_shared.get(&tau.q).map_or(&[][..], |v| v.as_slice());
+                if ids
+                    .iter()
+                    .any(|&id| tau.subsumed_by(&self.states[id as usize]))
+                {
+                    return Ok(());
+                }
+            }
+            if self.states.len() >= self.budget.max_symbolic_states {
+                return Err(ExploreError::SymbolicBudgetExceeded {
+                    limit: self.budget.max_symbolic_states,
+                });
+            }
+            let id = self.states.len() as u32;
+            for v in visible_states(&tau) {
+                if self.store.record_visible(v.clone()) {
+                    new_visible.push(v);
+                }
+            }
+            self.index.insert(tau.clone(), id);
+            self.by_shared.entry(tau.q).or_default().push(id);
+            self.states.push(tau);
+            new_layer.push(id);
+            Ok(())
+        }
+    }
+
+    /// `T(τ)` by recursion over the per-thread top sets, thread 0
+    /// outermost.
+    fn visible_states(tau: &SymbolicState) -> Vec<VisibleState> {
+        fn rec(
+            domains: &[Vec<Option<StackSym>>],
+            q: SharedState,
+            tuple: &mut Vec<Option<StackSym>>,
+            out: &mut Vec<VisibleState>,
+        ) {
+            match domains.split_first() {
+                None => out.push(VisibleState::new(q, tuple.clone())),
+                Some((first, rest)) => {
+                    for &top in first {
+                        tuple.push(top);
+                        rec(rest, q, tuple, out);
+                        tuple.pop();
+                    }
+                }
+            }
+        }
+        let domains: Vec<Vec<Option<StackSym>>> = tau
+            .stacks
+            .iter()
+            .map(|a| {
+                let (firsts, eps) = a.first_symbols();
+                let mut tops = if eps { vec![None] } else { Vec::new() };
+                tops.extend(firsts.into_iter().map(|s| Some(StackSym(s))));
+                tops
+            })
+            .collect();
+        let mut out = Vec::new();
+        rec(&domains, tau.q, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// `G ∩ Z` by the naive BFS over materialized visible states, then
+    /// `GeneratorSet::intersect`; `None` once `Z` outgrows `cap`.
+    pub fn g_cap_z(cpds: &Cpds, cap: usize) -> Option<(HashSet<VisibleState>, Vec<VisibleState>)> {
+        let abstractions: Vec<_> = cpds.threads().iter().map(thread_abstraction).collect();
+        let start = cpds.initial_state().visible();
+        let mut z = HashSet::from([start.clone()]);
+        let mut queue = VecDeque::from([start]);
+        while let Some(v) = queue.pop_front() {
+            for (i, trans) in abstractions.iter().enumerate() {
+                let tv = v.thread_visible(i);
+                for t in trans.iter().filter(|t| t.from == tv) {
+                    let mut next = v.clone();
+                    next.q = t.to.q;
+                    next.tops[i] = t.to.top;
+                    if z.insert(next.clone()) {
+                        if z.len() > cap {
+                            return None;
+                        }
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
+        let gz = GeneratorSet::from_cpds(cpds).intersect(z.iter());
+        Some((z, gz))
+    }
+}
+
+/// Budgets of the differential oracles: the usual small one, and a
+/// starved one that runs out mid-round on most systems (each limit
+/// binds on some of them).
+fn oracle_budgets() -> [ExploreBudget; 2] {
+    let starved = ExploreBudget {
+        max_states: 8,
+        max_stack_depth: 2,
+        max_states_per_context: 3,
+        max_symbolic_states: 8,
+        ..ExploreBudget::default()
+    };
+    [small_budget(), starved]
+}
+
+/// Runs the interned explicit engine beside the reference for four
+/// rounds; the first difference, if any.
+fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
+    let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
+    let mut reference = reference::Explicit::new(cpds.clone(), budget.clone());
+    for round in 1..=4 {
+        let (got, want) = (engine.advance().map(|_| ()), reference.advance());
+        if got != want {
+            return Some(format!("round {round}: {got:?} vs reference {want:?}"));
+        }
+        if got.is_err() {
+            // The failed round rolled back to the previous bound.
+            let k = engine.current_k();
+            return (engine.num_states() != engine.store().state_count_at(k))
+                .then(|| format!("round {round}: rollback left stray states"));
+        }
+        if engine.states() != reference.states.as_slice() {
+            return Some(format!("round {round}: state sequences differ"));
+        }
+        for k in 0..=round {
+            if engine.store().layer_ids(k) != reference.store.layer_ids(k)
+                || engine.visible_layer(k) != reference.store.visible_layer(k)
+            {
+                return Some(format!("round {round}: layer {k} differs"));
+            }
+        }
+    }
+    None
+}
+
+/// As [`explicit_difference`], for the symbolic engine in `mode`.
+fn symbolic_difference(
+    cpds: &Cpds,
+    budget: &ExploreBudget,
+    mode: SubsumptionMode,
+) -> Option<String> {
+    let mut engine = SymbolicEngine::new(cpds.clone(), budget.clone(), mode);
+    let mut reference = reference::Symbolic::new(cpds.clone(), budget.clone(), mode);
+    for round in 1..=4 {
+        let (got, want) = (engine.advance().map(|_| ()), reference.advance());
+        if got != want {
+            return Some(format!("round {round}: {got:?} vs reference {want:?}"));
+        }
+        if got.is_err() {
+            let k = engine.current_k();
+            return (engine.num_symbolic_states() != engine.store().state_count_at(k))
+                .then(|| format!("round {round}: rollback left stray states"));
+        }
+        if engine.num_symbolic_states() != reference.states.len() {
+            return Some(format!("round {round}: state counts differ"));
+        }
+        for k in 0..=round {
+            let layer: Vec<SymbolicState> = engine.layer(k).collect();
+            let want: Vec<&SymbolicState> = reference
+                .store
+                .layer_ids(k)
+                .iter()
+                .map(|&id| &reference.states[id as usize])
+                .collect();
+            if layer.iter().collect::<Vec<_>>() != want
+                || engine.store().layer_ids(k) != reference.store.layer_ids(k)
+                || engine.visible_layer(k) != reference.store.visible_layer(k)
+            {
+                return Some(format!("round {round}: layer {k} differs"));
+            }
+        }
+    }
+    None
+}
+
+/// The random shapes of the engine oracles: push-free systems with two
+/// and three threads, and a push-carrying shape whose instances are
+/// kept only under FCR.
+fn oracle_systems() -> Vec<(RandomCpdsConfig, u64)> {
+    let pushy = RandomCpdsConfig {
+        push_probability: 0.25,
+        actions_per_thread: 5,
+        ..RandomCpdsConfig::default()
+    };
+    let three_threads = RandomCpdsConfig {
+        num_threads: 3,
+        ..RandomCpdsConfig::shrinking()
+    };
+    let mut systems: Vec<(RandomCpdsConfig, u64)> = (0..16u64)
+        .flat_map(|seed| {
+            [
+                (RandomCpdsConfig::shrinking(), seed),
+                (three_threads.clone(), seed),
+            ]
+        })
+        .collect();
+    systems.extend(
+        (0..40u64)
+            .filter(|&seed| check_fcr(&random_cpds(&pushy, seed)).holds())
+            .map(|seed| (pushy.clone(), seed)),
+    );
+    systems
+}
+
+/// Differential oracle for state interning: on random systems, under
+/// two budgets and (symbolic) both subsumption modes, the interned
+/// engines produce exactly the reference engines' state sequences,
+/// layers and visible layers, and fail with the same error in the
+/// same round. A difference is shrunk to a minimal shape.
+#[test]
+fn interned_engines_match_the_reference_rounds() {
+    let systems = oracle_systems();
+    assert!(systems.len() >= 24, "too few systems: {}", systems.len());
+    let mut errors = HashMap::new();
+    for (shape, seed) in systems {
+        for budget in oracle_budgets() {
+            let check = |shape: &RandomCpdsConfig| {
+                let cpds = random_cpds(shape, seed);
+                explicit_difference(&cpds, &budget)
+                    .map(|d| format!("explicit: {d}"))
+                    .or_else(|| {
+                        [SubsumptionMode::Exact, SubsumptionMode::Pointwise]
+                            .into_iter()
+                            .find_map(|mode| {
+                                symbolic_difference(&cpds, &budget, mode)
+                                    .map(|d| format!("symbolic {mode:?}: {d}"))
+                            })
+                    })
+            };
+            if let Some(difference) = check(&shape) {
+                let minimal = shrink(shape.clone(), smaller_shapes, |s| check(s).is_some());
+                panic!(
+                    "seed {seed}: {difference}; minimal failing shape {minimal:?}: {:?}",
+                    check(&minimal)
+                );
+            }
+            let cpds = random_cpds(&shape, seed);
+            let mut explicit = ExplicitEngine::new(cpds.clone(), budget.clone());
+            let mut symbolic = SymbolicEngine::new(cpds, budget.clone(), SubsumptionMode::Exact);
+            for error in (0..4)
+                .find_map(|_| explicit.advance().err())
+                .into_iter()
+                .chain((0..4).find_map(|_| symbolic.advance().err()))
+            {
+                *errors.entry(std::mem::discriminant(&error)).or_insert(0) += 1;
+            }
+        }
+    }
+    // Every budget kind ran out somewhere, so the error paths and
+    // their rollbacks were compared too.
+    assert_eq!(errors.len(), 4, "budget errors seen: {errors:?}");
+}
+
+/// Differential oracle for the key-based `G ∩ Z` search: it equals the
+/// naive BFS plus intersection, as does the cached artifact, and
+/// `compute_z` still returns all of `Z` — including systems with more
+/// than 16 threads.
+#[test]
+fn generator_search_matches_the_naive_bfs() {
+    let wide = RandomCpdsConfig {
+        num_shared: 2,
+        num_threads: 17,
+        alphabet: 2,
+        actions_per_thread: 1,
+        push_probability: 0.25,
+    };
+    let mut checked_wide = 0;
+    for (shape, seeds) in [
+        (RandomCpdsConfig::default(), 0..24u64),
+        (RandomCpdsConfig::shrinking(), 0..24u64),
+        (wide.clone(), 0..24u64),
+    ] {
+        for seed in seeds {
+            // `None` when `Z` is too large for the naive search.
+            let differs = |shape: &RandomCpdsConfig| {
+                let cpds = random_cpds(shape, seed);
+                reference::g_cap_z(&cpds, 20_000).map(|(z, gz)| {
+                    generators_in_z(&cpds, &Interrupt::none()).as_ref() != Ok(&gz)
+                        || *SystemArtifacts::new().g_cap_z(&cpds) != gz
+                        || compute_z(&cpds).states != z
+                })
+            };
+            match differs(&shape) {
+                None => continue,
+                Some(true) => {
+                    let minimal =
+                        shrink(shape.clone(), smaller_shapes, |s| differs(s) == Some(true));
+                    panic!("seed {seed}: G∩Z differs; minimal failing shape {minimal:?}");
+                }
+                Some(false) => checked_wide += usize::from(shape.num_threads > 16),
+            }
+        }
+    }
+    assert!(checked_wide >= 8, "too few wide systems: {checked_wide}");
 }

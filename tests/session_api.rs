@@ -4,18 +4,20 @@
 //! deadlines must stop work cooperatively, and the portfolio must
 //! decide both running examples as the paper does.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use cuba::benchmarks::suite::table2_suite;
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
     build_engine, AnalysisSession, ConvergenceMethod, EngineKind, EngineParams, EngineUsed,
-    Portfolio, Property, RoundCtx, RoundOutcome, SessionConfig, SessionEvent, Verdict,
+    Portfolio, Property, RoundCtx, RoundOutcome, SessionConfig, SessionEvent, SystemArtifacts,
+    Verdict,
 };
 use cuba::explore::{
     CancelToken, ExploreBudget, ExploreError, Interrupt, SubsumptionMode, SymbolicEngine,
 };
-use cuba::pds::{SharedState, StackSym, VisibleState};
+use cuba::pds::{Cpds, CpdsBuilder, PdsBuilder, SharedState, StackSym, VisibleState};
 
 fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
     VisibleState::new(
@@ -196,6 +198,97 @@ fn deadline_is_honored_mid_round() {
         start.elapsed() < Duration::from_secs(10),
         "mid-round deadline ignored for {:?}",
         start.elapsed()
+    );
+}
+
+/// `n` identical threads over one shared state, each running
+/// `1 → 2 → 3 → ε` in a single context. Every round is made of tiny
+/// closures, and `Z` has `4^n` visible states.
+fn wide(n: usize) -> Cpds {
+    let (q, s) = (SharedState(0), StackSym);
+    let mut pds = PdsBuilder::new(1, 4);
+    pds.overwrite(q, s(1), q, s(2)).unwrap();
+    pds.overwrite(q, s(2), q, s(3)).unwrap();
+    pds.pop(q, s(3), q).unwrap();
+    CpdsBuilder::new(1, q)
+        .threads(&pds.build().unwrap(), [s(1)], n)
+        .build()
+        .unwrap()
+}
+
+/// A session's deadline covers everything it does, including the
+/// `G ∩ Z` search (`Z` has `4^16` visible states here) and rounds made
+/// of many short context closures.
+#[test]
+fn deadline_covers_the_generator_search() {
+    let start = std::time::Instant::now();
+    let outcome = Portfolio::auto()
+        .with_config(SessionConfig {
+            timeout: Some(Duration::from_millis(200)),
+            ..SessionConfig::new()
+        })
+        .run(wide(16), Property::True)
+        .expect("an interrupted session still answers");
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "deadline ignored for {:?}",
+        start.elapsed()
+    );
+    match &outcome.verdict {
+        Verdict::Undetermined { reason } => assert!(reason.contains("deadline"), "{reason}"),
+        other => panic!("expected the deadline to decide, got {other:?}"),
+    }
+    assert!(outcome.duration >= Duration::from_millis(200));
+}
+
+/// Alg. 3 searches `G ∩ Z` inside the round that first needs it, under
+/// that round's interrupt: here each of 16 threads can pop once and
+/// then nothing moves, so `T(Rk)` plateaus at `k = 2`, but a pop may
+/// guess the emerging symbol 2, so `Z` spans `{1, ε, 2, 3}` per
+/// thread. The deadline stops the search, the arm fails with it, and
+/// the cut-off `Z` is not cached.
+#[test]
+fn an_interrupted_generator_search_fails_the_round_and_caches_nothing() {
+    let s = StackSym;
+    let mut pds = PdsBuilder::new(3, 8);
+    pds.pop(SharedState(0), s(1), SharedState(1)).unwrap();
+    pds.overwrite(SharedState(1), s(2), SharedState(0), s(3))
+        .unwrap();
+    // Unreachable (q = 2 never occurs); makes 2 an emerging symbol.
+    pds.push(SharedState(2), s(7), SharedState(2), s(7), s(2))
+        .unwrap();
+    let cpds = CpdsBuilder::new(3, SharedState(0))
+        .threads(&pds.build().unwrap(), [s(1)], 16)
+        .build()
+        .unwrap();
+    let artifacts = Arc::new(SystemArtifacts::new());
+    let params = EngineParams {
+        artifacts: Some(artifacts.clone()),
+        ..EngineParams::default()
+    };
+    let mut engine = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
+    let deadline = Interrupt::none().with_timeout(Duration::from_millis(300));
+    let mut ctx = RoundCtx::with_interrupt(deadline);
+    let start = std::time::Instant::now();
+    let error = loop {
+        match engine.step(&mut ctx) {
+            Ok(RoundOutcome::Continue(info)) => assert!(info.k < 2, "k={}", info.k),
+            Ok(other) => panic!("the plateau cannot conclude without G∩Z: {other:?}"),
+            Err(error) => break error,
+        }
+    };
+    assert!(start.elapsed() < Duration::from_secs(10));
+    assert_eq!(engine.rounds(), 1, "rounds 0 and 1 completed");
+    assert!(matches!(
+        error,
+        cuba::core::CubaError::Explore(ExploreError::DeadlineExceeded)
+    ));
+    // Nothing cached: a fresh search under a fired token fails at once.
+    let fired = CancelToken::new();
+    fired.cancel();
+    assert_eq!(
+        artifacts.g_cap_z_within(&cpds, &Interrupt::none().with_cancel(fired)),
+        Err(ExploreError::Cancelled)
     );
 }
 
