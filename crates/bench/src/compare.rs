@@ -635,8 +635,6 @@ mod tests {
             check_samples_us: vec![800.0, 750.0, 850.0],
             merge_samples_us: vec![40.0, 30.0, 50.0],
             duration_ms: 1,
-            reduce_removed: None,
-            reduce_us: None,
             unstable: false,
         };
         let line = crate::harness::row_to_json(&row);

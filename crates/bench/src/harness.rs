@@ -91,12 +91,6 @@ pub struct BenchPlan {
     pub samples: usize,
     /// Problems in flight per iteration.
     pub workers: usize,
-    /// Run the verdict-preserving static pre-analysis on every
-    /// workload before measuring. The suite cache then keys on the
-    /// *reduced* systems, and each row records what the reduction
-    /// removed. Verdicts are identical by construction; `--compare`
-    /// against an unreduced baseline gates exactly that.
-    pub reduce: bool,
     /// A `cuba snapshot` file to seed into every iteration's fresh
     /// cache (`--from-snapshot`): the matching workload replays the
     /// recorded layers instead of exploring live, and its hit probe
@@ -125,7 +119,6 @@ impl Default for BenchPlan {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            reduce: false,
             seed: None,
         }
     }
@@ -169,12 +162,6 @@ pub struct BenchRow {
     pub merge_samples_us: Vec<f64>,
     /// Whole-outcome duration of the first sample, milliseconds.
     pub duration_ms: u128,
-    /// With [`BenchPlan::reduce`]: transitions the pre-analysis
-    /// removed from this workload's system (absent otherwise).
-    pub reduce_removed: Option<usize>,
-    /// With [`BenchPlan::reduce`]: total pre-analysis time for this
-    /// workload's system, microseconds (absent otherwise).
-    pub reduce_us: Option<u64>,
     /// Whether any later sample disagreed with the first on the
     /// structural outcome (verdict) — should never happen; surfaced
     /// loudly instead of silently averaged away.
@@ -298,30 +285,9 @@ pub fn run(plan: &BenchPlan) -> BenchRun {
 
 /// [`run`] over an explicit workload list (tests measure a small
 /// subset; the debug-build suite is seconds per iteration).
-pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)>) -> BenchRun {
+pub fn run_problems(plan: &BenchPlan, problems: Vec<(String, Cpds, Property)>) -> BenchRun {
     let config = bench_config(SchedulePolicy::RoundRobin);
     let portfolio = Portfolio::auto().with_config(config.clone());
-
-    // With --reduce, the pre-analysis runs once per workload up front;
-    // every iteration (and the suite cache) then sees only the reduced
-    // systems. The reduction is property-independent, so workloads
-    // sharing a system still share one cache entry.
-    let mut reductions: Vec<Option<(usize, u64)>> = vec![None; problems.len()];
-    if plan.reduce {
-        for (i, (label, cpds, property)) in problems.iter_mut().enumerate() {
-            match cuba_reduce::reduce(cpds, std::slice::from_ref(property)) {
-                Ok(reduction) => {
-                    let stats = &reduction.stats;
-                    reductions[i] = Some((
-                        stats.removed_transitions,
-                        stats.skeleton_us + stats.coi_us + stats.rebuild_us,
-                    ));
-                    *cpds = reduction.cpds;
-                }
-                Err(e) => eprintln!("reduce {label}: {e} (measuring unreduced)"),
-            }
-        }
-    }
 
     for i in 0..plan.warmup {
         let start = Instant::now();
@@ -369,8 +335,6 @@ pub fn run_problems(plan: &BenchPlan, mut problems: Vec<(String, Cpds, Property)
                     check_samples_us: Vec::new(),
                     merge_samples_us: Vec::new(),
                     duration_ms: 0,
-                    reduce_removed: reductions[i].map(|(removed, _)| removed),
-                    reduce_us: reductions[i].map(|(_, us)| us),
                     unstable: false,
                 };
                 match result {
@@ -475,15 +439,6 @@ pub fn row_to_json(row: &BenchRow) -> String {
         .collect();
     obj.raw("samples_us", format!("[{}]", samples.join(",")));
     obj.number("duration_ms", row.duration_ms as f64);
-    // Additive reduction fields (present only under `--reduce`): the
-    // baseline scanner ignores unknown keys, so records stay
-    // comparable across reduced and unreduced runs.
-    if let Some(removed) = row.reduce_removed {
-        obj.number("reduce_removed", removed as f64);
-    }
-    if let Some(us) = row.reduce_us {
-        obj.number("reduce_us", us as f64);
-    }
     if row.unstable {
         obj.bool("unstable", true);
     }
@@ -543,8 +498,6 @@ mod tests {
             check_samples_us: Vec::new(),
             merge_samples_us: Vec::new(),
             duration_ms: 0,
-            reduce_removed: None,
-            reduce_us: None,
             unstable: false,
         };
         let json = row_to_json(&error);
@@ -569,8 +522,6 @@ mod tests {
             check_samples_us: vec![800.0, 750.0, 850.0],
             merge_samples_us: vec![40.0, 30.0, 50.0],
             duration_ms: 1,
-            reduce_removed: Some(3),
-            reduce_us: Some(120),
             unstable: false,
         };
         let json = row_to_json(&measured);
@@ -580,41 +531,6 @@ mod tests {
         assert!(json.contains("\"check_us\":800"), "{json}");
         assert!(json.contains("\"merge_us\":40"), "{json}");
         assert!(json.contains("\"k\":4"));
-    }
-
-    /// `--reduce` changes no verdict and no bound, keeps the shared-
-    /// system cache pattern, and records the reduction fields.
-    #[test]
-    fn reduced_run_agrees_with_unreduced() {
-        let plan = BenchPlan {
-            warmup: 0,
-            samples: 1,
-            ..BenchPlan::default()
-        };
-        let problems: Vec<_> = bench_suite()
-            .into_iter()
-            .filter(|(label, _, _)| label.starts_with("fig1-multi/"))
-            .collect();
-        let plain = run_problems(&plan, problems.clone());
-        let reduced = run_problems(
-            &BenchPlan {
-                reduce: true,
-                ..plan
-            },
-            problems,
-        );
-        for (a, b) in plain.rows.iter().zip(&reduced.rows) {
-            assert_eq!(a.verdict, b.verdict, "{}", a.label);
-            assert_eq!(a.k, b.k, "{}", a.label);
-            assert_eq!(a.engine, b.engine, "{}", a.label);
-            assert!(b.reduce_removed.is_some() && b.reduce_us.is_some());
-            assert!(a.reduce_removed.is_none());
-        }
-        // The reduction is property-independent, so the three
-        // properties still share one cached system.
-        assert!(!reduced.rows[0].cache_hit);
-        assert!(reduced.rows[1].cache_hit && reduced.rows[2].cache_hit);
-        assert!(run_to_json(&reduced).contains("\"reduce_removed\":"));
     }
 
     /// `--from-snapshot` seeding: a snapshot of the fig1 system makes

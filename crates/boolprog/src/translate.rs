@@ -73,11 +73,6 @@ impl Translated {
 /// What the pre-translation simplification pass did to a program.
 #[derive(Debug, Clone, Default)]
 pub struct SimplifyReport {
-    /// CFG edges removed across all functions (constant-false guards
-    /// plus unreachable code).
-    pub edges_removed: usize,
-    /// Program points unreachable from their function's entry.
-    pub unreachable_points: usize,
     /// Source-level findings from the simplification (dead branches,
     /// constant asserts).
     pub lints: Vec<SourceLint>,
@@ -170,8 +165,6 @@ fn translate_inner(
         if simplify {
             let outcome = simplify_cfg(&cfg);
             cfg = outcome.cfg;
-            report.edges_removed += outcome.edges_removed;
-            report.unreachable_points += outcome.unreachable_points;
             report.lints.extend(outcome.lints);
         }
         let width = 1u64 << resolved.locals[i].len();
@@ -709,7 +702,6 @@ mod tests {
         let program = parse(src).unwrap();
         let plain = translate(&program).unwrap();
         let (simplified, report) = translate_simplified(&program).unwrap();
-        assert!(report.edges_removed > 0);
         assert!(report
             .lints
             .iter()
@@ -741,7 +733,6 @@ mod tests {
         let program = parse(src).unwrap();
         let plain = translate(&program).unwrap();
         let (simplified, report) = translate_simplified(&program).unwrap();
-        assert_eq!(report.edges_removed, 0);
         assert!(report.lints.is_empty());
         assert_eq!(
             cuba_core::fingerprint(&plain.cpds),

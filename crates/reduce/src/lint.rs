@@ -1,5 +1,5 @@
 //! The structured diagnostics ("lint") model shared by `cuba lint`,
-//! the reduction pipeline, and the `boolprog` frontend passes.
+//! this crate's model analysis, and the `boolprog` frontend passes.
 //!
 //! A [`Lint`] is plain data: a stable kebab-case code, a severity, a
 //! message, and an optional 1-based source position (meaningful for

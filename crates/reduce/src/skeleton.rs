@@ -1,6 +1,6 @@
 //! The labeled context-insensitive skeleton: the same stack-cut-at-one
 //! asynchronous product that [`cuba_core::compute_z`] explores (Alg. 2),
-//! rebuilt here with two additions the reduction pipeline needs:
+//! rebuilt here with two additions the lint analysis needs:
 //!
 //! * every abstract edge is *labeled* with the concrete action that
 //!   induced it, so a backward pass can name the transitions lying on
@@ -12,12 +12,45 @@
 //!
 //! Everything flagged unreachable here is unreachable in the concrete
 //! semantics (the skeleton is a superset, Lemma 12 direction), which is
-//! what makes deleting it verdict-preserving.
+//! what makes the unreachable-state and dead-transition lints sound.
+//!
+//! The product grows exponentially with the thread count, so
+//! [`explore`] walks at most [`MAX_SKELETON_EDGES`] edges and fails
+//! beyond that rather than return a truncated skeleton.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use cuba_core::Property;
 use cuba_pds::{Cpds, Pds, Rhs, StackSym, ThreadVisible, VisibleState};
+
+/// The most skeleton edges one analysis walks. Every edge is one BFS
+/// step and one stored predecessor, and a BFS discovers at most
+/// edges + 1 states, so this bounds both time and memory. The largest
+/// skeleton among the bench suite and the shipped samples, stefan-1/8
+/// (196,608 states, 1,703,936 edges), stays well below it.
+pub(crate) const MAX_SKELETON_EDGES: usize = 1 << 22;
+
+/// The skeleton has more edges than the cap allows. No partial
+/// skeleton is returned: a truncated one would make the unreachable
+/// and dead lints false.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkeletonTooLarge {
+    /// The cap that was exceeded.
+    pub max_edges: usize,
+}
+
+impl std::fmt::Display for SkeletonTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "context-insensitive skeleton exceeds the lint cap of {} edges; \
+             no diagnostics reported",
+            self.max_edges
+        )
+    }
+}
+
+impl std::error::Error for SkeletonTooLarge {}
 
 /// One abstract move: firing `action` of the owning thread takes the
 /// thread-visible pair `from` to `to`.
@@ -107,8 +140,9 @@ impl Skeleton {
 }
 
 /// Explores the asynchronous product of the labeled thread
-/// abstractions from the initial visible state.
-pub(crate) fn explore(cpds: &Cpds) -> Skeleton {
+/// abstractions from the initial visible state, walking at most
+/// `max_edges` edges.
+pub(crate) fn explore(cpds: &Cpds, max_edges: usize) -> Result<Skeleton, SkeletonTooLarge> {
     // Per thread: moves indexed by their source pair.
     let moves: Vec<HashMap<ThreadVisible, Vec<(ThreadVisible, u32)>>> = (0..cpds.num_threads())
         .map(|i| {
@@ -131,6 +165,7 @@ pub(crate) fn explore(cpds: &Cpds) -> Skeleton {
     let mut preds: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new()];
     let mut queue: VecDeque<u32> = VecDeque::new();
     queue.push_back(0);
+    let mut edges = 0usize;
     while let Some(u) = queue.pop_front() {
         for (i, by_from) in moves.iter().enumerate() {
             let tv = states[u as usize].thread_visible(i);
@@ -138,6 +173,10 @@ pub(crate) fn explore(cpds: &Cpds) -> Skeleton {
                 continue;
             };
             for &(to, action) in outgoing {
+                if edges == max_edges {
+                    return Err(SkeletonTooLarge { max_edges });
+                }
+                edges += 1;
                 let mut next = states[u as usize].clone();
                 next.q = to.q;
                 next.tops[i] = to.top;
@@ -173,12 +212,12 @@ pub(crate) fn explore(cpds: &Cpds) -> Skeleton {
             }
         }
     }
-    Skeleton {
+    Ok(Skeleton {
         states,
         preds,
         firable,
         reachable_shared,
-    }
+    })
 }
 
 /// The property-directed backward closure (cone of influence).
@@ -265,7 +304,7 @@ mod tests {
     #[test]
     fn fig1_everything_firable() {
         let cpds = fig1();
-        let skel = explore(&cpds);
+        let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         assert!(skel.firable.iter().flatten().all(|&f| f));
         assert!(skel.reachable_shared.iter().all(|&r| r));
         // Matches the Fig. 3 Z set: eight visible states.
@@ -283,7 +322,7 @@ mod tests {
             .thread(p1.build().unwrap(), [s(1)])
             .build()
             .unwrap();
-        let skel = explore(&cpds);
+        let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         assert_eq!(skel.firable[0], vec![true, false]);
         assert!(!skel.reachable_shared[9]);
         assert!(skel.reachable_shared[0] && skel.reachable_shared[1]);
@@ -301,14 +340,29 @@ mod tests {
             .thread(p.build().unwrap(), [s(0), s(1)])
             .build()
             .unwrap();
-        let skel = explore(&cpds);
+        let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         assert!(skel.firable[0].iter().all(|&f| f));
+    }
+
+    #[test]
+    fn edge_cap_fails_instead_of_truncating() {
+        // Fig. 1's skeleton: 8 states joined by 8 edges.
+        let cpds = fig1();
+        let skel = explore(&cpds, 8).unwrap();
+        assert_eq!(skel.num_states(), 8);
+        assert_eq!(skel.preds.iter().map(Vec::len).sum::<usize>(), 8);
+        assert_eq!(
+            explore(&cpds, 7).err(),
+            Some(SkeletonTooLarge { max_edges: 7 })
+        );
+        let message = SkeletonTooLarge { max_edges: 7 }.to_string();
+        assert!(message.contains("cap of 7 edges"), "{message}");
     }
 
     #[test]
     fn relevance_follows_paths_to_violation() {
         let cpds = fig1();
-        let skel = explore(&cpds);
+        let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|·⟩ is reachable; every action can sit on a path to it
         // except nothing — in Fig. 1 all actions feed the loop.
         let rel = relevance(&cpds, &skel, &[Property::never_shared(q(2))]);
@@ -322,7 +376,7 @@ mod tests {
     #[test]
     fn vacuous_property_has_empty_cone() {
         let cpds = fig1();
-        let skel = explore(&cpds);
+        let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|1,5⟩ is outside Z (Ex. 14): statically safe.
         let target = VisibleState::new(q(2), vec![Some(s(1)), Some(s(5))]);
         let rel = relevance(&cpds, &skel, &[Property::never_visible(target)]);

@@ -21,8 +21,8 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?engine=auto|explicit|symbolic` and `?max_k=N` override the lineup and round limit per request. `?reduce=true` runs the verdict-preserving static pre-analysis (`cuba lint`'s reduction pipeline) on the parsed system before analysis; the stream then opens with one `reduced` line. Streams NDJSON events per property until the verdict. |
-//! | `POST /suite` | Same body/parameters (`?reduce=` included); runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
+//! | `POST /analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?engine=auto|explicit|symbolic` and `?max_k=N` override the lineup and round limit per request. Streams NDJSON events per property until the verdict. |
+//! | `POST /suite` | Same body/parameters; runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
 //! | `GET /systems` | The shared-exploration registry: per system its fingerprint, residency (`resident` in the registry, or `spilled` — pushed out by `max_systems` but revivable/reloadable), FCR verdict (if decided) and per-backend explorer counters (`rounds_explored`, `depth`), plus service-wide snapshot counters (spills, revives, saves, reloads). |
 //! | `GET /healthz` | Liveness + service counters: uptime, build version, analysis-pool occupancy (`workers_busy`/`workers_idle`), the draining flag. |
 //! | `GET /metrics` | The process-wide telemetry registry ([`cuba_telemetry::metrics`]) in Prometheus text exposition format — counters, gauges, and latency histograms across every subsystem, plus the per-endpoint HTTP families this crate feeds. |
@@ -358,11 +358,6 @@ struct AnalyzeRequest {
     properties: Vec<(String, Property)>,
     lineup: Option<Lineup>,
     max_k: Option<usize>,
-    /// When `?reduce=true` was given, the number of transitions the
-    /// verdict-preserving pre-analysis removed from `cpds` (which is
-    /// already the reduced system). `None` means no reduction was
-    /// requested.
-    reduce_removed: Option<usize>,
 }
 
 /// Parses the shared `/analyze`–`/suite` request shape.
@@ -393,31 +388,11 @@ fn parse_analyze_request(request: &Request) -> Result<AnalyzeRequest, String> {
                 .map_err(|_| format!("bad max_k '{raw}'"))?,
         ),
     };
-    let reduce = match request.query_first("reduce") {
-        None | Some("false") | Some("0") => false,
-        Some("true") | Some("1") | Some("") => true,
-        Some(other) => return Err(format!("bad reduce '{other}' (expected true or false)")),
-    };
-    // Reduce *before* the broker sees the system: the shared cache
-    // fingerprints structure, so reduced requests key on the reduced
-    // CPDS and share exploration with each other, never with the
-    // unreduced original. Reduction is property-independent (the
-    // verdict-preservation invariant), so one reduced system serves
-    // every property of the request.
-    let (cpds, reduce_removed) = if reduce {
-        let props: Vec<Property> = properties.iter().map(|(_, p)| p.clone()).collect();
-        let reduction = cuba_reduce::reduce(&cpds, &props).map_err(|e| format!("reduce: {e}"))?;
-        let removed = reduction.stats.removed_transitions;
-        (reduction.cpds, Some(removed))
-    } else {
-        (cpds, None)
-    };
     Ok(AnalyzeRequest {
         cpds,
         properties,
         lineup,
         max_k,
-        reduce_removed,
     })
 }
 
@@ -497,9 +472,6 @@ fn handle_analyze(
 
     write_stream_head(out, "application/x-ndjson")?;
     let mut client_gone = false;
-    if let Some(removed) = parsed.reduce_removed {
-        send_line(out, &reduced_line(removed), &mut client_gone);
-    }
     for (spec, property) in parsed.properties {
         if client_gone {
             break;
@@ -629,9 +601,6 @@ fn handle_suite(
     let stats = broker.cache.stats();
     let mut body = JsonObject::new();
     body.string("cache", if cache_hit { "hit" } else { "miss" });
-    if let Some(removed) = parsed.reduce_removed {
-        body.number("reduce_removed", removed as f64);
-    }
     body.raw("results", format!("[{}]", records.join(",")));
     body.number("systems", stats.systems as f64);
     write_response(out, 200, "OK", "application/json", body.finish().as_bytes())
@@ -841,15 +810,6 @@ fn handle_shutdown(
 // NDJSON serialization. Kept public (and free of wall-clock fields in
 // the `verdict` line) so tests and clients can reproduce the exact
 // bytes from a direct `Portfolio` run.
-
-/// The stream-level `reduced` line, sent once before the first
-/// property when the request asked for `?reduce=true`.
-pub fn reduced_line(removed: usize) -> String {
-    let mut obj = JsonObject::new();
-    obj.string("type", "reduced");
-    obj.number("removed_transitions", removed as f64);
-    obj.finish()
-}
 
 /// The per-property `start` line.
 pub fn start_line(property: &str, fcr: bool, backend: &str) -> String {
@@ -1103,47 +1063,11 @@ mod tests {
 
         request.query = vec![("engine".into(), "quantum".into())];
         assert!(parse_analyze_request(&request).is_err());
+        // Unknown parameters are ignored, `reduce` included.
+        request.query = vec![("reduce".into(), "maybe".into())];
+        assert!(parse_analyze_request(&request).is_ok());
         request.query.clear();
         request.body.clear();
         assert!(parse_analyze_request(&request).is_err(), "empty body");
-    }
-
-    /// `?reduce=true` applies the verdict-preserving pre-analysis to
-    /// the parsed system before the broker ever sees it.
-    #[test]
-    fn analyze_request_reduce_param() {
-        // One live transition, one dead one from an unreachable shared
-        // state: the reduction must drop exactly the dead transition.
-        let model = "shared 3\ninit 0\nthread 2\nstack 1\n(0,1) -> (1,1)\n(2,1) -> (2,1)\n";
-        let mut request = Request {
-            method: "POST".into(),
-            path: "/analyze".into(),
-            body: model.as_bytes().to_vec(),
-            ..Request::default()
-        };
-        let plain = parse_analyze_request(&request).unwrap();
-        assert_eq!(plain.reduce_removed, None);
-
-        request.query = vec![("reduce".into(), "true".into())];
-        let reduced = parse_analyze_request(&request).unwrap();
-        assert_eq!(reduced.reduce_removed, Some(1));
-        assert_eq!(reduced.cpds.num_threads(), plain.cpds.num_threads());
-
-        request.query = vec![("reduce".into(), "false".into())];
-        let parsed = parse_analyze_request(&request).unwrap();
-        assert_eq!(parsed.reduce_removed, None);
-
-        request.query = vec![("reduce".into(), "maybe".into())];
-        let error = parse_analyze_request(&request).unwrap_err();
-        assert!(error.contains("bad reduce"), "{error}");
-    }
-
-    /// The stream-level `reduced` line is stable JSON.
-    #[test]
-    fn reduced_line_shape() {
-        assert_eq!(
-            reduced_line(4),
-            "{\"type\":\"reduced\",\"removed_transitions\":4}"
-        );
     }
 }

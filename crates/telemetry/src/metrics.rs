@@ -277,8 +277,6 @@ pub struct Metrics {
     pub cache_hits: Counter,
     /// Suite-cache lookups that created a fresh entry.
     pub cache_misses: Counter,
-    /// Static pre-analysis (reduce) passes run.
-    pub reduce_passes: Counter,
     /// Trace events shed by a full thread buffer.
     pub trace_events_dropped: Counter,
     /// Layer-store snapshots written to disk.
@@ -314,7 +312,6 @@ impl Metrics {
             frontier_edges: H,
             cache_hits: C,
             cache_misses: C,
-            reduce_passes: C,
             trace_events_dropped: C,
             snapshot_saves: C,
             snapshot_loads: C,
@@ -375,7 +372,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 10] = [
+    let counters: [(&str, &Counter, &str); 9] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -400,11 +397,6 @@ pub fn render_prometheus() -> String {
             "cuba_cache_misses_total",
             &m.cache_misses,
             "Suite-cache lookups that created a fresh entry.",
-        ),
-        (
-            "cuba_reduce_passes_total",
-            &m.reduce_passes,
-            "Static pre-analysis (reduce) pipeline runs.",
         ),
         (
             "cuba_trace_events_dropped_total",
@@ -629,7 +621,6 @@ mod tests {
             "cuba_waves_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",
-            "cuba_reduce_passes_total",
             "cuba_trace_events_dropped_total",
             "cuba_snapshot_saves_total",
             "cuba_snapshot_loads_total",

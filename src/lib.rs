@@ -9,7 +9,7 @@
 //! * [`explore`] — explicit and symbolic context-bounded reachability
 //! * [`core`] — observation sequences, Scheme 1, Algorithm 3, FCR, the portfolio
 //! * [`boolprog`] — the concurrent Boolean program frontend (App. B)
-//! * [`reduce`] — verdict-preserving static pre-analysis and lints
+//! * [`reduce`] — static model diagnostics behind `cuba lint`
 //! * [`benchmarks`] — the paper's running examples and benchmark suite
 //!
 //! # Quickstart

@@ -15,10 +15,10 @@
 //!                      with several properties each line is prefixed
 //!                      with its property spec)
 //!     --trace-out <f>  record structured spans (rounds, saturation
-//!                      waves, explicit layer commits, cache
-//!                      lookups, reduce passes) and write
-//!                      a Chrome trace-event JSON file on exit — load it
-//!                      in Perfetto (ui.perfetto.dev) or chrome://tracing
+//!                      waves, explicit layer commits, cache lookups)
+//!                      and write a Chrome trace-event JSON file on
+//!                      exit — load it in Perfetto (ui.perfetto.dev)
+//!                      or chrome://tracing
 //!     --json           emit one machine-readable JSON object on stdout
 //!                      per property (includes per-arm growth logs with
 //!                      per-round state deltas/wall-clock, the
@@ -36,11 +36,6 @@
 //!                            never-shared:<q>
 //!                            never-visible:<q>|<t1>,<t2>,...   ('-' = empty stack)
 //!                            mutex:<thread>@<sym>,<thread>@<sym>
-//!     --reduce         verdict-preserving static pre-analysis first:
-//!                      prune transitions that can never fire (and, for
-//!                      .bp inputs, constant-false branches before
-//!                      translation); the verdict word is unchanged and
-//!                      `--json` gains a "reduction" stats object
 //!     --from-snapshot <f>  warm-start from a `cuba snapshot` file:
 //!                      the recorded layers replay (rounds_explored
 //!                      drops to the bounds beyond the snapshot's
@@ -71,15 +66,12 @@
 //!     unreachable-state / dead-transition (warn, .cpds),
 //!     dead-branch / write-only-variable (warn, .bp),
 //!     constant-assert (note/warn, .bp). Exit 1 when any deny-level
-//!     lint fires, else 0.
+//!     lint fires, else 0; exit 2 when the model's skeleton exceeds
+//!     the lint cap (no partial diagnostics).
 //! cuba bench [options] measure the Table 2 suite, statistically
 //!     --samples <n>    measured suite iterations (default 5)
 //!     --warmup <n>     unmeasured iterations first (default 1)
 //!     --workers <n>    problems in flight (default: CPUs)
-//!     --reduce         pre-reduce every workload (rows gain
-//!                      reduce_removed / reduce_us); with --compare
-//!                      against an unreduced baseline this gates that
-//!                      reduction never changes a verdict
 //!     --compare <file> classify each workload against a recorded baseline as
 //!                      improved/regressed/unchanged with noise-aware thresholds
 //!                      (medians of IQR-filtered samples; a regression must
@@ -115,8 +107,7 @@
 //!     plus server capabilities; the unprefixed legacy paths answer
 //!     identically): POST /analyze (NDJSON event stream; repeatable
 //!     property= query params, body = model source, format=cpds|bp,
-//!     engine=auto|explicit|symbolic, max_k=N, reduce=true for the
-//!     verdict-preserving pre-analysis),
+//!     engine=auto|explicit|symbolic, max_k=N),
 //!     POST /suite, GET /systems (per-system residency
 //!     resident|spilled plus snapshot/spill counters), GET /healthz,
 //!     POST /shutdown (mode=graceful|abort). Concurrent clients
@@ -155,13 +146,13 @@ fn main() -> ExitCode {
 fn usage() -> String {
     "usage: cuba <verify|fcr|info> <file.bp|file.cpds> [--engine auto|explicit|symbolic] \
      [--max-k N] [--timeout SECS] [--trace] [--trace-out FILE] [--json] \
-     [--reduce] [--never-shared Q] [--property SPEC]... [--from-snapshot FILE]\n   \
+     [--never-shared Q] [--property SPEC]... [--from-snapshot FILE]\n   \
      or: cuba lint \
      <file.bp|file.cpds> [--property SPEC]... [--json]\n   or: cuba snapshot \
      <file.bp|file.cpds> --out FILE [--engine auto|explicit|symbolic] [--max-k N]\n   \
      or: cuba serve [--addr ADDR] [--workers N] [--max-k N] [--timeout SECS] \
      [--trace-out FILE] [--state-dir DIR]\n   \
-     or: cuba bench [--samples N] [--warmup N] [--workers N] [--reduce] [--compare FILE] \
+     or: cuba bench [--samples N] [--warmup N] [--workers N] [--compare FILE] \
      [--gate] [--ratio R] [--sigma S] [--floor-ms MS] [--trace-out FILE] \
      [--from-snapshot FILE]\n   \
      or: cuba trace-check <trace.json>"
@@ -178,7 +169,6 @@ struct VerifyOptions {
     /// Chrome trace-event JSON file on exit.
     trace_out: Option<String>,
     json: bool,
-    reduce: bool,
     never_shared: Option<SharedState>,
     /// Repeated `--property` specs, verified in order over one shared
     /// exploration of the system.
@@ -198,7 +188,6 @@ impl Default for VerifyOptions {
             trace: false,
             trace_out: None,
             json: false,
-            reduce: false,
             never_shared: None,
             properties: Vec::new(),
             from_snapshot: None,
@@ -217,15 +206,13 @@ struct CommonOpts {
     timeout: Option<Duration>,
     /// `--trace-out FILE`.
     trace_out: Option<String>,
-    /// `--reduce`.
-    reduce: bool,
     /// `--state-dir DIR` (serve only today).
     state_dir: Option<String>,
 }
 
 /// The shared flags each subcommand opts into.
-const VERIFY_COMMON: &[&str] = &["--timeout", "--trace-out", "--reduce"];
-const BENCH_COMMON: &[&str] = &["--trace-out", "--reduce"];
+const VERIFY_COMMON: &[&str] = &["--timeout", "--trace-out"];
+const BENCH_COMMON: &[&str] = &["--trace-out"];
 const SERVE_COMMON: &[&str] = &["--timeout", "--trace-out", "--state-dir"];
 
 impl CommonOpts {
@@ -263,7 +250,6 @@ impl CommonOpts {
                         .ok_or("--trace-out needs a file argument")?,
                 );
             }
-            "--reduce" => self.reduce = true,
             "--state-dir" => {
                 *i += 1;
                 self.state_dir = Some(
@@ -307,9 +293,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Err(usage());
             };
             let options = parse_verify_options(&args[2..])?;
-            // With --reduce, .bp inputs get the pre-translation CFG
-            // simplification as well (same verdict, fewer transitions).
-            let model = load_model(path, options.reduce)?;
+            let (cpds, default_property) = load(path)?;
             // The property worklist: every `--property`, then the
             // legacy `--never-shared`, then (if nothing was given) the
             // file's default property.
@@ -318,9 +302,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 properties.push((format!("never-shared:{}", q.0), Property::never_shared(q)));
             }
             if properties.is_empty() {
-                properties.push(("default".to_owned(), model.default_property.clone()));
+                properties.push(("default".to_owned(), default_property));
             }
-            verify(model, properties, &options)
+            verify(cpds, properties, &options)
         }
         "lint" => lint_cmd(&args[1..]),
         "snapshot" => snapshot_cmd(&args[1..]),
@@ -412,8 +396,7 @@ fn snapshot_cmd(args: &[String]) -> Result<ExitCode, String> {
     // CLI discipline), so a missing --out never costs an exploration.
     let out = out.ok_or("snapshot needs --out FILE")?;
 
-    let model = load_model(path, false)?;
-    let cpds = model.cpds;
+    let (cpds, _) = load(path)?;
     // auto follows the portfolio's backend split: explicit layers
     // under FCR, symbolic (exact subsumption) otherwise.
     let explicit = match engine.as_str() {
@@ -579,7 +562,6 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         }
         i += 1;
     }
-    plan.reduce = common.reduce;
     if gate && compare_path.is_none() {
         return Err("--gate needs --compare FILE to compare against".to_owned());
     }
@@ -620,13 +602,12 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// `cuba lint`: run the static pre-analysis for its diagnostics only —
-/// no verification. Source-level findings (`.bp`: dead branches,
-/// constant asserts, write-only variables) come from the frontend
-/// passes; model-level findings (`.cpds`: unreachable states, dead
-/// transitions) and property findings (unknown ids, vacuous specs)
-/// come from the `cuba-reduce` pipeline. Exits 1 when any deny-level
-/// lint fires.
+/// `cuba lint`: static diagnostics without verification. Source-level
+/// findings (`.bp`: dead branches, constant asserts, write-only
+/// variables) come from the frontend passes; model-level findings
+/// (`.cpds`: unreachable states, dead transitions) and property
+/// findings (unknown ids, vacuous specs) come from the `cuba-reduce`
+/// analysis. Exits 1 when any deny-level lint fires.
 fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
     use cuba::reduce::{Lint, LintLevel};
 
@@ -676,20 +657,19 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
     } else {
         property_specs.iter().map(|(_, p)| p.clone()).collect()
     };
-    let reduction = cuba::reduce::reduce(&cpds, &properties).map_err(|e| format!("{path}: {e}"))?;
+    let analysis = cuba::reduce::lint(&cpds, &properties).map_err(|e| format!("{path}: {e}"))?;
     if is_bp {
         // Translated models carry symbol-level diagnostics that name
         // synthetic stack symbols, not source lines — keep only the
         // property-level findings; the counts live in the stats object.
         lints.extend(
-            reduction
+            analysis
                 .lints
-                .iter()
-                .filter(|l| l.code == "unknown-state" || l.code == "vacuous-property")
-                .cloned(),
+                .into_iter()
+                .filter(|l| l.code == "unknown-state" || l.code == "vacuous-property"),
         );
     } else {
-        lints.extend(reduction.lints.iter().cloned());
+        lints.extend(analysis.lints);
     }
     // Spanned lints first, in source order; then model-level findings.
     lints.sort_by_key(|l| (l.line.is_none(), l.line, l.col));
@@ -708,11 +688,7 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
         push_field(&mut out, "deny", &deny.to_string());
         push_field(&mut out, "warn", &warn.to_string());
         push_field(&mut out, "note", &note.to_string());
-        push_field(
-            &mut out,
-            "reduction",
-            &reduction_json(&reduction.stats, None),
-        );
+        push_field(&mut out, "reduction", &stats_json(&analysis.stats));
         out.push('}');
         println!("{out}");
     } else {
@@ -846,27 +822,14 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
     }
     options.timeout = common.timeout;
     options.trace_out = common.trace_out;
-    options.reduce = common.reduce;
     Ok(options)
 }
 
 fn verify(
-    model: LoadedModel,
+    cpds: Cpds,
     properties: Vec<(String, Property)>,
     options: &VerifyOptions,
 ) -> Result<ExitCode, String> {
-    // Verdict-preserving pre-analysis: prune transitions that can
-    // never fire before any engine sees the system. The SuiteCache /
-    // SystemArtifacts keys below are computed from the *reduced* CPDS.
-    let (cpds, reduction_field) = if options.reduce {
-        let props: Vec<Property> = properties.iter().map(|(_, p)| p.clone()).collect();
-        let reduction =
-            cuba::reduce::reduce(&model.cpds, &props).map_err(|e| format!("reduce: {e}"))?;
-        let rendered = reduction_json(&reduction.stats, model.simplify.as_ref());
-        (reduction.cpds, Some(rendered))
-    } else {
-        (model.cpds, None)
-    };
     let config = SessionConfig {
         max_k: options.max_k,
         timeout: options.timeout,
@@ -885,8 +848,8 @@ fn verify(
     // Warm-start from a `cuba snapshot` file: the restored layers go
     // into this invocation's artifacts, so every property replays the
     // recorded bounds and only deeper ones are computed live. The
-    // restore verifies the file against the loaded (and, with
-    // --reduce, reduced) system before any layer is trusted.
+    // restore verifies the file against the loaded system before any
+    // layer is trusted.
     if let Some(snap_path) = &options.from_snapshot {
         let bytes = std::fs::read(snap_path).map_err(|e| format!("{snap_path}: {e}"))?;
         let (kind, _) = cuba::explore::snapshot::peek_header(&bytes)
@@ -954,10 +917,7 @@ fn verify(
             .map_err(|e| e.to_string())?;
 
         if options.json {
-            println!(
-                "{}",
-                outcome_json(&outcome, &round_log, &spec, reduction_field.as_deref())
-            );
+            println!("{}", outcome_json(&outcome, &round_log, &spec));
         } else {
             if many {
                 println!("property {spec}:");
@@ -1051,12 +1011,7 @@ impl RoundRecord {
 
 /// Renders the verify outcome as one JSON object, so benchmark
 /// drivers stop scraping the human-readable stdout.
-fn outcome_json(
-    outcome: &CubaOutcome,
-    round_log: &[RoundRecord],
-    property: &str,
-    reduction: Option<&str>,
-) -> String {
+fn outcome_json(outcome: &CubaOutcome, round_log: &[RoundRecord], property: &str) -> String {
     let mut out = String::from("{");
     let (verdict, k) = match &outcome.verdict {
         Verdict::Safe { k, .. } => ("safe", Some(*k)),
@@ -1139,9 +1094,6 @@ fn outcome_json(
         .collect();
     push_field(&mut out, "arms", &format!("[{}]", arms.join(",")));
     push_field(&mut out, "telemetry", &telemetry_json(outcome));
-    if let Some(reduction) = reduction {
-        push_field(&mut out, "reduction", reduction);
-    }
     out.push('}');
     out
 }
@@ -1181,11 +1133,6 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
     );
     push_field(
         &mut out,
-        "reduce_passes",
-        &METRICS.reduce_passes.get().to_string(),
-    );
-    push_field(
-        &mut out,
         "trace_events_dropped",
         &METRICS.trace_events_dropped.get().to_string(),
     );
@@ -1193,23 +1140,14 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
     out
 }
 
-/// Renders [`cuba::reduce::ReductionStats`] (plus, for `.bp` inputs,
-/// the pre-translation simplification numbers) as one JSON object.
-fn reduction_json(
-    stats: &cuba::reduce::ReductionStats,
-    simplify: Option<&boolprog::SimplifyReport>,
-) -> String {
+/// Renders [`cuba::reduce::LintStats`] as one JSON object.
+fn stats_json(stats: &cuba::reduce::LintStats) -> String {
     let mut out = String::from("{");
     push_field(&mut out, "transitions", &stats.transitions.to_string());
     push_field(
         &mut out,
         "dead_transitions",
         &stats.dead_transitions.to_string(),
-    );
-    push_field(
-        &mut out,
-        "removed_transitions",
-        &stats.removed_transitions.to_string(),
     );
     push_field(
         &mut out,
@@ -1234,19 +1172,6 @@ fn reduction_json(
     );
     push_field(&mut out, "skeleton_us", &stats.skeleton_us.to_string());
     push_field(&mut out, "coi_us", &stats.coi_us.to_string());
-    push_field(&mut out, "rebuild_us", &stats.rebuild_us.to_string());
-    if let Some(report) = simplify {
-        push_field(
-            &mut out,
-            "cfg_edges_removed",
-            &report.edges_removed.to_string(),
-        );
-        push_field(
-            &mut out,
-            "cfg_unreachable_points",
-            &report.unreachable_points.to_string(),
-        );
-    }
     out.push('}');
     out
 }
@@ -1260,50 +1185,18 @@ fn push_field(out: &mut String, key: &str, rendered: &str) {
     out.push_str(rendered);
 }
 
-/// A loaded model plus its per-format default property.
-struct LoadedModel {
-    cpds: Cpds,
-    default_property: Property,
-    /// `.bp` inputs loaded with `simplify`: what the pre-translation
-    /// CFG pass did.
-    simplify: Option<boolprog::SimplifyReport>,
-}
-
-/// Loads a model by extension: `.bp` Boolean program or `.cpds` text.
+/// Loads a model by extension: `.bp` Boolean program or `.cpds` text,
+/// with its per-format default property.
 fn load(path: &str) -> Result<(Cpds, Property), String> {
-    let model = load_model(path, false)?;
-    Ok((model.cpds, model.default_property))
-}
-
-/// As [`load`], optionally running the `.bp` frontend's
-/// constant-propagation / dead-branch simplification before
-/// translation (`.cpds` inputs are unaffected; their reduction happens
-/// at the CPDS level).
-fn load_model(path: &str, simplify: bool) -> Result<LoadedModel, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     if path.ends_with(".bp") {
         let program = boolprog::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-        let (translated, report) = if simplify {
-            let (t, report) =
-                boolprog::translate_simplified(&program).map_err(|e| format!("{path}: {e}"))?;
-            (t, Some(report))
-        } else {
-            let t = boolprog::translate(&program).map_err(|e| format!("{path}: {e}"))?;
-            (t, None)
-        };
+        let translated = boolprog::translate(&program).map_err(|e| format!("{path}: {e}"))?;
         let property = translated.error_free_property();
-        Ok(LoadedModel {
-            cpds: translated.cpds,
-            default_property: property,
-            simplify: report,
-        })
+        Ok((translated.cpds, property))
     } else if path.ends_with(".cpds") {
         let cpds = textfmt::parse_cpds(&source).map_err(|e| format!("{path}: {e}"))?;
-        Ok(LoadedModel {
-            cpds,
-            default_property: Property::True,
-            simplify: None,
-        })
+        Ok((cpds, Property::True))
     } else {
         Err(format!("{path}: unknown extension (expected .bp or .cpds)"))
     }

@@ -100,6 +100,12 @@ fn unknown_command_is_rejected_before_loading_the_file() {
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown option"));
     assert!(!stderr.contains("does-not-exist"));
+
+    // The transition rewrite is gone; its flag is just another
+    // unknown option.
+    let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--reduce"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("unknown option '--reduce'"), "{stderr}");
 }
 
 #[test]
@@ -178,9 +184,14 @@ fn bench_and_tune_validate_arguments() {
     let (_, stderr, code) = cuba(&["bench", "--ratio", "-3"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("bad --ratio"));
-    let (_, stderr, code) = cuba(&["bench", "--turbo"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown option"));
+    for flag in ["--turbo", "--reduce"] {
+        let (_, stderr, code) = cuba(&["bench", flag]);
+        assert_eq!(code, Some(2));
+        assert!(
+            stderr.contains(&format!("unknown option '{flag}'")),
+            "{stderr}"
+        );
+    }
     let (_, stderr, code) = cuba(&["tune", "--out", "x.profile"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown command 'tune'"), "{stderr}");
@@ -282,23 +293,10 @@ fn lint_reports_dead_code_and_stays_quiet_on_clean_models() {
     assert!(stdout.contains("unknown-state"));
 }
 
-/// `--reduce` on verify: identical verdict, and the JSON record
-/// carries the reduction statistics.
+/// Invalid properties are rejected at session start — never a vacuous
+/// `safe`.
 #[test]
-fn verify_reduce_flag_preserves_verdicts() {
-    let (stdout, _, code) = cuba(&["verify", "samples/fig1.cpds", "--reduce", "--json"]);
-    assert_eq!(code, Some(0));
-    assert!(stdout.contains("\"verdict\":\"safe\""));
-    assert!(stdout.contains("\"k\":5"));
-    assert!(stdout.contains("\"reduction\":{"));
-    assert!(stdout.contains("\"removed_transitions\":"));
-
-    let (stdout, _, code) = cuba(&["verify", "samples/ticket.bp", "--reduce", "--json"]);
-    assert_eq!(code, Some(1), "unsafe verdict survives reduction");
-    assert!(stdout.contains("\"verdict\":\"unsafe\""));
-
-    // Invalid properties are rejected at session start, reduced or
-    // not — never a vacuous `safe`.
+fn verify_rejects_an_invalid_property() {
     let (_, stderr, code) = cuba(&[
         "verify",
         "samples/fig1.cpds",
