@@ -43,13 +43,14 @@ fn main() {
         );
     }
 
-    // The Ex. 14 run: Alg 3 with the generator test alone (the
-    // state-collapse test off), stepped round by round.
-    let params = EngineParams {
-        fuse_collapse: false,
-        ..EngineParams::default()
-    };
-    let mut alg3 = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
+    // The Ex. 14 run: Alg 3 stepped round by round. `(Rk)` never
+    // collapses on Fig. 1, so the generator test decides.
+    let mut alg3 = build_engine(
+        EngineKind::Alg3Explicit,
+        &cpds,
+        &Property::True,
+        &EngineParams::default(),
+    );
     let mut ctx = RoundCtx::new();
     let mut rejected_plateaus = Vec::new();
     let verdict = loop {

@@ -1,22 +1,19 @@
-//! The pluggable [`Engine`] abstraction.
+//! The engine vocabulary: [`EngineKind`], [`EngineParams`] and
+//! [`build_engine`], the one way to construct an [`Engine`].
 //!
 //! CUBA's §6 procedure runs `Alg 3(T(Rk))` and `Scheme 1(Rk)` under
 //! FCR and falls back to the symbolic engines otherwise; a
 //! context-bounded refuter can hunt for bugs on the side. To pause
 //! engines, interleave them, or stream their per-round observations,
-//! each algorithm is a *resumable round-stepper* instead of a
-//! monolithic `for k in 0..max_k` loop. This module defines the common
-//! trait and [`build_engine`], the one way to construct an engine from
-//! an [`EngineKind`] and [`EngineParams`]; the concrete engines live
-//! with their algorithms and are handed out as `Box<dyn Engine>`.
+//! every algorithm is the same *resumable round-stepper* instead of a
+//! monolithic `for k in 0..max_k` loop: one [`Engine`] whose kind
+//! picks the sequence it observes and the convergence rules it
+//! applies.
 
 use cuba_explore::{Interrupt, SubsumptionMode};
 use cuba_pds::Cpds;
 
-use crate::alg3::Alg3Engine;
-use crate::cba_baseline::CbaEngine;
-use crate::scheme1::Scheme1Engine;
-use crate::{CubaError, EngineUsed, GrowthLog, SequenceEvent, Verdict};
+use crate::{Engine, SequenceEvent, Verdict};
 
 /// Per-step context handed to [`Engine::step`] by the stepping loop:
 /// carries the cooperative interruption sources so a session can stop
@@ -102,45 +99,10 @@ impl RoundOutcome {
     }
 }
 
-/// A resumable CUBA analysis engine: one observation-sequence
-/// algorithm, advanced one context bound per [`step`](Engine::step).
-///
-/// Engines are `Send` so sessions can run on any thread (the
-/// [`Portfolio::run_suite`](crate::Portfolio::run_suite) workers).
-/// `step` after a conclusion is a cheap no-op repeating the verdict, so
-/// callers need no extra bookkeeping.
-pub trait Engine: Send {
-    /// Which algorithm/representation this engine runs. May depend on
-    /// the conclusion: the fused explicit engine reports
-    /// `Scheme1Explicit` when the `Rk`-collapse rule fired, the rule
-    /// the paper's Scheme 1 contributes.
-    fn id(&self) -> EngineUsed;
-
-    /// Computes the next round of the engine's observation sequence.
-    ///
-    /// # Errors
-    ///
-    /// Budget exhaustion or interruption, as [`CubaError::Explore`].
-    /// An errored engine must not be stepped again.
-    fn step(&mut self, ctx: &mut RoundCtx) -> Result<RoundOutcome, CubaError>;
-
-    /// Rounds computed so far (the largest processed `k`).
-    fn rounds(&self) -> usize;
-
-    /// States stored by the engine (global or symbolic).
-    fn states(&self) -> usize;
-
-    /// The engine's observation log (sizes per bound).
-    fn growth(&self) -> &GrowthLog;
-
-    /// The verdict, once concluded.
-    fn verdict(&self) -> Option<&Verdict>;
-}
-
-/// Shared backend handle of the concrete engines: an `Arc`-shared
+/// An engine's backend handle: an `Arc`-shared
 /// [`SharedExplorer`](cuba_explore::SharedExplorer) over the explicit
-/// `(Rk)` or symbolic `(Sk)` layers, under one interface so each
-/// algorithm is written once — and so any number of property checkers
+/// `(Rk)` or symbolic `(Sk)` layers, under one interface so the
+/// stepper is written once — and so any number of property checkers
 /// can consume one exploration.
 #[derive(Debug, Clone)]
 pub(crate) struct Backend {
@@ -214,19 +176,28 @@ impl Backend {
 
 /// The engine lineup vocabulary: which algorithm over which state
 /// representation. A [`Portfolio`](crate::Portfolio) is described as a
-/// list of kinds; [`build_engine`] instantiates them.
+/// list of kinds; [`build_engine`] instantiates each as a rule setting
+/// of the one [`Engine`]: every kind checks the property on each new
+/// layer, and the kinds differ only in their convergence rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Algorithm 3 over `(T(Rk))` — explicit, needs FCR.
+    /// Algorithm 3 over `(T(Rk))` — explicit, needs FCR. Runs the
+    /// generator test on each new plateau, then Scheme 1's collapse
+    /// test (an extension beyond the paper's Alg. 3 that is trivially
+    /// sound, Lemma 7).
     Alg3Explicit,
-    /// Scheme 1 over `(Rk)` — explicit, needs FCR.
+    /// Scheme 1 over `(Rk)` — explicit, needs FCR. The collapse test
+    /// alone.
     Scheme1Explicit,
-    /// Algorithm 3 over `(T(Sk))` — symbolic, always applicable.
+    /// Algorithm 3 over `(T(Sk))` — symbolic, always applicable. The
+    /// same rules as [`Alg3Explicit`](Self::Alg3Explicit).
     Alg3Symbolic,
     /// Scheme 1 over `(Sk)` — symbolic, always applicable.
     Scheme1Symbolic,
-    /// Context-bounded refuter (Qadeer–Rehof-style CBA): explores up
-    /// to the session's round limit, can refute but never prove.
+    /// Context-bounded refuter (Qadeer–Rehof-style CBA): no
+    /// convergence rule, so it explores up to the session's round
+    /// limit and can refute but never prove. Always symbolic in exact
+    /// subsumption mode, on a private explorer.
     CbaRefuter,
 }
 
@@ -257,21 +228,16 @@ pub struct EngineParams {
     pub budget: cuba_explore::ExploreBudget,
     /// Round limit per engine (the bound of a CBA refuter).
     pub max_k: usize,
-    /// Subsumption mode for symbolic engines.
+    /// Subsumption mode for the symbolic Alg. 3 and Scheme 1 kinds.
+    /// The refuter ignores it and always runs in exact mode.
     pub subsumption: SubsumptionMode,
-    /// Fuse the state-collapse test (`Rk = Rk+1`, resp. no new
-    /// symbolic states) into Algorithm 3 engines. An extension beyond
-    /// the paper's Alg. 3 that is trivially sound (Lemma 7). Sessions
-    /// disable it when a dedicated Scheme 1 arm of the same
-    /// representation runs alongside, so a collapse is never concluded
-    /// twice; disable it by hand to run the pure generator test.
-    pub fuse_collapse: bool,
     /// Per-system artifacts holding the *shared explorers* and the
     /// cached `G ∩ Z`: when set, engines of matching backend borrow
     /// the system's layered exploration instead of starting their own
     /// — the "one system, many properties" hinge — and Algorithm 3
     /// engines share one generator set. `None` gives every engine a
-    /// private explorer and generator set.
+    /// private explorer and generator set. The refuter explores
+    /// privately either way.
     pub artifacts: Option<std::sync::Arc<crate::SystemArtifacts>>,
 }
 
@@ -281,7 +247,6 @@ impl Default for EngineParams {
             budget: cuba_explore::ExploreBudget::default(),
             max_k: 64,
             subsumption: SubsumptionMode::Exact,
-            fuse_collapse: true,
             artifacts: None,
         }
     }
@@ -298,28 +263,24 @@ pub fn build_engine(
     cpds: &Cpds,
     property: &crate::Property,
     params: &EngineParams,
-) -> Box<dyn Engine> {
-    // With artifacts in play every engine of a backend borrows the
-    // system's shared explorer; without, each engine explores alone.
-    let explicit = || match &params.artifacts {
-        Some(artifacts) => Backend::new(artifacts.explicit_explorer(cpds, &params.budget)),
-        None => Backend::explicit(cpds, params.budget.clone()),
-    };
-    let symbolic = || match &params.artifacts {
-        Some(artifacts) => {
+) -> Engine {
+    // With artifacts in play every Alg. 3 and Scheme 1 engine borrows
+    // the system's shared explorer of its backend; without, each
+    // engine explores alone. The refuter always explores alone: a
+    // borrowed exact `(Sk)` explorer would outlive the session in the
+    // system's artifacts (and in a server's registry and snapshots).
+    let backend = match (kind, &params.artifacts) {
+        (EngineKind::CbaRefuter, _) => {
+            Backend::symbolic(cpds, params.budget.clone(), SubsumptionMode::Exact)
+        }
+        (kind, Some(artifacts)) if kind.needs_fcr() => {
+            Backend::new(artifacts.explicit_explorer(cpds, &params.budget))
+        }
+        (kind, None) if kind.needs_fcr() => Backend::explicit(cpds, params.budget.clone()),
+        (_, Some(artifacts)) => {
             Backend::new(artifacts.symbolic_explorer(cpds, &params.budget, params.subsumption))
         }
-        None => Backend::symbolic(cpds, params.budget.clone(), params.subsumption),
+        (_, None) => Backend::symbolic(cpds, params.budget.clone(), params.subsumption),
     };
-    match kind {
-        EngineKind::Alg3Explicit => Box::new(Alg3Engine::new(cpds, property, params, explicit())),
-        EngineKind::Scheme1Explicit => {
-            Box::new(Scheme1Engine::new(cpds, property, params, explicit()))
-        }
-        EngineKind::Alg3Symbolic => Box::new(Alg3Engine::new(cpds, property, params, symbolic())),
-        EngineKind::Scheme1Symbolic => {
-            Box::new(Scheme1Engine::new(cpds, property, params, symbolic()))
-        }
-        EngineKind::CbaRefuter => Box::new(CbaEngine::new(cpds, property, params)),
-    }
+    Engine::new(kind, cpds, property, params, backend)
 }

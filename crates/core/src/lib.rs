@@ -34,10 +34,13 @@
 //! ("one system, many properties"). [`Portfolio::fixed`] runs any
 //! lineup of [`EngineKind`]s, e.g. Scheme 1 or the refuter alone.
 //!
-//! [`build_engine`] is the engine-level entry point: it builds one
-//! [`Engine`], a resumable round-stepper whose
+//! [`build_engine`] is the engine-level entry point: it builds an
+//! [`Engine`], the one resumable round-stepper, whose
 //! [`step`](Engine::step) computes one more bound and reports it as a
-//! [`RoundOutcome`].
+//! [`RoundOutcome`]. Every [`EngineKind`] is a rule setting of it: each
+//! round checks the property on the new layer, then the Alg. 3 kinds
+//! run the generator test and the collapse test, the Scheme 1 kinds the
+//! collapse test alone, and the refuter neither.
 //!
 //! # Example
 //!
@@ -89,7 +92,6 @@
 
 mod alg3;
 mod cache;
-mod cba_baseline;
 mod engine;
 mod error;
 mod events;
@@ -98,17 +100,15 @@ mod generator;
 mod overapprox;
 mod portfolio;
 mod property;
-mod scheme1;
 mod sequence;
 mod session;
 mod snapshot_store;
 #[cfg(test)]
 mod testutil;
 
+pub use alg3::Engine;
 pub use cache::{fingerprint, same_system, CacheEntry, CacheStats, SuiteCache, SystemArtifacts};
-pub use engine::{
-    build_engine, Engine, EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome,
-};
+pub use engine::{build_engine, EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
 pub use error::CubaError;
 pub use events::SessionEvent;
 pub use fcr::{check_fcr, fcr_checks_performed, fcr_psa, FcrReport};

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Both procedures of line 2 read the same layers `(Rk)`, so the
-//! default lineup runs them as *one fused arm* per backend: each round
-//! applies Alg. 3's generator test, then Scheme 1's collapse test.
+//! default lineup runs them as *one fused arm* per backend: the Alg. 3
+//! kinds of the one round-stepper apply Alg. 3's generator test, then
+//! Scheme 1's collapse test, in every round.
 //! Under FCR a CBA refuter arm (Fig. 5's Qadeer–Rehof-style
 //! comparator) runs alongside; it can only conclude with a bug, never
 //! with a proof. [`Portfolio::run`] steps a problem's arms round-robin
@@ -258,9 +259,9 @@ mod tests {
 
     /// One overwrite and no pops: `(Rk)` collapses in the round where
     /// `T(Rk)` first plateaus, and `G ∩ Z` is empty, so both
-    /// convergence rules fire at k = 2. The fused arm reports the
-    /// generator test, as the Alg. 3 arm does when a separate Scheme 1
-    /// arm steps after it.
+    /// convergence rules fire at k = 2. The Alg. 3 arm runs the
+    /// generator test first and reports it, also when a Scheme 1 arm
+    /// steps after it.
     #[test]
     fn same_round_tie_reports_the_generator_test() {
         let mut p = PdsBuilder::new(2, 2);

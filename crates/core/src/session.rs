@@ -20,8 +20,8 @@ use cuba_pds::Cpds;
 use cuba_telemetry::metrics::{round_scope, Stage, METRICS};
 use cuba_telemetry::trace;
 
-use crate::engine::{build_engine, Engine, EngineKind, EngineParams, RoundCtx, RoundOutcome};
-use crate::{CubaError, Property, SessionEvent, SystemArtifacts, Verdict};
+use crate::engine::{build_engine, EngineKind, EngineParams, RoundCtx, RoundOutcome};
+use crate::{CubaError, Engine, Property, SessionEvent, SystemArtifacts, Verdict};
 
 /// Which engine produced the verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +52,11 @@ impl std::fmt::Display for EngineUsed {
 
 /// Wall-clock split of a run across the analysis stages, summed over
 /// completed rounds of all arms. Every exploration advance books as
-/// `saturate`, the CBA refuter's private one included. `saturate`
-/// *contains* `merge` (the explicit engine's layer commits happen
-/// inside exploration advances); `check` is the round remainder
-/// (membership and convergence tests), so `saturate + check ≈
-/// round_wall`.
+/// `saturate`, on a shared explorer or a private one (the CBA
+/// refuter's). `saturate` *contains* `merge` (the explicit engine's
+/// layer commits happen inside exploration advances); `check` is the
+/// round remainder (membership and convergence tests), so
+/// `saturate + check ≈ round_wall`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Time inside exploration advances (`ensure_layer`).
@@ -163,7 +163,7 @@ impl Default for SessionConfig {
 
 /// One arm of a session.
 struct Arm {
-    engine: Box<dyn Engine>,
+    engine: Engine,
     /// Set once the arm concluded (any verdict) or failed.
     retired: bool,
     /// The error that retired the arm, if it failed.
@@ -261,7 +261,6 @@ impl AnalysisSession {
             budget: config.budget.clone().with_interrupt(interrupt.clone()),
             max_k: config.max_k,
             subsumption: config.subsumption,
-            fuse_collapse: true,
             // Arms borrow the system's shared explorers: one `(Rk)`
             // and/or `(Sk)` exploration per system, however many arms,
             // sessions, and properties consume it. Alg. 3 arms also
@@ -269,26 +268,14 @@ impl AnalysisSession {
             // needs it, where the session's interrupt applies.
             artifacts: Some(artifacts.clone()),
         };
-        let mut arms = Vec::with_capacity(kinds.len());
-        for kind in &kinds {
-            // Fuse the Scheme 1 collapse test into an Algorithm 3 arm
-            // unless a dedicated Scheme 1 arm of the same
-            // representation runs alongside.
-            let fuse = match kind {
-                EngineKind::Alg3Explicit => !kinds.contains(&EngineKind::Scheme1Explicit),
-                EngineKind::Alg3Symbolic => !kinds.contains(&EngineKind::Scheme1Symbolic),
-                _ => true,
-            };
-            let params = EngineParams {
-                fuse_collapse: fuse,
-                ..params.clone()
-            };
-            arms.push(Arm {
+        let arms = kinds
+            .iter()
+            .map(|kind| Arm {
                 engine: build_engine(*kind, &cpds, &property, &params),
                 retired: false,
                 error: None,
-            });
-        }
+            })
+            .collect();
         Ok(AnalysisSession {
             arms,
             ctx: RoundCtx::with_interrupt(interrupt),

@@ -66,7 +66,7 @@ pub fn fig2() -> Cpds {
 
 /// A concluded engine (for its rounds, states and growth log), its
 /// verdict, and every step's outcome, the concluding one last.
-pub type Run = (Box<dyn Engine>, Verdict, Vec<RoundOutcome>);
+pub type Run = (Engine, Verdict, Vec<RoundOutcome>);
 
 /// Steps a freshly built engine to its conclusion.
 pub fn run_engine(
@@ -85,14 +85,6 @@ pub fn run_engine(
             return Ok((engine, verdict, steps));
         }
         steps.push(outcome);
-    }
-}
-
-/// The paper's pure Algorithm 3: the state-collapse test is off.
-pub fn unfused() -> EngineParams {
-    EngineParams {
-        fuse_collapse: false,
-        ..EngineParams::default()
     }
 }
 

@@ -1,14 +1,16 @@
 //! The session broker: the shared state every connection of the
 //! service operates on — a long-lived [`SuiteCache`] (so concurrent
 //! clients asking about the same CPDS share one saturation per
-//! backend, FIFO-bounded so the registry cannot grow without limit),
+//! backend, bounded with least-recently-used spilling so the registry
+//! cannot grow without limit),
 //! the base portfolio configuration, the bounded analysis-slot pool
 //! (analysis work queues for a slot; control endpoints never do),
 //! service counters, and the shutdown machinery (a draining flag plus
 //! the abort [`CancelToken`] wired into every session's interrupt).
 //!
 //! Under `max_systems` pressure the registry *spills* instead of
-//! discarding: the oldest system's layer stores are snapshotted to the
+//! discarding: the least recently used system's layer stores are
+//! snapshotted to the
 //! state directory (when one is configured) and a weak handle is kept,
 //! so the next request for that system revives the still-live
 //! artifacts of any in-flight client — or, failing that, reloads the
@@ -40,7 +42,7 @@ pub enum ShutdownMode {
     Abort,
 }
 
-/// One registry entry in arrival order: fingerprint, the system, and
+/// One registry entry in recency order: fingerprint, the system, and
 /// its artifacts.
 type TrackedEntry = (u64, Arc<Cpds>, Arc<SystemArtifacts>);
 
@@ -74,10 +76,12 @@ pub struct Broker {
     /// the drain-on-shutdown wait.
     connections: Mutex<usize>,
     connections_cv: Condvar,
-    /// Cached systems in arrival order — the FIFO spill queue
-    /// bounding the registry at `config.max_systems`. The system is
-    /// kept alongside its artifacts so a spill can snapshot it and a
-    /// graceful shutdown can flush every resident system.
+    /// Cached systems from least to most recently used — the LRU
+    /// spill queue bounding the registry at `config.max_systems`: a
+    /// request moves its system to the back, a spill takes the front.
+    /// The system is kept alongside its artifacts so a spill can
+    /// snapshot it and a graceful shutdown can flush every resident
+    /// system.
     tracked: Mutex<VecDeque<TrackedEntry>>,
     /// Systems pushed out of the registry, by fingerprint. The
     /// bucket is a list for the same collision reason as the cache's.
@@ -191,10 +195,11 @@ impl Broker {
     }
 
     /// The per-system artifacts for `cpds` from the long-lived cache,
-    /// keeping the registry FIFO-bounded at `max_systems`: when a new
-    /// system would exceed the cap, the oldest cached system is
-    /// *spilled* — snapshotted to the state directory (when one is
-    /// configured) and remembered weakly — rather than discarded.
+    /// keeping the registry bounded at `max_systems`: every request
+    /// marks its system most recently used, and when a new system
+    /// would exceed the cap, the least recently used one is *spilled*
+    /// — snapshotted to the state directory (when one is configured)
+    /// and remembered weakly — rather than discarded.
     /// A later request for a spilled system re-admits the still-live
     /// artifacts any in-flight session holds (so two clients never
     /// race a cold re-exploration of one system), or reloads the
@@ -267,17 +272,25 @@ impl Broker {
         }
     }
 
-    /// Tracks `artifacts` in the FIFO queue and spills whatever the
-    /// `max_systems` cap pushes out. The spill work (snapshot write)
-    /// runs after the queue lock is released, so a slow disk never
-    /// stalls other requests' registry lookups.
+    /// Marks `artifacts` most recently used in the LRU queue (a hit
+    /// moves its entry to the back, a new system is appended) and
+    /// spills whatever the `max_systems` cap pushes out of the front.
+    /// The search runs from the back, where recently used entries
+    /// sit, so a warm hit costs O(warm set). The spill work (snapshot
+    /// write) runs after the queue lock is released, so a slow disk
+    /// never stalls other requests' registry lookups.
     fn track(&self, key: u64, cpds: &Cpds, artifacts: &Arc<SystemArtifacts>) {
         let mut evicted = Vec::new();
         {
             let mut tracked = self.tracked.lock().expect("eviction queue");
-            if !tracked.iter().any(|(_, _, a)| Arc::ptr_eq(a, artifacts)) {
-                tracked.push_back((key, Arc::new(cpds.clone()), artifacts.clone()));
-            }
+            let entry = match tracked
+                .iter()
+                .rposition(|(_, _, a)| Arc::ptr_eq(a, artifacts))
+            {
+                Some(hit) => tracked.remove(hit).expect("position is in range"),
+                None => (key, Arc::new(cpds.clone()), artifacts.clone()),
+            };
+            tracked.push_back(entry);
             let cap = self.config.max_systems.max(1);
             while tracked.len() > cap {
                 evicted.push(tracked.pop_front().expect("len > cap ≥ 1"));
@@ -621,12 +634,12 @@ mod tests {
         }
     }
 
-    /// The registry is FIFO-bounded: the oldest system is spilled
-    /// when a new one would exceed `max_systems`. A spilled system
-    /// whose artifacts nobody holds anymore gets a fresh slot; hits
-    /// never grow the queue.
+    /// The registry is bounded: the least recently used system is
+    /// spilled when a new one would exceed `max_systems`. A spilled
+    /// system whose artifacts nobody holds anymore gets a fresh slot;
+    /// hits never grow the queue.
     #[test]
-    fn artifacts_registry_evicts_fifo() {
+    fn artifacts_registry_evicts_least_recently_used() {
         let broker = Broker::new(ServeConfig {
             max_systems: 2,
             ..ServeConfig::default()
@@ -637,7 +650,8 @@ mod tests {
         // Give up the only live handle *before* the spill: revival is
         // then impossible and a re-request must open a fresh slot.
         drop(first);
-        // A third distinct system spills the oldest (system(2)).
+        // A third distinct system spills the least recently used one
+        // (system(2)).
         let _third = broker.artifacts_for(&system(4));
         assert_eq!(broker.cache.len(), 2);
         assert_eq!(broker.spills_total(), 1);
@@ -651,12 +665,38 @@ mod tests {
         let readmitted = broker.artifacts_for(&system(2));
         assert_eq!(broker.cache.len(), 2);
         assert_eq!(broker.revives_total(), 0, "nothing live to revive");
-        // Hits never grow the queue: repeats are not re-tracked.
+        // Hits never grow the queue: a repeat moves its entry, it is
+        // not tracked twice.
         for _ in 0..5 {
             let again = broker.artifacts_for(&system(2));
             assert!(Arc::ptr_eq(&again, &readmitted));
         }
         assert_eq!(broker.cache.len(), 2);
+    }
+
+    /// A hit makes its system the most recently used: after A, B, A,
+    /// a new system C spills B, not A, so a system requested on every
+    /// pass outlives a one-off.
+    #[test]
+    fn a_hit_keeps_its_system_resident() {
+        let broker = Broker::new(ServeConfig {
+            max_systems: 2,
+            ..ServeConfig::default()
+        });
+        let (a, b, c) = (system(2), system(3), system(4));
+        for cpds in [&a, &b, &a, &c] {
+            broker.artifacts_for(cpds);
+        }
+        assert_eq!(broker.spills_total(), 1);
+        let resident: Vec<u64> = broker
+            .cache
+            .entries()
+            .iter()
+            .map(|e| e.fingerprint)
+            .collect();
+        assert!(resident.contains(&cuba_core::fingerprint(&a)));
+        assert!(resident.contains(&cuba_core::fingerprint(&c)));
+        assert!(!resident.contains(&cuba_core::fingerprint(&b)));
     }
 
     /// The staggered-clients regression: client A holds a spilled

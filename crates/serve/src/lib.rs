@@ -79,8 +79,10 @@ pub struct ServeConfig {
     /// connections over the cap are answered `503` immediately.
     pub max_connections: usize,
     /// Hard cap on distinct systems kept in the long-lived registry;
-    /// beyond it the oldest system is evicted FIFO (in-flight
-    /// sessions keep their artifacts, the next request re-explores).
+    /// beyond it the least recently used system is spilled: in-flight
+    /// sessions keep its artifacts, and the next request for it
+    /// revives them, reloads its snapshots from the state directory,
+    /// or re-explores when neither exists.
     pub max_systems: usize,
     /// Base session configuration; `/analyze` and `/suite` requests
     /// may override `max_k` per request. The `cancel` slot is
@@ -575,9 +577,9 @@ fn handle_suite(
         .map(|(_, property)| (parsed.cpds.clone(), property.clone()))
         .collect();
     let results = portfolio.run_suite_cached(problems, workers, &broker.cache);
-    // Re-track after the run: had a concurrent request evicted this
+    // Re-track after the run: had a concurrent request spilled this
     // system mid-batch, the suite's internal lookup re-created the
-    // slot outside the FIFO queue — this puts it back under the cap.
+    // slot outside the LRU queue — this puts it back under the cap.
     broker.artifacts_for(&parsed.cpds);
 
     let mut records = Vec::new();

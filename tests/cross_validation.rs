@@ -6,8 +6,8 @@
 //! * layered monotonicity and stutter-freeness of `(Rk)` (Lemma 7),
 //! * witnesses replay and respect their layer's context bound,
 //! * Scheme 1 and Alg. 3 agree whenever both conclude,
-//! * the default lineup (one fused arm per backend) decides exactly
-//!   like the split lineup with a separate Scheme 1 arm,
+//! * every engine kind, and the default lineup, decide exactly like
+//!   the paper's rules applied to reference rounds,
 //! * the interned engines and `G ∩ Z` search reproduce reference
 //!   copies of the clone-per-step originals exactly: state order,
 //!   layers, visible layers, and budget errors.
@@ -21,8 +21,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use cuba::automata::{post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
 use cuba::core::{
-    check_fcr, compute_z, generators_in_z, thread_abstraction, CubaError, CubaOutcome, EngineKind,
-    GeneratorSet, Portfolio, Property, SessionConfig, SystemArtifacts, Verdict,
+    check_fcr, compute_z, generators_in_z, thread_abstraction, ConvergenceMethod, CubaError,
+    CubaOutcome, EngineKind, EngineUsed, GeneratorSet, Portfolio, Property, SessionConfig,
+    SystemArtifacts, Verdict,
 };
 use cuba::explore::{
     ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SubsumptionMode,
@@ -241,50 +242,85 @@ fn pushy_agreement_specific_seeds() {
     );
 }
 
-/// What the lineup comparison checks: the verdict word, the bound, the
+/// What the oracle compares: the verdict word, the bound, the
 /// convergence method and the deciding engine (errors by message). An
 /// undetermined outcome names no engine: which arm gives it depends on
 /// the arms a lineup has and how far each got.
 fn decision(result: &Result<CubaOutcome, CubaError>) -> String {
     match result {
-        Ok(o) => match &o.verdict {
-            Verdict::Safe { k, method } => format!("safe k={k} ({method}) by {}", o.engine),
-            Verdict::Unsafe { k, .. } => format!("unsafe k={k} by {}", o.engine),
-            Verdict::Undetermined { .. } => "undetermined".to_owned(),
-        },
+        Ok(o) => describe(&o.verdict, o.engine),
         Err(e) => format!("error: {e}"),
     }
 }
 
-/// The lineup with a separate Scheme 1 arm that the fused arm replaced:
-/// the Alg. 3 arm then runs without the collapse test and steps first.
-fn split_lineup(fcr: bool) -> Vec<EngineKind> {
-    if fcr {
-        vec![
-            EngineKind::Alg3Explicit,
-            EngineKind::Scheme1Explicit,
-            EngineKind::CbaRefuter,
-        ]
-    } else {
-        vec![EngineKind::Alg3Symbolic, EngineKind::Scheme1Symbolic]
+/// [`decision`]'s text for a verdict given by `engine`.
+fn describe(verdict: &Verdict, engine: EngineUsed) -> String {
+    match verdict {
+        Verdict::Safe { k, method } => format!("safe k={k} ({method}) by {engine}"),
+        Verdict::Unsafe { k, .. } => format!("unsafe k={k} by {engine}"),
+        Verdict::Undetermined { .. } => "undetermined".to_owned(),
     }
 }
 
-/// `(fused, split)` decisions for one random system under `property`.
-fn both_lineups(cpds: &cuba::pds::Cpds, property: &Property) -> (String, String) {
-    let config = SessionConfig {
+/// The configuration every oracle run uses.
+fn oracle_config() -> SessionConfig {
+    SessionConfig {
         budget: small_budget(),
         max_k: 12,
         ..SessionConfig::new()
-    };
+    }
+}
+
+/// The kinds that apply to a system: all five under FCR, the symbolic
+/// ones otherwise.
+fn applicable_kinds(fcr: bool) -> Vec<EngineKind> {
+    [
+        EngineKind::Alg3Explicit,
+        EngineKind::Scheme1Explicit,
+        EngineKind::Alg3Symbolic,
+        EngineKind::Scheme1Symbolic,
+        EngineKind::CbaRefuter,
+    ]
+    .into_iter()
+    .filter(|kind| fcr || !kind.needs_fcr())
+    .collect()
+}
+
+/// The first difference between the portfolio and the reference rules
+/// on one system and property: each applicable kind run alone, then
+/// `Portfolio::auto()` against its first arm's conclusive reference
+/// decision. Also returns how many lone runs were conclusive.
+fn reference_difference(cpds: &Cpds, property: &Property) -> (Option<String>, usize) {
     let fcr = check_fcr(cpds).holds();
-    let fused = Portfolio::auto()
-        .with_config(config.clone())
-        .run(cpds.clone(), property.clone());
-    let split = Portfolio::fixed(split_lineup(fcr))
-        .with_config(config)
-        .run(cpds.clone(), property.clone());
-    (decision(&fused), decision(&split))
+    let mut conclusive = 0;
+    for kind in applicable_kinds(fcr) {
+        let got = decision(
+            &Portfolio::fixed([kind])
+                .with_config(oracle_config())
+                .run(cpds.clone(), property.clone()),
+        );
+        let want = reference::decide(kind, cpds, property, &oracle_config());
+        if got != want {
+            return (
+                Some(format!("{kind}: {got} vs reference {want}")),
+                conclusive,
+            );
+        }
+        conclusive += usize::from(got.starts_with("safe") || got.starts_with("unsafe"));
+    }
+    let first = Portfolio::auto().lineup_for(cpds)[0];
+    let want = reference::decide(first, cpds, property, &oracle_config());
+    if want.starts_with("safe") || want.starts_with("unsafe") {
+        let got = decision(
+            &Portfolio::auto()
+                .with_config(oracle_config())
+                .run(cpds.clone(), property.clone()),
+        );
+        if got != want {
+            return (Some(format!("auto: {got} vs reference {want}")), conclusive);
+        }
+    }
+    (None, conclusive)
 }
 
 /// The properties checked per system: full convergence, the last
@@ -336,14 +372,16 @@ fn smaller_shapes(shape: &RandomCpdsConfig) -> Vec<RandomCpdsConfig> {
     out
 }
 
-/// Differential oracle for the default lineup: on random systems with
-/// and without FCR, `Portfolio::auto()` (one fused arm per backend,
-/// plus CBA under FCR) decides exactly like the split lineup, for a
-/// full-convergence property, a visible-state target and a
-/// shared-state target. A disagreement is shrunk to a minimal shape
-/// before it is reported.
+/// Differential oracle for every rule setting of the stepper: on
+/// random systems with and without FCR, each engine kind run alone
+/// decides exactly like [`reference::decide`], the paper's rules
+/// applied to the reference rounds, for a full-convergence property, a
+/// visible-state target and a shared-state target; so does
+/// `Portfolio::auto()` whenever its first arm's reference decision is
+/// conclusive. A difference is shrunk to a minimal shape before it is
+/// reported.
 #[test]
-fn fused_lineup_matches_the_split_lineup() {
+fn every_kind_matches_the_reference_decision() {
     let (mut fcr_systems, mut other_systems, mut decided) = (0, 0, 0);
     for (shape, seeds) in [
         (RandomCpdsConfig::shrinking(), 0..24u64),
@@ -357,21 +395,20 @@ fn fused_lineup_matches_the_split_lineup() {
                 other_systems += 1;
             }
             for (i, property) in properties(&cpds).into_iter().enumerate() {
-                let (fused, split) = both_lineups(&cpds, &property);
-                if fused == split {
-                    decided +=
-                        usize::from(fused.starts_with("safe") || fused.starts_with("unsafe"));
+                let (difference, conclusive) = reference_difference(&cpds, &property);
+                decided += conclusive;
+                let Some(difference) = difference else {
                     continue;
-                }
-                let disagrees = |shape: &RandomCpdsConfig| {
-                    let cpds = random_cpds(shape, seed);
-                    let (fused, split) = both_lineups(&cpds, &properties(&cpds)[i]);
-                    fused != split
                 };
-                let minimal = shrink(shape.clone(), smaller_shapes, disagrees);
+                let differs = |shape: &RandomCpdsConfig| {
+                    let cpds = random_cpds(shape, seed);
+                    reference_difference(&cpds, &properties(&cpds)[i])
+                        .0
+                        .is_some()
+                };
+                let minimal = shrink(shape.clone(), smaller_shapes, differs);
                 panic!(
-                    "seed {seed}, {property:?}: fused {fused} vs split {split}; \
-                     minimal failing shape {minimal:?}"
+                    "seed {seed}, {property:?}: {difference}; minimal failing shape {minimal:?}"
                 );
             }
         }
@@ -380,7 +417,7 @@ fn fused_lineup_matches_the_split_lineup() {
         fcr_systems >= 24 && other_systems >= 5,
         "{fcr_systems} / {other_systems}"
     );
-    assert!(decided >= 100, "too few decided runs: {decided}");
+    assert!(decided >= 300, "too few decided runs: {decided}");
 }
 
 /// Reference copies of the engines' rounds from before state
@@ -667,6 +704,117 @@ mod reference {
         }
         let gz = GeneratorSet::from_cpds(cpds).intersect(z.iter());
         Some((z, gz))
+    }
+
+    /// Either reference round, behind one interface.
+    enum Rounds {
+        Explicit(Explicit),
+        Symbolic(Symbolic),
+    }
+
+    impl Rounds {
+        fn advance(&mut self) -> Result<(), ExploreError> {
+            match self {
+                Rounds::Explicit(r) => r.advance(),
+                Rounds::Symbolic(r) => r.advance(),
+            }
+        }
+
+        fn store(&self) -> &LayerStore {
+            match self {
+                Rounds::Explicit(r) => &r.store,
+                Rounds::Symbolic(r) => &r.store,
+            }
+        }
+
+        fn states(&self) -> usize {
+            match self {
+                Rounds::Explicit(r) => r.states.len(),
+                Rounds::Symbolic(r) => r.states.len(),
+            }
+        }
+    }
+
+    /// The decision of a lone `kind` arm under `config`, as
+    /// [`decision`](super::decision) prints it: the reference rounds
+    /// `k = 0..=max_k`, and after each, in this order, (1) a violation
+    /// among the new visible states is a bug at `k`; (2) Alg. 3 kinds
+    /// only: a new plateau of the visible counts at `k ≥ 1` with all of
+    /// `G ∩ Z` seen is safety at `k − 1` by the generator test;
+    /// (3) Alg. 3 and Scheme 1 kinds: a round that adds no state is a
+    /// collapse, safety at `k − 1` credited to Scheme 1. The refuter
+    /// applies neither (2) nor (3). A failed round is an error; past
+    /// `max_k` the decision is undetermined.
+    pub fn decide(
+        kind: EngineKind,
+        cpds: &Cpds,
+        property: &Property,
+        config: &SessionConfig,
+    ) -> String {
+        let budget = config.budget.clone();
+        let (explicit, alg3, collapse) = match kind {
+            EngineKind::Alg3Explicit => (true, true, true),
+            EngineKind::Scheme1Explicit => (true, false, true),
+            EngineKind::Alg3Symbolic => (false, true, true),
+            EngineKind::Scheme1Symbolic => (false, false, true),
+            EngineKind::CbaRefuter => (false, false, false),
+        };
+        let (alg3_used, scheme1_used, rule) = if explicit {
+            (
+                EngineUsed::Alg3Explicit,
+                EngineUsed::Scheme1Explicit,
+                ConvergenceMethod::RkCollapse,
+            )
+        } else {
+            (
+                EngineUsed::Alg3Symbolic,
+                EngineUsed::Scheme1Symbolic,
+                ConvergenceMethod::SkCollapse,
+            )
+        };
+        let own = match kind {
+            EngineKind::CbaRefuter => EngineUsed::CbaBaseline,
+            _ if alg3 => alg3_used,
+            _ => scheme1_used,
+        };
+        let mut rounds = if explicit {
+            Rounds::Explicit(Explicit::new(cpds.clone(), budget))
+        } else {
+            Rounds::Symbolic(Symbolic::new(cpds.clone(), budget, SubsumptionMode::Exact))
+        };
+        let (mut visible, mut states) = (Vec::new(), Vec::new());
+        for k in 0..=config.max_k {
+            if k > 0 {
+                if let Err(e) = rounds.advance() {
+                    return format!("error: {}", CubaError::Explore(e));
+                }
+            }
+            let store = rounds.store();
+            visible.push(store.num_visible());
+            states.push(rounds.states());
+            if store
+                .visible_layer(k)
+                .iter()
+                .any(|v| property.violated_by(v))
+            {
+                return describe(&Verdict::Unsafe { k, witness: None }, own);
+            }
+            let new_plateau = k >= 1
+                && visible[k] == visible[k - 1]
+                && (k == 1 || visible[k - 1] != visible[k - 2]);
+            if alg3 && new_plateau {
+                let (_, gz) = g_cap_z(cpds, usize::MAX).expect("no cap");
+                if gz.iter().all(|v| store.seen_by(v, k)) {
+                    let method = ConvergenceMethod::GeneratorTest;
+                    return describe(&Verdict::Safe { k: k - 1, method }, alg3_used);
+                }
+            }
+            if collapse && k >= 1 && states[k] == states[k - 1] {
+                let method = rule;
+                return describe(&Verdict::Safe { k: k - 1, method }, scheme1_used);
+            }
+        }
+        "undetermined".to_owned()
     }
 }
 

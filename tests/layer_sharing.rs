@@ -246,4 +246,9 @@ fn auto_race_never_recomputes_layers() {
     // Fig. 1's (Rk) never collapses, so every stored bound was
     // explored live exactly once — by whichever arm got there first.
     assert_eq!(explorer.rounds_explored(), explorer.depth());
+    // The refuter explores privately: no exact `(Sk)` explorer joins
+    // the system's artifacts (a server would keep and snapshot it).
+    assert!(artifacts
+        .symbolic_explorer_if_started(SubsumptionMode::Exact)
+        .is_none());
 }

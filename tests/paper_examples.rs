@@ -64,17 +64,18 @@ fn fig1_z_has_exactly_eight_states() {
     assert!(!z.states.contains(&vis(2, &[Some(1), Some(5)])));
 }
 
-/// Ex. 14: G∩Z, the rejected plateau at 2, the collapse at 5. The
-/// run is the paper's Alg. 3: the state-collapse test is off, and a
-/// new plateau that does not conclude failed the generator test.
+/// Ex. 14: G∩Z, the rejected plateau at 2, the collapse at 5. `(Rk)`
+/// never collapses on Fig. 1, so the generator test decides, and a
+/// new plateau that does not conclude failed it.
 #[test]
 fn fig1_example14_run() {
     let cpds = fig1::build();
-    let params = EngineParams {
-        fuse_collapse: false,
-        ..EngineParams::default()
-    };
-    let mut engine = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
+    let mut engine = build_engine(
+        EngineKind::Alg3Explicit,
+        &cpds,
+        &Property::True,
+        &EngineParams::default(),
+    );
     let mut ctx = RoundCtx::new();
     let mut rejected_plateaus = Vec::new();
     let verdict = loop {

@@ -1,5 +1,5 @@
-//! Integration tests of the public API: stepping an `Engine` through
-//! the trait object must reproduce the paper's runs, sessions must
+//! Integration tests of the public API: stepping an `Engine` must
+//! reproduce the paper's runs, sessions must
 //! stream one round event per computed bound, cancellation and
 //! deadlines must stop work cooperatively, and the portfolio must
 //! decide both running examples as the paper does.
@@ -26,8 +26,8 @@ fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
     )
 }
 
-/// Drives any engine kind to conclusion through the trait object
-/// surface, returning (verdict, rounds, states, growth sizes).
+/// Drives any engine kind to conclusion through the stepping surface,
+/// returning (verdict, rounds, states, growth sizes).
 fn drive(
     kind: EngineKind,
     cpds: &cuba::pds::Cpds,
@@ -48,9 +48,9 @@ fn drive(
     )
 }
 
-/// Stepping Alg. 3 through the trait object reproduces the Fig. 1
-/// run: safe at k = 5 by the generator test after 6 rounds over 17
-/// global states, with `|T(Rk)|` = 1,3,6,6,7,8,8.
+/// Stepping Alg. 3 reproduces the Fig. 1 run: safe at k = 5 by the
+/// generator test after 6 rounds over 17 global states, with
+/// `|T(Rk)|` = 1,3,6,6,7,8,8.
 #[test]
 fn alg3_stepping_reproduces_the_fig1_run() {
     let (verdict, rounds, states, growth) =
@@ -65,6 +65,37 @@ fn alg3_stepping_reproduces_the_fig1_run() {
     assert_eq!(rounds, 6);
     assert_eq!(states, 17);
     assert_eq!(growth, [1, 3, 6, 6, 7, 8, 8]);
+}
+
+/// Without a generator test nothing stops early on Fig. 1: `(Rk)`
+/// never collapses, so Scheme 1 over `(Rk)` and the refuter both run
+/// to the round limit. Both log `|Rk|` (resp. `|Sk|`, the same
+/// numbers), not the plateau of `T(Rk)` at 8.
+#[test]
+fn scheme1_and_refuter_stepping_run_fig1_to_the_round_limit() {
+    for (kind, reason) in [
+        (
+            EngineKind::Scheme1Explicit,
+            "no collapse of (Rk) within 64 rounds",
+        ),
+        (
+            EngineKind::CbaRefuter,
+            "no violation within 64 contexts (context-bounded analysis cannot prove safety)",
+        ),
+    ] {
+        let (verdict, rounds, states, growth) = drive(kind, &fig1::build(), &Property::True);
+        assert_eq!(
+            verdict,
+            Verdict::Undetermined {
+                reason: reason.to_owned()
+            },
+            "{kind}"
+        );
+        assert_eq!((rounds, states), (64, 191), "{kind}");
+        assert_eq!(growth.len(), 65, "{kind}");
+        assert_eq!(growth[..8], [1, 3, 6, 8, 11, 14, 17, 20], "{kind}");
+        assert_eq!(growth.last(), Some(&191), "{kind}");
+    }
 }
 
 /// The same for the symbolic engines on Fig. 2 (where the explicit
@@ -422,8 +453,9 @@ fn run_suite_handles_mixed_batch() {
     }
 }
 
-/// The CBA refuter advances a private symbolic engine, not a shared
-/// explorer; its advances still book as saturation. On bluetooth-3/1+2
+/// The CBA refuter advances a private symbolic explorer, not the
+/// system's shared one; its advances book as saturation like any
+/// other. On bluetooth-3/1+2
 /// (safe at k = 13, so the refuter runs to its bound) a refuter-only
 /// session spends most of its round time saturating.
 #[test]
