@@ -287,16 +287,21 @@ fn attach_symbolic_witness(
     }
 }
 
-/// Reconstructs the path to the first state of layer `k` that
-/// violates the property, from the explicit engine's parent links.
+/// Reconstructs the path to a state of layer `k` that violates the
+/// property: the first member, in orbit order, of the first stored
+/// orbit of layer `k` that has a violating member.
 fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, property: &Property) -> Verdict {
     match verdict {
         Verdict::Unsafe { k, witness: None } => {
             let witness = engine
                 .layer(k)
-                .find(|s| property.violated_by(&s.visible()))
-                .and_then(|s| engine.find(s))
-                .map(|id| engine.witness(id));
+                .find_map(|s| {
+                    engine
+                        .orbit(s)
+                        .into_iter()
+                        .find(|member| property.violated_by(&member.visible()))
+                })
+                .and_then(|member| engine.witness_to(&member));
             Verdict::Unsafe { k, witness }
         }
         other => other,

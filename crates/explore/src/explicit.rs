@@ -4,6 +4,7 @@ use cuba_pds::{
     Cpds, GlobalState, KeyTable, SharedState, StackId, StackTable, ThreadId, VisibleState,
 };
 
+use crate::symmetry::{permute, Symmetry};
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore, Witness, WitnessStep};
 
 /// How often (in explored states) the inner loops poll the
@@ -39,6 +40,18 @@ pub struct LayerSummary {
 /// table, so only a *new* state allocates: it is materialized once as
 /// the [`GlobalState`] that [`states`](Self::states) returns.
 ///
+/// Interchangeable threads ([`Cpds::thread_classes`]) make every layer
+/// closed under permuting their stacks, so the engine stores one
+/// canonical representative per orbit: the state whose stacks are
+/// sorted by content within each class. [`states`](Self::states) and
+/// [`layer`](Self::layer) list representatives, and
+/// [`orbit`](Self::orbit) expands one. Everything else stays concrete:
+/// [`num_states`](Self::num_states), the layer record's counts and the
+/// `max_states` budget count every member of every stored orbit, the
+/// visible layers hold whole visible orbits, and witnesses end at any
+/// requested member. A system without interchangeable threads stores
+/// every state, in the same order as an unreduced engine.
+///
 /// Any discovered state yields a replayable [`Witness`] whose context
 /// count is bounded by the state's layer (witnesses are reconstructed
 /// per layer, one context at a time — see [`witness`](Self::witness)).
@@ -46,13 +59,18 @@ pub struct LayerSummary {
 pub struct ExplicitEngine {
     cpds: Cpds,
     budget: ExploreBudget,
-    /// Every state in discovery order, materialized once.
+    /// The interchangeable threads, whose orbits share a stored state.
+    symmetry: Symmetry,
+    /// Every stored state in discovery order, materialized once.
     states: Vec<GlobalState>,
     layer_of_state: Vec<u32>,
     /// The interned stacks of every stored state.
     stacks: StackTable,
     /// State `id` is the key `(q, [StackId; n])` with that id.
     keys: KeyTable,
+    /// The concrete number of states: the orbit sizes of the stored
+    /// states, summed.
+    num_states: usize,
     /// The property-independent layer record (shared vocabulary with
     /// the symbolic engine; see [`LayerStore`]).
     store: LayerStore,
@@ -69,10 +87,15 @@ struct Round {
     start: u32,
     new_layer: Vec<u32>,
     new_visible: Vec<VisibleState>,
-    queue: VecDeque<u32>,
+    /// Entries `(state id, running thread)`: a context keeps running
+    /// the thread that holds its stack, wherever the canonical order
+    /// moves that stack within its class.
+    queue: VecDeque<(u32, u32)>,
     /// `in_context[id] == closure` iff state `id` is in the current
     /// closure's context set (a generation stamp, so the set is
-    /// cleared by bumping `closure`).
+    /// cleared by bumping `closure`). A context leaves every stack but
+    /// the running thread's as it found it, so a representative in it
+    /// determines which stack runs: the stamp needs no thread.
     in_context: Vec<u32>,
     closure: u32,
     /// States expanded this round, across closures: the interrupt
@@ -83,7 +106,7 @@ struct Round {
 }
 
 impl Round {
-    fn new(layer: u32, start: u32) -> Self {
+    fn new(layer: u32, start: u32, key_width: usize) -> Self {
         Round {
             layer,
             start,
@@ -93,7 +116,7 @@ impl Round {
             in_context: Vec::new(),
             closure: 0,
             expanded: 0,
-            key: Vec::new(),
+            key: vec![0; key_width],
         }
     }
 
@@ -129,47 +152,59 @@ impl ExplicitEngine {
         let init = cpds.initial_state();
         let visible = init.visible();
         let mut engine = ExplicitEngine {
+            symmetry: Symmetry::new(&cpds),
             stacks: StackTable::new(),
             keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
             budget,
             states: Vec::new(),
             layer_of_state: Vec::new(),
+            num_states: 0,
             store: LayerStore::new(visible),
         };
+        // Interchangeable threads start on equal stacks, so the initial
+        // state is its own orbit and already canonical.
         engine.intern_state(init);
+        engine.num_states = 1;
         engine
     }
 
     /// Rebuilds an engine from deserialized parts: the state table in
     /// discovery order plus an already-validated layer record. The
-    /// interned keys and per-state layer bounds are derived, so a
-    /// restored engine is indistinguishable from one that explored the
-    /// same layers live.
+    /// interned keys, per-state layer bounds and the concrete state
+    /// counts are derived, so a restored engine is indistinguishable
+    /// from one that explored the same layers live.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency between the
-    /// state table and the layer record, without echoing state content.
+    /// state table and the layer record, or of a state that is not the
+    /// canonical representative of its orbit, without echoing state
+    /// content.
     pub(crate) fn from_parts(
         cpds: Cpds,
         budget: ExploreBudget,
         states: Vec<GlobalState>,
         store: LayerStore,
     ) -> Result<Self, String> {
-        if states.len() != store.state_count_at(store.current_k()) {
+        let recorded: usize = (0..=store.current_k())
+            .map(|k| store.layer_ids(k).len())
+            .sum();
+        if states.len() != recorded {
             return Err("state table does not match the layer record".to_owned());
         }
         if states[0] != cpds.initial_state() {
             return Err("state 0 is not the initial state".to_owned());
         }
         let mut engine = ExplicitEngine {
+            symmetry: Symmetry::new(&cpds),
             stacks: StackTable::new(),
             keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
             budget,
             states: Vec::with_capacity(states.len()),
             layer_of_state: Vec::with_capacity(states.len()),
+            num_states: 0,
             store,
         };
         for state in states {
@@ -177,6 +212,19 @@ impl ExplicitEngine {
                 return Err("duplicate global state in state table".to_owned());
             }
         }
+        let (keys, symmetry) = (&engine.keys, &engine.symmetry);
+        if (0..keys.len() as u32)
+            .any(|id| !symmetry.is_canonical(&engine.stacks, &keys.key(id)[1..]))
+        {
+            return Err(
+                "state table holds a state that is not its orbit's canonical representative"
+                    .to_owned(),
+            );
+        }
+        engine
+            .store
+            .weigh_states(|id| symmetry.weight(&keys.key(id)[1..]));
+        engine.num_states = engine.store.state_count_at(engine.store.current_k());
         for k in 0..=engine.store.current_k() {
             for &id in engine.store.layer_ids(k) {
                 engine.layer_of_state[id as usize] = k as u32;
@@ -198,6 +246,11 @@ impl ExplicitEngine {
         self.states.push(state);
         self.layer_of_state.push(0);
         true
+    }
+
+    /// The orbit size of stored state `id`.
+    fn weight(&self, id: u32) -> usize {
+        self.symmetry.weight(&self.keys.key(id)[1..])
     }
 
     /// The CPDS being explored.
@@ -228,12 +281,14 @@ impl ExplicitEngine {
         self.budget.interrupt = interrupt;
     }
 
-    /// Total number of distinct global states found so far.
+    /// Total number of distinct global states found so far, `|Rk|`:
+    /// every member of every stored orbit.
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.num_states
     }
 
-    /// The states first reached at context bound `k` (`Rk \ Rk−1`).
+    /// The representatives of the states first reached at context
+    /// bound `k` (`Rk \ Rk−1`, one state per orbit).
     ///
     /// # Panics
     ///
@@ -265,13 +320,21 @@ impl ExplicitEngine {
         self.store.num_visible()
     }
 
-    /// All states found so far (the extensional `Rk`).
+    /// The stored states, one representative per orbit, in discovery
+    /// order (the extensional `Rk` up to thread symmetry).
     pub fn states(&self) -> &[GlobalState] {
         &self.states
     }
 
-    /// Looks up the id of a discovered state. Read-only: walks the
-    /// stack and key tables without interning anything.
+    /// The orbit of `state`: every distinct state that permuting the
+    /// stacks of interchangeable threads turns it into, `state` first.
+    pub fn orbit(&self, state: &GlobalState) -> Vec<GlobalState> {
+        self.symmetry.orbit(state)
+    }
+
+    /// Looks up the id of the stored representative of `state`'s
+    /// orbit. Read-only: walks the stack and key tables without
+    /// interning anything.
     pub fn find(&self, state: &GlobalState) -> Option<u32> {
         if state.stacks.len() != self.cpds.num_threads() {
             return None;
@@ -281,6 +344,7 @@ impl ExplicitEngine {
         for stack in &state.stacks {
             key.push(self.stacks.find(stack)?.0);
         }
+        self.symmetry.canonicalize(&self.stacks, &mut key[1..]);
         self.keys.find(&key)
     }
 
@@ -316,7 +380,7 @@ impl ExplicitEngine {
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
-                .push_layer(Vec::new(), Vec::new(), self.states.len());
+                .push_layer(Vec::new(), Vec::new(), self.num_states);
             return Ok(LayerSummary {
                 k,
                 new_states: 0,
@@ -332,9 +396,16 @@ impl ExplicitEngine {
             "wave",
             vec![("k", k.into()), ("frontier", frontier.len().into())],
         );
-        let mut round = Round::new(k as u32, self.states.len() as u32);
+        let before = self.num_states;
+        let mut round = Round::new(k as u32, self.states.len() as u32, self.keys.width());
         for &start_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
+                if self
+                    .symmetry
+                    .mirrors_earlier(&self.keys.key(start_id)[1..], thread)
+                {
+                    continue;
+                }
                 if let Err(e) = self.context_closure(start_id, thread, &mut round) {
                     self.rollback(&round);
                     return Err(e);
@@ -344,7 +415,7 @@ impl ExplicitEngine {
 
         let summary = LayerSummary {
             k,
-            new_states: round.new_layer.len(),
+            new_states: self.num_states - before,
             new_visible: round.new_visible.len(),
         };
         wave_span.arg("new_states", summary.new_states);
@@ -352,7 +423,7 @@ impl ExplicitEngine {
         let merge_start = std::time::Instant::now();
         let mut merge_span = cuba_telemetry::trace::span("merge");
         self.store
-            .push_layer(round.new_layer, round.new_visible, self.states.len());
+            .push_layer(round.new_layer, round.new_visible, self.num_states);
         merge_span.arg("states", summary.new_states);
         drop(merge_span);
         cuba_telemetry::metrics::stage_time(
@@ -367,6 +438,9 @@ impl ExplicitEngine {
     /// in the stack table; no remaining key refers to them.
     fn rollback(&mut self, round: &Round) {
         let start = round.start as usize;
+        for id in round.start..self.states.len() as u32 {
+            self.num_states -= self.weight(id);
+        }
         self.states.truncate(start);
         self.layer_of_state.truncate(start);
         self.keys.truncate(start);
@@ -382,17 +456,20 @@ impl ExplicitEngine {
         thread: usize,
         round: &mut Round,
     ) -> Result<(), ExploreError> {
-        // BFS over →_thread within this context. Entries are state ids;
-        // every state in the closure is stored globally (it is reachable
-        // with the same context count as the closure's results).
+        // BFS over →_thread within this context. Entries are state ids
+        // and the thread running the context in that representative;
+        // every state in the closure is stored globally (it is
+        // reachable with the same context count as the closure's
+        // results).
         round.next_closure(self.states.len());
-        round.queue.push_back(start_id);
+        round.queue.push_back((start_id, thread as u32));
         round.enter(start_id);
         let mut explored = 0usize;
+        // The running thread only moves within its class, whose
+        // threads share one program.
         let pds = self.cpds.thread(thread);
-        let slot = thread + 1;
 
-        while let Some(id) = round.queue.pop_front() {
+        while let Some((id, running)) = round.queue.pop_front() {
             explored += 1;
             if explored > self.budget.max_states_per_context {
                 return Err(ExploreError::ContextBudgetExceeded {
@@ -408,10 +485,9 @@ impl ExplicitEngine {
             if round.expanded.is_multiple_of(INTERRUPT_POLL_PERIOD) {
                 self.budget.interrupt.check()?;
             }
-            round.key.clear();
-            round.key.extend_from_slice(self.keys.key(id));
-            let q = SharedState(round.key[0]);
-            let stack = StackId(round.key[slot]);
+            let running = running as usize;
+            let q = SharedState(self.keys.key(id)[0]);
+            let stack = StackId(self.keys.key(id)[running + 1]);
             for &action_idx in pds.actions_from(q, self.stacks.top(stack)) {
                 let action = &pds.actions()[action_idx];
                 let succ_stack = self.stacks.apply(stack, action);
@@ -421,28 +497,37 @@ impl ExplicitEngine {
                         thread,
                     });
                 }
+                round.key.copy_from_slice(self.keys.key(id));
                 round.key[0] = action.q_post.0;
-                round.key[slot] = succ_stack.0;
+                round.key[running + 1] = succ_stack.0;
+                let succ_running = self
+                    .symmetry
+                    .resort(&self.stacks, &mut round.key[1..], running);
                 let succ_id = match self.keys.find(&round.key) {
                     Some(existing) => existing,
                     None => {
-                        if self.states.len() >= self.budget.max_states {
+                        let weight = self.symmetry.weight(&round.key[1..]);
+                        if self.num_states.saturating_add(weight) > self.budget.max_states {
                             return Err(ExploreError::StateBudgetExceeded {
                                 limit: self.budget.max_states,
                             });
                         }
                         let (new_id, _) = self.keys.insert(&round.key);
+                        // Only the stacks of the running thread's class
+                        // can have changed.
                         let mut stacks = self.states[id as usize].stacks.clone();
-                        stacks[thread] = self.stacks.to_stack(succ_stack);
+                        let changed = self.symmetry.class(running);
+                        for &t in changed.unwrap_or(std::slice::from_ref(&running)) {
+                            stacks[t] = self.stacks.to_stack(StackId(round.key[t + 1]));
+                        }
                         let succ = GlobalState::new(action.q_post, stacks);
                         let visible = succ.visible();
                         self.states.push(succ);
                         self.layer_of_state.push(round.layer);
+                        self.num_states += weight;
                         round.new_layer.push(new_id);
                         round.grow(self.states.len());
-                        if self.store.record_visible(visible.clone()) {
-                            round.new_visible.push(visible);
-                        }
+                        record_visible_orbit(&mut self.store, &self.symmetry, visible, round);
                         new_id
                     }
                 };
@@ -455,14 +540,26 @@ impl ExplicitEngine {
                 // so stopping there loses nothing and keeps each round
                 // linear.
                 if round.enter(succ_id) && succ_id >= round.start {
-                    round.queue.push_back(succ_id);
+                    round.queue.push_back((succ_id, succ_running as u32));
                 }
             }
         }
         Ok(())
     }
 
-    /// Reconstructs a replayable witness path to a discovered state.
+    /// Reconstructs a replayable witness path to stored state `id`
+    /// (see [`witness_to`](Self::witness_to)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn witness(&self, id: u32) -> Witness {
+        self.witness_to(&self.states[id as usize])
+            .expect("layered invariant: one context from the previous frontier")
+    }
+
+    /// Reconstructs a replayable witness path to `state`, any member
+    /// of a stored orbit; `None` when no stored orbit holds it.
     ///
     /// The number of contexts of the returned path is at most the
     /// layer of the state: every layer-`k` state is, by construction
@@ -471,100 +568,119 @@ impl ExplicitEngine {
     /// per layer. (Naively chaining discovery-time predecessor links
     /// would *not* give this bound: a state found by continuing a
     /// context through an already-known same-layer state would inherit
-    /// that state's unrelated context history.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn witness(&self, id: u32) -> Witness {
+    /// that state's unrelated context history.) A context found from a
+    /// representative may end anywhere in the target's orbit; the
+    /// permutation that maps its end onto the target maps its steps,
+    /// threads and start too, so the path ends exactly at `state`.
+    pub fn witness_to(&self, state: &GlobalState) -> Option<Witness> {
         let mut suffix: Vec<WitnessStep> = Vec::new();
-        let mut current = id;
-        while self.layer_of(current) > 0 {
-            let k = self.layer_of(current);
-            let (frontier_id, mut context_steps) = self
-                .context_predecessor(current, k - 1)
-                .expect("layered invariant: one context from the previous frontier");
+        let mut current = state.clone();
+        loop {
+            let id = self.find(&current)?;
+            let k = self.layer_of(id);
+            if k == 0 {
+                // The initial state is its own orbit.
+                return Some(Witness {
+                    start: current,
+                    steps: suffix,
+                });
+            }
+            let (start, mut context_steps) = self.context_predecessor(&current, id, k)?;
             context_steps.extend(std::mem::take(&mut suffix));
             suffix = context_steps;
-            current = frontier_id;
-        }
-        Witness {
-            start: self.states[current as usize].clone(),
-            steps: suffix,
+            current = start;
         }
     }
 
-    /// Finds a frontier state of `layer` and a single-context path
-    /// from it to `target_id`, by re-running one context closure with
-    /// local path tracking.
-    fn context_predecessor(&self, target_id: u32, layer: usize) -> Option<(u32, Vec<WitnessStep>)> {
-        let target = &self.states[target_id as usize];
-        for &start_id in self.store.layer_ids(layer) {
+    /// Finds a state of layer `k − 1` and a single-context path from
+    /// it to `target` (stored as `target_id`, in layer `k`), by
+    /// re-running context closures from the frontier representatives
+    /// with local path tracking.
+    fn context_predecessor(
+        &self,
+        target: &GlobalState,
+        target_id: u32,
+        k: usize,
+    ) -> Option<(GlobalState, Vec<WitnessStep>)> {
+        for &start_id in self.store.layer_ids(k - 1) {
             for thread in 0..self.cpds.num_threads() {
-                if let Some(steps) = self.local_context_path(start_id, thread, target) {
-                    return Some((start_id, steps));
-                }
+                let Some(steps) = self.local_context_path(start_id, thread, target_id, k) else {
+                    continue;
+                };
+                let end = &steps.last()?.state;
+                let sigma = self.symmetry.matching(end, target)?;
+                let steps = steps
+                    .iter()
+                    .map(|step| WitnessStep {
+                        thread: ThreadId(sigma[step.thread.0]),
+                        action_idx: step.action_idx,
+                        state: permute(&sigma, &step.state),
+                    })
+                    .collect();
+                return Some((permute(&sigma, &self.states[start_id as usize]), steps));
             }
         }
         None
     }
 
-    /// BFS over thread-`thread` steps from `start_id`, returning the
-    /// step sequence to `target` if reachable within one context.
+    /// BFS over thread-`thread` steps from stored state `start_id`,
+    /// returning the step sequence to the first member of stored
+    /// orbit `target_id` it reaches within one context. Like the
+    /// round's closure, the search continues only through states first
+    /// reached at the target's layer `k`, so it never explores more
+    /// than that closure did.
     fn local_context_path(
         &self,
         start_id: u32,
         thread: usize,
-        target: &GlobalState,
+        target_id: u32,
+        k: usize,
     ) -> Option<Vec<WitnessStep>> {
         let start = &self.states[start_id as usize];
-        if start == target {
-            return Some(Vec::new());
-        }
         let mut pred: HashMap<GlobalState, (GlobalState, usize)> = HashMap::new();
         let mut queue: VecDeque<GlobalState> = VecDeque::new();
         queue.push_back(start.clone());
-        let mut explored = 0usize;
+        let mut found = None;
         while let Some(current) = queue.pop_front() {
-            explored += 1;
-            if explored > self.budget.max_states_per_context {
-                return None;
-            }
-            let mut found = false;
             let mut next: Vec<(GlobalState, usize)> = Vec::new();
             self.cpds
                 .successors_of_thread_into(&current, thread, &mut |succ, action_idx| {
                     next.push((succ, action_idx));
                 });
             for (succ, action_idx) in next {
-                if &succ != start && !pred.contains_key(&succ) {
-                    pred.insert(succ.clone(), (current.clone(), action_idx));
-                    if &succ == target {
-                        found = true;
-                        break;
-                    }
-                    queue.push_back(succ);
+                if &succ == start || pred.contains_key(&succ) {
+                    continue;
                 }
+                let Some(id) = self.find(&succ) else {
+                    continue;
+                };
+                if self.layer_of(id) != k {
+                    continue;
+                }
+                pred.insert(succ.clone(), (current.clone(), action_idx));
+                if id == target_id {
+                    found = Some(succ);
+                    break;
+                }
+                queue.push_back(succ);
             }
-            if found {
+            if found.is_some() {
                 break;
             }
         }
-        pred.contains_key(target).then(|| {
-            let mut rev = Vec::new();
-            let mut cur = target.clone();
-            while &cur != start {
-                let (p, action_idx) = pred[&cur].clone();
-                rev.push(WitnessStep {
-                    thread: ThreadId(thread),
-                    action_idx,
-                    state: cur.clone(),
-                });
-                cur = p;
-            }
-            rev.reverse();
-            rev
-        })
+        let mut cur = found?;
+        let mut rev = Vec::new();
+        while &cur != start {
+            let (p, action_idx) = pred[&cur].clone();
+            rev.push(WitnessStep {
+                thread: ThreadId(thread),
+                action_idx,
+                state: cur,
+            });
+            cur = p;
+        }
+        rev.reverse();
+        Some(rev)
     }
 
     /// Runs rounds until collapse or until `max_k` rounds have been
@@ -578,6 +694,32 @@ impl ExplicitEngine {
             self.advance()?;
         }
         Ok(self.current_k())
+    }
+}
+
+/// Records the projection `visible` of a newly stored state, and its
+/// whole visible orbit, if it is new. Layers are closed under the
+/// thread symmetry and every round records whole visible orbits, so a
+/// projection seen before brings no new member.
+fn record_visible_orbit(
+    store: &mut LayerStore,
+    symmetry: &Symmetry,
+    visible: VisibleState,
+    round: &mut Round,
+) {
+    if !store.record_visible(visible.clone()) {
+        return;
+    }
+    let others = if symmetry.is_trivial() {
+        Vec::new()
+    } else {
+        symmetry.visible_orbit(&visible).split_off(1)
+    };
+    round.new_visible.push(visible);
+    for v in others {
+        if store.record_visible(v.clone()) {
+            round.new_visible.push(v);
+        }
     }
 }
 

@@ -35,8 +35,8 @@ pub struct LayerStore {
     visible_layers: Vec<Vec<VisibleState>>,
     /// The bound at which each visible state was first seen.
     first_seen: HashMap<VisibleState, u32>,
-    /// Cumulative stored states after each bound (the `|Rk|`/`|Sk|`
-    /// growth log).
+    /// Cumulative states after each bound (the `|Rk|`/`|Sk|` growth
+    /// log), counting every member of a stored orbit.
     state_counts: Vec<usize>,
     /// Cumulative visible states after each bound (the `|T(Rk)|`
     /// growth log).
@@ -189,6 +189,20 @@ impl LayerStore {
         self.visible_layers.push(new_visible);
         self.state_counts.push(total_states);
         self.visible_counts.push(self.first_seen.len());
+    }
+
+    /// Re-derives the cumulative state counts from per-state weights,
+    /// saturating, so that an engine storing one representative per
+    /// orbit of interchangeable threads counts every member of each
+    /// orbit.
+    pub fn weigh_states(&mut self, weight: impl Fn(u32) -> usize) {
+        let mut total = 0usize;
+        for (count, ids) in self.state_counts.iter_mut().zip(&self.layers) {
+            total = ids
+                .iter()
+                .fold(total, |sum, &id| sum.saturating_add(weight(id)));
+            *count = total;
+        }
     }
 
     /// Rebuilds a store from its serialized essence: the per-bound id

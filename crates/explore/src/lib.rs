@@ -5,9 +5,11 @@
 //! algorithms consume:
 //!
 //! * [`ExplicitEngine`] stores the sets `Rk` of global states
-//!   reachable within `k` contexts extensionally. It requires finite
-//!   context reachability (FCR, §5) to terminate per round and takes
-//!   an [`ExploreBudget`] that turns divergence into a typed error.
+//!   reachable within `k` contexts extensionally, one representative
+//!   per orbit of interchangeable threads, with concrete counts. It
+//!   requires finite context reachability (FCR, §5) to terminate per
+//!   round and takes an [`ExploreBudget`] that turns divergence into a
+//!   typed error.
 //! * [`SymbolicEngine`] stores `Sk` as sets of *symbolic states*
 //!   `⟨q|A1,…,An⟩` whose per-thread stack languages are canonical
 //!   minimal DFAs ([`CanonicalDfa`](cuba_automata::CanonicalDfa)); a
@@ -66,6 +68,7 @@ mod search;
 mod shared;
 pub mod snapshot;
 mod symbolic;
+mod symmetry;
 mod witness;
 
 pub use budget::{CancelToken, ExploreBudget, ExploreError, Interrupt};

@@ -33,6 +33,10 @@
 //! layer record (per-bound state ids and per-bound new visible
 //! states; first-seen bounds, growth logs, and the collapse bound are
 //! derived on load), and the backend's state table in discovery order.
+//! An explicit state table holds one canonical representative per
+//! orbit of interchangeable threads, as the engine stores them; the
+//! loader rejects any other state, and re-derives the concrete state
+//! counts from the orbit sizes.
 //! Because engines are deterministic and every stored collection keeps
 //! its discovery order, save → load → save is byte-identical.
 //!
@@ -306,7 +310,12 @@ fn encode_common(w: &mut Writer, cpds: &Cpds, store: &LayerStore) {
 pub(crate) fn encode_explicit(engine: &ExplicitEngine, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
     encode_common(&mut w, engine.cpds(), engine.store());
-    let states = engine.states();
+    encode_state_table(&mut w, engine.states());
+    frame(SnapshotKind::Explicit, fingerprint, w.buf)
+}
+
+/// Writes an explicit state table, the last section of its payload.
+fn encode_state_table(w: &mut Writer, states: &[GlobalState]) {
     w.u32(states.len() as u32);
     for state in states {
         w.u32(state.q.0);
@@ -317,7 +326,6 @@ pub(crate) fn encode_explicit(engine: &ExplicitEngine, fingerprint: u64) -> Vec<
             }
         }
     }
-    frame(SnapshotKind::Explicit, fingerprint, w.buf)
 }
 
 /// Serializes a symbolic engine (backend kind 1 or 2 by mode).
@@ -685,6 +693,60 @@ mod tests {
             .unwrap();
         let err = decode(other, ExploreBudget::default(), 42, &bytes).unwrap_err();
         assert!(err.contains("system structure mismatch"), "{err}");
+    }
+
+    /// Two interchangeable copies of a thread that rewrites its top.
+    fn twins() -> Cpds {
+        let mut p = PdsBuilder::new(2, 3);
+        p.overwrite(q(0), s(0), q(1), s(1)).unwrap();
+        p.overwrite(q(1), s(0), q(0), s(2)).unwrap();
+        CpdsBuilder::new(2, q(0))
+            .threads(&p.build().unwrap(), [s(0)], 2)
+            .build()
+            .unwrap()
+    }
+
+    /// A snapshot of a system with interchangeable threads restores
+    /// its concrete counts; one whose state table holds a
+    /// non-canonical member of an orbit is rejected without echoing it.
+    #[test]
+    fn explicit_state_tables_hold_canonical_representatives() {
+        let mut engine = ExplicitEngine::new(twins(), ExploreBudget::default());
+        engine.run_until_collapse(8).unwrap();
+        assert!(engine.states().len() < engine.num_states());
+        let bytes = encode_explicit(&engine, 5);
+        let DecodedBackend::Explicit(restored) =
+            decode(twins(), ExploreBudget::default(), 5, &bytes).unwrap()
+        else {
+            panic!("explicit snapshot decoded to the wrong backend");
+        };
+        assert_eq!(restored.num_states(), engine.num_states());
+        for k in 0..=engine.current_k() {
+            assert_eq!(
+                restored.store().state_count_at(k),
+                engine.store().state_count_at(k)
+            );
+        }
+
+        let mut states = engine.states().to_vec();
+        let swap = states
+            .iter()
+            .position(|st| st.stacks[0] != st.stacks[1])
+            .expect("a state with distinct stacks");
+        states[swap].stacks.swap(0, 1);
+        let mut table = Writer::new();
+        encode_state_table(&mut table, &states);
+        let mut payload = bytes[HEADER_LEN..bytes.len() - table.buf.len()].to_vec();
+        payload.extend_from_slice(&table.buf);
+        let tampered = frame(SnapshotKind::Explicit, 5, payload);
+        let err = decode(twins(), ExploreBudget::default(), 5, &tampered).unwrap_err();
+        assert!(err.starts_with("snapshot offset "), "{err}");
+        assert!(
+            err.ends_with(
+                ": state table holds a state that is not its orbit's canonical representative"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,0 +1,312 @@
+//! Thread symmetry for the explicit engine.
+//!
+//! Threads with equal programs and equal initial stacks — the copies of
+//! a thread template, see [`Cpds::thread_classes`] — are
+//! interchangeable: permuting their stacks maps runs to runs and
+//! contexts to contexts, so every layer `Rk` is closed under those
+//! permutations (symmetry reduction in the sense of Emerson & Sistla).
+//! The explicit engine therefore stores one *canonical representative*
+//! per orbit, the member whose stacks are sorted by content within
+//! each class, and weighs it by the size of its orbit, so that every
+//! count it reports stays concrete.
+//!
+//! Here a state's stacks are the `[StackId; n]` part of its interned
+//! key, indexed by thread.
+
+use std::cmp::Ordering;
+
+use cuba_pds::{Cpds, GlobalState, StackId, StackTable, VisibleState};
+
+/// The classes of interchangeable threads of one system.
+#[derive(Debug, Clone)]
+pub(crate) struct Symmetry {
+    /// Classes of two or more threads, members ascending.
+    classes: Vec<Vec<usize>>,
+    /// Per thread, the index of its class, if it has one.
+    class_of: Vec<Option<usize>>,
+    /// Per thread, its position within its class (0 without a class).
+    rank: Vec<usize>,
+}
+
+impl Symmetry {
+    pub(crate) fn new(cpds: &Cpds) -> Self {
+        let classes = cpds.thread_classes();
+        let mut class_of = vec![None; cpds.num_threads()];
+        let mut rank = vec![0; cpds.num_threads()];
+        for (c, class) in classes.iter().enumerate() {
+            for (r, &t) in class.iter().enumerate() {
+                class_of[t] = Some(c);
+                rank[t] = r;
+            }
+        }
+        Symmetry {
+            classes,
+            class_of,
+            rank,
+        }
+    }
+
+    /// Whether no two threads are interchangeable.
+    pub(crate) fn is_trivial(&self) -> bool {
+        self.classes.is_empty()
+    }
+
+    /// The class of `thread`, if it has one: the threads whose stacks a
+    /// rewrite of its stack may reorder.
+    pub(crate) fn class(&self, thread: usize) -> Option<&[usize]> {
+        self.class_of[thread].map(|c| self.classes[c].as_slice())
+    }
+
+    /// Whether, in canonical `stacks`, the thread before `thread` in its
+    /// class holds the same stack: `thread`'s contexts then mirror that
+    /// thread's, and a round need not run them.
+    pub(crate) fn mirrors_earlier(&self, stacks: &[u32], thread: usize) -> bool {
+        let rank = self.rank[thread];
+        self.class(thread)
+            .is_some_and(|class| rank > 0 && stacks[class[rank - 1]] == stacks[thread])
+    }
+
+    /// Sorts `stacks` by content within each class.
+    pub(crate) fn canonicalize(&self, table: &StackTable, stacks: &mut [u32]) {
+        for class in &self.classes {
+            let mut sorted: Vec<u32> = class.iter().map(|&t| stacks[t]).collect();
+            sorted.sort_by(|&a, &b| table.cmp_content(StackId(a), StackId(b)));
+            for (&t, id) in class.iter().zip(sorted) {
+                stacks[t] = id;
+            }
+        }
+    }
+
+    /// Whether `stacks` are sorted by content within each class.
+    pub(crate) fn is_canonical(&self, table: &StackTable, stacks: &[u32]) -> bool {
+        self.classes.iter().all(|class| {
+            class
+                .windows(2)
+                .all(|pair| !greater(table, stacks[pair[0]], stacks[pair[1]]))
+        })
+    }
+
+    /// Restores the canonical order of `stacks` after the stack of
+    /// `thread` was rewritten: one insertion pass over its class.
+    /// Returns the thread that now holds the rewritten stack (the
+    /// running thread of the context). Where several threads hold that
+    /// stack, which of them runs is immaterial: they are
+    /// interchangeable in this state.
+    pub(crate) fn resort(&self, table: &StackTable, stacks: &mut [u32], thread: usize) -> usize {
+        let Some(class) = self.class(thread) else {
+            return thread;
+        };
+        let moved = stacks[thread];
+        let mut r = self.rank[thread];
+        while r > 0 && greater(table, stacks[class[r - 1]], moved) {
+            stacks[class[r]] = stacks[class[r - 1]];
+            r -= 1;
+        }
+        while r + 1 < class.len() && greater(table, moved, stacks[class[r + 1]]) {
+            stacks[class[r]] = stacks[class[r + 1]];
+            r += 1;
+        }
+        stacks[class[r]] = moved;
+        class[r]
+    }
+
+    /// The size of the orbit of a state with canonical `stacks`: per
+    /// class of `m` threads, `m! / ∏ multiplicity!` over its distinct
+    /// stacks; the product over classes, saturating.
+    pub(crate) fn weight(&self, stacks: &[u32]) -> usize {
+        let mut weight: u128 = 1;
+        for class in &self.classes {
+            // Equal stacks are adjacent in a canonical state; after
+            // `r + 1` threads whose current run of equal stacks has
+            // length `run`, `weight` carries the multinomial so far,
+            // always an integer.
+            let mut run = 0u128;
+            for (r, &t) in class.iter().enumerate() {
+                run = if r > 0 && stacks[class[r - 1]] == stacks[t] {
+                    run + 1
+                } else {
+                    1
+                };
+                weight = match weight.checked_mul(r as u128 + 1) {
+                    Some(w) => w / run,
+                    None => return usize::MAX,
+                };
+            }
+        }
+        usize::try_from(weight).unwrap_or(usize::MAX)
+    }
+
+    /// Every distinct arrangement of `items`, one item per thread, that
+    /// permutes items within classes; `items` itself first.
+    fn arrangements<T: Clone + PartialEq>(&self, items: &[T]) -> Vec<Vec<T>> {
+        let mut out = vec![items.to_vec()];
+        for class in &self.classes {
+            let mut next = Vec::new();
+            for base in &out {
+                let values: Vec<T> = class.iter().map(|&t| base[t].clone()).collect();
+                let mut used = vec![false; values.len()];
+                distinct_permutations(&values, &mut Vec::new(), &mut used, &mut |perm| {
+                    let mut variant = base.clone();
+                    for (&t, item) in class.iter().zip(perm) {
+                        variant[t] = item.clone();
+                    }
+                    next.push(variant);
+                });
+            }
+            out = next;
+        }
+        out
+    }
+
+    /// The orbit of `state`: every distinct state its interchangeable
+    /// threads' stacks can be permuted into, `state` first.
+    pub(crate) fn orbit(&self, state: &GlobalState) -> Vec<GlobalState> {
+        self.arrangements(&state.stacks)
+            .into_iter()
+            .map(|stacks| GlobalState::new(state.q, stacks))
+            .collect()
+    }
+
+    /// The orbit of a visible state: every distinct arrangement of its
+    /// tops within classes, `v` first. At most as large as the orbit
+    /// of any global state projecting to `v`.
+    pub(crate) fn visible_orbit(&self, v: &VisibleState) -> Vec<VisibleState> {
+        self.arrangements(&v.tops)
+            .into_iter()
+            .map(|tops| VisibleState::new(v.q, tops))
+            .collect()
+    }
+
+    /// A permutation `σ` of the threads, within classes, that maps
+    /// `from` onto `to`: `to.stacks[σ[i]] == from.stacks[i]` for every
+    /// thread `i`. `None` when the two states lie in different orbits.
+    pub(crate) fn matching(&self, from: &GlobalState, to: &GlobalState) -> Option<Vec<usize>> {
+        if from.q != to.q {
+            return None;
+        }
+        let mut sigma: Vec<usize> = (0..from.stacks.len()).collect();
+        for (i, stack) in from.stacks.iter().enumerate() {
+            if self.class_of[i].is_none() && to.stacks[i] != *stack {
+                return None;
+            }
+        }
+        for class in &self.classes {
+            let mut used = vec![false; class.len()];
+            for &i in class {
+                let r = (0..class.len())
+                    .find(|&r| !used[r] && to.stacks[class[r]] == from.stacks[i])?;
+                used[r] = true;
+                sigma[i] = class[r];
+            }
+        }
+        Some(sigma)
+    }
+}
+
+/// `state` with the stack of each thread `i` moved to thread `σ[i]`.
+pub(crate) fn permute(sigma: &[usize], state: &GlobalState) -> GlobalState {
+    let mut stacks = state.stacks.clone();
+    for (i, stack) in state.stacks.iter().enumerate() {
+        stacks[sigma[i]] = stack.clone();
+    }
+    GlobalState::new(state.q, stacks)
+}
+
+fn greater(table: &StackTable, a: u32, b: u32) -> bool {
+    table.cmp_content(StackId(a), StackId(b)) == Ordering::Greater
+}
+
+/// Emits each distinct permutation of `values` once, the identity
+/// first: a position takes the first unused copy of each value only.
+fn distinct_permutations<T: Clone + PartialEq>(
+    values: &[T],
+    prefix: &mut Vec<T>,
+    used: &mut [bool],
+    emit: &mut dyn FnMut(&[T]),
+) {
+    if prefix.len() == values.len() {
+        emit(prefix);
+        return;
+    }
+    for i in 0..values.len() {
+        if used[i] || (0..i).any(|j| !used[j] && values[j] == values[i]) {
+            continue;
+        }
+        used[i] = true;
+        prefix.push(values[i].clone());
+        distinct_permutations(values, prefix, used, emit);
+        prefix.pop();
+        used[i] = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, Stack, StackSym};
+
+    /// `n` copies of a one-action thread starting on stack `0`.
+    fn copies(n: usize) -> Cpds {
+        let mut p = PdsBuilder::new(2, 40);
+        p.overwrite(SharedState(0), StackSym(0), SharedState(1), StackSym(1))
+            .unwrap();
+        CpdsBuilder::new(2, SharedState(0))
+            .threads(&p.build().unwrap(), [StackSym(0)], n)
+            .build()
+            .unwrap()
+    }
+
+    fn stack(syms: &[u32]) -> Stack {
+        Stack::from_top_down(syms.iter().map(|&x| StackSym(x)))
+    }
+
+    /// The canonical order depends on stack content alone, not on the
+    /// order a table interned the stacks in, so it survives a restore
+    /// that re-interns them.
+    #[test]
+    fn canonical_form_ignores_interning_order() {
+        let symmetry = Symmetry::new(&copies(3));
+        let words = [stack(&[2]), stack(&[1, 3]), stack(&[1])];
+        let canonical = |order: &[usize]| {
+            let mut table = StackTable::new();
+            for &i in order {
+                table.intern(&words[i]);
+            }
+            let mut ids: Vec<u32> = words.iter().map(|w| table.intern(w).0).collect();
+            symmetry.canonicalize(&table, &mut ids);
+            assert!(symmetry.is_canonical(&table, &ids));
+            ids.iter()
+                .map(|&id| table.to_stack(StackId(id)))
+                .collect::<Vec<_>>()
+        };
+        let want = vec![stack(&[1]), stack(&[2]), stack(&[1, 3])];
+        assert_eq!(canonical(&[0, 1, 2]), want);
+        assert_eq!(canonical(&[2, 1, 0]), want);
+        assert_eq!(canonical(&[1, 0, 2]), want);
+    }
+
+    /// Orbit sizes are multinomials over equal stacks, match the orbit
+    /// enumerated, and saturate.
+    #[test]
+    fn weights_count_orbit_members() {
+        let symmetry = Symmetry::new(&copies(4));
+        let mut table = StackTable::new();
+        let (a, b) = (table.intern(&stack(&[1])).0, table.intern(&stack(&[2])).0);
+        for ids in [[a, a, a, a], [a, a, a, b], [a, a, b, b], [a, b, b, b]] {
+            let state = GlobalState::new(
+                SharedState(0),
+                ids.iter().map(|&id| table.to_stack(StackId(id))).collect(),
+            );
+            let orbit = symmetry.orbit(&state);
+            assert_eq!(orbit[0], state);
+            assert_eq!(symmetry.weight(&ids), orbit.len());
+            assert!(orbit
+                .iter()
+                .all(|member| symmetry.matching(&state, member).is_some()));
+        }
+        assert_eq!(symmetry.weight(&[a, a, b, b]), 6);
+        let wide = Symmetry::new(&copies(36));
+        let distinct: Vec<u32> = (0..36).map(|i| table.intern(&stack(&[i])).0).collect();
+        assert_eq!(wide.weight(&distinct), usize::MAX);
+    }
+}

@@ -63,6 +63,37 @@ impl Cpds {
         GlobalState::new(self.q_init, self.initial_stacks.clone())
     }
 
+    /// The classes of interchangeable threads: threads with equal
+    /// programs (display names included) and equal initial stacks, as
+    /// the copies of a thread template have. Swapping the stacks of two
+    /// such threads maps runs to runs. Only classes of two or more
+    /// threads are listed; members ascend, and classes are ordered by
+    /// their first member.
+    pub fn thread_classes(&self) -> Vec<Vec<usize>> {
+        let n = self.num_threads();
+        let mut placed = vec![false; n];
+        let mut classes = Vec::new();
+        for i in 0..n {
+            if placed[i] {
+                continue;
+            }
+            let class: Vec<usize> = (i..n)
+                .filter(|&j| {
+                    !placed[j]
+                        && self.threads[j] == self.threads[i]
+                        && self.initial_stacks[j] == self.initial_stacks[i]
+                })
+                .collect();
+            for &j in &class {
+                placed[j] = true;
+            }
+            if class.len() >= 2 {
+                classes.push(class);
+            }
+        }
+        classes
+    }
+
     /// The display name of a shared state, if registered.
     pub fn shared_name(&self, q: SharedState) -> Option<&str> {
         self.shared_names
@@ -367,6 +398,25 @@ mod tests {
             .unwrap();
         assert_eq!(c.num_threads(), 3);
         assert_eq!(c.initial_stack(2).top(), Some(s(0)));
+    }
+
+    #[test]
+    fn thread_classes_group_equal_programs_and_stacks() {
+        let mut a = PdsBuilder::new(2, 2);
+        a.overwrite(q(0), s(0), q(1), s(1)).unwrap();
+        let a = a.build().unwrap();
+        let b = PdsBuilder::new(2, 2).build().unwrap();
+        let c = CpdsBuilder::new(2, q(0))
+            .thread(a.clone(), [s(0)])
+            .thread(b.clone(), [s(0)])
+            .thread(a.clone(), [s(0)])
+            .thread(a.clone(), [s(1)])
+            .thread(b, [s(0)])
+            .thread(a, [s(0)])
+            .build()
+            .unwrap();
+        assert_eq!(c.thread_classes(), vec![vec![0, 2, 5], vec![1, 4]]);
+        assert!(fig1().thread_classes().is_empty());
     }
 
     #[test]

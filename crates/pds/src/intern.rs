@@ -13,6 +13,8 @@
 //!
 //! Neither table allocates per lookup, and a hit never allocates.
 
+use std::cmp::Ordering;
+
 use crate::{Action, Stack, StackSym};
 
 /// Marks an empty slot of a [`KeyTable`]'s index.
@@ -272,6 +274,25 @@ impl StackTable {
         self.lens[id.0 as usize] as usize
     }
 
+    /// Orders two stacks by content, whatever their ids: the shallower
+    /// first, then by symbols from the top down. Equal content is an
+    /// equal id, so the walk stops at the first differing symbol.
+    pub fn cmp_content(&self, mut a: StackId, mut b: StackId) -> Ordering {
+        let by_depth = self.depth(a).cmp(&self.depth(b));
+        if by_depth != Ordering::Equal {
+            return by_depth;
+        }
+        while a != b {
+            let (top_a, top_b) = (self.cells.key(a.0)[0], self.cells.key(b.0)[0]);
+            if top_a != top_b {
+                return top_a.cmp(&top_b);
+            }
+            a = self.rest(a);
+            b = self.rest(b);
+        }
+        Ordering::Equal
+    }
+
     /// Interns `sym` pushed onto `id`: one probe.
     pub fn push(&mut self, id: StackId, sym: StackSym) -> StackId {
         let (cell, new) = self.cells.insert(&[sym.0, id.0]);
@@ -417,6 +438,24 @@ mod tests {
         assert_eq!(t.find(&Stack::from_top_down([s(6), s(6)])), Some(t.rest(a)));
         assert_eq!(t.find(&Stack::from_top_down([s(5)])), None);
         assert_eq!(t.find(&Stack::new()), Some(StackId::EMPTY));
+    }
+
+    /// The content order is depth, then symbols top-down, whatever
+    /// order the stacks were interned in.
+    #[test]
+    fn content_order_ignores_ids() {
+        let mut rng = SplitMix64::new(5);
+        let mut t = StackTable::new();
+        let stacks: Vec<Stack> = (0..60)
+            .map(|_| Stack::from_top_down((0..rng.gen_usize(4)).map(|_| s(rng.gen_u32(3)))))
+            .collect();
+        let ids: Vec<StackId> = stacks.iter().map(|w| t.intern(w)).collect();
+        let content = |w: &Stack| (w.len(), w.iter_top_down().collect::<Vec<_>>());
+        for (a, wa) in ids.iter().zip(&stacks) {
+            for (b, wb) in ids.iter().zip(&stacks) {
+                assert_eq!(t.cmp_content(*a, *b), content(wa).cmp(&content(wb)));
+            }
+        }
     }
 
     /// The interned step and the plain step are the same rule.

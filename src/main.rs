@@ -972,6 +972,10 @@ fn print_info(path: &str, cpds: &Cpds) {
             cpds.initial_stack(i)
         );
     }
+    for class in cpds.thread_classes() {
+        let members: Vec<String> = class.iter().map(usize::to_string).collect();
+        println!("interchangeable threads: {{{}}}", members.join(", "));
+    }
     println!("initial state: {}", cpds.initial_state());
 }
 

@@ -50,6 +50,19 @@ fn info_prints_model_shape() {
 }
 
 #[test]
+fn info_lists_interchangeable_threads() {
+    let (stdout, _, code) = cuba(&["info", "samples/ticket.bp"]);
+    assert_eq!(code, Some(0));
+    assert!(
+        stdout.contains("interchangeable threads: {0, 1}\n"),
+        "{stdout}"
+    );
+    let (stdout, _, code) = cuba(&["info", "samples/fig1.cpds"]);
+    assert_eq!(code, Some(0));
+    assert!(!stdout.contains("interchangeable"), "{stdout}");
+}
+
+#[test]
 fn symbolic_engine_flag() {
     let (stdout, _, code) = cuba(&["verify", "samples/fig2.bp", "--engine", "symbolic"]);
     assert_eq!(code, Some(0));

@@ -10,7 +10,10 @@
 //!   the paper's rules applied to reference rounds,
 //! * the interned engines and `G ∩ Z` search reproduce reference
 //!   copies of the clone-per-step originals exactly: state order,
-//!   layers, visible layers, and budget errors.
+//!   layers, visible layers, and budget errors,
+//! * on systems with interchangeable threads, the explicit engine's
+//!   representatives expand to the reference layers, with the same
+//!   counts, visible layers, failing rounds, witnesses and restores.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
@@ -26,11 +29,11 @@ use cuba::core::{
     SystemArtifacts, Verdict,
 };
 use cuba::explore::{
-    ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SubsumptionMode,
-    SymbolicEngine, SymbolicState,
+    ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SharedExplorer,
+    SubsumptionMode, SymbolicEngine, SymbolicState,
 };
 use cuba::pds::rng::{shrink, shrink_usize};
-use cuba::pds::{Cpds, GlobalState, SharedState, StackSym, VisibleState};
+use cuba::pds::{Cpds, CpdsBuilder, GlobalState, SharedState, StackSym, VisibleState};
 
 fn small_budget() -> ExploreBudget {
     ExploreBudget {
@@ -131,6 +134,56 @@ fn witnesses_replay_within_bounds() {
                 let w = engine.witness(id);
                 assert!(w.replay(&cpds), "seed {seed}: invalid witness for {state}");
                 assert!(w.num_contexts() <= k, "seed {seed}");
+            }
+        }
+    }
+}
+
+/// Regression: the witness search once continued through states of
+/// older layers, where the round's closure stops. It could then run
+/// past the per-context budget the closure had kept to, find no path,
+/// and panic. Every stored state of a sweep with tight per-context
+/// budgets now gets a witness, including the state that exposed it.
+#[test]
+fn witness_search_keeps_to_the_closure() {
+    let three_threads = RandomCpdsConfig {
+        num_threads: 3,
+        ..RandomCpdsConfig::shrinking()
+    };
+    let engine_for = |cpds: &Cpds, cap: usize| {
+        let budget = ExploreBudget {
+            max_states_per_context: cap,
+            ..ExploreBudget::default()
+        };
+        let mut engine = ExplicitEngine::new(cpds.clone(), budget);
+        for _ in 0..5 {
+            if engine.advance().is_err() {
+                break;
+            }
+        }
+        engine
+    };
+    let cpds = random_cpds(&three_threads, 182);
+    let engine = engine_for(&cpds, 3);
+    assert_eq!(engine.layer_of(18), 4);
+    let w = engine.witness(18);
+    assert!(w.replay(&cpds));
+    assert_eq!(w.end(), &engine.states()[18]);
+    assert!(w.num_contexts() <= 4);
+
+    for shape in [RandomCpdsConfig::shrinking(), three_threads] {
+        for seed in 0..40u64 {
+            let cpds = random_cpds(&shape, seed);
+            for cap in [2, 3, 4, 6] {
+                let engine = engine_for(&cpds, cap);
+                for (id, state) in engine.states().iter().enumerate() {
+                    let w = engine.witness(id as u32);
+                    assert!(
+                        w.replay(&cpds) && w.end() == state,
+                        "seed {seed}, cap {cap}"
+                    );
+                    assert!(w.num_contexts() <= engine.layer_of(id as u32));
+                }
             }
         }
     }
@@ -1021,4 +1074,220 @@ fn generator_search_matches_the_naive_bfs() {
         }
     }
     assert!(checked_wide >= 8, "too few wide systems: {checked_wide}");
+}
+
+/// Duplication patterns of the symmetry oracle: thread `i` of a system
+/// copies thread `pattern[i]` of a random system.
+const PATTERNS: [&[usize]; 5] = [&[0, 0], &[0, 0, 1], &[0, 1, 0], &[0, 0, 0], &[0, 1, 0, 1]];
+
+/// A system whose threads copy those of a random system of `shape`
+/// (with as many threads as `pattern` names) by `pattern`.
+fn duplicated(shape: &RandomCpdsConfig, seed: u64, pattern: &[usize]) -> Cpds {
+    let distinct = pattern.iter().max().expect("non-empty pattern") + 1;
+    let base = random_cpds(
+        &RandomCpdsConfig {
+            num_threads: distinct,
+            ..shape.clone()
+        },
+        seed,
+    );
+    let mut builder = CpdsBuilder::new(base.num_shared(), base.q_init());
+    for &j in pattern {
+        builder = builder.thread(
+            base.thread(j).clone(),
+            base.initial_stack(j).iter_top_down(),
+        );
+    }
+    builder.build().expect("copies of a valid system")
+}
+
+/// Every permutation `p` of the threads that sends each thread to one
+/// with an equal program and initial stack.
+fn thread_symmetries(cpds: &Cpds) -> Vec<Vec<usize>> {
+    fn extend(cpds: &Cpds, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let i = prefix.len();
+        if i == cpds.num_threads() {
+            out.push(prefix.clone());
+            return;
+        }
+        for j in 0..cpds.num_threads() {
+            if !prefix.contains(&j)
+                && cpds.thread(j) == cpds.thread(i)
+                && cpds.initial_stack(j) == cpds.initial_stack(i)
+            {
+                prefix.push(j);
+                extend(cpds, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    extend(cpds, &mut Vec::new(), &mut out);
+    out
+}
+
+/// The states `state` maps to under `symmetries` (thread `i`'s stack
+/// moves to thread `p[i]`).
+fn orbit_of(symmetries: &[Vec<usize>], state: &GlobalState) -> Vec<GlobalState> {
+    symmetries
+        .iter()
+        .map(|p| {
+            let mut stacks = state.stacks.clone();
+            for (i, stack) in state.stacks.iter().enumerate() {
+                stacks[p[i]] = stack.clone();
+            }
+            GlobalState::new(state.q, stacks)
+        })
+        .collect()
+}
+
+/// Runs the explicit engine beside the reference rounds for four
+/// rounds on a system with interchangeable threads; the first
+/// difference, if any. Per round: the orbits of each stored layer make
+/// up the reference layer, visible layers are equal as sets, so are
+/// the concrete state counts and the collapse bound, a round fails in
+/// both or in neither, and every state of the new reference layer gets
+/// a witness that replays, ends at it and keeps to its bound.
+fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
+    let symmetries = thread_symmetries(cpds);
+    let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
+    let mut reference = reference::Explicit::new(cpds.clone(), budget.clone());
+    for round in 1..=4 {
+        let (got, want) = (engine.advance(), reference.advance());
+        if got.is_ok() != want.is_ok() {
+            return Some(format!("round {round}: {got:?} vs reference {want:?}"));
+        }
+        if got.is_err() {
+            let k = engine.current_k();
+            return (engine.num_states() != engine.store().state_count_at(k))
+                .then(|| format!("round {round}: rollback left stray states"));
+        }
+        for k in 0..=round {
+            let expanded: HashSet<GlobalState> = engine
+                .layer(k)
+                .flat_map(|s| orbit_of(&symmetries, s))
+                .collect();
+            let layer: HashSet<GlobalState> = reference
+                .store
+                .layer_ids(k)
+                .iter()
+                .map(|&id| reference.states[id as usize].clone())
+                .collect();
+            if expanded != layer {
+                return Some(format!("round {round}: layer {k} differs"));
+            }
+            let visible: HashSet<&VisibleState> = engine.visible_layer(k).iter().collect();
+            let want: HashSet<&VisibleState> = reference.store.visible_layer(k).iter().collect();
+            if visible != want || engine.visible_layer(k).len() != want.len() {
+                return Some(format!("round {round}: visible layer {k} differs"));
+            }
+            if engine.store().state_count_at(k) != reference.store.state_count_at(k) {
+                return Some(format!("round {round}: |R{k}| differs"));
+            }
+        }
+        if engine.store().collapsed_at() != reference.store.collapsed_at() {
+            return Some(format!("round {round}: collapse bounds differ"));
+        }
+        for &id in reference.store.layer_ids(round) {
+            let state = &reference.states[id as usize];
+            let Some(w) = engine.witness_to(state) else {
+                return Some(format!("round {round}: no witness for {state}"));
+            };
+            if !w.replay(cpds) || w.end() != state || w.num_contexts() > round {
+                return Some(format!("round {round}: bad witness for {state}: {w}"));
+            }
+        }
+    }
+    None
+}
+
+/// Snapshots an explorer after round 2, restores it, and drives both
+/// to round 4: the first difference between the restored explorer and
+/// the live one, if any.
+fn restore_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
+    let none = Interrupt::none();
+    let live = SharedExplorer::explicit(cpds.clone(), budget.clone());
+    if live.ensure_layer(2, &none).is_err() {
+        return None;
+    }
+    let restored = match SharedExplorer::restore(cpds.clone(), budget.clone(), 7, &live.snapshot(7))
+    {
+        Ok(restored) => restored,
+        Err(e) => return Some(format!("restore failed: {e}")),
+    };
+    for k in 0..=4 {
+        let (got, want) = (restored.ensure_layer(k, &none), live.ensure_layer(k, &none));
+        if got.is_ok() != want.is_ok() || got.as_ref().err() != want.as_ref().err() {
+            return Some(format!("bound {k}: {got:?} vs live {want:?}"));
+        }
+        if got.is_err() {
+            break;
+        }
+        let (a, b) = (restored.view(k), live.view(k));
+        if (a.states, a.visible, &a.new_visible, a.collapsed)
+            != (b.states, b.visible, &b.new_visible, b.collapsed)
+        {
+            return Some(format!("bound {k}: views differ"));
+        }
+    }
+    (restored.snapshot(7) != live.snapshot(7)).then(|| "snapshots differ".to_owned())
+}
+
+/// The symmetry oracle's budgets: both oracle budgets, and per-context
+/// caps tight enough that a closure exploring more or fewer
+/// representatives than the unreduced closure has states fails in a
+/// different round.
+fn symmetry_budgets() -> Vec<ExploreBudget> {
+    let mut budgets = oracle_budgets().to_vec();
+    budgets.extend([2, 4, 8].map(|cap| ExploreBudget {
+        max_states_per_context: cap,
+        ..small_budget()
+    }));
+    budgets
+}
+
+/// Differential oracle for thread-symmetry reduction: systems built by
+/// duplicating random threads (push-free, and pushy under FCR), under
+/// [`symmetry_budgets`], match the reference rounds up to symmetry
+/// ([`symmetry_difference`]) and restore from a snapshot exactly
+/// ([`restore_difference`]). A difference is shrunk to a minimal shape.
+#[test]
+fn symmetric_systems_match_the_reference_rounds() {
+    let pushy = RandomCpdsConfig {
+        push_probability: 0.25,
+        actions_per_thread: 5,
+        ..RandomCpdsConfig::default()
+    };
+    let (mut systems, mut reduced, mut errors) = (0, 0, 0);
+    for (shape, seeds) in [(RandomCpdsConfig::shrinking(), 0..32u64), (pushy, 0..48u64)] {
+        for seed in seeds {
+            for pattern in PATTERNS {
+                let cpds = duplicated(&shape, seed, pattern);
+                if !check_fcr(&cpds).holds() {
+                    continue;
+                }
+                systems += 1;
+                for budget in symmetry_budgets() {
+                    let check = |shape: &RandomCpdsConfig| {
+                        let cpds = duplicated(shape, seed, pattern);
+                        symmetry_difference(&cpds, &budget)
+                            .or_else(|| restore_difference(&cpds, &budget))
+                    };
+                    if let Some(difference) = check(&shape) {
+                        let minimal = shrink(shape.clone(), smaller_shapes, |s| check(s).is_some());
+                        panic!(
+                            "seed {seed}, pattern {pattern:?}: {difference}; minimal failing shape {minimal:?}: {:?}",
+                            check(&minimal)
+                        );
+                    }
+                    let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
+                    errors += usize::from((0..4).any(|_| engine.advance().is_err()));
+                    reduced += usize::from(engine.states().len() < engine.num_states());
+                }
+            }
+        }
+    }
+    assert!(systems >= 300, "too few systems: {systems}");
+    assert!(reduced >= 250, "too few reduced explorations: {reduced}");
+    assert!(errors >= 60, "too few failing rounds: {errors}");
 }

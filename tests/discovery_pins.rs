@@ -3,9 +3,13 @@
 //! Both engines number states in discovery order, and `.cubasnap`
 //! files record that order, so any change to how a round walks its
 //! frontier shows up here — even when layer *sets* and verdicts stay
-//! the same. The digests were recorded with the clone-per-step engines
-//! that preceded the interned state keys; the interned engines must
-//! reproduce them exactly.
+//! the same. The digests of systems without interchangeable threads
+//! (Fig. 1, Fig. 2, stefan-1/4 in the symbolic engine, both snapshot
+//! files) were recorded with the clone-per-step engines that preceded
+//! the interned state keys; the interned engines must reproduce them
+//! exactly. bst-insert/2+1 has two interchangeable inserters, so the
+//! explicit engine stores one representative per orbit; its digest
+//! pins that reduced order.
 
 use std::process::Command;
 
@@ -45,7 +49,8 @@ impl Digest {
 }
 
 /// The explicit state sequence, then per bound the layer ids and the
-/// new visible states in discovery order.
+/// new visible states in discovery order, with the number of stored
+/// states.
 fn explicit_digest(engine: &ExplicitEngine) -> (usize, u64) {
     let mut d = Digest::new();
     for state in engine.states() {
@@ -65,7 +70,7 @@ fn explicit_digest(engine: &ExplicitEngine) -> (usize, u64) {
         }
         d.visible(engine.visible_layer(k));
     }
-    (engine.num_states(), d.0)
+    (engine.states().len(), d.0)
 }
 
 /// Per bound, the symbolic layer's states (shared state and canonical
@@ -101,12 +106,14 @@ fn explicit_discovery_order_is_pinned() {
         engine.advance().unwrap();
     }
     assert_eq!(explicit_digest(&engine), (17, 6447690871695350749));
+    assert_eq!(engine.num_states(), 17);
 
     let mut engine = ExplicitEngine::new(bst::build(2, 1), ExploreBudget::default());
     engine.run_until_collapse(64).unwrap();
     assert!(engine.is_collapsed());
     assert_eq!(engine.current_k(), 4);
-    assert_eq!(explicit_digest(&engine), (6253, 7081371805129036725));
+    assert_eq!(explicit_digest(&engine), (1183, 13133279913098829560));
+    assert_eq!(engine.num_states(), 6253);
 }
 
 #[test]
