@@ -1,6 +1,6 @@
 use std::collections::BTreeSet;
 
-use cuba_pds::{Cpds, SharedState, StackSym, VisibleState};
+use cuba_pds::{code_top, Cpds, SharedState, StackSym, VisibleState};
 
 /// The syntactic generator set `G` of Eq. 2 (Thm. 11).
 ///
@@ -51,13 +51,13 @@ impl GeneratorSet {
         })
     }
 
-    /// Whether the visible state keyed `(q, [top code; n])` is in `G`
-    /// (codes as in `overapprox::top_code`: `ε` ↦ 0, `σ` ↦ `σ + 1`).
+    /// Whether the visible state keyed `(q, [top code; n])` (see
+    /// [`VisibleState::key`]) is in `G`.
     pub(crate) fn contains_key(&self, key: &[u32]) -> bool {
         let q = SharedState(key[0]);
         key[1..].iter().enumerate().any(|(i, &code)| {
             self.pop_targets[i].contains(&q)
-                && (code == 0 || self.emerging[i].contains(&StackSym(code - 1)))
+                && code_top(code).is_none_or(|sym| self.emerging[i].contains(&sym))
         })
     }
 

@@ -1,7 +1,7 @@
 use std::collections::{HashMap, HashSet};
 
 use cuba_explore::{ExploreError, Interrupt};
-use cuba_pds::{Cpds, KeyTable, Pds, Rhs, SharedState, StackSym, ThreadVisible, VisibleState};
+use cuba_pds::{top_code, Cpds, KeyTable, Pds, Rhs, ThreadVisible, VisibleState};
 
 use crate::GeneratorSet;
 
@@ -97,7 +97,7 @@ pub fn compute_z(cpds: &Cpds) -> ZReport {
     let z = explore_z(cpds, &abstractions, &Interrupt::none())
         .expect("an unarmed interrupt never fires");
     let states = (0..z.len() as u32)
-        .map(|id| decode_visible(z.key(id)))
+        .map(|id| VisibleState::from_key(z.key(id)))
         .collect();
     ZReport {
         states,
@@ -128,41 +128,25 @@ pub fn generators_in_z(
     let mut ids: Vec<u32> = (0..z.len() as u32)
         .filter(|&id| generators.contains_key(z.key(id)))
         .collect();
-    // Key order is `VisibleState` order: `q` first, then the tops with
-    // `ε` (code 0) below every symbol.
+    // Key order is `VisibleState` order.
     ids.sort_unstable_by(|&a, &b| z.key(a).cmp(z.key(b)));
     Ok(ids
         .into_iter()
-        .map(|id| decode_visible(z.key(id)))
+        .map(|id| VisibleState::from_key(z.key(id)))
         .collect())
 }
 
 /// How often (in visited states) the `Z` search polls its interrupt.
 const Z_POLL_PERIOD: u32 = 256;
 
-/// The key code of a visible top: `ε` ↦ 0, `σ` ↦ `σ + 1`.
-fn top_code(top: Option<StackSym>) -> u32 {
-    top.map_or(0, |s| s.0 + 1)
-}
-
-/// The visible state `⟨q|σ1,…,σn⟩` of a key `(q, [top code; n])`.
-fn decode_visible(key: &[u32]) -> VisibleState {
-    VisibleState::new(
-        SharedState(key[0]),
-        key[1..]
-            .iter()
-            .map(|&code| code.checked_sub(1).map(StackSym))
-            .collect(),
-    )
-}
-
 /// One thread's abstract moves `(q, code) ↦ [(q', code')]`.
 type MovesBySource = HashMap<(u32, u32), Vec<(u32, u32)>>;
 
 /// Explores `Mn` from `T(initial state)` breadth-first over visible
-/// keys `(q, [top code; n])` (see [`top_code`]). The returned table
-/// holds exactly `Z`; its insertion order is the BFS order, so the
-/// table doubles as the queue and nothing is allocated per state.
+/// keys `(q, [top code; n])` (see [`VisibleState::key`]). The
+/// returned table holds exactly `Z`; its insertion order is the BFS
+/// order, so the table doubles as the queue and nothing is allocated
+/// per state.
 fn explore_z(
     cpds: &Cpds,
     abstractions: &[Vec<AbstractTransition>],
@@ -182,10 +166,7 @@ fn explore_z(
             by_source
         })
         .collect();
-    let init = cpds.initial_state();
-    let mut key: Vec<u32> = std::iter::once(init.q.0)
-        .chain(init.stacks.iter().map(|w| top_code(w.top())))
-        .collect();
+    let mut key = cpds.initial_state().visible().key();
     let mut z = KeyTable::new(key.len());
     z.insert(&key);
     let mut next = 0u32;

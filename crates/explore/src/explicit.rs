@@ -400,9 +400,12 @@ impl ExplicitEngine {
         let mut round = Round::new(k as u32, self.states.len() as u32, self.keys.width());
         for &start_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
+                // A twin's contexts mirror an earlier thread's, whose
+                // closure already stored their representatives.
                 if self
                     .symmetry
-                    .mirrors_earlier(&self.keys.key(start_id)[1..], thread)
+                    .earlier_twin(&self.keys.key(start_id)[1..], thread)
+                    .is_some()
                 {
                     continue;
                 }
@@ -444,7 +447,7 @@ impl ExplicitEngine {
         self.states.truncate(start);
         self.layer_of_state.truncate(start);
         self.keys.truncate(start);
-        self.store.rollback_round(&round.new_visible);
+        self.store.rollback_round();
     }
 
     /// Runs thread `thread` to completion from `start_id` (one full
@@ -707,7 +710,7 @@ fn record_visible_orbit(
     visible: VisibleState,
     round: &mut Round,
 ) {
-    if !store.record_visible(visible.clone()) {
+    if !store.record_visible(&visible) {
         return;
     }
     let others = if symmetry.is_trivial() {
@@ -717,7 +720,7 @@ fn record_visible_orbit(
     };
     round.new_visible.push(visible);
     for v in others {
-        if store.record_visible(v.clone()) {
+        if store.record_visible(&v) {
             round.new_visible.push(v);
         }
     }

@@ -15,9 +15,7 @@
 //! [`SymbolicEngine`]: crate::SymbolicEngine
 //! [`SharedExplorer`]: crate::SharedExplorer
 
-use std::collections::HashMap;
-
-use cuba_pds::VisibleState;
+use cuba_pds::{KeyTable, VisibleState};
 
 /// Append-only record of a layered exploration: which state ids were
 /// first reached at each context bound, which visible states were
@@ -27,14 +25,21 @@ use cuba_pds::VisibleState;
 /// All queries are *bound-indexed*, so a checker replaying bound `k`
 /// sees exactly the data a fresh engine would have produced at `k`,
 /// even when the store has since been extended past `k`.
+///
+/// Visible states are interned as their keys `(q, [top code; n])`
+/// ([`VisibleState::key`]), numbered in first-seen order. So the
+/// first-seen bound of a key is the first bound whose cumulative
+/// visible count exceeds its id, and a failed round is undone by
+/// truncating the key table to the last sealed count.
 #[derive(Debug)]
 pub struct LayerStore {
     /// `layers[k]` = ids of states first reached at context bound `k`.
     layers: Vec<Vec<u32>>,
     /// `visible_layers[k]` = visible states first seen at bound `k`.
     visible_layers: Vec<Vec<VisibleState>>,
-    /// The bound at which each visible state was first seen.
-    first_seen: HashMap<VisibleState, u32>,
+    /// The keys of every visible state seen so far: those of
+    /// `visible_layers` in order, then those of the round in progress.
+    visible_keys: KeyTable,
     /// Cumulative states after each bound (the `|Rk|`/`|Sk|` growth
     /// log), counting every member of a stored orbit.
     state_counts: Vec<usize>,
@@ -49,12 +54,13 @@ impl LayerStore {
     /// A store positioned at layer 0 = `{initial state}` (id 0) with
     /// the given visible projection.
     pub fn new(initial_visible: VisibleState) -> Self {
-        let mut first_seen = HashMap::new();
-        first_seen.insert(initial_visible.clone(), 0u32);
+        let key = initial_visible.key();
+        let mut visible_keys = KeyTable::new(key.len());
+        visible_keys.insert(&key);
         LayerStore {
             layers: vec![vec![0]],
             visible_layers: vec![vec![initial_visible]],
-            first_seen,
+            visible_keys,
             state_counts: vec![1],
             visible_counts: vec![1],
             collapsed_at: None,
@@ -86,29 +92,40 @@ impl LayerStore {
 
     /// Number of distinct visible states seen so far (any bound).
     pub fn num_visible(&self) -> usize {
-        self.first_seen.len()
+        self.visible_keys.len()
     }
 
-    /// Iterates over every visible state seen so far.
+    /// Iterates over every visible state seen so far, in first-seen
+    /// order.
     pub fn visible_iter(&self) -> impl Iterator<Item = &VisibleState> + '_ {
-        self.first_seen.keys()
+        self.visible_layers.iter().flatten()
     }
 
     /// Whether `v` has been seen at any computed bound.
     pub fn seen(&self, v: &VisibleState) -> bool {
-        self.first_seen.contains_key(v)
+        self.find(v).is_some()
     }
 
     /// Whether `v` was seen at bound `k` or earlier — the membership
     /// test `v ∈ T(Rk)` that stays correct after the store grows
     /// past `k`.
     pub fn seen_by(&self, v: &VisibleState, k: usize) -> bool {
-        self.first_seen.get(v).is_some_and(|&b| b as usize <= k)
+        self.first_seen_bound(v).is_some_and(|b| b <= k)
     }
 
     /// The bound at which `v` was first seen, if any.
     pub fn first_seen_bound(&self, v: &VisibleState) -> Option<usize> {
-        self.first_seen.get(v).map(|&b| b as usize)
+        self.find(v)
+            .map(|id| self.visible_counts.partition_point(|&c| c <= id as usize))
+    }
+
+    /// The key id of `v`; `None` for a state of another width, which
+    /// no exploration of this system records.
+    fn find(&self, v: &VisibleState) -> Option<u32> {
+        if v.num_threads() + 1 != self.visible_keys.width() {
+            return None;
+        }
+        self.visible_keys.find(&v.key())
     }
 
     /// Cumulative stored states at bound `k` (`|Rk|` resp. `|Sk|`).
@@ -146,18 +163,25 @@ impl LayerStore {
     }
 
     /// Records a visible state seen while computing the *next* layer.
-    /// Returns `true` when it is new (the caller then owes it to the
-    /// round's `new_visible` list, and back to
-    /// [`rollback_round`](Self::rollback_round) on failure).
-    pub fn record_visible(&mut self, v: VisibleState) -> bool {
-        let bound = self.layers.len() as u32;
-        match self.first_seen.entry(v) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(bound);
-                true
-            }
-        }
+    /// Returns `true` when it is new: the caller then owes it to the
+    /// round's `new_visible` list, in the order recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` has another number of threads than the initial
+    /// state.
+    pub fn record_visible(&mut self, v: &VisibleState) -> bool {
+        self.record_visible_key(&v.key())
+    }
+
+    /// As [`record_visible`](Self::record_visible), for the visible
+    /// state keyed `key` (see [`VisibleState::key`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has another width than the initial state's.
+    pub fn record_visible_key(&mut self, key: &[u32]) -> bool {
+        self.visible_keys.insert(key).1
     }
 
     /// Undoes the visible-state registrations of a failed round, so an
@@ -166,29 +190,34 @@ impl LayerStore {
     /// caller's deadline not poison the exploration for everyone else.
     ///
     /// [`SharedExplorer`]: crate::SharedExplorer
-    pub fn rollback_round(&mut self, new_visible: &[VisibleState]) {
-        for v in new_visible {
-            self.first_seen.remove(v);
-        }
+    pub fn rollback_round(&mut self) {
+        let sealed = *self.visible_counts.last().expect("layer 0 is sealed");
+        self.visible_keys.truncate(sealed);
     }
 
     /// Seals the freshly computed layer: the ids first reached at the
-    /// new bound, the visible states first seen there, and the total
-    /// stored states after the round. An empty id layer at `k ≥ 1`
-    /// marks the collapse.
+    /// new bound, the visible states first seen there (those recorded
+    /// as new since the last seal, in order), and the total stored
+    /// states after the round. An empty id layer at `k ≥ 1` marks the
+    /// collapse.
     pub fn push_layer(
         &mut self,
         ids: Vec<u32>,
         new_visible: Vec<VisibleState>,
         total_states: usize,
     ) {
+        debug_assert_eq!(
+            self.visible_counts.last().map(|&c| c + new_visible.len()),
+            Some(self.visible_keys.len()),
+            "new visible states are those recorded since the last seal"
+        );
         if ids.is_empty() && self.collapsed_at.is_none() {
             self.collapsed_at = Some(self.layers.len());
         }
         self.layers.push(ids);
         self.visible_layers.push(new_visible);
         self.state_counts.push(total_states);
-        self.visible_counts.push(self.first_seen.len());
+        self.visible_counts.push(self.visible_keys.len());
     }
 
     /// Re-derives the cumulative state counts from per-state weights,
@@ -207,15 +236,16 @@ impl LayerStore {
 
     /// Rebuilds a store from its serialized essence: the per-bound id
     /// layers and per-bound new visible states. Everything else —
-    /// first-seen bounds, cumulative growth logs, the collapse bound —
-    /// is derived, which keeps the snapshot format minimal and makes
+    /// visible keys, cumulative growth logs, the collapse bound — is
+    /// derived, which keeps the snapshot format minimal and makes
     /// save → load → save byte-identical by construction.
     ///
     /// Validated invariants (anything else means a corrupt snapshot):
     /// layer 0 is exactly `{0}`, ids are consecutive across bounds (an
-    /// engine numbers states in discovery order), a visible state is
-    /// first seen at exactly one bound, and an empty id layer brings
-    /// no new visible states.
+    /// engine numbers states in discovery order), every visible state
+    /// has the initial one's width, a visible state is first seen at
+    /// exactly one bound, and an empty id layer brings no new visible
+    /// states.
     ///
     /// # Errors
     ///
@@ -231,7 +261,8 @@ impl LayerStore {
         if layers[0] != [0] || visible_layers[0].len() != 1 {
             return Err("layer 0 is not the singleton initial layer".to_owned());
         }
-        let mut first_seen = HashMap::new();
+        let width = visible_layers[0][0].num_threads() + 1;
+        let mut visible_keys = KeyTable::new(width);
         let mut state_counts = Vec::with_capacity(layers.len());
         let mut visible_counts = Vec::with_capacity(layers.len());
         let mut collapsed_at = None;
@@ -254,17 +285,20 @@ impl LayerStore {
                 }
             }
             for v in new_visible {
-                if first_seen.insert(v.clone(), k as u32).is_some() {
+                if v.num_threads() + 1 != width {
+                    return Err(format!("layer {k}: visible state of another width"));
+                }
+                if !visible_keys.insert(&v.key()).1 {
                     return Err(format!("layer {k}: visible state first seen twice"));
                 }
             }
             state_counts.push(next_id as usize);
-            visible_counts.push(first_seen.len());
+            visible_counts.push(visible_keys.len());
         }
         Ok(LayerStore {
             layers,
             visible_layers,
-            first_seen,
+            visible_keys,
             state_counts,
             visible_counts,
             collapsed_at,
@@ -284,8 +318,8 @@ mod tests {
     #[test]
     fn bound_indexed_queries_survive_growth() {
         let mut store = LayerStore::new(vis(0, 1));
-        assert!(store.record_visible(vis(1, 2)));
-        assert!(!store.record_visible(vis(1, 2)), "duplicates rejected");
+        assert!(store.record_visible(&vis(1, 2)));
+        assert!(!store.record_visible(&vis(1, 2)), "duplicates rejected");
         store.push_layer(vec![1, 2], vec![vis(1, 2)], 3);
         store.push_layer(vec![3], vec![], 4);
 
@@ -296,7 +330,33 @@ mod tests {
         assert!(store.seen_by(&vis(1, 2), 1));
         assert!(!store.seen_by(&vis(1, 2), 0));
         assert_eq!(store.first_seen_bound(&vis(0, 1)), Some(0));
+        assert_eq!(store.first_seen_bound(&vis(1, 2)), Some(1));
         assert!(!store.is_collapsed());
+        // First-seen order, whatever the hashing.
+        assert!(store.record_visible(&vis(3, 0)));
+        assert_eq!(store.first_seen_bound(&vis(3, 0)), Some(3));
+        store.push_layer(vec![4], vec![vis(3, 0)], 5);
+        let order: Vec<&VisibleState> = store.visible_iter().collect();
+        assert_eq!(order, [&vis(0, 1), &vis(1, 2), &vis(3, 0)]);
+    }
+
+    /// `ε` and symbol 0 are distinct tops, and a state of another
+    /// width is simply never seen.
+    #[test]
+    fn lookups_tell_eps_from_symbol_zero_and_other_widths() {
+        let eps = VisibleState::new(SharedState(0), vec![None]);
+        let mut store = LayerStore::new(eps.clone());
+        assert!(!store.seen(&vis(0, 0)));
+        assert!(store.record_visible(&vis(0, 0)));
+        store.push_layer(vec![1], vec![vis(0, 0)], 2);
+        assert_eq!(store.first_seen_bound(&eps), Some(0));
+        assert_eq!(store.first_seen_bound(&vis(0, 0)), Some(1));
+        let wide = VisibleState::new(SharedState(0), vec![None, None]);
+        assert!(!store.seen(&wide) && !store.seen_by(&wide, 1));
+        assert_eq!(
+            store.first_seen_bound(&VisibleState::new(SharedState(0), vec![])),
+            None
+        );
     }
 
     #[test]
@@ -315,11 +375,37 @@ mod tests {
     #[test]
     fn rollback_removes_round_registrations() {
         let mut store = LayerStore::new(vis(0, 1));
-        assert!(store.record_visible(vis(2, 3)));
-        store.rollback_round(&[vis(2, 3)]);
+        assert!(store.record_visible(&vis(1, 1)));
+        store.push_layer(vec![1], vec![vis(1, 1)], 2);
+        assert!(store.record_visible(&vis(2, 3)));
+        assert!(!store.record_visible(&vis(1, 1)));
+        store.rollback_round();
         assert!(!store.seen(&vis(2, 3)));
-        assert_eq!(store.num_visible(), 1);
+        assert!(store.seen(&vis(1, 1)), "sealed rounds stay");
+        assert_eq!(store.num_visible(), 2);
         // The next round can re-register it.
-        assert!(store.record_visible(vis(2, 3)));
+        assert!(store.record_visible(&vis(2, 3)));
+    }
+
+    #[test]
+    fn from_parts_rejects_mixed_widths() {
+        let wide = VisibleState::new(SharedState(1), vec![None, None]);
+        let err = LayerStore::from_parts(vec![vec![0], vec![1]], vec![vec![vis(0, 1)], vec![wide]])
+            .unwrap_err();
+        assert_eq!(err, "layer 1: visible state of another width");
+        let twice = LayerStore::from_parts(
+            vec![vec![0], vec![1]],
+            vec![vec![vis(0, 1)], vec![vis(0, 1)]],
+        )
+        .unwrap_err();
+        assert_eq!(twice, "layer 1: visible state first seen twice");
+        let store = LayerStore::from_parts(
+            vec![vec![0], vec![1], vec![]],
+            vec![vec![vis(0, 1)], vec![vis(1, 0)], vec![]],
+        )
+        .unwrap();
+        assert_eq!(store.first_seen_bound(&vis(1, 0)), Some(1));
+        assert_eq!(store.visible_count_at(2), 2);
+        assert_eq!(store.collapsed_at(), Some(2));
     }
 }

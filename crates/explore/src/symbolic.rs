@@ -1,8 +1,10 @@
 use std::collections::HashMap;
 
 use cuba_automata::{language_subset, post_star_table, CanonicalDfa, Psa, RuleTable};
-use cuba_pds::{Cpds, GlobalState, KeyTable, SharedState, StackSym, VisibleState};
+use cuba_pds::{top_code, Cpds, GlobalState, KeyTable, SharedState, StackSym, VisibleState};
+use cuba_telemetry::metrics::METRICS;
 
+use crate::symmetry::Symmetry;
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore};
 
 /// A symbolic state `τ = ⟨q|A1,…,An⟩` (paper App. E): the current
@@ -63,10 +65,12 @@ impl SymbolicState {
     /// by the paper's Alg. 4): the finite set
     /// `{q} × T(A1) × … × T(An)`.
     pub fn visible_states(&self) -> Vec<VisibleState> {
-        let per_thread: Vec<Vec<Option<StackSym>>> = self.stacks.iter().map(top_set).collect();
-        let domains: Vec<&[Option<StackSym>]> = per_thread.iter().map(Vec::as_slice).collect();
+        let per_thread: Vec<Vec<u32>> = self.stacks.iter().map(top_set).collect();
+        let domains: Vec<&[u32]> = per_thread.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        for_each_visible(self.q, &domains, |v| out.push(v));
+        for_each_visible_key(self.q, &domains, |key| {
+            out.push(VisibleState::from_key(key))
+        });
         out
     }
 
@@ -114,40 +118,42 @@ pub struct SymbolicLayerSummary {
     pub new_visible: usize,
 }
 
-/// The top set `T(A)` of a stack language: the possible tops of an
-/// accepted word, `ε` first when the language contains it, then the
-/// first symbols ascending (Alg. 4's per-thread data). Empty exactly
-/// for the empty language.
-fn top_set(a: &CanonicalDfa) -> Vec<Option<StackSym>> {
+/// The top set `T(A)` of a stack language as [`top_code`]s: the
+/// possible tops of an accepted word, `ε` first when the language
+/// contains it, then the first symbols ascending (Alg. 4's per-thread
+/// data). Empty exactly for the empty language.
+fn top_set(a: &CanonicalDfa) -> Vec<u32> {
     let (firsts, eps) = a.first_symbols();
     eps.then_some(None)
         .into_iter()
         .chain(firsts.into_iter().map(|s| Some(StackSym(s))))
+        .map(top_code)
         .collect()
 }
 
-/// Calls `f` with every visible state of `{q} × d1 × … × dn` over the
-/// per-thread top `domains`, the last thread varying fastest; nothing
-/// when some domain is empty (then `γ(τ)` is empty).
-fn for_each_visible(
-    q: SharedState,
-    domains: &[&[Option<StackSym>]],
-    mut f: impl FnMut(VisibleState),
-) {
+/// Calls `f` with the visible key (see [`VisibleState::key`]) of every
+/// visible state of `{q} × d1 × … × dn` over the per-thread top-code
+/// `domains`, the last thread varying fastest; nothing when some
+/// domain is empty (then `γ(τ)` is empty).
+fn for_each_visible_key(q: SharedState, domains: &[&[u32]], mut f: impl FnMut(&[u32])) {
     if domains.iter().any(|d| d.is_empty()) {
         return;
     }
     let mut digits = vec![0usize; domains.len()];
+    let mut key: Vec<u32> = std::iter::once(q.0)
+        .chain(domains.iter().map(|d| d[0]))
+        .collect();
     loop {
-        f(VisibleState::new(
-            q,
-            digits.iter().zip(domains).map(|(&i, d)| d[i]).collect(),
-        ));
+        f(&key);
         let Some(pos) = (0..digits.len()).rposition(|i| digits[i] + 1 < domains[i].len()) else {
             return;
         };
         digits[pos] += 1;
-        digits[pos + 1..].iter_mut().for_each(|d| *d = 0);
+        key[pos + 1] = domains[pos][digits[pos]];
+        for (i, digit) in digits.iter_mut().enumerate().skip(pos + 1) {
+            *digit = 0;
+            key[i + 1] = domains[i][0];
+        }
     }
 }
 
@@ -163,8 +169,8 @@ struct DfaTable {
     /// The `TopSetId` of each DFA.
     top_set_of: Vec<u32>,
     /// The [`top_set`] of each `TopSetId`.
-    top_sets: Vec<Vec<Option<StackSym>>>,
-    top_set_index: HashMap<Vec<Option<StackSym>>, u32>,
+    top_sets: Vec<Vec<u32>>,
+    top_set_index: HashMap<Vec<u32>, u32>,
 }
 
 impl DfaTable {
@@ -207,10 +213,18 @@ impl DfaTable {
 /// `(q, [DfaId; n])` whose dense id is the state id. A successor's key
 /// is its frontier state's key with two words replaced, so a context
 /// step clones no automaton. The visible states `T(τ)` depend only on
-/// `(q, [TopSetId; n])` and are enumerated once per such key; those
+/// `(q, [TopSetId; n])` and are enumerated once per such key, as
+/// visible keys; only a new one becomes a [`VisibleState`]. Those
 /// keys roll back with a failed round. [`layer`](Self::layer) and
 /// [`covers`](Self::covers) still speak [`SymbolicState`],
 /// materialized on demand.
+///
+/// A context step depends only on the thread's program, `q` and the
+/// thread's stack language. So interchangeable threads
+/// ([`Cpds::thread_classes`]) that hold the same `DfaId` in a frontier
+/// state share one step: the later thread registers the earlier one's
+/// successors with its own slot replaced. Registration still runs per
+/// thread, so discovery order and ids are those of separate steps.
 ///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
@@ -234,6 +248,9 @@ pub struct SymbolicEngine {
     /// and shared by every saturation (previously the equivalent hash
     /// index was rebuilt on every context step).
     tables: Vec<RuleTable>,
+    /// The classes of interchangeable threads, whose equal stack
+    /// languages share a context step.
+    symmetry: Symmetry,
 }
 
 impl SymbolicEngine {
@@ -253,6 +270,7 @@ impl SymbolicEngine {
             .map(|i| RuleTable::new(cpds.thread(i)))
             .collect();
         SymbolicEngine {
+            symmetry: Symmetry::new(&cpds),
             cpds,
             budget,
             mode,
@@ -440,26 +458,37 @@ impl SymbolicEngine {
         let mut new_layer: Vec<u32> = Vec::new();
         let mut new_visible: Vec<VisibleState> = Vec::new();
         let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
+        // Per thread, its context step from the current frontier state;
+        // a twin's entry stays unused.
+        let mut steps: Vec<Vec<(SharedState, u32)>> = vec![Vec::new(); self.cpds.num_threads()];
 
         for &tau_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
-                let step = self
-                    .budget
-                    .interrupt
-                    .check()
-                    .and_then(|()| self.context_post(tau_id, thread))
-                    .and_then(|successors| {
-                        for (q2, dfa) in successors {
-                            key.clear();
-                            key.extend_from_slice(self.keys.key(tau_id));
-                            key[0] = q2.0;
-                            key[thread + 1] = dfa;
-                            self.register(&key, &mut new_layer, &mut new_visible)?;
+                let step = self.budget.interrupt.check().and_then(|()| {
+                    let twin = self
+                        .symmetry
+                        .earlier_twin(&self.keys.key(tau_id)[1..], thread);
+                    let source = match twin {
+                        Some(twin) => {
+                            METRICS.symbolic_contexts_shared.inc();
+                            twin
                         }
-                        Ok(())
-                    });
+                        None => {
+                            steps[thread] = self.context_post(tau_id, thread)?;
+                            thread
+                        }
+                    };
+                    for &(q2, dfa) in &steps[source] {
+                        key.clear();
+                        key.extend_from_slice(self.keys.key(tau_id));
+                        key[0] = q2.0;
+                        key[thread + 1] = dfa;
+                        self.register(&key, &mut new_layer, &mut new_visible)?;
+                    }
+                    Ok(())
+                });
                 if let Err(e) = step {
-                    self.rollback(round_start, visible_start, &new_visible);
+                    self.rollback(round_start, visible_start);
                     return Err(e);
                 }
             }
@@ -479,7 +508,7 @@ impl SymbolicEngine {
     /// and visible state registered by a failed round, leaving the
     /// engine exactly at the previous bound so `advance` may be
     /// retried.
-    fn rollback(&mut self, round_start: usize, visible_start: usize, new_visible: &[VisibleState]) {
+    fn rollback(&mut self, round_start: usize, visible_start: usize) {
         for id in round_start..self.keys.len() {
             let q = SharedState(self.keys.key(id as u32)[0]);
             if let Some(ids) = self.by_shared.get_mut(&q) {
@@ -488,7 +517,7 @@ impl SymbolicEngine {
         }
         self.keys.truncate(round_start);
         self.visible_keys.truncate(visible_start);
-        self.store.rollback_round(new_visible);
+        self.store.rollback_round();
     }
 
     /// One full context of `thread` from symbolic state `tau_id`: the
@@ -581,7 +610,8 @@ impl SymbolicEngine {
     /// the state keyed `key` (Eq. 4), in the order of
     /// [`SymbolicState::visible_states`] — unless a state with the same
     /// `(q, [TopSetId; n])` was recorded before, which makes every one
-    /// of them a repeat.
+    /// of them a repeat. Candidates stay visible keys; only a new one
+    /// is materialized.
     fn record_visible_states(&mut self, key: &[u32], new_visible: &mut Vec<VisibleState>) {
         let mut top_key = Vec::with_capacity(key.len());
         top_key.push(key[0]);
@@ -589,14 +619,14 @@ impl SymbolicEngine {
         if !self.visible_keys.insert(&top_key).1 {
             return;
         }
-        let domains: Vec<&[Option<StackSym>]> = top_key[1..]
+        let domains: Vec<&[u32]> = top_key[1..]
             .iter()
             .map(|&t| self.dfas.top_sets[t as usize].as_slice())
             .collect();
         let store = &mut self.store;
-        for_each_visible(SharedState(key[0]), &domains, |v| {
-            if store.record_visible(v.clone()) {
-                new_visible.push(v);
+        for_each_visible_key(SharedState(key[0]), &domains, |visible| {
+            if store.record_visible_key(visible) {
+                new_visible.push(VisibleState::from_key(visible));
             }
         });
     }

@@ -57,13 +57,15 @@ impl Symmetry {
         self.class_of[thread].map(|c| self.classes[c].as_slice())
     }
 
-    /// Whether, in canonical `stacks`, the thread before `thread` in its
-    /// class holds the same stack: `thread`'s contexts then mirror that
-    /// thread's, and a round need not run them.
-    pub(crate) fn mirrors_earlier(&self, stacks: &[u32], thread: usize) -> bool {
-        let rank = self.rank[thread];
-        self.class(thread)
-            .is_some_and(|class| rank > 0 && stacks[class[rank - 1]] == stacks[thread])
+    /// The first thread before `thread` in its class that holds the
+    /// same stack word in `stacks` (a stack or stack-language id per
+    /// thread), if any: `thread`'s contexts then mirror that thread's.
+    pub(crate) fn earlier_twin(&self, stacks: &[u32], thread: usize) -> Option<usize> {
+        let class = self.class(thread)?;
+        class[..self.rank[thread]]
+            .iter()
+            .copied()
+            .find(|&t| stacks[t] == stacks[thread])
     }
 
     /// Sorts `stacks` by content within each class.

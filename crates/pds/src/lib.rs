@@ -11,7 +11,10 @@
 //! over any [`StackEdit`] stack representation: the plain [`Stack`]
 //! and the hash-consed stacks of a [`StackTable`]. With a
 //! [`KeyTable`] of fixed-width `u32` keys, those are the interned
-//! state representation of the exploration engines.
+//! state representation of the exploration engines. Visible states
+//! have one key coding too, `(q, [top code; n])`
+//! ([`VisibleState::key`], [`top_code`]), shared by the layer store,
+//! the symbolic engine and the `G ∩ Z` search.
 //!
 //! # Example
 //!
@@ -58,7 +61,7 @@ pub use error::PdsError;
 pub use intern::{KeyTable, StackEdit, StackId, StackTable};
 pub use pds::{Pds, PdsBuilder};
 pub use stack::Stack;
-pub use state::{GlobalState, PdsConfig, ThreadVisible, VisibleState};
+pub use state::{code_top, top_code, GlobalState, PdsConfig, ThreadVisible, VisibleState};
 
 /// Identifier of a shared (global) state, an element of `Q`.
 ///

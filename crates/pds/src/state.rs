@@ -148,6 +148,38 @@ impl VisibleState {
             top: self.tops[i],
         }
     }
+
+    /// The visible key `(q, [top code; n])` of this state, tops coded
+    /// by [`top_code`]. Keys compare like the states they code.
+    pub fn key(&self) -> Vec<u32> {
+        std::iter::once(self.q.0)
+            .chain(self.tops.iter().map(|&top| top_code(top)))
+            .collect()
+    }
+
+    /// The visible state of a visible key `(q, [top code; n])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is empty.
+    pub fn from_key(key: &[u32]) -> Self {
+        VisibleState {
+            q: SharedState(key[0]),
+            tops: key[1..].iter().map(|&code| code_top(code)).collect(),
+        }
+    }
+}
+
+/// The code of a visible top in a visible key: `ε` ↦ 0, `σ` ↦ `σ + 1`,
+/// so codes order like tops, `ε` first. Alphabet sizes are `u32`, so
+/// every symbol is below `u32::MAX` and its code does not overflow.
+pub fn top_code(top: Option<StackSym>) -> u32 {
+    top.map_or(0, |s| s.0 + 1)
+}
+
+/// The visible top coded by a [`top_code`].
+pub fn code_top(code: u32) -> Option<StackSym> {
+    code.checked_sub(1).map(StackSym)
 }
 
 impl std::fmt::Display for VisibleState {
@@ -208,6 +240,25 @@ mod tests {
         );
         assert_eq!(g.to_string(), "<0|1,466>");
         assert_eq!(g.thread_config(1).to_string(), "<0|466>");
+    }
+
+    /// `ε` and symbol 0 get distinct codes, and keys order like states.
+    #[test]
+    fn visible_keys_round_trip_and_keep_the_order() {
+        let states = [
+            VisibleState::new(q(0), vec![None, Some(s(0))]),
+            VisibleState::new(q(0), vec![Some(s(0)), None]),
+            VisibleState::new(q(0), vec![Some(s(0)), Some(s(0))]),
+            VisibleState::new(q(1), vec![None, None]),
+        ];
+        assert_eq!(states[0].key(), vec![0, 0, 1]);
+        assert_eq!(top_code(Some(s(u32::MAX - 1))), u32::MAX);
+        for a in &states {
+            assert_eq!(&VisibleState::from_key(&a.key()), a);
+            for b in &states {
+                assert_eq!(a.key().cmp(&b.key()), a.cmp(b));
+            }
+        }
     }
 
     #[test]

@@ -304,6 +304,9 @@ impl Broker {
     /// Spills one system out of the registry: snapshot to disk (state
     /// directory configured and the write succeeded), remember the
     /// artifacts weakly for revival, then evict the cache slot.
+    /// Without a state directory, the systems spilled earlier that no
+    /// client holds anymore are forgotten here, so the spill registry
+    /// stays as small as the set of live clients.
     fn spill(&self, key: u64, cpds: &Arc<Cpds>, artifacts: &Arc<SystemArtifacts>) {
         if let Some(store) = &self.snapshots {
             match store.save(cpds, artifacts) {
@@ -317,13 +320,30 @@ impl Broker {
             }
         }
         self.spills_total.fetch_add(1, Ordering::Relaxed);
-        self.spilled
-            .lock()
-            .expect("spill registry")
-            .entry(key)
-            .or_default()
-            .push((cpds.clone(), Arc::downgrade(artifacts)));
+        {
+            let mut spilled = self.spilled.lock().expect("spill registry");
+            if self.snapshots.is_none() {
+                spilled.retain(|&key, bucket| {
+                    bucket.retain(|(_, weak)| self.reachable(key, weak));
+                    !bucket.is_empty()
+                });
+            }
+            spilled
+                .entry(key)
+                .or_default()
+                .push((cpds.clone(), Arc::downgrade(artifacts)));
+        }
         self.cache.remove(key, artifacts);
+    }
+
+    /// Whether a spilled system can come back: a client still holds
+    /// its artifacts, or its snapshots are on disk.
+    fn reachable(&self, key: u64, weak: &Weak<SystemArtifacts>) -> bool {
+        weak.strong_count() > 0
+            || self
+                .snapshots
+                .as_ref()
+                .is_some_and(|store| store.contains(key))
     }
 
     /// Snapshots every resident system to the state directory — the
@@ -365,11 +385,7 @@ impl Broker {
         let mut out = Vec::new();
         spilled.retain(|key, bucket| {
             bucket.retain(|(cpds, weak)| {
-                let reachable = weak.upgrade().is_some()
-                    || self
-                        .snapshots
-                        .as_ref()
-                        .is_some_and(|store| store.contains(*key));
+                let reachable = self.reachable(*key, weak);
                 if reachable && !resident.contains(key) {
                     out.push((*key, cpds.clone()));
                 }
@@ -697,6 +713,30 @@ mod tests {
         assert!(resident.contains(&cuba_core::fingerprint(&a)));
         assert!(resident.contains(&cuba_core::fingerprint(&c)));
         assert!(!resident.contains(&cuba_core::fingerprint(&b)));
+    }
+
+    /// Without a state directory a spilled system comes back only
+    /// through a client's live handle, so spilling forgets the systems
+    /// nobody holds: 200 one-off systems through a one-system registry
+    /// leave at most the latest spill behind, not one `Cpds` each.
+    #[test]
+    fn spilling_forgets_dead_systems_without_a_state_dir() {
+        let broker = Broker::new(ServeConfig {
+            max_systems: 1,
+            ..ServeConfig::default()
+        });
+        for shared in 2..202 {
+            drop(broker.artifacts_for(&system(shared)));
+        }
+        assert_eq!(broker.spills_total(), 199);
+        let kept: usize = broker
+            .spilled
+            .lock()
+            .expect("spill registry")
+            .values()
+            .map(Vec::len)
+            .sum();
+        assert!(kept <= 1, "{kept} spilled systems kept");
     }
 
     /// The staggered-clients regression: client A holds a spilled

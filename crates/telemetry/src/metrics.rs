@@ -268,6 +268,10 @@ pub struct Metrics {
     /// Saturation waves: `post*` worklist runs, `pre*` fixpoint
     /// passes, and explicit layer rounds.
     pub waves: Counter,
+    /// Symbolic context steps taken over from an interchangeable
+    /// thread with the same stack language in the same state, instead
+    /// of running `post*` again.
+    pub symbolic_contexts_shared: Counter,
     /// Never incremented: saturation is sequential. Kept because the
     /// `perfbench/` harness reads it; not exported to `/metrics`.
     pub steals: Counter,
@@ -308,6 +312,7 @@ impl Metrics {
             rounds_explored: C,
             rounds_replayed: C,
             waves: C,
+            symbolic_contexts_shared: C,
             steals: C,
             frontier_edges: H,
             cache_hits: C,
@@ -372,7 +377,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 9] = [
+    let counters: [(&str, &Counter, &str); 10] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -387,6 +392,11 @@ pub fn render_prometheus() -> String {
             "cuba_waves_total",
             &m.waves,
             "Saturation waves (post* runs, pre* passes, explicit layer rounds).",
+        ),
+        (
+            "cuba_symbolic_contexts_shared_total",
+            &m.symbolic_contexts_shared,
+            "Symbolic context steps shared with an interchangeable thread instead of run.",
         ),
         (
             "cuba_cache_hits_total",
@@ -619,6 +629,7 @@ mod tests {
             "cuba_rounds_explored_total",
             "cuba_rounds_replayed_total",
             "cuba_waves_total",
+            "cuba_symbolic_contexts_shared_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",
             "cuba_trace_events_dropped_total",

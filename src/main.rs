@@ -1127,6 +1127,11 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
     push_field(&mut out, "waves", &METRICS.waves.get().to_string());
     push_field(
         &mut out,
+        "contexts_shared",
+        &METRICS.symbolic_contexts_shared.get().to_string(),
+    );
+    push_field(
+        &mut out,
         "cache_hits",
         &METRICS.cache_hits.get().to_string(),
     );

@@ -13,7 +13,12 @@
 //!   layers, visible layers, and budget errors,
 //! * on systems with interchangeable threads, the explicit engine's
 //!   representatives expand to the reference layers, with the same
-//!   counts, visible layers, failing rounds, witnesses and restores.
+//!   counts, visible layers, failing rounds, witnesses and restores,
+//!   and the symbolic engine, whose twin threads share context steps,
+//!   reproduces the reference rounds exactly,
+//! * every engine's first-seen record of visible states matches a
+//!   plain `HashMap` kept by the reference rounds, also after a
+//!   failed round.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
@@ -475,8 +480,11 @@ fn every_kind_matches_the_reference_decision() {
 
 /// Reference copies of the engines' rounds from before state
 /// interning: every step clones and hashes whole global states resp.
-/// symbolic states, exactly as the engines originally did. The
-/// interned engines must reproduce them state for state.
+/// symbolic states, exactly as the engines originally did, and runs
+/// every thread's context step itself. The interned engines must
+/// reproduce them state for state. Each reference also keeps its own
+/// first-seen record of visible states, a `HashMap` that shares no
+/// code with [`LayerStore`].
 mod reference {
     use super::*;
 
@@ -488,6 +496,9 @@ mod reference {
         pub states: Vec<GlobalState>,
         index: HashMap<GlobalState, u32>,
         pub store: LayerStore,
+        /// The bound each visible state was first seen at, including
+        /// those of a failed round.
+        pub first_seen: HashMap<VisibleState, usize>,
     }
 
     impl Explicit {
@@ -497,6 +508,7 @@ mod reference {
             Explicit {
                 cpds,
                 budget,
+                first_seen: HashMap::from([(init.visible(), 0)]),
                 index: HashMap::from([(init.clone(), 0)]),
                 states: vec![init],
                 store,
@@ -568,7 +580,9 @@ mod reference {
                             self.index.insert(succ.clone(), new_id);
                             self.states.push(succ);
                             new_layer.push(new_id);
-                            if self.store.record_visible(visible.clone()) {
+                            let k = self.store.current_k() + 1;
+                            self.first_seen.entry(visible.clone()).or_insert(k);
+                            if self.store.record_visible(&visible) {
                                 new_visible.push(visible);
                             }
                             new_id
@@ -594,6 +608,8 @@ mod reference {
         by_shared: HashMap<SharedState, Vec<u32>>,
         pub store: LayerStore,
         tables: Vec<RuleTable>,
+        /// As [`Explicit::first_seen`].
+        pub first_seen: HashMap<VisibleState, usize>,
     }
 
     impl Symbolic {
@@ -602,6 +618,7 @@ mod reference {
             let store = LayerStore::new(cpds.initial_state().visible());
             let tables = cpds.threads().iter().map(RuleTable::new).collect();
             Symbolic {
+                first_seen: HashMap::from([(cpds.initial_state().visible(), 0)]),
                 by_shared: HashMap::from([(init.q, vec![0])]),
                 index: HashMap::from([(init.clone(), 0)]),
                 states: vec![init],
@@ -684,8 +701,10 @@ mod reference {
                 });
             }
             let id = self.states.len() as u32;
+            let k = self.store.current_k() + 1;
             for v in visible_states(&tau) {
-                if self.store.record_visible(v.clone()) {
+                self.first_seen.entry(v.clone()).or_insert(k);
+                if self.store.record_visible(&v) {
                     new_visible.push(v);
                 }
             }
@@ -885,6 +904,62 @@ fn oracle_budgets() -> [ExploreBudget; 2] {
     [small_budget(), starved]
 }
 
+/// Compares an engine's layer record at its current bound `k` with a
+/// reference's first-seen map: the first difference, if any. A state
+/// the reference first saw past `k`, in a round that failed, must be
+/// unseen after the rollback. Checked: each reference state's
+/// first-seen bound, every cumulative visible count, and probes the
+/// reference never saw by `k` — each state with one top switched
+/// between `ε` and symbol 0 or the shared state moved up by one, and
+/// with an extra thread.
+fn record_difference(
+    store: &LayerStore,
+    first_seen: &HashMap<VisibleState, usize>,
+) -> Option<String> {
+    let k = store.current_k();
+    let want = |v: &VisibleState| first_seen.get(v).copied().filter(|&b| b <= k);
+    for v in first_seen.keys() {
+        let mut probes = vec![
+            v.clone(),
+            VisibleState::new(SharedState(v.q.0 + 1), v.tops.clone()),
+        ];
+        for i in 0..v.num_threads() {
+            let mut probe = v.clone();
+            probe.tops[i] = match v.tops[i] {
+                None => Some(StackSym(0)),
+                Some(StackSym(0)) => None,
+                Some(_) => continue,
+            };
+            probes.push(probe);
+        }
+        for probe in probes {
+            if store.first_seen_bound(&probe) != want(&probe) {
+                return Some(format!(
+                    "{probe} first seen at {:?}, reference {:?}",
+                    store.first_seen_bound(&probe),
+                    want(&probe)
+                ));
+            }
+        }
+        let mut wider = v.clone();
+        wider.tops.push(None);
+        if store.seen(&wider) {
+            return Some(format!("{wider} of another width is seen"));
+        }
+    }
+    for j in 0..=k {
+        let count = first_seen.values().filter(|&&b| b <= j).count();
+        if store.visible_count_at(j) != count {
+            return Some(format!(
+                "|T{j}| = {}, reference {count}",
+                store.visible_count_at(j)
+            ));
+        }
+    }
+    (store.num_visible() != store.visible_count_at(k))
+        .then(|| "the record keeps unsealed visible states".to_owned())
+}
+
 /// Runs the interned explicit engine beside the reference for four
 /// rounds; the first difference, if any.
 fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
@@ -894,6 +969,9 @@ fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         let (got, want) = (engine.advance().map(|_| ()), reference.advance());
         if got != want {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
+        }
+        if let Some(d) = record_difference(engine.store(), &reference.first_seen) {
+            return Some(format!("round {round}: {d}"));
         }
         if got.is_err() {
             // The failed round rolled back to the previous bound.
@@ -927,6 +1005,9 @@ fn symbolic_difference(
         let (got, want) = (engine.advance().map(|_| ()), reference.advance());
         if got != want {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
+        }
+        if let Some(d) = record_difference(engine.store(), &reference.first_seen) {
+            return Some(format!("round {round}: {d}"));
         }
         if got.is_err() {
             let k = engine.current_k();
@@ -1157,6 +1238,9 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         if got.is_ok() != want.is_ok() {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
+        if let Some(d) = record_difference(engine.store(), &reference.first_seen) {
+            return Some(format!("round {round}: {d}"));
+        }
         if got.is_err() {
             let k = engine.current_k();
             return (engine.num_states() != engine.store().state_count_at(k))
@@ -1290,4 +1374,61 @@ fn symmetric_systems_match_the_reference_rounds() {
     assert!(systems >= 300, "too few systems: {systems}");
     assert!(reduced >= 250, "too few reduced explorations: {reduced}");
     assert!(errors >= 60, "too few failing rounds: {errors}");
+}
+
+/// The symbolic twin oracle's budgets: both oracle budgets, and
+/// symbolic caps that let a round or two succeed before one fails.
+fn symbolic_budgets() -> Vec<ExploreBudget> {
+    let mut budgets = oracle_budgets().to_vec();
+    budgets.extend([4, 12].map(|cap| ExploreBudget {
+        max_symbolic_states: cap,
+        ..small_budget()
+    }));
+    budgets
+}
+
+/// Differential oracle for shared symbolic context steps: on systems
+/// whose threads copy those of a random system by [`PATTERNS`] (FCR or
+/// not), under [`symbolic_budgets`], the symbolic engine in both
+/// subsumption modes reproduces the reference rounds, which run every
+/// thread's step themselves, state for state — failing rounds and
+/// their rollback included ([`symbolic_difference`]). A difference is
+/// shrunk to a minimal shape.
+#[test]
+fn symbolic_twin_threads_match_the_reference_rounds() {
+    let pushy = RandomCpdsConfig {
+        push_probability: 0.25,
+        actions_per_thread: 5,
+        ..RandomCpdsConfig::default()
+    };
+    let mut errors = 0;
+    for (shape, seeds) in [(RandomCpdsConfig::shrinking(), 0..12u64), (pushy, 0..12u64)] {
+        for seed in seeds {
+            for pattern in PATTERNS {
+                for budget in symbolic_budgets() {
+                    let check = |shape: &RandomCpdsConfig| {
+                        let cpds = duplicated(shape, seed, pattern);
+                        [SubsumptionMode::Exact, SubsumptionMode::Pointwise]
+                            .into_iter()
+                            .find_map(|mode| {
+                                symbolic_difference(&cpds, &budget, mode)
+                                    .map(|d| format!("{mode:?}: {d}"))
+                            })
+                    };
+                    if let Some(difference) = check(&shape) {
+                        let minimal = shrink(shape.clone(), smaller_shapes, |s| check(s).is_some());
+                        panic!(
+                            "seed {seed}, pattern {pattern:?}: {difference}; minimal failing shape {minimal:?}: {:?}",
+                            check(&minimal)
+                        );
+                    }
+                    let cpds = duplicated(&shape, seed, pattern);
+                    let mut engine =
+                        SymbolicEngine::new(cpds, budget.clone(), SubsumptionMode::Exact);
+                    errors += usize::from((0..4).any(|_| engine.advance().is_err()));
+                }
+            }
+        }
+    }
+    assert!(errors >= 80, "too few failing rounds: {errors}");
 }
