@@ -6,20 +6,19 @@
 //! ```
 
 use cuba_benchmarks::fig1;
-use cuba_core::compute_z;
+use cuba_core::{compute_z, thread_abstraction};
 
 fn main() {
     let cpds = fig1::build();
-    let z = compute_z(&cpds);
 
-    for (i, abstraction) in z.abstractions.iter().enumerate() {
+    for i in 0..cpds.num_threads() {
         println!("T{} (abstraction of thread {}):", i + 1, i + 1);
-        for t in abstraction {
+        for t in thread_abstraction(&cpds, i) {
             println!("  {t}");
         }
     }
 
-    let mut states: Vec<String> = z.states.iter().map(|v| v.to_string()).collect();
+    let mut states: Vec<String> = compute_z(&cpds).iter().map(|v| v.to_string()).collect();
     states.sort();
     println!("\nZ (reachable states of M2), {} states:", states.len());
     for s in &states {

@@ -35,7 +35,9 @@ const MAX_TABLE_CELLS: u64 = 1 << 24;
 /// A parse failure with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line of the offending input.
+    /// 1-based line of the offending input, or 0 when the error is
+    /// about the whole model (a missing declaration, a system that
+    /// fails validation).
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -43,7 +45,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        if self.line == 0 {
+            write!(f, "{}", self.message)
+        } else {
+            write!(f, "line {}: {}", self.line, self.message)
+        }
     }
 }
 
@@ -111,12 +117,10 @@ pub fn parse_cpds(input: &str) -> Result<Cpds, ParseError> {
                 thread.stack.push(parse_num(tok, line_no)?);
             }
         } else if line.starts_with('(') {
-            let thread_idx = threads.len();
             let thread = match threads.last_mut() {
                 Some(t) => t,
                 None => return err(line_no, "action before any 'thread'"),
             };
-            let _ = thread_idx;
             let (lhs, rhs) = match line.split_once("->") {
                 Some(pair) => pair,
                 None => return err(line_no, "expected '->' in action"),
@@ -170,6 +174,12 @@ pub fn parse_cpds(input: &str) -> Result<Cpds, ParseError> {
                 ),
                 (None, []) => pds.from_empty(SharedState(q), SharedState(q2), None),
                 (None, [s]) => pds.from_empty(SharedState(q), SharedState(q2), Some(StackSym(*s))),
+                (None, [_, _]) => {
+                    return err(
+                        line_no,
+                        "an action from the empty stack writes at most one symbol",
+                    )
+                }
                 _ => return err(line_no, "right-hand side has more than two symbols"),
             };
             if let Err(e) = result {
@@ -319,9 +329,39 @@ stack 4
         assert!(e.message.contains("before any"));
     }
 
+    /// A whole-model error has no line to point at, so none is printed.
     #[test]
     fn missing_shared_rejected() {
-        assert!(parse_cpds("thread 2\n").is_err());
+        let e = parse_cpds("thread 2\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert_eq!(e.to_string(), "missing 'shared' declaration");
+    }
+
+    #[test]
+    fn model_without_threads_rejected_without_a_line() {
+        let e = parse_cpds("shared 1\ninit 0\n").unwrap_err();
+        assert_eq!(e.line, 0);
+        assert_eq!(e.to_string(), "a CPDS must have at least one thread");
+    }
+
+    #[test]
+    fn two_symbols_from_the_empty_stack_rejected() {
+        let bad = "shared 2\ninit 0\nthread 2\nstack 0\n(0,eps) -> (1,0 1)\n";
+        let e = parse_cpds(bad).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 5: an action from the empty stack writes at most one symbol"
+        );
+    }
+
+    #[test]
+    fn three_symbol_rhs_rejected() {
+        let bad = "shared 2\nthread 2\n(0,1) -> (1,0 1 0)\n";
+        let e = parse_cpds(bad).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 3: right-hand side has more than two symbols"
+        );
     }
 
     #[test]

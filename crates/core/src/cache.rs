@@ -421,7 +421,7 @@ mod tests {
         let gz = a1.g_cap_z(&cpds);
         let generators = GeneratorSet::from_cpds(&cpds);
         let z = compute_z(&cpds);
-        assert_eq!(*gz, generators.intersect(z.states.iter()));
+        assert_eq!(*gz, generators.intersect(&z));
         // Second call reuses the same Arc.
         assert!(Arc::ptr_eq(&gz, &a1.g_cap_z(&cpds)));
         let fired = Interrupt::none().with_cancel({
@@ -451,7 +451,7 @@ mod tests {
         let generators = GeneratorSet::from_cpds(&cpds);
         assert_eq!(
             *artifacts.g_cap_z(&cpds),
-            generators.intersect(compute_z(&cpds).states.iter())
+            generators.intersect(&compute_z(&cpds))
         );
     }
 

@@ -6,12 +6,14 @@ use cuba_pds::{code_top, Cpds, SharedState, StackSym, VisibleState};
 ///
 /// A visible state `⟨q|σ1,…,σn⟩` is a *generator* if for some thread
 /// `i`, `(q,ε)` is the target of a pop edge in `Δi` and `σi` is either
-/// `ε` or a symbol that some push of `Δi` writes directly underneath
-/// the pushed symbol (an *emerging symbol*). Intuition: after a
-/// plateau of `(T(Rk))`, the first genuinely new visible state must
-/// have been produced by a pop — pushes and overwrites are determined
-/// by the visible state alone and would have fired one plateau
-/// earlier (the contradiction in the proof of Thm. 11).
+/// `ε` or a symbol a pop of thread `i` can reveal: one that some push
+/// of `Δi` writes directly underneath the pushed symbol (an *emerging
+/// symbol*), or one below the top of the thread's initial stack
+/// ([`Cpds::emerging_symbols`]). Intuition: after a plateau of
+/// `(T(Rk))`, the first genuinely new visible state must have been
+/// produced by a pop — pushes and overwrites are determined by the
+/// visible state alone and would have fired one plateau earlier (the
+/// contradiction in the proof of Thm. 11).
 ///
 /// `G` leaves threads `j ≠ i` unconstrained, so the set is huge; it is
 /// kept as a predicate and only ever *intersected* with the finite
@@ -20,7 +22,7 @@ use cuba_pds::{code_top, Cpds, SharedState, StackSym, VisibleState};
 pub struct GeneratorSet {
     /// Per thread: shared states that pop edges can move to.
     pop_targets: Vec<BTreeSet<SharedState>>,
-    /// Per thread: the emerging symbols `E` of Alg. 2.
+    /// Per thread: the symbols a pop can reveal.
     emerging: Vec<BTreeSet<StackSym>>,
 }
 
@@ -30,9 +32,9 @@ impl GeneratorSet {
     pub fn from_cpds(cpds: &Cpds) -> Self {
         let mut pop_targets = Vec::with_capacity(cpds.num_threads());
         let mut emerging = Vec::with_capacity(cpds.num_threads());
-        for pds in cpds.threads() {
+        for (i, pds) in cpds.threads().iter().enumerate() {
             pop_targets.push(pds.pop_targets().into_iter().collect());
-            emerging.push(pds.emerging_symbols().into_iter().collect());
+            emerging.push(cpds.emerging_symbols(i).into_iter().collect());
         }
         GeneratorSet {
             pop_targets,
@@ -42,13 +44,7 @@ impl GeneratorSet {
 
     /// Whether `v ∈ G` per Eq. 2.
     pub fn contains(&self, v: &VisibleState) -> bool {
-        v.tops.iter().enumerate().any(|(i, top)| {
-            self.pop_targets[i].contains(&v.q)
-                && match top {
-                    None => true,
-                    Some(sym) => self.emerging[i].contains(sym),
-                }
-        })
+        self.contains_key(&v.key())
     }
 
     /// Whether the visible state keyed `(q, [top code; n])` (see
@@ -75,16 +71,6 @@ impl GeneratorSet {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Per-thread pop-target sets (diagnostics).
-    pub fn pop_targets(&self, thread: usize) -> impl Iterator<Item = SharedState> + '_ {
-        self.pop_targets[thread].iter().copied()
-    }
-
-    /// Per-thread emerging-symbol sets (diagnostics).
-    pub fn emerging_symbols(&self, thread: usize) -> impl Iterator<Item = StackSym> + '_ {
-        self.emerging[thread].iter().copied()
     }
 }
 
@@ -160,10 +146,32 @@ mod tests {
     #[test]
     fn thread_without_pops_contributes_nothing() {
         let g = GeneratorSet::from_cpds(&fig1());
-        // Thread 1 (index 0) has no pop edges:
-        assert_eq!(g.pop_targets(0).count(), 0);
-        assert_eq!(g.pop_targets(1).collect::<Vec<_>>(), vec![q(0)]);
-        assert_eq!(g.emerging_symbols(1).collect::<Vec<_>>(), vec![s(6)]);
+        // Thread 1 (index 0) has no pop edges, so thread 2 alone
+        // decides: its pops target 0 and reveal ε or 6.
+        for q1 in 0..4 {
+            for top1 in [None, Some(1), Some(2)] {
+                for top2 in [None, Some(4), Some(5), Some(6)] {
+                    let want = q1 == 0 && matches!(top2, None | Some(6));
+                    assert_eq!(g.contains(&vis(q1, &[top1, top2])), want);
+                }
+            }
+        }
+    }
+
+    /// A pop can reveal a symbol the thread started with below its
+    /// top, so such a symbol makes a generator too.
+    #[test]
+    fn deep_initial_stack_symbols_are_generators() {
+        let mut p = PdsBuilder::new(2, 3);
+        p.pop(q(0), s(0), q(1)).unwrap();
+        let cpds = CpdsBuilder::new(2, q(0))
+            .thread(p.build().unwrap(), [s(0), s(2)])
+            .build()
+            .unwrap();
+        let g = GeneratorSet::from_cpds(&cpds);
+        assert!(g.contains(&vis(1, &[Some(2)])));
+        assert!(g.contains(&vis(1, &[None])));
+        assert!(!g.contains(&vis(1, &[Some(0)])));
     }
 
     #[test]

@@ -1,18 +1,22 @@
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use cuba_explore::{ExploreError, Interrupt};
-use cuba_pds::{top_code, Cpds, KeyTable, Pds, Rhs, ThreadVisible, VisibleState};
+use cuba_pds::{top_code, Cpds, KeyTable, Rhs, ThreadVisible, VisibleState};
 
 use crate::GeneratorSet;
 
 /// A transition of the context-insensitive finite-state abstraction
-/// `M` (Alg. 2): `(q,σ) ↦ (q',σ')` over thread-visible states.
+/// `M` (Alg. 2): firing the owning thread's action `action` takes
+/// `(q,σ)` to `(q',σ')` over thread-visible states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AbstractTransition {
     /// Source thread-visible state.
     pub from: ThreadVisible,
     /// Target thread-visible state.
     pub to: ThreadVisible,
+    /// Index of the thread's action that induces the transition.
+    pub action: usize,
 }
 
 impl std::fmt::Display for AbstractTransition {
@@ -23,92 +27,53 @@ impl std::fmt::Display for AbstractTransition {
 
 /// Builds thread `i`'s finite-state abstraction `Mi` (paper Alg. 2):
 /// the stack is cut off at size 1; each action becomes a transition on
-/// `(q, T(w'))`, and each pop action additionally guesses every
-/// *emerging symbol* (any `ρ1` written under a push) as well as `ε`.
-pub fn thread_abstraction(pds: &Pds) -> Vec<AbstractTransition> {
+/// `(q, T(w'))`, and each pop action, besides revealing `ε`, guesses
+/// every symbol a pop can reveal ([`Cpds::emerging_symbols`]).
+/// Transitions come in action order, each `(from, to, action)` once.
+///
+/// # Panics
+///
+/// Panics if `i` is out of range.
+pub fn thread_abstraction(cpds: &Cpds, i: usize) -> Vec<AbstractTransition> {
     // Lines 2–3: collect emerging symbols E.
-    let emerging = pds.emerging_symbols();
+    let emerging = cpds.emerging_symbols(i);
     let mut out: Vec<AbstractTransition> = Vec::new();
-    let mut seen: HashSet<AbstractTransition> = HashSet::new();
-    let mut push = |t: AbstractTransition, out: &mut Vec<AbstractTransition>| {
-        if seen.insert(t) {
-            out.push(t);
-        }
-    };
-    for a in pds.actions() {
+    for (action, a) in cpds.thread(i).actions().iter().enumerate() {
         let from = ThreadVisible { q: a.q, top: a.top };
         // Line 6: the action itself, with the stack cut at one symbol.
-        let to_top = match a.rhs {
+        let top = match a.rhs {
             Rhs::Empty => None,
             Rhs::One(s) => Some(s),
             Rhs::Two { top, .. } => Some(top),
         };
-        push(
-            AbstractTransition {
-                from,
-                to: ThreadVisible {
-                    q: a.q_post,
-                    top: to_top,
-                },
-            },
-            &mut out,
-        );
         // Lines 7–9: pops context-insensitively guess what emerges.
-        if a.rhs.is_empty() && a.top.is_some() {
-            for &rho in &emerging {
-                push(
-                    AbstractTransition {
-                        from,
-                        to: ThreadVisible {
-                            q: a.q_post,
-                            top: Some(rho),
-                        },
-                    },
-                    &mut out,
-                );
-            }
+        let guesses: &[_] = if a.is_pop() { &emerging } else { &[] };
+        for top in std::iter::once(top).chain(guesses.iter().map(|&rho| Some(rho))) {
+            out.push(AbstractTransition {
+                from,
+                to: ThreadVisible { q: a.q_post, top },
+                action,
+            });
         }
     }
     out
 }
 
-/// The result of the `Z` computation (Lemma 12: `T(R) ⊆ Z`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZReport {
-    /// The reachable visible states of the abstraction `Mn`.
-    pub states: HashSet<VisibleState>,
-    /// Per thread, the abstraction's transitions (for diagnostics and
-    /// the Fig. 3 reproduction).
-    pub abstractions: Vec<Vec<AbstractTransition>>,
-}
-
-/// Computes the context-insensitive overapproximation
-/// `Z ⊇ T(R)` (paper §4.1.3): builds `Mi` for each thread with
-/// [`thread_abstraction`] and explores the asynchronous product `Mn`
-/// exhaustively from `T(initial state)`.
-///
-/// The tighter this set, the weaker the Alg. 3 line-4 test and the
-/// better the odds of termination. `Z` can be exponential in the
-/// number of threads; Algorithm 3 itself only needs its generators,
-/// which [`generators_in_z`] computes without materializing the rest.
-pub fn compute_z(cpds: &Cpds) -> ZReport {
-    let abstractions: Vec<Vec<AbstractTransition>> =
-        cpds.threads().iter().map(thread_abstraction).collect();
-    let z = explore_z(cpds, &abstractions, &Interrupt::none())
-        .expect("an unarmed interrupt never fires");
-    let states = (0..z.len() as u32)
+/// The context-insensitive overapproximation `Z ⊇ T(R)` (paper
+/// §4.1.3, Lemma 12): the visible states [`explore_z`] reaches.
+/// Algorithm 3 only needs its generators, which [`generators_in_z`]
+/// computes without materializing the rest.
+pub fn compute_z(cpds: &Cpds) -> HashSet<VisibleState> {
+    let z = z_table(cpds, &Interrupt::none()).expect("an unarmed interrupt never fires");
+    (0..z.len() as u32)
         .map(|id| VisibleState::from_key(z.key(id)))
-        .collect();
-    ZReport {
-        states,
-        abstractions,
-    }
+        .collect()
 }
 
 /// The generator intersection `G ∩ Z` (Def. 10 with Lemma 12), sorted
 /// — the convergence certificate candidates of Algorithm 3. Equal to
-/// `GeneratorSet::from_cpds(cpds).intersect(&compute_z(cpds).states)`,
-/// but only the generators are materialized as [`VisibleState`]s.
+/// `GeneratorSet::from_cpds(cpds).intersect(&compute_z(cpds))`, but
+/// only the generators are materialized as [`VisibleState`]s.
 ///
 /// `Z` can be exponential in the number of threads, so the search
 /// polls `interrupt` as it goes.
@@ -121,9 +86,7 @@ pub fn generators_in_z(
     cpds: &Cpds,
     interrupt: &Interrupt,
 ) -> Result<Vec<VisibleState>, ExploreError> {
-    let abstractions: Vec<Vec<AbstractTransition>> =
-        cpds.threads().iter().map(thread_abstraction).collect();
-    let z = explore_z(cpds, &abstractions, interrupt)?;
+    let z = z_table(cpds, interrupt)?;
     let generators = GeneratorSet::from_cpds(cpds);
     let mut ids: Vec<u32> = (0..z.len() as u32)
         .filter(|&id| generators.contains_key(z.key(id)))
@@ -139,29 +102,39 @@ pub fn generators_in_z(
 /// How often (in visited states) the `Z` search polls its interrupt.
 const Z_POLL_PERIOD: u32 = 256;
 
-/// One thread's abstract moves `(q, code) ↦ [(q', code')]`.
-type MovesBySource = HashMap<(u32, u32), Vec<(u32, u32)>>;
+/// One thread's abstract moves `(q, code) ↦ [(q', code', action)]`.
+type MovesBySource = HashMap<(u32, u32), Vec<(u32, u32, u32)>>;
 
-/// Explores `Mn` from `T(initial state)` breadth-first over visible
-/// keys `(q, [top code; n])` (see [`VisibleState::key`]). The
+/// Explores `Mn`, the asynchronous product of the
+/// [`thread_abstraction`]s, breadth-first from `T(initial state)` over
+/// visible keys `(q, [top code; n])` (see [`VisibleState::key`]). The
 /// returned table holds exactly `Z`; its insertion order is the BFS
 /// order, so the table doubles as the queue and nothing is allocated
 /// per state.
-fn explore_z(
+///
+/// Every edge walked, to a new state or not, goes to `visit` in walk
+/// order as `(from, to, thread, action)`: the ids of its two states in
+/// the table, the moving thread, and the index of its action. When
+/// `visit` breaks, the search stops and returns `Ok(None)`: no partial
+/// table.
+///
+/// # Errors
+///
+/// The interrupt's error when it fires (polled every 256 states);
+/// nothing partial is returned.
+pub fn explore_z(
     cpds: &Cpds,
-    abstractions: &[Vec<AbstractTransition>],
     interrupt: &Interrupt,
-) -> Result<KeyTable, ExploreError> {
-    // Per thread: abstract moves keyed by their source `(q, code)`.
-    let moves: Vec<MovesBySource> = abstractions
-        .iter()
-        .map(|trans| {
+    mut visit: impl FnMut(u32, u32, usize, usize) -> ControlFlow<()>,
+) -> Result<Option<KeyTable>, ExploreError> {
+    let moves: Vec<MovesBySource> = (0..cpds.num_threads())
+        .map(|i| {
             let mut by_source = MovesBySource::new();
-            for t in trans {
+            for t in thread_abstraction(cpds, i) {
                 by_source
                     .entry((t.from.q.0, top_code(t.from.top)))
                     .or_default()
-                    .push((t.to.q.0, top_code(t.to.top)));
+                    .push((t.to.q.0, top_code(t.to.top), t.action as u32));
             }
             by_source
         })
@@ -169,29 +142,38 @@ fn explore_z(
     let mut key = cpds.initial_state().visible().key();
     let mut z = KeyTable::new(key.len());
     z.insert(&key);
-    let mut next = 0u32;
-    while (next as usize) < z.len() {
-        if next.is_multiple_of(Z_POLL_PERIOD) {
+    let mut from = 0u32;
+    while (from as usize) < z.len() {
+        if from.is_multiple_of(Z_POLL_PERIOD) {
             interrupt.check()?;
         }
         key.clear();
-        key.extend_from_slice(z.key(next));
+        key.extend_from_slice(z.key(from));
         let q = key[0];
-        for (i, by_source) in moves.iter().enumerate() {
-            let code = key[i + 1];
+        for (thread, by_source) in moves.iter().enumerate() {
+            let code = key[thread + 1];
             if let Some(targets) = by_source.get(&(q, code)) {
-                for &(q2, code2) in targets {
+                for &(q2, code2, action) in targets {
                     key[0] = q2;
-                    key[i + 1] = code2;
-                    z.insert(&key);
+                    key[thread + 1] = code2;
+                    let (to, _) = z.insert(&key);
+                    if visit(from, to, thread, action as usize).is_break() {
+                        return Ok(None);
+                    }
                 }
                 key[0] = q;
-                key[i + 1] = code;
+                key[thread + 1] = code;
             }
         }
-        next += 1;
+        from += 1;
     }
-    Ok(z)
+    Ok(Some(z))
+}
+
+/// [`explore_z`] with a visitor that never stops it.
+fn z_table(cpds: &Cpds, interrupt: &Interrupt) -> Result<KeyTable, ExploreError> {
+    explore_z(cpds, interrupt, |_, _, _, _| ControlFlow::Continue(()))
+        .map(|z| z.expect("only the visitor stops the search"))
 }
 
 #[cfg(test)]
@@ -229,10 +211,10 @@ mod tests {
     #[test]
     fn fig3_thread_abstractions() {
         let cpds = fig1();
-        let t1 = thread_abstraction(cpds.thread(0));
+        let t1 = thread_abstraction(&cpds, 0);
         // e1: (0,1) ↦ (1,2); e2: (3,2) ↦ (0,1)
         assert_eq!(t1.len(), 2);
-        let t2 = thread_abstraction(cpds.thread(1));
+        let t2 = thread_abstraction(&cpds, 1);
         // f1: (0,4) ↦ (0,ε); f2: (0,4) ↦ (0,6); f3: (1,4) ↦ (2,5);
         // f4: (2,5) ↦ (3,4)
         let strings: HashSet<String> = t2.iter().map(|t| t.to_string()).collect();
@@ -263,7 +245,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(z.states, expected);
+        assert_eq!(z, expected);
     }
 
     /// Lemma 12 on Fig. 1: every reachable visible state is in Z.
@@ -277,7 +259,7 @@ mod tests {
             engine.advance().unwrap();
         }
         for v in engine.visible_total() {
-            assert!(z.states.contains(v), "Z misses reachable visible {v}");
+            assert!(z.contains(v), "Z misses reachable visible {v}");
         }
     }
 
@@ -287,7 +269,7 @@ mod tests {
     fn generators_in_z_is_the_sorted_intersection() {
         let cpds = fig1();
         let gz = generators_in_z(&cpds, &Interrupt::none()).unwrap();
-        let expected = GeneratorSet::from_cpds(&cpds).intersect(compute_z(&cpds).states.iter());
+        let expected = GeneratorSet::from_cpds(&cpds).intersect(&compute_z(&cpds));
         assert_eq!(gz, expected);
         assert_eq!(
             gz,
@@ -307,6 +289,14 @@ mod tests {
         );
     }
 
+    /// A one-thread system running `pds` from `stack` (top first).
+    fn single(pds: cuba_pds::Pds, stack: &[u32]) -> Cpds {
+        CpdsBuilder::new(pds.num_shared(), q(0))
+            .thread(pds, stack.iter().map(|&n| s(n)))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn pop_guesses_every_emerging_symbol() {
         // Two pushes with distinct below-symbols, one pop.
@@ -314,22 +304,40 @@ mod tests {
         b.push(q(0), s(0), q(0), s(1), s(2)).unwrap();
         b.push(q(0), s(1), q(0), s(0), s(3)).unwrap();
         b.pop(q(1), s(0), q(1)).unwrap();
-        let pds = b.build().unwrap();
-        let trans = thread_abstraction(&pds);
-        let pops: Vec<&AbstractTransition> = trans
-            .iter()
-            .filter(|t| {
-                t.from
-                    == ThreadVisible {
-                        q: q(1),
-                        top: Some(s(0)),
-                    }
-            })
-            .collect();
+        let trans = thread_abstraction(&single(b.build().unwrap(), &[0]), 0);
+        let pops: Vec<&AbstractTransition> = trans.iter().filter(|t| t.action == 2).collect();
         // ε + the two emerging symbols {2, 3}.
         assert_eq!(pops.len(), 3);
         let tops: HashSet<Option<StackSym>> = pops.iter().map(|t| t.to.top).collect();
         assert_eq!(tops, HashSet::from([None, Some(s(2)), Some(s(3))]));
+    }
+
+    /// Pops also guess the symbols below the top of the initial stack:
+    /// the first pop reveals them, though no push writes them.
+    #[test]
+    fn pop_guesses_the_initial_stack_below_its_top() {
+        let mut b = PdsBuilder::new(2, 3);
+        b.pop(q(0), s(0), q(1)).unwrap();
+        b.overwrite(q(1), s(2), q(0), s(1)).unwrap();
+        let cpds = single(b.build().unwrap(), &[0, 2]);
+        let strings: HashSet<String> = thread_abstraction(&cpds, 0)
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        assert_eq!(
+            strings,
+            HashSet::from([
+                "(0,0) |-> (1,eps)".to_owned(),
+                "(0,0) |-> (1,2)".to_owned(),
+                "(1,2) |-> (0,1)".to_owned(),
+            ])
+        );
+        let z = compute_z(&cpds);
+        assert!(z.contains(&vis(0, &[Some(1)])), "{z:?}");
+        assert_eq!(
+            generators_in_z(&cpds, &Interrupt::none()).unwrap(),
+            vec![vis(1, &[None]), vis(1, &[Some(2)])]
+        );
     }
 
     #[test]
@@ -337,8 +345,7 @@ mod tests {
         let mut b = PdsBuilder::new(2, 1);
         b.from_empty(q(0), q(1), Some(s(0))).unwrap();
         b.from_empty(q(1), q(0), None).unwrap();
-        let pds = b.build().unwrap();
-        let trans = thread_abstraction(&pds);
+        let trans = thread_abstraction(&single(b.build().unwrap(), &[]), 0);
         let strings: HashSet<String> = trans.iter().map(|t| t.to_string()).collect();
         assert_eq!(
             strings,
@@ -347,5 +354,35 @@ mod tests {
                 "(1,eps) |-> (0,eps)".to_owned(),
             ])
         );
+    }
+
+    /// The search reports every edge it walks, revisits included, and
+    /// a visitor that breaks stops it without a table.
+    #[test]
+    fn explore_z_reports_every_edge_and_stops_on_request() {
+        let cpds = fig1();
+        let mut edges = Vec::new();
+        let z = explore_z(&cpds, &Interrupt::none(), |from, to, thread, action| {
+            edges.push((from, to, thread, action));
+            ControlFlow::Continue(())
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(z.len(), 8);
+        assert_eq!(edges.len(), 8);
+        // ⟨0|1,4⟩ → ⟨1|2,4⟩ by thread 1's first action, Fig. 1's e1.
+        assert_eq!(edges[0], (0, 1, 0, 0));
+        assert!(edges.iter().all(|&(from, to, _, _)| from < 8 && to < 8));
+        let mut seen = 0;
+        let stopped = explore_z(&cpds, &Interrupt::none(), |_, _, _, _| {
+            seen += 1;
+            if seen == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert!(matches!(stopped, Ok(None)));
+        assert_eq!(seen, 3);
     }
 }

@@ -58,6 +58,18 @@ impl Cpds {
         &self.initial_stacks[i]
     }
 
+    /// The symbols a pop of thread `i` can reveal, sorted: those its
+    /// pushes write below the pushed symbol ([`Pds::emerging_symbols`])
+    /// and those below the top of its initial stack. Nothing else puts
+    /// a symbol below the top. `Z` (Alg. 2) and `G` (Eq. 2) read this.
+    pub fn emerging_symbols(&self, i: usize) -> Vec<StackSym> {
+        let mut v = self.threads[i].emerging_symbols();
+        v.extend(self.initial_stacks[i].iter_top_down().skip(1));
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     /// The initial global state `⟨qI|w1^0,…,wn^0⟩`.
     pub fn initial_state(&self) -> GlobalState {
         GlobalState::new(self.q_init, self.initial_stacks.clone())
@@ -387,6 +399,22 @@ mod tests {
                 sym: s(5)
             }
         );
+    }
+
+    /// A pop can reveal a push-written symbol or one the thread
+    /// started with below its top; the top itself is not revealable.
+    #[test]
+    fn emerging_symbols_include_the_initial_stack_below_the_top() {
+        let c = fig1();
+        assert_eq!(c.emerging_symbols(0), vec![]);
+        assert_eq!(c.emerging_symbols(1), vec![s(6)]);
+        let mut p = PdsBuilder::new(2, 4);
+        p.push(q(1), s(1), q(0), s(1), s(0)).unwrap();
+        let deep = CpdsBuilder::new(2, q(0))
+            .thread(p.build().unwrap(), [s(3), s(2), s(0)])
+            .build()
+            .unwrap();
+        assert_eq!(deep.emerging_symbols(0), vec![s(0), s(2)]);
     }
 
     #[test]

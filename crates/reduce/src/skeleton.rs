@@ -1,27 +1,33 @@
-//! The labeled context-insensitive skeleton: the same stack-cut-at-one
-//! asynchronous product that [`cuba_core::compute_z`] explores (Alg. 2),
-//! rebuilt here with two additions the lint analysis needs:
+//! The lint skeleton: `Z`'s search, with its edges kept.
 //!
-//! * every abstract edge is *labeled* with the concrete action that
-//!   induced it, so a backward pass can name the transitions lying on
-//!   some path into a property violation (cone of influence);
-//! * the pop-guess set is widened with the non-top symbols of each
-//!   thread's initial stack, so the skeleton stays an overapproximation
-//!   of the reachable visible states even for initial stacks deeper
-//!   than one symbol.
+//! The skeleton is the context-insensitive stack-cut-at-one product
+//! `Mn` of Alg. 2, walked by [`cuba_core::explore_z`]: the same
+//! abstraction and the same search that build `Z` for Algorithm 3's
+//! generator test. Its states are `Z`'s visible keys
+//! `(q, [top code; n])`. The lint adds what the generator test does
+//! not need:
+//!
+//! * every walked edge, reversed and labeled with the concrete action
+//!   that induced it, so a backward pass can name the transitions
+//!   lying on some path into a property violation (cone of influence);
+//! * per action, whether its left-hand side `(q, σ)` occurs in any
+//!   skeleton state, and per shared state, whether any state carries
+//!   it.
 //!
 //! Everything flagged unreachable here is unreachable in the concrete
-//! semantics (the skeleton is a superset, Lemma 12 direction), which is
-//! what makes the unreachable-state and dead-transition lints sound.
+//! semantics (the skeleton is a superset of the reachable visible
+//! states, Lemma 12), which is what makes the unreachable-state and
+//! dead-transition lints sound.
 //!
 //! The product grows exponentially with the thread count, so
 //! [`explore`] walks at most [`MAX_SKELETON_EDGES`] edges and fails
 //! beyond that rather than return a truncated skeleton.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 
-use cuba_core::Property;
-use cuba_pds::{Cpds, Pds, Rhs, StackSym, ThreadVisible, VisibleState};
+use cuba_core::{explore_z, Property};
+use cuba_explore::Interrupt;
+use cuba_pds::{code_top, Cpds, KeyTable, SharedState, VisibleState};
 
 /// The most skeleton edges one analysis walks. Every edge is one BFS
 /// step and one stored predecessor, and a BFS discovers at most
@@ -52,75 +58,12 @@ impl std::fmt::Display for SkeletonTooLarge {
 
 impl std::error::Error for SkeletonTooLarge {}
 
-/// One abstract move: firing `action` of the owning thread takes the
-/// thread-visible pair `from` to `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Move {
-    from: ThreadVisible,
-    to: ThreadVisible,
-    action: usize,
-}
-
-/// The thread abstraction with action labels. `extra_emerging` holds
-/// symbols a pop may reveal beyond the push-written ones — the non-top
-/// symbols of the thread's initial stack.
-fn labeled_abstraction(pds: &Pds, extra_emerging: &[StackSym]) -> Vec<Move> {
-    let mut emerging: Vec<StackSym> = pds.emerging_symbols();
-    for &sym in extra_emerging {
-        if !emerging.contains(&sym) {
-            emerging.push(sym);
-        }
-    }
-    let mut seen: HashSet<Move> = HashSet::new();
-    let mut out: Vec<Move> = Vec::new();
-    let mut push = |m: Move, out: &mut Vec<Move>| {
-        if seen.insert(m) {
-            out.push(m);
-        }
-    };
-    for (action, a) in pds.actions().iter().enumerate() {
-        let from = ThreadVisible { q: a.q, top: a.top };
-        let to_top = match a.rhs {
-            Rhs::Empty => None,
-            Rhs::One(s) => Some(s),
-            Rhs::Two { top, .. } => Some(top),
-        };
-        push(
-            Move {
-                from,
-                to: ThreadVisible {
-                    q: a.q_post,
-                    top: to_top,
-                },
-                action,
-            },
-            &mut out,
-        );
-        // Pops reveal an unknown symbol: guess every emerging symbol.
-        if a.rhs.is_empty() && a.top.is_some() {
-            for &rho in &emerging {
-                push(
-                    Move {
-                        from,
-                        to: ThreadVisible {
-                            q: a.q_post,
-                            top: Some(rho),
-                        },
-                        action,
-                    },
-                    &mut out,
-                );
-            }
-        }
-    }
-    out
-}
-
 /// The explored skeleton: the overapproximated visible-state space with
 /// labeled reverse edges, plus the per-action firability verdicts.
 pub(crate) struct Skeleton {
-    /// Interned product states (index = state id).
-    pub states: Vec<VisibleState>,
+    /// The product's visible states as keys `(q, [top code; n])` (see
+    /// [`VisibleState::key`]); a key's id is its state id.
+    pub states: KeyTable,
     /// Reverse adjacency: `preds[v]` lists `(u, thread, action)` for
     /// every abstract edge `u → v`.
     pub preds: Vec<Vec<(u32, u32, u32)>>,
@@ -132,82 +75,45 @@ pub(crate) struct Skeleton {
 }
 
 impl Skeleton {
-    /// Number of product states explored (`|Z|` of the widened
-    /// skeleton).
+    /// Number of product states explored (`|Z|`).
     pub fn num_states(&self) -> usize {
         self.states.len()
     }
 }
 
-/// Explores the asynchronous product of the labeled thread
-/// abstractions from the initial visible state, walking at most
-/// `max_edges` edges.
+/// Explores the skeleton from the initial visible state, walking at
+/// most `max_edges` edges.
 pub(crate) fn explore(cpds: &Cpds, max_edges: usize) -> Result<Skeleton, SkeletonTooLarge> {
-    // Per thread: moves indexed by their source pair.
-    let moves: Vec<HashMap<ThreadVisible, Vec<(ThreadVisible, u32)>>> = (0..cpds.num_threads())
-        .map(|i| {
-            let below: Vec<StackSym> = cpds.initial_stack(i).iter_top_down().skip(1).collect();
-            let mut by_from: HashMap<ThreadVisible, Vec<(ThreadVisible, u32)>> = HashMap::new();
-            for m in labeled_abstraction(cpds.thread(i), &below) {
-                by_from
-                    .entry(m.from)
-                    .or_default()
-                    .push((m.to, m.action as u32));
-            }
-            by_from
-        })
-        .collect();
-
-    let start = cpds.initial_state().visible();
-    let mut states: Vec<VisibleState> = vec![start.clone()];
-    let mut index: HashMap<VisibleState, u32> = HashMap::new();
-    index.insert(start, 0);
     let mut preds: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new()];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    queue.push_back(0);
     let mut edges = 0usize;
-    while let Some(u) = queue.pop_front() {
-        for (i, by_from) in moves.iter().enumerate() {
-            let tv = states[u as usize].thread_visible(i);
-            let Some(outgoing) = by_from.get(&tv) else {
-                continue;
-            };
-            for &(to, action) in outgoing {
-                if edges == max_edges {
-                    return Err(SkeletonTooLarge { max_edges });
-                }
-                edges += 1;
-                let mut next = states[u as usize].clone();
-                next.q = to.q;
-                next.tops[i] = to.top;
-                let v = match index.get(&next) {
-                    Some(&v) => v,
-                    None => {
-                        let v = states.len() as u32;
-                        states.push(next.clone());
-                        index.insert(next, v);
-                        preds.push(Vec::new());
-                        queue.push_back(v);
-                        v
-                    }
-                };
-                preds[v as usize].push((u, i as u32, action));
-            }
+    let states = explore_z(cpds, &Interrupt::none(), |from, to, thread, action| {
+        if edges == max_edges {
+            return ControlFlow::Break(());
         }
-    }
+        edges += 1;
+        // Ids count up in discovery order, and a new state's first
+        // edge comes right after its discovery.
+        if to as usize == preds.len() {
+            preds.push(Vec::new());
+        }
+        preds[to as usize].push((from, thread as u32, action as u32));
+        ControlFlow::Continue(())
+    })
+    .expect("an unarmed interrupt never fires")
+    .ok_or(SkeletonTooLarge { max_edges })?;
 
     let mut reachable_shared = vec![false; cpds.num_shared() as usize];
-    for v in &states {
-        reachable_shared[v.q.0 as usize] = true;
-    }
     let mut firable: Vec<Vec<bool>> = cpds
         .threads()
         .iter()
         .map(|pds| vec![false; pds.actions().len()])
         .collect();
-    for v in &states {
+    for id in 0..states.len() as u32 {
+        let key = states.key(id);
+        let q = SharedState(key[0]);
+        reachable_shared[q.0 as usize] = true;
         for (i, pds) in cpds.threads().iter().enumerate() {
-            for &idx in pds.actions_from(v.q, v.tops[i]) {
+            for &idx in pds.actions_from(q, code_top(key[i + 1])) {
                 firable[i][idx] = true;
             }
         }
@@ -243,30 +149,29 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
         .iter()
         .map(|pds| vec![false; pds.actions().len()])
         .collect();
-    let mut vacuous = Vec::with_capacity(properties.len());
-    let mut in_cone = vec![false; skel.states.len()];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    for property in properties {
-        let mut any = false;
-        for (id, v) in skel.states.iter().enumerate() {
-            if property.violated_by(v) {
-                any = true;
-                if !in_cone[id] {
-                    in_cone[id] = true;
-                    queue.push_back(id as u32);
+    let mut vacuous = vec![true; properties.len()];
+    let mut in_cone = vec![false; skel.num_states()];
+    let mut stack: Vec<u32> = Vec::new();
+    for id in 0..skel.num_states() as u32 {
+        let v = VisibleState::from_key(skel.states.key(id));
+        for (p, property) in properties.iter().enumerate() {
+            if property.violated_by(&v) {
+                vacuous[p] = false;
+                if !in_cone[id as usize] {
+                    in_cone[id as usize] = true;
+                    stack.push(id);
                 }
             }
         }
-        vacuous.push(!any);
     }
     // One shared closure over the union of all targets: an edge is
     // relevant as soon as its target can reach any violation.
-    while let Some(v) = queue.pop_front() {
+    while let Some(v) = stack.pop() {
         for &(u, thread, action) in &skel.preds[v as usize] {
             relevant[thread as usize][action as usize] = true;
             if !in_cone[u as usize] {
                 in_cone[u as usize] = true;
-                queue.push_back(u);
+                stack.push(u);
             }
         }
     }
@@ -276,7 +181,7 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState};
+    use cuba_pds::{CpdsBuilder, PdsBuilder, StackSym};
 
     fn q(n: u32) -> SharedState {
         SharedState(n)
@@ -331,8 +236,8 @@ mod tests {
     #[test]
     fn deep_initial_stack_symbols_emerge() {
         // Thread starts with stack [0, 1] (0 on top); popping 0 reveals
-        // 1, which is not written under any push. The widened skeleton
-        // must still see (1, top 1) so the second action stays firable.
+        // 1, which is not written under any push. The skeleton must
+        // still see (1, top 1) so the second action stays firable.
         let mut p = PdsBuilder::new(2, 2);
         p.pop(q(0), s(0), q(1)).unwrap();
         p.overwrite(q(1), s(1), q(0), s(1)).unwrap();

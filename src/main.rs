@@ -130,7 +130,7 @@ use cuba::core::{
 };
 use cuba::explore::{ExploreBudget, Interrupt, SharedExplorer, SubsumptionMode};
 use cuba::pds::{Cpds, SharedState};
-use cuba_bench::json_escape as json_string;
+use cuba_bench::JsonObject;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -681,15 +681,15 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
         count(LintLevel::Note),
     );
     if json {
-        let mut out = String::from("{");
-        push_field(&mut out, "file", &json_string(path));
         let rendered: Vec<String> = lints.iter().map(lint_json).collect();
-        push_field(&mut out, "lints", &format!("[{}]", rendered.join(",")));
-        push_field(&mut out, "deny", &deny.to_string());
-        push_field(&mut out, "warn", &warn.to_string());
-        push_field(&mut out, "note", &note.to_string());
-        push_field(&mut out, "reduction", &stats_json(&analysis.stats));
-        out.push('}');
+        let out = JsonObject::new()
+            .string("file", path)
+            .raw("lints", format!("[{}]", rendered.join(",")))
+            .raw("deny", deny.to_string())
+            .raw("warn", warn.to_string())
+            .raw("note", note.to_string())
+            .raw("reduction", stats_json(&analysis.stats))
+            .finish();
         println!("{out}");
     } else {
         for lint in &lints {
@@ -722,16 +722,15 @@ fn from_source_lint(lint: boolprog::SourceLint) -> cuba::reduce::Lint {
 
 /// One lint as a JSON object (`line`/`col` only when present).
 fn lint_json(lint: &cuba::reduce::Lint) -> String {
-    let mut out = String::from("{");
-    push_field(&mut out, "code", &json_string(lint.code));
-    push_field(&mut out, "level", &json_string(&lint.level.to_string()));
-    push_field(&mut out, "message", &json_string(&lint.message));
+    let mut out = JsonObject::new();
+    out.string("code", lint.code)
+        .string("level", &lint.level.to_string())
+        .string("message", &lint.message);
     if let (Some(line), Some(col)) = (lint.line, lint.col) {
-        push_field(&mut out, "line", &line.to_string());
-        push_field(&mut out, "col", &col.to_string());
+        out.raw("line", line.to_string())
+            .raw("col", col.to_string());
     }
-    out.push('}');
-    out
+    out.finish()
 }
 
 fn parse_count(arg: Option<&String>, flag: &str) -> Result<usize, String> {
@@ -1000,77 +999,51 @@ struct RoundRecord {
 
 impl RoundRecord {
     fn to_json(&self) -> String {
-        format!(
-            "{{\"engine\":{},\"k\":{},\"states\":{},\"delta_states\":{},\"elapsed_us\":{},\"event\":{},\"replayed\":{}}}",
-            json_string(&self.engine),
-            self.k,
-            self.states,
-            self.delta_states,
-            self.elapsed.as_micros(),
-            json_string(self.tag),
-            self.replayed
-        )
+        JsonObject::new()
+            .string("engine", &self.engine)
+            .raw("k", self.k.to_string())
+            .raw("states", self.states.to_string())
+            .raw("delta_states", self.delta_states.to_string())
+            .raw("elapsed_us", self.elapsed.as_micros().to_string())
+            .string("event", self.tag)
+            .bool("replayed", self.replayed)
+            .finish()
     }
 }
 
 /// Renders the verify outcome as one JSON object, so benchmark
 /// drivers stop scraping the human-readable stdout.
 fn outcome_json(outcome: &CubaOutcome, round_log: &[RoundRecord], property: &str) -> String {
-    let mut out = String::from("{");
-    let (verdict, k) = match &outcome.verdict {
-        Verdict::Safe { k, .. } => ("safe", Some(*k)),
-        Verdict::Unsafe { k, .. } => ("unsafe", Some(*k)),
-        Verdict::Undetermined { .. } => ("undetermined", None),
+    let mut out = JsonObject::new();
+    out.string("property", property);
+    match &outcome.verdict {
+        Verdict::Safe { k, method } => out
+            .string("verdict", "safe")
+            .raw("k", k.to_string())
+            .string("method", &method.to_string()),
+        Verdict::Unsafe { k, .. } => out.string("verdict", "unsafe").raw("k", k.to_string()),
+        Verdict::Undetermined { reason } => out
+            .string("verdict", "undetermined")
+            .null("k")
+            .string("reason", reason),
     };
-    push_field(&mut out, "property", &json_string(property));
-    push_field(&mut out, "verdict", &json_string(verdict));
-    match k {
-        Some(k) => push_field(&mut out, "k", &k.to_string()),
-        None => push_field(&mut out, "k", "null"),
-    }
-    if let Verdict::Safe { method, .. } = &outcome.verdict {
-        push_field(&mut out, "method", &json_string(&method.to_string()));
-    }
-    if let Verdict::Undetermined { reason } = &outcome.verdict {
-        push_field(&mut out, "reason", &json_string(reason));
-    }
-    push_field(
-        &mut out,
-        "engine",
-        &json_string(&outcome.engine.to_string()),
-    );
-    push_field(&mut out, "rounds", &outcome.rounds.to_string());
-    push_field(&mut out, "states", &outcome.states.to_string());
-    push_field(&mut out, "fcr", &outcome.fcr_holds.to_string());
-    push_field(
-        &mut out,
-        "duration_ms",
-        &outcome.duration.as_millis().to_string(),
-    );
-    push_field(
-        &mut out,
-        "round_wall_us",
-        &outcome.round_wall.as_micros().to_string(),
-    );
-    push_field(
-        &mut out,
-        "rounds_explored",
-        &outcome.rounds_explored.to_string(),
-    );
-    push_field(
-        &mut out,
-        "rounds_replayed",
-        &outcome.rounds_replayed.to_string(),
-    );
+    out.string("engine", &outcome.engine.to_string())
+        .raw("rounds", outcome.rounds.to_string())
+        .raw("states", outcome.states.to_string())
+        .bool("fcr", outcome.fcr_holds)
+        .raw("duration_ms", outcome.duration.as_millis().to_string())
+        .raw("round_wall_us", outcome.round_wall.as_micros().to_string())
+        .raw("rounds_explored", outcome.rounds_explored.to_string())
+        .raw("rounds_replayed", outcome.rounds_replayed.to_string());
     if let Verdict::Unsafe {
         witness: Some(w), ..
     } = &outcome.verdict
     {
-        push_field(&mut out, "witness_steps", &w.len().to_string());
-        push_field(&mut out, "witness_contexts", &w.num_contexts().to_string());
+        out.raw("witness_steps", w.len().to_string())
+            .raw("witness_contexts", w.num_contexts().to_string());
     }
     let rounds: Vec<String> = round_log.iter().map(RoundRecord::to_json).collect();
-    push_field(&mut out, "growth", &format!("[{}]", rounds.join(",")));
+    out.raw("growth", format!("[{}]", rounds.join(",")));
     // Per-arm growth logs: the same rounds grouped by engine, so the
     // partial progress of the arm that did not decide (the CBA
     // refuter beside the fused arm) survives in diagnostics.
@@ -1088,18 +1061,16 @@ fn outcome_json(outcome: &CubaOutcome, round_log: &[RoundRecord], property: &str
                 .filter(|r| r.engine == *engine)
                 .map(RoundRecord::to_json)
                 .collect();
-            format!(
-                "{{\"engine\":{},\"rounds\":{},\"log\":[{}]}}",
-                json_string(engine),
-                log.len(),
-                log.join(",")
-            )
+            JsonObject::new()
+                .string("engine", engine)
+                .raw("rounds", log.len().to_string())
+                .raw("log", format!("[{}]", log.join(",")))
+                .finish()
         })
         .collect();
-    push_field(&mut out, "arms", &format!("[{}]", arms.join(",")));
-    push_field(&mut out, "telemetry", &telemetry_json(outcome));
-    out.push('}');
-    out
+    out.raw("arms", format!("[{}]", arms.join(",")))
+        .raw("telemetry", telemetry_json(outcome))
+        .finish()
 }
 
 /// The `telemetry` block of the verify `--json` output: this
@@ -1108,90 +1079,41 @@ fn outcome_json(outcome: &CubaOutcome, round_log: &[RoundRecord], property: &str
 /// properties, later blocks include earlier properties' work).
 fn telemetry_json(outcome: &CubaOutcome) -> String {
     use cuba_telemetry::metrics::METRICS;
-    let mut out = String::from("{");
-    push_field(
-        &mut out,
-        "saturate_us",
-        &outcome.stages.saturate.as_micros().to_string(),
-    );
-    push_field(
-        &mut out,
-        "check_us",
-        &outcome.stages.check.as_micros().to_string(),
-    );
-    push_field(
-        &mut out,
-        "merge_us",
-        &outcome.stages.merge.as_micros().to_string(),
-    );
-    push_field(&mut out, "waves", &METRICS.waves.get().to_string());
-    push_field(
-        &mut out,
-        "contexts_shared",
-        &METRICS.symbolic_contexts_shared.get().to_string(),
-    );
-    push_field(
-        &mut out,
-        "cache_hits",
-        &METRICS.cache_hits.get().to_string(),
-    );
-    push_field(
-        &mut out,
-        "cache_misses",
-        &METRICS.cache_misses.get().to_string(),
-    );
-    push_field(
-        &mut out,
-        "trace_events_dropped",
-        &METRICS.trace_events_dropped.get().to_string(),
-    );
-    out.push('}');
-    out
+    let stages = &outcome.stages;
+    JsonObject::new()
+        .raw("saturate_us", stages.saturate.as_micros().to_string())
+        .raw("check_us", stages.check.as_micros().to_string())
+        .raw("merge_us", stages.merge.as_micros().to_string())
+        .raw("waves", METRICS.waves.get().to_string())
+        .raw(
+            "contexts_shared",
+            METRICS.symbolic_contexts_shared.get().to_string(),
+        )
+        .raw("cache_hits", METRICS.cache_hits.get().to_string())
+        .raw("cache_misses", METRICS.cache_misses.get().to_string())
+        .raw(
+            "trace_events_dropped",
+            METRICS.trace_events_dropped.get().to_string(),
+        )
+        .finish()
 }
 
 /// Renders [`cuba::reduce::LintStats`] as one JSON object.
 fn stats_json(stats: &cuba::reduce::LintStats) -> String {
-    let mut out = String::from("{");
-    push_field(&mut out, "transitions", &stats.transitions.to_string());
-    push_field(
-        &mut out,
-        "dead_transitions",
-        &stats.dead_transitions.to_string(),
-    );
-    push_field(
-        &mut out,
-        "irrelevant_transitions",
-        &stats.irrelevant_transitions.to_string(),
-    );
-    push_field(&mut out, "shared_states", &stats.shared_states.to_string());
-    push_field(
-        &mut out,
-        "unreachable_shared",
-        &stats.unreachable_shared.to_string(),
-    );
-    push_field(
-        &mut out,
-        "skeleton_states",
-        &stats.skeleton_states.to_string(),
-    );
-    push_field(
-        &mut out,
-        "vacuous_properties",
-        &stats.vacuous_properties.to_string(),
-    );
-    push_field(&mut out, "skeleton_us", &stats.skeleton_us.to_string());
-    push_field(&mut out, "coi_us", &stats.coi_us.to_string());
-    out.push('}');
-    out
-}
-
-fn push_field(out: &mut String, key: &str, rendered: &str) {
-    if out.len() > 1 {
-        out.push(',');
-    }
-    out.push_str(&json_string(key));
-    out.push(':');
-    out.push_str(rendered);
+    JsonObject::new()
+        .raw("transitions", stats.transitions.to_string())
+        .raw("dead_transitions", stats.dead_transitions.to_string())
+        .raw(
+            "irrelevant_transitions",
+            stats.irrelevant_transitions.to_string(),
+        )
+        .raw("shared_states", stats.shared_states.to_string())
+        .raw("unreachable_shared", stats.unreachable_shared.to_string())
+        .raw("skeleton_states", stats.skeleton_states.to_string())
+        .raw("vacuous_properties", stats.vacuous_properties.to_string())
+        .raw("skeleton_us", stats.skeleton_us.to_string())
+        .raw("coi_us", stats.coi_us.to_string())
+        .finish()
 }
 
 /// Loads a model by extension: `.bp` Boolean program or `.cpds` text,

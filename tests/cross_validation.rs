@@ -2,7 +2,9 @@
 //! the paper's lemmas on randomly generated systems:
 //!
 //! * explicit `T(Rk)` = symbolic `T(Sk)` at every bound,
-//! * Lemma 12: `T(Rk) ⊆ Z`,
+//! * Lemma 12: `T(Rk) ⊆ Z`, and Eq. 2's completeness: every state a
+//!   pop reaches is in `G`, also for initial stacks deeper than one
+//!   symbol,
 //! * layered monotonicity and stutter-freeness of `(Rk)` (Lemma 7),
 //! * witnesses replay and respect their layer's context bound,
 //! * Scheme 1 and Alg. 3 agree whenever both conclude,
@@ -28,6 +30,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use cuba::automata::{post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
+use cuba::benchmarks::textfmt;
 use cuba::core::{
     check_fcr, compute_z, generators_in_z, thread_abstraction, ConvergenceMethod, CubaError,
     CubaOutcome, EngineKind, EngineUsed, GeneratorSet, Portfolio, Property, SessionConfig,
@@ -37,7 +40,7 @@ use cuba::explore::{
     ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SharedExplorer,
     SubsumptionMode, SymbolicEngine, SymbolicState,
 };
-use cuba::pds::rng::{shrink, shrink_usize};
+use cuba::pds::rng::{shrink, shrink_usize, SplitMix64};
 use cuba::pds::{Cpds, CpdsBuilder, GlobalState, SharedState, StackSym, VisibleState};
 
 fn small_budget() -> ExploreBudget {
@@ -70,30 +73,165 @@ fn explicit_and_symbolic_visible_sets_agree() {
     }
 }
 
+/// How a random system is built from a shape and a seed:
+/// [`random_cpds`], or [`deepened`].
+type Build = fn(&RandomCpdsConfig, u64) -> Cpds;
+
+/// `random_cpds(shape, seed)` with initial stacks of one to three
+/// symbols: each thread keeps its program and its top symbol, and
+/// gets up to two more below it, drawn from a [`SplitMix64`] seeded
+/// from `seed`. A pop can reveal those symbols though no push writes
+/// them.
+fn deepened(shape: &RandomCpdsConfig, seed: u64) -> Cpds {
+    let base = random_cpds(shape, seed);
+    let mut rng = SplitMix64::new(seed ^ 0xDEE9_57AC);
+    let mut builder = CpdsBuilder::new(base.num_shared(), base.q_init());
+    for i in 0..base.num_threads() {
+        let pds = base.thread(i);
+        let mut stack: Vec<StackSym> = base.initial_stack(i).iter_top_down().collect();
+        for _ in 0..rng.gen_usize(3) {
+            stack.push(StackSym(rng.gen_u32(pds.alphabet_size())));
+        }
+        builder = builder.thread(pds.clone(), stack);
+    }
+    builder.build().expect("a random system with deeper stacks")
+}
+
+/// The systems of the overapproximation oracles: push-light and
+/// push-free shapes, and [`deepened`] default-shape systems under FCR.
+fn overapproximation_systems() -> Vec<(RandomCpdsConfig, u64, Build)> {
+    let push_light = RandomCpdsConfig {
+        push_probability: 0.2,
+        ..RandomCpdsConfig::default()
+    };
+    let mut systems: Vec<(RandomCpdsConfig, u64, Build)> = (0..24u64)
+        .map(|seed| {
+            let shape = if seed % 2 == 0 {
+                push_light.clone()
+            } else {
+                RandomCpdsConfig::shrinking()
+            };
+            (shape, seed, random_cpds as Build)
+        })
+        .collect();
+    let shape = RandomCpdsConfig::default();
+    let deep: Vec<u64> = (0..200u64)
+        .filter(|&seed| check_fcr(&deepened(&shape, seed)).holds())
+        .collect();
+    assert!(
+        deep.len() >= 100,
+        "too few deepened FCR systems: {}",
+        deep.len()
+    );
+    systems.extend(
+        deep.into_iter()
+            .map(|seed| (shape.clone(), seed, deepened as Build)),
+    );
+    systems
+}
+
+/// Runs `gap` on every [`overapproximation_systems`] entry, explored
+/// explicitly for four rounds, and shrinks the first failure to a
+/// minimal shape.
+///
+/// These oracles check `Z` and `G` against explicit exploration, not
+/// against [`reference::g_cap_z`]: that shares `thread_abstraction`
+/// and `GeneratorSet` with the code under test, so it cannot catch a
+/// wrong abstraction.
+fn check_overapproximation(gap: fn(&Cpds, &ExplicitEngine) -> Option<String>) {
+    let run = |cpds: &Cpds| {
+        let mut engine = ExplicitEngine::new(cpds.clone(), small_budget());
+        for _ in 0..4 {
+            if engine.advance().is_err() {
+                break; // A budget error: what was seen must still be covered.
+            }
+        }
+        gap(cpds, &engine)
+    };
+    for (shape, seed, build) in overapproximation_systems() {
+        if let Some(gap) = run(&build(&shape, seed)) {
+            let minimal = shrink(shape, smaller_shapes, |s| run(&build(s, seed)).is_some());
+            panic!(
+                "seed {seed}: {gap}; minimal failing shape {minimal:?}: {:?}",
+                run(&build(&minimal, seed))
+            );
+        }
+    }
+}
+
 /// Lemma 12: every reachable visible state lies in Z.
 #[test]
 fn visible_reachability_is_inside_z() {
-    for seed in 0..24u64 {
-        let cfg = if seed % 2 == 0 {
-            RandomCpdsConfig {
-                push_probability: 0.2,
-                ..RandomCpdsConfig::default()
-            }
-        } else {
-            RandomCpdsConfig::shrinking()
+    check_overapproximation(|cpds, engine| {
+        let z = compute_z(cpds);
+        engine
+            .visible_total()
+            .find(|v| !z.contains(v))
+            .map(|v| format!("Z misses {v}"))
+    });
+}
+
+/// Eq. 2's completeness: every successor a pop produces from a
+/// reachable state is a generator. (Representatives suffice: `G` is
+/// closed under swapping interchangeable threads.)
+#[test]
+fn pop_successors_are_generators() {
+    check_overapproximation(|cpds, engine| {
+        let generators = GeneratorSet::from_cpds(cpds);
+        engine.states().iter().find_map(|state| {
+            (0..cpds.num_threads()).find_map(|i| {
+                cpds.successors_of_thread(state, i)
+                    .into_iter()
+                    .find(|next| {
+                        next.stacks[i].len() < state.stacks[i].len()
+                            && !generators.contains(&next.visible())
+                    })
+                    .map(|next| format!("G misses {}, popped from {state}", next.visible()))
+            })
+        })
+    });
+}
+
+/// Regression: a pop can reveal a symbol its thread started with
+/// below the top. `G` and `Z` once left such symbols out, so the
+/// generator test proved this model (shrunk from a random search)
+/// safe at k = 4: thread 1's first pop reveals `2`, a symbol no push
+/// writes, and `⟨1|0,0⟩` is reachable with six contexts.
+#[test]
+fn deep_initial_stack_bug_is_found() {
+    const MODEL: &str = "
+shared 2
+init 0
+thread 3
+stack 1
+(0,1) -> (1,2)
+(1,0) -> (1,2)
+(0,2) -> (1,0)
+thread 3
+stack 0 2
+(1,0) -> (1,eps)
+(1,1) -> (1,eps)
+(1,1) -> (0,1 0)
+(1,2) -> (0,1)
+";
+    let cpds = textfmt::parse_cpds(MODEL).unwrap();
+    let property = Property::parse("never-visible:1|0,0").unwrap();
+    for (name, portfolio) in [
+        ("auto", Portfolio::auto()),
+        ("explicit", Portfolio::fixed([EngineKind::Alg3Explicit])),
+        ("symbolic", Portfolio::fixed([EngineKind::Alg3Symbolic])),
+    ] {
+        let outcome = portfolio.run(cpds.clone(), property.clone()).unwrap();
+        let Verdict::Unsafe {
+            k: 6,
+            witness: Some(w),
+        } = &outcome.verdict
+        else {
+            panic!("{name}: {:?}", outcome.verdict);
         };
-        let cpds = random_cpds(&cfg, seed);
-        let z = compute_z(&cpds);
-        let mut engine = ExplicitEngine::new(cpds, small_budget());
-        for _ in 0..4 {
-            if engine.advance().is_err() {
-                break; // FCR violation hit the budget — fine, Z was
-                       // still an overapproximation of what we saw.
-            }
-        }
-        for v in engine.visible_total() {
-            assert!(z.states.contains(v), "seed {seed}: Z misses {v}");
-        }
+        assert!(w.replay(&cpds), "{name}: {w}");
+        assert!(property.violated_by(&w.end().visible()), "{name}: {w}");
+        assert_eq!(w.num_contexts(), 6, "{name}: {w}");
     }
 }
 
@@ -754,7 +892,9 @@ mod reference {
     /// `G ∩ Z` by the naive BFS over materialized visible states, then
     /// `GeneratorSet::intersect`; `None` once `Z` outgrows `cap`.
     pub fn g_cap_z(cpds: &Cpds, cap: usize) -> Option<(HashSet<VisibleState>, Vec<VisibleState>)> {
-        let abstractions: Vec<_> = cpds.threads().iter().map(thread_abstraction).collect();
+        let abstractions: Vec<_> = (0..cpds.num_threads())
+            .map(|i| thread_abstraction(cpds, i))
+            .collect();
         let start = cpds.initial_state().visible();
         let mut z = HashSet::from([start.clone()]);
         let mut queue = VecDeque::from([start]);
@@ -1117,7 +1257,7 @@ fn interned_engines_match_the_reference_rounds() {
 /// Differential oracle for the key-based `G ∩ Z` search: it equals the
 /// naive BFS plus intersection, as does the cached artifact, and
 /// `compute_z` still returns all of `Z` — including systems with more
-/// than 16 threads.
+/// than 16 threads and [`deepened`] systems.
 #[test]
 fn generator_search_matches_the_naive_bfs() {
     let wide = RandomCpdsConfig {
@@ -1128,19 +1268,20 @@ fn generator_search_matches_the_naive_bfs() {
         push_probability: 0.25,
     };
     let mut checked_wide = 0;
-    for (shape, seeds) in [
-        (RandomCpdsConfig::default(), 0..24u64),
-        (RandomCpdsConfig::shrinking(), 0..24u64),
-        (wide.clone(), 0..24u64),
+    for (shape, seeds, build) in [
+        (RandomCpdsConfig::default(), 0..24u64, random_cpds as Build),
+        (RandomCpdsConfig::shrinking(), 0..24u64, random_cpds),
+        (wide.clone(), 0..24u64, random_cpds),
+        (RandomCpdsConfig::default(), 0..200u64, deepened),
     ] {
         for seed in seeds {
             // `None` when `Z` is too large for the naive search.
             let differs = |shape: &RandomCpdsConfig| {
-                let cpds = random_cpds(shape, seed);
+                let cpds = build(shape, seed);
                 reference::g_cap_z(&cpds, 20_000).map(|(z, gz)| {
                     generators_in_z(&cpds, &Interrupt::none()).as_ref() != Ok(&gz)
                         || *SystemArtifacts::new().g_cap_z(&cpds) != gz
-                        || compute_z(&cpds).states != z
+                        || compute_z(&cpds) != z
                 })
             };
             match differs(&shape) {

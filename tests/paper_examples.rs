@@ -58,10 +58,10 @@ fn fig1_visible_state_table() {
 #[test]
 fn fig1_z_has_exactly_eight_states() {
     let z = compute_z(&fig1::build());
-    assert_eq!(z.states.len(), 8);
-    assert!(z.states.contains(&vis(0, &[Some(1), Some(6)])));
-    assert!(z.states.contains(&vis(1, &[Some(2), None])));
-    assert!(!z.states.contains(&vis(2, &[Some(1), Some(5)])));
+    assert_eq!(z.len(), 8);
+    assert!(z.contains(&vis(0, &[Some(1), Some(6)])));
+    assert!(z.contains(&vis(1, &[Some(2), None])));
+    assert!(!z.contains(&vis(2, &[Some(1), Some(5)])));
 }
 
 /// Ex. 14: G∩Z, the rejected plateau at 2, the collapse at 5. `(Rk)`
