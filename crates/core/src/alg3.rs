@@ -14,10 +14,12 @@
 
 use std::sync::Arc;
 
-use cuba_explore::{ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerView};
+use cuba_explore::{
+    ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerView, SharedExplorer,
+};
 use cuba_pds::Cpds;
 
-use crate::engine::{Backend, EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
+use crate::engine::{EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
 use crate::{
     ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, SequenceEvent, SystemArtifacts,
     Verdict,
@@ -40,7 +42,9 @@ pub struct Engine {
     property: Property,
     budget: ExploreBudget,
     max_k: usize,
-    backend: Backend,
+    /// The layers this engine observes: explicit `(Rk)` or symbolic
+    /// `(Sk)`, possibly shared with other engines and sessions.
+    explorer: Arc<SharedExplorer>,
     /// Holds `G∩Z`: the system's shared artifacts when a suite cache
     /// is in play, private ones otherwise. Alg. 3 kinds compute the
     /// set on the first plateau that needs it, under that round's
@@ -59,13 +63,13 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine of `kind` over the layers of `backend`.
+    /// An engine of `kind` over the layers of `explorer`.
     pub(crate) fn new(
         kind: EngineKind,
         cpds: &Cpds,
         property: &Property,
         params: &EngineParams,
-        backend: Backend,
+        explorer: Arc<SharedExplorer>,
     ) -> Self {
         Engine {
             kind,
@@ -73,7 +77,7 @@ impl Engine {
             property: property.clone(),
             budget: params.budget.clone(),
             max_k: params.max_k,
-            backend,
+            explorer,
             artifacts: params.artifacts.clone().unwrap_or_default(),
             growth: GrowthLog::new(),
             next_k: 0,
@@ -137,8 +141,8 @@ impl Engine {
         let started = std::time::Instant::now();
         let k = self.next_k;
         let interrupt = self.budget.interrupt.merged(&ctx.interrupt);
-        let live = self.backend.ensure(k, &interrupt)?;
-        let view = self.backend.view(k);
+        let live = self.explorer.ensure_layer(k, &interrupt)?;
+        let view = self.explorer.view(k);
         let replayed = k > 0 && !live;
         let event = self.growth.push(if self.is_alg3() {
             view.visible
@@ -164,10 +168,10 @@ impl Engine {
         match maybe_verdict {
             None => Ok(RoundOutcome::Continue(info)),
             Some(verdict) => {
-                let verdict = if self.backend.is_symbolic() {
+                let verdict = if self.explorer.is_symbolic() {
                     attach_symbolic_witness(verdict, &self.cpds, &self.property, &self.budget)
                 } else {
-                    self.backend
+                    self.explorer
                         .with_explicit(|e| attach_witness(verdict.clone(), e, &self.property))
                         .unwrap_or(verdict)
                 };
@@ -179,9 +183,9 @@ impl Engine {
     /// Applies the kind's rules to round `k` from its bound-indexed
     /// [`LayerView`], in this order: the property check on the newly
     /// seen visible states, the generator test (Alg. 3 kinds), the
-    /// collapse test (all but the refuter). All queries are
-    /// bound-indexed, so a replayed round produces byte-identical
-    /// results to a live one.
+    /// collapse test (all but the refuter). Both state queries read
+    /// the layer record in place, and all are bound-indexed, so a
+    /// replayed round produces byte-identical results to a live one.
     ///
     /// # Errors
     ///
@@ -193,11 +197,11 @@ impl Engine {
         interrupt: &Interrupt,
     ) -> Result<Option<Verdict>, ExploreError> {
         let k = view.k;
-        if self
-            .property
-            .find_violation(view.new_visible.iter())
-            .is_some()
-        {
+        if self.explorer.with_store(|store| {
+            self.property
+                .find_violation(store.visible_layer(k))
+                .is_some()
+        }) {
             return Ok(Some(Verdict::Unsafe { k, witness: None }));
         }
         // Line 4 of Alg. 3: a *new* plateau at k−1 triggers the
@@ -209,7 +213,10 @@ impl Engine {
         // k = 2): the run skips ahead.
         if self.is_alg3() && k >= 1 && event == SequenceEvent::NewPlateau {
             let g_cap_z = self.artifacts.g_cap_z_within(&self.cpds, interrupt)?;
-            if self.backend.all_seen_by(&g_cap_z, k) {
+            if self
+                .explorer
+                .with_store(|store| g_cap_z.iter().all(|v| store.seen_by(v, k)))
+            {
                 return Ok(Some(Verdict::Safe {
                     k: k - 1,
                     method: ConvergenceMethod::GeneratorTest,
@@ -217,7 +224,7 @@ impl Engine {
             }
         }
         if self.kind != EngineKind::CbaRefuter && view.collapsed {
-            let method = if self.backend.is_symbolic() {
+            let method = if self.explorer.is_symbolic() {
                 ConvergenceMethod::SkCollapse
             } else {
                 ConvergenceMethod::RkCollapse

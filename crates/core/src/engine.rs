@@ -10,7 +10,9 @@
 //! picks the sequence it observes and the convergence rules it
 //! applies.
 
-use cuba_explore::{Interrupt, SubsumptionMode};
+use std::sync::Arc;
+
+use cuba_explore::{Interrupt, SharedExplorer, SubsumptionMode};
 use cuba_pds::Cpds;
 
 use crate::{Engine, SequenceEvent, Verdict};
@@ -96,81 +98,6 @@ impl RoundOutcome {
             RoundOutcome::Continue(info) => Some(info),
             RoundOutcome::Concluded { round, .. } => round.as_ref(),
         }
-    }
-}
-
-/// An engine's backend handle: an `Arc`-shared
-/// [`SharedExplorer`](cuba_explore::SharedExplorer) over the explicit
-/// `(Rk)` or symbolic `(Sk)` layers, under one interface so the
-/// stepper is written once — and so any number of property checkers
-/// can consume one exploration.
-#[derive(Debug, Clone)]
-pub(crate) struct Backend {
-    shared: std::sync::Arc<cuba_explore::SharedExplorer>,
-}
-
-impl Backend {
-    /// A handle over an existing (possibly suite-shared) explorer.
-    pub(crate) fn new(shared: std::sync::Arc<cuba_explore::SharedExplorer>) -> Self {
-        Backend { shared }
-    }
-
-    /// A private explicit explorer (no shared artifacts).
-    pub(crate) fn explicit(cpds: &Cpds, budget: cuba_explore::ExploreBudget) -> Self {
-        Backend::new(std::sync::Arc::new(cuba_explore::SharedExplorer::explicit(
-            cpds.clone(),
-            budget,
-        )))
-    }
-
-    /// A private symbolic explorer (no shared artifacts).
-    pub(crate) fn symbolic(
-        cpds: &Cpds,
-        budget: cuba_explore::ExploreBudget,
-        mode: SubsumptionMode,
-    ) -> Self {
-        Backend::new(std::sync::Arc::new(cuba_explore::SharedExplorer::symbolic(
-            cpds.clone(),
-            budget,
-            mode,
-        )))
-    }
-
-    /// Makes layer `k` available under the caller's interrupt; `true`
-    /// when this call computed at least one new layer (live round).
-    pub(crate) fn ensure(
-        &self,
-        k: usize,
-        interrupt: &Interrupt,
-    ) -> Result<bool, cuba_explore::ExploreError> {
-        self.shared.ensure_layer(k, interrupt)
-    }
-
-    /// The bound-indexed snapshot of layer `k`.
-    pub(crate) fn view(&self, k: usize) -> cuba_explore::LayerView {
-        self.shared.view(k)
-    }
-
-    /// Whether every one of `targets` was seen by bound `k` — the
-    /// membership test `G∩Z ⊆ T(Rk)`, evaluated bound-indexed so it
-    /// stays exact when the shared layers run deeper than `k`. Stops
-    /// at the first unseen target.
-    pub(crate) fn all_seen_by(&self, targets: &[cuba_pds::VisibleState], k: usize) -> bool {
-        self.shared
-            .with_store(|store| targets.iter().all(|v| store.seen_by(v, k)))
-    }
-
-    pub(crate) fn is_symbolic(&self) -> bool {
-        self.shared.is_symbolic()
-    }
-
-    /// Runs a closure over the explicit engine (witness
-    /// reconstruction); `None` for symbolic backends.
-    pub(crate) fn with_explicit<R>(
-        &self,
-        f: impl FnOnce(&cuba_explore::ExplicitEngine) -> R,
-    ) -> Option<R> {
-        self.shared.with_explicit(f)
     }
 }
 
@@ -269,18 +196,26 @@ pub fn build_engine(
     // engine explores alone. The refuter always explores alone: a
     // borrowed exact `(Sk)` explorer would outlive the session in the
     // system's artifacts (and in a server's registry and snapshots).
-    let backend = match (kind, &params.artifacts) {
-        (EngineKind::CbaRefuter, _) => {
-            Backend::symbolic(cpds, params.budget.clone(), SubsumptionMode::Exact)
-        }
-        (kind, Some(artifacts)) if kind.needs_fcr() => {
-            Backend::new(artifacts.explicit_explorer(cpds, &params.budget))
-        }
-        (kind, None) if kind.needs_fcr() => Backend::explicit(cpds, params.budget.clone()),
-        (_, Some(artifacts)) => {
-            Backend::new(artifacts.symbolic_explorer(cpds, &params.budget, params.subsumption))
-        }
-        (_, None) => Backend::symbolic(cpds, params.budget.clone(), params.subsumption),
+    let private_symbolic = |mode| {
+        Arc::new(SharedExplorer::symbolic(
+            cpds.clone(),
+            params.budget.clone(),
+            mode,
+        ))
     };
-    Engine::new(kind, cpds, property, params, backend)
+    let explorer = match (kind, &params.artifacts) {
+        (EngineKind::CbaRefuter, _) => private_symbolic(SubsumptionMode::Exact),
+        (kind, Some(artifacts)) if kind.needs_fcr() => {
+            artifacts.explicit_explorer(cpds, &params.budget)
+        }
+        (kind, None) if kind.needs_fcr() => Arc::new(SharedExplorer::explicit(
+            cpds.clone(),
+            params.budget.clone(),
+        )),
+        (_, Some(artifacts)) => {
+            artifacts.symbolic_explorer(cpds, &params.budget, params.subsumption)
+        }
+        (_, None) => private_symbolic(params.subsumption),
+    };
+    Engine::new(kind, cpds, property, params, explorer)
 }

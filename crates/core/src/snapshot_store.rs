@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cuba_explore::{ExploreBudget, SharedExplorer, SnapshotKind};
+use cuba_explore::{snapshot, ExploreBudget, SharedExplorer, SnapshotKind};
 use cuba_pds::Cpds;
 
 use crate::cache::{fingerprint, sanitized, SystemArtifacts};
@@ -113,6 +113,13 @@ impl SnapshotStore {
                 vec![("backend", kind.label().into())],
             );
             span.arg("bytes", bytes.len());
+            // The header, not the file name, says which backend a file holds.
+            if let Ok((recorded, _)) = snapshot::peek_header(&bytes) {
+                if recorded != kind {
+                    let recorded = recorded.label();
+                    return Err(format!("{}: holds a {recorded} snapshot", path.display()));
+                }
+            }
             let explorer = SharedExplorer::restore(cpds.clone(), sanitized(budget), fp, &bytes)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
             if artifacts.seed_explorer(kind, Arc::new(explorer)) {
@@ -241,5 +248,42 @@ mod tests {
             .load(&cpds, &Arc::new(SystemArtifacts::new()), &budget)
             .expect_err("corrupt file rejected");
         assert!(err.contains("cubasnap"), "error names the file: {err}");
+    }
+
+    /// A snapshot renamed to another backend's file name is rejected
+    /// with the path named, and seeds no slot: the header's backend
+    /// kind, not the file name, says what the file holds.
+    #[test]
+    fn load_rejects_a_file_named_for_another_backend() {
+        let scratch = Scratch::new("renamed");
+        let store = SnapshotStore::open(&scratch.0).expect("open store");
+        let cpds = fig1();
+        let fp = fingerprint(&cpds);
+        let budget = ExploreBudget::default();
+
+        let artifacts = SystemArtifacts::new();
+        artifacts
+            .symbolic_explorer(&cpds, &budget, cuba_explore::SubsumptionMode::Exact)
+            .ensure_layer(2, &cuba_explore::Interrupt::none())
+            .expect("exploration in budget");
+        assert_eq!(store.save(&cpds, &artifacts).expect("save"), 1);
+        std::fs::rename(
+            store.path_for(fp, SnapshotKind::SymbolicExact),
+            store.path_for(fp, SnapshotKind::Explicit),
+        )
+        .expect("rename");
+
+        let warm = SystemArtifacts::new();
+        let err = store
+            .load(&cpds, &warm, &budget)
+            .expect_err("mislabelled file rejected");
+        assert!(
+            err.contains("explicit.cubasnap"),
+            "error names the file: {err}"
+        );
+        assert!(
+            warm.explicit_explorer_if_started().is_none(),
+            "nothing seeded"
+        );
     }
 }

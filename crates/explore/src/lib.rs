@@ -75,7 +75,7 @@ pub use budget::{CancelToken, ExploreBudget, ExploreError, Interrupt};
 pub use explicit::{ExplicitEngine, LayerSummary};
 pub use layers::LayerStore;
 pub use search::bounded_witness_search;
-pub use shared::{LayerSubscription, LayerView, SharedExplorer};
+pub use shared::{LayerView, SharedExplorer};
 pub use snapshot::{SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use symbolic::{SubsumptionMode, SymbolicEngine, SymbolicState};
 pub use witness::{Witness, WitnessStep};

@@ -10,13 +10,18 @@
 //! (see [`ExplicitEngine::advance`]) and can be re-driven by anyone
 //! else, so interruption never poisons the shared layers.
 //!
+//! The layer record is the only way to read layers: a reader asks for
+//! a bound ([`SharedExplorer::ensure_layer`]), polls how far the record
+//! reaches ([`SharedExplorer::depth`]), and reads a layer's counts
+//! ([`SharedExplorer::view`]) or its states in place
+//! ([`SharedExplorer::with_store`]). No reader keeps a copy of a layer.
+//!
 //! [`ExplicitEngine::advance`]: crate::ExplicitEngine::advance
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
-use cuba_pds::{Cpds, VisibleState};
+use cuba_pds::Cpds;
 use cuba_telemetry::metrics::{stage_time, Stage};
 use cuba_telemetry::trace;
 
@@ -56,55 +61,21 @@ impl BackendImpl {
     }
 }
 
-/// A bound-indexed snapshot of one layer, as a fresh engine would have
-/// reported it at bound `k` — the unit a property checker consumes.
-#[derive(Debug, Clone)]
+/// The counts of one layer, as a fresh engine would have reported
+/// them at bound `k`. A reader that needs the layer's states reads
+/// them in place with [`SharedExplorer::with_store`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerView {
     /// The context bound of the layer.
     pub k: usize,
-    /// Visible states first seen at bound `k`.
-    pub new_visible: Vec<VisibleState>,
+    /// Number of visible states first seen at bound `k`.
+    pub new_visible: usize,
     /// Cumulative stored states at bound `k` (`|Rk|` resp. `|Sk|`).
     pub states: usize,
     /// Cumulative visible states at bound `k` (`|T(Rk)|`).
     pub visible: usize,
     /// Whether the sequence had collapsed by bound `k`.
     pub collapsed: bool,
-}
-
-/// A push subscription to a [`SharedExplorer`]: the receiving half of
-/// an unbounded channel that gets one [`LayerView`] per layer of the
-/// shared exploration — first every layer already computed when the
-/// subscription was opened (catch-up), then each freshly explored
-/// layer the moment any caller's
-/// [`ensure_layer`](SharedExplorer::ensure_layer) computes it.
-///
-/// Consumers (streaming service clients, event-driven checkers) are
-/// thereby *notified* of progress instead of polling: with `N`
-/// subscribers and one exploration, every layer is delivered exactly
-/// once to each subscriber, in bound order, whoever paid for it.
-/// Dropping the subscription unregisters it on the explorer's next
-/// notification sweep.
-#[derive(Debug)]
-pub struct LayerSubscription {
-    rx: mpsc::Receiver<LayerView>,
-}
-
-impl LayerSubscription {
-    /// The next layer, if one is already queued (never blocks).
-    pub fn try_next(&self) -> Option<LayerView> {
-        self.rx.try_recv().ok()
-    }
-
-    /// The next layer, waiting up to `timeout` for one to be pushed.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<LayerView> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every queued layer (never blocks).
-    pub fn drain(&self) -> Vec<LayerView> {
-        std::iter::from_fn(|| self.try_next()).collect()
-    }
 }
 
 /// One system's exploration, shared by any number of property
@@ -125,10 +96,6 @@ pub struct SharedExplorer {
     /// Pre-collapse layers computed live — the "explored exactly once"
     /// instrumentation counter.
     rounds_explored: AtomicUsize,
-    /// Push subscribers; locked strictly *after* `inner` (subscribe
-    /// snapshots the store and registers atomically, notification
-    /// happens while the computing caller still holds the store).
-    subscribers: Mutex<Vec<mpsc::Sender<LayerView>>>,
 }
 
 impl SharedExplorer {
@@ -140,7 +107,6 @@ impl SharedExplorer {
             base_interrupt,
             symbolic: false,
             rounds_explored: AtomicUsize::new(0),
-            subscribers: Mutex::new(Vec::new()),
         }
     }
 
@@ -154,7 +120,6 @@ impl SharedExplorer {
             symbolic: true,
             base_interrupt,
             rounds_explored: AtomicUsize::new(0),
-            subscribers: Mutex::new(Vec::new()),
         }
     }
 
@@ -206,11 +171,6 @@ impl SharedExplorer {
             if live {
                 self.rounds_explored.fetch_add(1, Ordering::Relaxed);
             }
-            // Push the fresh layer to every subscriber while the store
-            // lock is still held, so deliveries are in bound order and
-            // never raced by a concurrent subscribe()'s catch-up.
-            let new_k = inner.store().current_k();
-            self.notify(build_view(inner.store(), new_k));
         }
         inner.set_interrupt(self.base_interrupt.clone());
         span.arg("depth", inner.store().current_k());
@@ -219,47 +179,28 @@ impl SharedExplorer {
         result
     }
 
-    /// Opens a push subscription: the receiver first gets every layer
-    /// computed so far (catch-up, in bound order — layer 0, the
-    /// initial state, always exists), then one [`LayerView`] per
-    /// freshly explored layer, pushed by whichever caller's
-    /// [`ensure_layer`](Self::ensure_layer) computes it.
-    pub fn subscribe(&self) -> LayerSubscription {
-        let inner = self.lock();
-        let (tx, rx) = mpsc::channel();
-        let store = inner.store();
-        for k in 0..=store.current_k() {
-            let _ = tx.send(build_view(store, k));
-        }
-        self.subscribers
-            .lock()
-            .expect("subscriber registry")
-            .push(tx);
-        LayerSubscription { rx }
-    }
-
-    /// Sends `view` to every live subscriber, dropping closed ones.
-    /// Callers hold the `inner` lock (see the field's ordering note).
-    fn notify(&self, view: LayerView) {
-        let mut subs = self.subscribers.lock().expect("subscriber registry");
-        if subs.is_empty() {
-            return;
-        }
-        subs.retain(|tx| tx.send(view.clone()).is_ok());
-    }
-
-    /// The bound-indexed snapshot of layer `k`.
+    /// The counts of layer `k`, bound-indexed: they do not change as
+    /// the store grows past `k`.
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet (call
     /// [`ensure_layer`](Self::ensure_layer) first).
     pub fn view(&self, k: usize) -> LayerView {
-        build_view(self.lock().store(), k)
+        let inner = self.lock();
+        let store = inner.store();
+        LayerView {
+            k,
+            new_visible: store.visible_layer(k).len(),
+            states: store.state_count_at(k),
+            visible: store.visible_count_at(k),
+            collapsed: store.collapsed_by(k),
+        }
     }
 
-    /// Runs a closure over the layer record (bound-indexed queries,
-    /// e.g. the generator membership test `g ∈ T(Rk)`).
+    /// Runs a closure over the layer record, read in place under the
+    /// explorer's lock (a layer's visible states, or bound-indexed
+    /// queries such as the generator membership test `g ∈ T(Rk)`).
     pub fn with_store<R>(&self, f: impl FnOnce(&LayerStore) -> R) -> R {
         f(self.lock().store())
     }
@@ -340,7 +281,6 @@ impl SharedExplorer {
             base_interrupt,
             symbolic,
             rounds_explored: AtomicUsize::new(0),
-            subscribers: Mutex::new(Vec::new()),
         })
     }
 
@@ -356,22 +296,11 @@ impl SharedExplorer {
     }
 }
 
-/// The bound-indexed snapshot of layer `k` of a (locked) store.
-fn build_view(store: &LayerStore, k: usize) -> LayerView {
-    LayerView {
-        k,
-        new_visible: store.visible_layer(k).to_vec(),
-        states: store.state_count_at(k),
-        visible: store.visible_count_at(k),
-        collapsed: store.collapsed_by(k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CancelToken;
-    use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, StackSym};
+    use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, StackSym, VisibleState};
 
     fn q(n: u32) -> SharedState {
         SharedState(n)
@@ -394,6 +323,11 @@ mod tests {
             .thread(p2.build().unwrap(), [s(4)])
             .build()
             .unwrap()
+    }
+
+    /// The visible states first seen at bound `k`, read in place.
+    fn visible_layer(explorer: &SharedExplorer, k: usize) -> Vec<VisibleState> {
+        explorer.with_store(|store| store.visible_layer(k).to_vec())
     }
 
     /// Demanding the same bound twice explores once and replays once.
@@ -433,86 +367,12 @@ mod tests {
         let view = explorer.view(2);
         assert_eq!(view.states, reference.num_states());
         assert_eq!(view.visible, reference.num_visible());
-        let mut shared_visible = view.new_visible.clone();
+        assert_eq!(view.new_visible, reference.visible_layer(2).len());
+        let mut shared_visible = visible_layer(&explorer, 2);
         let mut reference_visible = reference.visible_layer(2).to_vec();
         shared_visible.sort_by_key(|v| v.to_string());
         reference_visible.sort_by_key(|v| v.to_string());
         assert_eq!(shared_visible, reference_visible);
-    }
-
-    /// A subscriber opened before exploration sees layer 0 (catch-up)
-    /// and then each freshly explored layer exactly once, in bound
-    /// order, regardless of which caller paid for it.
-    #[test]
-    fn subscription_pushes_each_fresh_layer_once() {
-        let explorer = SharedExplorer::explicit(fig1(), ExploreBudget::default());
-        let sub = explorer.subscribe();
-        let none = Interrupt::none();
-        assert_eq!(sub.drain().iter().map(|v| v.k).collect::<Vec<_>>(), [0]);
-
-        explorer.ensure_layer(3, &none).unwrap();
-        // A replaying caller pushes nothing new.
-        explorer.ensure_layer(2, &none).unwrap();
-        explorer.ensure_layer(5, &none).unwrap();
-        let views = sub.drain();
-        assert_eq!(
-            views.iter().map(|v| v.k).collect::<Vec<_>>(),
-            [1, 2, 3, 4, 5],
-            "one delivery per fresh layer, in bound order"
-        );
-        // Pushed views match the bound-indexed replay views.
-        for view in &views {
-            let replay = explorer.view(view.k);
-            assert_eq!(view.states, replay.states);
-            assert_eq!(view.visible, replay.visible);
-            assert_eq!(view.new_visible, replay.new_visible);
-            assert_eq!(view.collapsed, replay.collapsed);
-        }
-    }
-
-    /// A late subscriber catches up on every already-computed layer
-    /// before receiving live pushes; a dropped subscription simply
-    /// stops receiving (and is pruned on the next notification).
-    #[test]
-    fn late_subscribers_catch_up() {
-        let explorer = SharedExplorer::explicit(fig1(), ExploreBudget::default());
-        let none = Interrupt::none();
-        explorer.ensure_layer(4, &none).unwrap();
-
-        let early = explorer.subscribe();
-        drop(explorer.subscribe()); // dropped before any notification
-        assert_eq!(
-            early.drain().iter().map(|v| v.k).collect::<Vec<_>>(),
-            [0, 1, 2, 3, 4],
-            "catch-up delivers the full history"
-        );
-        explorer.ensure_layer(6, &none).unwrap();
-        assert_eq!(early.try_next().map(|v| v.k), Some(5));
-        assert_eq!(
-            early
-                .next_timeout(std::time::Duration::from_secs(1))
-                .map(|v| v.k),
-            Some(6)
-        );
-        assert!(early.try_next().is_none());
-    }
-
-    /// An interrupted (rolled-back) round notifies nobody: subscribers
-    /// only ever see layers that are actually part of the store.
-    #[test]
-    fn rolled_back_rounds_are_not_pushed() {
-        let explorer = SharedExplorer::explicit(fig1(), ExploreBudget::default());
-        let sub = explorer.subscribe();
-        let _ = sub.drain();
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        explorer
-            .ensure_layer(2, &Interrupt::none().with_cancel(cancelled))
-            .unwrap_err();
-        assert!(sub.try_next().is_none(), "no layer, no notification");
-
-        explorer.ensure_layer(1, &Interrupt::none()).unwrap();
-        assert_eq!(sub.try_next().map(|v| v.k), Some(1));
     }
 
     /// A restored explorer replays every recorded bound for free
@@ -536,12 +396,8 @@ mod tests {
         );
         assert_eq!(restored.rounds_explored(), 0, "no live rounds yet");
         for k in 0..=4 {
-            let a = live.view(k);
-            let b = restored.view(k);
-            assert_eq!(a.states, b.states);
-            assert_eq!(a.visible, b.visible);
-            assert_eq!(a.new_visible, b.new_visible);
-            assert_eq!(a.collapsed, b.collapsed);
+            assert_eq!(live.view(k), restored.view(k));
+            assert_eq!(visible_layer(&live, k), visible_layer(&restored, k));
         }
         // Extending past the snapshot is live again, and the extended
         // store re-snapshots identically to a never-persisted one.
@@ -569,12 +425,8 @@ mod tests {
         let explorer = SharedExplorer::explicit(fig1(), ExploreBudget::default());
         let none = Interrupt::none();
         explorer.ensure_layer(2, &none).unwrap();
-        let before = explorer.view(2);
+        let before = (explorer.view(2), visible_layer(&explorer, 2));
         explorer.ensure_layer(6, &none).unwrap();
-        let after = explorer.view(2);
-        assert_eq!(before.states, after.states);
-        assert_eq!(before.visible, after.visible);
-        assert_eq!(before.new_visible, after.new_visible);
-        assert_eq!(before.collapsed, after.collapsed);
+        assert_eq!(before, (explorer.view(2), visible_layer(&explorer, 2)));
     }
 }

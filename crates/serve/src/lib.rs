@@ -4,10 +4,10 @@
 //! The CUBA paper's layered sequences `(Rk)`/`(Sk)` are
 //! property-independent, so one live exploration per system can serve
 //! any number of concurrent property queries: the first client to
-//! need a bound pays for it, every other client replays it, and push
-//! subscriptions ([`SharedExplorer::subscribe`]) notify streaming
-//! consumers of each freshly explored layer the moment *anyone*
-//! computes it. This crate is that service — a dependency-free
+//! need a bound pays for it, every other client replays it, and each
+//! stream reads the layers by bound from the shared layer record
+//! ([`SharedExplorer::depth`], [`SharedExplorer::view`]), whoever
+//! computed them. This crate is that service — a dependency-free
 //! (`std::net` only) HTTP/1.1 server with NDJSON event streaming,
 //! exposed as the `cuba serve` CLI subcommand.
 //!
@@ -33,8 +33,9 @@
 //! `POST /analyze` answers `200` with `Content-Type:
 //! application/x-ndjson` and one JSON object per line, close-
 //! delimited. Per property, in order: one `start` line, then
-//! interleaved `layer` lines (pushed by the shared explorer — also
-//! for layers a *concurrent* client paid for), `round` /
+//! interleaved `layer` lines (read from the shared layer record —
+//! also for layers a *concurrent* client paid for — each bound once
+//! per stream, in bound order), `round` /
 //! `engine-concluded` / `engine-failed` lines from the session's arms,
 //! an optional `witness` line, the deterministic `verdict` line, and
 //! a final `done` line carrying the timing counters. The `verdict`
@@ -452,9 +453,9 @@ fn handle_analyze(
             );
         }
     }
-    // Watch the backend the session will actually drive: layer events
-    // are pushed from the shared explorer, whichever client computes
-    // them.
+    // Watch the backend the session will actually drive: `layer`
+    // lines are read from its shared layer record, whichever client
+    // computed the layers.
     let explicit_backend = match &parsed.lineup {
         None | Some(Lineup::Auto) => fcr,
         Some(Lineup::Fixed(kinds)) => fcr && kinds.iter().any(EngineKind::needs_fcr),
@@ -470,7 +471,8 @@ fn handle_analyze(
     } else {
         "symbolic"
     };
-    let subscription = explorer.subscribe();
+    // The first bound whose `layer` line this stream has not sent yet.
+    let mut cursor = 0;
 
     write_stream_head(out, "application/x-ndjson")?;
     let mut client_gone = false;
@@ -494,9 +496,7 @@ fn handle_analyze(
         };
         let token = session.cancel_token();
         while let Some(event) = session.next_event() {
-            for view in subscription.drain() {
-                send_line(out, &layer_line(backend, &view), &mut client_gone);
-            }
+            send_layers(out, &explorer, backend, &mut cursor, &mut client_gone);
             for line in event_lines(&spec, &event) {
                 send_line(out, &line, &mut client_gone);
             }
@@ -507,9 +507,7 @@ fn handle_analyze(
                 token.cancel();
             }
         }
-        for view in subscription.drain() {
-            send_line(out, &layer_line(backend, &view), &mut client_gone);
-        }
+        send_layers(out, &explorer, backend, &mut cursor, &mut client_gone);
         if let Some(Err(error)) = session.outcome() {
             send_line(
                 out,
@@ -519,6 +517,23 @@ fn handle_analyze(
         }
     }
     Ok(())
+}
+
+/// Sends a `layer` line per sealed bound from `cursor` on and moves
+/// `cursor` past them. The depth is read once, so a layer sealed
+/// meanwhile goes out on the next call instead of being skipped.
+fn send_layers(
+    out: &mut impl Write,
+    explorer: &SharedExplorer,
+    backend: &str,
+    cursor: &mut usize,
+    failed: &mut bool,
+) {
+    let depth = explorer.depth();
+    for k in *cursor..=depth {
+        send_line(out, &layer_line(backend, &explorer.view(k)), failed);
+    }
+    *cursor = depth + 1;
 }
 
 /// Writes one NDJSON line; flips `failed` on the first write error
@@ -823,7 +838,8 @@ pub fn start_line(property: &str, fcr: bool, backend: &str) -> String {
     obj.finish()
 }
 
-/// A pushed shared-exploration layer.
+/// One layer of the shared exploration, as read from its layer
+/// record: the counts of bound `view.k`.
 pub fn layer_line(backend: &str, view: &LayerView) -> String {
     let mut obj = JsonObject::new();
     obj.string("type", "layer");
@@ -831,7 +847,7 @@ pub fn layer_line(backend: &str, view: &LayerView) -> String {
     obj.number("k", view.k as f64);
     obj.number("states", view.states as f64);
     obj.number("visible", view.visible as f64);
-    obj.number("new_visible", view.new_visible.len() as f64);
+    obj.number("new_visible", view.new_visible as f64);
     obj.bool("collapsed", view.collapsed);
     obj.finish()
 }

@@ -81,6 +81,28 @@ fn number_field(line: &str, key: &str) -> usize {
         .expect(key)
 }
 
+/// The `k` of every line of the given NDJSON `type`, in stream order.
+fn bounds_of_type(body: &str, event_type: &str) -> Vec<usize> {
+    let marker = format!("{{\"type\":\"{event_type}\"");
+    body.lines()
+        .filter(|l| l.starts_with(&marker))
+        .map(|l| number_field(l, "k"))
+        .collect()
+}
+
+/// The layer-line contract: a body's `layer` lines carry `k` = 0, 1,
+/// …, d — ascending, contiguous from 0, each exactly once. Returns d.
+fn layer_depth(body: &str) -> usize {
+    let bounds = bounds_of_type(body, "layer");
+    let depth = bounds.len().checked_sub(1).expect("no layer lines");
+    assert_eq!(
+        bounds,
+        (0..=depth).collect::<Vec<_>>(),
+        "each bound once, in order:\n{body}"
+    );
+    depth
+}
+
 #[test]
 fn four_streaming_clients_share_one_exploration() {
     let server = Server::bind(ServeConfig {
@@ -158,11 +180,10 @@ fn four_streaming_clients_share_one_exploration() {
         assert!(body.lines().any(|l| l.starts_with("{\"type\":\"round\"")));
         line_of_type(body, "start");
         line_of_type(body, "done");
-        assert!(
-            body.lines()
-                .any(|l| l.starts_with("{\"type\":\"layer\"") && l.contains("\"k\":1")),
-            "layer pushes missing from the stream"
-        );
+        // Every layer up to the client's last round, whichever client
+        // paid for it.
+        let last_round = bounds_of_type(body, "round").into_iter().max();
+        assert!(layer_depth(body) >= last_round.expect("round lines"));
     }
 
     // Exactly-once exploration across all four clients: the explicit
@@ -201,6 +222,7 @@ fn four_streaming_clients_share_one_exploration() {
         MODEL,
     );
     assert_eq!(line_of_type(&body, "verdict"), expected_verdicts[0]);
+    assert_eq!(layer_depth(&body), expected_depth, "every warm layer");
     let done = line_of_type(&body, "done");
     assert!(
         number_field(done, "rounds_replayed") > 0,
@@ -214,6 +236,40 @@ fn four_streaming_clients_share_one_exploration() {
 
     let shutdown = request(addr, "POST /shutdown?mode=graceful", "");
     assert!(shutdown.contains("\"status\":\"shutting-down\""));
+    handle.join().expect("clean shutdown");
+}
+
+/// One request with two properties streams each layer once across
+/// both properties, not once per property: the first property pays
+/// for the layers, the second replays them.
+#[test]
+fn two_properties_stream_each_layer_once() {
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        session: SessionConfig::new(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let broker = server.broker();
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    let url = format!(
+        "POST /analyze?property={}&property={}",
+        PROPERTIES[0].0, PROPERTIES[1].0
+    );
+    let body = request(addr, &url, MODEL);
+    let verdicts = body
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"verdict\""));
+    assert_eq!(verdicts.count(), 2, "{body}");
+    let explorer = broker.cache.entries()[0]
+        .artifacts
+        .explicit_explorer_if_started()
+        .expect("explicit backend ran");
+    assert_eq!(layer_depth(&body), explorer.depth());
+
+    request(addr, "POST /shutdown", "");
     handle.join().expect("clean shutdown");
 }
 

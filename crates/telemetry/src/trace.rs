@@ -313,10 +313,17 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting the scanner accepts. The exporter
+/// writes 4 levels (document, event list, event, `args`); the cap keeps
+/// the recursive descent from overflowing the stack on hostile input.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -325,6 +332,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -358,8 +366,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -367,6 +375,17 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// Parses one array or object, one level deeper than `pos` is.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -662,6 +681,24 @@ mod tests {
         let negative =
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"i\",\"ts\":-1,\"pid\":1,\"tid\":1}]}";
         assert!(validate_chrome_trace(negative).is_err());
+    }
+
+    /// Nesting is capped before the recursion can overflow the stack:
+    /// 64 levels parse, the 65th is an error at its opening byte.
+    #[test]
+    fn validator_caps_nesting() {
+        let nested = |levels: usize| {
+            format!(
+                "{{\"traceEvents\":[],\"x\":{}{}}}",
+                "[".repeat(levels - 1),
+                "]".repeat(levels - 1)
+            )
+        };
+        validate_chrome_trace(&nested(MAX_NESTING)).expect("64 levels parse");
+        let err = validate_chrome_trace(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err, "json error at byte 85: nesting deeper than 64 levels");
+        let err = validate_chrome_trace(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "json error at byte 64: nesting deeper than 64 levels");
     }
 
     #[test]

@@ -362,6 +362,23 @@ fn trace_out_writes_a_trace_that_trace_check_accepts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace file nested deeper than the scanner's cap is a clean usage
+/// error, not a stack overflow.
+#[test]
+fn trace_check_rejects_deep_nesting() {
+    let dir = std::env::temp_dir().join(format!("cuba-cli-nesting-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write");
+    let (_, stderr, code) = cuba(&["trace-check", path.to_str().expect("utf-8")]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("json error at byte 64: nesting deeper than 64 levels"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `cuba snapshot` → `verify --from-snapshot`: the offline produce /
 /// consume round trip yields identical verdicts with the recorded
 /// bounds replayed; mismatched, truncated, and missing files are

@@ -1448,10 +1448,8 @@ fn restore_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         if got.is_err() {
             break;
         }
-        let (a, b) = (restored.view(k), live.view(k));
-        if (a.states, a.visible, &a.new_visible, a.collapsed)
-            != (b.states, b.visible, &b.new_visible, b.collapsed)
-        {
+        let layer = |e: &SharedExplorer| e.with_store(|store| store.visible_layer(k).to_vec());
+        if restored.view(k) != live.view(k) || layer(&restored) != layer(&live) {
             return Some(format!("bound {k}: views differ"));
         }
     }
