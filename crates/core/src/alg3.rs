@@ -198,9 +198,9 @@ impl Engine {
     ) -> Result<Option<Verdict>, ExploreError> {
         let k = view.k;
         if self.explorer.with_store(|store| {
-            self.property
-                .find_violation(store.visible_layer(k))
-                .is_some()
+            store
+                .visible_layer_keys(k)
+                .any(|key| self.property.violated_by_key(key))
         }) {
             return Ok(Some(Verdict::Unsafe { k, witness: None }));
         }

@@ -259,7 +259,7 @@ mod tests {
             engine.advance().unwrap();
         }
         for v in engine.visible_total() {
-            assert!(z.contains(v), "Z misses reachable visible {v}");
+            assert!(z.contains(&v), "Z misses reachable visible {v}");
         }
     }
 

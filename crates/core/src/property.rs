@@ -1,4 +1,4 @@
-use cuba_pds::{Cpds, SharedState, StackSym, VisibleState};
+use cuba_pds::{top_code, Cpds, SharedState, StackSym, VisibleState};
 
 /// A safety property over *visible* states (paper §2.2: "Most
 /// reachability properties, including assertions inserted into a
@@ -46,23 +46,30 @@ impl Property {
 
     /// Whether the visible state `v` violates the property.
     pub fn violated_by(&self, v: &VisibleState) -> bool {
-        match self {
-            Property::True => false,
-            Property::NeverVisible(targets) => targets.iter().any(|t| t == v),
-            Property::NeverShared(states) => states.contains(&v.q),
-            Property::MutualExclusion(pins) => pins
-                .iter()
-                .all(|(thread, top)| v.tops.get(*thread).is_some_and(|t| *t == Some(*top))),
-            Property::All(props) => props.iter().any(|p| p.violated_by(v)),
-        }
+        self.violated_by_key(&v.key())
     }
 
-    /// First violating visible state among `iter`, if any.
-    pub fn find_violation<'a, I>(&self, iter: I) -> Option<&'a VisibleState>
-    where
-        I: IntoIterator<Item = &'a VisibleState>,
-    {
-        iter.into_iter().find(|v| self.violated_by(v))
+    /// Whether the visible state keyed `key` (see [`VisibleState::key`])
+    /// violates the property: the check a layer record runs on its
+    /// keys in place.
+    pub fn violated_by_key(&self, key: &[u32]) -> bool {
+        let (q, tops) = key.split_first().expect("a visible key starts with q");
+        match self {
+            Property::True => false,
+            Property::NeverVisible(targets) => targets.iter().any(|t| {
+                t.q.0 == *q
+                    && t.tops.len() == tops.len()
+                    && t.tops
+                        .iter()
+                        .zip(tops)
+                        .all(|(&top, &code)| top_code(top) == code)
+            }),
+            Property::NeverShared(states) => states.contains(&SharedState(*q)),
+            Property::MutualExclusion(pins) => pins
+                .iter()
+                .all(|(thread, top)| tops.get(*thread) == Some(&top_code(Some(*top)))),
+            Property::All(props) => props.iter().any(|p| p.violated_by_key(key)),
+        }
     }
 
     /// Validates that every shared state, thread index and stack
@@ -331,12 +338,17 @@ mod tests {
         assert!(!p.violated_by(&vis(0, &[None])));
     }
 
+    /// `ε` and symbol 0 are distinct tops in a key, and a target of
+    /// another width never matches.
     #[test]
-    fn find_violation_returns_first() {
-        let p = Property::never_shared(q(2));
-        let states = [vis(0, &[None]), vis(2, &[Some(1)]), vis(2, &[None])];
-        assert_eq!(p.find_violation(states.iter()), Some(&states[1]));
-        assert_eq!(Property::True.find_violation(states.iter()), None);
+    fn key_checks_tell_eps_from_symbol_zero() {
+        let p = Property::never_visible(vis(2, &[None, Some(0)]));
+        assert!(p.violated_by_key(&vis(2, &[None, Some(0)]).key()));
+        assert!(!p.violated_by_key(&vis(2, &[Some(0), Some(0)]).key()));
+        assert!(!p.violated_by_key(&vis(2, &[None]).key()));
+        let m = Property::mutex(0, s(0), 1, s(0));
+        assert!(m.violated_by_key(&vis(0, &[Some(0), Some(0)]).key()));
+        assert!(!m.violated_by_key(&vis(0, &[None, Some(0)]).key()));
     }
 
     #[test]

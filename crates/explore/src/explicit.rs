@@ -1,7 +1,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use cuba_pds::{
-    Cpds, GlobalState, KeyTable, SharedState, StackId, StackTable, ThreadId, VisibleState,
+    top_code, Cpds, GlobalState, KeyTable, SharedState, StackId, StackTable, ThreadId, VisibleState,
 };
 
 use crate::symmetry::{permute, Symmetry};
@@ -86,7 +86,8 @@ struct Round {
     /// The first state id of this round (ids are append-only).
     start: u32,
     new_layer: Vec<u32>,
-    new_visible: Vec<VisibleState>,
+    /// Visible states first seen this round.
+    new_visible: usize,
     /// Entries `(state id, running thread)`: a context keeps running
     /// the thread that holds its stack, wherever the canonical order
     /// moves that stack within its class.
@@ -111,7 +112,7 @@ impl Round {
             layer,
             start,
             new_layer: Vec::new(),
-            new_visible: Vec::new(),
+            new_visible: 0,
             queue: VecDeque::new(),
             in_context: Vec::new(),
             closure: 0,
@@ -301,17 +302,18 @@ impl ExplicitEngine {
     }
 
     /// The visible states first seen at context bound `k`
-    /// (`T(Rk) \ T(Rk−1)`, the right column of the paper's Fig. 1).
+    /// (`T(Rk) \ T(Rk−1)`, the right column of the paper's Fig. 1),
+    /// decoded from the layer record's keys.
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn visible_layer(&self, k: usize) -> &[VisibleState] {
+    pub fn visible_layer(&self, k: usize) -> Vec<VisibleState> {
         self.store.visible_layer(k)
     }
 
     /// All visible states seen so far, `T(Rk)` for the current `k`.
-    pub fn visible_total(&self) -> impl Iterator<Item = &VisibleState> + '_ {
+    pub fn visible_total(&self) -> impl Iterator<Item = VisibleState> + '_ {
         self.store.visible_iter()
     }
 
@@ -379,8 +381,7 @@ impl ExplicitEngine {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
-            self.store
-                .push_layer(Vec::new(), Vec::new(), self.num_states);
+            self.store.push_layer(Vec::new(), 0, self.num_states);
             return Ok(LayerSummary {
                 k,
                 new_states: 0,
@@ -419,7 +420,7 @@ impl ExplicitEngine {
         let summary = LayerSummary {
             k,
             new_states: self.num_states - before,
-            new_visible: round.new_visible.len(),
+            new_visible: round.new_visible,
         };
         wave_span.arg("new_states", summary.new_states);
         drop(wave_span);
@@ -523,14 +524,16 @@ impl ExplicitEngine {
                         for &t in changed.unwrap_or(std::slice::from_ref(&running)) {
                             stacks[t] = self.stacks.to_stack(StackId(round.key[t + 1]));
                         }
-                        let succ = GlobalState::new(action.q_post, stacks);
-                        let visible = succ.visible();
-                        self.states.push(succ);
+                        self.states.push(GlobalState::new(action.q_post, stacks));
                         self.layer_of_state.push(round.layer);
                         self.num_states += weight;
                         round.new_layer.push(new_id);
                         round.grow(self.states.len());
-                        record_visible_orbit(&mut self.store, &self.symmetry, visible, round);
+                        for slot in &mut round.key[1..] {
+                            *slot = top_code(self.stacks.top(StackId(*slot)));
+                        }
+                        round.new_visible +=
+                            record_visible_orbit(&mut self.store, &self.symmetry, &mut round.key);
                         new_id
                     }
                 };
@@ -700,30 +703,24 @@ impl ExplicitEngine {
     }
 }
 
-/// Records the projection `visible` of a newly stored state, and its
-/// whole visible orbit, if it is new. Layers are closed under the
-/// thread symmetry and every round records whole visible orbits, so a
-/// projection seen before brings no new member.
-fn record_visible_orbit(
-    store: &mut LayerStore,
-    symmetry: &Symmetry,
-    visible: VisibleState,
-    round: &mut Round,
-) {
-    if !store.record_visible(&visible) {
-        return;
+/// Records the projection of a newly stored state, keyed `key` (see
+/// [`VisibleState::key`]), and its whole visible orbit, if it is new;
+/// returns how many visible states were new. Layers are closed under
+/// the thread symmetry and every round records whole visible orbits,
+/// so a projection seen before brings no new member. Overwrites `key`.
+fn record_visible_orbit(store: &mut LayerStore, symmetry: &Symmetry, key: &mut [u32]) -> usize {
+    if !store.record_visible_key(key) {
+        return 0;
     }
-    let others = if symmetry.is_trivial() {
-        Vec::new()
-    } else {
-        symmetry.visible_orbit(&visible).split_off(1)
-    };
-    round.new_visible.push(visible);
-    for v in others {
-        if store.record_visible(&v) {
-            round.new_visible.push(v);
-        }
+    if symmetry.is_trivial() {
+        return 1;
     }
+    let mut new = 1;
+    for tops in symmetry.arrangements(&key[1..]).into_iter().skip(1) {
+        key[1..].copy_from_slice(&tops);
+        new += usize::from(store.record_visible_key(key));
+    }
+    new
 }
 
 #[cfg(test)]
@@ -832,7 +829,7 @@ mod tests {
             engine
                 .visible_layer(k)
                 .iter()
-                .map(|v| v.to_string())
+                .map(VisibleState::to_string)
                 .collect()
         };
         assert_eq!(vl(0), HashSet::from(["<0|1,4>".to_owned()]));

@@ -4,18 +4,20 @@
 //! CUBA's observation sequences (`(Rk)`, `(Sk)`, and their visible
 //! projections) are a function of the *system* alone — a property only
 //! inspects them. [`LayerStore`] is exactly that system-side record:
-//! append-only layers of state ids, the per-bound *new* visible
-//! states, the first-seen bound of every visible state, cumulative
-//! growth logs, and collapse detection. [`ExplicitEngine`] and
-//! [`SymbolicEngine`] both maintain one, which is what lets a
-//! [`SharedExplorer`] replay already-computed bounds for any number of
-//! property checkers.
+//! append-only layers of state ids, the visible states in first-seen
+//! order (hence the per-bound *new* ones and the first-seen bound of
+//! each), cumulative growth logs, and collapse detection.
+//! [`ExplicitEngine`] and [`SymbolicEngine`] both maintain one, which
+//! is what lets a [`SharedExplorer`] replay already-computed bounds for
+//! any number of property checkers.
 //!
 //! [`ExplicitEngine`]: crate::ExplicitEngine
 //! [`SymbolicEngine`]: crate::SymbolicEngine
 //! [`SharedExplorer`]: crate::SharedExplorer
 
 use cuba_pds::{KeyTable, VisibleState};
+
+use std::ops::Range;
 
 /// Append-only record of a layered exploration: which state ids were
 /// first reached at each context bound, which visible states were
@@ -26,19 +28,21 @@ use cuba_pds::{KeyTable, VisibleState};
 /// sees exactly the data a fresh engine would have produced at `k`,
 /// even when the store has since been extended past `k`.
 ///
-/// Visible states are interned as their keys `(q, [top code; n])`
+/// Visible states are kept once, as their keys `(q, [top code; n])`
 /// ([`VisibleState::key`]), numbered in first-seen order. So the
-/// first-seen bound of a key is the first bound whose cumulative
-/// visible count exceeds its id, and a failed round is undone by
-/// truncating the key table to the last sealed count.
+/// visible states first seen at bound `k` are the key ids between the
+/// cumulative counts of bounds `k − 1` and `k`, the first-seen bound
+/// of a key is the first bound whose cumulative visible count exceeds
+/// its id, and a failed round is undone by truncating the key table to
+/// the last sealed count. Readers that want [`VisibleState`]s decode
+/// them on read.
 #[derive(Debug)]
 pub struct LayerStore {
     /// `layers[k]` = ids of states first reached at context bound `k`.
     layers: Vec<Vec<u32>>,
-    /// `visible_layers[k]` = visible states first seen at bound `k`.
-    visible_layers: Vec<Vec<VisibleState>>,
-    /// The keys of every visible state seen so far: those of
-    /// `visible_layers` in order, then those of the round in progress.
+    /// The keys of every visible state seen so far, in first-seen
+    /// order: those of the sealed layers, then those of the round in
+    /// progress.
     visible_keys: KeyTable,
     /// Cumulative states after each bound (the `|Rk|`/`|Sk|` growth
     /// log), counting every member of a stored orbit.
@@ -59,7 +63,6 @@ impl LayerStore {
         visible_keys.insert(&key);
         LayerStore {
             layers: vec![vec![0]],
-            visible_layers: vec![vec![initial_visible]],
             visible_keys,
             state_counts: vec![1],
             visible_counts: vec![1],
@@ -81,13 +84,40 @@ impl LayerStore {
         &self.layers[k]
     }
 
-    /// Visible states first seen at bound `k`.
+    /// The key ids of the visible states first seen at bound `k`.
+    fn visible_range(&self, k: usize) -> Range<u32> {
+        let start = k.checked_sub(1).map_or(0, |j| self.visible_counts[j]);
+        start as u32..self.visible_counts[k] as u32
+    }
+
+    /// The keys (see [`VisibleState::key`]) of the visible states
+    /// first seen at bound `k`, in first-seen order, read in place.
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn visible_layer(&self, k: usize) -> &[VisibleState] {
-        &self.visible_layers[k]
+    pub fn visible_layer_keys(&self, k: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        self.visible_range(k).map(|id| self.visible_keys.key(id))
+    }
+
+    /// Visible states first seen at bound `k`, decoded from their keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if layer `k` has not been computed yet.
+    pub fn visible_layer(&self, k: usize) -> Vec<VisibleState> {
+        self.visible_layer_keys(k)
+            .map(VisibleState::from_key)
+            .collect()
+    }
+
+    /// Number of visible states first seen at bound `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if layer `k` has not been computed yet.
+    pub fn new_visible_at(&self, k: usize) -> usize {
+        self.visible_range(k).len()
     }
 
     /// Number of distinct visible states seen so far (any bound).
@@ -96,9 +126,10 @@ impl LayerStore {
     }
 
     /// Iterates over every visible state seen so far, in first-seen
-    /// order.
-    pub fn visible_iter(&self) -> impl Iterator<Item = &VisibleState> + '_ {
-        self.visible_layers.iter().flatten()
+    /// order, decoding each from its key.
+    pub fn visible_iter(&self) -> impl Iterator<Item = VisibleState> + '_ {
+        (0..self.visible_keys.len() as u32)
+            .map(|id| VisibleState::from_key(self.visible_keys.key(id)))
     }
 
     /// Whether `v` has been seen at any computed bound.
@@ -163,8 +194,8 @@ impl LayerStore {
     }
 
     /// Records a visible state seen while computing the *next* layer.
-    /// Returns `true` when it is new: the caller then owes it to the
-    /// round's `new_visible` list, in the order recorded.
+    /// Returns `true` when it is new: the caller then counts it among
+    /// the round's new visible states.
     ///
     /// # Panics
     ///
@@ -196,18 +227,13 @@ impl LayerStore {
     }
 
     /// Seals the freshly computed layer: the ids first reached at the
-    /// new bound, the visible states first seen there (those recorded
-    /// as new since the last seal, in order), and the total stored
-    /// states after the round. An empty id layer at `k ≥ 1` marks the
+    /// new bound, the number of visible states first seen there (those
+    /// recorded as new since the last seal), and the total states
+    /// after the round. An empty id layer at `k ≥ 1` marks the
     /// collapse.
-    pub fn push_layer(
-        &mut self,
-        ids: Vec<u32>,
-        new_visible: Vec<VisibleState>,
-        total_states: usize,
-    ) {
+    pub fn push_layer(&mut self, ids: Vec<u32>, new_visible: usize, total_states: usize) {
         debug_assert_eq!(
-            self.visible_counts.last().map(|&c| c + new_visible.len()),
+            self.visible_counts.last().map(|&c| c + new_visible),
             Some(self.visible_keys.len()),
             "new visible states are those recorded since the last seal"
         );
@@ -215,7 +241,6 @@ impl LayerStore {
             self.collapsed_at = Some(self.layers.len());
         }
         self.layers.push(ids);
-        self.visible_layers.push(new_visible);
         self.state_counts.push(total_states);
         self.visible_counts.push(self.visible_keys.len());
     }
@@ -235,10 +260,10 @@ impl LayerStore {
     }
 
     /// Rebuilds a store from its serialized essence: the per-bound id
-    /// layers and per-bound new visible states. Everything else —
-    /// visible keys, cumulative growth logs, the collapse bound — is
-    /// derived, which keeps the snapshot format minimal and makes
-    /// save → load → save byte-identical by construction.
+    /// layers and per-bound new visible states, which it keeps as
+    /// keys. Everything else — cumulative growth logs, the collapse
+    /// bound — is derived, which keeps the snapshot format minimal and
+    /// makes save → load → save byte-identical by construction.
     ///
     /// Validated invariants (anything else means a corrupt snapshot):
     /// layer 0 is exactly `{0}`, ids are consecutive across bounds (an
@@ -297,7 +322,6 @@ impl LayerStore {
         }
         Ok(LayerStore {
             layers,
-            visible_layers,
             visible_keys,
             state_counts,
             visible_counts,
@@ -320,8 +344,8 @@ mod tests {
         let mut store = LayerStore::new(vis(0, 1));
         assert!(store.record_visible(&vis(1, 2)));
         assert!(!store.record_visible(&vis(1, 2)), "duplicates rejected");
-        store.push_layer(vec![1, 2], vec![vis(1, 2)], 3);
-        store.push_layer(vec![3], vec![], 4);
+        store.push_layer(vec![1, 2], 1, 3);
+        store.push_layer(vec![3], 0, 4);
 
         assert_eq!(store.current_k(), 2);
         assert_eq!(store.visible_count_at(0), 1);
@@ -335,9 +359,14 @@ mod tests {
         // First-seen order, whatever the hashing.
         assert!(store.record_visible(&vis(3, 0)));
         assert_eq!(store.first_seen_bound(&vis(3, 0)), Some(3));
-        store.push_layer(vec![4], vec![vis(3, 0)], 5);
-        let order: Vec<&VisibleState> = store.visible_iter().collect();
-        assert_eq!(order, [&vis(0, 1), &vis(1, 2), &vis(3, 0)]);
+        store.push_layer(vec![4], 1, 5);
+        let order: Vec<VisibleState> = store.visible_iter().collect();
+        assert_eq!(order, [vis(0, 1), vis(1, 2), vis(3, 0)]);
+        assert_eq!(store.visible_layer(1), [vis(1, 2)]);
+        assert_eq!(store.new_visible_at(2), 0);
+        assert_eq!(store.visible_layer(3), [vis(3, 0)]);
+        let keys: Vec<&[u32]> = store.visible_layer_keys(0).collect();
+        assert_eq!(keys, [vis(0, 1).key().as_slice()]);
     }
 
     /// `ε` and symbol 0 are distinct tops, and a state of another
@@ -348,7 +377,7 @@ mod tests {
         let mut store = LayerStore::new(eps.clone());
         assert!(!store.seen(&vis(0, 0)));
         assert!(store.record_visible(&vis(0, 0)));
-        store.push_layer(vec![1], vec![vis(0, 0)], 2);
+        store.push_layer(vec![1], 1, 2);
         assert_eq!(store.first_seen_bound(&eps), Some(0));
         assert_eq!(store.first_seen_bound(&vis(0, 0)), Some(1));
         let wide = VisibleState::new(SharedState(0), vec![None, None]);
@@ -362,13 +391,13 @@ mod tests {
     #[test]
     fn empty_layer_is_the_collapse_and_sticks() {
         let mut store = LayerStore::new(vis(0, 1));
-        store.push_layer(vec![1], vec![], 2);
-        store.push_layer(Vec::new(), Vec::new(), 2);
+        store.push_layer(vec![1], 0, 2);
+        store.push_layer(Vec::new(), 0, 2);
         assert_eq!(store.collapsed_at(), Some(2));
         assert!(store.collapsed_by(2));
         assert!(!store.collapsed_by(1));
         // Padding layers past the collapse keep the original bound.
-        store.push_layer(Vec::new(), Vec::new(), 2);
+        store.push_layer(Vec::new(), 0, 2);
         assert_eq!(store.collapsed_at(), Some(2));
     }
 
@@ -376,7 +405,7 @@ mod tests {
     fn rollback_removes_round_registrations() {
         let mut store = LayerStore::new(vis(0, 1));
         assert!(store.record_visible(&vis(1, 1)));
-        store.push_layer(vec![1], vec![vis(1, 1)], 2);
+        store.push_layer(vec![1], 1, 2);
         assert!(store.record_visible(&vis(2, 3)));
         assert!(!store.record_visible(&vis(1, 1)));
         store.rollback_round();
@@ -405,6 +434,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.first_seen_bound(&vis(1, 0)), Some(1));
+        assert_eq!(store.visible_layer(1), [vis(1, 0)]);
         assert_eq!(store.visible_count_at(2), 2);
         assert_eq!(store.collapsed_at(), Some(2));
     }

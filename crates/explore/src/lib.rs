@@ -14,11 +14,18 @@
 //!   `⟨q|A1,…,An⟩` whose per-thread stack languages are canonical
 //!   minimal DFAs ([`CanonicalDfa`](cuba_automata::CanonicalDfa)); a
 //!   context of thread `i` is one `post*` saturation (App. E). It
-//!   handles infinite `Rk`, at the cost the paper describes.
+//!   handles infinite `Rk`, at the cost the paper describes. It too
+//!   stores one representative per orbit of interchangeable threads,
+//!   with concrete counts.
 //!
 //! Both engines expose the per-layer *new* states and new *visible*
 //! states, which is exactly the data in the paper's Fig. 1 table, and
-//! both detect collapse (`Rk = Rk+1`, Lemma 7).
+//! both detect collapse (`Rk = Rk+1`, Lemma 7). A layer (`layer(k)`,
+//! explicit `states()`) lists orbit representatives, and `orbit`
+//! expands one; every count, every visible layer, every budget and
+//! every verdict is that of an engine that stores each state. The
+//! visible layers are kept once, as interned keys in the
+//! [`LayerStore`], and decoded on read.
 //!
 //! Both engines keep their states *interned*, as fixed-width `u32`
 //! keys in a [`KeyTable`](cuba_pds::KeyTable) whose dense ids are the
@@ -28,10 +35,10 @@
 //! rewrites one slot of its frontier state's key and probes the table,
 //! so hits clone and allocate nothing. The public surface still speaks
 //! [`GlobalState`](cuba_pds::GlobalState) and [`SymbolicState`]: the
-//! explicit engine materializes each *new* state once, the symbolic
-//! engine on demand. The exploration order does not depend on the
-//! representation: state ids, layers, witnesses and snapshot bytes are
-//! pinned in the repository's tests.
+//! explicit engine materializes each *new* representative once, the
+//! symbolic engine on demand. The exploration order does not depend on
+//! the representation: state ids, layers, witnesses and snapshot bytes
+//! are pinned in the repository's tests.
 //!
 //! # Example
 //!

@@ -191,7 +191,7 @@ impl SharedExplorer {
         let store = inner.store();
         LayerView {
             k,
-            new_visible: store.visible_layer(k).len(),
+            new_visible: store.new_visible_at(k),
             states: store.state_count_at(k),
             visible: store.visible_count_at(k),
             collapsed: store.collapsed_by(k),
@@ -327,7 +327,7 @@ mod tests {
 
     /// The visible states first seen at bound `k`, read in place.
     fn visible_layer(explorer: &SharedExplorer, k: usize) -> Vec<VisibleState> {
-        explorer.with_store(|store| store.visible_layer(k).to_vec())
+        explorer.with_store(|store| store.visible_layer(k))
     }
 
     /// Demanding the same bound twice explores once and replays once.
@@ -369,7 +369,7 @@ mod tests {
         assert_eq!(view.visible, reference.num_visible());
         assert_eq!(view.new_visible, reference.visible_layer(2).len());
         let mut shared_visible = visible_layer(&explorer, 2);
-        let mut reference_visible = reference.visible_layer(2).to_vec();
+        let mut reference_visible = reference.visible_layer(2);
         shared_visible.sort_by_key(|v| v.to_string());
         reference_visible.sort_by_key(|v| v.to_string());
         assert_eq!(shared_visible, reference_visible);

@@ -33,8 +33,8 @@
 //! layer record (per-bound state ids and per-bound new visible
 //! states; first-seen bounds, growth logs, and the collapse bound are
 //! derived on load), and the backend's state table in discovery order.
-//! An explicit state table holds one canonical representative per
-//! orbit of interchangeable threads, as the engine stores them; the
+//! Both kinds of state table hold one canonical representative per
+//! orbit of interchangeable threads, as the engines store them; the
 //! loader rejects any other state, and re-derives the concrete state
 //! counts from the orbit sizes.
 //! Because engines are deterministic and every stored collection keeps
@@ -46,7 +46,7 @@
 //! [`SharedExplorer::restore`]: crate::SharedExplorer::restore
 
 use cuba_automata::CanonicalDfa;
-use cuba_pds::{Cpds, GlobalState, Rhs, SharedState, Stack, StackSym, VisibleState};
+use cuba_pds::{code_top, Cpds, GlobalState, Rhs, SharedState, Stack, StackSym, VisibleState};
 
 use crate::{
     ExplicitEngine, ExploreBudget, LayerStore, SubsumptionMode, SymbolicEngine, SymbolicState,
@@ -295,12 +295,11 @@ fn encode_common(w: &mut Writer, cpds: &Cpds, store: &LayerStore) {
         }
     }
     for k in 0..num_layers {
-        let visible = store.visible_layer(k);
-        w.u32(visible.len() as u32);
-        for v in visible {
-            w.u32(v.q.0);
-            for top in &v.tops {
-                w.u32(top.map_or(u32::MAX, |s| s.0));
+        w.u32(store.new_visible_at(k) as u32);
+        for key in store.visible_layer_keys(k) {
+            w.u32(key[0]);
+            for &code in &key[1..] {
+                w.u32(code_top(code).map_or(u32::MAX, |s| s.0));
             }
         }
     }
@@ -332,8 +331,23 @@ fn encode_state_table(w: &mut Writer, states: &[GlobalState]) {
 pub(crate) fn encode_symbolic(engine: &SymbolicEngine, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
     encode_common(&mut w, engine.cpds(), engine.store());
-    w.u32(engine.num_symbolic_states() as u32);
-    for state in engine.states() {
+    encode_symbolic_table(&mut w, engine.num_stored(), engine.states());
+    let kind = match engine.mode() {
+        SubsumptionMode::Exact => SnapshotKind::SymbolicExact,
+        SubsumptionMode::Pointwise => SnapshotKind::SymbolicPointwise,
+    };
+    frame(kind, fingerprint, w.buf)
+}
+
+/// Writes a symbolic state table of `len` states, the last section of
+/// its payload.
+fn encode_symbolic_table(
+    w: &mut Writer,
+    len: usize,
+    states: impl IntoIterator<Item = SymbolicState>,
+) {
+    w.u32(len as u32);
+    for state in states {
         w.u32(state.q.0);
         for dfa in &state.stacks {
             w.u32(dfa.num_states());
@@ -348,11 +362,6 @@ pub(crate) fn encode_symbolic(engine: &SymbolicEngine, fingerprint: u64) -> Vec<
             }
         }
     }
-    let kind = match engine.mode() {
-        SubsumptionMode::Exact => SnapshotKind::SymbolicExact,
-        SubsumptionMode::Pointwise => SnapshotKind::SymbolicPointwise,
-    };
-    frame(kind, fingerprint, w.buf)
 }
 
 /// A decoded backend, ready to be wrapped by a
@@ -739,6 +748,55 @@ mod tests {
         let mut payload = bytes[HEADER_LEN..bytes.len() - table.buf.len()].to_vec();
         payload.extend_from_slice(&table.buf);
         let tampered = frame(SnapshotKind::Explicit, 5, payload);
+        let err = decode(twins(), ExploreBudget::default(), 5, &tampered).unwrap_err();
+        assert!(err.starts_with("snapshot offset "), "{err}");
+        assert!(
+            err.ends_with(
+                ": state table holds a state that is not its orbit's canonical representative"
+            ),
+            "{err}"
+        );
+    }
+
+    /// As [`explicit_state_tables_hold_canonical_representatives`], for
+    /// the symbolic engine: a restore keeps the concrete counts, and a
+    /// table holding a non-canonical member of an orbit is rejected
+    /// without echoing it.
+    #[test]
+    fn symbolic_state_tables_hold_canonical_representatives() {
+        let mut engine =
+            SymbolicEngine::new(twins(), ExploreBudget::default(), SubsumptionMode::Exact);
+        engine.run_until_collapse(8).unwrap();
+        let states: Vec<SymbolicState> = engine.states().collect();
+        assert!(states.len() < engine.num_symbolic_states());
+        let bytes = encode_symbolic(&engine, 5);
+        let DecodedBackend::Symbolic(restored) =
+            decode(twins(), ExploreBudget::default(), 5, &bytes).unwrap()
+        else {
+            panic!("symbolic snapshot decoded to the wrong backend");
+        };
+        assert_eq!(restored.num_symbolic_states(), engine.num_symbolic_states());
+        for k in 0..=engine.current_k() {
+            assert_eq!(
+                restored.store().state_count_at(k),
+                engine.store().state_count_at(k)
+            );
+        }
+        assert_eq!(encode_symbolic(&restored, 5), bytes);
+
+        let mut tampered_states = states.clone();
+        let swap = tampered_states
+            .iter()
+            .position(|st| st.stacks[0] != st.stacks[1])
+            .expect("a state with distinct stack languages");
+        tampered_states[swap].stacks.swap(0, 1);
+        let mut table = Writer::new();
+        encode_symbolic_table(&mut table, states.len(), states);
+        let mut tampered_table = Writer::new();
+        encode_symbolic_table(&mut tampered_table, tampered_states.len(), tampered_states);
+        let mut payload = bytes[HEADER_LEN..bytes.len() - table.buf.len()].to_vec();
+        payload.extend_from_slice(&tampered_table.buf);
+        let tampered = frame(SnapshotKind::SymbolicExact, 5, payload);
         let err = decode(twins(), ExploreBudget::default(), 5, &tampered).unwrap_err();
         assert!(err.starts_with("snapshot offset "), "{err}");
         assert!(

@@ -1,10 +1,11 @@
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use cuba_automata::{language_subset, post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba_pds::{top_code, Cpds, GlobalState, KeyTable, SharedState, StackSym, VisibleState};
 use cuba_telemetry::metrics::METRICS;
 
-use crate::symmetry::Symmetry;
+use crate::symmetry::{ContentOrder, Symmetry};
 use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore};
 
 /// A symbolic state `τ = ⟨q|A1,…,An⟩` (paper App. E): the current
@@ -197,6 +198,18 @@ impl DfaTable {
     }
 }
 
+/// Stack languages order by their canonical DFAs; equal languages have
+/// equal ids.
+impl ContentOrder for DfaTable {
+    fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
+        if a == b {
+            Ordering::Equal
+        } else {
+            self.get(a).cmp(self.get(b))
+        }
+    }
+}
+
 /// Symbolic layered exploration of `S0, S1, …` with PSA-based context
 /// steps (the paper's third approach, Alg. 3(T(Sk)), App. E).
 ///
@@ -214,17 +227,26 @@ impl DfaTable {
 /// is its frontier state's key with two words replaced, so a context
 /// step clones no automaton. The visible states `T(τ)` depend only on
 /// `(q, [TopSetId; n])` and are enumerated once per such key, as
-/// visible keys; only a new one becomes a [`VisibleState`]. Those
-/// keys roll back with a failed round. [`layer`](Self::layer) and
-/// [`covers`](Self::covers) still speak [`SymbolicState`],
-/// materialized on demand.
+/// visible keys. Those keys roll back with a failed round.
+/// [`layer`](Self::layer) and [`covers`](Self::covers) still speak
+/// [`SymbolicState`], materialized on demand.
 ///
-/// A context step depends only on the thread's program, `q` and the
-/// thread's stack language. So interchangeable threads
-/// ([`Cpds::thread_classes`]) that hold the same `DfaId` in a frontier
-/// state share one step: the later thread registers the earlier one's
-/// successors with its own slot replaced. Registration still runs per
-/// thread, so discovery order and ids are those of separate steps.
+/// Interchangeable threads ([`Cpds::thread_classes`]) make every layer
+/// closed under permuting their stack languages, so the engine stores
+/// one canonical representative per orbit: the state whose DFAs are
+/// sorted by content within each class (not by id, which depends on
+/// interning order). [`layer`](Self::layer) yields representatives and
+/// [`orbit`](Self::orbit) expands one. Everything else stays concrete:
+/// [`num_symbolic_states`](Self::num_symbolic_states), the layer
+/// record's counts, each round's `new_symbolic` and the
+/// `max_symbolic_states` budget count every member of every stored
+/// orbit, and the visible layers hold whole visible orbits. A context
+/// step depends only on the thread's program, `q` and the thread's
+/// stack language, so a thread whose class has an earlier member
+/// holding the same `DfaId` in a frontier state takes no step: its
+/// successors lie in the orbits of that member's. A system without
+/// interchangeable threads stores every state, in the same order as an
+/// unreduced engine.
 ///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
@@ -236,8 +258,12 @@ pub struct SymbolicEngine {
     dfas: DfaTable,
     /// State `id` is the key `(q, [DfaId; n])` with that id.
     keys: KeyTable,
-    /// The `(q, [TopSetId; n])` keys whose visible states are recorded.
-    /// Starts empty on a restored engine (re-recording is a no-op).
+    /// The concrete number of symbolic states: the orbit sizes of the
+    /// stored states, summed.
+    num_states: usize,
+    /// The `(q, [TopSetId; n])` keys whose visible states are recorded,
+    /// closed under arrangements within classes. Starts empty on a
+    /// restored engine (re-recording is a no-op).
     visible_keys: KeyTable,
     /// Ids grouped by shared state, for pointwise subsumption lookups.
     by_shared: HashMap<SharedState, Vec<u32>>,
@@ -248,8 +274,7 @@ pub struct SymbolicEngine {
     /// and shared by every saturation (previously the equivalent hash
     /// index was rebuilt on every context step).
     tables: Vec<RuleTable>,
-    /// The classes of interchangeable threads, whose equal stack
-    /// languages share a context step.
+    /// The interchangeable threads, whose orbits share a stored state.
     symmetry: Symmetry,
 }
 
@@ -259,7 +284,10 @@ impl SymbolicEngine {
         let init = SymbolicState::singleton(&cpds.initial_state());
         let visible = cpds.initial_state().visible();
         let mut engine = SymbolicEngine::empty(cpds, budget, mode, LayerStore::new(visible));
+        // Interchangeable threads start on equal stacks, so the initial
+        // state is its own orbit and already canonical.
         engine.intern_state(init);
+        engine.num_states = 1;
         engine
     }
 
@@ -276,6 +304,7 @@ impl SymbolicEngine {
             mode,
             dfas: DfaTable::default(),
             keys: KeyTable::new(width),
+            num_states: 0,
             visible_keys: KeyTable::new(width),
             by_shared: HashMap::new(),
             store,
@@ -300,14 +329,17 @@ impl SymbolicEngine {
 
     /// Rebuilds an engine from deserialized parts: the symbolic-state
     /// table in discovery order plus an already-validated layer record.
-    /// The interned keys, per-shared-state grouping, and CSR rule
-    /// tables are derived, so a restored engine is indistinguishable
-    /// from one that explored the same layers live.
+    /// The interned keys, per-shared-state grouping, CSR rule tables
+    /// and the concrete state counts are derived, so a restored engine
+    /// is indistinguishable from one that explored the same layers
+    /// live.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency between the
-    /// state table and the layer record, without echoing state content.
+    /// state table and the layer record, or of a state that is not the
+    /// canonical representative of its orbit, without echoing state
+    /// content.
     pub(crate) fn from_parts(
         cpds: Cpds,
         budget: ExploreBudget,
@@ -315,7 +347,10 @@ impl SymbolicEngine {
         states: Vec<SymbolicState>,
         store: LayerStore,
     ) -> Result<Self, String> {
-        if states.len() != store.state_count_at(store.current_k()) {
+        let recorded: usize = (0..=store.current_k())
+            .map(|k| store.layer_ids(k).len())
+            .sum();
+        if states.len() != recorded {
             return Err("state table does not match the layer record".to_owned());
         }
         if states[0] != SymbolicState::singleton(&cpds.initial_state()) {
@@ -327,6 +362,18 @@ impl SymbolicEngine {
                 return Err("duplicate symbolic state in state table".to_owned());
             }
         }
+        let (keys, symmetry) = (&engine.keys, &engine.symmetry);
+        if (0..keys.len() as u32).any(|id| !symmetry.is_canonical(&engine.dfas, &keys.key(id)[1..]))
+        {
+            return Err(
+                "state table holds a state that is not its orbit's canonical representative"
+                    .to_owned(),
+            );
+        }
+        engine
+            .store
+            .weigh_states(|id| symmetry.weight(&keys.key(id)[1..]));
+        engine.num_states = engine.store.state_count_at(engine.store.current_k());
         Ok(engine)
     }
 
@@ -344,9 +391,16 @@ impl SymbolicEngine {
         }
     }
 
-    /// The stored symbolic states in discovery order (serialization).
+    /// The stored symbolic states, one representative per orbit, in
+    /// discovery order (serialization).
     pub(crate) fn states(&self) -> impl Iterator<Item = SymbolicState> + '_ {
         (0..self.keys.len() as u32).map(|id| self.state(id))
+    }
+
+    /// Number of stored symbolic states, one representative per orbit
+    /// (at most [`num_symbolic_states`](Self::num_symbolic_states)).
+    pub fn num_stored(&self) -> usize {
+        self.keys.len()
     }
 
     /// The CPDS being explored.
@@ -376,12 +430,14 @@ impl SymbolicEngine {
         self.budget.interrupt = interrupt;
     }
 
-    /// Total number of symbolic states stored.
+    /// Total number of symbolic states found so far, `|Sk|`: every
+    /// member of every stored orbit.
     pub fn num_symbolic_states(&self) -> usize {
-        self.keys.len()
+        self.num_states
     }
 
-    /// Symbolic states first produced at context bound `k`, in
+    /// The representatives of the symbolic states first produced at
+    /// context bound `k` (`Sk \ Sk−1`, one state per orbit), in
     /// discovery order (materialized from the interned keys).
     ///
     /// # Panics
@@ -391,18 +447,29 @@ impl SymbolicEngine {
         self.store.layer_ids(k).iter().map(|&id| self.state(id))
     }
 
+    /// The orbit of `state`: every distinct symbolic state that
+    /// permuting the stack languages of interchangeable threads turns
+    /// it into, `state` first.
+    pub fn orbit(&self, state: &SymbolicState) -> Vec<SymbolicState> {
+        self.symmetry
+            .arrangements(&state.stacks)
+            .into_iter()
+            .map(|stacks| SymbolicState { q: state.q, stacks })
+            .collect()
+    }
+
     /// Visible states first seen at context bound `k`
-    /// (`T(Sk) \ T(Sk−1)`).
+    /// (`T(Sk) \ T(Sk−1)`), decoded from the layer record's keys.
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn visible_layer(&self, k: usize) -> &[VisibleState] {
+    pub fn visible_layer(&self, k: usize) -> Vec<VisibleState> {
         self.store.visible_layer(k)
     }
 
     /// All visible states seen so far (`T(Sk)` at the current bound).
-    pub fn visible_total(&self) -> impl Iterator<Item = &VisibleState> + '_ {
+    pub fn visible_total(&self) -> impl Iterator<Item = VisibleState> + '_ {
         self.store.visible_iter()
     }
 
@@ -412,8 +479,9 @@ impl SymbolicEngine {
     }
 
     /// Whether a concrete global state is covered by any stored
-    /// symbolic state (i.e. is context-bounded reachable at the
-    /// current bound). Used in cross-validation tests.
+    /// symbolic state or a member of its orbit (i.e. is
+    /// context-bounded reachable at the current bound). Used in
+    /// cross-validation tests.
     pub fn covers(&self, state: &GlobalState) -> bool {
         if state.stacks.len() != self.cpds.num_threads() {
             return false;
@@ -426,10 +494,9 @@ impl SymbolicEngine {
         (0..self.keys.len() as u32).any(|id| {
             let key = self.keys.key(id);
             key[0] == state.q.0
-                && words
-                    .iter()
-                    .zip(&key[1..])
-                    .all(|(word, &dfa)| self.dfas.get(dfa).accepts(word))
+                && self
+                    .symmetry
+                    .some_permutation(|t, u| self.dfas.get(key[u + 1]).accepts(&words[t]))
         })
     }
 
@@ -444,8 +511,7 @@ impl SymbolicEngine {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
-            self.store
-                .push_layer(Vec::new(), Vec::new(), self.keys.len());
+            self.store.push_layer(Vec::new(), 0, self.num_states);
             return Ok(SymbolicLayerSummary {
                 k,
                 new_symbolic: 0,
@@ -453,36 +519,33 @@ impl SymbolicEngine {
             });
         }
         let frontier: Vec<u32> = self.store.layer_ids(k - 1).to_vec();
+        let before = self.num_states;
         let round_start = self.keys.len();
         let visible_start = self.visible_keys.len();
         let mut new_layer: Vec<u32> = Vec::new();
-        let mut new_visible: Vec<VisibleState> = Vec::new();
+        let mut new_visible = 0usize;
         let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
-        // Per thread, its context step from the current frontier state;
-        // a twin's entry stays unused.
-        let mut steps: Vec<Vec<(SharedState, u32)>> = vec![Vec::new(); self.cpds.num_threads()];
 
         for &tau_id in &frontier {
             for thread in 0..self.cpds.num_threads() {
                 let step = self.budget.interrupt.check().and_then(|()| {
-                    let twin = self
+                    // A twin's successors are its earlier twin's with
+                    // the two threads' languages swapped: the same
+                    // orbits.
+                    if self
                         .symmetry
-                        .earlier_twin(&self.keys.key(tau_id)[1..], thread);
-                    let source = match twin {
-                        Some(twin) => {
-                            METRICS.symbolic_contexts_shared.inc();
-                            twin
-                        }
-                        None => {
-                            steps[thread] = self.context_post(tau_id, thread)?;
-                            thread
-                        }
-                    };
-                    for &(q2, dfa) in &steps[source] {
+                        .earlier_twin(&self.keys.key(tau_id)[1..], thread)
+                        .is_some()
+                    {
+                        METRICS.symbolic_contexts_shared.inc();
+                        return Ok(());
+                    }
+                    for (q2, dfa) in self.context_post(tau_id, thread)? {
                         key.clear();
                         key.extend_from_slice(self.keys.key(tau_id));
                         key[0] = q2.0;
                         key[thread + 1] = dfa;
+                        self.symmetry.resort(&self.dfas, &mut key[1..], thread);
                         self.register(&key, &mut new_layer, &mut new_visible)?;
                     }
                     Ok(())
@@ -496,11 +559,11 @@ impl SymbolicEngine {
 
         let summary = SymbolicLayerSummary {
             k,
-            new_symbolic: new_layer.len(),
-            new_visible: new_visible.len(),
+            new_symbolic: self.num_states - before,
+            new_visible,
         };
         self.store
-            .push_layer(new_layer, new_visible, self.keys.len());
+            .push_layer(new_layer, new_visible, self.num_states);
         Ok(summary)
     }
 
@@ -510,8 +573,9 @@ impl SymbolicEngine {
     /// retried.
     fn rollback(&mut self, round_start: usize, visible_start: usize) {
         for id in round_start..self.keys.len() {
-            let q = SharedState(self.keys.key(id as u32)[0]);
-            if let Some(ids) = self.by_shared.get_mut(&q) {
+            let key = self.keys.key(id as u32);
+            self.num_states -= self.symmetry.weight(&key[1..]);
+            if let Some(ids) = self.by_shared.get_mut(&SharedState(key[0])) {
                 ids.retain(|&other| (other as usize) < round_start);
             }
         }
@@ -534,6 +598,7 @@ impl SymbolicEngine {
         tau_id: u32,
         thread: usize,
     ) -> Result<Vec<(SharedState, u32)>, ExploreError> {
+        METRICS.symbolic_contexts_run.inc();
         let key = self.keys.key(tau_id);
         let q = SharedState(key[0]);
         let stack_nfa = self.dfas.get(key[thread + 1]).to_nfa();
@@ -561,24 +626,25 @@ impl SymbolicEngine {
         Ok(out)
     }
 
-    /// Whether the state keyed `key` is pointwise subsumed by stored
-    /// state `id` of the same shared state (`γ(key) ⊆ γ(id)`); equal
-    /// automaton ids short-cut the language inclusion test.
+    /// Whether the state keyed `key` is pointwise subsumed by a member
+    /// of the orbit of stored state `id` of the same shared state
+    /// (`γ(key) ⊆ γ(σ(id))` for some permutation `σ` within classes);
+    /// equal automaton ids short-cut the language inclusion test.
     fn subsumed_by(&self, key: &[u32], id: u32) -> bool {
-        key[1..]
-            .iter()
-            .zip(&self.keys.key(id)[1..])
-            .all(|(&a, &b)| {
-                a == b || language_subset(&self.dfas.get(a).to_nfa(), &self.dfas.get(b).to_nfa())
-            })
+        let other = self.keys.key(id);
+        self.symmetry.some_permutation(|t, u| {
+            let (a, b) = (key[t + 1], other[u + 1]);
+            a == b || language_subset(&self.dfas.get(a).to_nfa(), &self.dfas.get(b).to_nfa())
+        })
     }
 
-    /// Stores the successor keyed `key` unless deduplicated/subsumed.
+    /// Stores the canonical successor keyed `key`, weighed by its
+    /// orbit, unless deduplicated/subsumed.
     fn register(
         &mut self,
         key: &[u32],
         new_layer: &mut Vec<u32>,
-        new_visible: &mut Vec<VisibleState>,
+        new_visible: &mut usize,
     ) -> Result<(), ExploreError> {
         let empty = key[1..]
             .iter()
@@ -594,41 +660,48 @@ impl SymbolicEngine {
                 }
             }
         }
-        if self.keys.len() >= self.budget.max_symbolic_states {
+        let weight = self.symmetry.weight(&key[1..]);
+        if self.num_states.saturating_add(weight) > self.budget.max_symbolic_states {
             return Err(ExploreError::SymbolicBudgetExceeded {
                 limit: self.budget.max_symbolic_states,
             });
         }
         let (id, _) = self.keys.insert(key);
-        self.record_visible_states(key, new_visible);
+        self.num_states += weight;
+        *new_visible += self.record_visible_states(key);
         self.by_shared.entry(q).or_default().push(id);
         new_layer.push(id);
         Ok(())
     }
 
-    /// Records the visible states `T(τ) = {q} × T(A1) × … × T(An)` of
-    /// the state keyed `key` (Eq. 4), in the order of
-    /// [`SymbolicState::visible_states`] — unless a state with the same
+    /// Records the visible states of the whole orbit of the state
+    /// keyed `key`: `T(τ) = {q} × T(A1) × … × T(An)` (Eq. 4) for every
+    /// distinct arrangement of its top sets within classes, in the
+    /// order of [`SymbolicState::visible_states`] — unless its
     /// `(q, [TopSetId; n])` was recorded before, which makes every one
-    /// of them a repeat. Candidates stay visible keys; only a new one
-    /// is materialized.
-    fn record_visible_states(&mut self, key: &[u32], new_visible: &mut Vec<VisibleState>) {
+    /// of them a repeat. Returns how many visible states were new.
+    fn record_visible_states(&mut self, key: &[u32]) -> usize {
         let mut top_key = Vec::with_capacity(key.len());
         top_key.push(key[0]);
         top_key.extend(key[1..].iter().map(|&d| self.dfas.top_set_of[d as usize]));
-        if !self.visible_keys.insert(&top_key).1 {
-            return;
+        if self.visible_keys.find(&top_key).is_some() {
+            // Recorded with its whole arrangement orbit.
+            return 0;
         }
-        let domains: Vec<&[u32]> = top_key[1..]
-            .iter()
-            .map(|&t| self.dfas.top_sets[t as usize].as_slice())
-            .collect();
-        let store = &mut self.store;
-        for_each_visible_key(SharedState(key[0]), &domains, |visible| {
-            if store.record_visible_key(visible) {
-                new_visible.push(VisibleState::from_key(visible));
-            }
-        });
+        let mut new = 0;
+        for tops in self.symmetry.arrangements(&top_key[1..]) {
+            top_key[1..].copy_from_slice(&tops);
+            self.visible_keys.insert(&top_key);
+            let domains: Vec<&[u32]> = tops
+                .iter()
+                .map(|&t| self.dfas.top_sets[t as usize].as_slice())
+                .collect();
+            let store = &mut self.store;
+            for_each_visible_key(SharedState(key[0]), &domains, |visible| {
+                new += usize::from(store.record_visible_key(visible));
+            });
+        }
+        new
     }
 
     /// Runs rounds until collapse or `max_k`; returns the final bound.
@@ -732,8 +805,8 @@ mod tests {
             sym.advance().unwrap();
             exp.advance().unwrap();
             // T(Sk) must equal T(Rk) at every bound.
-            let sv: std::collections::HashSet<_> = sym.visible_total().cloned().collect();
-            let ev: std::collections::HashSet<_> = exp.visible_total().cloned().collect();
+            let sv: std::collections::HashSet<_> = sym.visible_total().collect();
+            let ev: std::collections::HashSet<_> = exp.visible_total().collect();
             assert_eq!(sv, ev, "visible mismatch at k={}", sym.current_k());
         }
         // Every concrete state of R6 is covered symbolically.
@@ -795,8 +868,8 @@ mod tests {
         for _ in 0..5 {
             exact.advance().unwrap();
             pw.advance().unwrap();
-            let pv: std::collections::HashSet<_> = pw.visible_total().cloned().collect();
-            let xv: std::collections::HashSet<_> = exact.visible_total().cloned().collect();
+            let pv: std::collections::HashSet<_> = pw.visible_total().collect();
+            let xv: std::collections::HashSet<_> = exact.visible_total().collect();
             assert_eq!(pv, xv);
             assert!(pw.num_symbolic_states() <= exact.num_symbolic_states());
         }

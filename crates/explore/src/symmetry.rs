@@ -1,21 +1,38 @@
-//! Thread symmetry for the explicit engine.
+//! Thread symmetry for both engines.
 //!
 //! Threads with equal programs and equal initial stacks — the copies of
 //! a thread template, see [`Cpds::thread_classes`] — are
 //! interchangeable: permuting their stacks maps runs to runs and
-//! contexts to contexts, so every layer `Rk` is closed under those
-//! permutations (symmetry reduction in the sense of Emerson & Sistla).
-//! The explicit engine therefore stores one *canonical representative*
-//! per orbit, the member whose stacks are sorted by content within
-//! each class, and weighs it by the size of its orbit, so that every
-//! count it reports stays concrete.
+//! contexts to contexts, so every layer `Rk` (and `Sk`, whose stack
+//! languages permute the same way) is closed under those permutations
+//! (symmetry reduction in the sense of Emerson & Sistla). Each engine
+//! therefore stores one *canonical representative* per orbit, the
+//! member whose stacks are sorted by content within each class, and
+//! weighs it by the size of its orbit, so that every count it reports
+//! stays concrete.
 //!
-//! Here a state's stacks are the `[StackId; n]` part of its interned
-//! key, indexed by thread.
+//! Here a state's stacks are the `[StackId; n]` (explicit) or
+//! `[DfaId; n]` (symbolic) part of its interned key, indexed by
+//! thread, and [`ContentOrder`] orders those ids by what they stand
+//! for.
 
 use std::cmp::Ordering;
 
-use cuba_pds::{Cpds, GlobalState, StackId, StackTable, VisibleState};
+use cuba_pds::{Cpds, GlobalState, StackId, StackTable};
+
+/// A table whose ids order by the content they stand for, whatever
+/// order it interned them in. A canonical form built on this order
+/// survives a restore that re-interns the content.
+pub(crate) trait ContentOrder {
+    fn cmp_ids(&self, a: u32, b: u32) -> Ordering;
+}
+
+/// Stacks order by depth, then by symbols from the top down.
+impl ContentOrder for StackTable {
+    fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
+        self.cmp_content(StackId(a), StackId(b))
+    }
+}
 
 /// The classes of interchangeable threads of one system.
 #[derive(Debug, Clone)]
@@ -69,10 +86,10 @@ impl Symmetry {
     }
 
     /// Sorts `stacks` by content within each class.
-    pub(crate) fn canonicalize(&self, table: &StackTable, stacks: &mut [u32]) {
+    pub(crate) fn canonicalize(&self, table: &impl ContentOrder, stacks: &mut [u32]) {
         for class in &self.classes {
             let mut sorted: Vec<u32> = class.iter().map(|&t| stacks[t]).collect();
-            sorted.sort_by(|&a, &b| table.cmp_content(StackId(a), StackId(b)));
+            sorted.sort_by(|&a, &b| table.cmp_ids(a, b));
             for (&t, id) in class.iter().zip(sorted) {
                 stacks[t] = id;
             }
@@ -80,7 +97,7 @@ impl Symmetry {
     }
 
     /// Whether `stacks` are sorted by content within each class.
-    pub(crate) fn is_canonical(&self, table: &StackTable, stacks: &[u32]) -> bool {
+    pub(crate) fn is_canonical(&self, table: &impl ContentOrder, stacks: &[u32]) -> bool {
         self.classes.iter().all(|class| {
             class
                 .windows(2)
@@ -94,7 +111,12 @@ impl Symmetry {
     /// running thread of the context). Where several threads hold that
     /// stack, which of them runs is immaterial: they are
     /// interchangeable in this state.
-    pub(crate) fn resort(&self, table: &StackTable, stacks: &mut [u32], thread: usize) -> usize {
+    pub(crate) fn resort(
+        &self,
+        table: &impl ContentOrder,
+        stacks: &mut [u32],
+        thread: usize,
+    ) -> usize {
         let Some(class) = self.class(thread) else {
             return thread;
         };
@@ -140,7 +162,7 @@ impl Symmetry {
 
     /// Every distinct arrangement of `items`, one item per thread, that
     /// permutes items within classes; `items` itself first.
-    fn arrangements<T: Clone + PartialEq>(&self, items: &[T]) -> Vec<Vec<T>> {
+    pub(crate) fn arrangements<T: Clone + PartialEq>(&self, items: &[T]) -> Vec<Vec<T>> {
         let mut out = vec![items.to_vec()];
         for class in &self.classes {
             let mut next = Vec::new();
@@ -169,14 +191,24 @@ impl Symmetry {
             .collect()
     }
 
-    /// The orbit of a visible state: every distinct arrangement of its
-    /// tops within classes, `v` first. At most as large as the orbit
-    /// of any global state projecting to `v`.
-    pub(crate) fn visible_orbit(&self, v: &VisibleState) -> Vec<VisibleState> {
-        self.arrangements(&v.tops)
-            .into_iter()
-            .map(|tops| VisibleState::new(v.q, tops))
-            .collect()
+    /// Whether some permutation `σ` of the threads within classes has
+    /// `fits(i, σ(i))` for every thread `i`: a perfect matching per
+    /// class (Kuhn's augmenting paths), each pair asked at most once.
+    /// With `fits(i, j)` "slot `i` of one state lies inside slot `j` of
+    /// another", this asks whether the first lies inside some member of
+    /// the second's orbit, without enumerating the orbit.
+    pub(crate) fn some_permutation(&self, fits: impl Fn(usize, usize) -> bool) -> bool {
+        let fixed = (0..self.class_of.len()).all(|t| self.class_of[t].is_some() || fits(t, t));
+        fixed
+            && self.classes.iter().all(|class| {
+                let m = class.len();
+                let mut known: Vec<Option<bool>> = vec![None; m * m];
+                let mut fits_at = |a: usize, b: usize| {
+                    *known[a * m + b].get_or_insert_with(|| fits(class[a], class[b]))
+                };
+                let mut owner = vec![None; m];
+                (0..m).all(|a| augment(a, &mut vec![false; m], &mut owner, &mut fits_at))
+            })
     }
 
     /// A permutation `σ` of the threads, within classes, that maps
@@ -214,8 +246,30 @@ pub(crate) fn permute(sigma: &[usize], state: &GlobalState) -> GlobalState {
     GlobalState::new(state.q, stacks)
 }
 
-fn greater(table: &StackTable, a: u32, b: u32) -> bool {
-    table.cmp_content(StackId(a), StackId(b)) == Ordering::Greater
+fn greater(table: &impl ContentOrder, a: u32, b: u32) -> bool {
+    table.cmp_ids(a, b) == Ordering::Greater
+}
+
+/// Kuhn's step: finds position `a` of a class a slot `b` it fits, one
+/// not visited in this search that is free or whose owner can move to
+/// another slot. `owner[b]` is the position matched to slot `b`.
+fn augment(
+    a: usize,
+    seen: &mut [bool],
+    owner: &mut [Option<usize>],
+    fits: &mut dyn FnMut(usize, usize) -> bool,
+) -> bool {
+    for b in 0..seen.len() {
+        if seen[b] || !fits(a, b) {
+            continue;
+        }
+        seen[b] = true;
+        if owner[b].is_none_or(|other| augment(other, seen, owner, fits)) {
+            owner[b] = Some(a);
+            return true;
+        }
+    }
+    false
 }
 
 /// Emits each distinct permutation of `values` once, the identity
@@ -285,6 +339,40 @@ mod tests {
         assert_eq!(canonical(&[0, 1, 2]), want);
         assert_eq!(canonical(&[2, 1, 0]), want);
         assert_eq!(canonical(&[1, 0, 2]), want);
+    }
+
+    /// The matching finds a permutation within classes when one
+    /// exists, even when a greedy choice would block it, holds the
+    /// other threads fixed, and asks each pair of a class at most once.
+    #[test]
+    fn some_permutation_matches_within_classes() {
+        let symmetry = Symmetry::new(&copies(3));
+        let fits = |edges: &[(usize, usize)]| {
+            let asked = std::cell::Cell::new(0);
+            let found = symmetry.some_permutation(|i, j| {
+                asked.set(asked.get() + 1);
+                edges.contains(&(i, j))
+            });
+            assert!(asked.get() <= 9);
+            found
+        };
+        assert!(fits(&[(0, 0), (1, 1), (2, 2)]));
+        assert!(fits(&[(0, 0), (0, 1), (1, 0), (2, 1), (2, 2)]));
+        assert!(!fits(&[(0, 2), (1, 2), (2, 2), (2, 0)]));
+
+        let mut other = PdsBuilder::new(2, 40);
+        other
+            .overwrite(SharedState(1), StackSym(0), SharedState(0), StackSym(1))
+            .unwrap();
+        let mixed = CpdsBuilder::new(2, SharedState(0))
+            .thread(copies(1).thread(0).clone(), [StackSym(0)])
+            .thread(other.build().unwrap(), [StackSym(0)])
+            .thread(copies(1).thread(0).clone(), [StackSym(0)])
+            .build()
+            .unwrap();
+        let symmetry = Symmetry::new(&mixed);
+        assert!(symmetry.some_permutation(|i, j| [(0, 2), (2, 0), (1, 1)].contains(&(i, j))));
+        assert!(!symmetry.some_permutation(|i, j| i != 1 || j != 1));
     }
 
     /// Orbit sizes are multinomials over equal stacks, match the orbit

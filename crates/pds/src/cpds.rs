@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::{
     GlobalState, Pds, PdsConfig, PdsError, SharedState, Stack, StackSym, ThreadId, VisibleState,
 };
@@ -9,13 +11,17 @@ use crate::{
 /// A step nondeterministically picks a thread and fires one of its
 /// enabled actions on the shared state and that thread's stack; all
 /// other stacks are untouched.
+///
+/// A model is immutable once built, so its programs, initial stacks
+/// and names sit behind `Arc`s: every clone (a cache entry, a broker
+/// registry entry, an explorer) shares one copy.
 #[derive(Debug, Clone)]
 pub struct Cpds {
     num_shared: u32,
     q_init: SharedState,
-    threads: Vec<Pds>,
-    initial_stacks: Vec<Stack>,
-    shared_names: Vec<Option<String>>,
+    threads: Arc<[Pds]>,
+    initial_stacks: Arc<[Stack]>,
+    shared_names: Arc<[Option<String>]>,
 }
 
 impl Cpds {
@@ -72,7 +78,7 @@ impl Cpds {
 
     /// The initial global state `⟨qI|w1^0,…,wn^0⟩`.
     pub fn initial_state(&self) -> GlobalState {
-        GlobalState::new(self.q_init, self.initial_stacks.clone())
+        GlobalState::new(self.q_init, self.initial_stacks.to_vec())
     }
 
     /// The classes of interchangeable threads: threads with equal
@@ -165,7 +171,7 @@ impl Cpds {
     /// length of any strict growth of `(T(Rk))` (Prop. 3).
     pub fn all_visible_states(&self) -> Vec<VisibleState> {
         let mut per_thread: Vec<Vec<Option<StackSym>>> = Vec::with_capacity(self.num_threads());
-        for t in &self.threads {
+        for t in self.threads.iter() {
             let mut tops: Vec<Option<StackSym>> = vec![None];
             tops.extend(t.used_symbols().into_iter().map(Some));
             per_thread.push(tops);
@@ -284,9 +290,9 @@ impl CpdsBuilder {
         Ok(Cpds {
             num_shared: self.num_shared,
             q_init: self.q_init,
-            threads: self.threads,
-            initial_stacks: self.initial_stacks,
-            shared_names: self.shared_names,
+            threads: self.threads.into(),
+            initial_stacks: self.initial_stacks.into(),
+            shared_names: self.shared_names.into(),
         })
     }
 }
@@ -415,6 +421,16 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(deep.emerging_symbols(0), vec![s(0), s(2)]);
+    }
+
+    /// Clones share the model instead of copying it.
+    #[test]
+    fn clones_share_one_model() {
+        let c = fig1();
+        let d = c.clone();
+        assert!(Arc::ptr_eq(&c.threads, &d.threads));
+        assert!(Arc::ptr_eq(&c.initial_stacks, &d.initial_stacks));
+        assert!(Arc::ptr_eq(&c.shared_names, &d.shared_names));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::ops::ControlFlow;
 
 use cuba_core::{explore_z, Property};
 use cuba_explore::Interrupt;
-use cuba_pds::{code_top, Cpds, KeyTable, SharedState, VisibleState};
+use cuba_pds::{code_top, Cpds, KeyTable, SharedState};
 
 /// The most skeleton edges one analysis walks. Every edge is one BFS
 /// step and one stored predecessor, and a BFS discovers at most
@@ -62,7 +62,8 @@ impl std::error::Error for SkeletonTooLarge {}
 /// labeled reverse edges, plus the per-action firability verdicts.
 pub(crate) struct Skeleton {
     /// The product's visible states as keys `(q, [top code; n])` (see
-    /// [`VisibleState::key`]); a key's id is its state id.
+    /// [`VisibleState::key`](cuba_pds::VisibleState::key)); a key's id
+    /// is its state id.
     pub states: KeyTable,
     /// Reverse adjacency: `preds[v]` lists `(u, thread, action)` for
     /// every abstract edge `u → v`.
@@ -153,9 +154,9 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
     let mut in_cone = vec![false; skel.num_states()];
     let mut stack: Vec<u32> = Vec::new();
     for id in 0..skel.num_states() as u32 {
-        let v = VisibleState::from_key(skel.states.key(id));
+        let key = skel.states.key(id);
         for (p, property) in properties.iter().enumerate() {
-            if property.violated_by(&v) {
+            if property.violated_by_key(key) {
                 vacuous[p] = false;
                 if !in_cone[id as usize] {
                     in_cone[id as usize] = true;
@@ -181,7 +182,7 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuba_pds::{CpdsBuilder, PdsBuilder, StackSym};
+    use cuba_pds::{CpdsBuilder, PdsBuilder, StackSym, VisibleState};
 
     fn q(n: u32) -> SharedState {
         SharedState(n)

@@ -268,9 +268,11 @@ pub struct Metrics {
     /// Saturation waves: `post*` worklist runs, `pre*` fixpoint
     /// passes, and explicit layer rounds.
     pub waves: Counter,
-    /// Symbolic context steps taken over from an interchangeable
-    /// thread with the same stack language in the same state, instead
-    /// of running `post*` again.
+    /// Symbolic context steps run: one `post*` saturation each.
+    pub symbolic_contexts_run: Counter,
+    /// Symbolic context steps left to an interchangeable thread with
+    /// the same stack language in the same state, whose successors lie
+    /// in the same orbits, instead of running `post*` again.
     pub symbolic_contexts_shared: Counter,
     /// Never incremented: saturation is sequential. Kept because the
     /// `perfbench/` harness reads it; not exported to `/metrics`.
@@ -312,6 +314,7 @@ impl Metrics {
             rounds_explored: C,
             rounds_replayed: C,
             waves: C,
+            symbolic_contexts_run: C,
             symbolic_contexts_shared: C,
             steals: C,
             frontier_edges: H,
@@ -377,7 +380,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let m = &METRICS;
     let mut out = String::with_capacity(8 * 1024);
-    let counters: [(&str, &Counter, &str); 10] = [
+    let counters: [(&str, &Counter, &str); 11] = [
         (
             "cuba_rounds_explored_total",
             &m.rounds_explored,
@@ -392,6 +395,11 @@ pub fn render_prometheus() -> String {
             "cuba_waves_total",
             &m.waves,
             "Saturation waves (post* runs, pre* passes, explicit layer rounds).",
+        ),
+        (
+            "cuba_symbolic_contexts_run_total",
+            &m.symbolic_contexts_run,
+            "Symbolic context steps run (one post* saturation each).",
         ),
         (
             "cuba_symbolic_contexts_shared_total",
@@ -629,6 +637,7 @@ mod tests {
             "cuba_rounds_explored_total",
             "cuba_rounds_replayed_total",
             "cuba_waves_total",
+            "cuba_symbolic_contexts_run_total",
             "cuba_symbolic_contexts_shared_total",
             "cuba_cache_hits_total",
             "cuba_cache_misses_total",

@@ -119,6 +119,7 @@
 //! any unsafe → 1, else any undetermined → 3, else 0.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -131,6 +132,33 @@ use cuba::core::{
 use cuba::explore::{ExploreBudget, Interrupt, SharedExplorer, SubsumptionMode};
 use cuba::pds::{Cpds, SharedState};
 use cuba_bench::JsonObject;
+
+/// Prints one line on stdout, as `println!` does, through
+/// [`write_line`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A reader that went away (`BrokenPipe`,
+/// as under `cuba … | head -1`) ends the output: later lines are
+/// dropped and the command returns its own exit status, so verdict
+/// codes keep their meaning. Any other write error is fatal (exit 2).
+fn write_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(2);
+        }
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -324,12 +352,15 @@ fn trace_check(args: &[String]) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let summary =
         cuba_telemetry::trace::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    outln!(
         "{path}: valid Chrome trace — {} events ({} spans, {} instants) on {} tracks",
-        summary.events, summary.spans, summary.instants, summary.tracks
+        summary.events,
+        summary.spans,
+        summary.instants,
+        summary.tracks
     );
     for (name, count) in &summary.span_names {
-        println!("  {name}: {count}");
+        outln!("  {name}: {count}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -423,7 +454,7 @@ fn snapshot_cmd(args: &[String]) -> Result<ExitCode, String> {
     let fp = fingerprint(&cpds);
     let bytes = explorer.snapshot(fp);
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "snapshot written to {out} ({}, depth {}, {} bytes, fingerprint {fp:016x})",
         explorer.snapshot_kind().label(),
         explorer.depth(),
@@ -479,17 +510,17 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     let server = cuba_serve::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     // Scripts scrape this line for the ephemeral port; keep it stable.
-    println!("cuba-serve listening on http://{addr} ({workers} workers)");
+    outln!("cuba-serve listening on http://{addr} ({workers} workers)");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| format!("serve: {e}"))?;
     // run() flushed every resident system's layer snapshots into the
     // state dir before returning (the warm-start half of --state-dir).
     if let Some(dir) = &common.state_dir {
-        println!("state saved to {dir}");
+        outln!("state saved to {dir}");
     }
     finish_trace_recording(trace_out)?;
-    println!("cuba-serve drained and shut down");
+    outln!("cuba-serve drained and shut down");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -570,7 +601,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     let run = cuba_bench::harness::run(&plan);
     finish_trace_recording(trace_out)?;
     let record = cuba_bench::harness::run_to_json(&run);
-    println!("{record}");
+    outln!("{record}");
     eprintln!(
         "measured {} workloads x {} samples in {:.1}s",
         run.rows.len(),
@@ -690,15 +721,15 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
             .raw("note", note.to_string())
             .raw("reduction", stats_json(&analysis.stats))
             .finish();
-        println!("{out}");
+        outln!("{out}");
     } else {
         for lint in &lints {
-            println!("{lint}");
+            outln!("{lint}");
         }
         if lints.is_empty() {
-            println!("{path}: no diagnostics");
+            outln!("{path}: no diagnostics");
         } else {
-            println!("{path}: {deny} deny, {warn} warn, {note} note");
+            outln!("{path}: {deny} deny, {warn} warn, {note} note");
         }
     }
     Ok(if deny > 0 {
@@ -916,10 +947,10 @@ fn verify(
             .map_err(|e| e.to_string())?;
 
         if options.json {
-            println!("{}", outcome_json(&outcome, &round_log, &spec));
+            outln!("{}", outcome_json(&outcome, &round_log, &spec));
         } else {
             if many {
-                println!("property {spec}:");
+                outln!("property {spec}:");
             }
             print_outcome(&outcome);
         }
@@ -940,30 +971,34 @@ fn verify(
 }
 
 fn print_outcome(outcome: &CubaOutcome) {
-    println!("{}", outcome.verdict);
-    println!(
+    outln!("{}", outcome.verdict);
+    outln!(
         "engine: {}, rounds: {}, states: {}, fcr: {}, time: {:?}",
-        outcome.engine, outcome.rounds, outcome.states, outcome.fcr_holds, outcome.duration
+        outcome.engine,
+        outcome.rounds,
+        outcome.states,
+        outcome.fcr_holds,
+        outcome.duration
     );
     if let Verdict::Unsafe {
         witness: Some(w), ..
     } = &outcome.verdict
     {
-        println!(
+        outln!(
             "counterexample ({} steps, {} contexts):",
             w.len(),
             w.num_contexts()
         );
-        println!("  {w}");
+        outln!("  {w}");
     }
 }
 
 fn print_info(path: &str, cpds: &Cpds) {
-    println!("file: {path}");
-    println!("threads: {}", cpds.num_threads());
-    println!("shared states: {}", cpds.num_shared());
+    outln!("file: {path}");
+    outln!("threads: {}", cpds.num_threads());
+    outln!("shared states: {}", cpds.num_shared());
     for (i, t) in cpds.threads().iter().enumerate() {
-        println!(
+        outln!(
             "thread {}: {} actions, {} stack symbols, initial stack {}",
             i,
             t.actions().len(),
@@ -973,16 +1008,16 @@ fn print_info(path: &str, cpds: &Cpds) {
     }
     for class in cpds.thread_classes() {
         let members: Vec<String> = class.iter().map(usize::to_string).collect();
-        println!("interchangeable threads: {{{}}}", members.join(", "));
+        outln!("interchangeable threads: {{{}}}", members.join(", "));
     }
-    println!("initial state: {}", cpds.initial_state());
+    outln!("initial state: {}", cpds.initial_state());
 }
 
 fn print_fcr(cpds: &Cpds) {
     let report = check_fcr(cpds);
-    println!("{report}");
+    outln!("{report}");
     for (i, v) in report.per_thread.iter().enumerate() {
-        println!("  thread {i}: R(Q x Sigma<=1) is {v}");
+        outln!("  thread {i}: R(Q x Sigma<=1) is {v}");
     }
 }
 
@@ -1085,6 +1120,10 @@ fn telemetry_json(outcome: &CubaOutcome) -> String {
         .raw("check_us", stages.check.as_micros().to_string())
         .raw("merge_us", stages.merge.as_micros().to_string())
         .raw("waves", METRICS.waves.get().to_string())
+        .raw(
+            "contexts_run",
+            METRICS.symbolic_contexts_run.get().to_string(),
+        )
         .raw(
             "contexts_shared",
             METRICS.symbolic_contexts_shared.get().to_string(),

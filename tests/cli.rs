@@ -1,7 +1,7 @@
 //! Integration tests of the `cuba` command-line interface, driven
 //! against the shipped sample inputs.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cuba(args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(env!("CARGO_BIN_EXE_cuba"))
@@ -467,4 +467,56 @@ fn timeout_yields_undetermined_exit_code() {
     let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--timeout", "abc"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("bad --timeout"));
+}
+
+/// Runs `cuba` with stdout on a pipe whose reading end is already
+/// closed, as under `cuba … | head -1` once `head` has exited: its
+/// stderr and exit code.
+fn cuba_into_closed_pipe(args: &[&str]) -> (String, Option<i32>) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_cuba"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+/// A reader that goes away ends the output: every subcommand that
+/// prints returns its normal exit code, so verdict codes keep their
+/// meaning, and nothing panics.
+#[test]
+fn closed_stdout_keeps_the_exit_code() {
+    let dir = std::env::temp_dir().join(format!("cuba-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.json");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let snap = dir.join("fig1.cubasnap");
+    let snap = snap.to_str().expect("utf-8 temp path");
+    let (_, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--trace-out", trace]);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    for (args, want) in [
+        (vec!["info", "samples/ticket.bp"], 0),
+        (vec!["fcr", "samples/fig2.bp"], 0),
+        (vec!["lint", "samples/deadcode.bp"], 0),
+        (vec!["lint", "samples/deadcode.bp", "--json"], 0),
+        (vec!["verify", "samples/fig1.cpds"], 0),
+        (vec!["verify", "samples/ticket.bp"], 1),
+        (vec!["verify", "samples/ticket.bp", "--json"], 1),
+        (vec!["verify", "samples/fig2.bp", "--timeout", "0"], 3),
+        (vec!["trace-check", trace], 0),
+        (vec!["snapshot", "samples/fig1.cpds", "--out", snap], 0),
+    ] {
+        let (stderr, code) = cuba_into_closed_pipe(&args);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(code, Some(want), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

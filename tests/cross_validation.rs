@@ -66,8 +66,8 @@ fn explicit_and_symbolic_visible_sets_agree() {
             if explicit.advance().is_err() || symbolic.advance().is_err() {
                 break;
             }
-            let ev: HashSet<_> = explicit.visible_total().cloned().collect();
-            let sv: HashSet<_> = symbolic.visible_total().cloned().collect();
+            let ev: HashSet<_> = explicit.visible_total().collect();
+            let sv: HashSet<_> = symbolic.visible_total().collect();
             assert_eq!(ev, sv, "seed {seed}");
         }
     }
@@ -424,8 +424,8 @@ fn pushy_agreement_specific_seeds() {
                 ok = false;
                 break;
             }
-            let e: HashSet<_> = explicit.visible_total().cloned().collect();
-            let s: HashSet<_> = symbolic.visible_total().cloned().collect();
+            let e: HashSet<_> = explicit.visible_total().collect();
+            let s: HashSet<_> = symbolic.visible_total().collect();
             assert_eq!(e, s, "divergence at seed {seed}");
         }
         if ok {
@@ -655,8 +655,7 @@ mod reference {
 
         pub fn advance(&mut self) -> Result<(), ExploreError> {
             if self.store.is_collapsed() {
-                self.store
-                    .push_layer(Vec::new(), Vec::new(), self.states.len());
+                self.store.push_layer(Vec::new(), 0, self.states.len());
                 return Ok(());
             }
             let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
@@ -669,7 +668,7 @@ mod reference {
                 }
             }
             self.store
-                .push_layer(new_layer, new_visible, self.states.len());
+                .push_layer(new_layer, new_visible.len(), self.states.len());
             Ok(())
         }
 
@@ -770,8 +769,7 @@ mod reference {
 
         pub fn advance(&mut self) -> Result<(), ExploreError> {
             if self.store.is_collapsed() {
-                self.store
-                    .push_layer(Vec::new(), Vec::new(), self.states.len());
+                self.store.push_layer(Vec::new(), 0, self.states.len());
                 return Ok(());
             }
             let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
@@ -785,7 +783,7 @@ mod reference {
                 }
             }
             self.store
-                .push_layer(new_layer, new_visible, self.states.len());
+                .push_layer(new_layer, new_visible.len(), self.states.len());
             Ok(())
         }
 
@@ -1133,12 +1131,25 @@ fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
     None
 }
 
-/// As [`explicit_difference`], for the symbolic engine in `mode`.
+/// Runs the symbolic engine in `mode` beside the reference rounds,
+/// which store every state and run every thread's step themselves, for
+/// four rounds; the first difference, if any. Per round: the same
+/// `Ok`/`Err`, no stray state after a rollback, the concrete `|Sk|` per
+/// bound, the first-seen record and the collapse bound all match the
+/// reference. Without interchangeable threads the engine must store
+/// exactly the reference's states, layers and visible layers, in the
+/// same order. With them, each stored key must be canonical, no two
+/// stored keys may share an orbit, the orbits of each stored layer
+/// (expanded by [`thread_symmetries`], and by the engine's own
+/// [`SymbolicEngine::orbit`]) must make up the reference layer, and
+/// each visible layer must equal the reference's as a set.
 fn symbolic_difference(
     cpds: &Cpds,
     budget: &ExploreBudget,
     mode: SubsumptionMode,
 ) -> Option<String> {
+    let classes = cpds.thread_classes();
+    let symmetries = thread_symmetries(cpds);
     let mut engine = SymbolicEngine::new(cpds.clone(), budget.clone(), mode);
     let mut reference = reference::Symbolic::new(cpds.clone(), budget.clone(), mode);
     for round in 1..=4 {
@@ -1151,12 +1162,15 @@ fn symbolic_difference(
         }
         if got.is_err() {
             let k = engine.current_k();
-            return (engine.num_symbolic_states() != engine.store().state_count_at(k))
+            let stored: usize = (0..=k).map(|j| engine.store().layer_ids(j).len()).sum();
+            return (engine.num_symbolic_states() != engine.store().state_count_at(k)
+                || engine.num_stored() != stored)
                 .then(|| format!("round {round}: rollback left stray states"));
         }
         if engine.num_symbolic_states() != reference.states.len() {
             return Some(format!("round {round}: state counts differ"));
         }
+        let mut stored_orbits: HashSet<SymbolicState> = HashSet::new();
         for k in 0..=round {
             let layer: Vec<SymbolicState> = engine.layer(k).collect();
             let want: Vec<&SymbolicState> = reference
@@ -1165,12 +1179,61 @@ fn symbolic_difference(
                 .iter()
                 .map(|&id| &reference.states[id as usize])
                 .collect();
-            if layer.iter().collect::<Vec<_>>() != want
-                || engine.store().layer_ids(k) != reference.store.layer_ids(k)
-                || engine.visible_layer(k) != reference.store.visible_layer(k)
-            {
+            if engine.store().state_count_at(k) != reference.store.state_count_at(k) {
+                return Some(format!("round {round}: |S{k}| differs"));
+            }
+            if classes.is_empty() {
+                if layer.iter().collect::<Vec<_>>() != want
+                    || engine.store().layer_ids(k) != reference.store.layer_ids(k)
+                    || engine.visible_layer(k) != reference.store.visible_layer(k)
+                {
+                    return Some(format!("round {round}: layer {k} differs"));
+                }
+                continue;
+            }
+            let mut expanded: HashSet<SymbolicState> = HashSet::new();
+            for state in &layer {
+                let canonical = classes.iter().all(|class| {
+                    class
+                        .windows(2)
+                        .all(|pair| state.stacks[pair[0]] <= state.stacks[pair[1]])
+                });
+                if !canonical {
+                    return Some(format!(
+                        "round {round}: layer {k} stores a non-canonical key"
+                    ));
+                }
+                let orbit: HashSet<SymbolicState> = symmetries
+                    .iter()
+                    .map(|p| SymbolicState {
+                        q: state.q,
+                        stacks: permuted(p, &state.stacks),
+                    })
+                    .collect();
+                if engine.orbit(state).into_iter().collect::<HashSet<_>>() != orbit {
+                    return Some(format!(
+                        "round {round}: orbit() of a layer {k} state differs"
+                    ));
+                }
+                for member in orbit {
+                    if !stored_orbits.insert(member.clone()) {
+                        return Some(format!("round {round}: two stored keys share an orbit"));
+                    }
+                    expanded.insert(member);
+                }
+            }
+            if expanded != want.into_iter().cloned().collect::<HashSet<_>>() {
                 return Some(format!("round {round}: layer {k} differs"));
             }
+            let visible: HashSet<VisibleState> = engine.visible_layer(k).into_iter().collect();
+            let want: HashSet<VisibleState> =
+                reference.store.visible_layer(k).into_iter().collect();
+            if visible != want || engine.store().new_visible_at(k) != want.len() {
+                return Some(format!("round {round}: visible layer {k} differs"));
+            }
+        }
+        if engine.store().collapsed_at() != reference.store.collapsed_at() {
+            return Some(format!("round {round}: collapse bounds differ"));
         }
     }
     None
@@ -1348,18 +1411,20 @@ fn thread_symmetries(cpds: &Cpds) -> Vec<Vec<usize>> {
     out
 }
 
-/// The states `state` maps to under `symmetries` (thread `i`'s stack
-/// moves to thread `p[i]`).
+/// `stacks` with thread `i`'s stack moved to thread `p[i]`.
+fn permuted<T: Clone>(p: &[usize], stacks: &[T]) -> Vec<T> {
+    let mut out = stacks.to_vec();
+    for (i, stack) in stacks.iter().enumerate() {
+        out[p[i]] = stack.clone();
+    }
+    out
+}
+
+/// The states `state` maps to under `symmetries`.
 fn orbit_of(symmetries: &[Vec<usize>], state: &GlobalState) -> Vec<GlobalState> {
     symmetries
         .iter()
-        .map(|p| {
-            let mut stacks = state.stacks.clone();
-            for (i, stack) in state.stacks.iter().enumerate() {
-                stacks[p[i]] = stack.clone();
-            }
-            GlobalState::new(state.q, stacks)
-        })
+        .map(|p| GlobalState::new(state.q, permuted(p, &state.stacks)))
         .collect()
 }
 
@@ -1401,9 +1466,10 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
             if expanded != layer {
                 return Some(format!("round {round}: layer {k} differs"));
             }
-            let visible: HashSet<&VisibleState> = engine.visible_layer(k).iter().collect();
-            let want: HashSet<&VisibleState> = reference.store.visible_layer(k).iter().collect();
-            if visible != want || engine.visible_layer(k).len() != want.len() {
+            let visible: HashSet<VisibleState> = engine.visible_layer(k).into_iter().collect();
+            let want: HashSet<VisibleState> =
+                reference.store.visible_layer(k).into_iter().collect();
+            if visible != want || engine.store().new_visible_at(k) != want.len() {
                 return Some(format!("round {round}: visible layer {k} differs"));
             }
             if engine.store().state_count_at(k) != reference.store.state_count_at(k) {
@@ -1448,7 +1514,7 @@ fn restore_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         if got.is_err() {
             break;
         }
-        let layer = |e: &SharedExplorer| e.with_store(|store| store.visible_layer(k).to_vec());
+        let layer = |e: &SharedExplorer| e.with_store(|store| store.visible_layer(k));
         if restored.view(k) != live.view(k) || layer(&restored) != layer(&live) {
             return Some(format!("bound {k}: views differ"));
         }
@@ -1515,6 +1581,29 @@ fn symmetric_systems_match_the_reference_rounds() {
     assert!(errors >= 60, "too few failing rounds: {errors}");
 }
 
+/// The pointwise case that a slot-wise subsumption test on stored
+/// representatives gets wrong, shrunk from
+/// [`symbolic_twin_threads_match_the_reference_rounds`]: a new state
+/// lies inside a member of a stored orbit other than its
+/// representative, so a slot-wise test keeps a state the unreduced
+/// engine drops, and `|S2|` exceeds the reference's.
+#[test]
+fn pointwise_subsumption_looks_inside_whole_orbits() {
+    let shape = RandomCpdsConfig {
+        num_shared: 3,
+        alphabet: 1,
+        actions_per_thread: 5,
+        push_probability: 0.0,
+        ..RandomCpdsConfig::shrinking()
+    };
+    let cpds = duplicated(&shape, 12, &[0, 0, 1]);
+    assert_eq!(cpds.thread_classes(), vec![vec![0, 1]]);
+    assert_eq!(
+        symbolic_difference(&cpds, &small_budget(), SubsumptionMode::Pointwise),
+        None
+    );
+}
+
 /// The symbolic twin oracle's budgets: both oracle budgets, and
 /// symbolic caps that let a round or two succeed before one fails.
 fn symbolic_budgets() -> Vec<ExploreBudget> {
@@ -1526,13 +1615,14 @@ fn symbolic_budgets() -> Vec<ExploreBudget> {
     budgets
 }
 
-/// Differential oracle for shared symbolic context steps: on systems
-/// whose threads copy those of a random system by [`PATTERNS`] (FCR or
-/// not), under [`symbolic_budgets`], the symbolic engine in both
-/// subsumption modes reproduces the reference rounds, which run every
-/// thread's step themselves, state for state — failing rounds and
-/// their rollback included ([`symbolic_difference`]). A difference is
-/// shrunk to a minimal shape.
+/// Differential oracle for thread-symmetry reduction in the symbolic
+/// engine: on systems whose threads copy those of a random system by
+/// [`PATTERNS`] (FCR or not), under [`symbolic_budgets`], the symbolic
+/// engine in both subsumption modes reproduces the reference rounds,
+/// which store every state and run every thread's step themselves, up
+/// to symmetry — failing rounds and their rollback included
+/// ([`symbolic_difference`]). A difference is shrunk to a minimal
+/// shape.
 #[test]
 fn symbolic_twin_threads_match_the_reference_rounds() {
     let pushy = RandomCpdsConfig {

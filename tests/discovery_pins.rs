@@ -4,18 +4,26 @@
 //! files record that order, so any change to how a round walks its
 //! frontier shows up here — even when layer *sets* and verdicts stay
 //! the same. The digests of systems without interchangeable threads
-//! (Fig. 1, Fig. 2, stefan-1/4 in the symbolic engine, both snapshot
-//! files) were recorded with the clone-per-step engines that preceded
-//! the interned state keys; the interned engines must reproduce them
-//! exactly. bst-insert/2+1 has two interchangeable inserters, so the
-//! explicit engine stores one representative per orbit; its digest
-//! pins that reduced order.
+//! (Fig. 1, Fig. 2, both snapshot files) were recorded with the
+//! clone-per-step engines that preceded the interned state keys; the
+//! interned engines must reproduce them exactly. bst-insert/2+1 has two
+//! interchangeable inserters and stefan-1/4 four interchangeable
+//! threads, so the engines store one representative per orbit; their
+//! digests pin that reduced order, and their concrete counts are the
+//! unreduced engines'.
 
 use std::process::Command;
+use std::sync::Mutex;
 
 use cuba::benchmarks::{bst, fig1, fig2, stefan};
 use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
 use cuba::pds::VisibleState;
+use cuba_telemetry::metrics::METRICS;
+
+/// Held by the tests that run symbolic engines, so that one of them
+/// can count the `post*` runs of its own engine in the process-wide
+/// metrics.
+static SYMBOLIC: Mutex<()> = Mutex::new(());
 
 /// FNV-1a 64 over little-endian `u32` words.
 #[derive(Debug)]
@@ -68,13 +76,14 @@ fn explicit_digest(engine: &ExplicitEngine) -> (usize, u64) {
         for &id in ids {
             d.word(id);
         }
-        d.visible(engine.visible_layer(k));
+        d.visible(&engine.visible_layer(k));
     }
     (engine.states().len(), d.0)
 }
 
-/// Per bound, the symbolic layer's states (shared state and canonical
-/// DFAs) and its new visible states, in discovery order.
+/// Per bound, the symbolic layer's stored states (shared state and
+/// canonical DFAs) and its new visible states, in discovery order,
+/// with the concrete number of symbolic states.
 fn symbolic_digest(engine: &SymbolicEngine) -> (usize, u64) {
     let mut d = Digest::new();
     for k in 0..=engine.current_k() {
@@ -94,7 +103,7 @@ fn symbolic_digest(engine: &SymbolicEngine) -> (usize, u64) {
             }
         }
         d.word(u32::MAX);
-        d.visible(engine.visible_layer(k));
+        d.visible(&engine.visible_layer(k));
     }
     (engine.num_symbolic_states(), d.0)
 }
@@ -118,6 +127,7 @@ fn explicit_discovery_order_is_pinned() {
 
 #[test]
 fn symbolic_discovery_order_is_pinned() {
+    let _serial = SYMBOLIC.lock().unwrap_or_else(|e| e.into_inner());
     for (mode, k, pin) in [
         (SubsumptionMode::Exact, 5, (23, 7874432759883519607)),
         (SubsumptionMode::Pointwise, 4, (12, 2405248916837428743)),
@@ -137,7 +147,42 @@ fn symbolic_discovery_order_is_pinned() {
     engine.run_until_collapse(64).unwrap();
     assert!(engine.is_collapsed());
     assert_eq!(engine.current_k(), 6);
-    assert_eq!(symbolic_digest(&engine), (174, 11592065152931065015));
+    assert_eq!(symbolic_digest(&engine), (174, 13297036730482539895));
+    assert_eq!(engine.num_stored(), 21);
+}
+
+/// stefan-1/8, the paper's out-of-memory row: the engine stores one
+/// representative per orbit of its eight interchangeable threads and
+/// runs one `post*` per distinct stack language of a frontier
+/// representative, yet every concrete count through k = 6 is the
+/// unreduced engine's, and round 7 exceeds the 20,000-state budget of
+/// the Table 2 runs as it did, leaving the engine at k = 6.
+#[test]
+fn stefan_8_keeps_its_counts_and_its_budget_error() {
+    let _serial = SYMBOLIC.lock().unwrap_or_else(|e| e.into_inner());
+    let budget = ExploreBudget {
+        max_symbolic_states: 20_000,
+        ..ExploreBudget::default()
+    };
+    let runs_before = METRICS.symbolic_contexts_run.get();
+    let mut engine = SymbolicEngine::new(stefan::build(8), budget, SubsumptionMode::Exact);
+    for _ in 0..6 {
+        engine.advance().unwrap();
+    }
+    let states: Vec<usize> = (0..=6).map(|k| engine.store().state_count_at(k)).collect();
+    assert_eq!(states, [1, 17, 157, 941, 3587, 9103, 16187]);
+    let visible: Vec<usize> = (0..=6)
+        .map(|k| engine.store().visible_count_at(k))
+        .collect();
+    assert_eq!(visible, [1, 33, 453, 3477, 16707, 52995, 114231]);
+    assert_eq!(engine.num_symbolic_states(), 16187);
+    assert!(engine.num_stored() <= 50, "{} stored", engine.num_stored());
+    let error = engine.advance().unwrap_err();
+    assert_eq!(error.to_string(), "symbolic state budget of 20000 exceeded");
+    assert_eq!(engine.current_k(), 6);
+    assert_eq!(engine.num_symbolic_states(), 16187);
+    let runs = METRICS.symbolic_contexts_run.get() - runs_before;
+    assert!(runs <= 200, "{runs} post* runs");
 }
 
 /// Runs `cuba snapshot` and digests the file it writes.
