@@ -304,7 +304,7 @@ fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, property: &Property
                 .layer(k)
                 .find_map(|s| {
                     engine
-                        .orbit(s)
+                        .orbit(&s)
                         .into_iter()
                         .find(|member| property.violated_by(&member.visible()))
                 })

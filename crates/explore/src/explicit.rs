@@ -36,9 +36,10 @@ pub struct LayerSummary {
 /// States are interned: every stack is hash-consed in a
 /// [`StackTable`], and a global state is the fixed-width key
 /// `(q, [StackId; n])` in a [`KeyTable`] whose dense ids are the state
-/// ids. A context step rewrites one [`StackId`] and probes the key
-/// table, so only a *new* state allocates: it is materialized once as
-/// the [`GlobalState`] that [`states`](Self::states) returns.
+/// ids, and the only record of a stored state. A context step rewrites
+/// one [`StackId`] and probes the key table, allocating nothing;
+/// [`states`](Self::states), [`layer`](Self::layer) and witnesses
+/// decode [`GlobalState`]s from the keys.
 ///
 /// Interchangeable threads ([`Cpds::thread_classes`]) make every layer
 /// closed under permuting their stacks, so the engine stores one
@@ -61,9 +62,6 @@ pub struct ExplicitEngine {
     budget: ExploreBudget,
     /// The interchangeable threads, whose orbits share a stored state.
     symmetry: Symmetry,
-    /// Every stored state in discovery order, materialized once.
-    states: Vec<GlobalState>,
-    layer_of_state: Vec<u32>,
     /// The interned stacks of every stored state.
     stacks: StackTable,
     /// State `id` is the key `(q, [StackId; n])` with that id.
@@ -81,11 +79,8 @@ pub struct ExplicitEngine {
 /// closures reuse.
 #[derive(Debug)]
 struct Round {
-    /// The bound being computed.
-    layer: u32,
     /// The first state id of this round (ids are append-only).
     start: u32,
-    new_layer: Vec<u32>,
     /// Visible states first seen this round.
     new_visible: usize,
     /// Entries `(state id, running thread)`: a context keeps running
@@ -107,11 +102,9 @@ struct Round {
 }
 
 impl Round {
-    fn new(layer: u32, start: u32, key_width: usize) -> Self {
+    fn new(start: u32, key_width: usize) -> Self {
         Round {
-            layer,
             start,
-            new_layer: Vec::new(),
             new_visible: 0,
             queue: VecDeque::new(),
             in_context: Vec::new(),
@@ -158,23 +151,21 @@ impl ExplicitEngine {
             keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
             budget,
-            states: Vec::new(),
-            layer_of_state: Vec::new(),
             num_states: 0,
             store: LayerStore::new(visible),
         };
         // Interchangeable threads start on equal stacks, so the initial
         // state is its own orbit and already canonical.
-        engine.intern_state(init);
+        engine.intern_state(&init);
         engine.num_states = 1;
         engine
     }
 
     /// Rebuilds an engine from deserialized parts: the state table in
     /// discovery order plus an already-validated layer record. The
-    /// interned keys, per-state layer bounds and the concrete state
-    /// counts are derived, so a restored engine is indistinguishable
-    /// from one that explored the same layers live.
+    /// interned keys and the concrete state counts are derived, so a
+    /// restored engine is indistinguishable from one that explored the
+    /// same layers live.
     ///
     /// # Errors
     ///
@@ -188,10 +179,7 @@ impl ExplicitEngine {
         states: Vec<GlobalState>,
         store: LayerStore,
     ) -> Result<Self, String> {
-        let recorded: usize = (0..=store.current_k())
-            .map(|k| store.layer_ids(k).len())
-            .sum();
-        if states.len() != recorded {
+        if states.len() != store.layer_ids(store.current_k()).end as usize {
             return Err("state table does not match the layer record".to_owned());
         }
         if states[0] != cpds.initial_state() {
@@ -203,12 +191,10 @@ impl ExplicitEngine {
             keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
             budget,
-            states: Vec::with_capacity(states.len()),
-            layer_of_state: Vec::with_capacity(states.len()),
             num_states: 0,
             store,
         };
-        for state in states {
+        for state in &states {
             if !engine.intern_state(state) {
                 return Err("duplicate global state in state table".to_owned());
             }
@@ -226,27 +212,23 @@ impl ExplicitEngine {
             .store
             .weigh_states(|id| symmetry.weight(&keys.key(id)[1..]));
         engine.num_states = engine.store.state_count_at(engine.store.current_k());
-        for k in 0..=engine.store.current_k() {
-            for &id in engine.store.layer_ids(k) {
-                engine.layer_of_state[id as usize] = k as u32;
-            }
-        }
         Ok(engine)
     }
 
-    /// Interns and stores `state` at layer 0 (a restore fixes the
-    /// layers up afterwards); `false`, storing nothing, when an equal
-    /// state is already stored.
-    fn intern_state(&mut self, state: GlobalState) -> bool {
+    /// Interns and stores `state`; `false`, storing nothing, when an
+    /// equal state is already stored.
+    fn intern_state(&mut self, state: &GlobalState) -> bool {
         let mut key = Vec::with_capacity(self.keys.width());
         key.push(state.q.0);
         key.extend(state.stacks.iter().map(|w| self.stacks.intern(w).0));
-        if !self.keys.insert(&key).1 {
-            return false;
-        }
-        self.states.push(state);
-        self.layer_of_state.push(0);
-        true
+        self.keys.insert(&key).1
+    }
+
+    /// Decodes stored state `id` from its key.
+    fn state(&self, id: u32) -> GlobalState {
+        let key = self.keys.key(id);
+        let stacks = key[1..].iter().map(|&s| self.stacks.to_stack(StackId(s)));
+        GlobalState::new(SharedState(key[0]), stacks.collect())
     }
 
     /// The orbit size of stored state `id`.
@@ -289,16 +271,13 @@ impl ExplicitEngine {
     }
 
     /// The representatives of the states first reached at context
-    /// bound `k` (`Rk \ Rk−1`, one state per orbit).
+    /// bound `k` (`Rk \ Rk−1`, one state per orbit), decoded.
     ///
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn layer(&self, k: usize) -> impl Iterator<Item = &GlobalState> + '_ {
-        self.store
-            .layer_ids(k)
-            .iter()
-            .map(|&id| &self.states[id as usize])
+    pub fn layer(&self, k: usize) -> impl Iterator<Item = GlobalState> + '_ {
+        self.store.layer_ids(k).map(|id| self.state(id))
     }
 
     /// The visible states first seen at context bound `k`
@@ -323,9 +302,11 @@ impl ExplicitEngine {
     }
 
     /// The stored states, one representative per orbit, in discovery
-    /// order (the extensional `Rk` up to thread symmetry).
-    pub fn states(&self) -> &[GlobalState] {
-        &self.states
+    /// order (the extensional `Rk` up to thread symmetry), decoded.
+    pub fn states(&self) -> Vec<GlobalState> {
+        (0..self.keys.len() as u32)
+            .map(|id| self.state(id))
+            .collect()
     }
 
     /// The orbit of `state`: every distinct state that permuting the
@@ -356,7 +337,7 @@ impl ExplicitEngine {
     ///
     /// Panics if `id` is out of range.
     pub fn layer_of(&self, id: u32) -> usize {
-        self.layer_of_state[id as usize] as usize
+        self.store.layer_of(id)
     }
 
     /// Computes the next layer `Rk+1 \ Rk`.
@@ -381,14 +362,15 @@ impl ExplicitEngine {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
-            self.store.push_layer(Vec::new(), 0, self.num_states);
+            self.store
+                .push_layer(self.keys.len() as u32, 0, self.num_states);
             return Ok(LayerSummary {
                 k,
                 new_states: 0,
                 new_visible: 0,
             });
         }
-        let frontier: Vec<u32> = self.store.layer_ids(k - 1).to_vec();
+        let frontier = self.store.layer_ids(k - 1);
         cuba_telemetry::metrics::METRICS.waves.inc();
         cuba_telemetry::metrics::METRICS
             .frontier_edges
@@ -398,8 +380,8 @@ impl ExplicitEngine {
             vec![("k", k.into()), ("frontier", frontier.len().into())],
         );
         let before = self.num_states;
-        let mut round = Round::new(k as u32, self.states.len() as u32, self.keys.width());
-        for &start_id in &frontier {
+        let mut round = Round::new(self.keys.len() as u32, self.keys.width());
+        for start_id in frontier {
             for thread in 0..self.cpds.num_threads() {
                 // A twin's contexts mirror an earlier thread's, whose
                 // closure already stored their representatives.
@@ -427,7 +409,7 @@ impl ExplicitEngine {
         let merge_start = std::time::Instant::now();
         let mut merge_span = cuba_telemetry::trace::span("merge");
         self.store
-            .push_layer(round.new_layer, round.new_visible, self.num_states);
+            .push_layer(self.keys.len() as u32, round.new_visible, self.num_states);
         merge_span.arg("states", summary.new_states);
         drop(merge_span);
         cuba_telemetry::metrics::stage_time(
@@ -441,13 +423,10 @@ impl ExplicitEngine {
     /// registered by a failed round. Stacks interned by the round stay
     /// in the stack table; no remaining key refers to them.
     fn rollback(&mut self, round: &Round) {
-        let start = round.start as usize;
-        for id in round.start..self.states.len() as u32 {
+        for id in round.start..self.keys.len() as u32 {
             self.num_states -= self.weight(id);
         }
-        self.states.truncate(start);
-        self.layer_of_state.truncate(start);
-        self.keys.truncate(start);
+        self.keys.truncate(round.start as usize);
         self.store.rollback_round();
     }
 
@@ -465,7 +444,7 @@ impl ExplicitEngine {
         // every state in the closure is stored globally (it is
         // reachable with the same context count as the closure's
         // results).
-        round.next_closure(self.states.len());
+        round.next_closure(self.keys.len());
         round.queue.push_back((start_id, thread as u32));
         round.enter(start_id);
         let mut explored = 0usize;
@@ -517,18 +496,8 @@ impl ExplicitEngine {
                             });
                         }
                         let (new_id, _) = self.keys.insert(&round.key);
-                        // Only the stacks of the running thread's class
-                        // can have changed.
-                        let mut stacks = self.states[id as usize].stacks.clone();
-                        let changed = self.symmetry.class(running);
-                        for &t in changed.unwrap_or(std::slice::from_ref(&running)) {
-                            stacks[t] = self.stacks.to_stack(StackId(round.key[t + 1]));
-                        }
-                        self.states.push(GlobalState::new(action.q_post, stacks));
-                        self.layer_of_state.push(round.layer);
                         self.num_states += weight;
-                        round.new_layer.push(new_id);
-                        round.grow(self.states.len());
+                        round.grow(self.keys.len());
                         for slot in &mut round.key[1..] {
                             *slot = top_code(self.stacks.top(StackId(*slot)));
                         }
@@ -560,7 +529,7 @@ impl ExplicitEngine {
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: u32) -> Witness {
-        self.witness_to(&self.states[id as usize])
+        self.witness_to(&self.state(id))
             .expect("layered invariant: one context from the previous frontier")
     }
 
@@ -608,9 +577,10 @@ impl ExplicitEngine {
         target_id: u32,
         k: usize,
     ) -> Option<(GlobalState, Vec<WitnessStep>)> {
-        for &start_id in self.store.layer_ids(k - 1) {
+        for start_id in self.store.layer_ids(k - 1) {
+            let start = self.state(start_id);
             for thread in 0..self.cpds.num_threads() {
-                let Some(steps) = self.local_context_path(start_id, thread, target_id, k) else {
+                let Some(steps) = self.local_context_path(&start, thread, target_id, k) else {
                     continue;
                 };
                 let end = &steps.last()?.state;
@@ -623,13 +593,13 @@ impl ExplicitEngine {
                         state: permute(&sigma, &step.state),
                     })
                     .collect();
-                return Some((permute(&sigma, &self.states[start_id as usize]), steps));
+                return Some((permute(&sigma, &start), steps));
             }
         }
         None
     }
 
-    /// BFS over thread-`thread` steps from stored state `start_id`,
+    /// BFS over thread-`thread` steps from stored state `start`,
     /// returning the step sequence to the first member of stored
     /// orbit `target_id` it reaches within one context. Like the
     /// round's closure, the search continues only through states first
@@ -637,12 +607,11 @@ impl ExplicitEngine {
     /// than that closure did.
     fn local_context_path(
         &self,
-        start_id: u32,
+        start: &GlobalState,
         thread: usize,
         target_id: u32,
         k: usize,
     ) -> Option<Vec<WitnessStep>> {
-        let start = &self.states[start_id as usize];
         let mut pred: HashMap<GlobalState, (GlobalState, usize)> = HashMap::new();
         let mut queue: VecDeque<GlobalState> = VecDeque::new();
         queue.push_back(start.clone());
@@ -763,7 +732,7 @@ mod tests {
     }
 
     fn layer_set(engine: &ExplicitEngine, k: usize) -> HashSet<GlobalState> {
-        engine.layer(k).cloned().collect()
+        engine.layer(k).collect()
     }
 
     #[test]
@@ -888,7 +857,7 @@ mod tests {
         }
         for k in 0..=5usize {
             for state in engine.layer(k) {
-                let id = engine.find(state).unwrap();
+                let id = engine.find(&state).unwrap();
                 let w = engine.witness(id);
                 assert!(w.replay(engine.cpds()));
                 assert!(

@@ -4,9 +4,9 @@
 //! CUBA's observation sequences (`(Rk)`, `(Sk)`, and their visible
 //! projections) are a function of the *system* alone — a property only
 //! inspects them. [`LayerStore`] is exactly that system-side record:
-//! append-only layers of state ids, the visible states in first-seen
-//! order (hence the per-bound *new* ones and the first-seen bound of
-//! each), cumulative growth logs, and collapse detection.
+//! where each layer's state ids begin and end, the visible states in
+//! first-seen order (hence the per-bound *new* ones and the first-seen
+//! bound of each), cumulative growth logs, and collapse detection.
 //! [`ExplicitEngine`] and [`SymbolicEngine`] both maintain one, which
 //! is what lets a [`SharedExplorer`] replay already-computed bounds for
 //! any number of property checkers.
@@ -28,6 +28,10 @@ use std::ops::Range;
 /// sees exactly the data a fresh engine would have produced at `k`,
 /// even when the store has since been extended past `k`.
 ///
+/// Engines number states in discovery order and round `k` adds exactly
+/// `Rk \ Rk−1` (Lemma 7), so layer `k` is the ids between the stored
+/// counts of bounds `k − 1` and `k`; no id list is kept.
+///
 /// Visible states are kept once, as their keys `(q, [top code; n])`
 /// ([`VisibleState::key`]), numbered in first-seen order. So the
 /// visible states first seen at bound `k` are the key ids between the
@@ -38,8 +42,9 @@ use std::ops::Range;
 /// them on read.
 #[derive(Debug)]
 pub struct LayerStore {
-    /// `layers[k]` = ids of states first reached at context bound `k`.
-    layers: Vec<Vec<u32>>,
+    /// Stored states after each bound: layer `k` is the state ids
+    /// `stored_counts[k − 1]..stored_counts[k]`.
+    stored_counts: Vec<u32>,
     /// The keys of every visible state seen so far, in first-seen
     /// order: those of the sealed layers, then those of the round in
     /// progress.
@@ -62,7 +67,7 @@ impl LayerStore {
         let mut visible_keys = KeyTable::new(key.len());
         visible_keys.insert(&key);
         LayerStore {
-            layers: vec![vec![0]],
+            stored_counts: vec![1],
             visible_keys,
             state_counts: vec![1],
             visible_counts: vec![1],
@@ -72,7 +77,7 @@ impl LayerStore {
 
     /// The highest context bound recorded so far.
     pub fn current_k(&self) -> usize {
-        self.layers.len() - 1
+        self.stored_counts.len() - 1
     }
 
     /// Ids of the states first reached at bound `k`.
@@ -80,8 +85,20 @@ impl LayerStore {
     /// # Panics
     ///
     /// Panics if layer `k` has not been computed yet.
-    pub fn layer_ids(&self, k: usize) -> &[u32] {
-        &self.layers[k]
+    pub fn layer_ids(&self, k: usize) -> Range<u32> {
+        let start = k.checked_sub(1).map_or(0, |j| self.stored_counts[j]);
+        start..self.stored_counts[k]
+    }
+
+    /// The bound at which stored state `id` was first reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not the id of a state of a computed layer.
+    pub fn layer_of(&self, id: u32) -> usize {
+        let k = self.stored_counts.partition_point(|&c| c <= id);
+        assert!(k < self.stored_counts.len(), "state id {id} out of range");
+        k
     }
 
     /// The key ids of the visible states first seen at bound `k`.
@@ -226,21 +243,22 @@ impl LayerStore {
         self.visible_keys.truncate(sealed);
     }
 
-    /// Seals the freshly computed layer: the ids first reached at the
-    /// new bound, the number of visible states first seen there (those
-    /// recorded as new since the last seal), and the total states
-    /// after the round. An empty id layer at `k ≥ 1` marks the
+    /// Seals the freshly computed layer: the number of states stored
+    /// after the round (its new ids are those from the previous seal's
+    /// count on), the number of visible states first seen there (those
+    /// recorded as new since the last seal), and the total states after
+    /// the round. A stored count unchanged at `k ≥ 1` marks the
     /// collapse.
-    pub fn push_layer(&mut self, ids: Vec<u32>, new_visible: usize, total_states: usize) {
+    pub fn push_layer(&mut self, stored_total: u32, new_visible: usize, total_states: usize) {
         debug_assert_eq!(
             self.visible_counts.last().map(|&c| c + new_visible),
             Some(self.visible_keys.len()),
             "new visible states are those recorded since the last seal"
         );
-        if ids.is_empty() && self.collapsed_at.is_none() {
-            self.collapsed_at = Some(self.layers.len());
+        if self.stored_counts.last() == Some(&stored_total) && self.collapsed_at.is_none() {
+            self.collapsed_at = Some(self.stored_counts.len());
         }
-        self.layers.push(ids);
+        self.stored_counts.push(stored_total);
         self.state_counts.push(total_states);
         self.visible_counts.push(self.visible_keys.len());
     }
@@ -251,25 +269,24 @@ impl LayerStore {
     /// orbit.
     pub fn weigh_states(&mut self, weight: impl Fn(u32) -> usize) {
         let mut total = 0usize;
-        for (count, ids) in self.state_counts.iter_mut().zip(&self.layers) {
-            total = ids
-                .iter()
-                .fold(total, |sum, &id| sum.saturating_add(weight(id)));
-            *count = total;
+        for k in 0..self.stored_counts.len() {
+            total = self
+                .layer_ids(k)
+                .fold(total, |sum, id| sum.saturating_add(weight(id)));
+            self.state_counts[k] = total;
         }
     }
 
-    /// Rebuilds a store from its serialized essence: the per-bound id
-    /// layers and per-bound new visible states, which it keeps as
-    /// keys. Everything else — cumulative growth logs, the collapse
+    /// Rebuilds a store from its serialized essence: the stored counts
+    /// per bound and the per-bound new visible states, which it keeps
+    /// as keys. Everything else — cumulative growth logs, the collapse
     /// bound — is derived, which keeps the snapshot format minimal and
     /// makes save → load → save byte-identical by construction.
     ///
     /// Validated invariants (anything else means a corrupt snapshot):
-    /// layer 0 is exactly `{0}`, ids are consecutive across bounds (an
-    /// engine numbers states in discovery order), every visible state
-    /// has the initial one's width, a visible state is first seen at
-    /// exactly one bound, and an empty id layer brings no new visible
+    /// layer 0 is exactly `{0}`, the counts never fall, every visible
+    /// state has the initial one's width, a visible state is first seen
+    /// at exactly one bound, and an empty layer brings no new visible
     /// states.
     ///
     /// # Errors
@@ -277,37 +294,29 @@ impl LayerStore {
     /// Returns a description of the first violated invariant, without
     /// echoing any state content.
     pub fn from_parts(
-        layers: Vec<Vec<u32>>,
+        stored_counts: Vec<u32>,
         visible_layers: Vec<Vec<VisibleState>>,
     ) -> Result<Self, String> {
-        if layers.is_empty() || layers.len() != visible_layers.len() {
+        if stored_counts.is_empty() || stored_counts.len() != visible_layers.len() {
             return Err("layer table shape mismatch".to_owned());
         }
-        if layers[0] != [0] || visible_layers[0].len() != 1 {
+        if stored_counts[0] != 1 || visible_layers[0].len() != 1 {
             return Err("layer 0 is not the singleton initial layer".to_owned());
         }
         let width = visible_layers[0][0].num_threads() + 1;
         let mut visible_keys = KeyTable::new(width);
-        let mut state_counts = Vec::with_capacity(layers.len());
-        let mut visible_counts = Vec::with_capacity(layers.len());
+        let mut visible_counts = Vec::with_capacity(stored_counts.len());
         let mut collapsed_at = None;
-        let mut next_id = 0u32;
-        for (k, (ids, new_visible)) in layers.iter().zip(&visible_layers).enumerate() {
-            for &id in ids {
-                if id != next_id {
-                    return Err(format!("layer {k}: state ids are not consecutive"));
-                }
-                next_id = next_id
-                    .checked_add(1)
-                    .ok_or_else(|| format!("layer {k}: state id overflow"))?;
+        for (k, new_visible) in visible_layers.iter().enumerate() {
+            let previous = k.checked_sub(1).map_or(0, |j| stored_counts[j]);
+            if stored_counts[k] < previous {
+                return Err(format!("layer {k}: state ids are not consecutive"));
             }
-            if ids.is_empty() {
+            if stored_counts[k] == previous {
                 if !new_visible.is_empty() {
                     return Err(format!("layer {k}: empty layer with new visible states"));
                 }
-                if collapsed_at.is_none() {
-                    collapsed_at = Some(k);
-                }
+                collapsed_at.get_or_insert(k);
             }
             for v in new_visible {
                 if v.num_threads() + 1 != width {
@@ -317,13 +326,12 @@ impl LayerStore {
                     return Err(format!("layer {k}: visible state first seen twice"));
                 }
             }
-            state_counts.push(next_id as usize);
             visible_counts.push(visible_keys.len());
         }
         Ok(LayerStore {
-            layers,
+            state_counts: stored_counts.iter().map(|&c| c as usize).collect(),
+            stored_counts,
             visible_keys,
-            state_counts,
             visible_counts,
             collapsed_at,
         })
@@ -344,10 +352,15 @@ mod tests {
         let mut store = LayerStore::new(vis(0, 1));
         assert!(store.record_visible(&vis(1, 2)));
         assert!(!store.record_visible(&vis(1, 2)), "duplicates rejected");
-        store.push_layer(vec![1, 2], 1, 3);
-        store.push_layer(vec![3], 0, 4);
+        store.push_layer(3, 1, 3);
+        store.push_layer(4, 0, 4);
 
         assert_eq!(store.current_k(), 2);
+        assert_eq!(store.layer_ids(0), 0..1);
+        assert_eq!(store.layer_ids(1), 1..3);
+        assert_eq!(store.layer_ids(2), 3..4);
+        let layers: Vec<usize> = (0..4).map(|id| store.layer_of(id)).collect();
+        assert_eq!(layers, [0, 1, 1, 2]);
         assert_eq!(store.visible_count_at(0), 1);
         assert_eq!(store.visible_count_at(1), 2);
         assert_eq!(store.state_count_at(2), 4);
@@ -359,7 +372,9 @@ mod tests {
         // First-seen order, whatever the hashing.
         assert!(store.record_visible(&vis(3, 0)));
         assert_eq!(store.first_seen_bound(&vis(3, 0)), Some(3));
-        store.push_layer(vec![4], 1, 5);
+        store.push_layer(5, 1, 5);
+        assert_eq!(store.layer_ids(1), 1..3, "sealed layers keep their ids");
+        assert_eq!(store.layer_of(4), 3);
         let order: Vec<VisibleState> = store.visible_iter().collect();
         assert_eq!(order, [vis(0, 1), vis(1, 2), vis(3, 0)]);
         assert_eq!(store.visible_layer(1), [vis(1, 2)]);
@@ -377,7 +392,7 @@ mod tests {
         let mut store = LayerStore::new(eps.clone());
         assert!(!store.seen(&vis(0, 0)));
         assert!(store.record_visible(&vis(0, 0)));
-        store.push_layer(vec![1], 1, 2);
+        store.push_layer(2, 1, 2);
         assert_eq!(store.first_seen_bound(&eps), Some(0));
         assert_eq!(store.first_seen_bound(&vis(0, 0)), Some(1));
         let wide = VisibleState::new(SharedState(0), vec![None, None]);
@@ -391,45 +406,60 @@ mod tests {
     #[test]
     fn empty_layer_is_the_collapse_and_sticks() {
         let mut store = LayerStore::new(vis(0, 1));
-        store.push_layer(vec![1], 0, 2);
-        store.push_layer(Vec::new(), 0, 2);
+        store.push_layer(2, 0, 2);
+        store.push_layer(2, 0, 2);
         assert_eq!(store.collapsed_at(), Some(2));
         assert!(store.collapsed_by(2));
         assert!(!store.collapsed_by(1));
+        assert!(store.layer_ids(2).is_empty());
         // Padding layers past the collapse keep the original bound.
-        store.push_layer(Vec::new(), 0, 2);
+        store.push_layer(2, 0, 2);
         assert_eq!(store.collapsed_at(), Some(2));
+        assert!(store.layer_ids(3).is_empty());
+        assert_eq!(store.layer_of(1), 1, "an empty layer holds no id");
+    }
+
+    #[test]
+    #[should_panic(expected = "state id 2 out of range")]
+    fn layer_of_rejects_unsealed_ids() {
+        let mut store = LayerStore::new(vis(0, 1));
+        store.push_layer(2, 0, 2);
+        store.layer_of(2);
     }
 
     #[test]
     fn rollback_removes_round_registrations() {
         let mut store = LayerStore::new(vis(0, 1));
         assert!(store.record_visible(&vis(1, 1)));
-        store.push_layer(vec![1], 1, 2);
+        store.push_layer(2, 1, 2);
         assert!(store.record_visible(&vis(2, 3)));
         assert!(!store.record_visible(&vis(1, 1)));
         store.rollback_round();
         assert!(!store.seen(&vis(2, 3)));
         assert!(store.seen(&vis(1, 1)), "sealed rounds stay");
         assert_eq!(store.num_visible(), 2);
+        assert_eq!((store.current_k(), store.layer_ids(1)), (1, 1..2));
         // The next round can re-register it.
         assert!(store.record_visible(&vis(2, 3)));
+        store.push_layer(4, 1, 4);
+        assert_eq!(store.layer_ids(2), 2..4);
+        assert_eq!((store.layer_of(1), store.layer_of(3)), (1, 2));
     }
 
     #[test]
     fn from_parts_rejects_mixed_widths() {
         let wide = VisibleState::new(SharedState(1), vec![None, None]);
-        let err = LayerStore::from_parts(vec![vec![0], vec![1]], vec![vec![vis(0, 1)], vec![wide]])
-            .unwrap_err();
+        let err =
+            LayerStore::from_parts(vec![1, 2], vec![vec![vis(0, 1)], vec![wide]]).unwrap_err();
         assert_eq!(err, "layer 1: visible state of another width");
-        let twice = LayerStore::from_parts(
-            vec![vec![0], vec![1]],
-            vec![vec![vis(0, 1)], vec![vis(0, 1)]],
-        )
-        .unwrap_err();
+        let twice =
+            LayerStore::from_parts(vec![1, 2], vec![vec![vis(0, 1)], vec![vis(0, 1)]]).unwrap_err();
         assert_eq!(twice, "layer 1: visible state first seen twice");
+        let falling = LayerStore::from_parts(vec![1, 3, 2], vec![vec![vis(0, 1)], vec![], vec![]])
+            .unwrap_err();
+        assert_eq!(falling, "layer 2: state ids are not consecutive");
         let store = LayerStore::from_parts(
-            vec![vec![0], vec![1], vec![]],
+            vec![1, 2, 2],
             vec![vec![vis(0, 1)], vec![vis(1, 0)], vec![]],
         )
         .unwrap();
@@ -437,5 +467,6 @@ mod tests {
         assert_eq!(store.visible_layer(1), [vis(1, 0)]);
         assert_eq!(store.visible_count_at(2), 2);
         assert_eq!(store.collapsed_at(), Some(2));
+        assert_eq!((store.layer_ids(1), store.layer_ids(2)), (1..2, 2..2));
     }
 }

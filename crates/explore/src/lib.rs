@@ -33,12 +33,12 @@
 //! stacks ([`StackTable`](cuba_pds::StackTable)), a symbolic state
 //! `(q, [DfaId; n])` over interned canonical DFAs. A context step
 //! rewrites one slot of its frontier state's key and probes the table,
-//! so hits clone and allocate nothing. The public surface still speaks
-//! [`GlobalState`](cuba_pds::GlobalState) and [`SymbolicState`]: the
-//! explicit engine materializes each *new* representative once, the
-//! symbolic engine on demand. The exploration order does not depend on
-//! the representation: state ids, layers, witnesses and snapshot bytes
-//! are pinned in the repository's tests.
+//! so hits clone and allocate nothing. The key is the only record of a
+//! stored state, and a layer is a range of state ids. The public
+//! surface still speaks [`GlobalState`](cuba_pds::GlobalState) and
+//! [`SymbolicState`], decoded from the keys on read. The exploration
+//! order does not depend on the representation: state ids, layers,
+//! witnesses and snapshot bytes are pinned in the repository's tests.
 //!
 //! # Example
 //!

@@ -25,17 +25,17 @@ use cuba_pds::Cpds;
 use cuba_telemetry::metrics::{stage_time, Stage};
 use cuba_telemetry::trace;
 
-use crate::snapshot::{self, DecodedBackend, SnapshotKind};
+use crate::snapshot::{self, SnapshotKind};
 use crate::{
     ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SubsumptionMode,
     SymbolicEngine,
 };
 
-/// The backend an explorer drives.
+/// The backend an explorer drives, as a snapshot decodes it.
 #[derive(Debug)]
-enum BackendImpl {
-    Explicit(ExplicitEngine),
-    Symbolic(SymbolicEngine),
+pub(crate) enum BackendImpl {
+    Explicit(Box<ExplicitEngine>),
+    Symbolic(Box<SymbolicEngine>),
 }
 
 impl BackendImpl {
@@ -103,7 +103,9 @@ impl SharedExplorer {
     pub fn explicit(cpds: Cpds, budget: ExploreBudget) -> Self {
         let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
-            inner: Mutex::new(BackendImpl::Explicit(ExplicitEngine::new(cpds, budget))),
+            inner: Mutex::new(BackendImpl::Explicit(Box::new(ExplicitEngine::new(
+                cpds, budget,
+            )))),
             base_interrupt,
             symbolic: false,
             rounds_explored: AtomicUsize::new(0),
@@ -114,9 +116,9 @@ impl SharedExplorer {
     pub fn symbolic(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
         let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
-            inner: Mutex::new(BackendImpl::Symbolic(SymbolicEngine::new(
+            inner: Mutex::new(BackendImpl::Symbolic(Box::new(SymbolicEngine::new(
                 cpds, budget, mode,
-            ))),
+            )))),
             symbolic: true,
             base_interrupt,
             rounds_explored: AtomicUsize::new(0),
@@ -270,10 +272,7 @@ impl SharedExplorer {
     ) -> Result<Self, String> {
         let mut span = trace::span_args("snapshot-restore", vec![("bytes", bytes.len().into())]);
         let base_interrupt = budget.interrupt.clone();
-        let inner = match snapshot::decode(cpds, budget, fingerprint, bytes)? {
-            DecodedBackend::Explicit(e) => BackendImpl::Explicit(*e),
-            DecodedBackend::Symbolic(e) => BackendImpl::Symbolic(*e),
-        };
+        let inner = snapshot::decode(cpds, budget, fingerprint, bytes)?;
         let symbolic = matches!(inner, BackendImpl::Symbolic(_));
         span.arg("k", inner.store().current_k());
         Ok(SharedExplorer {

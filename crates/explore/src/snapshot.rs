@@ -33,6 +33,8 @@
 //! layer record (per-bound state ids and per-bound new visible
 //! states; first-seen bounds, growth logs, and the collapse bound are
 //! derived on load), and the backend's state table in discovery order.
+//! A layer's ids are consecutive (the decoder checks them and keeps
+//! only where each layer ends), and the state table ends the payload.
 //! Both kinds of state table hold one canonical representative per
 //! orbit of interchangeable threads, as the engines store them; the
 //! loader rejects any other state, and re-derives the concrete state
@@ -48,6 +50,7 @@
 use cuba_automata::CanonicalDfa;
 use cuba_pds::{code_top, Cpds, GlobalState, Rhs, SharedState, Stack, StackSym, VisibleState};
 
+use crate::shared::BackendImpl;
 use crate::{
     ExplicitEngine, ExploreBudget, LayerStore, SubsumptionMode, SymbolicEngine, SymbolicState,
 };
@@ -290,7 +293,7 @@ fn encode_common(w: &mut Writer, cpds: &Cpds, store: &LayerStore) {
     for k in 0..num_layers {
         let ids = store.layer_ids(k);
         w.u32(ids.len() as u32);
-        for &id in ids {
+        for id in ids {
             w.u32(id);
         }
     }
@@ -309,7 +312,7 @@ fn encode_common(w: &mut Writer, cpds: &Cpds, store: &LayerStore) {
 pub(crate) fn encode_explicit(engine: &ExplicitEngine, fingerprint: u64) -> Vec<u8> {
     let mut w = Writer::new();
     encode_common(&mut w, engine.cpds(), engine.store());
-    encode_state_table(&mut w, engine.states());
+    encode_state_table(&mut w, &engine.states());
     frame(SnapshotKind::Explicit, fingerprint, w.buf)
 }
 
@@ -364,14 +367,6 @@ fn encode_symbolic_table(
     }
 }
 
-/// A decoded backend, ready to be wrapped by a
-/// [`SharedExplorer`](crate::SharedExplorer).
-#[derive(Debug)]
-pub(crate) enum DecodedBackend {
-    Explicit(Box<ExplicitEngine>),
-    Symbolic(Box<SymbolicEngine>),
-}
-
 /// Reads one shared state, range-checked against the live system.
 fn read_shared(r: &mut Reader<'_>, cpds: &Cpds, what: &str) -> Result<SharedState, String> {
     let at = r.pos;
@@ -415,7 +410,7 @@ pub(crate) fn decode(
     budget: ExploreBudget,
     expected_fingerprint: u64,
     bytes: &[u8],
-) -> Result<DecodedBackend, String> {
+) -> Result<BackendImpl, String> {
     let (kind, fingerprint) = peek_header(bytes)?;
     if fingerprint != expected_fingerprint {
         return Err(
@@ -461,17 +456,23 @@ pub(crate) fn decode(
         ));
     }
 
-    // Section 2: the layer record.
+    // Section 2: the layer record, whose ids run from 0 consecutively.
     let layers_at = r.pos;
     let num_layers = r.count(4, "layer table")?;
-    let mut layers: Vec<Vec<u32>> = Vec::with_capacity(num_layers);
-    for _ in 0..num_layers {
+    let mut stored_counts: Vec<u32> = Vec::with_capacity(num_layers);
+    let mut next_id = 0u32;
+    for k in 0..num_layers {
         let n = r.count(4, "layer ids")?;
-        let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
-            ids.push(r.u32("layer ids")?);
+            if r.u32("layer ids")? != next_id {
+                let msg = format!("layer {k}: state ids are not consecutive");
+                return Err(r.fail(layers_at, &msg));
+            }
+            next_id = next_id
+                .checked_add(1)
+                .ok_or_else(|| r.fail(layers_at, &format!("layer {k}: state id overflow")))?;
         }
-        layers.push(ids);
+        stored_counts.push(next_id);
     }
     let per_visible = 4 + 4 * cpds.num_threads();
     let mut visible_layers: Vec<Vec<VisibleState>> = Vec::with_capacity(num_layers);
@@ -489,11 +490,11 @@ pub(crate) fn decode(
         visible_layers.push(layer);
     }
     let store =
-        LayerStore::from_parts(layers, visible_layers).map_err(|e| r.fail(layers_at, &e))?;
+        LayerStore::from_parts(stored_counts, visible_layers).map_err(|e| r.fail(layers_at, &e))?;
 
     // Section 3: the backend's state table, in discovery order.
     let states_at = r.pos;
-    match kind {
+    let backend = match kind {
         SnapshotKind::Explicit => {
             let n = r.count(4, "state table")?;
             let mut states = Vec::with_capacity(n);
@@ -518,7 +519,7 @@ pub(crate) fn decode(
             }
             let engine = ExplicitEngine::from_parts(cpds, budget, states, store)
                 .map_err(|e| format!("snapshot offset {states_at}: {e}"))?;
-            Ok(DecodedBackend::Explicit(Box::new(engine)))
+            BackendImpl::Explicit(Box::new(engine))
         }
         SnapshotKind::SymbolicExact | SnapshotKind::SymbolicPointwise => {
             let mode = match kind {
@@ -563,9 +564,13 @@ pub(crate) fn decode(
             }
             let engine = SymbolicEngine::from_parts(cpds, budget, mode, states, store)
                 .map_err(|e| format!("snapshot offset {states_at}: {e}"))?;
-            Ok(DecodedBackend::Symbolic(Box::new(engine)))
+            BackendImpl::Symbolic(Box::new(engine))
         }
+    };
+    if r.pos < bytes.len() {
+        return Err(r.fail(r.pos, "trailing bytes after the state table"));
     }
+    Ok(backend)
 }
 
 #[cfg(test)]
@@ -609,7 +614,7 @@ mod tests {
     fn explicit_roundtrip_is_byte_identical() {
         let (cpds, bytes) = explicit_snapshot(4);
         let decoded = decode(cpds, ExploreBudget::default(), 42, &bytes).unwrap();
-        let DecodedBackend::Explicit(engine) = decoded else {
+        let BackendImpl::Explicit(engine) = decoded else {
             panic!("explicit snapshot decoded to the wrong backend");
         };
         assert_eq!(engine.current_k(), 4);
@@ -629,7 +634,7 @@ mod tests {
             (SnapshotKind::SymbolicExact, 7)
         );
         let decoded = decode(fig1(), ExploreBudget::default(), 7, &bytes).unwrap();
-        let DecodedBackend::Symbolic(restored) = decoded else {
+        let BackendImpl::Symbolic(restored) = decoded else {
             panic!("symbolic snapshot decoded to the wrong backend");
         };
         assert_eq!(restored.current_k(), 3);
@@ -678,6 +683,20 @@ mod tests {
         padded.push(0);
         let err = decode(cpds.clone(), ExploreBudget::default(), 42, &padded).unwrap_err();
         assert!(err.contains("trailing bytes"), "{err}");
+        // A state table that ends before the payload does: the last
+        // state's first stack holds one symbol, and a depth of 0 makes
+        // the table end 8 bytes early. Decoding it anyway would load
+        // another state than the file's and re-encode to 566 bytes.
+        let (_, mut short) = explicit_snapshot(4);
+        assert_eq!((short.len(), &short[550..554]), (574, &[1, 0, 0, 0][..]));
+        short[550..554].fill(0);
+        let checksum = fnv1a(&short[HEADER_LEN..]);
+        short[29..37].copy_from_slice(&checksum.to_le_bytes());
+        let err = decode(cpds.clone(), ExploreBudget::default(), 42, &short).unwrap_err();
+        assert_eq!(
+            err,
+            "snapshot offset 566: trailing bytes after the state table"
+        );
         let err = decode(cpds, ExploreBudget::default(), 42, &bytes[..10]).unwrap_err();
         assert_eq!(err, "snapshot offset 0: truncated header");
     }
@@ -724,7 +743,7 @@ mod tests {
         engine.run_until_collapse(8).unwrap();
         assert!(engine.states().len() < engine.num_states());
         let bytes = encode_explicit(&engine, 5);
-        let DecodedBackend::Explicit(restored) =
+        let BackendImpl::Explicit(restored) =
             decode(twins(), ExploreBudget::default(), 5, &bytes).unwrap()
         else {
             panic!("explicit snapshot decoded to the wrong backend");
@@ -737,7 +756,7 @@ mod tests {
             );
         }
 
-        let mut states = engine.states().to_vec();
+        let mut states = engine.states();
         let swap = states
             .iter()
             .position(|st| st.stacks[0] != st.stacks[1])
@@ -770,7 +789,7 @@ mod tests {
         let states: Vec<SymbolicState> = engine.states().collect();
         assert!(states.len() < engine.num_symbolic_states());
         let bytes = encode_symbolic(&engine, 5);
-        let DecodedBackend::Symbolic(restored) =
+        let BackendImpl::Symbolic(restored) =
             decode(twins(), ExploreBudget::default(), 5, &bytes).unwrap()
         else {
             panic!("symbolic snapshot decoded to the wrong backend");

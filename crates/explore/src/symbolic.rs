@@ -347,10 +347,7 @@ impl SymbolicEngine {
         states: Vec<SymbolicState>,
         store: LayerStore,
     ) -> Result<Self, String> {
-        let recorded: usize = (0..=store.current_k())
-            .map(|k| store.layer_ids(k).len())
-            .sum();
-        if states.len() != recorded {
+        if states.len() != store.layer_ids(store.current_k()).end as usize {
             return Err("state table does not match the layer record".to_owned());
         }
         if states[0] != SymbolicState::singleton(&cpds.initial_state()) {
@@ -444,7 +441,7 @@ impl SymbolicEngine {
     ///
     /// Panics if layer `k` has not been computed yet.
     pub fn layer(&self, k: usize) -> impl Iterator<Item = SymbolicState> + '_ {
-        self.store.layer_ids(k).iter().map(|&id| self.state(id))
+        self.store.layer_ids(k).map(|id| self.state(id))
     }
 
     /// The orbit of `state`: every distinct symbolic state that
@@ -511,22 +508,21 @@ impl SymbolicEngine {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
-            self.store.push_layer(Vec::new(), 0, self.num_states);
+            self.store
+                .push_layer(self.keys.len() as u32, 0, self.num_states);
             return Ok(SymbolicLayerSummary {
                 k,
                 new_symbolic: 0,
                 new_visible: 0,
             });
         }
-        let frontier: Vec<u32> = self.store.layer_ids(k - 1).to_vec();
         let before = self.num_states;
         let round_start = self.keys.len();
         let visible_start = self.visible_keys.len();
-        let mut new_layer: Vec<u32> = Vec::new();
         let mut new_visible = 0usize;
         let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
 
-        for &tau_id in &frontier {
+        for tau_id in self.store.layer_ids(k - 1) {
             for thread in 0..self.cpds.num_threads() {
                 let step = self.budget.interrupt.check().and_then(|()| {
                     // A twin's successors are its earlier twin's with
@@ -546,7 +542,7 @@ impl SymbolicEngine {
                         key[0] = q2.0;
                         key[thread + 1] = dfa;
                         self.symmetry.resort(&self.dfas, &mut key[1..], thread);
-                        self.register(&key, &mut new_layer, &mut new_visible)?;
+                        self.register(&key, &mut new_visible)?;
                     }
                     Ok(())
                 });
@@ -563,7 +559,7 @@ impl SymbolicEngine {
             new_visible,
         };
         self.store
-            .push_layer(new_layer, new_visible, self.num_states);
+            .push_layer(self.keys.len() as u32, new_visible, self.num_states);
         Ok(summary)
     }
 
@@ -640,12 +636,7 @@ impl SymbolicEngine {
 
     /// Stores the canonical successor keyed `key`, weighed by its
     /// orbit, unless deduplicated/subsumed.
-    fn register(
-        &mut self,
-        key: &[u32],
-        new_layer: &mut Vec<u32>,
-        new_visible: &mut usize,
-    ) -> Result<(), ExploreError> {
+    fn register(&mut self, key: &[u32], new_visible: &mut usize) -> Result<(), ExploreError> {
         let empty = key[1..]
             .iter()
             .any(|&d| self.dfas.get(d).is_empty_language());
@@ -670,7 +661,6 @@ impl SymbolicEngine {
         self.num_states += weight;
         *new_visible += self.record_visible_states(key);
         self.by_shared.entry(q).or_default().push(id);
-        new_layer.push(id);
         Ok(())
     }
 
@@ -811,7 +801,7 @@ mod tests {
         }
         // Every concrete state of R6 is covered symbolically.
         for state in exp.states() {
-            assert!(sym.covers(state), "symbolic misses {state}");
+            assert!(sym.covers(&state), "symbolic misses {state}");
         }
     }
 

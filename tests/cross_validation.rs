@@ -272,7 +272,7 @@ fn witnesses_replay_within_bounds() {
             engine.advance().unwrap();
         }
         for k in 0..=3usize {
-            for state in engine.layer(k).cloned().collect::<Vec<_>>() {
+            for state in engine.layer(k) {
                 let id = engine.find(&state).unwrap();
                 let w = engine.witness(id);
                 assert!(w.replay(&cpds), "seed {seed}: invalid witness for {state}");
@@ -621,10 +621,15 @@ fn every_kind_matches_the_reference_decision() {
 /// symbolic states, exactly as the engines originally did, and runs
 /// every thread's context step itself. The interned engines must
 /// reproduce them state for state. Each reference also keeps its own
-/// first-seen record of visible states, a `HashMap` that shares no
-/// code with [`LayerStore`].
+/// per-layer id lists and first-seen record of visible states, which
+/// share no code with [`LayerStore`].
 mod reference {
     use super::*;
+
+    /// The first bound whose layer of `layers` came up empty, if any.
+    fn first_empty(layers: &[Vec<u32>]) -> Option<usize> {
+        (1..layers.len()).find(|&k| layers[k].is_empty())
+    }
 
     /// The explicit round: a `GlobalState` BFS per frontier state and
     /// thread through `Cpds::successors_of_thread_into`.
@@ -634,6 +639,9 @@ mod reference {
         pub states: Vec<GlobalState>,
         index: HashMap<GlobalState, u32>,
         pub store: LayerStore,
+        /// `layers[k]`: the ids of the states first reached at bound
+        /// `k`, in discovery order.
+        pub layers: Vec<Vec<u32>>,
         /// The bound each visible state was first seen at, including
         /// those of a failed round.
         pub first_seen: HashMap<VisibleState, usize>,
@@ -650,15 +658,18 @@ mod reference {
                 index: HashMap::from([(init.clone(), 0)]),
                 states: vec![init],
                 store,
+                layers: vec![vec![0]],
             }
         }
 
+        /// The first bound whose layer came up empty, by the
+        /// reference's own record.
+        pub fn collapsed_at(&self) -> Option<usize> {
+            first_empty(&self.layers)
+        }
+
         pub fn advance(&mut self) -> Result<(), ExploreError> {
-            if self.store.is_collapsed() {
-                self.store.push_layer(Vec::new(), 0, self.states.len());
-                return Ok(());
-            }
-            let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
+            let frontier = self.layers.last().expect("layer 0").clone();
             let round_start = self.states.len() as u32;
             let mut new_layer = Vec::new();
             let mut new_visible = Vec::new();
@@ -667,8 +678,10 @@ mod reference {
                     self.closure(start, thread, round_start, &mut new_layer, &mut new_visible)?;
                 }
             }
+            let stored = self.states.len();
             self.store
-                .push_layer(new_layer, new_visible.len(), self.states.len());
+                .push_layer(stored as u32, new_visible.len(), stored);
+            self.layers.push(new_layer);
             Ok(())
         }
 
@@ -745,6 +758,8 @@ mod reference {
         by_shared: HashMap<SharedState, Vec<u32>>,
         pub store: LayerStore,
         tables: Vec<RuleTable>,
+        /// As [`Explicit::layers`].
+        pub layers: Vec<Vec<u32>>,
         /// As [`Explicit::first_seen`].
         pub first_seen: HashMap<VisibleState, usize>,
     }
@@ -764,15 +779,17 @@ mod reference {
                 mode,
                 store,
                 tables,
+                layers: vec![vec![0]],
             }
         }
 
+        /// As [`Explicit::collapsed_at`].
+        pub fn collapsed_at(&self) -> Option<usize> {
+            first_empty(&self.layers)
+        }
+
         pub fn advance(&mut self) -> Result<(), ExploreError> {
-            if self.store.is_collapsed() {
-                self.store.push_layer(Vec::new(), 0, self.states.len());
-                return Ok(());
-            }
-            let frontier = self.store.layer_ids(self.store.current_k()).to_vec();
+            let frontier = self.layers.last().expect("layer 0").clone();
             let mut new_layer = Vec::new();
             let mut new_visible = Vec::new();
             for &tau in &frontier {
@@ -782,8 +799,10 @@ mod reference {
                     }
                 }
             }
+            let stored = self.states.len();
             self.store
-                .push_layer(new_layer, new_visible.len(), self.states.len());
+                .push_layer(stored as u32, new_visible.len(), stored);
+            self.layers.push(new_layer);
             Ok(())
         }
 
@@ -1121,11 +1140,26 @@ fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
             return Some(format!("round {round}: state sequences differ"));
         }
         for k in 0..=round {
-            if engine.store().layer_ids(k) != reference.store.layer_ids(k)
+            if !engine
+                .store()
+                .layer_ids(k)
+                .eq(reference.layers[k].iter().copied())
                 || engine.visible_layer(k) != reference.store.visible_layer(k)
             {
                 return Some(format!("round {round}: layer {k} differs"));
             }
+            if let Some(&id) = reference.layers[k]
+                .iter()
+                .find(|&&id| engine.layer_of(id) != k)
+            {
+                return Some(format!(
+                    "round {round}: state {id} of layer {k} has layer_of {}",
+                    engine.layer_of(id)
+                ));
+            }
+        }
+        if engine.store().collapsed_at() != reference.collapsed_at() {
+            return Some(format!("round {round}: collapse bounds differ"));
         }
     }
     None
@@ -1162,9 +1196,8 @@ fn symbolic_difference(
         }
         if got.is_err() {
             let k = engine.current_k();
-            let stored: usize = (0..=k).map(|j| engine.store().layer_ids(j).len()).sum();
             return (engine.num_symbolic_states() != engine.store().state_count_at(k)
-                || engine.num_stored() != stored)
+                || engine.num_stored() != engine.store().layer_ids(k).end as usize)
                 .then(|| format!("round {round}: rollback left stray states"));
         }
         if engine.num_symbolic_states() != reference.states.len() {
@@ -1173,9 +1206,7 @@ fn symbolic_difference(
         let mut stored_orbits: HashSet<SymbolicState> = HashSet::new();
         for k in 0..=round {
             let layer: Vec<SymbolicState> = engine.layer(k).collect();
-            let want: Vec<&SymbolicState> = reference
-                .store
-                .layer_ids(k)
+            let want: Vec<&SymbolicState> = reference.layers[k]
                 .iter()
                 .map(|&id| &reference.states[id as usize])
                 .collect();
@@ -1184,7 +1215,10 @@ fn symbolic_difference(
             }
             if classes.is_empty() {
                 if layer.iter().collect::<Vec<_>>() != want
-                    || engine.store().layer_ids(k) != reference.store.layer_ids(k)
+                    || !engine
+                        .store()
+                        .layer_ids(k)
+                        .eq(reference.layers[k].iter().copied())
                     || engine.visible_layer(k) != reference.store.visible_layer(k)
                 {
                     return Some(format!("round {round}: layer {k} differs"));
@@ -1232,7 +1266,7 @@ fn symbolic_difference(
                 return Some(format!("round {round}: visible layer {k} differs"));
             }
         }
-        if engine.store().collapsed_at() != reference.store.collapsed_at() {
+        if engine.store().collapsed_at() != reference.collapsed_at() {
             return Some(format!("round {round}: collapse bounds differ"));
         }
     }
@@ -1433,8 +1467,10 @@ fn orbit_of(symmetries: &[Vec<usize>], state: &GlobalState) -> Vec<GlobalState> 
 /// difference, if any. Per round: the orbits of each stored layer make
 /// up the reference layer, visible layers are equal as sets, so are
 /// the concrete state counts and the collapse bound, a round fails in
-/// both or in neither, and every state of the new reference layer gets
-/// a witness that replays, ends at it and keeps to its bound.
+/// both or in neither, each stored representative's `layer_of` is the
+/// reference layer of that state, and every state of the new reference
+/// layer gets a witness that replays, ends at it and keeps to its
+/// bound.
 fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
     let symmetries = thread_symmetries(cpds);
     let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
@@ -1455,11 +1491,9 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         for k in 0..=round {
             let expanded: HashSet<GlobalState> = engine
                 .layer(k)
-                .flat_map(|s| orbit_of(&symmetries, s))
+                .flat_map(|s| orbit_of(&symmetries, &s))
                 .collect();
-            let layer: HashSet<GlobalState> = reference
-                .store
-                .layer_ids(k)
+            let layer: HashSet<GlobalState> = reference.layers[k]
                 .iter()
                 .map(|&id| reference.states[id as usize].clone())
                 .collect();
@@ -1476,10 +1510,22 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
                 return Some(format!("round {round}: |R{k}| differs"));
             }
         }
-        if engine.store().collapsed_at() != reference.store.collapsed_at() {
+        if engine.store().collapsed_at() != reference.collapsed_at() {
             return Some(format!("round {round}: collapse bounds differ"));
         }
-        for &id in reference.store.layer_ids(round) {
+        let states = &reference.states;
+        let reference_layer: HashMap<&GlobalState, usize> = reference
+            .layers
+            .iter()
+            .enumerate()
+            .flat_map(|(k, ids)| ids.iter().map(move |&id| (&states[id as usize], k)))
+            .collect();
+        for (id, state) in engine.states().iter().enumerate() {
+            if reference_layer.get(state) != Some(&engine.layer_of(id as u32)) {
+                return Some(format!("round {round}: layer_of({id}) differs for {state}"));
+            }
+        }
+        for &id in &reference.layers[round] {
             let state = &reference.states[id as usize];
             let Some(w) = engine.witness_to(state) else {
                 return Some(format!("round {round}: no witness for {state}"));

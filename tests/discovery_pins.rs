@@ -1,4 +1,5 @@
-//! Pins the engines' discovery order and the snapshot bytes.
+//! Pins the engines' discovery order and the snapshot bytes, and runs
+//! the snapshot decoder on byte mutations of snapshots.
 //!
 //! Both engines number states in discovery order, and `.cubasnap`
 //! files record that order, so any change to how a round walks its
@@ -12,11 +13,15 @@
 //! digests pin that reduced order, and their concrete counts are the
 //! unreduced engines'.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Command;
 use std::sync::Mutex;
 
 use cuba::benchmarks::{bst, fig1, fig2, stefan};
-use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
+use cuba::explore::{
+    ExplicitEngine, ExploreBudget, Interrupt, SharedExplorer, SubsumptionMode, SymbolicEngine,
+};
+use cuba::pds::rng::SplitMix64;
 use cuba::pds::VisibleState;
 use cuba_telemetry::metrics::METRICS;
 
@@ -73,7 +78,7 @@ fn explicit_digest(engine: &ExplicitEngine) -> (usize, u64) {
     for k in 0..=engine.current_k() {
         let ids = engine.store().layer_ids(k);
         d.word(ids.len() as u32);
-        for &id in ids {
+        for id in ids {
             d.word(id);
         }
         d.visible(&engine.visible_layer(k));
@@ -219,4 +224,71 @@ fn snapshot_bytes_are_pinned() {
         snapshot_digest("samples/fig2.bp", &["--max-k", "8"]),
         (4853, 14068536676173696729)
     );
+}
+
+/// A mutation oracle for the `.cubasnap` decoder. Snapshots of four
+/// systems explored to k = 4 (explicit for the FCR systems Fig. 1 and
+/// bst-insert/2+1, symbolic for Fig. 2 and stefan-1/4) each get
+/// single-byte payload mutations from a fixed seed, with the checksum
+/// (FNV-1a 64, as `Digest`) re-stamped so that every mutant reaches the
+/// parser. No mutant may panic `SharedExplorer::restore`, and every
+/// mutant it accepts must re-encode to exactly its own bytes.
+#[test]
+fn snapshot_mutants_never_panic_and_accepted_ones_re_encode_exactly() {
+    /// Magic, version, kind, fingerprint, payload length, checksum.
+    const HEADER_LEN: usize = 37;
+    const CHECKSUM: std::ops::Range<usize> = 29..37;
+    const FINGERPRINT: u64 = 7;
+    let systems = [
+        (fig1::build(), None, 20_000),
+        (bst::build(2, 1), None, 500),
+        (fig2::build(), Some(SubsumptionMode::Exact), 5_000),
+        (stefan::build(4), Some(SubsumptionMode::Exact), 2_000),
+    ];
+    let mut rng = SplitMix64::new(1);
+    let (mut accepted, mut failures) = (0, Vec::new());
+    for (cpds, mode, mutants) in systems {
+        let explorer = match mode {
+            None => SharedExplorer::explicit(cpds.clone(), ExploreBudget::default()),
+            Some(mode) => SharedExplorer::symbolic(cpds.clone(), ExploreBudget::default(), mode),
+        };
+        explorer.ensure_layer(4, &Interrupt::none()).unwrap();
+        let bytes = explorer.snapshot(FINGERPRINT);
+        for _ in 0..mutants {
+            let mut mutant = bytes.clone();
+            let at = HEADER_LEN + rng.gen_usize(bytes.len() - HEADER_LEN);
+            match rng.gen_u32(4) {
+                0 => mutant[at] ^= 1 << rng.gen_u32(8),
+                1 => mutant[at] = rng.next_u64() as u8,
+                2 => mutant[at] = mutant[at].wrapping_add(1),
+                _ => mutant[at] = mutant[at].wrapping_sub(1),
+            }
+            let mut sum = Digest::new();
+            sum.bytes(&mutant[HEADER_LEN..]);
+            mutant[CHECKSUM].copy_from_slice(&sum.0.to_le_bytes());
+            let restored = catch_unwind(AssertUnwindSafe(|| {
+                SharedExplorer::restore(
+                    cpds.clone(),
+                    ExploreBudget::default(),
+                    FINGERPRINT,
+                    &mutant,
+                )
+            }));
+            match restored {
+                Err(_) => failures.push(format!("offset {at} of {} bytes panics", bytes.len())),
+                Ok(Ok(restored)) => {
+                    accepted += 1;
+                    if restored.snapshot(FINGERPRINT) != mutant {
+                        failures.push(format!(
+                            "offset {at} of {} bytes re-encodes to other bytes",
+                            bytes.len()
+                        ));
+                    }
+                }
+                Ok(Err(_)) => {}
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:?}");
+    assert!(accepted >= 100, "only {accepted} mutants accepted");
 }
