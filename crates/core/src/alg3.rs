@@ -21,8 +21,8 @@ use cuba_pds::Cpds;
 
 use crate::engine::{EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
 use crate::{
-    ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, SequenceEvent, SystemArtifacts,
-    Verdict,
+    ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, PropertyCheck, SequenceEvent,
+    SystemArtifacts, Verdict,
 };
 
 /// A resumable CUBA analysis engine: one observation-sequence
@@ -39,7 +39,8 @@ use crate::{
 pub struct Engine {
     kind: EngineKind,
     cpds: Cpds,
-    property: Property,
+    /// The property, flattened once for this system's visible keys.
+    check: PropertyCheck,
     budget: ExploreBudget,
     max_k: usize,
     /// The layers this engine observes: explicit `(Rk)` or symbolic
@@ -74,7 +75,7 @@ impl Engine {
         Engine {
             kind,
             cpds: cpds.clone(),
-            property: property.clone(),
+            check: PropertyCheck::new(property, cpds),
             budget: params.budget.clone(),
             max_k: params.max_k,
             explorer,
@@ -169,10 +170,10 @@ impl Engine {
             None => Ok(RoundOutcome::Continue(info)),
             Some(verdict) => {
                 let verdict = if self.explorer.is_symbolic() {
-                    attach_symbolic_witness(verdict, &self.cpds, &self.property, &self.budget)
+                    attach_symbolic_witness(verdict, &self.cpds, &self.check, &self.budget)
                 } else {
                     self.explorer
-                        .with_explicit(|e| attach_witness(verdict.clone(), e, &self.property))
+                        .with_explicit(|e| attach_witness(verdict.clone(), e, &self.check))
                         .unwrap_or(verdict)
                 };
                 Ok(self.conclude(Some(info), verdict))
@@ -200,7 +201,7 @@ impl Engine {
         if self.explorer.with_store(|store| {
             store
                 .visible_layer_keys(k)
-                .any(|key| self.property.violated_by_key(key))
+                .any(|key| self.check.violated_by_key(key))
         }) {
             return Ok(Some(Verdict::Unsafe { k, witness: None }));
         }
@@ -281,13 +282,13 @@ impl Engine {
 fn attach_symbolic_witness(
     verdict: Verdict,
     cpds: &Cpds,
-    property: &Property,
+    check: &PropertyCheck,
     budget: &cuba_explore::ExploreBudget,
 ) -> Verdict {
     match verdict {
         Verdict::Unsafe { k, witness: None } => {
             let witness =
-                cuba_explore::bounded_witness_search(cpds, &|v| property.violated_by(v), k, budget);
+                cuba_explore::bounded_witness_search(cpds, &|v| check.violated_by(v), k, budget);
             Verdict::Unsafe { k, witness }
         }
         other => other,
@@ -297,7 +298,7 @@ fn attach_symbolic_witness(
 /// Reconstructs the path to a state of layer `k` that violates the
 /// property: the first member, in orbit order, of the first stored
 /// orbit of layer `k` that has a violating member.
-fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, property: &Property) -> Verdict {
+fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, check: &PropertyCheck) -> Verdict {
     match verdict {
         Verdict::Unsafe { k, witness: None } => {
             let witness = engine
@@ -306,7 +307,7 @@ fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, property: &Property
                     engine
                         .orbit(&s)
                         .into_iter()
-                        .find(|member| property.violated_by(&member.visible()))
+                        .find(|member| check.violated_by(&member.visible()))
                 })
                 .and_then(|member| engine.witness_to(&member));
             Verdict::Unsafe { k, witness }

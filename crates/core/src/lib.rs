@@ -117,7 +117,7 @@ pub use overapprox::{
     compute_z, explore_z, generators_in_z, thread_abstraction, AbstractTransition,
 };
 pub use portfolio::{Lineup, Portfolio};
-pub use property::Property;
+pub use property::{Property, PropertyCheck};
 pub use sequence::{GrowthLog, SequenceEvent};
 pub use session::{
     AnalysisSession, CubaOutcome, EngineUsed, SchedulePolicy, SessionConfig, StageTimes,

@@ -1,4 +1,4 @@
-use cuba_pds::{top_code, Cpds, SharedState, StackSym, VisibleState};
+use cuba_pds::{top_code, Cpds, KeyTable, SharedState, StackSym, VisibleState};
 
 /// A safety property over *visible* states (paper §2.2: "Most
 /// reachability properties, including assertions inserted into a
@@ -6,7 +6,7 @@ use cuba_pds::{top_code, Cpds, SharedState, StackSym, VisibleState};
 ///
 /// A property *holds* as long as no reachable visible state violates
 /// it; all CUBA algorithms check every newly discovered visible state
-/// against [`violated_by`](Property::violated_by).
+/// against it, through a [`PropertyCheck`] flattened once per system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Property {
     /// Always holds; use to compute reachability sets to convergence
@@ -45,13 +45,16 @@ impl Property {
     }
 
     /// Whether the visible state `v` violates the property.
+    ///
+    /// This and [`violated_by_key`](Property::violated_by_key) are the
+    /// definition; the analyses check a [`PropertyCheck`] flattened
+    /// from it once per system.
     pub fn violated_by(&self, v: &VisibleState) -> bool {
         self.violated_by_key(&v.key())
     }
 
     /// Whether the visible state keyed `key` (see [`VisibleState::key`])
-    /// violates the property: the check a layer record runs on its
-    /// keys in place.
+    /// violates the property.
     pub fn violated_by_key(&self, key: &[u32]) -> bool {
         let (q, tops) = key.split_first().expect("a visible key starts with q");
         match self {
@@ -73,7 +76,8 @@ impl Property {
     }
 
     /// Validates that every shared state, thread index and stack
-    /// symbol this property names exists in `cpds`.
+    /// symbol this property names exists in `cpds`, and that no mutex
+    /// clause pins one thread to two different symbols.
     ///
     /// [`parse`](Property::parse) is purely syntactic: it happily
     /// accepts `never-shared:99` for a four-state model, and such a
@@ -140,7 +144,7 @@ impl Property {
                 Ok(())
             }
             Property::MutualExclusion(pins) => {
-                for &(thread, sym) in pins {
+                for (i, &(thread, sym)) in pins.iter().enumerate() {
                     if thread >= num_threads {
                         return Err(format!(
                             "property `{self}` names thread {thread}, but the model \
@@ -149,6 +153,14 @@ impl Property {
                         ));
                     }
                     check_sym(thread, sym)?;
+                    if let Some((_, other)) =
+                        pins[..i].iter().find(|&&(t, s)| t == thread && s != sym)
+                    {
+                        return Err(format!(
+                            "property `{self}` pins thread {thread} to both {other} and \
+                             {sym}, so no visible state can violate it"
+                        ));
+                    }
                 }
                 Ok(())
             }
@@ -230,6 +242,111 @@ impl Property {
             "bad property '{spec}' (expected true, never-shared:<q>, \
              never-visible:<q>|<tops>, or mutex:<t>@<s>,...)"
         ))
+    }
+}
+
+/// A [`Property`] flattened once for the visible keys of one system:
+/// the check the analyses run on every visible state of a layer.
+///
+/// `All` nesting is gone, and what is left is a table lookup and a
+/// flat list of key comparisons:
+///
+/// * the `NeverShared` states, as one flag per shared state of the
+///   model;
+/// * the `NeverVisible` targets of the model's width, as interned
+///   keys;
+/// * the mutex clauses, as `(key index, top code)` pins, clause after
+///   clause in one list.
+///
+/// On every visible key of the system it was built for, it answers as
+/// [`Property::violated_by_key`], whether or not the property was
+/// validated: a target of another width or a clause naming a thread
+/// the model lacks is left out, since neither can match such a key,
+/// and a clause pinning one thread to two symbols never fires. Its
+/// tables are sized by the model, never by the ids a property names.
+#[derive(Debug, Clone)]
+pub struct PropertyCheck {
+    /// Per shared state of the model: does reaching it violate?
+    shared: Vec<bool>,
+    /// The `NeverVisible` targets of the model's width, as keys.
+    targets: KeyTable,
+    /// The `(key index, top code)` pins of every mutex clause, clause
+    /// after clause.
+    pins: Vec<(u32, u32)>,
+    /// Where each clause's pins end in `pins`.
+    clause_ends: Vec<u32>,
+}
+
+impl PropertyCheck {
+    /// Flattens `property` for the visible keys of `cpds`.
+    pub fn new(property: &Property, cpds: &Cpds) -> Self {
+        let mut check = PropertyCheck {
+            shared: vec![false; cpds.num_shared() as usize],
+            targets: KeyTable::new(cpds.num_threads() + 1),
+            pins: Vec::new(),
+            clause_ends: Vec::new(),
+        };
+        check.add(property);
+        check
+    }
+
+    fn add(&mut self, property: &Property) {
+        let num_threads = self.targets.width() - 1;
+        match property {
+            Property::True => {}
+            Property::NeverVisible(targets) => {
+                for target in targets {
+                    if target.num_threads() == num_threads {
+                        self.targets.insert(&target.key());
+                    }
+                }
+            }
+            Property::NeverShared(states) => {
+                for q in states {
+                    if let Some(flag) = self.shared.get_mut(q.0 as usize) {
+                        *flag = true;
+                    }
+                }
+            }
+            Property::MutualExclusion(pins) => {
+                if pins.iter().all(|&(thread, _)| thread < num_threads) {
+                    self.pins.extend(
+                        pins.iter()
+                            .map(|&(thread, sym)| (thread as u32 + 1, top_code(Some(sym)))),
+                    );
+                    self.clause_ends.push(self.pins.len() as u32);
+                }
+            }
+            Property::All(props) => props.iter().for_each(|p| self.add(p)),
+        }
+    }
+
+    /// Whether the visible state keyed `key` (see [`VisibleState::key`])
+    /// violates the property: the check a layer record runs on its
+    /// keys in place.
+    pub fn violated_by_key(&self, key: &[u32]) -> bool {
+        if self.shared.get(key[0] as usize) == Some(&true) {
+            return true;
+        }
+        if !self.targets.is_empty()
+            && key.len() == self.targets.width()
+            && self.targets.find(key).is_some()
+        {
+            return true;
+        }
+        let mut start = 0;
+        self.clause_ends.iter().any(|&end| {
+            let clause = &self.pins[start..end as usize];
+            start = end as usize;
+            clause
+                .iter()
+                .all(|&(index, code)| key.get(index as usize) == Some(&code))
+        })
+    }
+
+    /// Whether the visible state `v` violates the property.
+    pub fn violated_by(&self, v: &VisibleState) -> bool {
+        self.violated_by_key(&v.key())
     }
 }
 
@@ -421,6 +538,61 @@ mod tests {
             .validate(&cpds)
             .unwrap_err();
         assert!(e.contains("shared state 99"), "{e}");
+    }
+
+    /// A mutex clause that pins one thread to two symbols can never be
+    /// violated, so it is as vacuous as an unknown id; a repeated pin
+    /// is harmless.
+    #[test]
+    fn validate_rejects_a_mutex_pinning_one_thread_to_two_symbols() {
+        let cpds = crate::testutil::fig1();
+        let conflicting = Property::MutualExclusion(vec![(0, s(1)), (1, s(4)), (0, s(2))]);
+        let e = conflicting.validate(&cpds).unwrap_err();
+        assert!(e.contains("pins thread 0 to both 1 and 2"), "{e}");
+        let e = Property::All(vec![Property::True, conflicting])
+            .validate(&cpds)
+            .unwrap_err();
+        assert!(e.contains("thread 0"), "{e}");
+        assert!(Property::MutualExclusion(vec![(1, s(4)), (1, s(4))])
+            .validate(&cpds)
+            .is_ok());
+    }
+
+    /// The flattened check answers as the definition on every visible
+    /// key of Fig. 1, for the values `validate` rejects too.
+    #[test]
+    fn flattened_check_matches_the_definition_on_odd_properties() {
+        let cpds = crate::testutil::fig1();
+        let properties = [
+            Property::True,
+            Property::All(vec![]),
+            // An empty clause is violated everywhere.
+            Property::MutualExclusion(vec![]),
+            Property::MutualExclusion(vec![(0, s(1)), (0, s(2))]),
+            Property::MutualExclusion(vec![(1, s(4)), (1, s(4))]),
+            Property::MutualExclusion(vec![(0, s(1)), (2, s(1))]),
+            Property::never_visible(vis(0, &[Some(1)])),
+            Property::NeverShared(vec![q(99), q(2)]),
+            Property::All(vec![
+                Property::All(vec![Property::never_visible(vis(3, &[Some(2), None]))]),
+                Property::mutex(0, s(2), 1, s(6)),
+            ]),
+        ];
+        let keys: Vec<Vec<u32>> = (0..4)
+            .flat_map(|q| (0..=3).flat_map(move |a| (0..=7).map(move |b| vec![q, a, b])))
+            .collect();
+        for property in &properties {
+            let check = PropertyCheck::new(property, &cpds);
+            for key in &keys {
+                assert_eq!(
+                    check.violated_by_key(key),
+                    property.violated_by_key(key),
+                    "{property} on {key:?}"
+                );
+            }
+        }
+        let empty = PropertyCheck::new(&Property::MutualExclusion(vec![]), &cpds);
+        assert!(keys.iter().all(|key| empty.violated_by_key(key)));
     }
 
     #[test]

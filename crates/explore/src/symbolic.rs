@@ -1,5 +1,6 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use cuba_automata::{language_subset, post_star_table, CanonicalDfa, Psa, RuleTable};
 use cuba_pds::{top_code, Cpds, GlobalState, KeyTable, SharedState, StackSym, VisibleState};
@@ -69,8 +70,9 @@ impl SymbolicState {
         let per_thread: Vec<Vec<u32>> = self.stacks.iter().map(top_set).collect();
         let domains: Vec<&[u32]> = per_thread.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        for_each_visible_key(self.q, &domains, |key| {
-            out.push(VisibleState::from_key(key))
+        let Ok(()) = for_each_visible_key(self.q, &domains, |key| {
+            out.push(VisibleState::from_key(key));
+            Ok::<(), Infallible>(())
         });
         out
     }
@@ -132,22 +134,31 @@ fn top_set(a: &CanonicalDfa) -> Vec<u32> {
         .collect()
 }
 
+/// How many visible keys a state's visible-orbit recording enumerates
+/// between two polls of the interrupt.
+const VISIBLE_POLL_INTERVAL: usize = 4096;
+
 /// Calls `f` with the visible key (see [`VisibleState::key`]) of every
 /// visible state of `{q} × d1 × … × dn` over the per-thread top-code
 /// `domains`, the last thread varying fastest; nothing when some
-/// domain is empty (then `γ(τ)` is empty).
-fn for_each_visible_key(q: SharedState, domains: &[&[u32]], mut f: impl FnMut(&[u32])) {
+/// domain is empty (then `γ(τ)` is empty). Stops at the first error
+/// `f` returns.
+fn for_each_visible_key<E>(
+    q: SharedState,
+    domains: &[&[u32]],
+    mut f: impl FnMut(&[u32]) -> Result<(), E>,
+) -> Result<(), E> {
     if domains.iter().any(|d| d.is_empty()) {
-        return;
+        return Ok(());
     }
     let mut digits = vec![0usize; domains.len()];
     let mut key: Vec<u32> = std::iter::once(q.0)
         .chain(domains.iter().map(|d| d[0]))
         .collect();
     loop {
-        f(&key);
+        f(&key)?;
         let Some(pos) = (0..digits.len()).rposition(|i| digits[i] + 1 < domains[i].len()) else {
-            return;
+            return Ok(());
         };
         digits[pos] += 1;
         key[pos + 1] = domains[pos][digits[pos]];
@@ -227,7 +238,10 @@ impl ContentOrder for DfaTable {
 /// is its frontier state's key with two words replaced, so a context
 /// step clones no automaton. The visible states `T(τ)` depend only on
 /// `(q, [TopSetId; n])` and are enumerated once per such key, as
-/// visible keys. Those keys roll back with a failed round.
+/// visible keys. A round records them only once all of its successors
+/// are registered within the `max_symbolic_states` budget, in
+/// registration order, so a round that fails the budget enumerates
+/// none; keys recorded by an interrupted round roll back with it.
 /// [`layer`](Self::layer) and [`covers`](Self::covers) still speak
 /// [`SymbolicState`], materialized on demand.
 ///
@@ -519,39 +533,18 @@ impl SymbolicEngine {
         let before = self.num_states;
         let round_start = self.keys.len();
         let visible_start = self.visible_keys.len();
-        let mut new_visible = 0usize;
-        let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
-
-        for tau_id in self.store.layer_ids(k - 1) {
-            for thread in 0..self.cpds.num_threads() {
-                let step = self.budget.interrupt.check().and_then(|()| {
-                    // A twin's successors are its earlier twin's with
-                    // the two threads' languages swapped: the same
-                    // orbits.
-                    if self
-                        .symmetry
-                        .earlier_twin(&self.keys.key(tau_id)[1..], thread)
-                        .is_some()
-                    {
-                        METRICS.symbolic_contexts_shared.inc();
-                        return Ok(());
-                    }
-                    for (q2, dfa) in self.context_post(tau_id, thread)? {
-                        key.clear();
-                        key.extend_from_slice(self.keys.key(tau_id));
-                        key[0] = q2.0;
-                        key[thread + 1] = dfa;
-                        self.symmetry.resort(&self.dfas, &mut key[1..], thread);
-                        self.register(&key, &mut new_visible)?;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = step {
-                    self.rollback(round_start, visible_start);
-                    return Err(e);
-                }
+        // Every successor is registered before any visible state is
+        // recorded, so a round that fails the budget enumerates none.
+        let recorded = self
+            .register_successors(k)
+            .and_then(|()| self.record_visible_orbits(round_start as u32));
+        let new_visible = match recorded {
+            Ok(new_visible) => new_visible,
+            Err(e) => {
+                self.rollback(round_start, visible_start);
+                return Err(e);
             }
-        }
+        };
 
         let summary = SymbolicLayerSummary {
             k,
@@ -561,6 +554,48 @@ impl SymbolicEngine {
         self.store
             .push_layer(self.keys.len() as u32, new_visible, self.num_states);
         Ok(summary)
+    }
+
+    /// Registers the successors of every state of layer `k − 1`, in
+    /// frontier order, thread by thread: their new ids follow the
+    /// layer's.
+    fn register_successors(&mut self, k: usize) -> Result<(), ExploreError> {
+        let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
+        for tau_id in self.store.layer_ids(k - 1) {
+            for thread in 0..self.cpds.num_threads() {
+                self.budget.interrupt.check()?;
+                // A twin's successors are its earlier twin's with the
+                // two threads' languages swapped: the same orbits.
+                if self
+                    .symmetry
+                    .earlier_twin(&self.keys.key(tau_id)[1..], thread)
+                    .is_some()
+                {
+                    METRICS.symbolic_contexts_shared.inc();
+                    continue;
+                }
+                for (q2, dfa) in self.context_post(tau_id, thread)? {
+                    key.clear();
+                    key.extend_from_slice(self.keys.key(tau_id));
+                    key[0] = q2.0;
+                    key[thread + 1] = dfa;
+                    self.symmetry.resort(&self.dfas, &mut key[1..], thread);
+                    self.register(&key)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Records the visible orbits of the states registered this round
+    /// (ids `round_start..`), in registration order. Returns how many
+    /// visible states were new.
+    fn record_visible_orbits(&mut self, round_start: u32) -> Result<usize, ExploreError> {
+        let mut new_visible = 0;
+        for id in round_start..self.keys.len() as u32 {
+            new_visible += self.record_visible_states(id)?;
+        }
+        Ok(new_visible)
     }
 
     /// Removes every symbolic state (ids `round_start..`), visible-key
@@ -636,7 +671,7 @@ impl SymbolicEngine {
 
     /// Stores the canonical successor keyed `key`, weighed by its
     /// orbit, unless deduplicated/subsumed.
-    fn register(&mut self, key: &[u32], new_visible: &mut usize) -> Result<(), ExploreError> {
+    fn register(&mut self, key: &[u32]) -> Result<(), ExploreError> {
         let empty = key[1..]
             .iter()
             .any(|&d| self.dfas.get(d).is_empty_language());
@@ -659,27 +694,33 @@ impl SymbolicEngine {
         }
         let (id, _) = self.keys.insert(key);
         self.num_states += weight;
-        *new_visible += self.record_visible_states(key);
         self.by_shared.entry(q).or_default().push(id);
         Ok(())
     }
 
-    /// Records the visible states of the whole orbit of the state
-    /// keyed `key`: `T(τ) = {q} × T(A1) × … × T(An)` (Eq. 4) for every
+    /// Records the visible states of the whole orbit of stored state
+    /// `id`: `T(τ) = {q} × T(A1) × … × T(An)` (Eq. 4) for every
     /// distinct arrangement of its top sets within classes, in the
     /// order of [`SymbolicState::visible_states`] — unless its
     /// `(q, [TopSetId; n])` was recorded before, which makes every one
     /// of them a repeat. Returns how many visible states were new.
-    fn record_visible_states(&mut self, key: &[u32]) -> usize {
+    ///
+    /// An orbit may hold millions of visible states, so the interrupt
+    /// is polled per arrangement and every [`VISIBLE_POLL_INTERVAL`]
+    /// keys; the caller rolls the round back when it fires.
+    fn record_visible_states(&mut self, id: u32) -> Result<usize, ExploreError> {
+        let key = self.keys.key(id);
         let mut top_key = Vec::with_capacity(key.len());
         top_key.push(key[0]);
         top_key.extend(key[1..].iter().map(|&d| self.dfas.top_set_of[d as usize]));
         if self.visible_keys.find(&top_key).is_some() {
             // Recorded with its whole arrangement orbit.
-            return 0;
+            return Ok(0);
         }
+        let interrupt = &self.budget.interrupt;
         let mut new = 0;
         for tops in self.symmetry.arrangements(&top_key[1..]) {
+            interrupt.check()?;
             top_key[1..].copy_from_slice(&tops);
             self.visible_keys.insert(&top_key);
             let domains: Vec<&[u32]> = tops
@@ -687,11 +728,17 @@ impl SymbolicEngine {
                 .map(|&t| self.dfas.top_sets[t as usize].as_slice())
                 .collect();
             let store = &mut self.store;
+            let mut enumerated = 0usize;
             for_each_visible_key(SharedState(key[0]), &domains, |visible| {
+                enumerated += 1;
+                if enumerated.is_multiple_of(VISIBLE_POLL_INTERVAL) {
+                    interrupt.check()?;
+                }
                 new += usize::from(store.record_visible_key(visible));
-            });
+                Ok(())
+            })?;
         }
-        new
+        Ok(new)
     }
 
     /// Runs rounds until collapse or `max_k`; returns the final bound.

@@ -25,7 +25,7 @@
 
 use std::ops::ControlFlow;
 
-use cuba_core::{explore_z, Property};
+use cuba_core::{explore_z, Property, PropertyCheck};
 use cuba_explore::Interrupt;
 use cuba_pds::{code_top, Cpds, KeyTable, SharedState};
 
@@ -150,13 +150,17 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
         .iter()
         .map(|pds| vec![false; pds.actions().len()])
         .collect();
+    let checks: Vec<PropertyCheck> = properties
+        .iter()
+        .map(|property| PropertyCheck::new(property, cpds))
+        .collect();
     let mut vacuous = vec![true; properties.len()];
     let mut in_cone = vec![false; skel.num_states()];
     let mut stack: Vec<u32> = Vec::new();
     for id in 0..skel.num_states() as u32 {
         let key = skel.states.key(id);
-        for (p, property) in properties.iter().enumerate() {
-            if property.violated_by_key(key) {
+        for (p, check) in checks.iter().enumerate() {
+            if check.violated_by_key(key) {
                 vacuous[p] = false;
                 if !in_cone[id as usize] {
                     in_cone[id as usize] = true;

@@ -320,6 +320,22 @@ fn verify_rejects_an_invalid_property() {
     assert!(stderr.contains("invalid property"));
 }
 
+/// A mutex pinning one thread to two symbols can never be violated: it
+/// is rejected like an unknown id instead of being proved `safe`.
+#[test]
+fn verify_rejects_a_mutex_pinning_one_thread_twice() {
+    let (stdout, stderr, code) =
+        cuba(&["verify", "samples/fig1.cpds", "--property", "mutex:0@1,0@2"]);
+    assert_eq!(code, Some(2), "stdout: {stdout}");
+    assert!(stderr.contains("invalid property"), "{stderr}");
+    assert!(stderr.contains("thread 0"), "{stderr}");
+    // A repeated pin is harmless: thread 1 starts on 4.
+    let (stdout, stderr, code) =
+        cuba(&["verify", "samples/fig1.cpds", "--property", "mutex:1@4,1@4"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stdout.contains("error reachable with resource amount 0"));
+}
+
 #[test]
 fn trace_streams_rounds_to_stderr() {
     let (stdout, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--trace"]);

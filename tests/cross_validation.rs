@@ -20,7 +20,9 @@
 //!   reproduces the reference rounds exactly,
 //! * every engine's first-seen record of visible states matches a
 //!   plain `HashMap` kept by the reference rounds, also after a
-//!   failed round.
+//!   failed round,
+//! * the flattened property check answers as the recursive
+//!   definition.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
@@ -33,8 +35,8 @@ use cuba::benchmarks::random::{random_cpds, RandomCpdsConfig};
 use cuba::benchmarks::textfmt;
 use cuba::core::{
     check_fcr, compute_z, generators_in_z, thread_abstraction, ConvergenceMethod, CubaError,
-    CubaOutcome, EngineKind, EngineUsed, GeneratorSet, Portfolio, Property, SessionConfig,
-    SystemArtifacts, Verdict,
+    CubaOutcome, EngineKind, EngineUsed, GeneratorSet, Portfolio, Property, PropertyCheck,
+    SessionConfig, SystemArtifacts, Verdict,
 };
 use cuba::explore::{
     ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerStore, SharedExplorer,
@@ -1706,4 +1708,118 @@ fn symbolic_twin_threads_match_the_reference_rounds() {
         }
     }
     assert!(errors >= 80, "too few failing rounds: {errors}");
+}
+
+/// A random property over `cpds`, nested at most `depth` `All`s deep:
+/// `True`, empty and nested `All`s, `NeverShared` states (also ones
+/// the model lacks), `NeverVisible` targets of the model's width and of
+/// others, and mutex clauses of one to three pins that may repeat a
+/// pin, pin one thread to two symbols, or name a thread or symbol the
+/// model lacks.
+fn random_property(rng: &mut SplitMix64, cpds: &Cpds, depth: usize) -> Property {
+    let n = cpds.num_threads();
+    let num_shared = cpds.num_shared();
+    // A symbol of `thread`'s alphabet or one past it.
+    let sym = |rng: &mut SplitMix64, thread: usize| {
+        let alphabet = if thread < n {
+            cpds.thread(thread).alphabet_size()
+        } else {
+            2
+        };
+        StackSym(rng.gen_u32(alphabet + 1))
+    };
+    match rng.gen_usize(if depth == 0 { 4 } else { 5 }) {
+        0 => Property::True,
+        1 => Property::NeverShared(
+            (0..1 + rng.gen_usize(3))
+                .map(|_| SharedState(rng.gen_u32(num_shared + 2)))
+                .collect(),
+        ),
+        2 => Property::NeverVisible(
+            (0..1 + rng.gen_usize(3))
+                .map(|_| {
+                    let width = match rng.gen_usize(6) {
+                        0 => n + 1,
+                        1 => n - 1,
+                        _ => n,
+                    };
+                    let q = SharedState(rng.gen_u32(num_shared + 1));
+                    let tops = (0..width)
+                        .map(|t| rng.gen_bool().then(|| sym(rng, t)))
+                        .collect();
+                    VisibleState::new(q, tops)
+                })
+                .collect(),
+        ),
+        3 => {
+            let mut pins: Vec<(usize, StackSym)> = Vec::new();
+            for _ in 0..1 + rng.gen_usize(3) {
+                let pin = match (pins.last().copied(), rng.gen_usize(4)) {
+                    // A repeated pin.
+                    (Some(last), 0) => last,
+                    // The same thread, another symbol (or the same).
+                    (Some((thread, _)), 1) => (thread, sym(rng, thread)),
+                    // Any thread, one past the model's included.
+                    _ => {
+                        let thread = rng.gen_usize(n + 1);
+                        (thread, sym(rng, thread))
+                    }
+                };
+                pins.push(pin);
+            }
+            Property::MutualExclusion(pins)
+        }
+        _ => Property::All(
+            (0..rng.gen_usize(4))
+                .map(|_| random_property(rng, cpds, depth - 1))
+                .collect(),
+        ),
+    }
+}
+
+/// The flattened [`PropertyCheck`] the engines and the lint run answers
+/// exactly as the recursive definition, on random properties (validated
+/// or not) and random visible keys within each model's ranges.
+#[test]
+fn flattened_property_checks_match_the_definition() {
+    let three_threads = RandomCpdsConfig {
+        num_threads: 3,
+        alphabet: 4,
+        ..RandomCpdsConfig::default()
+    };
+    let mut rng = SplitMix64::new(24);
+    let (mut checked, mut violated) = (0usize, 0usize);
+    for seed in 0..3u64 {
+        for shape in [RandomCpdsConfig::default(), three_threads.clone()] {
+            let cpds = random_cpds(&shape, seed);
+            let keys: Vec<Vec<u32>> = (0..1_000)
+                .map(|_| {
+                    std::iter::once(rng.gen_u32(cpds.num_shared()))
+                        .chain((0..cpds.num_threads()).map(|t| {
+                            // A top code: 0 for ε, σ + 1 for a symbol σ.
+                            rng.gen_u32(cpds.thread(t).alphabet_size() + 1)
+                        }))
+                        .collect()
+                })
+                .collect();
+            for _ in 0..200 {
+                let property = random_property(&mut rng, &cpds, 2);
+                let check = PropertyCheck::new(&property, &cpds);
+                for key in &keys {
+                    let expected = property.violated_by_key(key);
+                    assert_eq!(
+                        check.violated_by_key(key),
+                        expected,
+                        "seed {seed}: {property} on {key:?}"
+                    );
+                    checked += 1;
+                    violated += usize::from(expected);
+                }
+            }
+        }
+    }
+    assert!(
+        violated * 20 > checked && violated * 2 < checked,
+        "{violated} of {checked} keys violate"
+    );
 }
