@@ -302,13 +302,7 @@ fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, check: &PropertyChe
     match verdict {
         Verdict::Unsafe { k, witness: None } => {
             let witness = engine
-                .layer(k)
-                .find_map(|s| {
-                    engine
-                        .orbit(&s)
-                        .into_iter()
-                        .find(|member| check.violated_by(&member.visible()))
-                })
+                .find_in_layer(k, |key| check.violated_by_key(key))
                 .and_then(|member| engine.witness_to(&member));
             Verdict::Unsafe { k, witness }
         }

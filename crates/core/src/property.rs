@@ -1,4 +1,4 @@
-use cuba_pds::{top_code, Cpds, KeyTable, SharedState, StackSym, VisibleState};
+use cuba_pds::{code_top, top_code, Cpds, KeyTable, SharedState, StackSym, VisibleState};
 
 /// A safety property over *visible* states (paper §2.2: "Most
 /// reachability properties, including assertions inserted into a
@@ -65,12 +65,12 @@ impl Property {
                     && t.tops
                         .iter()
                         .zip(tops)
-                        .all(|(&top, &code)| top_code(top) == code)
+                        .all(|(&top, &code)| top == code_top(code))
             }),
             Property::NeverShared(states) => states.contains(&SharedState(*q)),
             Property::MutualExclusion(pins) => pins
                 .iter()
-                .all(|(thread, top)| tops.get(*thread) == Some(&top_code(Some(*top)))),
+                .all(|&(t, top)| tops.get(t).is_some_and(|&code| code_top(code) == Some(top))),
             Property::All(props) => props.iter().any(|p| p.violated_by_key(key)),
         }
     }
@@ -260,10 +260,11 @@ impl Property {
 ///
 /// On every visible key of the system it was built for, it answers as
 /// [`Property::violated_by_key`], whether or not the property was
-/// validated: a target of another width or a clause naming a thread
-/// the model lacks is left out, since neither can match such a key,
-/// and a clause pinning one thread to two symbols never fires. Its
-/// tables are sized by the model, never by the ids a property names.
+/// validated: a target of another width, and a target or clause naming
+/// a thread the model lacks or a symbol outside a thread's alphabet,
+/// is left out, since none can match such a key, and a clause pinning
+/// one thread to two symbols never fires. Its tables are sized by the
+/// model, never by the ids a property names.
 #[derive(Debug, Clone)]
 pub struct PropertyCheck {
     /// Per shared state of the model: does reaching it violate?
@@ -286,17 +287,22 @@ impl PropertyCheck {
             pins: Vec::new(),
             clause_ends: Vec::new(),
         };
-        check.add(property);
+        check.add(property, cpds);
         check
     }
 
-    fn add(&mut self, property: &Property) {
-        let num_threads = self.targets.width() - 1;
+    fn add(&mut self, property: &Property, cpds: &Cpds) {
+        let num_threads = cpds.num_threads();
+        // Whether a visible key of `cpds` can show `top` for `thread`.
+        let shows = |thread: usize, top: Option<StackSym>| {
+            thread < num_threads && top.is_none_or(|s| s.0 < cpds.thread(thread).alphabet_size())
+        };
         match property {
             Property::True => {}
             Property::NeverVisible(targets) => {
                 for target in targets {
-                    if target.num_threads() == num_threads {
+                    let mut tops = (0..).zip(&target.tops);
+                    if target.num_threads() == num_threads && tops.all(|(t, &s)| shows(t, s)) {
                         self.targets.insert(&target.key());
                     }
                 }
@@ -309,7 +315,7 @@ impl PropertyCheck {
                 }
             }
             Property::MutualExclusion(pins) => {
-                if pins.iter().all(|&(thread, _)| thread < num_threads) {
+                if pins.iter().all(|&(thread, sym)| shows(thread, Some(sym))) {
                     self.pins.extend(
                         pins.iter()
                             .map(|&(thread, sym)| (thread as u32 + 1, top_code(Some(sym)))),
@@ -317,7 +323,7 @@ impl PropertyCheck {
                     self.clause_ends.push(self.pins.len() as u32);
                 }
             }
-            Property::All(props) => props.iter().for_each(|p| self.add(p)),
+            Property::All(props) => props.iter().for_each(|p| self.add(p, cpds)),
         }
     }
 
@@ -576,6 +582,11 @@ mod tests {
             Property::All(vec![
                 Property::All(vec![Property::never_visible(vis(3, &[Some(2), None]))]),
                 Property::mutex(0, s(2), 1, s(6)),
+            ]),
+            // Symbols outside the alphabet, at the end of the `u32` range.
+            Property::All(vec![
+                Property::MutualExclusion(vec![(0, s(u32::MAX))]),
+                Property::never_visible(vis(0, &[Some(1), Some(u32::MAX)])),
             ]),
         ];
         let keys: Vec<Vec<u32>> = (0..4)

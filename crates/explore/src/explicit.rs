@@ -13,17 +13,6 @@ use crate::{ExploreBudget, ExploreError, Interrupt, LayerStore, Witness, Witness
 /// stay invisible in profiles.
 pub(crate) const INTERRUPT_POLL_PERIOD: usize = 64;
 
-/// Summary of one round (one new layer `Rk \ Rk−1`) of exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerSummary {
-    /// The context bound `k` of the freshly computed layer.
-    pub k: usize,
-    /// Number of global states new at bound `k`.
-    pub new_states: usize,
-    /// Number of visible states new at bound `k`.
-    pub new_visible: usize,
-}
-
 /// Explicit-state layered exploration of `R0 ⊆ R1 ⊆ …` (paper §4).
 ///
 /// Each call to [`advance`](ExplicitEngine::advance) computes the next
@@ -45,13 +34,13 @@ pub struct LayerSummary {
 /// closed under permuting their stacks, so the engine stores one
 /// canonical representative per orbit: the state whose stacks are
 /// sorted by content within each class. [`states`](Self::states) and
-/// [`layer`](Self::layer) list representatives, and
-/// [`orbit`](Self::orbit) expands one. Everything else stays concrete:
-/// [`num_states`](Self::num_states), the layer record's counts and the
-/// `max_states` budget count every member of every stored orbit, the
-/// visible layers hold whole visible orbits, and witnesses end at any
-/// requested member. A system without interchangeable threads stores
-/// every state, in the same order as an unreduced engine.
+/// [`layer`](Self::layer) list representatives. Everything else stays
+/// concrete: [`num_states`](Self::num_states), the layer record's
+/// counts and the `max_states` budget count every member of every
+/// stored orbit, the visible layers hold whole visible orbits, and
+/// witnesses end at any requested member. A system without
+/// interchangeable threads stores every state, in the same order as an
+/// unreduced engine.
 ///
 /// Any discovered state yields a replayable [`Witness`] whose context
 /// count is bounded by the state's layer (witnesses are reconstructed
@@ -224,9 +213,8 @@ impl ExplicitEngine {
         self.keys.insert(&key).1
     }
 
-    /// Decodes stored state `id` from its key.
-    fn state(&self, id: u32) -> GlobalState {
-        let key = self.keys.key(id);
+    /// Decodes the state keyed `(q, [StackId; n])`.
+    fn decode(&self, key: &[u32]) -> GlobalState {
         let stacks = key[1..].iter().map(|&s| self.stacks.to_stack(StackId(s)));
         GlobalState::new(SharedState(key[0]), stacks.collect())
     }
@@ -277,7 +265,9 @@ impl ExplicitEngine {
     ///
     /// Panics if layer `k` has not been computed yet.
     pub fn layer(&self, k: usize) -> impl Iterator<Item = GlobalState> + '_ {
-        self.store.layer_ids(k).map(|id| self.state(id))
+        self.store
+            .layer_ids(k)
+            .map(|id| self.decode(self.keys.key(id)))
     }
 
     /// The visible states first seen at context bound `k`
@@ -305,14 +295,38 @@ impl ExplicitEngine {
     /// order (the extensional `Rk` up to thread symmetry), decoded.
     pub fn states(&self) -> Vec<GlobalState> {
         (0..self.keys.len() as u32)
-            .map(|id| self.state(id))
+            .map(|id| self.decode(self.keys.key(id)))
             .collect()
     }
 
-    /// The orbit of `state`: every distinct state that permuting the
-    /// stacks of interchangeable threads turns it into, `state` first.
-    pub fn orbit(&self, state: &GlobalState) -> Vec<GlobalState> {
-        self.symmetry.orbit(state)
+    /// The first state of layer `k`, in discovery and then orbit order,
+    /// whose visible key (see [`VisibleState::key`]) `wanted` accepts;
+    /// only that state is decoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if layer `k` has not been computed yet.
+    pub fn find_in_layer(
+        &self,
+        k: usize,
+        mut wanted: impl FnMut(&[u32]) -> bool,
+    ) -> Option<GlobalState> {
+        let mut visible = vec![0; self.keys.width()];
+        self.store.layer_ids(k).find_map(|id| {
+            let mut key = self.keys.key(id).to_vec();
+            visible[0] = key[0];
+            let found = self.symmetry.for_each_arrangement(&mut key, |member| {
+                for (top, &stack) in visible[1..].iter_mut().zip(&member[1..]) {
+                    *top = top_code(self.stacks.top(StackId(stack)));
+                }
+                if wanted(&visible) {
+                    Err(self.decode(member))
+                } else {
+                    Ok(())
+                }
+            });
+            found.err()
+        })
     }
 
     /// Looks up the id of the stored representative of `state`'s
@@ -342,8 +356,8 @@ impl ExplicitEngine {
 
     /// Computes the next layer `Rk+1 \ Rk`.
     ///
-    /// After a collapse this is a cheap no-op returning an empty layer
-    /// summary, so drivers may keep calling it.
+    /// After a collapse this is a cheap no-op pushing an empty layer,
+    /// so drivers may keep calling it.
     ///
     /// The round is *transactional*: on any error (budget exhaustion,
     /// cancellation, deadline) every state and visible-state
@@ -358,17 +372,13 @@ impl ExplicitEngine {
     /// Returns an [`ExploreError`] when a budget is exhausted, which
     /// on the paper's benchmarks signals an FCR violation — switch to
     /// the symbolic engine in that case (§6 overall procedure).
-    pub fn advance(&mut self) -> Result<LayerSummary, ExploreError> {
+    pub fn advance(&mut self) -> Result<(), ExploreError> {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
                 .push_layer(self.keys.len() as u32, 0, self.num_states);
-            return Ok(LayerSummary {
-                k,
-                new_states: 0,
-                new_visible: 0,
-            });
+            return Ok(());
         }
         let frontier = self.store.layer_ids(k - 1);
         cuba_telemetry::metrics::METRICS.waves.inc();
@@ -399,24 +409,20 @@ impl ExplicitEngine {
             }
         }
 
-        let summary = LayerSummary {
-            k,
-            new_states: self.num_states - before,
-            new_visible: round.new_visible,
-        };
-        wave_span.arg("new_states", summary.new_states);
+        let new_states = self.num_states - before;
+        wave_span.arg("new_states", new_states);
         drop(wave_span);
         let merge_start = std::time::Instant::now();
         let mut merge_span = cuba_telemetry::trace::span("merge");
         self.store
             .push_layer(self.keys.len() as u32, round.new_visible, self.num_states);
-        merge_span.arg("states", summary.new_states);
+        merge_span.arg("states", new_states);
         drop(merge_span);
         cuba_telemetry::metrics::stage_time(
             cuba_telemetry::metrics::Stage::Merge,
             merge_start.elapsed(),
         );
-        Ok(summary)
+        Ok(())
     }
 
     /// Removes every state (ids `round.start..`) and visible state
@@ -501,8 +507,12 @@ impl ExplicitEngine {
                         for slot in &mut round.key[1..] {
                             *slot = top_code(self.stacks.top(StackId(*slot)));
                         }
-                        round.new_visible +=
-                            record_visible_orbit(&mut self.store, &self.symmetry, &mut round.key);
+                        round.new_visible += record_visible_orbit(
+                            &mut self.store,
+                            &self.symmetry,
+                            &self.budget.interrupt,
+                            &mut round.key,
+                        )?;
                         new_id
                     }
                 };
@@ -529,7 +539,7 @@ impl ExplicitEngine {
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: u32) -> Witness {
-        self.witness_to(&self.state(id))
+        self.witness_to(&self.decode(self.keys.key(id)))
             .expect("layered invariant: one context from the previous frontier")
     }
 
@@ -578,7 +588,7 @@ impl ExplicitEngine {
         k: usize,
     ) -> Option<(GlobalState, Vec<WitnessStep>)> {
         for start_id in self.store.layer_ids(k - 1) {
-            let start = self.state(start_id);
+            let start = self.decode(self.keys.key(start_id));
             for thread in 0..self.cpds.num_threads() {
                 let Some(steps) = self.local_context_path(&start, thread, target_id, k) else {
                     continue;
@@ -676,20 +686,31 @@ impl ExplicitEngine {
 /// [`VisibleState::key`]), and its whole visible orbit, if it is new;
 /// returns how many visible states were new. Layers are closed under
 /// the thread symmetry and every round records whole visible orbits,
-/// so a projection seen before brings no new member. Overwrites `key`.
-fn record_visible_orbit(store: &mut LayerStore, symmetry: &Symmetry, key: &mut [u32]) -> usize {
+/// so a projection seen before brings no new member. The walk polls
+/// `interrupt` every [`INTERRUPT_POLL_PERIOD`] keys.
+fn record_visible_orbit(
+    store: &mut LayerStore,
+    symmetry: &Symmetry,
+    interrupt: &Interrupt,
+    key: &mut [u32],
+) -> Result<usize, ExploreError> {
     if !store.record_visible_key(key) {
-        return 0;
+        return Ok(0);
     }
     if symmetry.is_trivial() {
-        return 1;
+        return Ok(1);
     }
-    let mut new = 1;
-    for tops in symmetry.arrangements(&key[1..]).into_iter().skip(1) {
-        key[1..].copy_from_slice(&tops);
-        new += usize::from(store.record_visible_key(key));
-    }
-    new
+    // The walk starts at `key` itself, recorded above.
+    let (mut walked, mut new) = (0usize, 1);
+    symmetry.for_each_arrangement(key, |member| {
+        walked += 1;
+        if walked.is_multiple_of(INTERRUPT_POLL_PERIOD) {
+            interrupt.check()?;
+        }
+        new += usize::from(store.record_visible_key(member));
+        Ok(())
+    })?;
+    Ok(new)
 }
 
 #[cfg(test)]
@@ -823,13 +844,13 @@ mod tests {
     #[test]
     fn fig1_rk_diverges_but_layers_stay_finite() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
-        for _ in 0..20 {
-            let summary = engine.advance().unwrap();
+        for k in 1..=20 {
+            engine.advance().unwrap();
             // (Rk) never collapses for Fig. 1 (Ex. 15: R is infinite).
+            let store = engine.store();
             assert!(
-                summary.new_states > 0,
-                "unexpected collapse at k={}",
-                summary.k
+                store.state_count_at(k) > store.state_count_at(k - 1),
+                "unexpected collapse at k={k}"
             );
         }
         assert!(!engine.is_collapsed());
@@ -905,8 +926,8 @@ mod tests {
         // q1 … which thread 1 reaches first; then thread 2 overwrites.
         assert_eq!(engine.num_states(), 3);
         // Advancing after collapse stays a no-op.
-        let summary = engine.advance().unwrap();
-        assert_eq!(summary.new_states, 0);
+        engine.advance().unwrap();
+        assert_eq!(engine.store().state_count_at(k + 1), 3);
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //! Both engines expose the per-layer *new* states and new *visible*
 //! states, which is exactly the data in the paper's Fig. 1 table, and
 //! both detect collapse (`Rk = Rk+1`, Lemma 7). A layer (`layer(k)`,
-//! explicit `states()`) lists orbit representatives, and `orbit`
-//! expands one; every count, every visible layer, every budget and
-//! every verdict is that of an engine that stores each state. The
-//! visible layers are kept once, as interned keys in the
-//! [`LayerStore`], and decoded on read.
+//! explicit `states()`) lists orbit representatives; every count,
+//! every visible layer, every budget and every verdict is that of an
+//! engine that stores each state. The visible layers are kept once, as
+//! interned keys in the [`LayerStore`], and decoded on read.
 //!
 //! Both engines keep their states *interned*, as fixed-width `u32`
 //! keys in a [`KeyTable`](cuba_pds::KeyTable) whose dense ids are the
@@ -62,8 +61,8 @@
 //!     .build()?;
 //!
 //! let mut engine = ExplicitEngine::new(cpds, ExploreBudget::default());
-//! let layer1 = engine.advance()?; // computes R1 \ R0
-//! assert_eq!(layer1.new_states, 2); // <1|2,4> and <0|1,eps>
+//! engine.advance()?; // computes R1 \ R0 = {<1|2,4>, <0|1,eps>}
+//! assert_eq!(engine.store().state_count_at(1), 1 + 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -79,7 +78,7 @@ mod symmetry;
 mod witness;
 
 pub use budget::{CancelToken, ExploreBudget, ExploreError, Interrupt};
-pub use explicit::{ExplicitEngine, LayerSummary};
+pub use explicit::ExplicitEngine;
 pub use layers::LayerStore;
 pub use search::bounded_witness_search;
 pub use shared::{LayerView, SharedExplorer};

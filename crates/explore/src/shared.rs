@@ -55,8 +55,8 @@ impl BackendImpl {
 
     fn advance(&mut self) -> Result<(), ExploreError> {
         match self {
-            BackendImpl::Explicit(e) => e.advance().map(|_| ()),
-            BackendImpl::Symbolic(e) => e.advance().map(|_| ()),
+            BackendImpl::Explicit(e) => e.advance(),
+            BackendImpl::Symbolic(e) => e.advance(),
         }
     }
 }

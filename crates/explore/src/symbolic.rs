@@ -110,17 +110,6 @@ pub enum SubsumptionMode {
     Pointwise,
 }
 
-/// Summary of one symbolic round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymbolicLayerSummary {
-    /// The context bound of the new layer.
-    pub k: usize,
-    /// Symbolic states new at this bound.
-    pub new_symbolic: usize,
-    /// Visible states new at this bound.
-    pub new_visible: usize,
-}
-
 /// The top set `T(A)` of a stack language as [`top_code`]s: the
 /// possible tops of an accepted word, `ε` first when the language
 /// contains it, then the first symbols ascending (Alg. 4's per-thread
@@ -252,15 +241,14 @@ impl ContentOrder for DfaTable {
 /// interning order). [`layer`](Self::layer) yields representatives and
 /// [`orbit`](Self::orbit) expands one. Everything else stays concrete:
 /// [`num_symbolic_states`](Self::num_symbolic_states), the layer
-/// record's counts, each round's `new_symbolic` and the
-/// `max_symbolic_states` budget count every member of every stored
-/// orbit, and the visible layers hold whole visible orbits. A context
-/// step depends only on the thread's program, `q` and the thread's
-/// stack language, so a thread whose class has an earlier member
-/// holding the same `DfaId` in a frontier state takes no step: its
-/// successors lie in the orbits of that member's. A system without
-/// interchangeable threads stores every state, in the same order as an
-/// unreduced engine.
+/// record's counts and the `max_symbolic_states` budget count every
+/// member of every stored orbit, and the visible layers hold whole
+/// visible orbits. A context step depends only on the thread's
+/// program, `q` and the thread's stack language, so a thread whose
+/// class has an earlier member holding the same `DfaId` in a frontier
+/// state takes no step: its successors lie in the orbits of that
+/// member's. A system without interchangeable threads stores every
+/// state, in the same order as an unreduced engine.
 ///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
@@ -462,11 +450,22 @@ impl SymbolicEngine {
     /// permuting the stack languages of interchangeable threads turns
     /// it into, `state` first.
     pub fn orbit(&self, state: &SymbolicState) -> Vec<SymbolicState> {
-        self.symmetry
-            .arrangements(&state.stacks)
-            .into_iter()
-            .map(|stacks| SymbolicState { q: state.q, stacks })
-            .collect()
+        // Slot `t` names the first thread with thread `t`'s language.
+        let stacks = &state.stacks;
+        let mut key = vec![state.q.0];
+        for (t, a) in stacks.iter().enumerate() {
+            key.push(stacks[..t].iter().position(|b| b == a).unwrap_or(t) as u32);
+        }
+        let mut orbit = Vec::new();
+        let Ok(()) = self.symmetry.for_each_arrangement(&mut key, |member| {
+            let member_stacks = member[1..].iter().map(|&t| stacks[t as usize].clone());
+            orbit.push(SymbolicState {
+                q: state.q,
+                stacks: member_stacks.collect(),
+            });
+            Ok::<(), Infallible>(())
+        });
+        orbit
     }
 
     /// Visible states first seen at context bound `k`
@@ -518,19 +517,14 @@ impl SymbolicEngine {
     /// Returns [`ExploreError::SymbolicBudgetExceeded`] when the
     /// symbolic state budget is exhausted — the analogue of the
     /// paper's out-of-memory outcome on Stefan-1 with 8 threads.
-    pub fn advance(&mut self) -> Result<SymbolicLayerSummary, ExploreError> {
+    pub fn advance(&mut self) -> Result<(), ExploreError> {
         self.budget.interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
                 .push_layer(self.keys.len() as u32, 0, self.num_states);
-            return Ok(SymbolicLayerSummary {
-                k,
-                new_symbolic: 0,
-                new_visible: 0,
-            });
+            return Ok(());
         }
-        let before = self.num_states;
         let round_start = self.keys.len();
         let visible_start = self.visible_keys.len();
         // Every successor is registered before any visible state is
@@ -545,15 +539,9 @@ impl SymbolicEngine {
                 return Err(e);
             }
         };
-
-        let summary = SymbolicLayerSummary {
-            k,
-            new_symbolic: self.num_states - before,
-            new_visible,
-        };
         self.store
             .push_layer(self.keys.len() as u32, new_visible, self.num_states);
-        Ok(summary)
+        Ok(())
     }
 
     /// Registers the successors of every state of layer `k − 1`, in
@@ -717,27 +705,24 @@ impl SymbolicEngine {
             // Recorded with its whole arrangement orbit.
             return Ok(0);
         }
-        let interrupt = &self.budget.interrupt;
         let mut new = 0;
-        for tops in self.symmetry.arrangements(&top_key[1..]) {
-            interrupt.check()?;
-            top_key[1..].copy_from_slice(&tops);
-            self.visible_keys.insert(&top_key);
-            let domains: Vec<&[u32]> = tops
+        self.symmetry.for_each_arrangement(&mut top_key, |tops| {
+            self.budget.interrupt.check()?;
+            self.visible_keys.insert(tops);
+            let domains: Vec<&[u32]> = tops[1..]
                 .iter()
                 .map(|&t| self.dfas.top_sets[t as usize].as_slice())
                 .collect();
-            let store = &mut self.store;
             let mut enumerated = 0usize;
-            for_each_visible_key(SharedState(key[0]), &domains, |visible| {
+            for_each_visible_key(SharedState(tops[0]), &domains, |visible| {
                 enumerated += 1;
                 if enumerated.is_multiple_of(VISIBLE_POLL_INTERVAL) {
-                    interrupt.check()?;
+                    self.budget.interrupt.check()?;
                 }
-                new += usize::from(store.record_visible_key(visible));
+                new += usize::from(self.store.record_visible_key(visible));
                 Ok(())
-            })?;
-        }
+            })
+        })?;
         Ok(new)
     }
 
@@ -943,9 +928,10 @@ mod tests {
             .build()
             .unwrap();
         let mut sym = SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Exact);
-        sym.run_until_collapse(10).unwrap();
+        let k = sym.run_until_collapse(10).unwrap();
         assert!(sym.is_collapsed());
-        let summary = sym.advance().unwrap();
-        assert_eq!(summary.new_symbolic, 0);
+        sym.advance().unwrap();
+        let store = sym.store();
+        assert_eq!(store.state_count_at(k + 1), store.state_count_at(k));
     }
 }

@@ -160,35 +160,52 @@ impl Symmetry {
         usize::try_from(weight).unwrap_or(usize::MAX)
     }
 
-    /// Every distinct arrangement of `items`, one item per thread, that
-    /// permutes items within classes; `items` itself first.
-    pub(crate) fn arrangements<T: Clone + PartialEq>(&self, items: &[T]) -> Vec<Vec<T>> {
-        let mut out = vec![items.to_vec()];
-        for class in &self.classes {
-            let mut next = Vec::new();
-            for base in &out {
-                let values: Vec<T> = class.iter().map(|&t| base[t].clone()).collect();
-                let mut used = vec![false; values.len()];
-                distinct_permutations(&values, &mut Vec::new(), &mut used, &mut |perm| {
-                    let mut variant = base.clone();
-                    for (&t, item) in class.iter().zip(perm) {
-                        variant[t] = item.clone();
-                    }
-                    next.push(variant);
-                });
-            }
-            out = next;
-        }
-        out
+    /// Calls `f` on each distinct key that permuting the slots of `key`
+    /// within classes makes of it, `key` first, and stops at the first
+    /// error `f` returns. `key` is `(q, [slot; n])`, thread `t`'s slot in
+    /// `key[t + 1]`; the walk permutes the slots in place and restores
+    /// them before it returns. Its order fixes the first-seen order of
+    /// visible states: the first class varies slowest, and each position
+    /// of a class in turn takes each of the class's remaining slots, in
+    /// their original order, skipping one equal to an earlier one.
+    pub(crate) fn for_each_arrangement<E, F>(&self, key: &mut [u32], mut f: F) -> Result<(), E>
+    where
+        F: FnMut(&[u32]) -> Result<(), E>,
+    {
+        self.arrange(0, 0, key, &mut f)
     }
 
-    /// The orbit of `state`: every distinct state its interchangeable
-    /// threads' stacks can be permuted into, `state` first.
-    pub(crate) fn orbit(&self, state: &GlobalState) -> Vec<GlobalState> {
-        self.arrangements(&state.stacks)
-            .into_iter()
-            .map(|stacks| GlobalState::new(state.q, stacks))
-            .collect()
+    /// Arranges position `p` of class `c` on, whose positions `p..`
+    /// hold the class's remaining slots in their original order.
+    fn arrange<E, F>(&self, c: usize, p: usize, key: &mut [u32], f: &mut F) -> Result<(), E>
+    where
+        F: FnMut(&[u32]) -> Result<(), E>,
+    {
+        let Some(class) = self.classes.get(c) else {
+            return f(key);
+        };
+        if p + 1 == class.len() {
+            return self.arrange(c + 1, 0, key, f);
+        }
+        let at = |r: usize| class[r] + 1;
+        for i in p..class.len() {
+            let moved = key[at(i)];
+            if (p..i).any(|r| key[at(r)] == moved) {
+                continue;
+            }
+            // Move position `i` to `p`, the ones between up by one.
+            for r in (p..i).rev() {
+                key[at(r + 1)] = key[at(r)];
+            }
+            key[at(p)] = moved;
+            let walked = self.arrange(c, p + 1, key, f);
+            for r in p..i {
+                key[at(r)] = key[at(r + 1)];
+            }
+            key[at(i)] = moved;
+            walked?;
+        }
+        Ok(())
     }
 
     /// Whether some permutation `σ` of the threads within classes has
@@ -272,34 +289,12 @@ fn augment(
     false
 }
 
-/// Emits each distinct permutation of `values` once, the identity
-/// first: a position takes the first unused copy of each value only.
-fn distinct_permutations<T: Clone + PartialEq>(
-    values: &[T],
-    prefix: &mut Vec<T>,
-    used: &mut [bool],
-    emit: &mut dyn FnMut(&[T]),
-) {
-    if prefix.len() == values.len() {
-        emit(prefix);
-        return;
-    }
-    for i in 0..values.len() {
-        if used[i] || (0..i).any(|j| !used[j] && values[j] == values[i]) {
-            continue;
-        }
-        used[i] = true;
-        prefix.push(values[i].clone());
-        distinct_permutations(values, prefix, used, emit);
-        prefix.pop();
-        used[i] = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, Stack, StackSym};
+    use std::collections::HashSet;
+    use std::convert::Infallible;
 
     /// `n` copies of a one-action thread starting on stack `0`.
     fn copies(n: usize) -> Cpds {
@@ -375,24 +370,80 @@ mod tests {
         assert!(!symmetry.some_permutation(|i, j| i != 1 || j != 1));
     }
 
+    /// The members of the orbit of the state keyed `key`, in walk
+    /// order.
+    fn walk(symmetry: &Symmetry, key: &[u32]) -> Vec<Vec<u32>> {
+        let mut key = key.to_vec();
+        let mut members = Vec::new();
+        let Ok(()) = symmetry.for_each_arrangement(&mut key, |member| {
+            members.push(member.to_vec());
+            Ok::<(), Infallible>(())
+        });
+        members
+    }
+
+    /// The walk visits each distinct arrangement within classes once,
+    /// the first class slowest and `key` first, and on an error stops
+    /// at once and leaves `key` as it found it.
+    #[test]
+    fn arrangements_are_walked_in_place_in_a_fixed_order() {
+        let mut p = PdsBuilder::new(2, 40);
+        p.overwrite(SharedState(0), StackSym(0), SharedState(1), StackSym(1))
+            .unwrap();
+        let pds = p.build().unwrap();
+        let cpds = CpdsBuilder::new(2, SharedState(0))
+            .threads(&pds, [StackSym(0)], 3)
+            .threads(&pds, [StackSym(1)], 2)
+            .build()
+            .unwrap();
+        let symmetry = Symmetry::new(&cpds);
+        let (a, b, c, d) = (1, 2, 3, 4);
+        let key = [9, a, b, a, c, d];
+        assert_eq!(
+            walk(&symmetry, &key),
+            [
+                [9, a, b, a, c, d],
+                [9, a, b, a, d, c],
+                [9, a, a, b, c, d],
+                [9, a, a, b, d, c],
+                [9, b, a, a, c, d],
+                [9, b, a, a, d, c],
+            ]
+        );
+
+        let mut walked = key;
+        let mut calls = 0;
+        let stopped = symmetry.for_each_arrangement(&mut walked, |_| {
+            calls += 1;
+            if calls == 3 {
+                Err(calls)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, calls, walked), (Err(3), 3, key));
+    }
+
     /// Orbit sizes are multinomials over equal stacks, match the orbit
-    /// enumerated, and saturate.
+    /// walked, and saturate.
     #[test]
     fn weights_count_orbit_members() {
         let symmetry = Symmetry::new(&copies(4));
         let mut table = StackTable::new();
         let (a, b) = (table.intern(&stack(&[1])).0, table.intern(&stack(&[2])).0);
+        let decode = |key: &[u32]| {
+            let stacks = key[1..].iter().map(|&id| table.to_stack(StackId(id)));
+            GlobalState::new(SharedState(key[0]), stacks.collect())
+        };
         for ids in [[a, a, a, a], [a, a, a, b], [a, a, b, b], [a, b, b, b]] {
-            let state = GlobalState::new(
-                SharedState(0),
-                ids.iter().map(|&id| table.to_stack(StackId(id))).collect(),
-            );
-            let orbit = symmetry.orbit(&state);
-            assert_eq!(orbit[0], state);
+            let key = [0, ids[0], ids[1], ids[2], ids[3]];
+            let orbit = walk(&symmetry, &key);
+            assert_eq!(orbit[0], key);
             assert_eq!(symmetry.weight(&ids), orbit.len());
+            assert_eq!(orbit.iter().collect::<HashSet<_>>().len(), orbit.len());
             assert!(orbit
                 .iter()
-                .all(|member| symmetry.matching(&state, member).is_some()));
+                .all(|member| symmetry.matching(&decode(&key), &decode(member)).is_some()));
         }
         assert_eq!(symmetry.weight(&[a, a, b, b]), 6);
         let wide = Symmetry::new(&copies(36));

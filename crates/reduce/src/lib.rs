@@ -31,7 +31,7 @@ mod skeleton;
 
 use std::time::Instant;
 
-use cuba_core::Property;
+use cuba_core::{Property, PropertyCheck};
 use cuba_pds::{Cpds, SharedState};
 
 pub use lint::{Lint, LintLevel};
@@ -92,8 +92,16 @@ pub fn lint(cpds: &Cpds, properties: &[Property]) -> Result<LintReport, Skeleton
     let skel = skeleton::explore(cpds, MAX_SKELETON_EDGES)?;
     let skeleton_us = t0.elapsed().as_micros() as u64;
 
+    // Validate first: an invalid property is reported as such and
+    // builds no check, so it marks nothing relevant.
+    let validity: Vec<Result<(), String>> = properties.iter().map(|p| p.validate(cpds)).collect();
     let t1 = Instant::now();
-    let rel = skeleton::relevance(cpds, &skel, properties);
+    let checks: Vec<Option<PropertyCheck>> = properties
+        .iter()
+        .zip(&validity)
+        .map(|(property, valid)| valid.is_ok().then(|| PropertyCheck::new(property, cpds)))
+        .collect();
+    let rel = skeleton::relevance(cpds, &skel, &checks);
     let coi_us = t1.elapsed().as_micros() as u64;
 
     let transitions: usize = cpds.threads().iter().map(|p| p.actions().len()).sum();
@@ -123,22 +131,24 @@ pub fn lint(cpds: &Cpds, properties: &[Property]) -> Result<LintReport, Skeleton
         coi_us,
     };
 
-    let lints = collect_lints(cpds, properties, &skel, &rel);
+    let lints = collect_lints(cpds, properties, &validity, &skel, &rel);
     Ok(LintReport { stats, lints })
 }
 
-/// Produces the CPDS-level lint catalogue from the analysis results.
+/// Produces the CPDS-level lint catalogue from the analysis results
+/// and each property's validation.
 fn collect_lints(
     cpds: &Cpds,
     properties: &[Property],
+    validity: &[Result<(), String>],
     skel: &skeleton::Skeleton,
     rel: &skeleton::Relevance,
 ) -> Vec<Lint> {
     let mut lints = Vec::new();
-    for (p, property) in properties.iter().enumerate() {
-        match property.validate(cpds) {
+    for (p, (property, valid)) in properties.iter().zip(validity).enumerate() {
+        match valid {
             Err(message) => {
-                lints.push(Lint::new("unknown-state", LintLevel::Deny, message));
+                lints.push(Lint::new("unknown-state", LintLevel::Deny, message.clone()));
             }
             Ok(()) => {
                 if rel.vacuous[p] && !matches!(property, Property::True) {

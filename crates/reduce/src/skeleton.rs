@@ -25,7 +25,7 @@
 
 use std::ops::ControlFlow;
 
-use cuba_core::{explore_z, Property, PropertyCheck};
+use cuba_core::{explore_z, PropertyCheck};
 use cuba_explore::Interrupt;
 use cuba_pds::{code_top, Cpds, KeyTable, SharedState};
 
@@ -139,28 +139,32 @@ pub(crate) struct Relevance {
 }
 
 /// Walks the skeleton backward from every state violating one of
-/// `properties`, marking the actions that can still influence a
-/// violation. Actions left unmarked are property-irrelevant: a cone-of
-/// -influence slice could drop them, at the price of changing the
-/// convergence bound — see the crate docs for why the default pipeline
-/// reports them instead of removing them.
-pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -> Relevance {
+/// `checks`, one per checked property (`None` for a property that
+/// failed validation, which checks nothing), marking the actions that
+/// can still influence a violation. Actions left unmarked are
+/// property-irrelevant: a cone-of-influence slice could drop them, at
+/// the price of changing the convergence bound — see the crate docs
+/// for why the default pipeline reports them instead of removing them.
+pub(crate) fn relevance(
+    cpds: &Cpds,
+    skel: &Skeleton,
+    checks: &[Option<PropertyCheck>],
+) -> Relevance {
     let mut relevant: Vec<Vec<bool>> = cpds
         .threads()
         .iter()
         .map(|pds| vec![false; pds.actions().len()])
         .collect();
-    let checks: Vec<PropertyCheck> = properties
-        .iter()
-        .map(|property| PropertyCheck::new(property, cpds))
-        .collect();
-    let mut vacuous = vec![true; properties.len()];
+    let mut vacuous = vec![true; checks.len()];
     let mut in_cone = vec![false; skel.num_states()];
     let mut stack: Vec<u32> = Vec::new();
     for id in 0..skel.num_states() as u32 {
         let key = skel.states.key(id);
         for (p, check) in checks.iter().enumerate() {
-            if check.violated_by_key(key) {
+            if check
+                .as_ref()
+                .is_some_and(|check| check.violated_by_key(key))
+            {
                 vacuous[p] = false;
                 if !in_cone[id as usize] {
                     in_cone[id as usize] = true;
@@ -186,6 +190,7 @@ pub(crate) fn relevance(cpds: &Cpds, skel: &Skeleton, properties: &[Property]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cuba_core::Property;
     use cuba_pds::{CpdsBuilder, PdsBuilder, StackSym, VisibleState};
 
     fn q(n: u32) -> SharedState {
@@ -275,7 +280,8 @@ mod tests {
         let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|·⟩ is reachable; every action can sit on a path to it
         // except nothing — in Fig. 1 all actions feed the loop.
-        let rel = relevance(&cpds, &skel, &[Property::never_shared(q(2))]);
+        let check = PropertyCheck::new(&Property::never_shared(q(2)), &cpds);
+        let rel = relevance(&cpds, &skel, &[Some(check)]);
         assert_eq!(rel.vacuous, vec![false]);
         assert!(rel.relevant[0]
             .iter()
@@ -289,7 +295,8 @@ mod tests {
         let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|1,5⟩ is outside Z (Ex. 14): statically safe.
         let target = VisibleState::new(q(2), vec![Some(s(1)), Some(s(5))]);
-        let rel = relevance(&cpds, &skel, &[Property::never_visible(target)]);
+        let check = PropertyCheck::new(&Property::never_visible(target), &cpds);
+        let rel = relevance(&cpds, &skel, &[Some(check)]);
         assert_eq!(rel.vacuous, vec![true]);
         assert!(rel.relevant.iter().flatten().all(|&r| !r));
     }

@@ -13,24 +13,24 @@
 //!
 //! # Endpoints
 //!
-//! Every endpoint is mounted twice: at its legacy unprefixed path and
-//! under the versioned `/v1/` prefix, answering identically. `GET
-//! /v1` returns a JSON index of the versioned surface — endpoints,
-//! their legacy aliases, and the server's capabilities (workers,
-//! `max_systems`, whether a state directory is active).
+//! Every endpoint lives under the versioned `/v1/` prefix; an
+//! unprefixed path answers `404` like any unknown one. `GET /v1`
+//! returns a JSON index of the versioned surface — endpoints and the
+//! server's capabilities (workers, `max_systems`, whether a state
+//! directory is active).
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?engine=auto|explicit|symbolic` and `?max_k=N` override the lineup and round limit per request. Streams NDJSON events per property until the verdict. |
-//! | `POST /suite` | Same body/parameters; runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
-//! | `GET /systems` | The shared-exploration registry: per system its fingerprint, residency (`resident` in the registry, or `spilled` — pushed out by `max_systems` but revivable/reloadable), FCR verdict (if decided) and per-backend explorer counters (`rounds_explored`, `depth`), plus service-wide snapshot counters (spills, revives, saves, reloads). |
-//! | `GET /healthz` | Liveness + service counters: uptime, build version, analysis-pool occupancy (`workers_busy`/`workers_idle`), the draining flag. |
-//! | `GET /metrics` | The process-wide telemetry registry ([`cuba_telemetry::metrics`]) in Prometheus text exposition format — counters, gauges, and latency histograms across every subsystem, plus the per-endpoint HTTP families this crate feeds. |
-//! | `POST /shutdown` | `?mode=graceful` (default) drains in-flight sessions; `?mode=abort` additionally fires the service-wide [`CancelToken`](cuba_explore::CancelToken) so explorations stop at their next interrupt poll. |
+//! | `POST /v1/analyze` | Body: a model (`.cpds` text by default, `?format=bp` for Boolean programs). Repeatable `?property=SPEC` (the CLI `--property` grammar). `?engine=auto|explicit|symbolic` and `?max_k=N` override the lineup and round limit per request. Streams NDJSON events per property until the verdict. |
+//! | `POST /v1/suite` | Same body/parameters; runs every property through [`Portfolio::run_suite_cached`](cuba_core::Portfolio::run_suite_cached) with bounded parallelism (`?workers=N`) and answers one JSON document. |
+//! | `GET /v1/systems` | The shared-exploration registry: per system its fingerprint, residency (`resident` in the registry, or `spilled` — pushed out by `max_systems` but revivable/reloadable), FCR verdict (if decided) and per-backend explorer counters (`rounds_explored`, `depth`), plus service-wide snapshot counters (spills, revives, saves, reloads). |
+//! | `GET /v1/healthz` | Liveness + service counters: uptime, build version, analysis-pool occupancy (`workers_busy`/`workers_idle`), the draining flag. |
+//! | `GET /v1/metrics` | The process-wide telemetry registry ([`cuba_telemetry::metrics`]) in Prometheus text exposition format — counters, gauges, and latency histograms across every subsystem, plus the per-endpoint HTTP families this crate feeds. |
+//! | `POST /v1/shutdown` | `?mode=graceful` (default) drains in-flight sessions; `?mode=abort` additionally fires the service-wide [`CancelToken`](cuba_explore::CancelToken) so explorations stop at their next interrupt poll. |
 //!
 //! # NDJSON event stream
 //!
-//! `POST /analyze` answers `200` with `Content-Type:
+//! `POST /v1/analyze` answers `200` with `Content-Type:
 //! application/x-ndjson` and one JSON object per line, close-
 //! delimited. Per property, in order: one `start` line, then
 //! interleaved `layer` lines (read from the shared layer record —
@@ -290,24 +290,23 @@ fn handle_connection(stream: TcpStream, broker: &Arc<Broker>, addr: SocketAddr) 
     };
     drop(reader);
     broker.count_request();
-    // The versioned surface: `/v1/<endpoint>` answers identically to
-    // the legacy unprefixed path (same handler, same bytes), and bare
-    // `/v1` is the API index. Telemetry classifies by the canonical
-    // (unprefixed) path so both spellings land in one family.
-    let canonical = match request.path.as_str() {
+    // Only the versioned surface is served: `/v1/<endpoint>`, and bare
+    // `/v1` is the API index. Routing and telemetry read the endpoint
+    // without its prefix; an unprefixed path routes nowhere.
+    let route = match request.path.as_str() {
         "/v1" | "/v1/" => "/v1",
         path => path
             .strip_prefix("/v1")
             .filter(|rest| rest.starts_with('/'))
-            .unwrap_or(path),
+            .unwrap_or(""),
     };
-    let endpoint = cuba_telemetry::metrics::Endpoint::from_path(canonical);
+    let endpoint = cuba_telemetry::metrics::Endpoint::from_path(route);
     cuba_telemetry::metrics::METRICS
         .http_requests(endpoint)
         .inc();
     let handle_start = std::time::Instant::now();
     let mut out = &stream;
-    let result = match (request.method.as_str(), canonical) {
+    let result = match (request.method.as_str(), route) {
         ("GET", "/v1") => handle_index(&mut out, broker),
         ("POST", "/analyze") => handle_analyze(&mut out, &request, broker),
         ("POST", "/suite") => handle_suite(&mut out, &request, broker),
@@ -421,7 +420,7 @@ pub fn parse_model(format: &str, source: &str) -> Result<(Cpds, Property), Strin
     }
 }
 
-/// `POST /analyze`: one NDJSON stream, one session per property, all
+/// `POST /v1/analyze`: one NDJSON stream, one session per property, all
 /// properties of the request (and all concurrent requests for the
 /// same system) sharing one exploration per backend.
 fn handle_analyze(
@@ -551,7 +550,7 @@ fn send_line(out: &mut impl Write, line: &str, failed: &mut bool) {
     }
 }
 
-/// `POST /suite`: batch verification through the broker's long-lived
+/// `POST /v1/suite`: batch verification through the broker's long-lived
 /// cache, one JSON document as the answer.
 fn handle_suite(
     out: &mut impl Write,
@@ -624,7 +623,7 @@ fn handle_suite(
 }
 
 /// `GET /v1`: a JSON index of the versioned API — every endpoint with
-/// its method and legacy alias, plus the server's capabilities.
+/// its method, plus the server's capabilities.
 fn handle_index(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<()> {
     let endpoints: [(&str, &str, &str); 6] = [
         ("POST", "/v1/analyze", "stream NDJSON verdicts for a model"),
@@ -648,7 +647,6 @@ fn handle_index(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<(
             let mut obj = JsonObject::new();
             obj.string("method", method);
             obj.string("path", path);
-            obj.string("legacy", path.strip_prefix("/v1").expect("v1-prefixed"));
             obj.string("description", description);
             obj.finish()
         })
@@ -666,7 +664,7 @@ fn handle_index(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<(
     write_response(out, 200, "OK", "application/json", body.finish().as_bytes())
 }
 
-/// `GET /systems`: the shared-exploration registry.
+/// `GET /v1/systems`: the shared-exploration registry.
 fn handle_systems(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<()> {
     let mut entries: Vec<String> = broker
         .cache
@@ -743,7 +741,7 @@ fn explorer_field(obj: &mut JsonObject, key: &str, explorer: Option<Arc<SharedEx
     }
 }
 
-/// `GET /metrics`: the process-wide telemetry registry in Prometheus
+/// `GET /v1/metrics`: the process-wide telemetry registry in Prometheus
 /// text exposition format. Scrape-ready — every metric family carries
 /// `# HELP`/`# TYPE` lines and histograms render cumulatively with a
 /// terminal `+Inf` bucket.
@@ -758,7 +756,7 @@ fn handle_metrics(out: &mut impl Write) -> std::io::Result<()> {
     )
 }
 
-/// `GET /healthz`: liveness and service counters.
+/// `GET /v1/healthz`: liveness and service counters.
 fn handle_healthz(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result<()> {
     let stats = broker.cache.stats();
     let mut body = JsonObject::new();
@@ -787,7 +785,7 @@ fn handle_healthz(out: &mut impl Write, broker: &Arc<Broker>) -> std::io::Result
     write_response(out, 200, "OK", "application/json", body.finish().as_bytes())
 }
 
-/// `POST /shutdown`: answer, then stop the service.
+/// `POST /v1/shutdown`: answer, then stop the service.
 fn handle_shutdown(
     out: &mut impl Write,
     request: &Request,
@@ -1054,7 +1052,7 @@ mod tests {
         let model = "shared 2\ninit 0\nthread 2\nstack 1\n(0,1) -> (1,1)\n";
         let mut request = Request {
             method: "POST".into(),
-            path: "/analyze".into(),
+            path: "/v1/analyze".into(),
             body: model.as_bytes().to_vec(),
             ..Request::default()
         };

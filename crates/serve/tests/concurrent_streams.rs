@@ -156,7 +156,11 @@ fn four_streaming_clients_share_one_exploration() {
                 scope.spawn(move || {
                     let (url_spec, _) = PROPERTIES[client % 2];
                     barrier.wait();
-                    let body = request(addr, &format!("POST /analyze?property={url_spec}"), MODEL);
+                    let body = request(
+                        addr,
+                        &format!("POST /v1/analyze?property={url_spec}"),
+                        MODEL,
+                    );
                     (client % 2, body)
                 })
             })
@@ -189,7 +193,7 @@ fn four_streaming_clients_share_one_exploration() {
     // Exactly-once exploration across all four clients: the explicit
     // backend's live-round counter matches the sequential
     // shared-exploration baseline — not 4 × it.
-    let systems = request(addr, "GET /systems", "");
+    let systems = request(addr, "GET /v1/systems", "");
     assert!(systems.contains("\"systems\":1"), "one distinct system");
     let explicit = systems
         .split("\"explicit\":{")
@@ -218,7 +222,7 @@ fn four_streaming_clients_share_one_exploration() {
     // shared-backend counter is the meaningful exactly-once witness.)
     let body = request(
         addr,
-        &format!("POST /analyze?property={}", PROPERTIES[0].0),
+        &format!("POST /v1/analyze?property={}", PROPERTIES[0].0),
         MODEL,
     );
     assert_eq!(line_of_type(&body, "verdict"), expected_verdicts[0]);
@@ -230,11 +234,11 @@ fn four_streaming_clients_share_one_exploration() {
     );
     assert_eq!(server_explorer.rounds_explored(), expected_explored);
 
-    let health = request(addr, "GET /healthz", "");
+    let health = request(addr, "GET /v1/healthz", "");
     assert_eq!(number_field(&health, "sessions_total"), 5);
     assert_eq!(number_field(&health, "sessions_active"), 0);
 
-    let shutdown = request(addr, "POST /shutdown?mode=graceful", "");
+    let shutdown = request(addr, "POST /v1/shutdown?mode=graceful", "");
     assert!(shutdown.contains("\"status\":\"shutting-down\""));
     handle.join().expect("clean shutdown");
 }
@@ -255,7 +259,7 @@ fn two_properties_stream_each_layer_once() {
     let addr = handle.addr();
 
     let url = format!(
-        "POST /analyze?property={}&property={}",
+        "POST /v1/analyze?property={}&property={}",
         PROPERTIES[0].0, PROPERTIES[1].0
     );
     let body = request(addr, &url, MODEL);
@@ -269,7 +273,7 @@ fn two_properties_stream_each_layer_once() {
         .expect("explicit backend ran");
     assert_eq!(layer_depth(&body), explorer.depth());
 
-    request(addr, "POST /shutdown", "");
+    request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }
 
@@ -285,7 +289,7 @@ fn suite_endpoint_reuses_the_cache() {
     .expect("bind");
     let handle = server.spawn().expect("spawn");
     let addr = handle.addr();
-    let url = "POST /suite?property=true&property=never-visible:1%7C2,6&workers=2";
+    let url = "POST /v1/suite?property=true&property=never-visible:1%7C2,6&workers=2";
 
     let first = request(addr, url, MODEL);
     assert!(first.contains("\"cache\":\"miss\""));
@@ -297,10 +301,10 @@ fn suite_endpoint_reuses_the_cache() {
     assert!(second.contains("\"verdict\":\"safe\""));
 
     // The systems registry shows one system, fully warm.
-    let systems = request(addr, "GET /systems", "");
+    let systems = request(addr, "GET /v1/systems", "");
     assert!(systems.contains("\"systems\":1"));
 
-    request(addr, "POST /shutdown", "");
+    request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }
 
@@ -332,10 +336,10 @@ stack 1
 
     // Forcing the explicit lineup onto an FCR-violating system is a
     // clean 400 — and must not register a phantom explorer.
-    let (head, body) = request_raw(addr, "POST /analyze?engine=explicit", unbounded);
+    let (head, body) = request_raw(addr, "POST /v1/analyze?engine=explicit", unbounded);
     assert!(head.starts_with("HTTP/1.1 400"), "got: {head}");
     assert!(body.contains("finite context reachability"));
-    let systems = request(addr, "GET /systems", "");
+    let systems = request(addr, "GET /v1/systems", "");
     assert!(systems.contains("\"fcr\":false"));
     assert!(
         systems.contains("\"symbolic_exact\":null"),
@@ -343,11 +347,11 @@ stack 1
     );
 
     // Sanity: the model analyzes fine when left alone.
-    let body = request(addr, "POST /analyze?property=true", unbounded);
+    let body = request(addr, "POST /v1/analyze?property=true", unbounded);
     assert!(line_of_type(&body, "start").contains("\"backend\":\"symbolic\""));
     line_of_type(&body, "verdict");
 
-    let shutdown = request(addr, "POST /shutdown?mode=abort", "");
+    let shutdown = request(addr, "POST /v1/shutdown?mode=abort", "");
     assert!(shutdown.contains("\"mode\":\"abort\""));
     handle.join().expect("clean shutdown");
 }
@@ -370,30 +374,31 @@ fn control_endpoints_bypass_the_analysis_pool() {
 
     // Saturate the single analysis slot from outside.
     let slot = broker.acquire_slot();
-    let queued = std::thread::spawn(move || request(addr, "POST /analyze?property=true", MODEL));
+    let queued = std::thread::spawn(move || request(addr, "POST /v1/analyze?property=true", MODEL));
     // The stream request is parked on the pool: no session starts…
     std::thread::sleep(std::time::Duration::from_millis(150));
     assert_eq!(broker.sessions_total(), 0, "analysis must wait for a slot");
     // …while control endpoints answer immediately, and the pool
     // occupancy shows the saturated slot.
-    let health = request(addr, "GET /healthz", "");
+    let health = request(addr, "GET /v1/healthz", "");
     assert!(health.contains("\"status\":\"ok\""));
     assert_eq!(number_field(&health, "workers_busy"), 1);
     assert_eq!(number_field(&health, "workers_idle"), 0);
-    request(addr, "GET /systems", "");
+    request(addr, "GET /v1/systems", "");
 
     drop(slot);
     let body = queued.join().expect("queued client");
     line_of_type(&body, "verdict");
     assert_eq!(broker.sessions_total(), 1);
 
-    request(addr, "POST /shutdown", "");
+    request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }
 
-/// `GET /metrics` serves the process-wide registry in Prometheus text
-/// format, `/healthz` reports build/version liveness fields, and
-/// wrong-method requests on both are clean 405s.
+/// `GET /v1/metrics` serves the process-wide registry in Prometheus
+/// text format, `/v1/healthz` reports build/version liveness fields,
+/// a wrong-method request is a clean 405, and an unprefixed path is a
+/// 404 like any unknown one.
 #[test]
 fn metrics_endpoint_exposes_prometheus_text() {
     let server = Server::bind(ServeConfig {
@@ -406,10 +411,10 @@ fn metrics_endpoint_exposes_prometheus_text() {
     let addr = handle.addr();
 
     // Run one analysis so the analysis-side families carry data.
-    let body = request(addr, "POST /analyze?property=true", MODEL);
+    let body = request(addr, "POST /v1/analyze?property=true", MODEL);
     line_of_type(&body, "verdict");
 
-    let (head, metrics) = request_raw(addr, "GET /metrics", "");
+    let (head, metrics) = request_raw(addr, "GET /v1/metrics", "");
     assert!(head.starts_with("HTTP/1.1 200"), "got: {head}");
     assert!(
         head.contains("text/plain; version=0.0.4"),
@@ -448,15 +453,18 @@ fn metrics_endpoint_exposes_prometheus_text() {
     );
 
     // Wrong method: GET-only endpoint.
-    let (head, _) = request_raw(addr, "POST /metrics", "");
+    let (head, _) = request_raw(addr, "POST /v1/metrics", "");
     assert!(head.starts_with("HTTP/1.1 405"), "got: {head}");
+    // Only the versioned surface is served.
+    let (head, _) = request_raw(addr, "GET /healthz", "");
+    assert!(head.starts_with("HTTP/1.1 404"), "got: {head}");
 
     // Healthz liveness fields ride along.
-    let health = request(addr, "GET /healthz", "");
+    let health = request(addr, "GET /v1/healthz", "");
     assert!(health.contains("\"version\":\""));
     assert!(health.contains("\"draining\":false"));
 
-    request(addr, "POST /shutdown", "");
+    request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }
 
@@ -480,6 +488,6 @@ fn oversized_model_header_is_a_bad_request() {
     let health = request(addr, "GET /v1/healthz", "");
     assert!(health.contains("\"status\":\"ok\""));
 
-    request(addr, "POST /shutdown", "");
+    request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }

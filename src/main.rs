@@ -103,14 +103,14 @@
 //!                      flushed, so a restarted server warm-starts
 //!                      (identical verdicts, zero re-exploration)
 //!
-//!     Endpoints are mounted under /v1 (GET /v1 returns a JSON index
-//!     plus server capabilities; the unprefixed legacy paths answer
-//!     identically): POST /analyze (NDJSON event stream; repeatable
-//!     property= query params, body = model source, format=cpds|bp,
-//!     engine=auto|explicit|symbolic, max_k=N),
-//!     POST /suite, GET /systems (per-system residency
-//!     resident|spilled plus snapshot/spill counters), GET /healthz,
-//!     POST /shutdown (mode=graceful|abort). Concurrent clients
+//!     Endpoints live under /v1 only (GET /v1 returns a JSON index
+//!     plus server capabilities; an unprefixed path answers 404):
+//!     POST /v1/analyze (NDJSON event stream; repeatable property=
+//!     query params, body = model source, format=cpds|bp,
+//!     engine=auto|explicit|symbolic, max_k=N), POST /v1/suite,
+//!     GET /v1/systems (per-system residency resident|spilled plus
+//!     snapshot/spill counters), GET /v1/healthz, GET /v1/metrics,
+//!     POST /v1/shutdown (mode=graceful|abort). Concurrent clients
 //!     asking about one system share a single layered exploration per
 //!     backend.
 //! ```

@@ -300,10 +300,16 @@ fn lint_reports_dead_code_and_stays_quiet_on_clean_models() {
     assert!(line.contains("\"line\":"));
     assert!(line.contains("\"reduction\":{"));
 
-    // A property naming a nonexistent state is a deny: exit 1.
-    let (stdout, _, code) = cuba(&["lint", "samples/fig1.cpds", "--property", "never-shared:99"]);
-    assert_eq!(code, Some(1), "deny lints fail the exit code");
-    assert!(stdout.contains("unknown-state"));
+    // A property naming a nonexistent state or symbol is a deny: exit 1.
+    // The lint validates a property before its relevance pass checks
+    // it, so a symbol past every alphabet (whose top code would
+    // overflow) is never coded.
+    for spec in ["never-shared:99", "mutex:0@4294967295"] {
+        let (stdout, stderr, code) = cuba(&["lint", "samples/fig1.cpds", "--property", spec]);
+        assert_eq!(code, Some(1), "deny lints fail the exit code: {stderr}");
+        assert!(stdout.contains("unknown-state"), "{spec}: {stdout}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
 }
 
 /// Invalid properties are rejected at session start — never a vacuous

@@ -326,6 +326,61 @@ fn a_deadline_interrupts_a_symbolic_visible_orbit_promptly() {
     assert_eq!(store.visible_count_at(k), expected.visible_count_at(k));
 }
 
+/// An explicit state's visible orbit can be large too: on `wide(n)`,
+/// a new state of round `k` has up to `k` threads that left stack `1`
+/// for `2`, `3` or `ε`, and its visible orbit is every arrangement of
+/// those tops over the `n` threads (270,270 keys for one round-6 state
+/// at `n = 14`). The recording polls the interrupt, so a deadline
+/// armed after round `k − 1` stops round `k` long before it would end.
+/// The round rolls back, and a retry without the interrupt reproduces
+/// an uninterrupted engine's counts and visible layers.
+#[test]
+fn a_deadline_interrupts_an_explicit_visible_orbit_promptly() {
+    let (n, k) = (10, 6);
+    let engine_at = |bound: usize| {
+        let mut engine = cuba::explore::ExplicitEngine::new(wide(n), ExploreBudget::default());
+        for _ in 0..bound {
+            engine.advance().expect("an unarmed round completes");
+        }
+        engine
+    };
+    let mut reference = engine_at(k - 1);
+    let start = std::time::Instant::now();
+    reference.advance().unwrap();
+    let full_round = start.elapsed();
+
+    let mut engine = engine_at(k - 1);
+    let (states_before, visible_before) = (engine.num_states(), engine.num_visible());
+    engine.set_interrupt(Interrupt::none().with_timeout(Duration::from_millis(5)));
+    let start = std::time::Instant::now();
+    assert_eq!(
+        engine.advance().unwrap_err(),
+        ExploreError::DeadlineExceeded
+    );
+    let interrupted = start.elapsed();
+    assert!(
+        interrupted < full_round / 2,
+        "the deadline took {interrupted:?} to stop a round that takes {full_round:?}"
+    );
+    assert_eq!(engine.current_k(), k - 1);
+    assert_eq!(engine.num_states(), states_before);
+    assert_eq!(engine.num_visible(), visible_before);
+
+    engine.set_interrupt(Interrupt::none());
+    engine.advance().expect("the retried round completes");
+    let (store, expected) = (engine.store(), reference.store());
+    for bound in 0..=k {
+        assert_eq!(store.state_count_at(bound), expected.state_count_at(bound));
+        assert!(
+            store
+                .visible_layer_keys(bound)
+                .eq(expected.visible_layer_keys(bound)),
+            "visible layer {bound} differs"
+        );
+    }
+    assert_eq!(store.visible_count_at(k), expected.visible_count_at(k));
+}
+
 /// Alg. 3 searches `G ∩ Z` inside the round that first needs it, under
 /// that round's interrupt: here each of 16 threads can pop once and
 /// then nothing moves, so `T(Rk)` plateaus at `k = 2`, but a pop may
