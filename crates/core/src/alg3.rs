@@ -198,10 +198,12 @@ impl Engine {
         interrupt: &Interrupt,
     ) -> Result<Option<Verdict>, ExploreError> {
         let k = view.k;
+        // One stored key per visible orbit: a violation by any member
+        // counts.
         if self.explorer.with_store(|store| {
             store
                 .visible_layer_keys(k)
-                .any(|key| self.check.violated_by_key(key))
+                .any(|key| self.check.violated_by_orbit(key))
         }) {
             return Ok(Some(Verdict::Unsafe { k, witness: None }));
         }

@@ -1,4 +1,7 @@
-use cuba_pds::{code_top, top_code, Cpds, KeyTable, SharedState, StackSym, VisibleState};
+use cuba_pds::{
+    canonicalize_visible_key, code_top, top_code, Cpds, KeyTable, SharedState, StackSym,
+    VisibleState,
+};
 
 /// A safety property over *visible* states (paper §2.2: "Most
 /// reachability properties, including assertions inserted into a
@@ -265,33 +268,77 @@ impl Property {
 /// is left out, since none can match such a key, and a clause pinning
 /// one thread to two symbols never fires. Its tables are sized by the
 /// model, never by the ids a property names.
+///
+/// A layer record keeps one canonical key per orbit of interchangeable
+/// threads ([`cuba_pds::canonicalize_visible_key`]), so the check also
+/// answers for whole orbits ([`violated_by_orbit`](Self::violated_by_orbit)):
+/// the targets are kept canonical too, and each mutex clause as one
+/// sorted multiset of pinned top codes per *group* (a class of
+/// interchangeable threads, or a thread of no class), which some
+/// member of an orbit matches iff it lies inside the key's codes of
+/// that group.
 #[derive(Debug, Clone)]
 pub struct PropertyCheck {
     /// Per shared state of the model: does reaching it violate?
     shared: Vec<bool>,
     /// The `NeverVisible` targets of the model's width, as keys.
     targets: KeyTable,
+    /// The same targets' canonical keys, one per orbit.
+    orbit_targets: KeyTable,
     /// The `(key index, top code)` pins of every mutex clause, clause
     /// after clause.
     pins: Vec<(u32, u32)>,
     /// Where each clause's pins end in `pins`.
     clause_ends: Vec<u32>,
+    /// The classes of interchangeable threads, then each other thread
+    /// alone: per group, its threads' key indices, ascending.
+    groups: Vec<Vec<u32>>,
+    /// Per thread, the index of its group.
+    group_of: Vec<u32>,
+    /// Every mutex clause that some visible key can match, as
+    /// `(group, top code)` pins sorted by group and then by code, one
+    /// per pinned thread, clause after clause.
+    orbit_pins: Vec<(u32, u32)>,
+    /// Where each clause's pins end in `orbit_pins`.
+    orbit_clause_ends: Vec<u32>,
 }
 
 impl PropertyCheck {
     /// Flattens `property` for the visible keys of `cpds`.
     pub fn new(property: &Property, cpds: &Cpds) -> Self {
+        let classes = cpds.thread_classes();
+        let n = cpds.num_threads();
+        let mut groups: Vec<Vec<u32>> = classes
+            .iter()
+            .map(|class| class.iter().map(|&t| t as u32 + 1).collect())
+            .collect();
+        groups.extend(
+            (0..n)
+                .filter(|t| !classes.iter().any(|class| class.contains(t)))
+                .map(|t| vec![t as u32 + 1]),
+        );
+        let mut group_of = vec![0; n];
+        for (g, group) in (0..).zip(&groups) {
+            for &index in group {
+                group_of[index as usize - 1] = g;
+            }
+        }
         let mut check = PropertyCheck {
             shared: vec![false; cpds.num_shared() as usize],
             targets: KeyTable::new(cpds.num_threads() + 1),
+            orbit_targets: KeyTable::new(cpds.num_threads() + 1),
             pins: Vec::new(),
             clause_ends: Vec::new(),
+            groups,
+            group_of,
+            orbit_pins: Vec::new(),
+            orbit_clause_ends: Vec::new(),
         };
-        check.add(property, cpds);
+        check.add(property, cpds, &classes);
         check
     }
 
-    fn add(&mut self, property: &Property, cpds: &Cpds) {
+    fn add(&mut self, property: &Property, cpds: &Cpds, classes: &[Vec<usize>]) {
         let num_threads = cpds.num_threads();
         // Whether a visible key of `cpds` can show `top` for `thread`.
         let shows = |thread: usize, top: Option<StackSym>| {
@@ -303,7 +350,10 @@ impl PropertyCheck {
                 for target in targets {
                     let mut tops = (0..).zip(&target.tops);
                     if target.num_threads() == num_threads && tops.all(|(t, &s)| shows(t, s)) {
-                        self.targets.insert(&target.key());
+                        let mut key = target.key();
+                        self.targets.insert(&key);
+                        canonicalize_visible_key(classes, &mut key);
+                        self.orbit_targets.insert(&key);
                     }
                 }
             }
@@ -321,9 +371,10 @@ impl PropertyCheck {
                             .map(|&(thread, sym)| (thread as u32 + 1, top_code(Some(sym)))),
                     );
                     self.clause_ends.push(self.pins.len() as u32);
+                    self.add_orbit_clause(pins);
                 }
             }
-            Property::All(props) => props.iter().for_each(|p| self.add(p, cpds)),
+            Property::All(props) => props.iter().for_each(|p| self.add(p, cpds, classes)),
         }
     }
 
@@ -348,6 +399,68 @@ impl PropertyCheck {
                 .iter()
                 .all(|&(index, code)| key.get(index as usize) == Some(&code))
         })
+    }
+
+    /// Adds the mutex clause `pins`, whose threads and symbols the
+    /// model has, to the orbit check: one pin per pinned thread, none
+    /// at all when it pins a thread to two symbols, since then no key
+    /// matches it.
+    fn add_orbit_clause(&mut self, pins: &[(usize, StackSym)]) {
+        let mut by_thread: Vec<(usize, u32)> = pins
+            .iter()
+            .map(|&(thread, sym)| (thread, top_code(Some(sym))))
+            .collect();
+        by_thread.sort_unstable();
+        by_thread.dedup();
+        if by_thread.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return;
+        }
+        let start = self.orbit_pins.len();
+        self.orbit_pins.extend(
+            by_thread
+                .iter()
+                .map(|&(thread, code)| (self.group_of[thread], code)),
+        );
+        self.orbit_pins[start..].sort_unstable();
+        self.orbit_clause_ends.push(self.orbit_pins.len() as u32);
+    }
+
+    /// Whether some visible state of the orbit keyed `key` violates the
+    /// property, where `key` is the orbit's canonical key (see
+    /// [`cuba_pds::canonicalize_visible_key`]): the check a layer record
+    /// runs on its stored keys in place. On a key that is not canonical
+    /// it may miss a mutex violation.
+    pub fn violated_by_orbit(&self, key: &[u32]) -> bool {
+        if self.shared.get(key[0] as usize) == Some(&true) {
+            return true;
+        }
+        if !self.orbit_targets.is_empty()
+            && key.len() == self.orbit_targets.width()
+            && self.orbit_targets.find(key).is_some()
+        {
+            return true;
+        }
+        let mut start = 0;
+        self.orbit_clause_ends.iter().any(|&end| {
+            let clause = &self.orbit_pins[start..end as usize];
+            start = end as usize;
+            clause
+                .chunk_by(|a, b| a.0 == b.0)
+                .all(|pinned| self.group_holds(pinned, key))
+        })
+    }
+
+    /// Whether the top codes of one group in the canonical `key`, sorted
+    /// ascending, contain the sorted multiset of codes `pinned` (pins of
+    /// that group): then a permutation within the group moves a pinned
+    /// code to each pinned thread.
+    fn group_holds(&self, pinned: &[(u32, u32)], key: &[u32]) -> bool {
+        let mut codes = self.groups[pinned[0].0 as usize]
+            .iter()
+            .map(|&index| key.get(index as usize));
+        pinned
+            .iter()
+            .all(|&(_, code)| codes.any(|slot| slot == Some(&code)))
     }
 
     /// Whether the visible state `v` violates the property.

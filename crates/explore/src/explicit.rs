@@ -37,8 +37,10 @@ pub(crate) const INTERRUPT_POLL_PERIOD: usize = 64;
 /// [`layer`](Self::layer) list representatives. Everything else stays
 /// concrete: [`num_states`](Self::num_states), the layer record's
 /// counts and the `max_states` budget count every member of every
-/// stored orbit, the visible layers hold whole visible orbits, and
-/// witnesses end at any requested member. A system without
+/// stored orbit, and witnesses end at any requested member. The
+/// projection of a new representative projects its whole orbit, so
+/// the engine records that one visible key, which the layer record
+/// keeps canonical for its visible orbit. A system without
 /// interchangeable threads stores every state, in the same order as an
 /// unreduced engine.
 ///
@@ -133,15 +135,15 @@ impl ExplicitEngine {
     /// Creates an engine positioned at `R0 = {initial state}`.
     pub fn new(cpds: Cpds, budget: ExploreBudget) -> Self {
         let init = cpds.initial_state();
-        let visible = init.visible();
+        let store = LayerStore::for_system(&cpds);
         let mut engine = ExplicitEngine {
-            symmetry: Symmetry::new(&cpds),
+            symmetry: store.symmetry().clone(),
             stacks: StackTable::new(),
             keys: KeyTable::new(cpds.num_threads() + 1),
+            store,
             cpds,
             budget,
             num_states: 0,
-            store: LayerStore::new(visible),
         };
         // Interchangeable threads start on equal stacks, so the initial
         // state is its own orbit and already canonical.
@@ -175,7 +177,7 @@ impl ExplicitEngine {
             return Err("state 0 is not the initial state".to_owned());
         }
         let mut engine = ExplicitEngine {
-            symmetry: Symmetry::new(&cpds),
+            symmetry: store.symmetry().clone(),
             stacks: StackTable::new(),
             keys: KeyTable::new(cpds.num_threads() + 1),
             cpds,
@@ -507,12 +509,9 @@ impl ExplicitEngine {
                         for slot in &mut round.key[1..] {
                             *slot = top_code(self.stacks.top(StackId(*slot)));
                         }
-                        round.new_visible += record_visible_orbit(
-                            &mut self.store,
-                            &self.symmetry,
-                            &self.budget.interrupt,
-                            &mut round.key,
-                        )?;
+                        round.new_visible = round
+                            .new_visible
+                            .saturating_add(self.store.record_visible_key(&mut round.key));
                         new_id
                     }
                 };
@@ -680,37 +679,6 @@ impl ExplicitEngine {
         }
         Ok(self.current_k())
     }
-}
-
-/// Records the projection of a newly stored state, keyed `key` (see
-/// [`VisibleState::key`]), and its whole visible orbit, if it is new;
-/// returns how many visible states were new. Layers are closed under
-/// the thread symmetry and every round records whole visible orbits,
-/// so a projection seen before brings no new member. The walk polls
-/// `interrupt` every [`INTERRUPT_POLL_PERIOD`] keys.
-fn record_visible_orbit(
-    store: &mut LayerStore,
-    symmetry: &Symmetry,
-    interrupt: &Interrupt,
-    key: &mut [u32],
-) -> Result<usize, ExploreError> {
-    if !store.record_visible_key(key) {
-        return Ok(0);
-    }
-    if symmetry.is_trivial() {
-        return Ok(1);
-    }
-    // The walk starts at `key` itself, recorded above.
-    let (mut walked, mut new) = (0usize, 1);
-    symmetry.for_each_arrangement(key, |member| {
-        walked += 1;
-        if walked.is_multiple_of(INTERRUPT_POLL_PERIOD) {
-            interrupt.check()?;
-        }
-        new += usize::from(store.record_visible_key(member));
-        Ok(())
-    })?;
-    Ok(new)
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //! both detect collapse (`Rk = Rk+1`, Lemma 7). A layer (`layer(k)`,
 //! explicit `states()`) lists orbit representatives; every count,
 //! every visible layer, every budget and every verdict is that of an
-//! engine that stores each state. The visible layers are kept once, as
-//! interned keys in the [`LayerStore`], and decoded on read.
+//! engine that stores each state. The visible layers are kept in the
+//! [`LayerStore`] as one interned canonical key per visible orbit,
+//! checked per orbit, and expanded and decoded on read.
 //!
 //! Both engines keep their states *interned*, as fixed-width `u32`
 //! keys in a [`KeyTable`](cuba_pds::KeyTable) whose dense ids are the

@@ -31,14 +31,21 @@
 //! canonical encodings is structural equality, so a fingerprint
 //! collision cannot smuggle a wrong system past the loader), the
 //! layer record (per-bound state ids and per-bound new visible
-//! states; first-seen bounds, growth logs, and the collapse bound are
+//! orbits; first-seen bounds, growth logs, and the collapse bound are
 //! derived on load), and the backend's state table in discovery order.
 //! A layer's ids are consecutive (the decoder checks them and keeps
 //! only where each layer ends), and the state table ends the payload.
 //! Both kinds of state table hold one canonical representative per
-//! orbit of interchangeable threads, as the engines store them; the
-//! loader rejects any other state, and re-derives the concrete state
-//! counts from the orbit sizes.
+//! orbit of interchangeable threads, as the engines store them, and
+//! the visible section holds the layer record's stored keys: per
+//! bound, the number of new visible orbits, then one canonical visible
+//! state per orbit (tops sorted by top code within each class of
+//! interchangeable threads). The loader rejects any other state or
+//! visible state, and re-derives the concrete state and visible counts
+//! from the orbit sizes. A system without interchangeable threads has
+//! one visible state per orbit, so its visible section lists every
+//! visible state; files that list a whole visible orbit of a system
+//! with interchangeable threads are refused.
 //! Because engines are deterministic and every stored collection keeps
 //! its discovery order, save → load → save is byte-identical.
 //!
@@ -298,8 +305,9 @@ fn encode_common(w: &mut Writer, cpds: &Cpds, store: &LayerStore) {
         }
     }
     for k in 0..num_layers {
-        w.u32(store.new_visible_at(k) as u32);
-        for key in store.visible_layer_keys(k) {
+        let keys = store.visible_layer_keys(k);
+        w.u32(keys.len() as u32);
+        for key in keys {
             w.u32(key[0]);
             for &code in &key[1..] {
                 w.u32(code_top(code).map_or(u32::MAX, |s| s.0));
@@ -489,8 +497,8 @@ pub(crate) fn decode(
         }
         visible_layers.push(layer);
     }
-    let store =
-        LayerStore::from_parts(stored_counts, visible_layers).map_err(|e| r.fail(layers_at, &e))?;
+    let store = LayerStore::from_parts(&cpds, stored_counts, visible_layers)
+        .map_err(|e| r.fail(layers_at, &e))?;
 
     // Section 3: the backend's state table, in discovery order.
     let states_at = r.pos;

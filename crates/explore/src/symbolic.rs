@@ -242,13 +242,16 @@ impl ContentOrder for DfaTable {
 /// [`orbit`](Self::orbit) expands one. Everything else stays concrete:
 /// [`num_symbolic_states`](Self::num_symbolic_states), the layer
 /// record's counts and the `max_symbolic_states` budget count every
-/// member of every stored orbit, and the visible layers hold whole
-/// visible orbits. A context step depends only on the thread's
-/// program, `q` and the thread's stack language, so a thread whose
-/// class has an earlier member holding the same `DfaId` in a frontier
-/// state takes no step: its successors lie in the orbits of that
-/// member's. A system without interchangeable threads stores every
-/// state, in the same order as an unreduced engine.
+/// member of every stored orbit. The visible states of an orbit are
+/// the orbits of its representative's visible states, so the engine
+/// enumerates only the representative's `T(τ)` and the layer record
+/// keeps one canonical key per visible orbit. A context step depends
+/// only on the thread's program, `q` and the thread's stack language,
+/// so a thread whose class has an earlier member holding the same
+/// `DfaId` in a frontier state takes no step: its successors lie in
+/// the orbits of that member's. A system without interchangeable
+/// threads stores every state, in the same order as an unreduced
+/// engine.
 ///
 /// Collapse (`no new symbolic states in a round`) soundly implies
 /// `Rk+1 ⊆ Rk` and hence, by Lemma 7, convergence of `(Rk)`.
@@ -264,9 +267,9 @@ pub struct SymbolicEngine {
     /// stored states, summed.
     num_states: usize,
     /// The `(q, [TopSetId; n])` keys whose visible states are recorded,
-    /// closed under arrangements within classes. Starts empty on a
-    /// restored engine (re-recording is a no-op).
-    visible_keys: KeyTable,
+    /// their ids sorted within classes: one per orbit. Starts empty on
+    /// a restored engine (re-recording is a no-op).
+    top_keys: KeyTable,
     /// Ids grouped by shared state, for pointwise subsumption lookups.
     by_shared: HashMap<SharedState, Vec<u32>>,
     /// The property-independent layer record (shared vocabulary with
@@ -284,8 +287,8 @@ impl SymbolicEngine {
     /// Creates an engine positioned at `S0 = {singleton(initial)}`.
     pub fn new(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
         let init = SymbolicState::singleton(&cpds.initial_state());
-        let visible = cpds.initial_state().visible();
-        let mut engine = SymbolicEngine::empty(cpds, budget, mode, LayerStore::new(visible));
+        let store = LayerStore::for_system(&cpds);
+        let mut engine = SymbolicEngine::empty(cpds, budget, mode, store);
         // Interchangeable threads start on equal stacks, so the initial
         // state is its own orbit and already canonical.
         engine.intern_state(init);
@@ -300,14 +303,14 @@ impl SymbolicEngine {
             .map(|i| RuleTable::new(cpds.thread(i)))
             .collect();
         SymbolicEngine {
-            symmetry: Symmetry::new(&cpds),
+            symmetry: store.symmetry().clone(),
             cpds,
             budget,
             mode,
             dfas: DfaTable::default(),
             keys: KeyTable::new(width),
             num_states: 0,
-            visible_keys: KeyTable::new(width),
+            top_keys: KeyTable::new(width),
             by_shared: HashMap::new(),
             store,
             tables,
@@ -526,7 +529,7 @@ impl SymbolicEngine {
             return Ok(());
         }
         let round_start = self.keys.len();
-        let visible_start = self.visible_keys.len();
+        let top_start = self.top_keys.len();
         // Every successor is registered before any visible state is
         // recorded, so a round that fails the budget enumerates none.
         let recorded = self
@@ -535,7 +538,7 @@ impl SymbolicEngine {
         let new_visible = match recorded {
             Ok(new_visible) => new_visible,
             Err(e) => {
-                self.rollback(round_start, visible_start);
+                self.rollback(round_start, top_start);
                 return Err(e);
             }
         };
@@ -579,18 +582,18 @@ impl SymbolicEngine {
     /// (ids `round_start..`), in registration order. Returns how many
     /// visible states were new.
     fn record_visible_orbits(&mut self, round_start: u32) -> Result<usize, ExploreError> {
-        let mut new_visible = 0;
+        let mut new_visible = 0usize;
         for id in round_start..self.keys.len() as u32 {
-            new_visible += self.record_visible_states(id)?;
+            new_visible = new_visible.saturating_add(self.record_visible_states(id)?);
         }
         Ok(new_visible)
     }
 
-    /// Removes every symbolic state (ids `round_start..`), visible-key
-    /// and visible state registered by a failed round, leaving the
-    /// engine exactly at the previous bound so `advance` may be
-    /// retried.
-    fn rollback(&mut self, round_start: usize, visible_start: usize) {
+    /// Removes every symbolic state (ids `round_start..`), top-set key
+    /// (ids `top_start..`) and visible state registered by a failed
+    /// round, leaving the engine exactly at the previous bound so
+    /// `advance` may be retried.
+    fn rollback(&mut self, round_start: usize, top_start: usize) {
         for id in round_start..self.keys.len() {
             let key = self.keys.key(id as u32);
             self.num_states -= self.symmetry.weight(&key[1..]);
@@ -599,7 +602,7 @@ impl SymbolicEngine {
             }
         }
         self.keys.truncate(round_start);
-        self.visible_keys.truncate(visible_start);
+        self.top_keys.truncate(top_start);
         self.store.rollback_round();
     }
 
@@ -687,41 +690,42 @@ impl SymbolicEngine {
     }
 
     /// Records the visible states of the whole orbit of stored state
-    /// `id`: `T(τ) = {q} × T(A1) × … × T(An)` (Eq. 4) for every
-    /// distinct arrangement of its top sets within classes, in the
-    /// order of [`SymbolicState::visible_states`] — unless its
-    /// `(q, [TopSetId; n])` was recorded before, which makes every one
-    /// of them a repeat. Returns how many visible states were new.
+    /// `id`: the orbits of `T(τ) = {q} × T(A1) × … × T(An)` (Eq. 4), in
+    /// the order of [`SymbolicState::visible_states`], one canonical key
+    /// each — unless the orbit of its `(q, [TopSetId; n])` was recorded
+    /// before, which makes every one of them a repeat. Returns how many
+    /// visible states were new, counting every orbit member.
     ///
-    /// An orbit may hold millions of visible states, so the interrupt
-    /// is polled per arrangement and every [`VISIBLE_POLL_INTERVAL`]
-    /// keys; the caller rolls the round back when it fires.
+    /// A product may hold millions of visible states, so the interrupt
+    /// is polled every [`VISIBLE_POLL_INTERVAL`] keys; the caller rolls
+    /// the round back when it fires.
     fn record_visible_states(&mut self, id: u32) -> Result<usize, ExploreError> {
         let key = self.keys.key(id);
         let mut top_key = Vec::with_capacity(key.len());
         top_key.push(key[0]);
         top_key.extend(key[1..].iter().map(|&d| self.dfas.top_set_of[d as usize]));
-        if self.visible_keys.find(&top_key).is_some() {
-            // Recorded with its whole arrangement orbit.
+        // The product's order follows the representative's slots, which
+        // do not depend on interning order; only the lookup sorts ids.
+        let domains: Vec<&[u32]> = top_key[1..]
+            .iter()
+            .map(|&t| self.dfas.top_sets[t as usize].as_slice())
+            .collect();
+        self.symmetry.canonicalize_visible(&mut top_key);
+        if !self.top_keys.insert(&top_key).1 {
             return Ok(0);
         }
-        let mut new = 0;
-        self.symmetry.for_each_arrangement(&mut top_key, |tops| {
-            self.budget.interrupt.check()?;
-            self.visible_keys.insert(tops);
-            let domains: Vec<&[u32]> = tops[1..]
-                .iter()
-                .map(|&t| self.dfas.top_sets[t as usize].as_slice())
-                .collect();
-            let mut enumerated = 0usize;
-            for_each_visible_key(SharedState(tops[0]), &domains, |visible| {
-                enumerated += 1;
-                if enumerated.is_multiple_of(VISIBLE_POLL_INTERVAL) {
-                    self.budget.interrupt.check()?;
-                }
-                new += usize::from(self.store.record_visible_key(visible));
-                Ok(())
-            })
+        let (mut new, mut enumerated) = (0usize, 0usize);
+        let mut visible = vec![0; top_key.len()];
+        let store = &mut self.store;
+        let interrupt = &self.budget.interrupt;
+        for_each_visible_key(SharedState(top_key[0]), &domains, |key| {
+            enumerated += 1;
+            if enumerated.is_multiple_of(VISIBLE_POLL_INTERVAL) {
+                interrupt.check()?;
+            }
+            visible.copy_from_slice(key);
+            new = new.saturating_add(store.record_visible_key(&mut visible));
+            Ok(())
         })?;
         Ok(new)
     }

@@ -15,10 +15,17 @@
 //! `[DfaId; n]` (symbolic) part of its interned key, indexed by
 //! thread, and [`ContentOrder`] orders those ids by what they stand
 //! for.
+//!
+//! Visible states permute the same way, so the layer record keeps one
+//! *canonical visible key* per visible orbit, its tops sorted by top
+//! code within each class ([`cuba_pds::canonicalize_visible_key`]),
+//! weighed by its orbit size too. [`Symmetry::for_each_arrangement`]
+//! expands such a key back into its orbit where a reader asks for
+//! concrete visible states, and fixes the order it lists them in.
 
 use std::cmp::Ordering;
 
-use cuba_pds::{Cpds, GlobalState, StackId, StackTable};
+use cuba_pds::{canonicalize_visible_key, Cpds, GlobalState, StackId, StackTable};
 
 /// A table whose ids order by the content they stand for, whatever
 /// order it interned them in. A canonical form built on this order
@@ -47,9 +54,14 @@ pub(crate) struct Symmetry {
 
 impl Symmetry {
     pub(crate) fn new(cpds: &Cpds) -> Self {
-        let classes = cpds.thread_classes();
-        let mut class_of = vec![None; cpds.num_threads()];
-        let mut rank = vec![0; cpds.num_threads()];
+        Symmetry::of_classes(cpds.thread_classes(), cpds.num_threads())
+    }
+
+    /// The symmetry of `num_threads` threads under which each class of
+    /// `classes` is interchangeable.
+    pub(crate) fn of_classes(classes: Vec<Vec<usize>>, num_threads: usize) -> Self {
+        let mut class_of = vec![None; num_threads];
+        let mut rank = vec![0; num_threads];
         for (c, class) in classes.iter().enumerate() {
             for (r, &t) in class.iter().enumerate() {
                 class_of[t] = Some(c);
@@ -61,11 +73,6 @@ impl Symmetry {
             class_of,
             rank,
         }
-    }
-
-    /// Whether no two threads are interchangeable.
-    pub(crate) fn is_trivial(&self) -> bool {
-        self.classes.is_empty()
     }
 
     /// The class of `thread`, if it has one: the threads whose stacks a
@@ -94,6 +101,12 @@ impl Symmetry {
                 stacks[t] = id;
             }
         }
+    }
+
+    /// Sorts the tops of the visible key `key` by top code within each
+    /// class: the canonical key of its visible orbit.
+    pub(crate) fn canonicalize_visible(&self, key: &mut [u32]) {
+        canonicalize_visible_key(&self.classes, key);
     }
 
     /// Whether `stacks` are sorted by content within each class.
@@ -134,9 +147,10 @@ impl Symmetry {
         class[r]
     }
 
-    /// The size of the orbit of a state with canonical `stacks`: per
-    /// class of `m` threads, `m! / ∏ multiplicity!` over its distinct
-    /// stacks; the product over classes, saturating.
+    /// The size of the orbit of a state with canonical `stacks` (stack
+    /// ids, stack-language ids, or the top codes of a canonical visible
+    /// key): per class of `m` threads, `m! / ∏ multiplicity!` over its
+    /// distinct slots; the product over classes, saturating.
     pub(crate) fn weight(&self, stacks: &[u32]) -> usize {
         let mut weight: u128 = 1;
         for class in &self.classes {
@@ -164,10 +178,12 @@ impl Symmetry {
     /// within classes makes of it, `key` first, and stops at the first
     /// error `f` returns. `key` is `(q, [slot; n])`, thread `t`'s slot in
     /// `key[t + 1]`; the walk permutes the slots in place and restores
-    /// them before it returns. Its order fixes the first-seen order of
-    /// visible states: the first class varies slowest, and each position
-    /// of a class in turn takes each of the class's remaining slots, in
-    /// their original order, skipping one equal to an earlier one.
+    /// them before it returns. Its order fixes the order in which a
+    /// stored visible key expands into concrete visible states, and in
+    /// which a witness search meets the members of a stored state's
+    /// orbit: the first class varies slowest, and each position of a
+    /// class in turn takes each of the class's remaining slots, in their
+    /// original order, skipping one equal to an earlier one.
     pub(crate) fn for_each_arrangement<E, F>(&self, key: &mut [u32], mut f: F) -> Result<(), E>
     where
         F: FnMut(&[u32]) -> Result<(), E>,

@@ -61,7 +61,10 @@ pub use error::PdsError;
 pub use intern::{KeyTable, StackEdit, StackId, StackTable};
 pub use pds::{Pds, PdsBuilder};
 pub use stack::Stack;
-pub use state::{code_top, top_code, GlobalState, PdsConfig, ThreadVisible, VisibleState};
+pub use state::{
+    canonicalize_visible_key, code_top, top_code, GlobalState, PdsConfig, ThreadVisible,
+    VisibleState,
+};
 
 /// Identifier of a shared (global) state, an element of `Q`.
 ///

@@ -182,6 +182,27 @@ pub fn code_top(code: u32) -> Option<StackSym> {
     code.checked_sub(1).map(StackSym)
 }
 
+/// Sorts the top codes of the visible key `key` (see
+/// [`VisibleState::key`]) ascending within each class of
+/// interchangeable threads, in place, allocating nothing: the
+/// canonical key of the orbit that permuting those threads makes of
+/// `key`, which is what a layer record keeps. `classes` lists thread
+/// indices, as [`Cpds::thread_classes`](crate::Cpds::thread_classes)
+/// does; with none, every key is canonical.
+pub fn canonicalize_visible_key(classes: &[Vec<usize>], key: &mut [u32]) {
+    for class in classes {
+        for r in 1..class.len() {
+            let code = key[class[r] + 1];
+            let mut p = r;
+            while p > 0 && key[class[p - 1] + 1] > code {
+                key[class[p] + 1] = key[class[p - 1] + 1];
+                p -= 1;
+            }
+            key[class[p] + 1] = code;
+        }
+    }
+}
+
 impl std::fmt::Display for VisibleState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "<{}|", self.q)?;
@@ -259,6 +280,19 @@ mod tests {
                 assert_eq!(a.key().cmp(&b.key()), a.cmp(b));
             }
         }
+    }
+
+    /// Each class is sorted on its own key positions, the other
+    /// threads and `q` stay put.
+    #[test]
+    fn canonical_visible_keys_sort_within_classes() {
+        let classes = [vec![0, 2, 3], vec![1, 4]];
+        let mut key = [9, 5, 4, 0, 3, 1];
+        canonicalize_visible_key(&classes, &mut key);
+        assert_eq!(key, [9, 0, 1, 3, 5, 4]);
+        let mut plain = [9, 5, 4];
+        canonicalize_visible_key(&[], &mut plain);
+        assert_eq!(plain, [9, 5, 4]);
     }
 
     #[test]

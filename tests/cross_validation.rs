@@ -22,7 +22,11 @@
 //!   plain `HashMap` kept by the reference rounds, also after a
 //!   failed round,
 //! * the flattened property check answers as the recursive
-//!   definition.
+//!   definition, per visible state and, on a canonical key of a system
+//!   with interchangeable threads, per visible orbit,
+//! * the layer records of those systems keep one canonical key per
+//!   visible orbit, and the orbits expand to exactly the layer's
+//!   visible states.
 //!
 //! Systems come from the seeded generator in
 //! `cuba::benchmarks::random`; each test sweeps a fixed seed range so
@@ -733,7 +737,7 @@ mod reference {
                             new_layer.push(new_id);
                             let k = self.store.current_k() + 1;
                             self.first_seen.entry(visible.clone()).or_insert(k);
-                            if self.store.record_visible(&visible) {
+                            if self.store.record_visible(&visible) == 1 {
                                 new_visible.push(visible);
                             }
                             new_id
@@ -860,7 +864,7 @@ mod reference {
             let k = self.store.current_k() + 1;
             for v in visible_states(&tau) {
                 self.first_seen.entry(v.clone()).or_insert(k);
-                if self.store.record_visible(&v) {
+                if self.store.record_visible(&v) == 1 {
                     new_visible.push(v);
                 }
             }
@@ -1171,7 +1175,7 @@ fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
 /// four rounds; the first difference, if any. Per round: the same
 /// `Ok`/`Err`, no stray state after a rollback, the concrete `|Sk|` per
 /// bound, the first-seen record and the collapse bound all match the
-/// reference. Without interchangeable threads the engine must store
+/// reference, and the stored visible keys pass [`stored_key_difference`]. Without interchangeable threads the engine must store
 /// exactly the reference's states, layers and visible layers, in the
 /// same order. With them, each stored key must be canonical, no two
 /// stored keys may share an orbit, the orbits of each stored layer
@@ -1192,7 +1196,9 @@ fn symbolic_difference(
         if got != want {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
-        if let Some(d) = record_difference(engine.store(), &reference.first_seen) {
+        if let Some(d) = record_difference(engine.store(), &reference.first_seen)
+            .or_else(|| stored_key_difference(engine.store(), cpds, &symmetries))
+        {
             return Some(format!("round {round}: {d}"));
         }
         if got.is_err() {
@@ -1455,6 +1461,59 @@ fn permuted<T: Clone>(p: &[usize], stacks: &[T]) -> Vec<T> {
     out
 }
 
+/// The visible key `(q, [top code; n])` with its tops moved by the
+/// permutation `p` of the threads.
+fn permuted_key(p: &[usize], key: &[u32]) -> Vec<u32> {
+    std::iter::once(key[0])
+        .chain(permuted(p, &key[1..]))
+        .collect()
+}
+
+/// Checks a layer record's stored visible keys at every computed bound:
+/// each must be canonical (its tops ascending within each class of
+/// interchangeable threads), no two may lie in one orbit under
+/// `symmetries` (those of `cpds`), and the orbits of a bound's keys
+/// must hold exactly `new_visible_at(k)` visible states. The first
+/// difference, if any.
+fn stored_key_difference(
+    store: &LayerStore,
+    cpds: &Cpds,
+    symmetries: &[Vec<usize>],
+) -> Option<String> {
+    let classes = cpds.thread_classes();
+    let mut stored_orbits: HashSet<Vec<u32>> = HashSet::new();
+    for k in 0..=store.current_k() {
+        let mut members = 0;
+        for key in store.visible_layer_keys(k) {
+            let canonical = classes.iter().all(|class| {
+                class
+                    .windows(2)
+                    .all(|pair| key[pair[0] + 1] <= key[pair[1] + 1])
+            });
+            if !canonical {
+                return Some(format!(
+                    "layer {k}: stored visible key {key:?} is not canonical"
+                ));
+            }
+            let orbit: HashSet<Vec<u32>> =
+                symmetries.iter().map(|p| permuted_key(p, key)).collect();
+            members += orbit.len();
+            for member in orbit {
+                if !stored_orbits.insert(member) {
+                    return Some(format!("layer {k}: two stored visible keys share an orbit"));
+                }
+            }
+        }
+        if members != store.new_visible_at(k) {
+            return Some(format!(
+                "layer {k}: stored visible orbits hold {members} states, new_visible_at {}",
+                store.new_visible_at(k)
+            ));
+        }
+    }
+    None
+}
+
 /// The states `state` maps to under `symmetries`.
 fn orbit_of(symmetries: &[Vec<usize>], state: &GlobalState) -> Vec<GlobalState> {
     symmetries
@@ -1466,7 +1525,8 @@ fn orbit_of(symmetries: &[Vec<usize>], state: &GlobalState) -> Vec<GlobalState> 
 /// Runs the explicit engine beside the reference rounds for four
 /// rounds on a system with interchangeable threads; the first
 /// difference, if any. Per round: the orbits of each stored layer make
-/// up the reference layer, visible layers are equal as sets, so are
+/// up the reference layer, the stored visible keys pass
+/// [`stored_key_difference`], visible layers are equal as sets, so are
 /// the concrete state counts and the collapse bound, a round fails in
 /// both or in neither, each stored representative's `layer_of` is the
 /// reference layer of that state, and every state of the new reference
@@ -1481,7 +1541,9 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
         if got.is_ok() != want.is_ok() {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
-        if let Some(d) = record_difference(engine.store(), &reference.first_seen) {
+        if let Some(d) = record_difference(engine.store(), &reference.first_seen)
+            .or_else(|| stored_key_difference(engine.store(), cpds, &symmetries))
+        {
             return Some(format!("round {round}: {d}"));
         }
         if got.is_err() {
@@ -1820,5 +1882,98 @@ fn flattened_property_checks_match_the_definition() {
     assert!(
         violated * 20 > checked && violated * 2 < checked,
         "{violated} of {checked} keys violate"
+    );
+}
+
+/// Whether some member of the orbit of the visible key `key` under
+/// `symmetries` violates `property`, by the recursive definition.
+fn violated_in_orbit(property: &Property, symmetries: &[Vec<usize>], key: &[u32]) -> bool {
+    symmetries
+        .iter()
+        .any(|p| property.violated_by_key(&permuted_key(p, key)))
+}
+
+/// Draws 200 random canonical visible keys of `cpds` and 40 random
+/// properties (validated or not) from `case`, and compares
+/// [`PropertyCheck::violated_by_orbit`] on every pair with the
+/// definition applied to every orbit member: the numbers of pairs
+/// checked and violated, or the first difference.
+fn orbit_check_difference(cpds: &Cpds, case: u64) -> Result<(usize, usize), String> {
+    let mut rng = SplitMix64::new(case);
+    let classes = cpds.thread_classes();
+    let symmetries = thread_symmetries(cpds);
+    let keys: Vec<Vec<u32>> = (0..200)
+        .map(|_| {
+            let mut key: Vec<u32> = std::iter::once(rng.gen_u32(cpds.num_shared()))
+                .chain((0..cpds.num_threads()).map(|t| {
+                    // A top code: 0 for ε, σ + 1 for a symbol σ.
+                    rng.gen_u32(cpds.thread(t).alphabet_size() + 1)
+                }))
+                .collect();
+            for class in &classes {
+                let mut codes: Vec<u32> = class.iter().map(|&t| key[t + 1]).collect();
+                codes.sort_unstable();
+                for (&t, code) in class.iter().zip(codes) {
+                    key[t + 1] = code;
+                }
+            }
+            key
+        })
+        .collect();
+    let (mut checked, mut violated) = (0, 0);
+    for _ in 0..40 {
+        let property = random_property(&mut rng, cpds, 2);
+        let check = PropertyCheck::new(&property, cpds);
+        for key in &keys {
+            let expected = violated_in_orbit(&property, &symmetries, key);
+            if check.violated_by_orbit(key) != expected {
+                return Err(format!("{property} on {key:?}: expected {expected}"));
+            }
+            checked += 1;
+            violated += usize::from(expected);
+        }
+    }
+    Ok((checked, violated))
+}
+
+/// The orbit check that `Engine::round` runs on a layer record's stored
+/// keys answers as "some member of the key's orbit violates the
+/// property" by the recursive definition, on systems whose threads
+/// copy those of random systems by [`PATTERNS`], random properties
+/// (validated or not) and random canonical keys. A difference is
+/// shrunk to a minimal shape.
+#[test]
+fn orbit_property_checks_match_the_definition() {
+    let small = RandomCpdsConfig {
+        alphabet: 2,
+        ..RandomCpdsConfig::shrinking()
+    };
+    let (mut checked, mut violated) = (0usize, 0usize);
+    for (s, shape) in [RandomCpdsConfig::default(), small].iter().enumerate() {
+        for seed in 0..4u64 {
+            for (p, pattern) in PATTERNS.iter().enumerate() {
+                let case = (seed * 2 + s as u64) * 8 + p as u64;
+                let check = |shape: &RandomCpdsConfig| {
+                    orbit_check_difference(&duplicated(shape, seed, pattern), case)
+                };
+                match check(shape) {
+                    Ok((c, v)) => {
+                        checked += c;
+                        violated += v;
+                    }
+                    Err(difference) => {
+                        let minimal = shrink(shape.clone(), smaller_shapes, |s| check(s).is_err());
+                        panic!(
+                            "seed {seed}, pattern {pattern:?}: {difference}; minimal failing shape {minimal:?}: {:?}",
+                            check(&minimal)
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        violated * 20 > checked && violated * 2 < checked,
+        "{violated} of {checked} orbits violate"
     );
 }

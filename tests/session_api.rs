@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cuba::benchmarks::suite::table2_suite;
-use cuba::benchmarks::{fig1, fig2};
+use cuba::benchmarks::{fig1, fig2, stefan};
 use cuba::core::{
     build_engine, AnalysisSession, ConvergenceMethod, EngineKind, EngineParams, EngineUsed,
     Portfolio, Property, RoundCtx, RoundOutcome, SessionConfig, SessionEvent, SystemArtifacts,
@@ -236,11 +236,18 @@ fn deadline_is_honored_mid_round() {
 /// `1 → 2 → 3 → ε` in a single context. Every round is made of tiny
 /// closures, and `Z` has `4^n` visible states.
 fn wide(n: usize) -> Cpds {
+    chains(n, 3)
+}
+
+/// `n` identical threads over one shared state, each running
+/// `1 → 2 → … → m → ε` in a single context.
+fn chains(n: usize, m: u32) -> Cpds {
     let (q, s) = (SharedState(0), StackSym);
-    let mut pds = PdsBuilder::new(1, 4);
-    pds.overwrite(q, s(1), q, s(2)).unwrap();
-    pds.overwrite(q, s(2), q, s(3)).unwrap();
-    pds.pop(q, s(3), q).unwrap();
+    let mut pds = PdsBuilder::new(1, m + 1);
+    for sym in 1..m {
+        pds.overwrite(q, s(sym), q, s(sym + 1)).unwrap();
+    }
+    pds.pop(q, s(m), q).unwrap();
     CpdsBuilder::new(1, q)
         .threads(&pds.build().unwrap(), [s(1)], n)
         .build()
@@ -272,16 +279,17 @@ fn deadline_covers_the_generator_search() {
     assert!(outcome.duration >= Duration::from_millis(200));
 }
 
-/// One symbolic state's visible orbit can hold millions of keys: on
+/// One symbolic state's visible states can number millions: on
 /// `wide(n)`, round `k` stores the one state whose `k` threads hold
-/// `{1, 2, 3, ε}`, and records `C(n, k)` arrangements of `4^k` visible
-/// keys for it. The recording polls the interrupt, so a deadline armed
+/// `{1, 2, 3, ε}`, and enumerates the `4^k` visible keys of that
+/// representative (262,144 at `k = 9`), which fall into few visible
+/// orbits. The recording polls the interrupt, so a deadline armed
 /// after round `k − 1` stops round `k` long before it would end. The
 /// round rolls back, and a retry without the interrupt reproduces an
-/// uninterrupted engine's counts and visible layers.
+/// uninterrupted engine's counts and stored visible keys.
 #[test]
 fn a_deadline_interrupts_a_symbolic_visible_orbit_promptly() {
-    let (n, k) = (10, 6);
+    let (n, k) = (10, 9);
     let engine_at = |bound: usize| {
         let mut engine =
             SymbolicEngine::new(wide(n), ExploreBudget::default(), SubsumptionMode::Exact);
@@ -326,19 +334,23 @@ fn a_deadline_interrupts_a_symbolic_visible_orbit_promptly() {
     assert_eq!(store.visible_count_at(k), expected.visible_count_at(k));
 }
 
-/// An explicit state's visible orbit can be large too: on `wide(n)`,
-/// a new state of round `k` has up to `k` threads that left stack `1`
-/// for `2`, `3` or `ε`, and its visible orbit is every arrangement of
-/// those tops over the `n` threads (270,270 keys for one round-6 state
-/// at `n = 14`). The recording polls the interrupt, so a deadline
-/// armed after round `k − 1` stops round `k` long before it would end.
-/// The round rolls back, and a retry without the interrupt reproduces
-/// an uninterrupted engine's counts and visible layers.
+/// An explicit round can be long too, even though it records one
+/// visible key per new representative: on `chains(8, 12)`, round 6
+/// stores 12,376 new representatives (orbits of 83,607,552 states, so
+/// the state budget is lifted). The engine polls the interrupt every
+/// 64 expanded states, so a deadline armed after round `k − 1` stops
+/// round `k` long before it would end. The round rolls back, and a
+/// retry without the interrupt reproduces an uninterrupted engine's
+/// counts and stored visible keys.
 #[test]
 fn a_deadline_interrupts_an_explicit_visible_orbit_promptly() {
-    let (n, k) = (10, 6);
+    let k = 6;
+    let budget = ExploreBudget {
+        max_states: usize::MAX,
+        ..ExploreBudget::default()
+    };
     let engine_at = |bound: usize| {
-        let mut engine = cuba::explore::ExplicitEngine::new(wide(n), ExploreBudget::default());
+        let mut engine = cuba::explore::ExplicitEngine::new(chains(8, 12), budget.clone());
         for _ in 0..bound {
             engine.advance().expect("an unarmed round completes");
         }
@@ -483,8 +495,11 @@ fn cancel_between_rounds_stops_the_next_symbolic_advance() {
 /// A token fired from another thread *mid-round* interrupts the
 /// symbolic engine: every `post*` saturation polls the interrupt every
 /// few insertions, so the abort lands within one poll interval instead
-/// of after the round. Without the cancel, stefan-1/8 would grind
-/// toward the (here unreachably large) state budget.
+/// of after the round. Without the cancel, stefan-1/10 would explore
+/// 12 rounds and 253,834 symbolic states (about 0.2 s in release)
+/// before it collapses, far below the state budget (stefan-1/8
+/// collapses at k = 10 within about 20 ms in release, before the
+/// cancel fires).
 #[test]
 fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
     let token = CancelToken::new();
@@ -493,7 +508,7 @@ fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
         ..ExploreBudget::default()
     }
     .with_interrupt(Interrupt::none().with_cancel(token.clone()));
-    let mut engine = SymbolicEngine::new(stefan_1_8(), budget, SubsumptionMode::Exact);
+    let mut engine = SymbolicEngine::new(stefan::build(10), budget, SubsumptionMode::Exact);
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
         token.cancel();
@@ -503,7 +518,7 @@ fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
             Ok(_) => {
                 assert!(
                     !engine.is_collapsed(),
-                    "stefan-1/8 must not collapse (paper: OOM row)"
+                    "stefan-1/10 must still be exploring when the cancel fires"
                 );
             }
             Err(e) => break e,
