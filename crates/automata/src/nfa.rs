@@ -133,14 +133,6 @@ impl Nfa {
             .insert(dst.0)
     }
 
-    /// Whether the transition `src --label--> dst` is present.
-    pub fn has_transition(&self, src: StateId, label: Label, dst: StateId) -> bool {
-        self.delta
-            .get(src.0 as usize)
-            .and_then(|m| m.get(&label))
-            .is_some_and(|t| t.contains(&dst.0))
-    }
-
     /// Iterates over all transitions `(src, label, dst)`.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, Label, StateId)> + '_ {
         self.delta.iter().enumerate().flat_map(|(src, m)| {

@@ -8,16 +8,17 @@
 
 use cuba_benchmarks::fig1;
 use cuba_core::{
-    build_engine, EngineKind, EngineParams, Property, RoundCtx, RoundOutcome, SequenceEvent,
-    SystemArtifacts, Verdict,
+    build_engine, EngineKind, EngineParams, Property, RoundOutcome, SequenceEvent, SystemArtifacts,
+    Verdict,
 };
-use cuba_explore::{ExplicitEngine, ExploreBudget};
+use cuba_explore::{ExplicitEngine, ExploreBudget, Interrupt};
 
 fn main() {
     let cpds = fig1::build();
+    let none = Interrupt::none();
     let mut engine = ExplicitEngine::new(cpds.clone(), ExploreBudget::default());
     for _ in 0..6 {
-        engine.advance().expect("Fig. 1 satisfies FCR");
+        engine.advance(&none).expect("Fig. 1 satisfies FCR");
     }
 
     println!("Fig. 1 reachability table (new states per bound k):\n");
@@ -51,10 +52,9 @@ fn main() {
         &Property::True,
         &EngineParams::default(),
     );
-    let mut ctx = RoundCtx::new();
     let mut rejected_plateaus = Vec::new();
     let verdict = loop {
-        match alg3.step(&mut ctx).expect("Fig. 1 satisfies FCR") {
+        match alg3.step(&none).expect("Fig. 1 satisfies FCR") {
             // A new plateau that did not conclude failed the generator
             // test: a stutter at k − 1.
             RoundOutcome::Continue(info) => {

@@ -10,7 +10,7 @@
 
 use cuba_benchmarks::fig2;
 use cuba_core::check_fcr;
-use cuba_explore::{ExploreBudget, SubsumptionMode, SymbolicEngine};
+use cuba_explore::{ExploreBudget, Interrupt, SubsumptionMode, SymbolicEngine};
 
 fn main() {
     let cpds = fig2::build();
@@ -25,7 +25,7 @@ fn main() {
     let mut collapse_at = None;
     for k in 1..=8usize {
         engine
-            .advance()
+            .advance(&Interrupt::none())
             .expect("symbolic rounds are budget-free here");
         let covered = engine.covers(&target);
         println!(

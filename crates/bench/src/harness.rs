@@ -15,12 +15,14 @@
 //! samples — a sample measures the same work every time, which is what
 //! makes the sample vectors comparable at all.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cuba_benchmarks::fig1;
 use cuba_benchmarks::suite::{table2_problems, table2_suite};
 use cuba_core::{
-    CubaError, CubaOutcome, Portfolio, Property, SchedulePolicy, SessionConfig, SuiteCache, Verdict,
+    same_system, CubaError, CubaOutcome, Portfolio, Property, SchedulePolicy, SessionConfig,
+    SuiteCache, Verdict,
 };
 use cuba_explore::{ExploreBudget, SharedExplorer, SnapshotKind};
 use cuba_pds::{Cpds, SharedState, StackSym, VisibleState};
@@ -89,7 +91,8 @@ pub struct BenchPlan {
     /// Measured suite iterations; each contributes one sample per
     /// workload.
     pub samples: usize,
-    /// Problems in flight per iteration.
+    /// Systems in flight per iteration; the rows of one system run in
+    /// one worker, in suite order.
     pub workers: usize,
     /// A `cuba snapshot` file to seed into every iteration's fresh
     /// cache (`--from-snapshot`): the matching workload replays the
@@ -222,6 +225,12 @@ pub fn run_iteration(
 /// As [`run_iteration`], restoring `seed` into the fresh cache first,
 /// so the hit probe sees the snapshot-backed system as warm and its
 /// sessions replay the recorded bounds.
+///
+/// Up to `workers` systems run at once, but the rows of one system
+/// run in one worker, in suite order: they share the system's
+/// explorers, so racing them would make each row's explored/replayed
+/// split depend on thread timing. Every record is then the one a
+/// single worker gives.
 pub fn run_iteration_seeded(
     portfolio: &Portfolio,
     problems: &[(String, Cpds, Property)],
@@ -239,11 +248,44 @@ pub fn run_iteration_seeded(
         .iter()
         .map(|(_, cpds, _)| cache.lookup(cpds).1)
         .collect();
-    let batch: Vec<(Cpds, Property)> = problems
-        .iter()
-        .map(|(_, cpds, property)| (cpds.clone(), property.clone()))
-        .collect();
-    (portfolio.run_suite_cached(batch, workers, &cache), hits)
+    let mut systems: Vec<Vec<usize>> = Vec::new();
+    for (i, (_, cpds, _)) in problems.iter().enumerate() {
+        match systems
+            .iter_mut()
+            .find(|rows| same_system(&problems[rows[0]].1, cpds))
+        {
+            Some(rows) => rows.push(i),
+            None => systems.push(vec![i]),
+        }
+    }
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, Result<CubaOutcome, CubaError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, systems.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(rows) = systems.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let batch = rows
+                            .iter()
+                            .map(|&i| (problems[i].1.clone(), problems[i].2.clone()))
+                            .collect();
+                        let outcomes = portfolio.run_suite_cached(batch, 1, &cache);
+                        done.extend(rows.iter().copied().zip(outcomes));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("a bench worker panicked"))
+            .collect()
+    });
+    results.sort_by_key(|&(i, _)| i);
+    (
+        results.into_iter().map(|(_, outcome)| outcome).collect(),
+        hits,
+    )
 }
 
 /// Restores `seed` into `cache` for the first workload whose system
@@ -586,6 +628,30 @@ mod tests {
             cold.rows[0].rounds_explored
         );
         assert!(warm.rows[0].rounds_replayed > 0);
+    }
+
+    /// The three fig1-multi rows share one system. However many
+    /// workers an iteration has, they run in suite order in one of
+    /// them, so every iteration records the single-worker split of
+    /// explored and replayed rounds.
+    #[test]
+    fn rows_of_one_system_record_the_same_split_every_time() {
+        let problems: Vec<_> = bench_suite()
+            .into_iter()
+            .filter(|(label, _, _)| label.starts_with("fig1-multi/"))
+            .collect();
+        let portfolio = Portfolio::auto().with_config(bench_config(SchedulePolicy::RoundRobin));
+        for iteration in 0..50 {
+            let (results, _) = run_iteration(&portfolio, &problems, 3);
+            let splits: Vec<(usize, usize)> = results
+                .iter()
+                .map(|result| {
+                    let outcome = result.as_ref().expect("fig1 decides");
+                    (outcome.rounds_explored, outcome.rounds_replayed)
+                })
+                .collect();
+            assert_eq!(splits, [(13, 0), (6, 5), (7, 6)], "iteration {iteration}");
+        }
     }
 
     /// A tiny real run over the fig1-multi block (the full suite is

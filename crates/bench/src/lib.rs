@@ -37,11 +37,6 @@ impl CountingAlloc {
         }
     }
 
-    /// Current live heap bytes.
-    pub fn current_bytes(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
-    }
-
     /// Peak live heap bytes since the last [`reset_peak`](Self::reset_peak).
     pub fn peak_bytes(&self) -> usize {
         self.peak.load(Ordering::Relaxed)

@@ -39,11 +39,6 @@ impl FieldEnc {
         self.sizes.iter().product()
     }
 
-    /// Number of fields.
-    pub fn num_fields(&self) -> usize {
-        self.sizes.len()
-    }
-
     /// Encodes a value tuple (little-endian mixed radix).
     ///
     /// # Panics

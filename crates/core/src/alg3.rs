@@ -15,11 +15,11 @@
 use std::sync::Arc;
 
 use cuba_explore::{
-    ExplicitEngine, ExploreBudget, ExploreError, Interrupt, LayerView, SharedExplorer,
+    bounded_witness_search, ExploreBudget, ExploreError, Interrupt, LayerView, SharedExplorer,
 };
 use cuba_pds::Cpds;
 
-use crate::engine::{EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
+use crate::engine::{EngineKind, EngineParams, RoundInfo, RoundOutcome};
 use crate::{
     ConvergenceMethod, CubaError, EngineUsed, GrowthLog, Property, PropertyCheck, SequenceEvent,
     SystemArtifacts, Verdict,
@@ -34,12 +34,15 @@ use crate::{
 /// are `Send` so sessions can run on any thread (the
 /// [`Portfolio::run_suite`](crate::Portfolio::run_suite) workers).
 /// `step` after a conclusion is a cheap no-op repeating the verdict,
-/// so callers need no extra bookkeeping.
+/// so callers need no extra bookkeeping. An engine holds no interrupt:
+/// each `step` runs under the one its caller passes.
 #[derive(Debug)]
 pub struct Engine {
     kind: EngineKind,
     cpds: Cpds,
-    /// The property, flattened once for this system's visible keys.
+    property: Property,
+    /// The property, flattened once for the stored visible keys of
+    /// this system (one per orbit of interchangeable threads).
     check: PropertyCheck,
     budget: ExploreBudget,
     max_k: usize,
@@ -75,6 +78,7 @@ impl Engine {
         Engine {
             kind,
             cpds: cpds.clone(),
+            property: property.clone(),
             check: PropertyCheck::new(property, cpds),
             budget: params.budget.clone(),
             max_k: params.max_k,
@@ -119,20 +123,22 @@ impl Engine {
         }
     }
 
-    /// Computes the next round of the engine's observation sequence.
+    /// Computes the next round of the engine's observation sequence,
+    /// polling `interrupt` before the round and throughout it: in the
+    /// exploration, the `G∩Z` search and the witness search.
     ///
     /// # Errors
     ///
     /// Budget exhaustion or interruption, as [`CubaError::Explore`].
     /// An errored engine must not be stepped again.
-    pub fn step(&mut self, ctx: &mut RoundCtx) -> Result<RoundOutcome, CubaError> {
+    pub fn step(&mut self, interrupt: &Interrupt) -> Result<RoundOutcome, CubaError> {
         if let Some(verdict) = &self.verdict {
             return Ok(RoundOutcome::Concluded {
                 round: None,
                 verdict: verdict.clone(),
             });
         }
-        ctx.interrupt.check().map_err(CubaError::Explore)?;
+        interrupt.check().map_err(CubaError::Explore)?;
         if self.next_k > self.max_k {
             let verdict = Verdict::Undetermined {
                 reason: self.exhausted(),
@@ -141,8 +147,7 @@ impl Engine {
         }
         let started = std::time::Instant::now();
         let k = self.next_k;
-        let interrupt = self.budget.interrupt.merged(&ctx.interrupt);
-        let live = self.explorer.ensure_layer(k, &interrupt)?;
+        let live = self.explorer.ensure_layer(k, interrupt)?;
         let view = self.explorer.view(k);
         let replayed = k > 0 && !live;
         let event = self.growth.push(if self.is_alg3() {
@@ -150,7 +155,7 @@ impl Engine {
         } else {
             view.states
         });
-        let maybe_verdict = self.round(&view, event, &interrupt)?;
+        let maybe_verdict = self.round(&view, event, interrupt)?;
         self.next_k += 1;
         let states = view.states;
         let info = RoundInfo {
@@ -169,13 +174,7 @@ impl Engine {
         match maybe_verdict {
             None => Ok(RoundOutcome::Continue(info)),
             Some(verdict) => {
-                let verdict = if self.explorer.is_symbolic() {
-                    attach_symbolic_witness(verdict, &self.cpds, &self.check, &self.budget)
-                } else {
-                    self.explorer
-                        .with_explicit(|e| attach_witness(verdict.clone(), e, &self.check))
-                        .unwrap_or(verdict)
-                };
+                let verdict = self.with_witness(verdict, interrupt);
                 Ok(self.conclude(Some(info), verdict))
             }
         }
@@ -203,7 +202,7 @@ impl Engine {
         if self.explorer.with_store(|store| {
             store
                 .visible_layer_keys(k)
-                .any(|key| self.check.violated_by_orbit(key))
+                .any(|key| self.check.violated_by_key(key))
         }) {
             return Ok(Some(Verdict::Unsafe { k, witness: None }));
         }
@@ -235,6 +234,38 @@ impl Engine {
             return Ok(Some(Verdict::Safe { k: k - 1, method }));
         }
         Ok(None)
+    }
+
+    /// Attaches a replayable path to an unsafe verdict found at bound
+    /// `k`. On explicit layers it ends at the first member, in orbit
+    /// order, of the first stored orbit of layer `k` that has a
+    /// violating member; on symbolic layers the bounded witness search
+    /// looks for it (best effort: the refutation stands when the
+    /// search gives up or `interrupt` fires). Both test single states,
+    /// so they run the property per state.
+    fn with_witness(&self, verdict: Verdict, interrupt: &Interrupt) -> Verdict {
+        let Verdict::Unsafe { k, witness: None } = verdict else {
+            return verdict;
+        };
+        let check = PropertyCheck::per_state(&self.property, &self.cpds);
+        let witness = if self.explorer.is_symbolic() {
+            bounded_witness_search(
+                &self.cpds,
+                &|v| check.violated_by(v),
+                k,
+                &self.budget,
+                interrupt,
+            )
+        } else {
+            self.explorer
+                .with_explicit(|engine| {
+                    engine
+                        .find_in_layer(k, |key| check.violated_by_key(key))
+                        .and_then(|member| engine.witness_to(&member))
+                })
+                .flatten()
+        };
+        Verdict::Unsafe { k, witness }
     }
 
     /// Why the round limit leaves the kind undetermined.
@@ -275,40 +306,6 @@ impl Engine {
     /// The verdict, once concluded.
     pub fn verdict(&self) -> Option<&Verdict> {
         self.verdict.as_ref()
-    }
-}
-
-/// Reconstructs a concrete path for a symbolic refutation with the
-/// bounded witness search (best effort: the refutation stands even
-/// when the reconstruction gives up).
-fn attach_symbolic_witness(
-    verdict: Verdict,
-    cpds: &Cpds,
-    check: &PropertyCheck,
-    budget: &cuba_explore::ExploreBudget,
-) -> Verdict {
-    match verdict {
-        Verdict::Unsafe { k, witness: None } => {
-            let witness =
-                cuba_explore::bounded_witness_search(cpds, &|v| check.violated_by(v), k, budget);
-            Verdict::Unsafe { k, witness }
-        }
-        other => other,
-    }
-}
-
-/// Reconstructs the path to a state of layer `k` that violates the
-/// property: the first member, in orbit order, of the first stored
-/// orbit of layer `k` that has a violating member.
-fn attach_witness(verdict: Verdict, engine: &ExplicitEngine, check: &PropertyCheck) -> Verdict {
-    match verdict {
-        Verdict::Unsafe { k, witness: None } => {
-            let witness = engine
-                .find_in_layer(k, |key| check.violated_by_key(key))
-                .and_then(|member| engine.witness_to(&member));
-            Verdict::Unsafe { k, witness }
-        }
-        other => other,
     }
 }
 
@@ -483,7 +480,7 @@ mod tests {
         // Stepping a concluded engine repeats the verdict, computes
         // nothing, and stays side-effect free.
         let rounds = engine.rounds();
-        match engine.step(&mut RoundCtx::new()).unwrap() {
+        match engine.step(&Interrupt::none()).unwrap() {
             RoundOutcome::Concluded { round: None, .. } => {}
             other => panic!("expected repeated conclusion, got {other:?}"),
         }
@@ -619,9 +616,9 @@ mod tests {
             &Property::True,
             &params,
         );
-        let mut ctx = RoundCtx::new();
+        let none = Interrupt::none();
         for expected_k in 0..=4usize {
-            match engine.step(&mut ctx).unwrap() {
+            match engine.step(&none).unwrap() {
                 RoundOutcome::Continue(info) => {
                     assert_eq!(info.k, expected_k);
                     assert_eq!(info.event, SequenceEvent::Grew);
@@ -629,7 +626,7 @@ mod tests {
                 other => panic!("expected Continue at k={expected_k}, got {other:?}"),
             }
         }
-        match engine.step(&mut ctx).unwrap() {
+        match engine.step(&none).unwrap() {
             RoundOutcome::Concluded {
                 round: None,
                 verdict: Verdict::Undetermined { .. },

@@ -92,14 +92,14 @@ impl SystemArtifacts {
     }
 
     /// The system's shared explicit `(Rk)` explorer, created on first
-    /// use with `budget`'s resource caps (the interrupt is stripped —
-    /// each caller passes its own per request, so one session's
-    /// cancellation never gets baked into the shared exploration).
-    /// Later callers share the explorer regardless of their own caps;
-    /// suites are expected to run one portfolio configuration.
+    /// use with `budget`'s resource caps. It holds no interrupt: each
+    /// caller passes its own per request, so one session's
+    /// cancellation never reaches another's. Later callers share the
+    /// explorer regardless of their own caps; suites are expected to
+    /// run one portfolio configuration.
     pub fn explicit_explorer(&self, cpds: &Cpds, budget: &ExploreBudget) -> Arc<SharedExplorer> {
         self.explicit_explorer
-            .get_or_init(|| Arc::new(SharedExplorer::explicit(cpds.clone(), sanitized(budget))))
+            .get_or_init(|| Arc::new(SharedExplorer::explicit(cpds.clone(), budget.clone())))
             .clone()
     }
 
@@ -117,14 +117,8 @@ impl SystemArtifacts {
             SubsumptionMode::Exact => &self.symbolic_exact,
             SubsumptionMode::Pointwise => &self.symbolic_pointwise,
         };
-        slot.get_or_init(|| {
-            Arc::new(SharedExplorer::symbolic(
-                cpds.clone(),
-                sanitized(budget),
-                mode,
-            ))
-        })
-        .clone()
+        slot.get_or_init(|| Arc::new(SharedExplorer::symbolic(cpds.clone(), budget.clone(), mode)))
+            .clone()
     }
 
     /// The explicit explorer, if any engine has created it yet
@@ -165,11 +159,6 @@ impl SystemArtifacts {
     pub fn seed_explorer(&self, kind: SnapshotKind, explorer: Arc<SharedExplorer>) -> bool {
         self.slot(kind).set(explorer).is_ok()
     }
-}
-
-/// The caps of `budget` with the caller's interrupt wiring removed.
-pub(crate) fn sanitized(budget: &ExploreBudget) -> ExploreBudget {
-    budget.clone().with_interrupt(Interrupt::none())
 }
 
 /// A structural fingerprint of a CPDS: shared-state count, initial

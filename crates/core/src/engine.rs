@@ -12,33 +12,10 @@
 
 use std::sync::Arc;
 
-use cuba_explore::{Interrupt, SharedExplorer, SubsumptionMode};
+use cuba_explore::{SharedExplorer, SubsumptionMode};
 use cuba_pds::Cpds;
 
 use crate::{Engine, SequenceEvent, Verdict};
-
-/// Per-step context handed to [`Engine::step`] by the stepping loop:
-/// carries the cooperative interruption sources so a session can stop
-/// an engine *between* rounds even when the engine's own budget has no
-/// interrupt wired in (mid-round interruption goes through
-/// [`ExploreBudget::interrupt`](cuba_explore::ExploreBudget)).
-#[derive(Debug, Clone, Default)]
-pub struct RoundCtx {
-    /// Polled at the start of every step.
-    pub interrupt: Interrupt,
-}
-
-impl RoundCtx {
-    /// A context that never interrupts.
-    pub fn new() -> Self {
-        RoundCtx::default()
-    }
-
-    /// A context polling the given interruption sources.
-    pub fn with_interrupt(interrupt: Interrupt) -> Self {
-        RoundCtx { interrupt }
-    }
-}
 
 /// What one computed round looked like, including its cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +128,8 @@ impl EngineKind {
 /// Build parameters shared by every engine in a session.
 #[derive(Debug, Clone)]
 pub struct EngineParams {
-    /// Exploration budget (its interrupt is the session's).
+    /// Exploration budget: resource limits only. Each
+    /// [`Engine::step`] takes its interrupt as an argument.
     pub budget: cuba_explore::ExploreBudget,
     /// Round limit per engine (the bound of a CBA refuter).
     pub max_k: usize,
@@ -183,8 +161,10 @@ impl Default for EngineParams {
 ///
 /// Explicit kinds ([`EngineKind::needs_fcr`]) are built whether or not
 /// the system has finite context reachability: without it their rounds
-/// may never close, and only the budget or an interrupt stops them.
-/// Sessions check FCR once and drop such kinds from their lineup.
+/// may never close, and only the budget or the interrupt passed to
+/// [`Engine::step`] stops them. Sessions check FCR once and drop such
+/// kinds from their lineup. No explorer built here holds an interrupt,
+/// so a shared one outlives the session that created it unchanged.
 pub fn build_engine(
     kind: EngineKind,
     cpds: &Cpds,

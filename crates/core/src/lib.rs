@@ -108,7 +108,7 @@ mod testutil;
 
 pub use alg3::Engine;
 pub use cache::{fingerprint, same_system, CacheEntry, CacheStats, SuiteCache, SystemArtifacts};
-pub use engine::{build_engine, EngineKind, EngineParams, RoundCtx, RoundInfo, RoundOutcome};
+pub use engine::{build_engine, EngineKind, EngineParams, RoundInfo, RoundOutcome};
 pub use error::CubaError;
 pub use events::SessionEvent;
 pub use fcr::{check_fcr, fcr_checks_performed, fcr_psa, FcrReport};

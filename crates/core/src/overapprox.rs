@@ -256,7 +256,7 @@ mod tests {
         let mut engine =
             cuba_explore::ExplicitEngine::new(cpds, cuba_explore::ExploreBudget::default());
         for _ in 0..8 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         for v in engine.visible_total() {
             assert!(z.contains(&v), "Z misses reachable visible {v}");

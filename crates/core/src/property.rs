@@ -257,56 +257,65 @@ impl Property {
 /// * the `NeverShared` states, as one flag per shared state of the
 ///   model;
 /// * the `NeverVisible` targets of the model's width, as interned
-///   keys;
-/// * the mutex clauses, as `(key index, top code)` pins, clause after
+///   canonical keys;
+/// * the mutex clauses, as `(group, top code)` pins, clause after
 ///   clause in one list.
 ///
-/// On every visible key of the system it was built for, it answers as
-/// [`Property::violated_by_key`], whether or not the property was
-/// validated: a target of another width, and a target or clause naming
-/// a thread the model lacks or a symbol outside a thread's alphabet,
-/// is left out, since none can match such a key, and a clause pinning
-/// one thread to two symbols never fires. Its tables are sized by the
-/// model, never by the ids a property names.
+/// A *group* is a class of interchangeable threads or a thread of no
+/// class, and the check answers for a key's whole *orbit*: the visible
+/// states that permuting top codes within groups turns it into. A
+/// layer record keeps one canonical key per orbit of
+/// [`Cpds::thread_classes`] ([`cuba_pds::canonicalize_visible_key`]),
+/// and [`new`](Self::new) groups threads by those classes to check
+/// its keys in place. [`per_state`](Self::per_state) puts every thread
+/// in its own group, so every key is its own orbit, for searches that
+/// meet single states. Each mutex clause is kept as one sorted
+/// multiset of pinned top codes per group, which some member of an
+/// orbit matches iff it lies inside the key's codes of that group.
 ///
-/// A layer record keeps one canonical key per orbit of interchangeable
-/// threads ([`cuba_pds::canonicalize_visible_key`]), so the check also
-/// answers for whole orbits ([`violated_by_orbit`](Self::violated_by_orbit)):
-/// the targets are kept canonical too, and each mutex clause as one
-/// sorted multiset of pinned top codes per *group* (a class of
-/// interchangeable threads, or a thread of no class), which some
-/// member of an orbit matches iff it lies inside the key's codes of
-/// that group.
+/// On every canonical visible key of the system it was built for, it
+/// answers as [`Property::violated_by_key`] does for some member of
+/// the key's orbit, whether or not the property was validated: a
+/// target of another width, and a target or clause naming a thread the
+/// model lacks or a symbol outside a thread's alphabet, is left out,
+/// since none can match such a key, and a clause pinning one thread to
+/// two symbols never fires. Its tables are sized by the model, never
+/// by the ids a property names.
 #[derive(Debug, Clone)]
 pub struct PropertyCheck {
     /// Per shared state of the model: does reaching it violate?
     shared: Vec<bool>,
-    /// The `NeverVisible` targets of the model's width, as keys.
+    /// The `NeverVisible` targets of the model's width, as canonical
+    /// keys, one per orbit.
     targets: KeyTable,
-    /// The same targets' canonical keys, one per orbit.
-    orbit_targets: KeyTable,
-    /// The `(key index, top code)` pins of every mutex clause, clause
-    /// after clause.
-    pins: Vec<(u32, u32)>,
-    /// Where each clause's pins end in `pins`.
-    clause_ends: Vec<u32>,
-    /// The classes of interchangeable threads, then each other thread
-    /// alone: per group, its threads' key indices, ascending.
+    /// Per group, its threads' key indices, ascending: the classes of
+    /// interchangeable threads first, then each other thread alone.
     groups: Vec<Vec<u32>>,
-    /// Per thread, the index of its group.
-    group_of: Vec<u32>,
     /// Every mutex clause that some visible key can match, as
     /// `(group, top code)` pins sorted by group and then by code, one
     /// per pinned thread, clause after clause.
-    orbit_pins: Vec<(u32, u32)>,
-    /// Where each clause's pins end in `orbit_pins`.
-    orbit_clause_ends: Vec<u32>,
+    pins: Vec<(u32, u32)>,
+    /// Where each clause's pins end in `pins`.
+    clause_ends: Vec<u32>,
 }
 
 impl PropertyCheck {
-    /// Flattens `property` for the visible keys of `cpds`.
+    /// Flattens `property` for the canonical visible keys of `cpds`,
+    /// one per orbit of interchangeable threads: the check of the
+    /// rounds, run on the layer record's stored keys.
     pub fn new(property: &Property, cpds: &Cpds) -> Self {
-        let classes = cpds.thread_classes();
+        PropertyCheck::grouped(property, cpds, &cpds.thread_classes())
+    }
+
+    /// Flattens `property` for single visible states of `cpds`: every
+    /// thread is its own group, so any key is checked as it is.
+    pub fn per_state(property: &Property, cpds: &Cpds) -> Self {
+        PropertyCheck::grouped(property, cpds, &[])
+    }
+
+    /// Flattens `property` with the threads of each of `classes` in one
+    /// group and every other thread alone.
+    fn grouped(property: &Property, cpds: &Cpds, classes: &[Vec<usize>]) -> Self {
         let n = cpds.num_threads();
         let mut groups: Vec<Vec<u32>> = classes
             .iter()
@@ -317,24 +326,14 @@ impl PropertyCheck {
                 .filter(|t| !classes.iter().any(|class| class.contains(t)))
                 .map(|t| vec![t as u32 + 1]),
         );
-        let mut group_of = vec![0; n];
-        for (g, group) in (0..).zip(&groups) {
-            for &index in group {
-                group_of[index as usize - 1] = g;
-            }
-        }
         let mut check = PropertyCheck {
             shared: vec![false; cpds.num_shared() as usize],
-            targets: KeyTable::new(cpds.num_threads() + 1),
-            orbit_targets: KeyTable::new(cpds.num_threads() + 1),
+            targets: KeyTable::new(n + 1),
+            groups,
             pins: Vec::new(),
             clause_ends: Vec::new(),
-            groups,
-            group_of,
-            orbit_pins: Vec::new(),
-            orbit_clause_ends: Vec::new(),
         };
-        check.add(property, cpds, &classes);
+        check.add(property, cpds, classes);
         check
     }
 
@@ -351,9 +350,8 @@ impl PropertyCheck {
                     let mut tops = (0..).zip(&target.tops);
                     if target.num_threads() == num_threads && tops.all(|(t, &s)| shows(t, s)) {
                         let mut key = target.key();
-                        self.targets.insert(&key);
                         canonicalize_visible_key(classes, &mut key);
-                        self.orbit_targets.insert(&key);
+                        self.targets.insert(&key);
                     }
                 }
             }
@@ -366,21 +364,43 @@ impl PropertyCheck {
             }
             Property::MutualExclusion(pins) => {
                 if pins.iter().all(|&(thread, sym)| shows(thread, Some(sym))) {
-                    self.pins.extend(
-                        pins.iter()
-                            .map(|&(thread, sym)| (thread as u32 + 1, top_code(Some(sym)))),
-                    );
-                    self.clause_ends.push(self.pins.len() as u32);
-                    self.add_orbit_clause(pins);
+                    self.add_clause(pins);
                 }
             }
             Property::All(props) => props.iter().for_each(|p| self.add(p, cpds, classes)),
         }
     }
 
-    /// Whether the visible state keyed `key` (see [`VisibleState::key`])
-    /// violates the property: the check a layer record runs on its
-    /// keys in place.
+    /// Adds the mutex clause `pins`, whose threads and symbols the
+    /// model has: one pin per pinned thread, none at all when it pins a
+    /// thread to two symbols, since then no key matches it.
+    fn add_clause(&mut self, pins: &[(usize, StackSym)]) {
+        let mut by_thread: Vec<(usize, u32)> = pins
+            .iter()
+            .map(|&(thread, sym)| (thread, top_code(Some(sym))))
+            .collect();
+        by_thread.sort_unstable();
+        by_thread.dedup();
+        if by_thread.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return;
+        }
+        let start = self.pins.len();
+        self.pins.extend(by_thread.iter().map(|&(thread, code)| {
+            let index = thread as u32 + 1;
+            let group = self.groups.iter().position(|g| g.contains(&index));
+            (group.expect("every thread has a group") as u32, code)
+        }));
+        self.pins[start..].sort_unstable();
+        self.clause_ends.push(self.pins.len() as u32);
+    }
+
+    /// Whether some visible state of the orbit keyed `key` (see
+    /// [`VisibleState::key`]) violates the property: the check a layer
+    /// record runs on its stored keys in place. A check built by
+    /// [`new`](Self::new) expects the orbit's canonical key (see
+    /// [`cuba_pds::canonicalize_visible_key`]) and may miss a mutex
+    /// violation on another one; one built by
+    /// [`per_state`](Self::per_state) checks exactly the state keyed.
     pub fn violated_by_key(&self, key: &[u32]) -> bool {
         if self.shared.get(key[0] as usize) == Some(&true) {
             return true;
@@ -394,55 +414,6 @@ impl PropertyCheck {
         let mut start = 0;
         self.clause_ends.iter().any(|&end| {
             let clause = &self.pins[start..end as usize];
-            start = end as usize;
-            clause
-                .iter()
-                .all(|&(index, code)| key.get(index as usize) == Some(&code))
-        })
-    }
-
-    /// Adds the mutex clause `pins`, whose threads and symbols the
-    /// model has, to the orbit check: one pin per pinned thread, none
-    /// at all when it pins a thread to two symbols, since then no key
-    /// matches it.
-    fn add_orbit_clause(&mut self, pins: &[(usize, StackSym)]) {
-        let mut by_thread: Vec<(usize, u32)> = pins
-            .iter()
-            .map(|&(thread, sym)| (thread, top_code(Some(sym))))
-            .collect();
-        by_thread.sort_unstable();
-        by_thread.dedup();
-        if by_thread.windows(2).any(|pair| pair[0].0 == pair[1].0) {
-            return;
-        }
-        let start = self.orbit_pins.len();
-        self.orbit_pins.extend(
-            by_thread
-                .iter()
-                .map(|&(thread, code)| (self.group_of[thread], code)),
-        );
-        self.orbit_pins[start..].sort_unstable();
-        self.orbit_clause_ends.push(self.orbit_pins.len() as u32);
-    }
-
-    /// Whether some visible state of the orbit keyed `key` violates the
-    /// property, where `key` is the orbit's canonical key (see
-    /// [`cuba_pds::canonicalize_visible_key`]): the check a layer record
-    /// runs on its stored keys in place. On a key that is not canonical
-    /// it may miss a mutex violation.
-    pub fn violated_by_orbit(&self, key: &[u32]) -> bool {
-        if self.shared.get(key[0] as usize) == Some(&true) {
-            return true;
-        }
-        if !self.orbit_targets.is_empty()
-            && key.len() == self.orbit_targets.width()
-            && self.orbit_targets.find(key).is_some()
-        {
-            return true;
-        }
-        let mut start = 0;
-        self.orbit_clause_ends.iter().any(|&end| {
-            let clause = &self.orbit_pins[start..end as usize];
             start = end as usize;
             clause
                 .chunk_by(|a, b| a.0 == b.0)
@@ -463,7 +434,9 @@ impl PropertyCheck {
             .all(|&(_, code)| codes.any(|slot| slot == Some(&code)))
     }
 
-    /// Whether the visible state `v` violates the property.
+    /// Whether some visible state of the orbit of `v` violates the
+    /// property (for a check built by [`per_state`](Self::per_state),
+    /// whether `v` does).
     pub fn violated_by(&self, v: &VisibleState) -> bool {
         self.violated_by_key(&v.key())
     }
@@ -706,7 +679,7 @@ mod tests {
             .flat_map(|q| (0..=3).flat_map(move |a| (0..=7).map(move |b| vec![q, a, b])))
             .collect();
         for property in &properties {
-            let check = PropertyCheck::new(property, &cpds);
+            let check = PropertyCheck::per_state(property, &cpds);
             for key in &keys {
                 assert_eq!(
                     check.violated_by_key(key),
@@ -715,7 +688,7 @@ mod tests {
                 );
             }
         }
-        let empty = PropertyCheck::new(&Property::MutualExclusion(vec![]), &cpds);
+        let empty = PropertyCheck::per_state(&Property::MutualExclusion(vec![]), &cpds);
         assert!(keys.iter().all(|key| empty.violated_by_key(key)));
     }
 

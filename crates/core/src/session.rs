@@ -20,7 +20,7 @@ use cuba_pds::Cpds;
 use cuba_telemetry::metrics::{round_scope, Stage, METRICS};
 use cuba_telemetry::trace;
 
-use crate::engine::{build_engine, EngineKind, EngineParams, RoundCtx, RoundOutcome};
+use crate::engine::{build_engine, EngineKind, EngineParams, RoundOutcome};
 use crate::{CubaError, Engine, Property, SessionEvent, SystemArtifacts, Verdict};
 
 /// Which engine produced the verdict.
@@ -131,9 +131,9 @@ pub struct SessionConfig {
     pub max_k: usize,
     /// Subsumption mode for symbolic engines.
     pub subsumption: SubsumptionMode,
-    /// Wall-clock limit for the whole session. Checked between rounds
-    /// *and* inside long rounds (threaded into the engines'
-    /// [`ExploreBudget::interrupt`]).
+    /// Wall-clock limit for the whole session, from its construction.
+    /// Part of the session's interrupt, which each [`Engine::step`]
+    /// polls between rounds *and* inside long ones.
     pub timeout: Option<Duration>,
     /// External cancellation. The session always creates a token; when
     /// one is supplied here it is used directly, so the caller can
@@ -178,7 +178,9 @@ struct Arm {
 /// [`run_with`](Self::run_with) to drain it in one go.
 pub struct AnalysisSession {
     arms: Vec<Arm>,
-    ctx: RoundCtx,
+    /// The session's token, the caller's token and the deadline: handed
+    /// to every step.
+    interrupt: Interrupt,
     cancel: CancelToken,
     fcr_holds: bool,
     start: Instant,
@@ -258,7 +260,7 @@ impl AnalysisSession {
             interrupt = interrupt.with_timeout(timeout);
         }
         let params = EngineParams {
-            budget: config.budget.clone().with_interrupt(interrupt.clone()),
+            budget: config.budget.clone(),
             max_k: config.max_k,
             subsumption: config.subsumption,
             // Arms borrow the system's shared explorers: one `(Rk)`
@@ -278,7 +280,7 @@ impl AnalysisSession {
             .collect();
         Ok(AnalysisSession {
             arms,
-            ctx: RoundCtx::with_interrupt(interrupt),
+            interrupt,
             cancel,
             fcr_holds,
             start,
@@ -351,7 +353,7 @@ impl AnalysisSession {
         let mut round_span = trace::span_args("round", vec![("engine", id.to_string().into())]);
         let scope = round_scope();
         let step_start = Instant::now();
-        let result = arm.engine.step(&mut self.ctx);
+        let result = arm.engine.step(&self.interrupt);
         let wall = step_start.elapsed();
         let [sat_us, _, merge_us] = scope.take();
         let step_stages = StageTimes {
@@ -694,19 +696,18 @@ mod tests {
                 max_states_per_context: 50_000_000,
                 max_stack_depth: 1_000_000,
                 ..ExploreBudget::default()
-            }
-            .with_interrupt(Interrupt::none().with_timeout(Duration::from_millis(30))),
+            },
             ..EngineParams::default()
         };
         // Force the *explicit* engine onto the FCR-violating system by
         // building it directly (the session would drop it).
         let start = Instant::now();
         let mut engine = build_engine(EngineKind::Alg3Explicit, &fig2(), &Property::True, &params);
-        let mut ctx = RoundCtx::new();
+        let deadline = Interrupt::none().with_timeout(Duration::from_millis(30));
         // Round 0 is the initial state; round 1 diverges.
-        engine.step(&mut ctx).unwrap();
+        engine.step(&deadline).unwrap();
         let err = loop {
-            match engine.step(&mut ctx) {
+            match engine.step(&deadline) {
                 Ok(_) => continue,
                 Err(e) => break e,
             }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use cuba_explore::{snapshot, ExploreBudget, SharedExplorer, SnapshotKind};
 use cuba_pds::Cpds;
 
-use crate::cache::{fingerprint, sanitized, SystemArtifacts};
+use crate::cache::{fingerprint, SystemArtifacts};
 
 /// A snapshot directory: save whole systems, load them lazily.
 #[derive(Debug, Clone)]
@@ -120,7 +120,7 @@ impl SnapshotStore {
                     return Err(format!("{}: holds a {recorded} snapshot", path.display()));
                 }
             }
-            let explorer = SharedExplorer::restore(cpds.clone(), sanitized(budget), fp, &bytes)
+            let explorer = SharedExplorer::restore(cpds.clone(), budget.clone(), fp, &bytes)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
             if artifacts.seed_explorer(kind, Arc::new(explorer)) {
                 cuba_telemetry::metrics::METRICS.snapshot_loads.inc();

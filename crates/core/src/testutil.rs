@@ -1,10 +1,11 @@
 //! Shared constructions of the paper's running examples for unit
 //! tests (the benchmark crate re-builds them for public consumption).
 
+use cuba_explore::Interrupt;
 use cuba_pds::{Cpds, CpdsBuilder, PdsBuilder, SharedState, StackSym};
 
 use crate::{
-    build_engine, CubaError, Engine, EngineKind, EngineParams, Property, RoundCtx, RoundOutcome,
+    build_engine, CubaError, Engine, EngineKind, EngineParams, Property, RoundOutcome,
     SequenceEvent, Verdict,
 };
 
@@ -76,10 +77,9 @@ pub fn run_engine(
     params: &EngineParams,
 ) -> Result<Run, CubaError> {
     let mut engine = build_engine(kind, cpds, property, params);
-    let mut ctx = RoundCtx::new();
     let mut steps = Vec::new();
     loop {
-        let outcome = engine.step(&mut ctx)?;
+        let outcome = engine.step(&Interrupt::none())?;
         if let Some(verdict) = outcome.verdict().cloned() {
             steps.push(outcome);
             return Ok((engine, verdict, steps));

@@ -29,20 +29,16 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
-
-    /// Whether two handles share the same underlying flag.
-    pub fn same_as(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
 }
 
-/// Cooperative interruption: an optional [`CancelToken`] plus an
+/// Cooperative interruption: any number of [`CancelToken`]s plus an
 /// optional wall-clock deadline.
 ///
-/// Threaded through [`ExploreBudget`] into the engines so that *long
-/// rounds* abort cooperatively — previously a caller could only give
-/// up between rounds, which is useless exactly when a single context
-/// closure explodes.
+/// A runtime value, never configuration: every exploring call takes
+/// the caller's interrupt as an argument (an engine's `advance`, a
+/// [`SharedExplorer::ensure_layer`](crate::SharedExplorer::ensure_layer),
+/// a witness search) and polls it from its inner loops, so even a
+/// single exploding context closure stops promptly.
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     /// Any fired token interrupts; multiple sources compose (e.g. a
@@ -69,42 +65,13 @@ impl Interrupt {
         self
     }
 
-    /// Interrupt `timeout` from now.
+    /// Interrupt `timeout` from now. A timeout that reaches past what
+    /// the clock can represent sets no deadline.
     pub fn with_timeout(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
-    }
-
-    /// The registered cancellation tokens.
-    pub fn cancel_tokens(&self) -> &[CancelToken] {
-        &self.cancels
-    }
-
-    /// The deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Whether any interruption source is configured.
-    pub fn is_armed(&self) -> bool {
-        !self.cancels.is_empty() || self.deadline.is_some()
-    }
-
-    /// Composes two interrupts: any token of either fires, and the
-    /// earlier of the two deadlines wins. Used by a
-    /// [`SharedExplorer`](crate::SharedExplorer) to layer a caller's
-    /// interrupt on top of the explorer's own baseline.
-    pub fn merged(&self, other: &Interrupt) -> Interrupt {
-        let mut cancels = self.cancels.clone();
-        for token in &other.cancels {
-            if !cancels.iter().any(|t| t.same_as(token)) {
-                cancels.push(token.clone());
-            }
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
         }
-        let deadline = match (self.deadline, other.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Interrupt { cancels, deadline }
     }
 
     /// Polls every source.
@@ -127,18 +94,15 @@ impl Interrupt {
     }
 }
 
-/// Resource limits for exploration, plus the cooperative
-/// [`Interrupt`].
+/// Resource limits for exploration.
 ///
 /// A single context of one thread can reach infinitely many states
 /// when finite context reachability (paper §5) fails — e.g. the Fig. 2
 /// program pushes unboundedly without a context switch — so every
 /// explicit search is bounded and exhaustion is reported as
-/// [`ExploreError`] instead of diverging.
-///
-/// Equality compares the numeric limits only; the interrupt handle is
-/// runtime wiring, not configuration.
-#[derive(Debug, Clone)]
+/// [`ExploreError`] instead of diverging. Cancellation and deadlines
+/// are not limits: each exploring call takes an [`Interrupt`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreBudget {
     /// Maximum number of distinct global states stored overall.
     pub max_states: usize,
@@ -149,21 +113,7 @@ pub struct ExploreBudget {
     /// Maximum number of symbolic states stored overall (symbolic
     /// engine only).
     pub max_symbolic_states: usize,
-    /// Cooperative cancellation/deadline, polled from the engines'
-    /// inner loops so even a diverging round stops promptly.
-    pub interrupt: Interrupt,
 }
-
-impl PartialEq for ExploreBudget {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_states == other.max_states
-            && self.max_stack_depth == other.max_stack_depth
-            && self.max_states_per_context == other.max_states_per_context
-            && self.max_symbolic_states == other.max_symbolic_states
-    }
-}
-
-impl Eq for ExploreBudget {}
 
 impl Default for ExploreBudget {
     /// Generous defaults suitable for the paper's benchmark sizes.
@@ -180,7 +130,6 @@ impl ExploreBudget {
             max_stack_depth: 512,
             max_states_per_context: 1_000_000,
             max_symbolic_states: 200_000,
-            interrupt: Interrupt::none(),
         }
     }
 
@@ -191,14 +140,7 @@ impl ExploreBudget {
             max_stack_depth: 16,
             max_states_per_context: 200,
             max_symbolic_states: 64,
-            interrupt: Interrupt::none(),
         }
-    }
-
-    /// Replaces the interrupt wiring, keeping the numeric limits.
-    pub fn with_interrupt(mut self, interrupt: Interrupt) -> Self {
-        self.interrupt = interrupt;
-        self
     }
 
     /// Always 1: saturation is sequential. Kept for the `perfbench/`
@@ -322,18 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_interrupt() {
-        let plain = ExploreBudget::default();
-        let wired = ExploreBudget::default()
-            .with_interrupt(Interrupt::none().with_cancel(CancelToken::new()));
-        assert_eq!(plain, wired);
-    }
-
-    #[test]
     fn cancel_token_is_shared() {
         let token = CancelToken::new();
         let clone = token.clone();
-        assert!(token.same_as(&clone));
         assert!(!token.is_cancelled());
         clone.cancel();
         assert!(token.is_cancelled());
@@ -348,7 +281,20 @@ mod tests {
         assert_eq!(interrupt.check(), Err(ExploreError::DeadlineExceeded));
         let future = Interrupt::none().with_timeout(Duration::from_secs(3600));
         assert_eq!(future.check(), Ok(()));
-        assert!(future.is_armed());
-        assert!(!Interrupt::none().is_armed());
+    }
+
+    /// A timeout past the clock's range sets no deadline instead of
+    /// overflowing the addition.
+    #[test]
+    fn an_unrepresentable_timeout_never_fires() {
+        let endless = Interrupt::none().with_timeout(Duration::MAX);
+        assert_eq!(endless.check(), Ok(()));
+        let token = CancelToken::new();
+        let cancellable = Interrupt::none()
+            .with_cancel(token.clone())
+            .with_timeout(Duration::MAX);
+        assert_eq!(cancellable.check(), Ok(()));
+        token.cancel();
+        assert_eq!(cancellable.check(), Err(ExploreError::Cancelled));
     }
 }

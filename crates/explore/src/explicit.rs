@@ -247,13 +247,6 @@ impl ExplicitEngine {
         &self.store
     }
 
-    /// Replaces the interrupt wiring of the engine's budget (a
-    /// [`SharedExplorer`](crate::SharedExplorer) installs each caller's
-    /// interrupt for the duration of its request).
-    pub fn set_interrupt(&mut self, interrupt: Interrupt) {
-        self.budget.interrupt = interrupt;
-    }
-
     /// Total number of distinct global states found so far, `|Rk|`:
     /// every member of every stored orbit.
     pub fn num_states(&self) -> usize {
@@ -356,7 +349,8 @@ impl ExplicitEngine {
         self.store.layer_of(id)
     }
 
-    /// Computes the next layer `Rk+1 \ Rk`.
+    /// Computes the next layer `Rk+1 \ Rk`, polling `interrupt` from
+    /// its inner loops.
     ///
     /// After a collapse this is a cheap no-op pushing an empty layer,
     /// so drivers may keep calling it.
@@ -374,8 +368,8 @@ impl ExplicitEngine {
     /// Returns an [`ExploreError`] when a budget is exhausted, which
     /// on the paper's benchmarks signals an FCR violation — switch to
     /// the symbolic engine in that case (§6 overall procedure).
-    pub fn advance(&mut self) -> Result<(), ExploreError> {
-        self.budget.interrupt.check()?;
+    pub fn advance(&mut self, interrupt: &Interrupt) -> Result<(), ExploreError> {
+        interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
@@ -404,7 +398,7 @@ impl ExplicitEngine {
                 {
                     continue;
                 }
-                if let Err(e) = self.context_closure(start_id, thread, &mut round) {
+                if let Err(e) = self.context_closure(start_id, thread, &mut round, interrupt) {
                     self.rollback(&round);
                     return Err(e);
                 }
@@ -446,6 +440,7 @@ impl ExplicitEngine {
         start_id: u32,
         thread: usize,
         round: &mut Round,
+        interrupt: &Interrupt,
     ) -> Result<(), ExploreError> {
         // BFS over →_thread within this context. Entries are state ids
         // and the thread running the context in that representative;
@@ -474,7 +469,7 @@ impl ExplicitEngine {
             // closures does as well.
             round.expanded += 1;
             if round.expanded.is_multiple_of(INTERRUPT_POLL_PERIOD) {
-                self.budget.interrupt.check()?;
+                interrupt.check()?;
             }
             let running = running as usize;
             let q = SharedState(self.keys.key(id)[0]);
@@ -668,14 +663,20 @@ impl ExplicitEngine {
     }
 
     /// Runs rounds until collapse or until `max_k` rounds have been
-    /// computed; returns the final context bound reached.
+    /// computed, under `interrupt`; returns the final context bound
+    /// reached.
     ///
     /// # Errors
     ///
-    /// Propagates budget exhaustion from [`advance`](Self::advance).
-    pub fn run_until_collapse(&mut self, max_k: usize) -> Result<usize, ExploreError> {
+    /// Propagates budget exhaustion and interruption from
+    /// [`advance`](Self::advance).
+    pub fn run_until_collapse(
+        &mut self,
+        max_k: usize,
+        interrupt: &Interrupt,
+    ) -> Result<usize, ExploreError> {
         while !self.is_collapsed() && self.current_k() < max_k {
-            self.advance()?;
+            self.advance(interrupt)?;
         }
         Ok(self.current_k())
     }
@@ -736,7 +737,7 @@ mod tests {
     fn fig1_reachability_table() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for _ in 0..6 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         assert_eq!(
             layer_set(&engine, 1),
@@ -781,7 +782,7 @@ mod tests {
     fn fig1_visible_table() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for _ in 0..6 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         let vl = |k: usize| -> HashSet<String> {
             engine
@@ -813,7 +814,7 @@ mod tests {
     fn fig1_rk_diverges_but_layers_stay_finite() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for k in 1..=20 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
             // (Rk) never collapses for Fig. 1 (Ex. 15: R is infinite).
             let store = engine.store();
             assert!(
@@ -828,7 +829,7 @@ mod tests {
     fn witness_paths_replay() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for _ in 0..4 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         let target = gs(0, &[1], &[6]);
         let id = engine.find(&target).expect("reached at k=4");
@@ -842,7 +843,7 @@ mod tests {
     fn witness_contexts_bounded_by_layer() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for _ in 0..5 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         for k in 0..=5usize {
             for state in engine.layer(k) {
@@ -869,7 +870,7 @@ mod tests {
             .build()
             .unwrap();
         let mut engine = ExplicitEngine::new(cpds, ExploreBudget::tiny());
-        let err = engine.advance().unwrap_err();
+        let err = engine.advance(&Interrupt::none()).unwrap_err();
         assert!(matches!(
             err,
             ExploreError::StackDepthExceeded { .. } | ExploreError::ContextBudgetExceeded { .. }
@@ -887,22 +888,22 @@ mod tests {
             .build()
             .unwrap();
         let mut engine = ExplicitEngine::new(cpds, ExploreBudget::default());
-        let k = engine.run_until_collapse(50).unwrap();
+        let k = engine.run_until_collapse(50, &Interrupt::none()).unwrap();
         assert!(engine.is_collapsed());
         assert!(k <= 3, "collapsed at k={k}");
         // R = {<0|0,0>, <1|1,0>} — thread 2's action is enabled only at
         // q1 … which thread 1 reaches first; then thread 2 overwrites.
         assert_eq!(engine.num_states(), 3);
         // Advancing after collapse stays a no-op.
-        engine.advance().unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
         assert_eq!(engine.store().state_count_at(k + 1), 3);
     }
 
     #[test]
     fn layer_of_reports_first_bound() {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
-        engine.advance().unwrap();
-        engine.advance().unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
         let id = engine.find(&gs(1, &[2], &[4])).unwrap();
         assert_eq!(engine.layer_of(id), 1);
     }

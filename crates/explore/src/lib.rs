@@ -40,10 +40,15 @@
 //! order does not depend on the representation: state ids, layers,
 //! witnesses and snapshot bytes are pinned in the repository's tests.
 //!
+//! An [`ExploreBudget`] is configuration; cancellation and deadlines
+//! are not. Every exploring call (an engine's `advance`,
+//! [`SharedExplorer::ensure_layer`], [`bounded_witness_search`]) takes
+//! the caller's [`Interrupt`] as an argument, and nothing stores one.
+//!
 //! # Example
 //!
 //! ```
-//! use cuba_explore::{ExplicitEngine, ExploreBudget};
+//! use cuba_explore::{ExplicitEngine, ExploreBudget, Interrupt};
 //! use cuba_pds::{CpdsBuilder, PdsBuilder, SharedState, StackSym};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,7 +67,7 @@
 //!     .build()?;
 //!
 //! let mut engine = ExplicitEngine::new(cpds, ExploreBudget::default());
-//! engine.advance()?; // computes R1 \ R0 = {<1|2,4>, <0|1,eps>}
+//! engine.advance(&Interrupt::none())?; // computes R1 \ R0 = {<1|2,4>, <0|1,eps>}
 //! assert_eq!(engine.store().state_count_at(1), 1 + 2);
 //! # Ok(())
 //! # }

@@ -13,7 +13,7 @@ use std::collections::{HashSet, VecDeque};
 
 use cuba_pds::{Cpds, GlobalState, ThreadId, VisibleState};
 
-use crate::{ExploreBudget, Witness, WitnessStep};
+use crate::{ExploreBudget, Interrupt, Witness, WitnessStep};
 
 /// Step budgets tried by the iterative deepening.
 const DEEPENING: [usize; 5] = [4, 8, 16, 32, 64];
@@ -21,14 +21,15 @@ const DEEPENING: [usize; 5] = [4, 8, 16, 32, 64];
 /// Searches for a path of at most `max_contexts` contexts from the
 /// initial state to a state whose visible projection satisfies
 /// `violates`. Returns `None` when no witness is found within the
-/// iterative-deepening step limits or the exploration budget — the
-/// refutation itself remains valid, only the path reconstruction gave
-/// up.
+/// iterative-deepening step limits or the exploration budget, or when
+/// `interrupt` fires — the refutation itself remains valid, only the
+/// path reconstruction gave up.
 pub fn bounded_witness_search(
     cpds: &Cpds,
     violates: &dyn Fn(&VisibleState) -> bool,
     max_contexts: usize,
     budget: &ExploreBudget,
+    interrupt: &Interrupt,
 ) -> Option<Witness> {
     let init = cpds.initial_state();
     if violates(&init.visible()) {
@@ -39,7 +40,7 @@ pub fn bounded_witness_search(
     }
     DEEPENING
         .iter()
-        .find_map(|&steps| probe(cpds, violates, max_contexts, steps, budget))
+        .find_map(|&steps| probe(cpds, violates, max_contexts, steps, budget, interrupt))
 }
 
 /// One BFS probe with a fixed per-context step budget.
@@ -49,6 +50,7 @@ fn probe(
     max_contexts: usize,
     steps_per_context: usize,
     budget: &ExploreBudget,
+    interrupt: &Interrupt,
 ) -> Option<Witness> {
     #[derive(Clone, PartialEq, Eq, Hash)]
     struct Key {
@@ -78,7 +80,7 @@ fn probe(
         // Interruption makes the reconstruction give up; the
         // refutation it decorates remains valid without a path.
         if node_idx.is_multiple_of(crate::explicit::INTERRUPT_POLL_PERIOD)
-            && budget.interrupt.check().is_err()
+            && interrupt.check().is_err()
         {
             return None;
         }
@@ -192,8 +194,14 @@ mod tests {
     fn finds_deep_target_within_bound() {
         let cpds = fig1();
         let target = cuba_pds::VisibleState::new(q(1), vec![Some(s(2)), Some(s(6))]);
-        let w = bounded_witness_search(&cpds, &|v| v == &target, 5, &ExploreBudget::default())
-            .expect("reachable within 5 contexts");
+        let w = bounded_witness_search(
+            &cpds,
+            &|v| v == &target,
+            5,
+            &ExploreBudget::default(),
+            &Interrupt::none(),
+        )
+        .expect("reachable within 5 contexts");
         assert!(w.replay(&cpds));
         assert!(w.num_contexts() <= 5);
         assert_eq!(w.end().visible(), target);
@@ -204,19 +212,28 @@ mod tests {
         let cpds = fig1();
         let target = cuba_pds::VisibleState::new(q(1), vec![Some(s(2)), Some(s(6))]);
         // The target needs 5 contexts; with 4 it must not be found.
-        assert!(
-            bounded_witness_search(&cpds, &|v| v == &target, 4, &ExploreBudget::default())
-                .is_none()
-        );
+        assert!(bounded_witness_search(
+            &cpds,
+            &|v| v == &target,
+            4,
+            &ExploreBudget::default(),
+            &Interrupt::none()
+        )
+        .is_none());
     }
 
     #[test]
     fn initial_violation_yields_empty_witness() {
         let cpds = fig1();
         let init_visible = cpds.initial_state().visible();
-        let w =
-            bounded_witness_search(&cpds, &|v| v == &init_visible, 0, &ExploreBudget::default())
-                .unwrap();
+        let w = bounded_witness_search(
+            &cpds,
+            &|v| v == &init_visible,
+            0,
+            &ExploreBudget::default(),
+            &Interrupt::none(),
+        )
+        .unwrap();
         assert!(w.is_empty());
     }
 
@@ -231,8 +248,14 @@ mod tests {
             .thread(p.build().unwrap(), [s(0)])
             .build()
             .unwrap();
-        let w = bounded_witness_search(&cpds, &|v| v.q == q(1), 1, &ExploreBudget::default())
-            .expect("one overwrite reaches q1");
+        let w = bounded_witness_search(
+            &cpds,
+            &|v| v.q == q(1),
+            1,
+            &ExploreBudget::default(),
+            &Interrupt::none(),
+        )
+        .expect("one overwrite reaches q1");
         assert!(w.replay(&cpds));
         assert_eq!(w.len(), 1);
     }

@@ -5,10 +5,11 @@
 //! [`SharedExplorer`] wraps one backend engine behind a mutex and
 //! extends its [`LayerStore`] *on demand*: the first checker that asks
 //! for bound `k` pays for the missing layers, every later checker
-//! replays them for free. Callers pass their own [`Interrupt`] per
-//! request; a round aborted by one caller's deadline is rolled back
-//! (see [`ExplicitEngine::advance`]) and can be re-driven by anyone
-//! else, so interruption never poisons the shared layers.
+//! replays them for free. An explorer holds no interrupt: each caller
+//! passes its own [`Interrupt`] per request, and a round aborted by
+//! one caller's deadline is rolled back (see
+//! [`ExplicitEngine::advance`]) and can be re-driven by anyone else,
+//! so interruption never poisons the shared layers.
 //!
 //! The layer record is the only way to read layers: a reader asks for
 //! a bound ([`SharedExplorer::ensure_layer`]), polls how far the record
@@ -46,17 +47,10 @@ impl BackendImpl {
         }
     }
 
-    fn set_interrupt(&mut self, interrupt: Interrupt) {
+    fn advance(&mut self, interrupt: &Interrupt) -> Result<(), ExploreError> {
         match self {
-            BackendImpl::Explicit(e) => e.set_interrupt(interrupt),
-            BackendImpl::Symbolic(e) => e.set_interrupt(interrupt),
-        }
-    }
-
-    fn advance(&mut self) -> Result<(), ExploreError> {
-        match self {
-            BackendImpl::Explicit(e) => e.advance(),
-            BackendImpl::Symbolic(e) => e.advance(),
+            BackendImpl::Explicit(e) => e.advance(interrupt),
+            BackendImpl::Symbolic(e) => e.advance(interrupt),
         }
     }
 }
@@ -83,15 +77,12 @@ pub struct LayerView {
 /// suite, and across the worker threads of a suite or a server).
 ///
 /// The explorer owns the backend's resource budget; each
-/// [`ensure_layer`](Self::ensure_layer) call layers the *caller's*
-/// interrupt on top, so cancellation and deadlines stay per-caller
+/// [`ensure_layer`](Self::ensure_layer) call runs under the *caller's*
+/// interrupt alone, so cancellation and deadlines stay per-caller
 /// while the computed layers are shared.
 #[derive(Debug)]
 pub struct SharedExplorer {
     inner: Mutex<BackendImpl>,
-    /// The interrupt baked into the creation budget, reinstalled after
-    /// every request (private explorers keep their own wiring live).
-    base_interrupt: Interrupt,
     symbolic: bool,
     /// Pre-collapse layers computed live — the "explored exactly once"
     /// instrumentation counter.
@@ -101,12 +92,10 @@ pub struct SharedExplorer {
 impl SharedExplorer {
     /// A shared explorer over the explicit `(Rk)` layers.
     pub fn explicit(cpds: Cpds, budget: ExploreBudget) -> Self {
-        let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
             inner: Mutex::new(BackendImpl::Explicit(Box::new(ExplicitEngine::new(
                 cpds, budget,
             )))),
-            base_interrupt,
             symbolic: false,
             rounds_explored: AtomicUsize::new(0),
         }
@@ -114,13 +103,11 @@ impl SharedExplorer {
 
     /// A shared explorer over the symbolic `(Sk)` layers.
     pub fn symbolic(cpds: Cpds, budget: ExploreBudget, mode: SubsumptionMode) -> Self {
-        let base_interrupt = budget.interrupt.clone();
         SharedExplorer {
             inner: Mutex::new(BackendImpl::Symbolic(Box::new(SymbolicEngine::new(
                 cpds, budget, mode,
             )))),
             symbolic: true,
-            base_interrupt,
             rounds_explored: AtomicUsize::new(0),
         }
     }
@@ -162,11 +149,10 @@ impl SharedExplorer {
             "ensure_layer",
             vec![("k", k.into()), ("from", inner.store().current_k().into())],
         );
-        inner.set_interrupt(self.base_interrupt.merged(interrupt));
         let mut result = Ok(true);
         while inner.store().current_k() < k {
             let live = !inner.store().is_collapsed();
-            if let Err(e) = inner.advance() {
+            if let Err(e) = inner.advance(interrupt) {
                 result = Err(e);
                 break;
             }
@@ -174,7 +160,6 @@ impl SharedExplorer {
                 self.rounds_explored.fetch_add(1, Ordering::Relaxed);
             }
         }
-        inner.set_interrupt(self.base_interrupt.clone());
         span.arg("depth", inner.store().current_k());
         drop(span);
         stage_time(Stage::Saturate, sat_start.elapsed());
@@ -271,13 +256,11 @@ impl SharedExplorer {
         bytes: &[u8],
     ) -> Result<Self, String> {
         let mut span = trace::span_args("snapshot-restore", vec![("bytes", bytes.len().into())]);
-        let base_interrupt = budget.interrupt.clone();
         let inner = snapshot::decode(cpds, budget, fingerprint, bytes)?;
         let symbolic = matches!(inner, BackendImpl::Symbolic(_));
         span.arg("k", inner.store().current_k());
         Ok(SharedExplorer {
             inner: Mutex::new(inner),
-            base_interrupt,
             symbolic,
             rounds_explored: AtomicUsize::new(0),
         })
@@ -361,8 +344,8 @@ mod tests {
 
         assert!(explorer.ensure_layer(2, &Interrupt::none()).unwrap());
         let mut reference = ExplicitEngine::new(fig1(), ExploreBudget::default());
-        reference.advance().unwrap();
-        reference.advance().unwrap();
+        reference.advance(&Interrupt::none()).unwrap();
+        reference.advance(&Interrupt::none()).unwrap();
         let view = explorer.view(2);
         assert_eq!(view.states, reference.num_states());
         assert_eq!(view.visible, reference.num_visible());

@@ -584,6 +584,7 @@ pub(crate) fn decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interrupt;
     use cuba_pds::{CpdsBuilder, PdsBuilder};
 
     fn q(n: u32) -> SharedState {
@@ -612,7 +613,7 @@ mod tests {
     fn explicit_snapshot(k: usize) -> (Cpds, Vec<u8>) {
         let mut engine = ExplicitEngine::new(fig1(), ExploreBudget::default());
         for _ in 0..k {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         let bytes = encode_explicit(&engine, 42);
         (fig1(), bytes)
@@ -634,7 +635,7 @@ mod tests {
         let mut engine =
             SymbolicEngine::new(fig1(), ExploreBudget::default(), SubsumptionMode::Exact);
         for _ in 0..3 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         let bytes = encode_symbolic(&engine, 7);
         assert_eq!(
@@ -748,7 +749,7 @@ mod tests {
     #[test]
     fn explicit_state_tables_hold_canonical_representatives() {
         let mut engine = ExplicitEngine::new(twins(), ExploreBudget::default());
-        engine.run_until_collapse(8).unwrap();
+        engine.run_until_collapse(8, &Interrupt::none()).unwrap();
         assert!(engine.states().len() < engine.num_states());
         let bytes = encode_explicit(&engine, 5);
         let BackendImpl::Explicit(restored) =
@@ -793,7 +794,7 @@ mod tests {
     fn symbolic_state_tables_hold_canonical_representatives() {
         let mut engine =
             SymbolicEngine::new(twins(), ExploreBudget::default(), SubsumptionMode::Exact);
-        engine.run_until_collapse(8).unwrap();
+        engine.run_until_collapse(8, &Interrupt::none()).unwrap();
         let states: Vec<SymbolicState> = engine.states().collect();
         assert!(states.len() < engine.num_symbolic_states());
         let bytes = encode_symbolic(&engine, 5);

@@ -425,13 +425,6 @@ impl SymbolicEngine {
         &self.store
     }
 
-    /// Replaces the interrupt wiring of the engine's budget (a
-    /// [`SharedExplorer`](crate::SharedExplorer) installs each caller's
-    /// interrupt for the duration of its request).
-    pub fn set_interrupt(&mut self, interrupt: Interrupt) {
-        self.budget.interrupt = interrupt;
-    }
-
     /// Total number of symbolic states found so far, `|Sk|`: every
     /// member of every stored orbit.
     pub fn num_symbolic_states(&self) -> usize {
@@ -513,15 +506,19 @@ impl SymbolicEngine {
         })
     }
 
-    /// Computes the next layer `Sk+1 \ Sk`.
+    /// Computes the next layer `Sk+1 \ Sk`, polling `interrupt` from
+    /// the context steps, their `post*` saturations and the recording
+    /// of visible states. A failed round is rolled back, as in
+    /// [`ExplicitEngine::advance`](crate::ExplicitEngine::advance).
     ///
     /// # Errors
     ///
     /// Returns [`ExploreError::SymbolicBudgetExceeded`] when the
     /// symbolic state budget is exhausted — the analogue of the
-    /// paper's out-of-memory outcome on Stefan-1 with 8 threads.
-    pub fn advance(&mut self) -> Result<(), ExploreError> {
-        self.budget.interrupt.check()?;
+    /// paper's out-of-memory outcome on Stefan-1 with 8 threads — or
+    /// the interrupt's error when it fires.
+    pub fn advance(&mut self, interrupt: &Interrupt) -> Result<(), ExploreError> {
+        interrupt.check()?;
         let k = self.store.current_k() + 1;
         if self.store.is_collapsed() {
             self.store
@@ -533,8 +530,8 @@ impl SymbolicEngine {
         // Every successor is registered before any visible state is
         // recorded, so a round that fails the budget enumerates none.
         let recorded = self
-            .register_successors(k)
-            .and_then(|()| self.record_visible_orbits(round_start as u32));
+            .register_successors(k, interrupt)
+            .and_then(|()| self.record_visible_orbits(round_start as u32, interrupt));
         let new_visible = match recorded {
             Ok(new_visible) => new_visible,
             Err(e) => {
@@ -550,11 +547,11 @@ impl SymbolicEngine {
     /// Registers the successors of every state of layer `k − 1`, in
     /// frontier order, thread by thread: their new ids follow the
     /// layer's.
-    fn register_successors(&mut self, k: usize) -> Result<(), ExploreError> {
+    fn register_successors(&mut self, k: usize, interrupt: &Interrupt) -> Result<(), ExploreError> {
         let mut key: Vec<u32> = Vec::with_capacity(self.keys.width());
         for tau_id in self.store.layer_ids(k - 1) {
             for thread in 0..self.cpds.num_threads() {
-                self.budget.interrupt.check()?;
+                interrupt.check()?;
                 // A twin's successors are its earlier twin's with the
                 // two threads' languages swapped: the same orbits.
                 if self
@@ -565,7 +562,7 @@ impl SymbolicEngine {
                     METRICS.symbolic_contexts_shared.inc();
                     continue;
                 }
-                for (q2, dfa) in self.context_post(tau_id, thread)? {
+                for (q2, dfa) in self.context_post(tau_id, thread, interrupt)? {
                     key.clear();
                     key.extend_from_slice(self.keys.key(tau_id));
                     key[0] = q2.0;
@@ -581,10 +578,14 @@ impl SymbolicEngine {
     /// Records the visible orbits of the states registered this round
     /// (ids `round_start..`), in registration order. Returns how many
     /// visible states were new.
-    fn record_visible_orbits(&mut self, round_start: u32) -> Result<usize, ExploreError> {
+    fn record_visible_orbits(
+        &mut self,
+        round_start: u32,
+        interrupt: &Interrupt,
+    ) -> Result<usize, ExploreError> {
         let mut new_visible = 0usize;
         for id in round_start..self.keys.len() as u32 {
-            new_visible = new_visible.saturating_add(self.record_visible_states(id)?);
+            new_visible = new_visible.saturating_add(self.record_visible_states(id, interrupt)?);
         }
         Ok(new_visible)
     }
@@ -611,14 +612,15 @@ impl SymbolicEngine {
     /// `thread`'s new stack language; every other slot of the key
     /// stays the frontier state's.
     ///
-    /// The `post*` saturation itself polls the budget's interrupt
-    /// every few transition insertions, so even a single pathological
+    /// The `post*` saturation itself polls `interrupt` every few
+    /// transition insertions, so even a single pathological
     /// context step cannot overshoot a deadline by more than a poll
     /// interval.
     fn context_post(
         &mut self,
         tau_id: u32,
         thread: usize,
+        interrupt: &Interrupt,
     ) -> Result<Vec<(SharedState, u32)>, ExploreError> {
         METRICS.symbolic_contexts_run.inc();
         let key = self.keys.key(tau_id);
@@ -628,7 +630,6 @@ impl SymbolicEngine {
             Ok(p) => p,
             Err(_) => return Ok(Vec::new()),
         };
-        let interrupt = &self.budget.interrupt;
         let saturated = post_star_table(
             self.cpds.thread(thread),
             &self.tables[thread],
@@ -699,7 +700,11 @@ impl SymbolicEngine {
     /// A product may hold millions of visible states, so the interrupt
     /// is polled every [`VISIBLE_POLL_INTERVAL`] keys; the caller rolls
     /// the round back when it fires.
-    fn record_visible_states(&mut self, id: u32) -> Result<usize, ExploreError> {
+    fn record_visible_states(
+        &mut self,
+        id: u32,
+        interrupt: &Interrupt,
+    ) -> Result<usize, ExploreError> {
         let key = self.keys.key(id);
         let mut top_key = Vec::with_capacity(key.len());
         top_key.push(key[0]);
@@ -717,7 +722,6 @@ impl SymbolicEngine {
         let (mut new, mut enumerated) = (0usize, 0usize);
         let mut visible = vec![0; top_key.len()];
         let store = &mut self.store;
-        let interrupt = &self.budget.interrupt;
         for_each_visible_key(SharedState(top_key[0]), &domains, |key| {
             enumerated += 1;
             if enumerated.is_multiple_of(VISIBLE_POLL_INTERVAL) {
@@ -730,14 +734,20 @@ impl SymbolicEngine {
         Ok(new)
     }
 
-    /// Runs rounds until collapse or `max_k`; returns the final bound.
+    /// Runs rounds until collapse or `max_k`, under `interrupt`;
+    /// returns the final bound.
     ///
     /// # Errors
     ///
-    /// Propagates budget exhaustion from [`advance`](Self::advance).
-    pub fn run_until_collapse(&mut self, max_k: usize) -> Result<usize, ExploreError> {
+    /// Propagates budget exhaustion and interruption from
+    /// [`advance`](Self::advance).
+    pub fn run_until_collapse(
+        &mut self,
+        max_k: usize,
+        interrupt: &Interrupt,
+    ) -> Result<usize, ExploreError> {
         while !self.is_collapsed() && self.current_k() < max_k {
-            self.advance()?;
+            self.advance(interrupt)?;
         }
         Ok(self.current_k())
     }
@@ -828,8 +838,8 @@ mod tests {
         );
         let mut exp = crate::ExplicitEngine::new(cpds, ExploreBudget::default());
         for _ in 0..6 {
-            sym.advance().unwrap();
-            exp.advance().unwrap();
+            sym.advance(&Interrupt::none()).unwrap();
+            exp.advance(&Interrupt::none()).unwrap();
             // T(Sk) must equal T(Rk) at every bound.
             let sv: std::collections::HashSet<_> = sym.visible_total().collect();
             let ev: std::collections::HashSet<_> = exp.visible_total().collect();
@@ -846,11 +856,11 @@ mod tests {
         let cpds = fig2();
         // Explicit exploration must hit its budget (no FCR)…
         let mut exp = crate::ExplicitEngine::new(cpds.clone(), ExploreBudget::tiny());
-        assert!(exp.advance().is_err());
+        assert!(exp.advance(&Interrupt::none()).is_err());
         // …while the symbolic engine computes rounds without trouble.
         let mut sym = SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Exact);
         for _ in 0..3 {
-            sym.advance().unwrap();
+            sym.advance(&Interrupt::none()).unwrap();
         }
         assert!(sym.num_visible() > 1);
     }
@@ -861,7 +871,7 @@ mod tests {
         // by a small bound even though stacks are unbounded.
         let cpds = fig2();
         let mut sym = SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Exact);
-        let k = sym.run_until_collapse(8).unwrap();
+        let k = sym.run_until_collapse(8, &Interrupt::none()).unwrap();
         assert!(sym.is_collapsed(), "expected collapse, got k={k}");
         assert!(k <= 6, "collapse bound too large: {k}");
     }
@@ -872,8 +882,8 @@ mod tests {
         // reachable within two contexts.
         let cpds = fig2();
         let mut sym = SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Exact);
-        sym.advance().unwrap();
-        sym.advance().unwrap();
+        sym.advance(&Interrupt::none()).unwrap();
+        sym.advance(&Interrupt::none()).unwrap();
         let state = GlobalState::new(
             q(2),
             vec![Stack::from_top_down([s(4)]), Stack::from_top_down([s(9)])],
@@ -892,8 +902,8 @@ mod tests {
         let mut pw =
             SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Pointwise);
         for _ in 0..5 {
-            exact.advance().unwrap();
-            pw.advance().unwrap();
+            exact.advance(&Interrupt::none()).unwrap();
+            pw.advance(&Interrupt::none()).unwrap();
             let pv: std::collections::HashSet<_> = pw.visible_total().collect();
             let xv: std::collections::HashSet<_> = exact.visible_total().collect();
             assert_eq!(pv, xv);
@@ -914,7 +924,7 @@ mod tests {
         );
         let mut got_err = false;
         for _ in 0..4 {
-            if sym.advance().is_err() {
+            if sym.advance(&Interrupt::none()).is_err() {
                 got_err = true;
                 break;
             }
@@ -932,9 +942,9 @@ mod tests {
             .build()
             .unwrap();
         let mut sym = SymbolicEngine::new(cpds, ExploreBudget::default(), SubsumptionMode::Exact);
-        let k = sym.run_until_collapse(10).unwrap();
+        let k = sym.run_until_collapse(10, &Interrupt::none()).unwrap();
         assert!(sym.is_collapsed());
-        sym.advance().unwrap();
+        sym.advance(&Interrupt::none()).unwrap();
         let store = sym.store();
         assert_eq!(store.state_count_at(k + 1), store.state_count_at(k));
     }

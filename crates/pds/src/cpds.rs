@@ -159,12 +159,6 @@ impl Cpds {
         out
     }
 
-    /// The visible-state projection `T(s)` (Eq. 1), delegated to
-    /// [`GlobalState::visible`]; exposed here for discoverability.
-    pub fn project(&self, state: &GlobalState) -> VisibleState {
-        state.visible()
-    }
-
     /// Enumerates the *entire* finite domain of visible states
     /// `Q × Σ≤1_1 × … × Σ≤1_n` (symbols restricted to those actually
     /// used by each thread, plus `ε`). The size of this set bounds the

@@ -99,7 +99,11 @@ pub fn lint(cpds: &Cpds, properties: &[Property]) -> Result<LintReport, Skeleton
     let checks: Vec<Option<PropertyCheck>> = properties
         .iter()
         .zip(&validity)
-        .map(|(property, valid)| valid.is_ok().then(|| PropertyCheck::new(property, cpds)))
+        .map(|(property, valid)| {
+            valid
+                .is_ok()
+                .then(|| PropertyCheck::per_state(property, cpds))
+        })
         .collect();
     let rel = skeleton::relevance(cpds, &skel, &checks);
     let coi_us = t1.elapsed().as_micros() as u64;

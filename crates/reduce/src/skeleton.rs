@@ -280,7 +280,7 @@ mod tests {
         let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|·⟩ is reachable; every action can sit on a path to it
         // except nothing — in Fig. 1 all actions feed the loop.
-        let check = PropertyCheck::new(&Property::never_shared(q(2)), &cpds);
+        let check = PropertyCheck::per_state(&Property::never_shared(q(2)), &cpds);
         let rel = relevance(&cpds, &skel, &[Some(check)]);
         assert_eq!(rel.vacuous, vec![false]);
         assert!(rel.relevant[0]
@@ -295,7 +295,7 @@ mod tests {
         let skel = explore(&cpds, MAX_SKELETON_EDGES).unwrap();
         // ⟨2|1,5⟩ is outside Z (Ex. 14): statically safe.
         let target = VisibleState::new(q(2), vec![Some(s(1)), Some(s(5))]);
-        let check = PropertyCheck::new(&Property::never_visible(target), &cpds);
+        let check = PropertyCheck::per_state(&Property::never_visible(target), &cpds);
         let rel = relevance(&cpds, &skel, &[Some(check)]);
         assert_eq!(rel.vacuous, vec![true]);
         assert!(rel.relevant.iter().flatten().all(|&r| !r));

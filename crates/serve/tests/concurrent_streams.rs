@@ -491,3 +491,31 @@ fn oversized_model_header_is_a_bad_request() {
     request(addr, "POST /v1/shutdown", "");
     handle.join().expect("clean shutdown");
 }
+
+/// A session timeout past what the clock can represent sets no
+/// deadline: the stream still carries fig1's verdict instead of ending
+/// after its `start` line.
+#[test]
+fn an_unrepresentable_session_timeout_streams_the_verdict() {
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        session: SessionConfig {
+            timeout: Some(std::time::Duration::MAX),
+            ..SessionConfig::new()
+        },
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let handle = server.spawn().expect("spawn");
+    let addr = handle.addr();
+
+    let body = request(addr, "POST /v1/analyze?property=true", MODEL);
+    let verdict = line_of_type(&body, "verdict");
+    assert!(
+        verdict.starts_with(r#"{"type":"verdict","property":"true","verdict":"safe","k":5"#),
+        "{body}"
+    );
+
+    request(addr, "POST /v1/shutdown", "");
+    handle.join().expect("clean shutdown");
+}

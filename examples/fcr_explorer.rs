@@ -11,7 +11,7 @@ use cuba::automata::psa_to_dot;
 use cuba::benchmarks::suite::table2_suite;
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{check_fcr, fcr_psa};
-use cuba::explore::{ExplicitEngine, ExploreBudget};
+use cuba::explore::{ExplicitEngine, ExploreBudget, Interrupt};
 
 fn main() {
     println!("FCR verdicts across the Table 2 suite:");
@@ -29,7 +29,7 @@ fn main() {
     // What happens without FCR: budgets catch the divergence.
     let fig2 = fig2::build();
     let mut engine = ExplicitEngine::new(fig2, ExploreBudget::tiny());
-    match engine.advance() {
+    match engine.advance(&Interrupt::none()) {
         Err(e) => println!("explicit exploration of Fig. 2 fails as expected: {e}"),
         Ok(_) => println!("unexpected success"),
     }

@@ -71,7 +71,7 @@
 //! cuba bench [options] measure the Table 2 suite, statistically
 //!     --samples <n>    measured suite iterations (default 5)
 //!     --warmup <n>     unmeasured iterations first (default 1)
-//!     --workers <n>    problems in flight (default: CPUs)
+//!     --workers <n>    systems in flight, each one's rows in order (default: CPUs)
 //!     --compare <file> classify each workload against a recorded baseline as
 //!                      improved/regressed/unchanged with noise-aware thresholds
 //!                      (medians of IQR-filtered samples; a regression must

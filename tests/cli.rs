@@ -491,6 +491,15 @@ fn timeout_yields_undetermined_exit_code() {
     assert!(stderr.contains("bad --timeout"));
 }
 
+/// A timeout past what the clock can represent sets no deadline: the
+/// run answers as it does without `--timeout`.
+#[test]
+fn an_unrepresentable_timeout_sets_no_deadline() {
+    let (stdout, stderr, code) = cuba(&["verify", "samples/fig1.cpds", "--timeout", "1e19"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.starts_with("safe"), "stdout: {stdout}");
+}
+
 /// Runs `cuba` with stdout on a pipe whose reading end is already
 /// closed, as under `cuba … | head -1` once `head` has exited: its
 /// stderr and exit code.

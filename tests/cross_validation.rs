@@ -55,7 +55,6 @@ fn small_budget() -> ExploreBudget {
         max_stack_depth: 40,
         max_states_per_context: 30_000,
         max_symbolic_states: 4_000,
-        ..ExploreBudget::default()
     }
 }
 
@@ -69,7 +68,9 @@ fn explicit_and_symbolic_visible_sets_agree() {
         let mut explicit = ExplicitEngine::new(cpds.clone(), small_budget());
         let mut symbolic = SymbolicEngine::new(cpds, small_budget(), SubsumptionMode::Exact);
         for _ in 0..4 {
-            if explicit.advance().is_err() || symbolic.advance().is_err() {
+            if explicit.advance(&Interrupt::none()).is_err()
+                || symbolic.advance(&Interrupt::none()).is_err()
+            {
                 break;
             }
             let ev: HashSet<_> = explicit.visible_total().collect();
@@ -148,7 +149,7 @@ fn check_overapproximation(gap: fn(&Cpds, &ExplicitEngine) -> Option<String>) {
     let run = |cpds: &Cpds| {
         let mut engine = ExplicitEngine::new(cpds.clone(), small_budget());
         for _ in 0..4 {
-            if engine.advance().is_err() {
+            if engine.advance(&Interrupt::none()).is_err() {
                 break; // A budget error: what was seen must still be covered.
             }
         }
@@ -250,7 +251,7 @@ fn layers_are_monotone_and_collapse_sticks() {
         let mut collapsed_at = None;
         let mut previous = 1usize;
         for k in 1..=6 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
             assert!(engine.num_states() >= previous, "seed {seed}");
             previous = engine.num_states();
             let store = engine.store();
@@ -274,7 +275,7 @@ fn witnesses_replay_within_bounds() {
         let cpds = random_cpds(&RandomCpdsConfig::shrinking(), seed);
         let mut engine = ExplicitEngine::new(cpds.clone(), small_budget());
         for _ in 0..3 {
-            engine.advance().unwrap();
+            engine.advance(&Interrupt::none()).unwrap();
         }
         for k in 0..=3usize {
             for state in engine.layer(k) {
@@ -305,7 +306,7 @@ fn witness_search_keeps_to_the_closure() {
         };
         let mut engine = ExplicitEngine::new(cpds.clone(), budget);
         for _ in 0..5 {
-            if engine.advance().is_err() {
+            if engine.advance(&Interrupt::none()).is_err() {
                 break;
             }
         }
@@ -393,8 +394,8 @@ fn symbolic_covers_explicit_states() {
         let mut explicit = ExplicitEngine::new(cpds.clone(), small_budget());
         let mut symbolic = SymbolicEngine::new(cpds, small_budget(), SubsumptionMode::Exact);
         for _ in 0..3 {
-            explicit.advance().unwrap();
-            symbolic.advance().unwrap();
+            explicit.advance(&Interrupt::none()).unwrap();
+            symbolic.advance(&Interrupt::none()).unwrap();
         }
         for state in explicit.states().iter().take(200) {
             assert!(
@@ -425,7 +426,9 @@ fn pushy_agreement_specific_seeds() {
         let mut symbolic = SymbolicEngine::new(cpds, small_budget(), SubsumptionMode::Exact);
         let mut ok = true;
         for _ in 0..4 {
-            if explicit.advance().is_err() || symbolic.advance().is_err() {
+            if explicit.advance(&Interrupt::none()).is_err()
+                || symbolic.advance(&Interrupt::none()).is_err()
+            {
                 ok = false;
                 break;
             }
@@ -1061,7 +1064,6 @@ fn oracle_budgets() -> [ExploreBudget; 2] {
         max_stack_depth: 2,
         max_states_per_context: 3,
         max_symbolic_states: 8,
-        ..ExploreBudget::default()
     };
     [small_budget(), starved]
 }
@@ -1128,7 +1130,7 @@ fn explicit_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
     let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
     let mut reference = reference::Explicit::new(cpds.clone(), budget.clone());
     for round in 1..=4 {
-        let (got, want) = (engine.advance(), reference.advance());
+        let (got, want) = (engine.advance(&Interrupt::none()), reference.advance());
         if got != want {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
@@ -1192,7 +1194,7 @@ fn symbolic_difference(
     let mut engine = SymbolicEngine::new(cpds.clone(), budget.clone(), mode);
     let mut reference = reference::Symbolic::new(cpds.clone(), budget.clone(), mode);
     for round in 1..=4 {
-        let (got, want) = (engine.advance(), reference.advance());
+        let (got, want) = (engine.advance(&Interrupt::none()), reference.advance());
         if got != want {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
@@ -1345,9 +1347,9 @@ fn interned_engines_match_the_reference_rounds() {
             let mut explicit = ExplicitEngine::new(cpds.clone(), budget.clone());
             let mut symbolic = SymbolicEngine::new(cpds, budget.clone(), SubsumptionMode::Exact);
             for error in (0..4)
-                .find_map(|_| explicit.advance().err())
+                .find_map(|_| explicit.advance(&Interrupt::none()).err())
                 .into_iter()
-                .chain((0..4).find_map(|_| symbolic.advance().err()))
+                .chain((0..4).find_map(|_| symbolic.advance(&Interrupt::none()).err()))
             {
                 *errors.entry(std::mem::discriminant(&error)).or_insert(0) += 1;
             }
@@ -1537,7 +1539,7 @@ fn symmetry_difference(cpds: &Cpds, budget: &ExploreBudget) -> Option<String> {
     let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
     let mut reference = reference::Explicit::new(cpds.clone(), budget.clone());
     for round in 1..=4 {
-        let (got, want) = (engine.advance(), reference.advance());
+        let (got, want) = (engine.advance(&Interrupt::none()), reference.advance());
         if got.is_ok() != want.is_ok() {
             return Some(format!("round {round}: {got:?} vs reference {want:?}"));
         }
@@ -1679,7 +1681,8 @@ fn symmetric_systems_match_the_reference_rounds() {
                         );
                     }
                     let mut engine = ExplicitEngine::new(cpds.clone(), budget.clone());
-                    errors += usize::from((0..4).any(|_| engine.advance().is_err()));
+                    errors +=
+                        usize::from((0..4).any(|_| engine.advance(&Interrupt::none()).is_err()));
                     reduced += usize::from(engine.states().len() < engine.num_states());
                 }
             }
@@ -1763,7 +1766,8 @@ fn symbolic_twin_threads_match_the_reference_rounds() {
                     let cpds = duplicated(&shape, seed, pattern);
                     let mut engine =
                         SymbolicEngine::new(cpds, budget.clone(), SubsumptionMode::Exact);
-                    errors += usize::from((0..4).any(|_| engine.advance().is_err()));
+                    errors +=
+                        usize::from((0..4).any(|_| engine.advance(&Interrupt::none()).is_err()));
                 }
             }
         }
@@ -1838,9 +1842,10 @@ fn random_property(rng: &mut SplitMix64, cpds: &Cpds, depth: usize) -> Property 
     }
 }
 
-/// The flattened [`PropertyCheck`] the engines and the lint run answers
-/// exactly as the recursive definition, on random properties (validated
-/// or not) and random visible keys within each model's ranges.
+/// The flattened per-state [`PropertyCheck`] that the witness searches
+/// and the lint run answers exactly as the recursive definition, on
+/// random properties (validated or not) and random visible keys within
+/// each model's ranges.
 #[test]
 fn flattened_property_checks_match_the_definition() {
     let three_threads = RandomCpdsConfig {
@@ -1865,7 +1870,7 @@ fn flattened_property_checks_match_the_definition() {
                 .collect();
             for _ in 0..200 {
                 let property = random_property(&mut rng, &cpds, 2);
-                let check = PropertyCheck::new(&property, &cpds);
+                let check = PropertyCheck::per_state(&property, &cpds);
                 for key in &keys {
                     let expected = property.violated_by_key(key);
                     assert_eq!(
@@ -1895,7 +1900,7 @@ fn violated_in_orbit(property: &Property, symmetries: &[Vec<usize>], key: &[u32]
 
 /// Draws 200 random canonical visible keys of `cpds` and 40 random
 /// properties (validated or not) from `case`, and compares
-/// [`PropertyCheck::violated_by_orbit`] on every pair with the
+/// [`PropertyCheck::violated_by_key`] on every pair with the
 /// definition applied to every orbit member: the numbers of pairs
 /// checked and violated, or the first difference.
 fn orbit_check_difference(cpds: &Cpds, case: u64) -> Result<(usize, usize), String> {
@@ -1926,7 +1931,7 @@ fn orbit_check_difference(cpds: &Cpds, case: u64) -> Result<(usize, usize), Stri
         let check = PropertyCheck::new(&property, cpds);
         for key in &keys {
             let expected = violated_in_orbit(&property, &symmetries, key);
-            if check.violated_by_orbit(key) != expected {
+            if check.violated_by_key(key) != expected {
                 return Err(format!("{property} on {key:?}: expected {expected}"));
             }
             checked += 1;

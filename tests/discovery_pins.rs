@@ -189,13 +189,13 @@ fn sorted_visible_digest(layers: impl Iterator<Item = Vec<VisibleState>>) -> (us
 fn explicit_discovery_order_is_pinned() {
     let mut engine = ExplicitEngine::new(fig1::build(), ExploreBudget::default());
     for _ in 0..6 {
-        engine.advance().unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
     }
     assert_eq!(explicit_digest(&engine), (17, 6447690871695350749));
     assert_eq!(engine.num_states(), 17);
 
     let mut engine = ExplicitEngine::new(bst::build(2, 1), ExploreBudget::default());
-    engine.run_until_collapse(64).unwrap();
+    engine.run_until_collapse(64, &Interrupt::none()).unwrap();
     assert!(engine.is_collapsed());
     assert_eq!(engine.current_k(), 4);
     assert_eq!(explicit_state_digest(&engine), (1183, 3811161117205548498));
@@ -216,7 +216,7 @@ fn symbolic_discovery_order_is_pinned() {
         (SubsumptionMode::Pointwise, 4, (12, 2405248916837428743)),
     ] {
         let mut engine = SymbolicEngine::new(fig2::build(), ExploreBudget::default(), mode);
-        engine.run_until_collapse(64).unwrap();
+        engine.run_until_collapse(64, &Interrupt::none()).unwrap();
         assert!(engine.is_collapsed());
         assert_eq!(engine.current_k(), k, "{mode:?}");
         assert_eq!(symbolic_digest(&engine), pin, "{mode:?}");
@@ -227,7 +227,7 @@ fn symbolic_discovery_order_is_pinned() {
         ExploreBudget::default(),
         SubsumptionMode::Exact,
     );
-    engine.run_until_collapse(64).unwrap();
+    engine.run_until_collapse(64, &Interrupt::none()).unwrap();
     assert!(engine.is_collapsed());
     assert_eq!(engine.current_k(), 6);
     assert_eq!(symbolic_state_digest(&engine), (21, 7749093684581373689));
@@ -253,7 +253,7 @@ fn stefan_8_keeps_its_counts_and_its_budget_error() {
     let runs_before = METRICS.symbolic_contexts_run.get();
     let mut engine = SymbolicEngine::new(stefan::build(8), budget, SubsumptionMode::Exact);
     for _ in 0..6 {
-        engine.advance().unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
     }
     let states: Vec<usize> = (0..=6).map(|k| engine.store().state_count_at(k)).collect();
     assert_eq!(states, [1, 17, 157, 941, 3587, 9103, 16187]);
@@ -267,7 +267,7 @@ fn stefan_8_keeps_its_counts_and_its_budget_error() {
     assert_eq!(stored_keys, 140, "one stored key per visible orbit");
     assert_eq!(engine.num_symbolic_states(), 16187);
     assert!(engine.num_stored() <= 50, "{} stored", engine.num_stored());
-    let error = engine.advance().unwrap_err();
+    let error = engine.advance(&Interrupt::none()).unwrap_err();
     assert_eq!(error.to_string(), "symbolic state budget of 20000 exceeded");
     assert_eq!(engine.current_k(), 6);
     assert_eq!(engine.num_symbolic_states(), 16187);

@@ -10,15 +10,18 @@
 //! * a property demanding a deeper bound extends the shared layers
 //!   past an earlier property's stopping point instead of restarting;
 //! * a fully warm run replays every layer (replays carry their own
-//!   flag and are excluded from cost accounting).
+//!   flag and are excluded from cost accounting);
+//! * a session stopped mid-run leaves the shared layers it computed
+//!   reusable, since no explorer holds a session's interrupt.
 
 use std::sync::Arc;
 
 use cuba::benchmarks::{fig1, fig2};
 use cuba::core::{
-    CubaOutcome, EngineKind, Portfolio, Property, SessionEvent, SystemArtifacts, Verdict,
+    ConvergenceMethod, CubaOutcome, EngineKind, Portfolio, Property, SessionConfig, SessionEvent,
+    SystemArtifacts, Verdict,
 };
-use cuba::explore::SubsumptionMode;
+use cuba::explore::{CancelToken, SubsumptionMode};
 use cuba::pds::{SharedState, StackSym, VisibleState};
 
 fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
@@ -251,4 +254,57 @@ fn auto_race_never_recomputes_layers() {
     assert!(artifacts
         .symbolic_explorer_if_started(SubsumptionMode::Exact)
         .is_none());
+}
+
+/// A session cancelled after its round 3 leaves the system's explicit
+/// layers at depth 3. The explorers hold no interrupt, so a second
+/// session on the same artifacts, with no token, replays those layers
+/// and answers exactly as a cold run does.
+#[test]
+fn a_stopped_session_leaves_the_shared_layers_reusable() {
+    let cancel = CancelToken::new();
+    let stopping = Portfolio::auto().with_config(SessionConfig {
+        cancel: Some(cancel.clone()),
+        ..SessionConfig::new()
+    });
+    let artifacts = Arc::new(SystemArtifacts::new());
+    let stopped = stopping
+        .session_with(fig1::build(), Property::True, &artifacts)
+        .unwrap()
+        .run_with(|event| {
+            if matches!(event, SessionEvent::RoundCompleted { k: 3, .. }) {
+                cancel.cancel();
+            }
+        })
+        .unwrap();
+    assert_eq!(
+        stopped.verdict.to_string(),
+        "undetermined: exploration cancelled"
+    );
+    assert_eq!(stopped.rounds, 3);
+    let explorer = artifacts
+        .explicit_explorer_if_started()
+        .expect("the explicit explorer was started");
+    assert_eq!(explorer.depth(), 3);
+
+    let cold = Portfolio::auto()
+        .run(fig1::build(), Property::True)
+        .unwrap();
+    let warm = Portfolio::auto()
+        .session_with(fig1::build(), Property::True, &artifacts)
+        .unwrap()
+        .run()
+        .unwrap();
+    for outcome in [&cold, &warm] {
+        assert_eq!(
+            outcome.verdict,
+            Verdict::Safe {
+                k: 5,
+                method: ConvergenceMethod::GeneratorTest
+            }
+        );
+        assert_eq!((outcome.rounds, outcome.states), (6, 17));
+    }
+    assert_eq!((cold.rounds_explored, cold.rounds_replayed), (13, 0));
+    assert_eq!((warm.rounds_explored, warm.rounds_replayed), (10, 3));
 }

@@ -8,10 +8,9 @@ use cuba::automata::{bounded_reach, post_star_from_config};
 use cuba::benchmarks::{fig1, fig2, fig7};
 use cuba::core::{
     build_engine, check_fcr, compute_z, ConvergenceMethod, CubaError, EngineKind, EngineParams,
-    GeneratorSet, Portfolio, Property, RoundCtx, RoundOutcome, SequenceEvent, SystemArtifacts,
-    Verdict,
+    GeneratorSet, Portfolio, Property, RoundOutcome, SequenceEvent, SystemArtifacts, Verdict,
 };
-use cuba::explore::{ExplicitEngine, ExploreBudget, SubsumptionMode, SymbolicEngine};
+use cuba::explore::{ExplicitEngine, ExploreBudget, Interrupt, SubsumptionMode, SymbolicEngine};
 use cuba::pds::{SharedState, StackSym, VisibleState};
 
 fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
@@ -26,7 +25,7 @@ fn vis(q: u32, tops: &[Option<u32>]) -> VisibleState {
 fn fig1_visible_state_table() {
     let mut engine = ExplicitEngine::new(fig1::build(), ExploreBudget::default());
     for _ in 0..6 {
-        engine.advance().unwrap();
+        engine.advance(&Interrupt::none()).unwrap();
     }
     let layer = |k: usize| -> HashSet<String> {
         engine
@@ -76,10 +75,9 @@ fn fig1_example14_run() {
         &Property::True,
         &EngineParams::default(),
     );
-    let mut ctx = RoundCtx::new();
     let mut rejected_plateaus = Vec::new();
     let verdict = loop {
-        match engine.step(&mut ctx).unwrap() {
+        match engine.step(&Interrupt::none()).unwrap() {
             RoundOutcome::Continue(info) => {
                 if info.event == SequenceEvent::NewPlateau {
                     rejected_plateaus.push(info.k - 1);
@@ -141,9 +139,9 @@ fn fig2_example8() {
         ExploreBudget::default(),
         SubsumptionMode::Exact,
     );
-    engine.advance().unwrap();
+    engine.advance(&Interrupt::none()).unwrap();
     assert!(!engine.covers(&target), "not reachable with one context");
-    engine.advance().unwrap();
+    engine.advance(&Interrupt::none()).unwrap();
     assert!(engine.covers(&target), "reachable with two contexts");
 
     let outcome = Portfolio::fixed(vec![EngineKind::Scheme1Symbolic])

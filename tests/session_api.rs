@@ -11,8 +11,7 @@ use cuba::benchmarks::suite::table2_suite;
 use cuba::benchmarks::{fig1, fig2, stefan};
 use cuba::core::{
     build_engine, AnalysisSession, ConvergenceMethod, EngineKind, EngineParams, EngineUsed,
-    Portfolio, Property, RoundCtx, RoundOutcome, SessionConfig, SessionEvent, SystemArtifacts,
-    Verdict,
+    Portfolio, Property, RoundOutcome, SessionConfig, SessionEvent, SystemArtifacts, Verdict,
 };
 use cuba::explore::{
     CancelToken, ExploreBudget, ExploreError, Interrupt, SubsumptionMode, SymbolicEngine,
@@ -34,9 +33,8 @@ fn drive(
     property: &Property,
 ) -> (Verdict, usize, usize, Vec<usize>) {
     let mut engine = build_engine(kind, cpds, property, &EngineParams::default());
-    let mut ctx = RoundCtx::new();
     let verdict = loop {
-        if let RoundOutcome::Concluded { verdict, .. } = engine.step(&mut ctx).unwrap() {
+        if let RoundOutcome::Concluded { verdict, .. } = engine.step(&Interrupt::none()).unwrap() {
             break verdict;
         }
     };
@@ -219,11 +217,11 @@ fn deadline_is_honored_mid_round() {
         max_states_per_context: usize::MAX / 2,
         max_stack_depth: usize::MAX / 2,
         ..ExploreBudget::default()
-    }
-    .with_interrupt(Interrupt::none().with_timeout(Duration::from_millis(50)));
+    };
+    let deadline = Interrupt::none().with_timeout(Duration::from_millis(50));
     let start = std::time::Instant::now();
     let mut engine = cuba::explore::ExplicitEngine::new(fig2::build(), budget);
-    let err = engine.advance().unwrap_err();
+    let err = engine.advance(&deadline).unwrap_err();
     assert_eq!(err, ExploreError::DeadlineExceeded);
     assert!(
         start.elapsed() < Duration::from_secs(10),
@@ -294,21 +292,23 @@ fn a_deadline_interrupts_a_symbolic_visible_orbit_promptly() {
         let mut engine =
             SymbolicEngine::new(wide(n), ExploreBudget::default(), SubsumptionMode::Exact);
         for _ in 0..bound {
-            engine.advance().expect("an unarmed round completes");
+            engine
+                .advance(&Interrupt::none())
+                .expect("an unarmed round completes");
         }
         engine
     };
     let mut reference = engine_at(k - 1);
     let start = std::time::Instant::now();
-    reference.advance().unwrap();
+    reference.advance(&Interrupt::none()).unwrap();
     let full_round = start.elapsed();
 
     let mut engine = engine_at(k - 1);
     let visible_before = engine.num_visible();
-    engine.set_interrupt(Interrupt::none().with_timeout(Duration::from_millis(5)));
+    let deadline = Interrupt::none().with_timeout(Duration::from_millis(5));
     let start = std::time::Instant::now();
     assert_eq!(
-        engine.advance().unwrap_err(),
+        engine.advance(&deadline).unwrap_err(),
         ExploreError::DeadlineExceeded
     );
     let interrupted = start.elapsed();
@@ -319,8 +319,9 @@ fn a_deadline_interrupts_a_symbolic_visible_orbit_promptly() {
     assert_eq!(engine.current_k(), k - 1);
     assert_eq!(engine.num_visible(), visible_before);
 
-    engine.set_interrupt(Interrupt::none());
-    engine.advance().expect("the retried round completes");
+    engine
+        .advance(&Interrupt::none())
+        .expect("the retried round completes");
     let (store, expected) = (engine.store(), reference.store());
     for bound in 0..=k {
         assert_eq!(store.state_count_at(bound), expected.state_count_at(bound));
@@ -352,21 +353,23 @@ fn a_deadline_interrupts_an_explicit_visible_orbit_promptly() {
     let engine_at = |bound: usize| {
         let mut engine = cuba::explore::ExplicitEngine::new(chains(8, 12), budget.clone());
         for _ in 0..bound {
-            engine.advance().expect("an unarmed round completes");
+            engine
+                .advance(&Interrupt::none())
+                .expect("an unarmed round completes");
         }
         engine
     };
     let mut reference = engine_at(k - 1);
     let start = std::time::Instant::now();
-    reference.advance().unwrap();
+    reference.advance(&Interrupt::none()).unwrap();
     let full_round = start.elapsed();
 
     let mut engine = engine_at(k - 1);
     let (states_before, visible_before) = (engine.num_states(), engine.num_visible());
-    engine.set_interrupt(Interrupt::none().with_timeout(Duration::from_millis(5)));
+    let deadline = Interrupt::none().with_timeout(Duration::from_millis(5));
     let start = std::time::Instant::now();
     assert_eq!(
-        engine.advance().unwrap_err(),
+        engine.advance(&deadline).unwrap_err(),
         ExploreError::DeadlineExceeded
     );
     let interrupted = start.elapsed();
@@ -378,8 +381,9 @@ fn a_deadline_interrupts_an_explicit_visible_orbit_promptly() {
     assert_eq!(engine.num_states(), states_before);
     assert_eq!(engine.num_visible(), visible_before);
 
-    engine.set_interrupt(Interrupt::none());
-    engine.advance().expect("the retried round completes");
+    engine
+        .advance(&Interrupt::none())
+        .expect("the retried round completes");
     let (store, expected) = (engine.store(), reference.store());
     for bound in 0..=k {
         assert_eq!(store.state_count_at(bound), expected.state_count_at(bound));
@@ -420,10 +424,9 @@ fn an_interrupted_generator_search_fails_the_round_and_caches_nothing() {
     };
     let mut engine = build_engine(EngineKind::Alg3Explicit, &cpds, &Property::True, &params);
     let deadline = Interrupt::none().with_timeout(Duration::from_millis(300));
-    let mut ctx = RoundCtx::with_interrupt(deadline);
     let start = std::time::Instant::now();
     let error = loop {
-        match engine.step(&mut ctx) {
+        match engine.step(&deadline) {
             Ok(RoundOutcome::Continue(info)) => assert!(info.k < 2, "k={}", info.k),
             Ok(other) => panic!("the plateau cannot conclude without G∩Z: {other:?}"),
             Err(error) => break error,
@@ -453,15 +456,15 @@ fn cancel_token_is_honored_mid_round() {
         max_states_per_context: usize::MAX / 2,
         max_stack_depth: usize::MAX / 2,
         ..ExploreBudget::default()
-    }
-    .with_interrupt(Interrupt::none().with_cancel(token.clone()));
+    };
+    let interrupt = Interrupt::none().with_cancel(token.clone());
     let mut engine = cuba::explore::ExplicitEngine::new(fig2::build(), budget);
     // Cancel from a watchdog thread while advance() is spinning.
     let handle = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(50));
         token.cancel();
     });
-    let err = engine.advance().unwrap_err();
+    let err = engine.advance(&interrupt).unwrap_err();
     handle.join().unwrap();
     assert_eq!(err, ExploreError::Cancelled);
 }
@@ -484,12 +487,17 @@ fn cancel_between_rounds_stops_the_next_symbolic_advance() {
     let budget = ExploreBudget {
         max_symbolic_states: 100_000,
         ..ExploreBudget::default()
-    }
-    .with_interrupt(Interrupt::none().with_cancel(token.clone()));
+    };
+    let interrupt = Interrupt::none().with_cancel(token.clone());
     let mut engine = SymbolicEngine::new(stefan_1_8(), budget, SubsumptionMode::Exact);
-    engine.advance().expect("first round runs uncancelled");
+    engine
+        .advance(&interrupt)
+        .expect("first round runs uncancelled");
     token.cancel();
-    assert_eq!(engine.advance().unwrap_err(), ExploreError::Cancelled);
+    assert_eq!(
+        engine.advance(&interrupt).unwrap_err(),
+        ExploreError::Cancelled
+    );
 }
 
 /// A token fired from another thread *mid-round* interrupts the
@@ -506,15 +514,15 @@ fn concurrent_cancel_interrupts_a_symbolic_round_promptly() {
     let budget = ExploreBudget {
         max_symbolic_states: 1_000_000,
         ..ExploreBudget::default()
-    }
-    .with_interrupt(Interrupt::none().with_cancel(token.clone()));
+    };
+    let interrupt = Interrupt::none().with_cancel(token.clone());
     let mut engine = SymbolicEngine::new(stefan::build(10), budget, SubsumptionMode::Exact);
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
         token.cancel();
     });
     let err = loop {
-        match engine.advance() {
+        match engine.advance(&interrupt) {
             Ok(_) => {
                 assert!(
                     !engine.is_collapsed(),
